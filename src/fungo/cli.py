@@ -281,8 +281,9 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     """Parse the ontology and annotations, then adapt and cut.
 
     A protein stays in the dataset only if it has at least one annotation
-    in every analyzed namespace; every drop is logged.  The cut is built
-    from the closed annotations of the kept proteins.
+    in every analyzed namespace; drops are counted at INFO and listed at
+    DEBUG.  The cut is built from the closed annotations of the kept
+    proteins.
     """
     dag = parse_obo(_read_text(config.obo))
     raw = io.read_annotations(config.annotations)
@@ -294,9 +295,12 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
         missing = [ns for ns in config.namespaces if ns not in covered]
         if missing:
             dropped.append(protein)
-            log.info("dropping %s: no annotation in %s", protein, ", ".join(missing))
+            log.debug("dropping %s: no annotation in %s", protein, ", ".join(missing))
         else:
             kept[protein] = set(raw[protein])
+    if dropped:
+        log.info("dropped %d proteins lacking an annotation in an analyzed namespace",
+                 len(dropped))
     if not kept:
         raise CliError("dataset adaptation dropped every protein")
     closed = tpr_closure(kept, dag)
@@ -335,11 +339,15 @@ def build_gram(config: ExperimentConfig, proteins: tuple[str, ...]) -> GramMatri
                                        "for the diffusion kernel"))
         known = set(proteins)
         edges: dict[tuple[str, str], float] = {}
+        skipped = 0
         for a, b in pairs:
             if a not in known or b not in known or a == b:
-                log.info("skipping graph edge %s-%s outside the dataset", a, b)
+                log.debug("skipping graph edge %s-%s outside the dataset", a, b)
+                skipped += 1
                 continue
             edges[(min(a, b), max(a, b))] = 1.0
+        if skipped:
+            log.info("skipped %d graph edges outside the dataset", skipped)
         graph = InteractionGraph(
             proteins, tuple((a, b, w) for (a, b), w in sorted(edges.items()))
         )
@@ -409,11 +417,15 @@ class FoldOutcome:
 
 def _canonical_pairs(pairs, known: set[str]) -> tuple[tuple[str, str], ...]:
     out = set()
+    skipped = 0
     for a, b in pairs:
         if a == b or a not in known or b not in known:
-            log.info("skipping interaction %s-%s outside the dataset", a, b)
+            log.debug("skipping interaction %s-%s outside the dataset", a, b)
+            skipped += 1
             continue
         out.add((min(a, b), max(a, b)))
+    if skipped:
+        log.info("skipped %d interactions outside the dataset", skipped)
     return tuple(sorted(out))
 
 
@@ -443,7 +455,10 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
             examples.append((parts[0], parts[1]))
             keep.append(i)
         else:
-            log.info("skipping pair Gram entry %s outside the dataset", name)
+            log.debug("skipping pair Gram entry %s outside the dataset", name)
+    if len(keep) < len(loaded.ids):
+        log.info("skipped %d pair Gram entries outside the dataset",
+                 len(loaded.ids) - len(keep))
     if not examples:
         raise CliError("pair Gram has no pairs inside the dataset")
     index = np.array(keep, dtype=np.intp)

@@ -238,15 +238,8 @@ def diffusion_kernel(graph: InteractionGraph, beta: float = 1.0) -> GramMatrix:
 # ---------------------------------------------------------------------------
 # expression profiles
 
-def correlation_kernel(
-    x: Sequence[float], y: Sequence[float], *, double_sum: bool = False
-) -> float:
-    """Covariance of two expression profiles over the measured conditions.
-
-    ``double_sum`` switches to the sum-over-all-index-pairs variant
-    (1/n) * sum_s sum_t (x_s - mean_x)(y_t - mean_y), kept only for
-    fidelity experiments: for centered profiles it collapses to ~0.
-    """
+def correlation_kernel(x: Sequence[float], y: Sequence[float]) -> float:
+    """Covariance of two expression profiles over the measured conditions."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.ndim != 1 or xv.shape != yv.shape:
@@ -255,16 +248,11 @@ def correlation_kernel(
         raise ValueError("empty expression profile")
     cx = xv - xv.mean()
     cy = yv - yv.mean()
-    if double_sum:
-        return float(cx.sum() * cy.sum() / xv.size)
     return float(np.dot(cx, cy) / xv.size)
 
 
 def expression_gram(
-    profiles: Mapping[str, Sequence[float]],
-    ids: Sequence[str] | None = None,
-    *,
-    double_sum: bool = False,
+    profiles: Mapping[str, Sequence[float]], ids: Sequence[str] | None = None
 ) -> GramMatrix:
     order = tuple(ids) if ids is not None else tuple(profiles)
     if not order:
@@ -284,10 +272,6 @@ def expression_gram(
         rows.append(row)
     data = np.vstack(rows)
     centered = data - data.mean(axis=1, keepdims=True)
-    if double_sum:
-        sums = centered.sum(axis=1)
-        m = np.outer(sums, sums) / data.shape[1]
-    else:
-        m = centered @ centered.T / data.shape[1]
+    m = centered @ centered.T / data.shape[1]
     m = (m + m.T) / 2.0
     return GramMatrix(order, m)

@@ -88,8 +88,9 @@ class TaskSpec:
                     f"task {self.predicate!r}: Gram ids do not match the example list"
                 )
             labels = self.labels or {}
+            known = set(self.examples)
             for example, value in labels.items():
-                if example not in set(self.examples):
+                if example not in known:
                     raise LearnerError(
                         f"task {self.predicate!r}: label on unknown example {example!r}"
                     )
@@ -257,7 +258,12 @@ class _Workspace:
                         f"{sizes[slot.pred]}"
                     )
         if check_psd:
+            # Tasks often share one Gram object; check each distinct one once.
+            checked: set[int] = set()
             for task in self.learned:
+                if id(task.gram) in checked:
+                    continue
+                checked.add(id(task.gram))
                 ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
                 if not ok:
                     raise LearnerError(
@@ -279,56 +285,51 @@ class _Workspace:
     def _scores(self, alphas: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         return {p: self.grams[p] @ np.asarray(alphas[p], dtype=np.float64) for p in self.grams}
 
-    def value(self, alphas: Mapping[str, np.ndarray], lambda_c: float) -> float:
+    def evaluate(
+        self, alphas: Mapping[str, np.ndarray], lambda_c: float, with_gradient: bool
+    ) -> tuple[float, dict[str, np.ndarray] | None]:
+        """Objective at ``alphas`` and, when asked, its gradient wrt each task's weights."""
+        lambda_r = self.config.lambda_r
+        scores = self._scores(alphas)
         total = 0.0
-        scores = self._scores(alphas)
-        for task in self.learned:
-            p = task.predicate
-            s = scores[p]
-            total += self.config.lambda_r * float(np.asarray(alphas[p]) @ s)
-            idx = self.labeled[p]
-            if idx.size:
-                residual = s[idx] - self.targets[p]
-                total += float(residual @ residual)
-        if lambda_c and self.constraints:
-            outputs = self._constraint_outputs(scores)
-            for constraint in self.constraints:
-                total += lambda_c * constraint.penalty(outputs)
-        return total
-
-    def gradient(
-        self, alphas: Mapping[str, np.ndarray], lambda_c: float
-    ) -> dict[str, np.ndarray]:
-        scores = self._scores(alphas)
         grads: dict[str, np.ndarray] = {}
         for task in self.learned:
             p = task.predicate
             s = scores[p]
-            pull = self.config.lambda_r * 2.0 * s
+            total += lambda_r * float(np.asarray(alphas[p]) @ s)
+            if with_gradient:
+                grads[p] = lambda_r * 2.0 * s
             idx = self.labeled[p]
             if idx.size:
-                residual = np.zeros_like(s)
-                residual[idx] = s[idx] - self.targets[p]
-                pull = pull + 2.0 * (self.grams[p] @ residual)
-            grads[p] = pull
+                residual = s[idx] - self.targets[p]
+                total += float(residual @ residual)
+                if with_gradient:
+                    full = np.zeros_like(s)
+                    full[idx] = residual
+                    grads[p] = grads[p] + 2.0 * (self.grams[p] @ full)
         if lambda_c and self.constraints:
             outputs = self._constraint_outputs(scores)
-            dtruth = {p: np.zeros_like(scores[p]) for p in scores}
+            dtruth = {p: np.zeros_like(s) for p, s in scores.items()}
             for constraint in self.constraints:
-                _, partials = constraint.penalty_and_gradients(outputs)
-                for pred, grad in partials.items():
-                    if pred in dtruth:
-                        dtruth[pred] += grad
-            for task in self.learned:
-                p = task.predicate
-                s = scores[p]
-                # Slope 1 on the closed unit interval: a task parked exactly at
-                # the boundary (e.g. an unlabeled one starting from zero) must
-                # still feel the constraints.
-                inside = (s >= 0.0) & (s <= 1.0)
-                dscore = np.where(inside, dtruth[p], 0.0)
-                grads[p] = grads[p] + lambda_c * (self.grams[p] @ dscore)
-        return grads
+                if with_gradient:
+                    phi, partials = constraint.penalty_and_gradients(outputs)
+                    for pred, grad in partials.items():
+                        if pred in dtruth:
+                            dtruth[pred] += grad
+                else:
+                    phi = constraint.penalty(outputs)
+                total += lambda_c * phi
+            if with_gradient:
+                for task in self.learned:
+                    p = task.predicate
+                    s = scores[p]
+                    # Slope 1 on the closed unit interval: a task parked exactly
+                    # at the boundary (e.g. an unlabeled one starting from zero)
+                    # must still feel the constraints.
+                    inside = (s >= 0.0) & (s <= 1.0)
+                    dscore = np.where(inside, dtruth[p], 0.0)
+                    grads[p] = grads[p] + lambda_c * (self.grams[p] @ dscore)
+        return total, (grads if with_gradient else None)
 
     def _constraint_outputs(self, scores: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
@@ -344,7 +345,8 @@ def objective(
 ) -> float:
     """Full objective at the model's weights (constraints at full strength)."""
     ws = _Workspace(tasks, constraints, config)
-    return ws.value({t.predicate: model.alpha(t.predicate) for t in ws.learned}, config.lambda_c)
+    alphas = {t.predicate: model.alpha(t.predicate) for t in ws.learned}
+    return ws.evaluate(alphas, config.lambda_c, False)[0]
 
 
 def objective_gradient(
@@ -355,22 +357,22 @@ def objective_gradient(
 ) -> dict[str, np.ndarray]:
     """Gradient of the full objective with respect to each task's weights."""
     ws = _Workspace(tasks, constraints, config)
-    return ws.gradient(
-        {t.predicate: model.alpha(t.predicate) for t in ws.learned}, config.lambda_c
-    )
+    alphas = {t.predicate: model.alpha(t.predicate) for t in ws.learned}
+    return ws.evaluate(alphas, config.lambda_c, True)[1]  # type: ignore[return-value]
 
 
 def _descend(
     ws: _Workspace, alphas: dict[str, np.ndarray], lambda_c: float, stage: str
 ) -> tuple[list[float], dict[str, np.ndarray]]:
     config = ws.config
-    current = ws.value(alphas, lambda_c)
+    current, grads = ws.evaluate(alphas, lambda_c, True)
     if not np.isfinite(current):
         raise DivergenceError(stage, 0, current)
     history = [current]
     growth = 0
     for iteration in range(config.max_iterations):
-        grads = ws.gradient(alphas, lambda_c)
+        if iteration:
+            _, grads = ws.evaluate(alphas, lambda_c, True)
         norm2 = sum(float(g @ g) for g in grads.values())
         if norm2 == 0.0:
             break
@@ -379,7 +381,7 @@ def _descend(
             candidate = None
             for _ in range(MAX_HALVINGS):
                 trial = {p: alphas[p] - step * grads[p] for p in alphas}
-                value = ws.value(trial, lambda_c)
+                value, _ = ws.evaluate(trial, lambda_c, False)
                 if value <= current - ARMIJO * step * norm2:
                     candidate = (trial, value)
                     break
@@ -389,7 +391,7 @@ def _descend(
             alphas, value = candidate
         else:
             alphas = {p: alphas[p] - config.learning_rate * grads[p] for p in alphas}
-            value = ws.value(alphas, lambda_c)
+            value, _ = ws.evaluate(alphas, lambda_c, False)
             if not np.isfinite(value):
                 raise DivergenceError(stage, iteration + 1, value)
             if value > current:

@@ -131,25 +131,24 @@ class CompiledConstraint:
                 values[:, s] = np.where(present, arr[np.maximum(gather, 0)], 0.0)
         return values
 
-    def penalty(self, outputs: Mapping[str, np.ndarray], engine: str | None = None) -> float:
-        values = self.input_matrix(outputs)
-        truths = _engine.evaluate(self.program, values, engine)
-        penalties = (1.0 - truths).reshape(self.shape)
+    def _forward(self, outputs: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's value per grounding, and the grid of penalties ``1 - truth``."""
+        vals = _engine.node_values(self.program, self.input_matrix(outputs))
+        return vals, (1.0 - vals[-1]).reshape(self.shape)
+
+    def penalty(self, outputs: Mapping[str, np.ndarray]) -> float:
+        _, penalties = self._forward(outputs)
         phi, _ = _aggregate(penalties, self.formula.quantifiers, need_weights=False)
         return phi
 
     def penalty_and_gradients(
-        self, outputs: Mapping[str, np.ndarray], engine: str | None = None
+        self, outputs: Mapping[str, np.ndarray]
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Penalty plus its gradient wrt each learned predicate's outputs."""
-        values = self.input_matrix(outputs)
-        truths = _engine.evaluate(self.program, values, engine)
-        penalties = (1.0 - truths).reshape(self.shape)
+        vals, penalties = self._forward(outputs)
         phi, weights = _aggregate(penalties, self.formula.quantifiers, need_weights=True)
         # phi depends on truths through penalties = 1 - truths.
-        _, dvalues = _engine.evaluate_with_gradient(
-            self.program, values, -weights.reshape(-1), engine
-        )
+        dvalues = _engine.backward(self.program, vals, -weights.reshape(-1))
         grads: dict[str, np.ndarray] = {}
         for s, slot in enumerate(self.slots):
             if slot.mode == GIVEN:
@@ -167,8 +166,7 @@ class CompiledConstraint:
         kinks (branch switches of min/max, residuum satisfaction boundaries,
         selection ties of existential aggregation).
         """
-        values = self.input_matrix(outputs)
-        vals = _engine.node_values(self.program, values)
+        vals, penalties = self._forward(outputs)
         program = self.program
         tn = program.tnorm_code
         margin = np.inf
@@ -190,8 +188,6 @@ class CompiledConstraint:
                     margin = min(margin, float(np.abs(a + b - 1.0).min()))
                 elif tn == _engine.TN_LUKASIEWICZ:
                     margin = min(margin, float(np.abs(a - b).min()))
-        truths = vals[program.n_nodes - 1]
-        penalties = (1.0 - truths).reshape(self.shape)
         margin = min(margin, _selection_margin(penalties, self.formula.quantifiers))
         return margin
 

@@ -1,38 +1,19 @@
-"""Execution backends for compiled rule bodies.
+"""Execution of compiled rule bodies.
 
-A rule body is lowered to a flat postorder instruction program.  Two
-backends evaluate it over a batch of groundings: a numba-jitted
-node-major loop nest and a vectorized pure-numpy path.  Both compute
-the same IEEE operations in the same order, so they agree to the last
-bit.
-
-The backend is picked by the ``FUNGO_ENGINE`` environment variable
-(``auto``, ``numba`` or ``numpy``; default ``auto`` = numba when
-importable).  ``benchmarks/bench_engine.py`` compares the two.
+A rule body is lowered to a flat postorder instruction program.
+:func:`node_values` is the forward pass over a batch of groundings and
+keeps every node's value; :func:`backward` reuses those values to
+propagate a weighted truth back onto the input slots, so a penalty and
+its gradient cost one forward pass.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-ENGINE_ENV_VAR = "FUNGO_ENGINE"
+from .tnorms import PRODUCT_GUARD
 
 OP_LOAD = 0
 OP_NOT = 1
@@ -45,7 +26,12 @@ TN_MINIMUM = 0
 TN_PRODUCT = 1
 TN_LUKASIEWICZ = 2
 
-_GUARD = 1e-12
+# perfbench/setup_probe.py reads these two for its environment fingerprint.
+HAS_NUMBA = False
+
+
+def resolve_engine() -> str:
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -67,61 +53,6 @@ class Program:
         return int(self.opcodes.shape[0])
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine request (or the env var) to 'numba' or 'numpy'."""
-    name = engine or os.environ.get(ENGINE_ENV_VAR, "auto")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba engine requested but numba is not importable")
-        return name
-    if name == "numpy":
-        return name
-    raise ValueError(f"unknown engine {name!r}, expected auto, numba or numpy")
-
-
-def _native(arr: np.ndarray) -> np.ndarray:
-    """Re-home a jit-allocated array into a numpy-owned buffer.
-
-    Arrays allocated inside jitted code carry their own float64
-    descriptor instance, and numpy's indexed-ufunc fast path dispatches
-    on descriptor identity — downstream ``np.add.at`` scatters run an
-    order of magnitude slower on them.  One memcpy restores the
-    singleton dtype.
-    """
-    out = np.empty(arr.shape, dtype=np.float64)
-    np.copyto(out, arr)
-    return out
-
-
-def evaluate(program: Program, values: np.ndarray, engine: str | None = None) -> np.ndarray:
-    """Truth value of the body for each grounding row of ``values``."""
-    if resolve_engine(engine) == "numba":
-        return _native(_eval_nb(
-            program.opcodes, program.lhs, program.rhs, program.tnorm_code, values
-        ))
-    return node_values(program, values)[-1].copy()
-
-
-def evaluate_with_gradient(
-    program: Program,
-    values: np.ndarray,
-    weights: np.ndarray,
-    engine: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truths plus d(sum_g weights[g] * t[g]) / d(values)."""
-    if resolve_engine(engine) == "numba":
-        truths, dvalues = _eval_grad_nb(
-            program.opcodes, program.lhs, program.rhs, program.tnorm_code, values, weights
-        )
-        return _native(truths), _native(dvalues)
-    return _eval_grad_np(program, values, weights)
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
 def node_values(program: Program, values: np.ndarray) -> np.ndarray:
     """Forward pass keeping every node's value; shape (n_nodes, n_groundings)."""
     opcodes, lhs, rhs = program.opcodes, program.lhs, program.rhs
@@ -138,17 +69,17 @@ def node_values(program: Program, values: np.ndarray) -> np.ndarray:
             a = vals[lhs[i]]
             b = vals[rhs[i]]
             if op == OP_AND:
-                vals[i] = _t_np(tn, a, b)
+                vals[i] = _tnorm(tn, a, b)
             elif op == OP_OR:
-                vals[i] = 1.0 - _t_np(tn, 1.0 - a, 1.0 - b)
+                vals[i] = 1.0 - _tnorm(tn, 1.0 - a, 1.0 - b)
             elif op == OP_IMPL:
-                vals[i] = _resid_np(tn, a, b)
+                vals[i] = _residuum(tn, a, b)
             else:
-                vals[i] = 1.0 - _t_np(tn, a, 1.0 - b)
+                vals[i] = 1.0 - _tnorm(tn, a, 1.0 - b)
     return vals
 
 
-def _t_np(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _tnorm(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if tn == TN_MINIMUM:
         return np.minimum(a, b)
     if tn == TN_PRODUCT:
@@ -156,26 +87,28 @@ def _t_np(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(a + b - 1.0, 0.0)
 
 
-def _resid_np(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _residuum(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sat = a <= b
     if tn == TN_MINIMUM:
         res = b
     elif tn == TN_PRODUCT:
-        small = a < _GUARD
+        small = a < PRODUCT_GUARD
         res = np.where(small, 1.0, b / np.where(small, 1.0, a))
     else:
         res = 1.0 - a + b
     return np.where(sat, 1.0, res)
 
 
-def _eval_grad_np(
-    program: Program, values: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def backward(program: Program, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """d(sum_g weights[g] * t[g]) / d(slot values), shape (n_groundings, n_slots).
+
+    ``vals`` is the forward pass of :func:`node_values` and ``t`` its
+    last row, the body's truth per grounding.
+    """
     opcodes, lhs, rhs = program.opcodes, program.lhs, program.rhs
     tn = program.tnorm_code
-    vals = node_values(program, values)
     n_nodes = program.n_nodes
-    n_g = values.shape[0]
+    n_g = vals.shape[1]
     adj = np.zeros((n_nodes, n_g), dtype=np.float64)
     adj[n_nodes - 1] = weights
     dvalues = np.zeros((n_g, program.n_slots), dtype=np.float64)
@@ -214,7 +147,7 @@ def _eval_grad_np(
                 da = np.zeros(n_g)
                 db = np.where(unsat, 1.0, 0.0)
             elif tn == TN_PRODUCT:
-                live = unsat & (a >= _GUARD)
+                live = unsat & (a >= PRODUCT_GUARD)
                 safe = np.where(live, a, 1.0)
                 da = np.where(live, -b / (safe * safe), 0.0)
                 db = np.where(live, 1.0 / safe, 0.0)
@@ -235,151 +168,4 @@ def _eval_grad_np(
                 db = np.where(act, 1.0, 0.0)
         adj[lhs[i]] += w * da
         adj[rhs[i]] += w * db
-    return vals[n_nodes - 1].copy(), dvalues
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-@njit(cache=True)
-def _t_s(tn, a, b):
-    if tn == TN_MINIMUM:
-        return a if a <= b else b
-    if tn == TN_PRODUCT:
-        return a * b
-    s = a + b - 1.0
-    return s if s > 0.0 else 0.0
-
-
-@njit(cache=True)
-def _resid_s(tn, a, b):
-    if a <= b:
-        return 1.0
-    if tn == TN_MINIMUM:
-        return b
-    if tn == TN_PRODUCT:
-        if a < _GUARD:
-            return 1.0
-        return b / a
-    return 1.0 - a + b
-
-
-@njit(cache=True)
-def _forward_nb(opcodes, lhs, rhs, tn, values):
-    # Node-major loop nest: the opcode dispatch is hoisted out of the
-    # grounding loop so the inner loops stay branch-light and vectorize.
-    n_nodes = opcodes.shape[0]
-    n_g = values.shape[0]
-    vals = np.empty((n_nodes, n_g), dtype=np.float64)
-    for i in range(n_nodes):
-        op = opcodes[i]
-        li = lhs[i]
-        ri = rhs[i]
-        if op == OP_LOAD:
-            for g in range(n_g):
-                vals[i, g] = values[g, li]
-        elif op == OP_NOT:
-            for g in range(n_g):
-                vals[i, g] = 1.0 - vals[li, g]
-        elif op == OP_AND:
-            for g in range(n_g):
-                vals[i, g] = _t_s(tn, vals[li, g], vals[ri, g])
-        elif op == OP_OR:
-            for g in range(n_g):
-                vals[i, g] = 1.0 - _t_s(tn, 1.0 - vals[li, g], 1.0 - vals[ri, g])
-        elif op == OP_IMPL:
-            for g in range(n_g):
-                vals[i, g] = _resid_s(tn, vals[li, g], vals[ri, g])
-        else:
-            for g in range(n_g):
-                vals[i, g] = 1.0 - _t_s(tn, vals[li, g], 1.0 - vals[ri, g])
-    return vals
-
-
-@njit(cache=True)
-def _eval_nb(opcodes, lhs, rhs, tn, values):
-    vals = _forward_nb(opcodes, lhs, rhs, tn, values)
-    return vals[opcodes.shape[0] - 1].copy()
-
-
-@njit(cache=True)
-def _eval_grad_nb(opcodes, lhs, rhs, tn, values, weights):
-    n_g = values.shape[0]
-    n_nodes = opcodes.shape[0]
-    n_slots = values.shape[1]
-    vals = _forward_nb(opcodes, lhs, rhs, tn, values)
-    adj = np.zeros((n_nodes, n_g), dtype=np.float64)
-    dvalues = np.zeros((n_g, n_slots), dtype=np.float64)
-    for g in range(n_g):
-        adj[n_nodes - 1, g] = weights[g]
-    for i in range(n_nodes - 1, -1, -1):
-        op = opcodes[i]
-        li = lhs[i]
-        ri = rhs[i]
-        if op == OP_LOAD:
-            for g in range(n_g):
-                dvalues[g, li] += adj[i, g]
-            continue
-        if op == OP_NOT:
-            for g in range(n_g):
-                adj[li, g] -= adj[i, g]
-            continue
-        for g in range(n_g):
-            w = adj[i, g]
-            a = vals[li, g]
-            b = vals[ri, g]
-            da = 0.0
-            db = 0.0
-            if op == OP_AND:
-                if tn == TN_MINIMUM:
-                    if a <= b:
-                        da = 1.0
-                    else:
-                        db = 1.0
-                elif tn == TN_PRODUCT:
-                    da = b
-                    db = a
-                else:
-                    if a + b - 1.0 > 0.0:
-                        da = 1.0
-                        db = 1.0
-            elif op == OP_OR:
-                if tn == TN_MINIMUM:
-                    if a >= b:
-                        da = 1.0
-                    else:
-                        db = 1.0
-                elif tn == TN_PRODUCT:
-                    da = 1.0 - b
-                    db = 1.0 - a
-                else:
-                    if a + b < 1.0:
-                        da = 1.0
-                        db = 1.0
-            elif op == OP_IMPL:
-                if a > b:
-                    if tn == TN_MINIMUM:
-                        db = 1.0
-                    elif tn == TN_PRODUCT:
-                        if a >= _GUARD:
-                            da = -b / (a * a)
-                            db = 1.0 / a
-                    else:
-                        da = -1.0
-                        db = 1.0
-            else:
-                if tn == TN_MINIMUM:
-                    if a + b <= 1.0:
-                        da = -1.0
-                    else:
-                        db = 1.0
-                elif tn == TN_PRODUCT:
-                    da = b - 1.0
-                    db = a
-                else:
-                    if a > b:
-                        da = -1.0
-                        db = 1.0
-            adj[li, g] += w * da
-            adj[ri, g] += w * db
-    return vals[n_nodes - 1].copy(), dvalues
+    return dvalues

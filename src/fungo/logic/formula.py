@@ -124,9 +124,6 @@ class Formula:
                 )
         return arities
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(q.var for q in self.quantifiers)
-
     def to_text(self) -> str:
         return render(self)
 

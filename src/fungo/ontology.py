@@ -412,7 +412,6 @@ class GoCut:
             names[node] = name
             inverse[name] = node
         self._names = names
-        self._nodes_by_name = inverse
 
     @property
     def bins(self) -> Mapping[str, str]:
@@ -461,12 +460,6 @@ class GoCut:
     def predicate(self, node_id: str) -> str:
         self._require(node_id)
         return self._names[node_id]
-
-    def node_of(self, predicate: str) -> str:
-        try:
-            return self._nodes_by_name[predicate]
-        except KeyError:
-            raise OntologyError(f"unknown predicate {predicate!r}") from None
 
     def _require(self, node_id: str) -> None:
         if node_id not in self.retained and node_id not in self._bins:

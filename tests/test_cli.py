@@ -2,6 +2,7 @@
 
 import logging
 import os
+import shutil
 
 import pytest
 
@@ -125,9 +126,13 @@ class TestSimpleCommands:
 
     def test_adaptation_drop_is_logged(self, dataset, caplog):
         cfg = write_config(dataset)
-        with caplog.at_level(logging.INFO, logger="fungo"):
+        with caplog.at_level(logging.DEBUG, logger="fungo"):
             assert main(["folds", "--config", cfg]) == 0
-        assert any("dropping p9" in message for message in caplog.messages)
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert any(message.startswith("dropped 1 protein") for message in info)
+        assert any("dropping p9" in message for message in debug)
+        assert not any("dropping p9" in message for message in info)
 
     def test_kernel_writes_a_gram_file(self, dataset):
         cfg = write_config(dataset)
@@ -169,11 +174,20 @@ class TestRun:
 
     def test_run_is_deterministic(self, dataset):
         cfg = write_config(dataset)
-        assert main(["run", "--config", cfg]) == 0
-        first = (dataset / "out" / "metrics.txt").read_bytes()
-        assert main(["run", "--config", cfg]) == 0
-        second = (dataset / "out" / "metrics.txt").read_bytes()
-        assert first == second
+        out = dataset / "out"
+
+        def bundle():
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        first = bundle()
+        shutil.rmtree(out)
+        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+        second = bundle()
+        assert "metrics.txt" in {str(p) for p in first}
+        assert first.keys() == second.keys()
+        for path in first:
+            assert first[path] == second[path], path
 
     def test_inert_constraints_match_the_bare_run(self, dataset):
         bare = write_config(dataset, name="bare.cfg", rules="none", out="out_bare")

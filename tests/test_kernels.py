@@ -141,12 +141,6 @@ def test_correlation_frozen_value():
     assert correlation_kernel((1, 2, 3), (2, 4, 6)) == pytest.approx(4.0 / 3.0)
 
 
-def test_correlation_double_sum_collapses():
-    x = (1.0, 2.0, 3.0)
-    y = (2.0, 4.0, 6.0)
-    assert correlation_kernel(x, y, double_sum=True) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_correlation_validation():
     with pytest.raises(ValueError):
         correlation_kernel((1, 2), (1, 2, 3))
