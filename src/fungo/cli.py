@@ -697,7 +697,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
     bound_data = _bound_inputs(config, bound_mode, data.proteins)
 
-    jobs = config.jobs if config.jobs is not None else len(folds)
+    # Folds train in threads; more of them than cores only contend for the CPU.
+    jobs = config.jobs if config.jobs is not None else os.cpu_count() or 1
     jobs = max(1, min(jobs, len(folds)))
     log.info("training %d folds with %d workers", len(folds), jobs)
     with ThreadPoolExecutor(max_workers=jobs) as pool:

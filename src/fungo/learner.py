@@ -16,13 +16,16 @@ divergence.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .kernels import GramMatrix
-from .logic import GIVEN, LEARNED, CompiledConstraint, PredicateBinding, TNORMS
+from .logic import GIVEN, LEARNED, CompiledConstraint, CompiledRuleSet, PredicateBinding, TNORMS
+
+log = logging.getLogger(__name__)
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -273,11 +276,7 @@ class _Workspace:
         self.grams = {t.predicate: t.gram.matrix for t in self.learned}  # type: ignore[union-attr]
         self.labeled = {t.predicate: t.labeled_indices() for t in self.learned}
         self.targets = {t.predicate: t.label_vector() for t in self.learned}
-        self.given_outputs = {
-            t.predicate: np.array([float(t.values[e]) for e in t.examples])  # type: ignore[index]
-            for t in tasks
-            if t.mode == GIVEN
-        }
+        self.rule_set = CompiledRuleSet(self.constraints)
 
     def zero_alphas(self) -> dict[str, np.ndarray]:
         return {t.predicate: np.zeros(t.size, dtype=np.float64) for t in self.learned}
@@ -308,16 +307,14 @@ class _Workspace:
                     full[idx] = residual
                     grads[p] = grads[p] + 2.0 * (self.grams[p] @ full)
         if lambda_c and self.constraints:
-            outputs = self._constraint_outputs(scores)
-            dtruth = {p: np.zeros_like(s) for p, s in scores.items()}
-            for constraint in self.constraints:
-                if with_gradient:
-                    phi, partials = constraint.penalty_and_gradients(outputs)
-                    for pred, grad in partials.items():
-                        if pred in dtruth:
-                            dtruth[pred] += grad
-                else:
-                    phi = constraint.penalty(outputs)
+            outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
+            if with_gradient:
+                phis, dtruth = self.rule_set.penalties_and_gradients(outputs)
+            else:
+                phis = self.rule_set.penalties(outputs)
+            # Added rule by rule, in rule order, so the value does not depend on
+            # how the rule set groups the rules.
+            for phi in phis.tolist():
                 total += lambda_c * phi
             if with_gradient:
                 for task in self.learned:
@@ -327,14 +324,9 @@ class _Workspace:
                     # at the boundary (e.g. an unlabeled one starting from zero)
                     # must still feel the constraints.
                     inside = (s >= 0.0) & (s <= 1.0)
-                    dscore = np.where(inside, dtruth[p], 0.0)
+                    dscore = np.where(inside, dtruth.get(p, 0.0), 0.0)
                     grads[p] = grads[p] + lambda_c * (self.grams[p] @ dscore)
         return total, (grads if with_gradient else None)
-
-    def _constraint_outputs(self, scores: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
-        outputs.update(self.given_outputs)
-        return outputs
 
 
 def objective(
@@ -387,6 +379,11 @@ def _descend(
                     break
                 step *= 0.5
             if candidate is None:
+                log.warning(
+                    "%s: line search found no descent step in %d halvings at "
+                    "iteration %d (objective %.17g); stopping",
+                    stage, MAX_HALVINGS, iteration, current,
+                )
                 break
             alphas, value = candidate
         else:

@@ -9,12 +9,16 @@ becomes a stack of axis reductions over the grounding grid.
 
 Groundings are enumerated row-major over the quantifier axes, with each
 domain in its ingestion order, so penalties are deterministic.
+
+``CompiledRuleSet`` evaluates many compiled rules together, one engine
+pass per group of rules that share a template; the per-rule
+``CompiledConstraint`` methods are its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,15 +116,7 @@ class CompiledConstraint:
             if slot.mode == GIVEN:
                 values[:, s] = slot.const
                 continue
-            try:
-                arr = np.asarray(outputs[slot.pred], dtype=np.float64)
-            except KeyError:
-                raise ValueError(f"missing predictions for predicate {slot.pred!r}") from None
-            if arr.shape != (slot.out_size,):
-                raise ValueError(
-                    f"predictions for {slot.pred!r} have shape {arr.shape}, "
-                    f"expected ({slot.out_size},)"
-                )
+            arr = _output_vector(outputs, slot.pred, slot.out_size)
             gather = slot.gather
             present = gather >= 0
             if arr.size == 0:
@@ -139,7 +135,7 @@ class CompiledConstraint:
     def penalty(self, outputs: Mapping[str, np.ndarray]) -> float:
         _, penalties = self._forward(outputs)
         phi, _ = _aggregate(penalties, self.formula.quantifiers, need_weights=False)
-        return phi
+        return float(phi)
 
     def penalty_and_gradients(
         self, outputs: Mapping[str, np.ndarray]
@@ -157,7 +153,7 @@ class CompiledConstraint:
             gather = slot.gather
             present = gather >= 0
             np.add.at(grad, gather[present], dvalues[present, s])
-        return phi, grads
+        return float(phi), grads
 
     def nonsmooth_margin(self, outputs: Mapping[str, np.ndarray]) -> float:
         """Distance of the evaluation from the nearest subgradient boundary.
@@ -190,6 +186,191 @@ class CompiledConstraint:
                     margin = min(margin, float(np.abs(a - b).min()))
         margin = min(margin, _selection_margin(penalties, self.formula.quantifiers))
         return margin
+
+
+def _output_vector(outputs: Mapping[str, np.ndarray], pred: str, size: int) -> np.ndarray:
+    try:
+        arr = np.asarray(outputs[pred], dtype=np.float64)
+    except KeyError:
+        raise ValueError(f"missing predictions for predicate {pred!r}") from None
+    if arr.shape != (size,):
+        raise ValueError(
+            f"predictions for {pred!r} have shape {arr.shape}, expected ({size},)"
+        )
+    return arr
+
+
+@dataclass(frozen=True)
+class _RuleGroup:
+    """Rules sharing one template, stacked for a single engine pass.
+
+    ``index`` maps each stacked grounding row and slot to a position of the
+    rule set's flat input vector.  Dense groups stack every grounding,
+    rule-major, with ``row_rule`` unset; guard-sparse groups keep only
+    the live rows and name each row's rule (0-based within ``rules``) in
+    ``row_rule``.
+    """
+
+    program: Program
+    quantifiers: tuple
+    shape: tuple[int, ...]
+    rules: np.ndarray
+    index: np.ndarray
+    row_rule: np.ndarray | None
+
+
+class CompiledRuleSet:
+    """A sequence of compiled rules evaluated one template at a time.
+
+    Every learned predicate's outputs are laid out in one flat vector,
+    followed by a 0.0 sentinel that absent examples read and by the
+    distinct given-slot constants.  Rules with the same program, t-norm,
+    quantifier prefix and grid shape form a group that costs one gather,
+    one forward pass and, for gradients, one backward pass.
+
+    A ``forall x. forall y. G(x, y) => body`` group is grounded only where
+    its guard ``G`` can be non-zero (a non-zero given value, or a learned
+    example present in the index): with ``G = 0`` either implication is
+    exactly 1 under every t-norm and passes no gradient to the body, so the
+    dropped groundings change only the order of the sum.  Other groups
+    over a grid of two or more axes keep one rule each, so memory does not
+    grow with the rule count.  :class:`CompiledConstraint` is the per-rule
+    reference that this class must agree with.
+    """
+
+    def __init__(self, constraints: Sequence[CompiledConstraint]):
+        self.constraints = tuple(constraints)
+        self.sizes: dict[str, int] = {}
+        for constraint in self.constraints:
+            for slot in constraint.slots:
+                if slot.mode != LEARNED:
+                    continue
+                if self.sizes.setdefault(slot.pred, slot.out_size) != slot.out_size:
+                    raise ValueError(
+                        f"rules were compiled for different output sizes of {slot.pred!r}"
+                    )
+        offsets: dict[str, int] = {}
+        sentinel = 0
+        for pred, size in self.sizes.items():
+            offsets[pred] = sentinel
+            sentinel += size
+        self._offsets = offsets
+        tail = [np.zeros(1)]
+        tail_start: dict[bytes, int] = {}
+        end = sentinel + 1
+
+        members: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+        for r, constraint in enumerate(self.constraints):
+            columns = []
+            for slot in constraint.slots:
+                if slot.mode == GIVEN:
+                    key = slot.const.tobytes()
+                    if key not in tail_start:
+                        tail_start[key] = end
+                        tail.append(slot.const)
+                        end += slot.const.size
+                    columns.append(tail_start[key] + np.arange(slot.const.size))
+                else:
+                    gather = slot.gather
+                    columns.append(np.where(gather >= 0, offsets[slot.pred] + gather, sentinel))
+            index = np.stack(columns, axis=1)
+            guard = _guard_slot(constraint)
+            if guard is not None:
+                slot = constraint.slots[guard]
+                live = slot.const != 0.0 if slot.mode == GIVEN else slot.gather >= 0
+                index = index[live]
+            program = constraint.program
+            key = (
+                program.opcodes.tobytes(),
+                program.lhs.tobytes(),
+                program.rhs.tobytes(),
+                program.tnorm_code,
+                tuple((q.kind, q.count) for q in constraint.formula.quantifiers),
+                constraint.shape,
+            )
+            if guard is None and len(constraint.shape) > 1:
+                key += (r,)
+            members.setdefault(key, []).append((r, index))
+
+        self._tail = np.concatenate(tail)
+        self._groups = []
+        for rows in members.values():
+            first = self.constraints[rows[0][0]]
+            sparse = _guard_slot(first) is not None
+            counts = [len(index) for _, index in rows]
+            self._groups.append(
+                _RuleGroup(
+                    program=first.program,
+                    quantifiers=first.formula.quantifiers,
+                    shape=first.shape,
+                    rules=np.array([r for r, _ in rows], dtype=np.intp),
+                    index=np.concatenate([index for _, index in rows]),
+                    row_rule=np.repeat(np.arange(len(rows)), counts) if sparse else None,
+                )
+            )
+
+    @property
+    def n_groundings(self) -> int:
+        """Grounding rows the engine evaluates per pass, over all groups."""
+        return sum(len(group.index) for group in self._groups)
+
+    def penalties(self, outputs: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Each rule's penalty, in rule order."""
+        return self._evaluate(outputs, with_gradient=False)[0]
+
+    def penalties_and_gradients(
+        self, outputs: Mapping[str, np.ndarray]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Each rule's penalty, plus the gradient of their sum wrt each
+        learned predicate's outputs."""
+        phis, grad = self._evaluate(outputs, with_gradient=True)
+        grads = {
+            pred: grad[self._offsets[pred] : self._offsets[pred] + size]
+            for pred, size in self.sizes.items()
+        }
+        return phis, grads
+
+    def _evaluate(
+        self, outputs: Mapping[str, np.ndarray], with_gradient: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        flat = np.concatenate(
+            [_output_vector(outputs, pred, size) for pred, size in self.sizes.items()]
+            + [self._tail]
+        )
+        phis = np.empty(len(self.constraints), dtype=np.float64)
+        grad = np.zeros(flat.size, dtype=np.float64) if with_gradient else None
+        for group in self._groups:
+            vals = _engine.node_values(group.program, flat[group.index])
+            penalties = 1.0 - vals[-1]
+            if group.row_rule is not None:
+                phis[group.rules] = np.bincount(
+                    group.row_rule, weights=penalties, minlength=len(group.rules)
+                )
+                weights = np.ones_like(penalties)
+            else:
+                grid = penalties.reshape(len(group.rules), *group.shape)
+                phis[group.rules], weights = _aggregate(grid, group.quantifiers, with_gradient)
+            if with_gradient:
+                # Each penalty depends on truths through penalties = 1 - truths.
+                dvalues = _engine.backward(group.program, vals, -weights.reshape(-1))
+                grad += np.bincount(
+                    group.index.reshape(-1), weights=dvalues.reshape(-1), minlength=flat.size
+                )
+        return phis, grad
+
+
+def _guard_slot(constraint: CompiledConstraint) -> int | None:
+    """Slot of the guard ``G`` of a ``forall x. forall y. G => body`` rule."""
+    if [q.kind for q in constraint.formula.quantifiers] != [FORALL, FORALL]:
+        return None
+    program = constraint.program
+    root = program.n_nodes - 1
+    if program.opcodes[root] not in (OP_IMPL, OP_IMPL_MAT):
+        return None
+    left = program.lhs[root]
+    if program.opcodes[left] != OP_LOAD:
+        return None
+    return int(program.lhs[left])
 
 
 def compile_constraint(
@@ -289,14 +470,7 @@ def _bind_slot(
             col = np.array([float(table.get(i, 0.0)) for i in axis_ids[0]])
             const = col[mesh[axes[0]]]
         else:
-            left, right = axis_ids
-            mat = np.empty((len(left), len(right)), dtype=np.float64)
-            for i, a in enumerate(left):
-                for j, b in enumerate(right):
-                    v = table.get((a, b))
-                    if v is None and binding.symmetric:
-                        v = table.get((b, a))
-                    mat[i, j] = 0.0 if v is None else float(v)
+            mat = _pair_matrix(table, *axis_ids, binding.symmetric, 0.0, np.float64)
             const = mat[mesh[axes[0]], mesh[axes[1]]]
         return SlotBinding(binding.name, args, GIVEN, 0, None, const)
 
@@ -306,16 +480,45 @@ def _bind_slot(
         gather = col[mesh[axes[0]]]
     else:
         index = binding.pair_positions or {}
-        left, right = axis_ids
-        mat = np.empty((len(left), len(right)), dtype=np.int64)
-        for i, a in enumerate(left):
-            for j, b in enumerate(right):
-                pos = index.get((a, b))
-                if pos is None and binding.symmetric:
-                    pos = index.get((b, a))
-                mat[i, j] = -1 if pos is None else pos
+        mat = _pair_matrix(index, *axis_ids, binding.symmetric, -1, np.int64)
         gather = mat[mesh[axes[0]], mesh[axes[1]]]
     return SlotBinding(binding.name, args, LEARNED, binding.output_size(), gather, None)
+
+
+def _pair_matrix(
+    entries: Mapping,
+    left: tuple[str, ...],
+    right: tuple[str, ...],
+    symmetric: bool,
+    missing,
+    dtype,
+) -> np.ndarray:
+    """``entries[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``.
+
+    A pair without an entry falls back to ``entries[(b, a)]`` while
+    ``symmetric`` is set, and to ``missing`` otherwise.  One walk over the
+    entries fills a matrix over the distinct ids.
+    """
+    rows = {a: i for i, a in enumerate(dict.fromkeys(left))}
+    cols = {b: j for j, b in enumerate(dict.fromkeys(right))}
+    mat = np.full((len(rows), len(cols)), missing, dtype=dtype)
+    # The reversed entries go in first so that a direct entry overwrites them.
+    for first, second in ((1, 0), (0, 1)) if symmetric else ((0, 1),):
+        hits = [
+            (rows[key[first]], cols[key[second]], value)
+            for key, value in entries.items()
+            if value is not None
+            and isinstance(key, tuple)
+            and len(key) == 2
+            and key[first] in rows
+            and key[second] in cols
+        ]
+        if hits:
+            i, j, values = zip(*hits)
+            mat[list(i), list(j)] = values
+    row_of = np.array([rows[a] for a in left], dtype=np.intp)
+    col_of = np.array([cols[b] for b in right], dtype=np.intp)
+    return mat[row_of[:, None], col_of[None, :]]
 
 
 def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> Program:
@@ -360,11 +563,14 @@ def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> P
 
 def _aggregate(
     penalties: np.ndarray, quantifiers, need_weights: bool
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduce the grounding grid to a penalty, innermost quantifier first.
 
-    Returns the penalty and, when asked, d(penalty)/d(per-grounding penalty)
-    with existential ties routed to the lowest grounding index.
+    The grid occupies the trailing axes of ``penalties``; a leading axis,
+    when present, stacks the grids of several rules and is kept, one
+    penalty per rule.  Returns the penalties and, when asked,
+    d(penalty)/d(per-grounding penalty) with existential ties routed to the
+    lowest grounding index.
     """
     steps = []
     cur = penalties
@@ -381,10 +587,9 @@ def _aggregate(
             sel = np.sort(order[..., : q.count], axis=-1)
             steps.append((EXISTS_N, sel, cur.shape))
             cur = np.take_along_axis(cur, sel, axis=-1).sum(axis=-1)
-    phi = float(cur)
     if not need_weights:
-        return phi, None
-    weights = np.ones((), dtype=np.float64)
+        return cur, None
+    weights = np.ones(np.shape(cur), dtype=np.float64)
     for kind, sel, shape in reversed(steps):
         if kind == FORALL:
             weights = np.broadcast_to(weights[..., None], shape).copy()
@@ -398,7 +603,7 @@ def _aggregate(
                 expanded, sel, np.broadcast_to(weights[..., None], sel.shape), axis=-1
             )
             weights = expanded
-    return phi, weights
+    return cur, weights
 
 
 def _selection_margin(penalties: np.ndarray, quantifiers) -> float:

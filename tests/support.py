@@ -3,6 +3,8 @@ central finite-difference oracle for penalty gradients."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from fungo.logic import PredicateBinding, compile_constraint, parse_rule
@@ -54,6 +56,51 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
         formula, tnorm, {"P": ids}, predicates, implication=implication
     )
     return constraint, outputs
+
+
+# The guarded pair rules of FORMULA_POOL: the rule set grounds them only
+# where BOUND can be non-zero.
+GUARDED_PREFIX = "forall x:P. forall y:P. BOUND(x,y) =>"
+
+UNARY_NAMES = ("A", "B", "C", "D", "E")
+
+
+def random_rule_set(rng, texts, tnorm, implication, bound_mode):
+    """Compiled rules for ``texts`` over one shared domain and shared
+    bindings, plus matching outputs.
+
+    Each rule's unary predicates are renamed at random (collisions allowed),
+    so one template recurs over different predicates.  BOUND is either a
+    given table with some zero entries or a learned predicate with absent
+    pairs; pairs may be listed in both orders.
+    """
+    n = int(rng.integers(3, 7))
+    ids = [f"p{i}" for i in range(n)]
+    positions = {p: i for i, p in enumerate(ids)}
+    predicates = {name: PredicateBinding(name, 1, positions=positions) for name in UNARY_NAMES}
+    outputs = {name: rng.uniform(0.05, 0.95, size=n) for name in UNARY_NAMES}
+    pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.4]
+    if bound_mode == "given":
+        choices = (0.0, 1.0, None)
+        table = {}
+        for pair in pairs:
+            value = choices[rng.integers(3)]
+            table[pair] = rng.uniform(0.05, 0.95) if value is None else value
+        predicates["BOUND"] = PredicateBinding("BOUND", 2, mode="given", table=table)
+    else:
+        pair_positions = {pair: k for k, pair in enumerate(pairs)}
+        predicates["BOUND"] = PredicateBinding("BOUND", 2, pair_positions=pair_positions)
+        outputs["BOUND"] = rng.uniform(0.05, 0.95, size=len(pairs))
+    constraints = []
+    for text in texts:
+        renamed = dict(zip("ABCD", rng.choice(UNARY_NAMES, size=4)))
+        text = re.sub(r"\b([A-D])\(", lambda m: renamed[m.group(1)] + "(", text)
+        constraints.append(
+            compile_constraint(
+                parse_rule(text), tnorm, {"P": ids}, predicates, implication=implication
+            )
+        )
+    return constraints, outputs
 
 
 def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):

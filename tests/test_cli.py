@@ -189,6 +189,14 @@ class TestRun:
         for path in first:
             assert first[path] == second[path], path
 
+    def test_default_jobs_follow_the_core_count(self, dataset, caplog, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        cfg = write_config(dataset)
+        with caplog.at_level(logging.INFO, logger="fungo"):
+            assert main(["run", "--config", cfg]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert "training 2 folds with 1 workers" in messages
+
     def test_inert_constraints_match_the_bare_run(self, dataset):
         bare = write_config(dataset, name="bare.cfg", rules="none", out="out_bare")
         inert = write_config(dataset, name="inert.cfg", rules="OC", lambda_c="0.0",

@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import (
     FORMULA_POOL,
+    GUARDED_PREFIX,
     fd_penalty_gradients,
     gradient_close,
     random_instance,
+    random_rule_set,
     smooth_instance,
 )
 
 from fungo.logic import (
+    IMPLICATIONS,
+    TNORMS,
     CompileError,
+    CompiledRuleSet,
     PredicateBinding,
     compile_constraint,
+    engine,
     parse_rule,
 )
 
@@ -228,3 +236,112 @@ def test_gradient_pass_penalty_is_exact(tnorm, implication):
         constraint, outputs = random_instance(rng, tnorm, implication, formula_text=text)
         phi, _ = constraint.penalty_and_gradients(outputs)
         assert constraint.penalty(outputs) == phi, text
+
+
+def _pair_lookup_loop(entries, left, right, symmetric, missing):
+    """Reference pair lookup: one dict probe per (left, right) cell."""
+    mat = np.empty((len(left), len(right)))
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            value = entries.get((a, b))
+            if value is None and symmetric:
+                value = entries.get((b, a))
+            mat[i, j] = missing if value is None else value
+    return mat
+
+
+@pytest.mark.parametrize("symmetric", (True, False))
+def test_pair_binding_matches_the_double_loop(symmetric):
+    rng = np.random.default_rng(5)
+    f = parse_rule("forall x:P. forall y:Q. R(x,y) => R(y,x)")
+    for _ in range(20):
+        left = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
+        right = [f"p{i}" for i in range(int(rng.integers(1, 6)))] + ["q0"]
+        ids = sorted(set(left) | set(right)) + ["outside"]
+        # Random keys: some in both orders, some outside the domains.
+        keys = [(a, b) for a in ids for b in ids if rng.random() < 0.4]
+        positions = {key: k for k, key in enumerate(keys)}
+        table = {key: float(rng.uniform()) for key in keys}
+        bindings = {
+            "learned": PredicateBinding("R", 2, pair_positions=positions, symmetric=symmetric),
+            "given": PredicateBinding("R", 2, mode="given", table=table, symmetric=symmetric),
+        }
+        for mode, binding in bindings.items():
+            c = compile_constraint(f, "product", {"P": left, "Q": right}, {"R": binding})
+            entries, missing = (positions, -1) if mode == "learned" else (table, 0.0)
+            forward = _pair_lookup_loop(entries, left, right, symmetric, missing)
+            backward = _pair_lookup_loop(entries, right, left, symmetric, missing)
+            got = [slot.gather if mode == "learned" else slot.const for slot in c.slots]
+            assert np.array_equal(got[0], forward.reshape(-1)), mode
+            assert np.array_equal(got[1], backward.T.reshape(-1)), mode
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    texts=st.lists(st.sampled_from(FORMULA_POOL), min_size=1, max_size=8),
+    tnorm=st.sampled_from(TNORMS),
+    implication=st.sampled_from(IMPLICATIONS),
+    bound_mode=st.sampled_from(("given", "learned")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_mode, seed):
+    rng = np.random.default_rng(seed)
+    constraints, outputs = random_rule_set(rng, texts, tnorm, implication, bound_mode)
+    rule_set = CompiledRuleSet(constraints)
+    phis = rule_set.penalties(outputs)
+    grad_phis, grads = rule_set.penalties_and_gradients(outputs)
+    assert np.array_equal(phis, grad_phis)
+
+    expected = {p: np.zeros(size) for p, size in rule_set.sizes.items()}
+    scale = {p: np.zeros(size) for p, size in rule_set.sizes.items()}
+    for text, constraint, phi in zip(texts, constraints, phis.tolist()):
+        oracle, partials = constraint.penalty_and_gradients(outputs)
+        if text.startswith(GUARDED_PREFIX):
+            assert phi == pytest.approx(oracle, rel=1e-12, abs=0.0), constraint.text
+        else:
+            assert phi == oracle, constraint.text
+        for pred, grad in partials.items():
+            expected[pred] += grad
+            scale[pred] += np.abs(grad)
+    assert grads.keys() == expected.keys()
+    for pred, grad in grads.items():
+        assert np.all(np.abs(grad - expected[pred]) <= 1e-12 * scale[pred]), pred
+
+
+@pytest.mark.parametrize("bound_mode", ("given", "learned"))
+def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
+    rng = np.random.default_rng(2)
+    text = FORMULA_POOL[7]
+    assert text.startswith(GUARDED_PREFIX)
+    constraints, _ = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
+    guard = constraints[0].slots[0]
+    assert guard.pred == "BOUND"
+    live = np.count_nonzero(guard.const if bound_mode == "given" else guard.gather >= 0)
+    assert 0 < live < constraints[0].n_groundings
+    assert CompiledRuleSet(constraints[:1]).n_groundings == live
+    assert CompiledRuleSet(constraints).n_groundings == 2 * live
+
+
+def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
+    ids = [f"p{i}" for i in range(4)]
+    names = "ABCDE"
+    preds = {name: _unary(name, ids) for name in names}
+    rng = np.random.default_rng(4)
+    outputs = {name: rng.uniform(0, 1, 4) for name in names}
+    texts = [
+        "forall x:P. A(x) => B(x)",
+        "forall x:P. A(x) and B(x) => C(x)",
+        "forall x:P. C(x) => D(x)",
+        "forall x:P. B(x) => E(x)",
+        "forall x:P. D(x) and E(x) => A(x)",
+    ]
+    rule_set = CompiledRuleSet(
+        [compile_constraint(parse_rule(t), "lukasiewicz", {"P": ids}, preds) for t in texts]
+    )
+    calls = []
+    forward = engine.node_values
+    monkeypatch.setattr(
+        engine, "node_values", lambda program, values: calls.append(1) or forward(program, values)
+    )
+    rule_set.penalties_and_gradients(outputs)
+    assert len(calls) == 2

@@ -1,8 +1,12 @@
 """Learner: objective arithmetic, ridge oracle, gradients, stages, prediction."""
 
+import logging
+
 import numpy as np
 import pytest
+from support import FORMULA_POOL
 
+from fungo import learner
 from fungo.kernels import GramMatrix
 from fungo.learner import (
     DivergenceError,
@@ -18,7 +22,7 @@ from fungo.learner import (
     predict,
     train,
 )
-from fungo.logic import compile_constraint, parse_rule
+from fungo.logic import IMPLICATIONS, TNORMS, compile_constraint, parse_rule
 
 
 def gram(ids, matrix):
@@ -184,6 +188,74 @@ def test_full_objective_gradient_matches_finite_differences():
                 numeric = (j_up - j_down) / (2 * h)
                 scale = max(1.0, abs(numeric), abs(analytic[i]))
                 assert abs(numeric - analytic[i]) / scale < 1e-5
+
+
+def test_exhausted_line_search_is_logged(monkeypatch, caplog):
+    monkeypatch.setattr(learner, "MAX_HALVINGS", 0)
+    task = identity_task("A", 2, labels={"p0": 1.0})
+    with caplog.at_level(logging.WARNING, logger="fungo.learner"):
+        model = train([task], [], TrainConfig(lambda_c=0.0))
+    assert model.trace.stage1 == (1.0,)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "stage 1" in warnings[0]
+    assert "iteration 0" in warnings[0]
+    assert "objective 1)" in warnings[0]
+
+
+def _rule_problem(rng, tnorm, implication, bound_mode):
+    """Five unary tasks, a BOUND task and every FORMULA_POOL rule over them."""
+    ids = tuple(f"p{i}" for i in range(5))
+    tasks = [
+        TaskSpec(name, 1, ids, gram=random_pd_gram(rng, ids), labels={ids[0]: 1.0, ids[1]: 0.0})
+        for name in "ABCDE"
+    ]
+    pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
+    if bound_mode == "given":
+        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
+        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+    else:
+        pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
+        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram))
+    bindings = predicate_bindings(tasks)
+    constraints = [
+        compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings,
+                           implication=implication)
+        for text in FORMULA_POOL
+    ]
+    alphas = {t.predicate: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
+    return tasks, constraints, Model(alphas)
+
+
+@pytest.mark.parametrize("bound_mode", ("given", "learned"))
+@pytest.mark.parametrize("implication", IMPLICATIONS)
+@pytest.mark.parametrize("tnorm", TNORMS)
+def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
+    rng = np.random.default_rng(17)
+    tasks, constraints, model = _rule_problem(rng, tnorm, implication, bound_mode)
+    cfg = TrainConfig(lambda_c=0.7, tnorm=tnorm)
+    learned = [t for t in tasks if t.mode == "learned"]
+    outputs = {t.predicate: decision_values(model, t)[1] for t in learned}
+
+    value = objective(model, tasks, [], cfg)
+    dtruth = {t.predicate: np.zeros(t.size) for t in learned}
+    for constraint in constraints:
+        phi, partials = constraint.penalty_and_gradients(outputs)
+        value += cfg.lambda_c * phi
+        for pred, grad in partials.items():
+            dtruth[pred] += grad
+    assert objective(model, tasks, constraints, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    bare = objective_gradient(model, tasks, [], cfg)
+    grads = objective_gradient(model, tasks, constraints, cfg)
+    for task in learned:
+        scores, _ = decision_values(model, task)
+        inside = (scores >= 0.0) & (scores <= 1.0)
+        expected = bare[task.predicate] + cfg.lambda_c * (
+            task.gram.matrix @ np.where(inside, dtruth[task.predicate], 0.0)
+        )
+        tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
+        assert np.abs(grads[task.predicate] - expected).max() <= tol, task.predicate
 
 
 def test_fixed_step_divergence_guard():
