@@ -18,6 +18,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DEFAULT_PSD_TOL = 1e-8
+SPECTRUM_BLOCK = 512  # k-mer columns per dense count block
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    def position(self, example: str) -> int:
-        try:
-            return self.ids.index(example)
-        except ValueError:
-            raise KeyError(f"unknown example {example!r}") from None
 
     def psd_check(self, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
         return psd_check(self.matrix, tol)
@@ -124,22 +119,33 @@ def spectrum_gram(
     k: int,
     normalized: bool = True,
 ) -> GramMatrix:
+    """Spectrum kernel over every pair, as sums of ``B @ B.T`` over column
+    blocks B of the protein x k-mer count matrix.  The counts are integers,
+    so every partial sum is exact and the result equals ``spectrum_kernel``."""
     order = tuple(ids) if ids is not None else tuple(sequences)
-    counts = []
     for name in order:
         if name not in sequences:
             raise ValueError(f"no sequence for protein {name!r}")
-        counts.append(kmer_counts(sequences[name], k))
+    if k < 1:
+        raise ValueError(f"k-mer length must be positive, got {k}")
+    seqs = [sequences[name] for name in order]
+    counts = np.array([max(len(s) - k + 1, 0) for s in seqs], dtype=np.intp)
+    vocab: dict[str, int] = {}
+    cols = np.fromiter(
+        (vocab.setdefault(s[i : i + k], len(vocab)) for s in seqs for i in range(len(s) - k + 1)),
+        np.intp, int(counts.sum()),
+    )
+    rows = np.repeat(np.arange(len(seqs)), counts)
+    by_col = np.argsort(cols, kind="stable")
+    rows, cols = rows[by_col], cols[by_col]
     n = len(order)
-    m = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        ci = counts[i]
-        for j in range(i, n):
-            cj = counts[j]
-            small, big = (ci, cj) if len(ci) <= len(cj) else (cj, ci)
-            v = float(sum(c * big.get(mer, 0) for mer, c in small.items()))
-            m[i, j] = v
-            m[j, i] = v
+    m = np.zeros((n, n), dtype=np.float64)
+    for start in range(0, len(vocab), SPECTRUM_BLOCK):
+        width = min(SPECTRUM_BLOCK, len(vocab) - start)
+        lo, hi = np.searchsorted(cols, (start, start + width))
+        flat = rows[lo:hi] * width + (cols[lo:hi] - start)
+        block = np.bincount(flat, minlength=n * width).reshape(n, width).astype(np.float64)
+        m += block @ block.T
     gram = GramMatrix(order, m)
     return gram.normalized() if normalized else gram
 

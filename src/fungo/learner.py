@@ -1,7 +1,9 @@
 """Multitask kernel-machine training under compiled rule constraints.
 
 Each learned task is a kernel expansion over its example list: raw scores are
-``s = G @ alpha`` and fuzzy truth values are ``clip(s, 0, 1)``.  The objective
+``s = G @ alpha`` and fuzzy truth values are ``clip(s, 0, 1)``.  Tasks sharing
+one Gram object are trained as one block: their weights stack into a K x n
+matrix ``A`` with scores ``S = A @ G``, one product for all K tasks.  The objective
 
     lambda_r * sum_k alpha_k' G_k alpha_k
     + sum_k sum_{i labeled} (s_k(i) - y_k(i))**2
@@ -9,16 +11,18 @@ Each learned task is a kernel expansion over its example list: raw scores are
 
 is minimised by plain gradient descent in two stages: the first ignores the
 constraint penalties entirely (lambda_c = 0) and provides the starting point
-for the second, which optimises the full objective.  Steps use a backtracking
-line search by default; a fixed-step mode exists and is guarded against
-divergence.
+for the second, which optimises the full objective.  Each accepted step takes
+three products with G per block (the scores, the gradient ``D`` and ``D @ G``);
+a trial step ``A - t*D`` then scores as ``S - t*(D @ G)`` without one.  Steps
+use a backtracking line search by default; a fixed-step mode exists and is
+guarded against divergence.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,8 +228,18 @@ def decision_values(model: Model, task: TaskSpec) -> tuple[np.ndarray, np.ndarra
     return scores, np.clip(scores, 0.0, 1.0)
 
 
+class _Block(NamedTuple):
+    """Learned tasks sharing one Gram object, and so one example list."""
+
+    gram: np.ndarray
+    predicates: tuple[str, ...]  # one row of every K x n array per task
+    mask: np.ndarray  # 1.0 on labeled examples
+    targets: np.ndarray  # the labels there, 0.0 elsewhere
+
+
 class _Workspace:
-    """Validated, array-ified view of one training problem."""
+    """Validated, array-ified view of one training problem, one block per Gram.
+    Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is exactly symmetric."""
 
     def __init__(
         self,
@@ -260,54 +274,55 @@ class _Workspace:
                         f"{slot.out_size} outputs of {slot.pred!r}, task has "
                         f"{sizes[slot.pred]}"
                     )
-        if check_psd:
-            # Tasks often share one Gram object; check each distinct one once.
-            checked: set[int] = set()
-            for task in self.learned:
-                if id(task.gram) in checked:
-                    continue
-                checked.add(id(task.gram))
-                ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
+        by_gram: dict[int, list[TaskSpec]] = {}
+        for task in self.learned:
+            by_gram.setdefault(id(task.gram), []).append(task)
+        self.blocks: list[_Block] = []
+        for group in by_gram.values():
+            gram = group[0].gram
+            if check_psd:
+                ok, smallest = gram.psd_check()  # type: ignore[union-attr]
                 if not ok:
                     raise LearnerError(
-                        f"Gram matrix of task {task.predicate!r} is not positive "
+                        f"Gram matrix of task {group[0].predicate!r} is not positive "
                         f"semi-definite (smallest eigenvalue {smallest:.3g})"
                     )
-        self.grams = {t.predicate: t.gram.matrix for t in self.learned}  # type: ignore[union-attr]
-        self.labeled = {t.predicate: t.labeled_indices() for t in self.learned}
-        self.targets = {t.predicate: t.label_vector() for t in self.learned}
+            mask = np.zeros((len(group), gram.size))  # type: ignore[union-attr]
+            targets = np.zeros_like(mask)
+            for row, task in enumerate(group):
+                labeled = task.labeled_indices()
+                mask[row, labeled] = 1.0
+                targets[row, labeled] = task.label_vector()
+            predicates = tuple(t.predicate for t in group)
+            self.blocks.append(_Block(gram.matrix, predicates, mask, targets))  # type: ignore[union-attr]
         self.rule_set = CompiledRuleSet(self.constraints)
 
-    def zero_alphas(self) -> dict[str, np.ndarray]:
-        return {t.predicate: np.zeros(t.size, dtype=np.float64) for t in self.learned}
+    def unstack(self, weights: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+        """Per-task copies of the stacked rows, in task order."""
+        rows = {p: a[k] for b, a in zip(self.blocks, weights) for k, p in enumerate(b.predicates)}
+        return {t.predicate: rows[t.predicate].copy() for t in self.learned}
 
-    def _scores(self, alphas: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {p: self.grams[p] @ np.asarray(alphas[p], dtype=np.float64) for p in self.grams}
+    def scores(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [a @ b.gram for b, a in zip(self.blocks, weights)]
 
     def evaluate(
-        self, alphas: Mapping[str, np.ndarray], lambda_c: float, with_gradient: bool
-    ) -> tuple[float, dict[str, np.ndarray] | None]:
-        """Objective at ``alphas`` and, when asked, its gradient wrt each task's weights."""
+        self, weights: list[np.ndarray], scores: list[np.ndarray], lambda_c: float, with_gradient: bool
+    ) -> tuple[float, list[np.ndarray] | None]:
+        """Objective at ``weights`` (whose scores the caller supplies) and, when
+        asked, its gradient: one product with G per block."""
         lambda_r = self.config.lambda_r
-        scores = self._scores(alphas)
         total = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for task in self.learned:
-            p = task.predicate
-            s = scores[p]
-            total += lambda_r * float(np.asarray(alphas[p]) @ s)
-            if with_gradient:
-                grads[p] = lambda_r * 2.0 * s
-            idx = self.labeled[p]
-            if idx.size:
-                residual = s[idx] - self.targets[p]
-                total += float(residual @ residual)
-                if with_gradient:
-                    full = np.zeros_like(s)
-                    full[idx] = residual
-                    grads[p] = grads[p] + 2.0 * (self.grams[p] @ full)
+        residuals = []
+        for b, a, s in zip(self.blocks, weights, scores):
+            r = b.mask * (s - b.targets)
+            total += lambda_r * float(np.vdot(a, s)) + float(np.vdot(r, r))
+            residuals.append(r)
+        dtruth: dict[str, np.ndarray] = {}
         if lambda_c and self.constraints:
-            outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
+            truths = [np.clip(s, 0.0, 1.0) for s in scores]
+            outputs = {
+                p: t[k] for b, t in zip(self.blocks, truths) for k, p in enumerate(b.predicates)
+            }
             if with_gradient:
                 phis, dtruth = self.rule_set.penalties_and_gradients(outputs)
             else:
@@ -316,17 +331,19 @@ class _Workspace:
             # how the rule set groups the rules.
             for phi in phis.tolist():
                 total += lambda_c * phi
-            if with_gradient:
-                for task in self.learned:
-                    p = task.predicate
-                    s = scores[p]
-                    # Slope 1 on the closed unit interval: a task parked exactly
-                    # at the boundary (e.g. an unlabeled one starting from zero)
-                    # must still feel the constraints.
-                    inside = (s >= 0.0) & (s <= 1.0)
-                    dscore = np.where(inside, dtruth.get(p, 0.0), 0.0)
-                    grads[p] = grads[p] + lambda_c * (self.grams[p] @ dscore)
-        return total, (grads if with_gradient else None)
+        if not with_gradient:
+            return total, None
+        grads = []
+        for b, a, s, r in zip(self.blocks, weights, scores, residuals):
+            slope = 2.0 * lambda_r * a + 2.0 * r
+            if dtruth:
+                dscore = np.array([dtruth.get(p, 0.0 * s[k]) for k, p in enumerate(b.predicates)])
+                # Slope 1 on the closed unit interval: a task parked exactly
+                # at the boundary (e.g. an unlabeled one starting from zero)
+                # must still feel the constraints.
+                slope += lambda_c * np.where((s >= 0.0) & (s <= 1.0), dscore, 0.0)
+            grads.append(slope @ b.gram)
+        return total, grads
 
 
 def objective(
@@ -336,9 +353,7 @@ def objective(
     config: TrainConfig,
 ) -> float:
     """Full objective at the model's weights (constraints at full strength)."""
-    ws = _Workspace(tasks, constraints, config)
-    alphas = {t.predicate: model.alpha(t.predicate) for t in ws.learned}
-    return ws.evaluate(alphas, config.lambda_c, False)[0]
+    return _evaluate_model(model, tasks, constraints, config, False)[1][0]
 
 
 def objective_gradient(
@@ -348,47 +363,56 @@ def objective_gradient(
     config: TrainConfig,
 ) -> dict[str, np.ndarray]:
     """Gradient of the full objective with respect to each task's weights."""
+    ws, (_, grads) = _evaluate_model(model, tasks, constraints, config, True)
+    return ws.unstack(grads)  # type: ignore[arg-type]
+
+
+def _evaluate_model(
+    model: Model, tasks: Sequence[TaskSpec], constraints: Sequence[CompiledConstraint],
+    config: TrainConfig, with_gradient: bool,
+) -> tuple[_Workspace, tuple[float, list[np.ndarray] | None]]:
     ws = _Workspace(tasks, constraints, config)
-    alphas = {t.predicate: model.alpha(t.predicate) for t in ws.learned}
-    return ws.evaluate(alphas, config.lambda_c, True)[1]  # type: ignore[return-value]
+    weights = [np.array([model.alpha(p) for p in b.predicates], dtype=float) for b in ws.blocks]
+    return ws, ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
 
 
 def _descend(
-    ws: _Workspace, alphas: dict[str, np.ndarray], lambda_c: float, stage: str
-) -> tuple[list[float], dict[str, np.ndarray]]:
+    ws: _Workspace, weights: list[np.ndarray], lambda_c: float, stage: str
+) -> tuple[list[float], list[np.ndarray]]:
+    """Descent from the block weights; returns the trace and the final weights."""
     config = ws.config
-    current, grads = ws.evaluate(alphas, lambda_c, True)
+    scores = ws.scores(weights)
+    current, grads = ws.evaluate(weights, scores, lambda_c, True)
     if not np.isfinite(current):
         raise DivergenceError(stage, 0, current)
     history = [current]
     growth = 0
     for iteration in range(config.max_iterations):
         if iteration:
-            _, grads = ws.evaluate(alphas, lambda_c, True)
-        norm2 = sum(float(g @ g) for g in grads.values())
+            scores = ws.scores(weights)
+            _, grads = ws.evaluate(weights, scores, lambda_c, True)
+        norm2 = sum(float(np.vdot(d, d)) for d in grads)  # type: ignore[union-attr]
         if norm2 == 0.0:
             break
-        if config.line_search:
-            step = config.learning_rate
-            candidate = None
-            for _ in range(MAX_HALVINGS):
-                trial = {p: alphas[p] - step * grads[p] for p in alphas}
-                value, _ = ws.evaluate(trial, lambda_c, False)
-                if value <= current - ARMIJO * step * norm2:
-                    candidate = (trial, value)
-                    break
-                step *= 0.5
-            if candidate is None:
-                log.warning(
-                    "%s: line search found no descent step in %d halvings at "
-                    "iteration %d (objective %.17g); stopping",
-                    stage, MAX_HALVINGS, iteration, current,
-                )
+        moves = ws.scores(grads)  # type: ignore[arg-type]
+        step = config.learning_rate
+        # The fixed-step mode takes its one trial whatever its value.
+        for _ in range(MAX_HALVINGS if config.line_search else 1):
+            trial = [a - step * d for a, d in zip(weights, grads)]  # type: ignore[arg-type]
+            moved = [s - step * m for s, m in zip(scores, moves)]
+            value, _ = ws.evaluate(trial, moved, lambda_c, False)
+            if not config.line_search or value <= current - ARMIJO * step * norm2:
                 break
-            alphas, value = candidate
+            step *= 0.5
         else:
-            alphas = {p: alphas[p] - config.learning_rate * grads[p] for p in alphas}
-            value, _ = ws.evaluate(alphas, lambda_c, False)
+            log.warning(
+                "%s: line search found no descent step in %d halvings at "
+                "iteration %d (objective %.17g); stopping",
+                stage, MAX_HALVINGS, iteration, current,
+            )
+            break
+        weights = trial
+        if not config.line_search:
             if not np.isfinite(value):
                 raise DivergenceError(stage, iteration + 1, value)
             if value > current:
@@ -402,7 +426,7 @@ def _descend(
         current = value
         if config.line_search and relative < config.tolerance:
             break
-    return history, alphas
+    return history, weights
 
 
 def train(
@@ -418,14 +442,13 @@ def train(
     leaving the trace bit-identical to a constraint-free run.
     """
     ws = _Workspace(tasks, constraints, config, check_psd=True)
-    alphas = ws.zero_alphas()
-    stage1, alphas = _descend(ws, alphas, 0.0, "stage 1")
+    weights = [np.zeros_like(b.mask) for b in ws.blocks]
+    stage1, weights = _descend(ws, weights, 0.0, "stage 1")
     if config.lambda_c > 0 and ws.constraints:
-        stage2, alphas = _descend(ws, alphas, config.lambda_c, "stage 2")
+        stage2, weights = _descend(ws, weights, config.lambda_c, "stage 2")
     else:
         stage2 = []
-    frozen = {p: a.copy() for p, a in alphas.items()}
-    return Model(frozen, TrainTrace(tuple(stage1), tuple(stage2)))
+    return Model(ws.unstack(weights), TrainTrace(tuple(stage1), tuple(stage2)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fungo import kernels
 from fungo.kernels import (
     GramMatrix,
     InteractionGraph,
@@ -64,6 +65,23 @@ def test_spectrum_gram_zero_row_convention(caplog):
     assert gram.matrix[1, 1] == 1.0
     assert gram.matrix[0, 1] == 0.0
     assert any("dead" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("block", (3, None))
+@pytest.mark.parametrize("k", (1, 2, 3, 5))
+def test_spectrum_gram_matches_the_pairwise_kernel(k, block, monkeypatch):
+    # Column blocks of 3 make every vocabulary span many blocks.
+    if block is not None:
+        monkeypatch.setattr(kernels, "SPECTRUM_BLOCK", block)
+    rng = np.random.default_rng(k)
+    letters = list("ACDEFGHIKLMNPQRSTVWY") + list("XBZ*-uj7é")
+    seqs = {f"p{i}": "".join(rng.choice(letters, size=rng.integers(0, 40))) for i in range(30)}
+    seqs.update({"empty": "", "short": "AC"[: max(k - 1, 0)], "repeat": "A" * 60})
+    gram = spectrum_gram(seqs, k=k, normalized=False)
+    for i, a in enumerate(gram.ids):
+        for j, b in enumerate(gram.ids):
+            assert gram.matrix[i, j] == spectrum_kernel(seqs[a], seqs[b], k=k), (a, b)
+    assert spectrum_gram({}, k=k, normalized=False).matrix.shape == (0, 0)
 
 
 def test_domain_frozen_values():

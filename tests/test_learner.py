@@ -22,7 +22,7 @@ from fungo.learner import (
     predict,
     train,
 )
-from fungo.logic import IMPLICATIONS, TNORMS, compile_constraint, parse_rule
+from fungo.logic import IMPLICATIONS, TNORMS, CompiledRuleSet, compile_constraint, parse_rule
 
 
 def gram(ids, matrix):
@@ -256,6 +256,152 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
         )
         tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
         assert np.abs(grads[task.predicate] - expected).max() <= tol, task.predicate
+
+
+def _stacked_problem(rng, tnorm, bound_mode):
+    """Tasks over four Gram objects: A, B and the rule-free F share one, C and
+    D share another with different labeled sets, and the unlabeled E has its
+    own; BOUND is a given table or a learned pair task with its own Gram."""
+    ids = tuple(f"p{i}" for i in range(6))
+    shared, other, own = (random_pd_gram(rng, ids) for _ in range(3))
+    tasks = [
+        TaskSpec("A", 1, ids, gram=shared, labels={ids[0]: 1.0, ids[1]: 0.0}),
+        TaskSpec("C", 1, ids, gram=other, labels={ids[2]: 1.0}),
+        TaskSpec("B", 1, ids, gram=shared, labels={ids[1]: 1.0, ids[4]: 1.0, ids[5]: 0.0}),
+        TaskSpec("E", 1, ids, gram=own),
+        TaskSpec("D", 1, ids, gram=other, labels={ids[0]: 0.0, ids[3]: 1.0}),
+        TaskSpec("F", 1, ids, gram=shared, labels={ids[5]: 1.0}),
+    ]
+    pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
+    if bound_mode == "given":
+        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
+        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+    else:
+        pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
+        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram))
+    bindings = predicate_bindings(tasks)
+    constraints = [
+        compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings)
+        for text in FORMULA_POOL
+    ]
+    alphas = {t.predicate: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
+    return tasks, constraints, Model(alphas)
+
+
+def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
+    """Reference objective and gradient: one product with G per task and term."""
+    rule_set = CompiledRuleSet(constraints)
+    learned = [t for t in tasks if t.mode == "learned"]
+    scores = {t.predicate: t.gram.matrix @ alphas[t.predicate] for t in learned}
+    total = 0.0
+    grads = {}
+    for task in learned:
+        p = task.predicate
+        s = scores[p]
+        total += config.lambda_r * float(alphas[p] @ s)
+        grads[p] = config.lambda_r * 2.0 * s
+        idx = task.labeled_indices()
+        if idx.size:
+            residual = s[idx] - task.label_vector()
+            total += float(residual @ residual)
+            full = np.zeros_like(s)
+            full[idx] = residual
+            grads[p] = grads[p] + 2.0 * (task.gram.matrix @ full)
+    if lambda_c and constraints:
+        outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
+        phis, dtruth = rule_set.penalties_and_gradients(outputs)
+        for phi in phis.tolist():
+            total += lambda_c * phi
+        for task in learned:
+            p = task.predicate
+            s = scores[p]
+            inside = (s >= 0.0) & (s <= 1.0)
+            dscore = np.where(inside, dtruth.get(p, 0.0), 0.0)
+            grads[p] = grads[p] + lambda_c * (task.gram.matrix @ dscore)
+    return total, grads
+
+
+@pytest.mark.parametrize("bound_mode", ("given", "learned"))
+@pytest.mark.parametrize("tnorm", TNORMS)
+def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
+    rng = np.random.default_rng(23)
+    tasks, constraints, model = _stacked_problem(rng, tnorm, bound_mode)
+    blocks = learner._Workspace(tasks, constraints, TrainConfig()).blocks
+    assert [b.predicates for b in blocks][:3] == [("A", "B", "F"), ("C", "D"), ("E",)]
+    assert len(blocks) == (4 if bound_mode == "learned" else 3)
+    for lambda_c in (0.0, 0.7):
+        cfg = TrainConfig(lambda_r=0.3, lambda_c=lambda_c, tnorm=tnorm)
+        for rules in ([], constraints):
+            value, grads = _per_task_evaluate(tasks, rules, cfg, model.alphas, lambda_c)
+            assert objective(model, tasks, rules, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
+            stacked = objective_gradient(model, tasks, rules, cfg)
+            assert list(stacked) == [t.predicate for t in tasks if t.mode == "learned"]
+            for pred, expected in grads.items():
+                tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
+                assert np.abs(stacked[pred] - expected).max() <= tol, pred
+
+
+@pytest.mark.parametrize("line_search", (True, False))
+def test_trace_ends_at_the_objective_of_the_returned_weights(line_search):
+    # Trial steps are scored as S - t * (D @ G); the value the trace keeps
+    # must match a fresh evaluation at the weights that step produced.
+    rng = np.random.default_rng(29)
+    tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "learned")
+    common = dict(lambda_r=0.3, tnorm="lukasiewicz", line_search=line_search,
+                  learning_rate=1.0 if line_search else 0.05, max_iterations=40)
+    bare_cfg = TrainConfig(lambda_c=0.0, **common)
+    bare = train(tasks, constraints, bare_cfg)
+    assert len(bare.trace.stage1) > 2 and bare.trace.stage2 == ()
+    assert bare.trace.stage1[-1] == pytest.approx(
+        objective(bare, tasks, constraints, bare_cfg), rel=1e-12, abs=0.0
+    )
+    cfg = TrainConfig(lambda_c=0.7, **common)
+    model = train(tasks, constraints, cfg)
+    assert len(model.trace.stage2) > 2
+    assert model.trace.stage2[-1] == pytest.approx(
+        objective(model, tasks, constraints, cfg), rel=1e-12, abs=0.0
+    )
+
+
+class _CountingGram(np.ndarray):
+    """Gram matrix that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingGram.products += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _CountingGram) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_each_accepted_step_costs_three_products_per_gram(monkeypatch):
+    rng = np.random.default_rng(31)
+    tasks, constraints, _ = _stacked_problem(rng, "product", "learned")
+    counting = {}
+    for task in tasks:
+        if task.mode == "learned" and id(task.gram) not in counting:
+            counting[id(task.gram)] = GramMatrix(task.gram.ids, task.gram.matrix.view(_CountingGram))
+    tasks = [
+        TaskSpec(t.predicate, t.arity, t.examples, gram=counting[id(t.gram)], labels=t.labels)
+        if t.mode == "learned" else t
+        for t in tasks
+    ]
+    trials = []
+    evaluate = learner._Workspace.evaluate
+
+    def counted(self, weights, scores, lambda_c, with_gradient):
+        trials.append(not with_gradient)
+        return evaluate(self, weights, scores, lambda_c, with_gradient)
+
+    monkeypatch.setattr(learner._Workspace, "evaluate", counted)
+    monkeypatch.setattr(_CountingGram, "products", 0)
+    # A large first step forces halvings, so trials outnumber accepted steps.
+    model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=6))
+    steps = len(model.trace.stage1) - 1 + len(model.trace.stage2) - 1
+    assert len(model.trace.stage1) == 7 and model.trace.stage2
+    assert sum(trials) > steps
+    assert _CountingGram.products == 3 * len(counting) * steps
 
 
 def test_fixed_step_divergence_guard():
