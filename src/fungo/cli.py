@@ -557,7 +557,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
     ]
     io.write_model(
         os.path.join(fold_dir, "model.txt"),
-        {p: a for p, a in model.alphas.items()},
+        model.alphas,
         config.echo(),
         trace_lines,
     )
@@ -580,7 +580,6 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
 
     cut = data.cut
     nodes = cut.nodes()
-    bins = [n for n in nodes if cut.is_bin(n)]
     by_protein: dict[str, dict[str, io.PredictionRow]] = {}
     for row in rows:
         by_protein.setdefault(row[0], {})[row[1]] = row
@@ -645,13 +644,11 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
 
     # Per-node statistics drive the result tree and the per-predicate table.
     stats_lines = ["node\tprecision\trecall\tf1"]
-    per_node: dict[str, tuple[float, float, float]] = {}
     for node in nodes:
         tp, fp, fn, _ = node_level.confusion(node)
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-        per_node[node] = (precision, recall, f1)
         stats_lines.append(
             f"{node}\t{precision:.6f}\t{recall:.6f}\t{f1:.6f}"
         )

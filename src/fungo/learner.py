@@ -16,6 +16,10 @@ three products with G per block (the scores, the gradient ``D`` and ``D @ G``);
 a trial step ``A - t*D`` then scores as ``S - t*(D @ G)`` without one.  Steps
 use a backtracking line search by default; a fixed-step mode exists and is
 guarded against divergence.
+
+The rule set is compiled against the same block layout: it reads the K x n
+truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
+predicates against the layout, and returns one K x n gradient per block.
 """
 
 from __future__ import annotations
@@ -258,22 +262,6 @@ class _Workspace:
                 raise LearnerError(f"duplicate task predicate {task.predicate!r}")
             seen.add(task.predicate)
         self.constraints = tuple(constraints)
-        sizes = {t.predicate: t.size for t in self.learned}
-        for constraint in self.constraints:
-            for slot in constraint.slots:
-                if slot.mode != LEARNED:
-                    continue
-                if slot.pred not in sizes:
-                    raise LearnerError(
-                        f"constraint {constraint.text!r} references unknown "
-                        f"learned predicate {slot.pred!r}"
-                    )
-                if slot.out_size != sizes[slot.pred]:
-                    raise LearnerError(
-                        f"constraint {constraint.text!r} was compiled for "
-                        f"{slot.out_size} outputs of {slot.pred!r}, task has "
-                        f"{sizes[slot.pred]}"
-                    )
         by_gram: dict[int, list[TaskSpec]] = {}
         for task in self.learned:
             by_gram.setdefault(id(task.gram), []).append(task)
@@ -295,7 +283,9 @@ class _Workspace:
                 targets[row, labeled] = task.label_vector()
             predicates = tuple(t.predicate for t in group)
             self.blocks.append(_Block(gram.matrix, predicates, mask, targets))  # type: ignore[union-attr]
-        self.rule_set = CompiledRuleSet(self.constraints)
+        self.rule_set = CompiledRuleSet(
+            self.constraints, [(b.predicates, b.gram.shape[0]) for b in self.blocks]
+        )
 
     def unstack(self, weights: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
         """Per-task copies of the stacked rows, in task order."""
@@ -317,16 +307,13 @@ class _Workspace:
             r = b.mask * (s - b.targets)
             total += lambda_r * float(np.vdot(a, s)) + float(np.vdot(r, r))
             residuals.append(r)
-        dtruth: dict[str, np.ndarray] = {}
+        dtruths = None
         if lambda_c and self.constraints:
             truths = [np.clip(s, 0.0, 1.0) for s in scores]
-            outputs = {
-                p: t[k] for b, t in zip(self.blocks, truths) for k, p in enumerate(b.predicates)
-            }
             if with_gradient:
-                phis, dtruth = self.rule_set.penalties_and_gradients(outputs)
+                phis, dtruths = self.rule_set.penalties_and_gradients(truths)
             else:
-                phis = self.rule_set.penalties(outputs)
+                phis = self.rule_set.penalties(truths)
             # Added rule by rule, in rule order, so the value does not depend on
             # how the rule set groups the rules.
             for phi in phis.tolist():
@@ -334,14 +321,13 @@ class _Workspace:
         if not with_gradient:
             return total, None
         grads = []
-        for b, a, s, r in zip(self.blocks, weights, scores, residuals):
+        for i, (b, a, s, r) in enumerate(zip(self.blocks, weights, scores, residuals)):
             slope = 2.0 * lambda_r * a + 2.0 * r
-            if dtruth:
-                dscore = np.array([dtruth.get(p, 0.0 * s[k]) for k, p in enumerate(b.predicates)])
+            if dtruths is not None:
                 # Slope 1 on the closed unit interval: a task parked exactly
                 # at the boundary (e.g. an unlabeled one starting from zero)
                 # must still feel the constraints.
-                slope += lambda_c * np.where((s >= 0.0) & (s <= 1.0), dscore, 0.0)
+                slope += lambda_c * np.where((s >= 0.0) & (s <= 1.0), dtruths[i], 0.0)
             grads.append(slope @ b.gram)
         return total, grads
 

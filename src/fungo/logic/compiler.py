@@ -10,9 +10,10 @@ becomes a stack of axis reductions over the grounding grid.
 Groundings are enumerated row-major over the quantifier axes, with each
 domain in its ingestion order, so penalties are deterministic.
 
-``CompiledRuleSet`` evaluates many compiled rules together, one engine
-pass per group of rules that share a template; the per-rule
-``CompiledConstraint`` methods are its reference.
+``CompiledRuleSet`` evaluates many compiled rules together over the
+learner's stacked truth blocks, one engine pass per group of rules that
+share a template; the per-rule ``CompiledConstraint`` methods are its
+reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .engine import (
     OP_OR,
     Program,
 )
-from .formula import And, Atom, EXISTS, EXISTS_N, FORALL, Formula, Iff, Implies, Node, Not, Or
+from .formula import (
+    And, Atom, EXISTS, EXISTS_N, FORALL, Formula, Iff, Implies, Node, Not, Or, iter_atoms,
+)
 from .tnorms import LUKASIEWICZ, MINIMUM, PRODUCT, TNORMS
 
 RESIDUUM = "residuum"
@@ -222,7 +225,9 @@ class _RuleGroup:
 class CompiledRuleSet:
     """A sequence of compiled rules evaluated one template at a time.
 
-    Every learned predicate's outputs are laid out in one flat vector,
+    The learned outputs arrive as truth blocks laid out by ``layout``: one
+    ``(predicates, n)`` entry per block, whose K x n truths hold one row per
+    predicate, in that order.  The blocks are read as one flat vector,
     followed by a 0.0 sentinel that absent examples read and by the
     distinct given-slot constants.  Rules with the same program, t-norm,
     quantifier prefix and grid shape form a group that costs one gather,
@@ -238,23 +243,19 @@ class CompiledRuleSet:
     reference that this class must agree with.
     """
 
-    def __init__(self, constraints: Sequence[CompiledConstraint]):
+    def __init__(
+        self,
+        constraints: Sequence[CompiledConstraint],
+        layout: Sequence[tuple[Sequence[str], int]],
+    ):
         self.constraints = tuple(constraints)
-        self.sizes: dict[str, int] = {}
-        for constraint in self.constraints:
-            for slot in constraint.slots:
-                if slot.mode != LEARNED:
-                    continue
-                if self.sizes.setdefault(slot.pred, slot.out_size) != slot.out_size:
-                    raise ValueError(
-                        f"rules were compiled for different output sizes of {slot.pred!r}"
-                    )
-        offsets: dict[str, int] = {}
+        self._shapes = [(len(predicates), n) for predicates, n in layout]
+        place: dict[str, tuple[int, int]] = {}  # offset into the flat vector, n
         sentinel = 0
-        for pred, size in self.sizes.items():
-            offsets[pred] = sentinel
-            sentinel += size
-        self._offsets = offsets
+        for predicates, n in layout:
+            for pred in predicates:
+                place[pred] = (sentinel, n)
+                sentinel += n
         tail = [np.zeros(1)]
         tail_start: dict[bytes, int] = {}
         end = sentinel + 1
@@ -270,9 +271,20 @@ class CompiledRuleSet:
                         tail.append(slot.const)
                         end += slot.const.size
                     columns.append(tail_start[key] + np.arange(slot.const.size))
-                else:
-                    gather = slot.gather
-                    columns.append(np.where(gather >= 0, offsets[slot.pred] + gather, sentinel))
+                    continue
+                if slot.pred not in place:
+                    raise CompileError(
+                        f"rule {constraint.text!r} references unknown learned "
+                        f"predicate {slot.pred!r}"
+                    )
+                offset, n = place[slot.pred]
+                if slot.out_size != n:
+                    raise CompileError(
+                        f"rule {constraint.text!r} was compiled for {slot.out_size} "
+                        f"outputs of {slot.pred!r}, its block has {n}"
+                    )
+                gather = slot.gather
+                columns.append(np.where(gather >= 0, offset + gather, sentinel))
             index = np.stack(columns, axis=1)
             guard = _guard_slot(constraint)
             if guard is not None:
@@ -314,29 +326,30 @@ class CompiledRuleSet:
         """Grounding rows the engine evaluates per pass, over all groups."""
         return sum(len(group.index) for group in self._groups)
 
-    def penalties(self, outputs: Mapping[str, np.ndarray]) -> np.ndarray:
+    def penalties(self, truths: Sequence[np.ndarray]) -> np.ndarray:
         """Each rule's penalty, in rule order."""
-        return self._evaluate(outputs, with_gradient=False)[0]
+        return self._evaluate(truths, with_gradient=False)[0]
 
     def penalties_and_gradients(
-        self, outputs: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Each rule's penalty, plus the gradient of their sum wrt each
-        learned predicate's outputs."""
-        phis, grad = self._evaluate(outputs, with_gradient=True)
-        grads = {
-            pred: grad[self._offsets[pred] : self._offsets[pred] + size]
-            for pred, size in self.sizes.items()
-        }
+        self, truths: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each rule's penalty, plus the gradient of their sum wrt each truth
+        block, as K x n views of one array."""
+        phis, grad = self._evaluate(truths, with_gradient=True)
+        grads = []
+        start = 0
+        for k, n in self._shapes:
+            grads.append(grad[start : start + k * n].reshape(k, n))
+            start += k * n
         return phis, grads
 
     def _evaluate(
-        self, outputs: Mapping[str, np.ndarray], with_gradient: bool
+        self, truths: Sequence[np.ndarray], with_gradient: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        flat = np.concatenate(
-            [_output_vector(outputs, pred, size) for pred, size in self.sizes.items()]
-            + [self._tail]
-        )
+        shapes = [np.shape(t) for t in truths]
+        if shapes != self._shapes:
+            raise ValueError(f"truth blocks have shapes {shapes}, expected {self._shapes}")
+        flat = np.concatenate([np.ravel(t) for t in truths] + [self._tail])
         phis = np.empty(len(self.constraints), dtype=np.float64)
         grad = np.zeros(flat.size, dtype=np.float64) if with_gradient else None
         for group in self._groups:
@@ -421,7 +434,7 @@ def compile_constraint(
 
     slot_order: list[tuple[str, tuple[str, ...]]] = []
     seen: set[tuple[str, tuple[str, ...]]] = set()
-    for atom in _postorder_atoms(formula.body):
+    for atom in iter_atoms(formula.body):
         key = (atom.pred, atom.args)
         if key not in seen:
             seen.add(key)
@@ -445,16 +458,6 @@ def compile_constraint(
         slots=tuple(slots),
         modes=modes,
     )
-
-
-def _postorder_atoms(node: Node):
-    if isinstance(node, Atom):
-        yield node
-    elif isinstance(node, Not):
-        yield from _postorder_atoms(node.child)
-    else:
-        yield from _postorder_atoms(node.left)
-        yield from _postorder_atoms(node.right)
 
 
 def _bind_slot(

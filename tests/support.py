@@ -103,6 +103,23 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode):
     return constraints, outputs
 
 
+def stack_outputs(rng, outputs):
+    """Truth blocks for per-predicate ``outputs``: the unary predicates in one
+    block, in a random row order, and a learned BOUND in a block of its own.
+
+    Returns the rule-set layout, the blocks and each predicate's
+    ``(block, row)``.
+    """
+    unary = [p for p in outputs if p != "BOUND"]
+    groups = [[unary[i] for i in rng.permutation(len(unary))]]
+    if "BOUND" in outputs:
+        groups.append(["BOUND"])
+    layout = [(preds, outputs[preds[0]].size) for preds in groups]
+    truths = [np.array([outputs[p] for p in preds]) for preds in groups]
+    where = {p: (b, k) for b, preds in enumerate(groups) for k, p in enumerate(preds)}
+    return layout, truths, where
+
+
 def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):
     """Like random_instance, but resampled until the evaluation point sits at
     least ``margin`` away from every subgradient boundary."""

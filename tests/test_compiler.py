@@ -12,6 +12,7 @@ from support import (
     random_instance,
     random_rule_set,
     smooth_instance,
+    stack_outputs,
 )
 
 from fungo.logic import (
@@ -287,13 +288,15 @@ def test_pair_binding_matches_the_double_loop(symmetric):
 def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_mode, seed):
     rng = np.random.default_rng(seed)
     constraints, outputs = random_rule_set(rng, texts, tnorm, implication, bound_mode)
-    rule_set = CompiledRuleSet(constraints)
-    phis = rule_set.penalties(outputs)
-    grad_phis, grads = rule_set.penalties_and_gradients(outputs)
+    layout, truths, where = stack_outputs(rng, outputs)
+    rule_set = CompiledRuleSet(constraints, layout)
+    phis = rule_set.penalties(truths)
+    grad_phis, grads = rule_set.penalties_and_gradients(truths)
     assert np.array_equal(phis, grad_phis)
+    assert [g.shape for g in grads] == [t.shape for t in truths]
 
-    expected = {p: np.zeros(size) for p, size in rule_set.sizes.items()}
-    scale = {p: np.zeros(size) for p, size in rule_set.sizes.items()}
+    expected = [np.zeros_like(t) for t in truths]
+    scale = [np.zeros_like(t) for t in truths]
     for text, constraint, phi in zip(texts, constraints, phis.tolist()):
         oracle, partials = constraint.penalty_and_gradients(outputs)
         if text.startswith(GUARDED_PREFIX):
@@ -301,11 +304,11 @@ def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_m
         else:
             assert phi == oracle, constraint.text
         for pred, grad in partials.items():
-            expected[pred] += grad
-            scale[pred] += np.abs(grad)
-    assert grads.keys() == expected.keys()
-    for pred, grad in grads.items():
-        assert np.all(np.abs(grad - expected[pred]) <= 1e-12 * scale[pred]), pred
+            b, k = where[pred]
+            expected[b][k] += grad
+            scale[b][k] += np.abs(grad)
+    for grad, want, tol in zip(grads, expected, scale):
+        assert np.all(np.abs(grad - want) <= 1e-12 * tol)
 
 
 @pytest.mark.parametrize("bound_mode", ("given", "learned"))
@@ -313,13 +316,14 @@ def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
     rng = np.random.default_rng(2)
     text = FORMULA_POOL[7]
     assert text.startswith(GUARDED_PREFIX)
-    constraints, _ = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
+    constraints, outputs = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
+    layout, _, _ = stack_outputs(rng, outputs)
     guard = constraints[0].slots[0]
     assert guard.pred == "BOUND"
     live = np.count_nonzero(guard.const if bound_mode == "given" else guard.gather >= 0)
     assert 0 < live < constraints[0].n_groundings
-    assert CompiledRuleSet(constraints[:1]).n_groundings == live
-    assert CompiledRuleSet(constraints).n_groundings == 2 * live
+    assert CompiledRuleSet(constraints[:1], layout).n_groundings == live
+    assert CompiledRuleSet(constraints, layout).n_groundings == 2 * live
 
 
 def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
@@ -327,7 +331,7 @@ def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
     names = "ABCDE"
     preds = {name: _unary(name, ids) for name in names}
     rng = np.random.default_rng(4)
-    outputs = {name: rng.uniform(0, 1, 4) for name in names}
+    truths = [rng.uniform(0, 1, (len(names), 4))]
     texts = [
         "forall x:P. A(x) => B(x)",
         "forall x:P. A(x) and B(x) => C(x)",
@@ -336,12 +340,33 @@ def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
         "forall x:P. D(x) and E(x) => A(x)",
     ]
     rule_set = CompiledRuleSet(
-        [compile_constraint(parse_rule(t), "lukasiewicz", {"P": ids}, preds) for t in texts]
+        [compile_constraint(parse_rule(t), "lukasiewicz", {"P": ids}, preds) for t in texts],
+        [(tuple(names), 4)],
     )
     calls = []
     forward = engine.node_values
     monkeypatch.setattr(
         engine, "node_values", lambda program, values: calls.append(1) or forward(program, values)
     )
-    rule_set.penalties_and_gradients(outputs)
+    rule_set.penalties_and_gradients(truths)
     assert len(calls) == 2
+
+
+def test_rule_set_rejects_truth_blocks_of_the_wrong_shape():
+    ids = ["p0", "p1", "p2"]
+    preds = {name: _unary(name, ids) for name in "ABC"}
+    rule = compile_constraint(parse_rule("forall x:P. A(x) => C(x)"), "product", {"P": ids}, preds)
+    rule_set = CompiledRuleSet([rule], [(("A", "B"), 3), (("C",), 3)])
+    good = [np.full((2, 3), 0.5), np.full((1, 3), 0.5)]
+    assert rule_set.penalties(good).shape == (1,)
+    for bad in (
+        good[:1],  # a block missing
+        good + [np.zeros((1, 3))],  # a block too many
+        [good[0].T, good[1]],  # rows and columns swapped
+        [good[0], good[1][0]],  # a vector where a block belongs
+        [good[0][:, :2], good[1]],  # too few examples
+    ):
+        with pytest.raises(ValueError, match="truth blocks have shapes"):
+            rule_set.penalties(bad)
+        with pytest.raises(ValueError, match="truth blocks have shapes"):
+            rule_set.penalties_and_gradients(bad)

@@ -22,7 +22,7 @@ from fungo.learner import (
     predict,
     train,
 )
-from fungo.logic import IMPLICATIONS, TNORMS, CompiledRuleSet, compile_constraint, parse_rule
+from fungo.logic import IMPLICATIONS, TNORMS, CompileError, compile_constraint, parse_rule
 
 
 def gram(ids, matrix):
@@ -289,8 +289,8 @@ def _stacked_problem(rng, tnorm, bound_mode):
 
 
 def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
-    """Reference objective and gradient: one product with G per task and term."""
-    rule_set = CompiledRuleSet(constraints)
+    """Reference objective and gradient: one product with G per task and term,
+    and the per-rule penalties and gradients summed rule by rule."""
     learned = [t for t in tasks if t.mode == "learned"]
     scores = {t.predicate: t.gram.matrix @ alphas[t.predicate] for t in learned}
     total = 0.0
@@ -309,14 +309,17 @@ def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
             grads[p] = grads[p] + 2.0 * (task.gram.matrix @ full)
     if lambda_c and constraints:
         outputs = {p: np.clip(s, 0.0, 1.0) for p, s in scores.items()}
-        phis, dtruth = rule_set.penalties_and_gradients(outputs)
-        for phi in phis.tolist():
+        dtruth = {p: np.zeros_like(s) for p, s in scores.items()}
+        for constraint in constraints:
+            phi, partials = constraint.penalty_and_gradients(outputs)
             total += lambda_c * phi
+            for p, grad in partials.items():
+                dtruth[p] += grad
         for task in learned:
             p = task.predicate
             s = scores[p]
             inside = (s >= 0.0) & (s <= 1.0)
-            dscore = np.where(inside, dtruth.get(p, 0.0), 0.0)
+            dscore = np.where(inside, dtruth[p], 0.0)
             grads[p] = grads[p] + lambda_c * (task.gram.matrix @ dscore)
     return total, grads
 
@@ -485,6 +488,25 @@ def test_train_validation():
         TrainConfig(threshold=1.5)
     with pytest.raises(LearnerError):
         TrainConfig(constraint_scope="sometimes")
+
+
+def test_train_rejects_rules_that_do_not_fit_the_tasks():
+    cfg = TrainConfig()
+    ids = ("p0", "p1", "p2")
+    tasks = [TaskSpec(p, 1, ids, gram=gram(ids, np.eye(3))) for p in "AB"]
+    rule = parse_rule("forall x:P. A(x) => C(x)")
+    # C is learned in the bindings but no task trains it.
+    bindings = predicate_bindings(tasks + [TaskSpec("C", 1, ids, gram=gram(ids, np.eye(3)))])
+    untrained = compile_constraint(rule, "product", {"P": list(ids)}, bindings)
+    with pytest.raises(CompileError, match=r"A\(x\) => C\(x\).*unknown learned predicate 'C'"):
+        train(tasks, [untrained], cfg)
+    # Compiled for four examples of B; the task trains three.
+    more = ids + ("p3",)
+    bindings = predicate_bindings([TaskSpec(p, 1, more, gram=gram(more, np.eye(4))) for p in "AB"])
+    rule = parse_rule("forall x:P. A(x) => B(x)")
+    resized = compile_constraint(rule, "product", {"P": list(more)}, bindings)
+    with pytest.raises(CompileError, match=r"A\(x\) => B\(x\).*compiled for 4 outputs of 'A'"):
+        train(tasks, [resized], cfg)
 
 
 def test_pair_key():
