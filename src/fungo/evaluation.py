@@ -273,13 +273,14 @@ def pr_curve(truths: Sequence[float], labels: Sequence[int]) -> PRCurve:
     positives = int(np.count_nonzero(y))
     if positives == 0:
         raise EvalError("pr_curve requires at least one positive example")
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for threshold in np.unique(scores)[::-1]:
-        predicted = scores >= threshold
-        tp = int(np.count_nonzero(predicted & y))
-        precisions.append(tp / int(np.count_nonzero(predicted)))
-        recalls.append(tp / positives)
+    # Scores descending: the examples predicted at a threshold form a prefix,
+    # and each distinct score ends one prefix (-0.0 ties with 0.0).
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    hits = np.cumsum(y[order])[ends].tolist()
+    precisions = [tp / (end + 1) for tp, end in zip(hits, ends.tolist())]
+    recalls = [tp / positives for tp in hits]
     return PRCurve((0.0, *recalls), (precisions[0], *precisions))
 
 

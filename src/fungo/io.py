@@ -358,7 +358,7 @@ def write_model(path: str, alphas: Mapping[str, np.ndarray],
     lines.append("")
     lines.append("[coefficients]")
     for task in sorted(alphas):
-        vector = " ".join(format(v, ".17g") for v in np.asarray(alphas[task]))
+        vector = " ".join(map("{:.17g}".format, np.asarray(alphas[task]).tolist()))
         lines.append(f"{task}: {vector}")
     lines.append("")
     lines.append("[trace]")

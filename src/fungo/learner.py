@@ -17,6 +17,14 @@ a trial step ``A - t*D`` then scores as ``S - t*(D @ G)`` without one.  Steps
 use a backtracking line search by default; a fixed-step mode exists and is
 guarded against divergence.
 
+Along the ray ``A - t*D`` the ridge and label part of the objective is a
+quadratic in t.  Its coefficients, and a bound on the rounding of both it and
+the direct sum, are taken once per accepted step, so most rejected trials are
+decided from scalars without building an array.  A trial the scalars cannot
+reject is summed directly, and the rule set is evaluated only when the ridge
+and label part alone stays within the Armijo bound: rule penalties are never
+negative, so every decision, and every trace value, equals the direct one.
+
 The rule set is compiled against the same block layout: it reads the K x n
 truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
 predicates against the layout, and returns one K x n gradient per block.
@@ -25,6 +33,7 @@ predicates against the layout, and returns one K x n gradient per block.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -37,6 +46,9 @@ log = logging.getLogger(__name__)
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
+
+UNIT_ROUNDOFF = 2.0**-53
+MAGNITUDE_FLOOR = 2.0**-500  # added to every magnitude in the rounding bound
 
 CONSTRAINT_SCOPES = ("unsupervised", "all")
 
@@ -117,6 +129,14 @@ class TaskSpec:
                 raise LearnerError(
                     f"task {self.predicate!r}: no value for example {missing[0]!r}"
                 )
+            # Truths in [0, 1] keep every rule penalty non-negative, which
+            # the line search relies on to skip the rules of rejected trials.
+            for example, value in self.values.items():
+                if not 0.0 <= value <= 1.0:
+                    raise LearnerError(
+                        f"task {self.predicate!r}: value {value!r} for example "
+                        f"{example!r} is not a truth in [0, 1]"
+                    )
 
     @property
     def size(self) -> int:
@@ -286,6 +306,10 @@ class _Workspace:
         self.rule_set = CompiledRuleSet(
             self.constraints, [(b.predicates, b.gram.shape[0]) for b in self.blocks]
         )
+        self.rule_calls = 0
+        # See ray(): gamma_n = n*u / (1 - n*u) for the longest chain of roundings.
+        n = max(b.mask.size for b in self.blocks) + len(self.blocks) + 8
+        self.kappa = 4.0 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
     def unstack(self, weights: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
         """Per-task copies of the stacked rows, in task order."""
@@ -296,10 +320,18 @@ class _Workspace:
         return [a @ b.gram for b, a in zip(self.blocks, weights)]
 
     def evaluate(
-        self, weights: list[np.ndarray], scores: list[np.ndarray], lambda_c: float, with_gradient: bool
+        self, weights: list[np.ndarray], scores: list[np.ndarray], lambda_c: float,
+        with_gradient: bool, bound: float | None = None,
     ) -> tuple[float, list[np.ndarray] | None]:
         """Objective at ``weights`` (whose scores the caller supplies) and, when
-        asked, its gradient: one product with G per block."""
+        asked, its gradient: one product with G per block.
+
+        Given a ``bound``, a ridge and label part that already exceeds it (or
+        is NaN) is returned as it is, without the rules: every penalty is
+        ``1 - truth >= 0`` and ``lambda_c >= 0``, and adding non-negative
+        floats never lowers a float sum, so the full value would exceed the
+        bound too.
+        """
         lambda_r = self.config.lambda_r
         total = 0.0
         residuals = []
@@ -307,8 +339,11 @@ class _Workspace:
             r = b.mask * (s - b.targets)
             total += lambda_r * float(np.vdot(a, s)) + float(np.vdot(r, r))
             residuals.append(r)
+        if bound is not None and not total <= bound:
+            return total, None
         dtruths = None
         if lambda_c and self.constraints:
+            self.rule_calls += 1
             truths = [np.clip(s, 0.0, 1.0) for s in scores]
             if with_gradient:
                 phis, dtruths = self.rule_set.penalties_and_gradients(truths)
@@ -330,6 +365,73 @@ class _Workspace:
                 slope += lambda_c * np.where((s >= 0.0) & (s <= 1.0), dtruths[i], 0.0)
             grads.append(slope @ b.gram)
         return total, grads
+
+    def ray(
+        self, weights: Sequence[np.ndarray], scores: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray], moves: Sequence[np.ndarray],
+    ) -> tuple[float, float, float, float, float, float] | None:
+        """Coefficients ``(c0, c1, c2, e0, e1, e2)`` of the ridge and label part
+        along the ray ``weights - t * grads`` (scores ``scores - t * moves``),
+        or None when one is not finite.
+
+        With exact arithmetic that part is ``Q(t) = c0 - c1*t + c2*t**2``
+        (the sums below, taken without symmetry of G).  ``E(t) = e0 + e1*t +
+        e2*t**2`` is the same sum over magnitudes: per element, ``|a| + t|d|``
+        times ``|s| + t|m|`` for the ridge and ``(|s| + y + t|m|)**2`` for the
+        labels, each magnitude raised by MAGNITUDE_FLOOR.
+
+        Rounding bound (Higham, Accuracy and Stability of Numerical
+        Algorithms, section 3.1: u = 2**-53, gamma_n = n*u / (1 - n*u)).  Let
+        m be the largest block size K*n and B the block count.  In the direct
+        sum of evaluate() each factor of a product term carries at most three
+        roundings (``t*d`` or ``t*m``, the subtraction, and ``s - y`` for the
+        labels), the dot product m more and the block sums at most B + 2, so
+        every term is off by a factor within gamma = gamma_{m+B+8} of 1.  The
+        coefficients round at most m + B + 4 times per term and q(t), the
+        quadratic evaluated in floats from them, 4 times more.  Hence
+
+            |direct(t) - Q(t)| <= gamma * E(t),   |Q(t) - q(t)| <= gamma * E(t).
+
+        E(t) and ``kappa * E(t)`` are computed with the same counts, so with
+        ``kappa = 4 * gamma`` the computed ``kappa * E(t)`` is at least
+        ``3 * gamma * E(t)`` (gamma is far below 1/8), and ``fl(q - kappa*E) >
+        bound`` implies ``direct(t) > bound``: the trial fails Armijo whatever
+        its rules add.  The floors make gradual underflow harmless: a product
+        that underflows errs by at most u * 2**-1022, below u times the floored
+        magnitudes it enters, and the 2**-1000 added to e0, e1 and e2 covers
+        the few scalar products.  Overflow makes a coefficient non-finite, and
+        then every trial is summed directly.
+        """
+        lambda_r = self.config.lambda_r
+        c0 = c1 = c2 = e0 = e1 = e2 = 0.0
+        for b, a, s, d, m in zip(self.blocks, weights, scores, grads, moves):
+            r = b.mask * (s - b.targets)
+            mm = b.mask * m
+            c0 += lambda_r * _dot(a, s) + _dot(r, r)
+            c1 += lambda_r * (_dot(a, m) + _dot(d, s)) + 2.0 * _dot(r, mm)
+            c2 += lambda_r * _dot(d, m) + _dot(mm, mm)
+            # The same sums over the floored magnitudes.
+            a, s, d, m = (np.abs(x) + MAGNITUDE_FLOOR for x in (a, s, d, m))
+            h = b.mask * (s + b.targets)
+            hm = b.mask * m
+            e0 += lambda_r * _dot(a, s) + _dot(h, h)
+            e1 += lambda_r * (_dot(a, m) + _dot(d, s)) + 2.0 * _dot(h, hm)
+            e2 += lambda_r * _dot(d, m) + _dot(hm, hm)
+        tiny = MAGNITUDE_FLOOR * MAGNITUDE_FLOOR
+        coefficients = (c0, c1, c2, e0 + tiny, e1 + tiny, e2 + tiny)
+        return coefficients if math.isfinite(sum(coefficients)) else None
+
+    def rejects(self, ray: tuple[float, ...], step: float, bound: float) -> bool:
+        """True when the ray's scalars prove that the trial at ``step`` sums to
+        more than ``bound`` (see ray())."""
+        c0, c1, c2, e0, e1, e2 = ray
+        q = c0 + (c2 * step - c1) * step
+        spread = e0 + (e2 * step + e1) * step
+        return q - self.kappa * spread > bound
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.vdot(x, y))
 
 
 def objective(
@@ -365,7 +467,13 @@ def _evaluate_model(
 def _descend(
     ws: _Workspace, weights: list[np.ndarray], lambda_c: float, stage: str
 ) -> tuple[list[float], list[np.ndarray]]:
-    """Descent from the block weights; returns the trace and the final weights."""
+    """Descent from the block weights; returns the trace and the final weights.
+
+    A line-search trial is first put to the ray's scalars (see
+    ``_Workspace.ray``); only the trials they cannot reject build the trial
+    arrays, and evaluate() adds the rules only to those within the Armijo
+    bound.  The fixed-step mode evaluates its one trial per step in full.
+    """
     config = ws.config
     scores = ws.scores(weights)
     current, grads = ws.evaluate(weights, scores, lambda_c, True)
@@ -373,6 +481,7 @@ def _descend(
         raise DivergenceError(stage, 0, current)
     history = [current]
     growth = 0
+    trials = scalar = reached = 0
     for iteration in range(config.max_iterations):
         if iteration:
             scores = ws.scores(weights)
@@ -383,11 +492,20 @@ def _descend(
         moves = ws.scores(grads)  # type: ignore[arg-type]
         step = config.learning_rate
         # The fixed-step mode takes its one trial whatever its value.
+        ray = ws.ray(weights, scores, grads, moves) if config.line_search else None  # type: ignore
         for _ in range(MAX_HALVINGS if config.line_search else 1):
+            trials += 1
+            bound = current - ARMIJO * step * norm2 if config.line_search else None
+            if ray is not None and ws.rejects(ray, step, bound):  # type: ignore[arg-type]
+                scalar += 1
+                step *= 0.5
+                continue
             trial = [a - step * d for a, d in zip(weights, grads)]  # type: ignore[arg-type]
             moved = [s - step * m for s, m in zip(scores, moves)]
-            value, _ = ws.evaluate(trial, moved, lambda_c, False)
-            if not config.line_search or value <= current - ARMIJO * step * norm2:
+            before = ws.rule_calls
+            value, _ = ws.evaluate(trial, moved, lambda_c, False, bound)
+            reached += ws.rule_calls - before
+            if bound is None or value <= bound:
                 break
             step *= 0.5
         else:
@@ -412,6 +530,10 @@ def _descend(
         current = value
         if config.line_search and relative < config.tolerance:
             break
+    log.debug(
+        "%s: %d accepted steps, %d trials, %d decided by the scalars, "
+        "%d reached the rule set", stage, len(history) - 1, trials, scalar, reached,
+    )
     return history, weights
 
 

@@ -1,12 +1,15 @@
-"""Shared helpers for the test suite: random constraint instances and a
-central finite-difference oracle for penalty gradients."""
+"""Shared helpers for the test suite: random constraint instances, a
+central finite-difference oracle for penalty gradients and the reference
+descent that evaluates every line-search trial in full."""
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
 
+from fungo import learner
 from fungo.logic import PredicateBinding, compile_constraint, parse_rule
 
 # A representative mix of rule shapes: implications, disjunction heads,
@@ -159,3 +162,67 @@ def gradient_close(analytic, numeric, rtol=1e-5):
         if not np.all(np.abs(g - f) <= rtol * scale):
             return False
     return True
+
+
+def reference_descend(ws, weights, lambda_c, stage):
+    """``learner._descend`` with every trial built and evaluated in full,
+    rules included: the oracle for the scalar and early rejections."""
+    config = ws.config
+    scores = ws.scores(weights)
+    current, grads = ws.evaluate(weights, scores, lambda_c, True)
+    if not np.isfinite(current):
+        raise learner.DivergenceError(stage, 0, current)
+    history = [current]
+    growth = 0
+    for iteration in range(config.max_iterations):
+        if iteration:
+            scores = ws.scores(weights)
+            _, grads = ws.evaluate(weights, scores, lambda_c, True)
+        norm2 = sum(float(np.vdot(d, d)) for d in grads)
+        if norm2 == 0.0:
+            break
+        moves = ws.scores(grads)
+        step = config.learning_rate
+        # The fixed-step mode takes its one trial whatever its value.
+        for _ in range(learner.MAX_HALVINGS if config.line_search else 1):
+            trial = [a - step * d for a, d in zip(weights, grads)]
+            moved = [s - step * m for s, m in zip(scores, moves)]
+            value, _ = ws.evaluate(trial, moved, lambda_c, False)
+            if not config.line_search or value <= current - learner.ARMIJO * step * norm2:
+                break
+            step *= 0.5
+        else:
+            logging.getLogger("fungo.learner").warning(
+                "%s: line search found no descent step in %d halvings at "
+                "iteration %d (objective %.17g); stopping",
+                stage, learner.MAX_HALVINGS, iteration, current,
+            )
+            break
+        weights = trial
+        if not config.line_search:
+            if not np.isfinite(value):
+                raise learner.DivergenceError(stage, iteration + 1, value)
+            if value > current:
+                growth += 1
+                if growth >= config.divergence_patience:
+                    raise learner.DivergenceError(stage, iteration + 1, value)
+            else:
+                growth = 0
+        history.append(value)
+        relative = abs(current - value) / max(1.0, abs(current))
+        current = value
+        if config.line_search and relative < config.tolerance:
+            break
+    return history, weights
+
+
+def reference_train(tasks, constraints, config):
+    """``learner.train`` on :func:`reference_descend`."""
+    ws = learner._Workspace(tasks, constraints, config, check_psd=True)
+    weights = [np.zeros_like(b.mask) for b in ws.blocks]
+    stage1, weights = reference_descend(ws, weights, 0.0, "stage 1")
+    if config.lambda_c > 0 and ws.constraints:
+        stage2, weights = reference_descend(ws, weights, config.lambda_c, "stage 2")
+    else:
+        stage2 = []
+    return learner.Model(ws.unstack(weights), learner.TrainTrace(tuple(stage1), tuple(stage2)))

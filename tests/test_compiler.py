@@ -370,3 +370,29 @@ def test_rule_set_rejects_truth_blocks_of_the_wrong_shape():
             rule_set.penalties(bad)
         with pytest.raises(ValueError, match="truth blocks have shapes"):
             rule_set.penalties_and_gradients(bad)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    text=st.sampled_from(FORMULA_POOL),
+    tnorm=st.sampled_from(TNORMS),
+    implication=st.sampled_from(IMPLICATIONS),
+    bound_mode=st.sampled_from(("given", "learned")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rule_set_penalties_are_non_negative(text, tnorm, implication, bound_mode, seed):
+    # The learner skips the rules of a line-search trial whose ridge and label
+    # part already fails Armijo; that is exact only while no penalty is negative.
+    rng = np.random.default_rng(seed)
+    constraints, outputs = random_rule_set(rng, [text] * 3, tnorm, implication, bound_mode)
+    layout, truths, _ = stack_outputs(rng, outputs)
+    # Truths anywhere in [0, 1], the end points and values one ulp inside them included.
+    edges = np.array([0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5])
+    truths = [
+        np.where(rng.random(t.shape) < 0.5, edges[rng.integers(len(edges), size=t.shape)],
+                 rng.uniform(0.0, 1.0, t.shape))
+        for t in truths
+    ]
+    rule_set = CompiledRuleSet(constraints, layout)
+    assert np.all(rule_set.penalties(truths) >= 0.0)
+    assert np.all(rule_set.penalties_and_gradients(truths)[0] >= 0.0)

@@ -250,6 +250,28 @@ class TestPRCurve:
         assert curve.recalls == (0.0, 0.5, 1.0)
         assert curve.precisions == (0.5, 0.5, 2.0 / 3.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_threshold_loop(self, seed):
+        # One threshold per distinct score, as np.unique sweeps them; ties,
+        # both zeros and the unit-interval ends are common in clipped truths.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        pool = np.array([0.0, -0.0, 1.0, 0.5, 0.25, 1e-300, rng.uniform()])
+        scores = np.where(rng.random(n) < 0.6, pool[rng.integers(len(pool), size=n)],
+                          rng.uniform(-1.0, 2.0, n))
+        labels = rng.random(n) < 0.4
+        labels[rng.integers(n)] = True
+        recalls, precisions = [], []
+        for threshold in np.unique(scores)[::-1]:
+            predicted = scores >= threshold
+            tp = int(np.count_nonzero(predicted & labels))
+            precisions.append(tp / int(np.count_nonzero(predicted)))
+            recalls.append(tp / int(np.count_nonzero(labels)))
+        curve = pr_curve(scores.tolist(), labels.astype(int).tolist())
+        assert curve.recalls == (0.0, *recalls)
+        assert curve.precisions == (precisions[0], *precisions)
+        assert all(type(v) is float for v in curve.recalls + curve.precisions)
+
     def test_validation(self):
         with pytest.raises(EvalError, match="positive"):
             pr_curve([0.1, 0.2], [0, 0])

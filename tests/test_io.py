@@ -218,6 +218,17 @@ class TestReportsAndCurves:
         assert text.index("A: 1") < text.index("B: 0.5 -0.25")
         assert "lambda_r = 1.0" in text
 
+    def test_model_coefficients_print_as_numpy_scalars_do(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vector = np.concatenate([
+            rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50),
+            [0.0, -0.0, 5e-324, -1.5, 1e16, 0.1, np.inf, -np.inf, np.nan],
+        ])
+        path = str(tmp_path / "model.txt")
+        write_model(path, {"A": vector}, {}, [])
+        line = (tmp_path / "model.txt").read_text().splitlines()[3]
+        assert line == "A: " + " ".join(format(v, ".17g") for v in vector)
+
 
 class TestAtomicWrite:
     def test_creates_directories_and_overwrites(self, tmp_path):

@@ -1,10 +1,13 @@
 """Learner: objective arithmetic, ridge oracle, gradients, stages, prediction."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from support import FORMULA_POOL
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import FORMULA_POOL, reference_train
 
 from fungo import learner
 from fungo.kernels import GramMatrix
@@ -378,7 +381,16 @@ class _CountingGram(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def test_each_accepted_step_costs_three_products_per_gram(monkeypatch):
+def _stage_counts(records):
+    """The per-stage DEBUG counts of _descend: steps, trials, decided by the
+    scalars, reached the rule set."""
+    return {
+        r.args[0]: r.args[1:] for r in records
+        if r.levelno == logging.DEBUG and "accepted steps" in r.msg
+    }
+
+
+def test_each_accepted_step_costs_three_products_per_gram(monkeypatch, caplog):
     rng = np.random.default_rng(31)
     tasks, constraints, _ = _stacked_problem(rng, "product", "learned")
     counting = {}
@@ -390,21 +402,190 @@ def test_each_accepted_step_costs_three_products_per_gram(monkeypatch):
         if t.mode == "learned" else t
         for t in tasks
     ]
-    trials = []
-    evaluate = learner._Workspace.evaluate
-
-    def counted(self, weights, scores, lambda_c, with_gradient):
-        trials.append(not with_gradient)
-        return evaluate(self, weights, scores, lambda_c, with_gradient)
-
-    monkeypatch.setattr(learner._Workspace, "evaluate", counted)
     monkeypatch.setattr(_CountingGram, "products", 0)
     # A large first step forces halvings, so trials outnumber accepted steps.
-    model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=6))
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=6))
     steps = len(model.trace.stage1) - 1 + len(model.trace.stage2) - 1
     assert len(model.trace.stage1) == 7 and model.trace.stage2
-    assert sum(trials) > steps
+    counts = _stage_counts(caplog.records)
+    assert sum(trials for _, trials, _, _ in counts.values()) > steps
     assert _CountingGram.products == 3 * len(counting) * steps
+
+
+def test_descent_logs_where_its_trials_were_decided(caplog):
+    rng = np.random.default_rng(37)
+    tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "given")
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=20))
+    counts = _stage_counts(caplog.records)
+    assert set(counts) == {"stage 1", "stage 2"}
+    for stage, trace in (("stage 1", model.trace.stage1), ("stage 2", model.trace.stage2)):
+        steps, trials, scalar, reached = counts[stage]
+        assert steps == len(trace) - 1
+        # Every accepted trial is summed directly, some rejected ones are not.
+        assert trials - scalar >= steps and scalar > 0
+        assert reached <= trials - scalar
+    # Without rules the scalars decide every rejected trial.
+    steps, trials, scalar, reached = counts["stage 1"]
+    assert trials - scalar == steps and reached == 0
+    assert counts["stage 2"][3] >= counts["stage 2"][0]
+
+
+def _random_problem(rng, tnorm, bound_mode, n_rules):
+    """Unary tasks over one to three Gram objects with random labeled sets,
+    a BOUND task and ``n_rules`` rules drawn from FORMULA_POOL."""
+    n = int(rng.integers(3, 7))
+    ids = tuple(f"p{i}" for i in range(n))
+    grams = [random_pd_gram(rng, ids) for _ in range(int(rng.integers(1, 4)))]
+    tasks = []
+    for name in "ABCDE":
+        labeled = [e for e in ids if rng.random() < 0.4]
+        labels = {e: float(rng.integers(2)) for e in labeled}
+        tasks.append(TaskSpec(name, 1, ids, gram=grams[rng.integers(len(grams))], labels=labels))
+    pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5) or ((ids[0], ids[1]),)
+    if bound_mode == "given":
+        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
+        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+    else:
+        pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
+        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram, labels={pairs[0]: 1.0}))
+    bindings = predicate_bindings(tasks)
+    texts = [FORMULA_POOL[i] for i in rng.permutation(len(FORMULA_POOL))[:n_rules]]
+    constraints = [
+        compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings) for text in texts
+    ]
+    return tasks, constraints
+
+
+def _train_or_error(trainer, tasks, constraints, cfg):
+    warnings = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger = logging.getLogger("fungo.learner")
+    logger.addHandler(handler)
+    try:
+        return trainer(tasks, constraints, cfg), warnings
+    except DivergenceError as exc:
+        return str(exc), warnings
+    finally:
+        logger.removeHandler(handler)
+
+
+def _bits(model):
+    return (
+        np.array(model.trace.stage1).tobytes(),
+        np.array(model.trace.stage2).tobytes(),
+        {p: a.tobytes() for p, a in model.alphas.items()},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tnorm=st.sampled_from(TNORMS),
+    bound_mode=st.sampled_from(("given", "learned")),
+    n_rules=st.sampled_from((0, 3, len(FORMULA_POOL))),
+    lambda_r=st.sampled_from((0.0, 0.3, 1.0)),
+    lambda_c=st.sampled_from((0.0, 0.7, 5.0)),
+    learning_rate=st.sampled_from((0.25, 1.0, 8.0, 1e3)),
+    line_search=st.booleans(),
+    max_halvings=st.sampled_from((60, 2)),
+    scalars=st.booleans(),
+)
+def test_line_search_matches_the_full_evaluation_reference(
+    seed, tnorm, bound_mode, n_rules, lambda_r, lambda_c, learning_rate, line_search,
+    max_halvings, scalars,
+):
+    rng = np.random.default_rng(seed)
+    tasks, constraints = _random_problem(rng, tnorm, bound_mode, n_rules)
+    cfg = TrainConfig(
+        lambda_r=lambda_r, lambda_c=lambda_c, tnorm=tnorm, learning_rate=learning_rate,
+        line_search=line_search, max_iterations=8, divergence_patience=3,
+    )
+    # The scalars decide nearly every trial they can; without them (as with
+    # non-finite coefficients) every trial meets evaluate()'s early return.
+    ray = learner._Workspace.ray if scalars else lambda *args: None
+    with mock.patch.object(learner, "MAX_HALVINGS", max_halvings), \
+            mock.patch.object(learner._Workspace, "ray", ray):
+        got, got_warnings = _train_or_error(train, tasks, constraints, cfg)
+        want, want_warnings = _train_or_error(reference_train, tasks, constraints, cfg)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _bits(got) == _bits(want)
+
+
+def _magnitudes(rng, shape):
+    """Values over many binades, with exact zeros and repeated values."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+    x[rng.random(shape) < 0.15] = 0.0
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lambda_r=st.sampled_from((0.0, 1e-9, 0.3, 1.0, 1e6)),
+    step=st.sampled_from((1e-12, 2.0**-30, 0.1, 0.75, 1.0, 8.0, 3e3)),
+    cancel=st.booleans(),
+)
+def test_ray_bounds_the_rounding_of_the_direct_sum(seed, lambda_r, step, cancel):
+    # Arbitrary A, S, D and M: the bound must not rely on S = A @ G.
+    rng = np.random.default_rng(seed)
+    tasks, _ = _random_problem(rng, "product", "learned", 0)
+    ws = learner._Workspace(tasks, [], TrainConfig(lambda_r=lambda_r))
+    weights = [_magnitudes(rng, b.mask.shape) for b in ws.blocks]
+    scores = [_magnitudes(rng, b.mask.shape) for b in ws.blocks]
+    grads = [_magnitudes(rng, b.mask.shape) for b in ws.blocks]
+    moves = [_magnitudes(rng, b.mask.shape) for b in ws.blocks]
+    if cancel:
+        # Trial weights and scores (and so residuals) that nearly vanish.
+        weights = [step * d * (1.0 + 1e-9 * rng.normal(size=d.shape)) for d in grads]
+        scores = [b.targets + step * m for b, m in zip(ws.blocks, moves)]
+    ray = ws.ray(weights, scores, grads, moves)
+    c0, c1, c2, e0, e1, e2 = ray
+    trial = [a - step * d for a, d in zip(weights, grads)]
+    moved = [s - step * m for s, m in zip(scores, moves)]
+    direct, _ = ws.evaluate(trial, moved, 0.0, False)
+    q = c0 + (c2 * step - c1) * step
+    spread = e0 + (e2 * step + e1) * step
+    assert abs(direct - q) <= ws.kappa * spread
+    # The hardest bound: the trial meets it exactly, so it must not be rejected.
+    assert not ws.rejects(ray, step, direct)
+
+
+def test_ray_gives_up_on_non_finite_coefficients():
+    rng = np.random.default_rng(41)
+    tasks, _ = _random_problem(rng, "product", "learned", 0)
+    ws = learner._Workspace(tasks, [], TrainConfig())
+    arrays = [[rng.normal(size=b.mask.shape) for b in ws.blocks] for _ in range(4)]
+    assert ws.ray(*arrays) is not None
+    for bad in (np.nan, np.inf, -np.inf):
+        arrays[3][0][0, 0] = bad
+        with np.errstate(invalid="ignore"):
+            assert ws.ray(*arrays) is None, bad
+
+
+def test_psd_check_runs_once_per_gram(monkeypatch):
+    rng = np.random.default_rng(43)
+    ids = tuple(f"p{i}" for i in range(5))
+    shared = random_pd_gram(rng, ids)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    for labels in ({"p0": 1.0}, {"p1": 1.0}, {"p2": 0.0}):
+        tasks = [TaskSpec(p, 1, ids, gram=shared, labels=labels) for p in "AB"]
+        train(tasks, [], TrainConfig(max_iterations=2))
+    assert len(calls) == 1
+    # The error still names the first task of each run that uses the Gram.
+    bad = gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for first in "XY":
+        tasks = [TaskSpec(p, 1, ("p0", "p1"), gram=bad) for p in (first, "Z")]
+        with pytest.raises(LearnerError, match=f"task '{first}' is not positive"):
+            train(tasks, [], TrainConfig())
+    assert len(calls) == 2
 
 
 def test_fixed_step_divergence_guard():
@@ -470,6 +651,12 @@ def test_task_validation():
         TaskSpec("B", 2, (("a", "b"),), mode="given", values={})
     with pytest.raises(LearnerError, match="ids do not match"):
         TaskSpec("A", 1, ids, gram=gram(("x", "y"), np.eye(2)))
+    pair = ("a", "b")
+    for value in (1.5, -0.25, float("nan"), float("inf")):
+        with pytest.raises(LearnerError, match=r"task 'B': value .* example \('a', 'b'\)"):
+            TaskSpec("B", 2, (pair,), mode="given", values={pair: value})
+    for value in (0.0, 0.5, 1.0):
+        TaskSpec("B", 2, (pair,), mode="given", values={pair: value})
 
 
 def test_train_validation():
