@@ -69,6 +69,7 @@ from .ontology import (
     generate_part_of_rules,
     generate_ppi_rules,
     go_cut,
+    namespace_coverage,
     parse_obo,
     ppi_statistics,
     tpr_closure,
@@ -281,23 +282,22 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     """Parse the ontology and annotations, then adapt and cut.
 
     A protein stays in the dataset only if it has at least one annotation
-    in every analyzed namespace; drops are counted at INFO and listed at
-    DEBUG.  The cut is built from the closed annotations of the kept
-    proteins.
+    in every analyzed namespace once closed; drops are counted at INFO and
+    listed at DEBUG.  Only the kept proteins' annotations are closed, and
+    the cut is built from them.
     """
     dag = parse_obo(_read_text(config.obo))
     raw = io.read_annotations(config.annotations)
-    closed_all = tpr_closure(raw, dag)
+    coverage = namespace_coverage(raw, dag)
     kept: dict[str, set[str]] = {}
     dropped: list[str] = []
     for protein in sorted(raw):
-        covered = {dag.terms[t].namespace for t in closed_all.terms_of(protein)}
-        missing = [ns for ns in config.namespaces if ns not in covered]
+        missing = [ns for ns in config.namespaces if ns not in coverage[protein]]
         if missing:
             dropped.append(protein)
             log.debug("dropping %s: no annotation in %s", protein, ", ".join(missing))
         else:
-            kept[protein] = set(raw[protein])
+            kept[protein] = raw[protein]
     if dropped:
         log.info("dropped %d proteins lacking an annotation in an analyzed namespace",
                  len(dropped))
@@ -395,10 +395,11 @@ def build_rules(config: ExperimentConfig, cut: GoCut):
 
 def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, ...], ...]:
     terms = tuple(sorted(data.cut.retained))
-    term_proteins = {t: set(data.cut.proteins(t)) for t in terms}
-    protein_terms = {
-        p: {t for t in terms if p in term_proteins[t]} for p in data.proteins
-    }
+    term_proteins = {t: data.cut.proteins(t) for t in terms}
+    protein_terms: dict[str, set[str]] = {}
+    for term, group in term_proteins.items():
+        for protein in group:
+            protein_terms.setdefault(protein, set()).add(term)
     return generate_folds(config.folds, data.proteins, terms,
                           protein_terms, term_proteins)
 
@@ -578,40 +579,35 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
         io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
                              bound_rows)
 
+    # Boolean examples × nodes matrices; folds partition the proteins, so
+    # each (protein, node) cell has at most one row.
     cut = data.cut
     nodes = cut.nodes()
-    by_protein: dict[str, dict[str, io.PredictionRow]] = {}
-    for row in rows:
-        by_protein.setdefault(row[0], {})[row[1]] = row
-    proteins = tuple(sorted(by_protein))
+    column = {cut.predicate(node): j for j, node in enumerate(nodes)}
+    proteins = tuple(sorted({row[0] for row in rows}))
+    position = {protein: i for i, protein in enumerate(proteins)}
+    cells = [row for row in rows if row[1] in column]
+    at = ([position[row[0]] for row in cells], [column[row[1]] for row in cells])
+    shape = (len(proteins), len(nodes))
+    present = np.zeros(shape, dtype=bool)
+    scores = np.zeros(shape)
+    predicted = np.zeros(shape, dtype=bool)
+    undecided = np.zeros(shape, dtype=bool)
+    present[at] = True
+    scores[at] = [row[2] for row in cells]
+    predicted[at] = [row[3] for row in cells]
+    undecided[at] = [row[4] for row in cells]
+    truth = np.zeros(shape, dtype=bool)
+    for j, node in enumerate(nodes):
+        truth[[position[p] for p in cut.proteins(node) if p in position], j] = True
 
-    def build_sets(universe, id_of):
-        truth, predicted, undecided = [], [], []
-        for protein in proteins:
-            members = frozenset(
-                id_of(n) for n in universe if protein in cut.proteins(n)
-            )
-            chosen = set()
-            blurred = set()
-            for node in universe:
-                row = by_protein[protein].get(cut.predicate(node))
-                if row is None:
-                    continue
-                if row[3]:
-                    chosen.add(id_of(node))
-                if row[4]:
-                    blurred.add(id_of(node))
-            truth.append(members)
-            predicted.append(frozenset(chosen))
-            undecided.append(frozenset(blurred))
-        return PredictionSet(
-            tuple(id_of(n) for n in universe), proteins,
-            tuple(truth), tuple(predicted), tuple(undecided),
-        )
-
-    real_nodes = [n for n in nodes if not cut.is_bin(n)]
-    headline = build_sets(real_nodes, cut.predicate)
-    node_level = build_sets(nodes, lambda n: n)
+    real = [j for j, node in enumerate(nodes) if not cut.is_bin(node)]
+    real_nodes = [nodes[j] for j in real]
+    headline = PredictionSet.from_matrices(
+        [cut.predicate(node) for node in real_nodes], proteins,
+        truth[:, real], predicted[:, real], undecided[:, real],
+    )
+    node_level = PredictionSet.from_matrices(nodes, proteins, truth, predicted, undecided)
 
     metrics: dict[str, float] = {}
     for tag, preds in (("", headline), ("filtered_", headline.filtered())):
@@ -631,12 +627,12 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
     if bound_rows:
         tp = fp = fn = 0
         for name, _, _, chosen, _ in bound_rows:
-            truth = name in bound_positive
-            if chosen and truth:
+            truth_value = name in bound_positive
+            if chosen and truth_value:
                 tp += 1
             elif chosen:
                 fp += 1
-            elif truth:
+            elif truth_value:
                 fn += 1
         metrics["bound_precision"] = tp / (tp + fp) if tp + fp else 0.0
         metrics["bound_recall"] = tp / (tp + fn) if tp + fn else 0.0
@@ -644,8 +640,8 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
 
     # Per-node statistics drive the result tree and the per-predicate table.
     stats_lines = ["node\tprecision\trecall\tf1"]
-    for node in nodes:
-        tp, fp, fn, _ = node_level.confusion(node)
+    counts = zip(nodes, *(c.tolist() for c in node_level.confusion_counts()[:3]))
+    for node, tp, fp, fn in counts:
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
@@ -657,20 +653,14 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
 
     curves = []
     curve_dir = os.path.join(out_dir, "curves")
-    for node in real_nodes:
+    for j, node in zip(real, real_nodes):
         predicate = cut.predicate(node)
-        scores = []
-        labels = []
-        for protein in proteins:
-            row = by_protein[protein].get(predicate)
-            if row is None:
-                continue
-            scores.append(row[2])
-            labels.append(1 if protein in cut.proteins(node) else 0)
-        if not any(labels):
+        scored = present[:, j]
+        labels = truth[scored, j]
+        if not labels.any():
             log.info("no positive test example for %s; curve skipped", predicate)
             continue
-        curve = pr_curve(scores, labels)
+        curve = pr_curve(scores[scored, j], labels)
         curves.append(curve)
         io.write_curve_file(os.path.join(curve_dir, f"{predicate}.csv"),
                             curve.recalls, curve.precisions)

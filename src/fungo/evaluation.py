@@ -15,6 +15,7 @@ Three groups of tools live here:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -43,66 +44,112 @@ class EvalError(ValueError):
     """Raised for invalid metric, curve, or fold-generation inputs."""
 
 
-@dataclass(frozen=True)
 class PredictionSet:
     """Multi-label predictions for a batch of examples.
 
     Each example carries a truth set, a predicted set, and the subset of
-    predicates whose decision fell inside the undecided band.  Confusion
-    counts per predicate are derived on demand and always sum to the number
-    of examples.
+    predicates whose decision fell inside the undecided band.  They are held
+    as three read-only boolean examples × predicates matrices, so confusion
+    counts are column sums (and always sum to the number of examples) and
+    per-example counts are row sums.  :meth:`from_matrices` builds one from
+    the matrices directly; the set views are derived on demand.
     """
 
-    predicates: tuple[str, ...]
-    examples: tuple[str, ...]
-    truth_sets: tuple[frozenset[str], ...]
-    predicted_sets: tuple[frozenset[str], ...]
-    undecided_sets: tuple[frozenset[str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(set(self.predicates)) != len(self.predicates):
-            raise EvalError("duplicate predicate ids")
-        if len(set(self.examples)) != len(self.examples):
-            raise EvalError("duplicate example ids")
-        if self.undecided_sets == () and self.examples:
-            object.__setattr__(
-                self, "undecided_sets", tuple(frozenset() for _ in self.examples)
-            )
+    def __init__(
+        self,
+        predicates: Sequence[str],
+        examples: Sequence[str],
+        truth_sets: Sequence[Iterable[str]],
+        predicted_sets: Sequence[Iterable[str]],
+        undecided_sets: Sequence[Iterable[str]] = (),
+    ):
+        predicates, examples = _check_ids(predicates, examples)
+        if undecided_sets == () and examples:
+            undecided_sets = tuple(frozenset() for _ in examples)
+        column = {p: j for j, p in enumerate(predicates)}
+        matrices = []
         for name, sets in (
-            ("truth", self.truth_sets),
-            ("predicted", self.predicted_sets),
-            ("undecided", self.undecided_sets),
+            ("truth", truth_sets),
+            ("predicted", predicted_sets),
+            ("undecided", undecided_sets),
         ):
-            if len(sets) != len(self.examples):
+            if len(sets) != len(examples):
                 raise EvalError(f"{name} sets do not match the example count")
-            universe = set(self.predicates)
-            for example, members in zip(self.examples, sets):
-                unknown = set(members) - universe
+            matrix = np.zeros((len(examples), len(predicates)), dtype=bool)
+            for i, (example, members) in enumerate(zip(examples, sets)):
+                members = set(members)
+                unknown = members - column.keys()
                 if unknown:
                     raise EvalError(
                         f"{name} set of {example!r} references unknown "
                         f"predicates {sorted(unknown)}"
                     )
+                matrix[i, [column[p] for p in members]] = True
+            matrices.append(matrix)
+        self._store(predicates, examples, *matrices)
+
+    @classmethod
+    def from_matrices(
+        cls,
+        predicates: Sequence[str],
+        examples: Sequence[str],
+        truth: np.ndarray,
+        predicted: np.ndarray,
+        undecided: np.ndarray,
+    ) -> "PredictionSet":
+        """Wrap boolean examples × predicates matrices (copied)."""
+        predicates, examples = _check_ids(predicates, examples)
+        shape = (len(examples), len(predicates))
+        matrices = [np.array(m, dtype=bool) for m in (truth, predicted, undecided)]
+        if any(m.shape != shape for m in matrices):
+            raise EvalError(f"prediction matrices must have shape {shape}")
+        self = cls.__new__(cls)
+        self._store(predicates, examples, *matrices)
+        return self
+
+    def _store(self, predicates, examples, truth, predicted, undecided) -> None:
+        for matrix in (truth, predicted, undecided):
+            matrix.setflags(write=False)
+        self.predicates: tuple[str, ...] = predicates
+        self.examples: tuple[str, ...] = examples
+        self.truth = truth
+        self.predicted = predicted
+        self.undecided = undecided
 
     @property
     def n(self) -> int:
         return len(self.examples)
 
+    @property
+    def truth_sets(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.truth)
+
+    @property
+    def predicted_sets(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.predicted)
+
+    @property
+    def undecided_sets(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.undecided)
+
+    def _sets(self, matrix: np.ndarray) -> tuple[frozenset[str], ...]:
+        names = self.predicates
+        return tuple(frozenset(names[j] for j in np.flatnonzero(row)) for row in matrix)
+
+    def confusion_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-predicate (TP, FP, FN, TN) count vectors, in predicate order."""
+        truth, predicted = self.truth, self.predicted
+        tp = np.count_nonzero(truth & predicted, axis=0)
+        fp = np.count_nonzero(predicted, axis=0) - tp
+        fn = np.count_nonzero(truth, axis=0) - tp
+        return tp, fp, fn, self.n - tp - fp - fn
+
     def confusion(self, predicate: str) -> tuple[int, int, int, int]:
         """Return (TP, FP, FN, TN) counts for one predicate."""
         if predicate not in self.predicates:
             raise EvalError(f"unknown predicate {predicate!r}")
-        tp = fp = fn = 0
-        for truth, predicted in zip(self.truth_sets, self.predicted_sets):
-            positive = predicate in truth
-            chosen = predicate in predicted
-            if positive and chosen:
-                tp += 1
-            elif chosen:
-                fp += 1
-            elif positive:
-                fn += 1
-        return tp, fp, fn, self.n - tp - fp - fn
+        j = self.predicates.index(predicate)
+        return tuple(int(c[j]) for c in self.confusion_counts())
 
     def filtered(self) -> "PredictionSet":
         """Drop every undecided entry from the computation.
@@ -111,13 +158,26 @@ class PredictionSet:
         and the predicted set, so it contributes to none of the precision,
         recall, or F1 counts.
         """
-        return PredictionSet(
-            self.predicates,
-            self.examples,
-            tuple(y - u for y, u in zip(self.truth_sets, self.undecided_sets)),
-            tuple(z - u for z, u in zip(self.predicted_sets, self.undecided_sets)),
-            tuple(frozenset() for _ in self.examples),
+        decided = ~self.undecided
+        return PredictionSet.from_matrices(
+            self.predicates, self.examples, self.truth & decided,
+            self.predicted & decided, np.zeros_like(decided),
         )
+
+
+def _check_ids(predicates, examples) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    predicates, examples = tuple(predicates), tuple(examples)
+    if len(set(predicates)) != len(predicates):
+        raise EvalError("duplicate predicate ids")
+    if len(set(examples)) != len(examples):
+        raise EvalError("duplicate example ids")
+    return predicates, examples
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sum left to right, rounding after each addition as a ``+=`` loop does
+    (``np.add.accumulate`` never regroups, unlike ``np.sum``)."""
+    return float(np.add.accumulate(values)[-1])
 
 
 class ExampleMetrics(NamedTuple):
@@ -139,25 +199,24 @@ def example_metrics(preds: PredictionSet) -> ExampleMetrics:
     Per-example conventions: an empty predicted set contributes 0 to the
     precision average, an empty truth set contributes 0 to the recall
     average, and an example where both sets are empty counts as a perfect
-    match for F1.
+    match for F1.  Per-example values are summed in example order.
     """
     if preds.n == 0:
         raise EvalError("example_metrics requires at least one example")
-    p_sum = r_sum = f_sum = exact = 0.0
-    for truth, predicted in zip(preds.truth_sets, preds.predicted_sets):
-        hit = len(truth & predicted)
-        if predicted:
-            p_sum += hit / len(predicted)
-        if truth:
-            r_sum += hit / len(truth)
-        if truth or predicted:
-            f_sum += 2.0 * hit / (len(truth) + len(predicted))
-        else:
-            f_sum += 1.0
-        if truth == predicted:
-            exact += 1.0
+    truth, predicted = preds.truth, preds.predicted
+    hit = np.count_nonzero(truth & predicted, axis=1)
+    n_true = np.count_nonzero(truth, axis=1)
+    n_chosen = np.count_nonzero(predicted, axis=1)
+    both = n_true + n_chosen
+    precision = np.divide(hit, n_chosen, out=np.zeros(preds.n), where=n_chosen > 0)
+    recall = np.divide(hit, n_true, out=np.zeros(preds.n), where=n_true > 0)
+    f1 = np.divide(2.0 * hit, both, out=np.ones(preds.n), where=both > 0)
+    exact = np.count_nonzero((truth == predicted).all(axis=1))
     n = preds.n
-    return ExampleMetrics(p_sum / n, r_sum / n, f_sum / n, exact / n)
+    return ExampleMetrics(
+        _running_sum(precision) / n, _running_sum(recall) / n,
+        _running_sum(f1) / n, float(exact) / n,
+    )
 
 
 def label_metrics(
@@ -170,31 +229,35 @@ def label_metrics(
 
     ``excluded`` names predicates left out of the computation entirely,
     e.g. the synthetic bin nodes of a term cut.  Zero-denominator terms
-    contribute 0.
+    contribute 0.  Macro averages add the per-predicate values with the
+    built-in ``sum``, in predicate order.
     """
     dropped = frozenset(excluded)
-    kept = [p for p in preds.predicates if p not in dropped]
+    kept = [j for j, p in enumerate(preds.predicates) if p not in dropped]
     if not kept:
         raise EvalError("label_metrics requires at least one scored predicate")
-    counts = [preds.confusion(p) for p in kept]
+    tp, fp, fn, _ = (c[kept] for c in preds.confusion_counts())
     if average == "micro":
-        tp = sum(c[0] for c in counts)
-        fp = sum(c[1] for c in counts)
-        fn = sum(c[2] for c in counts)
+        tp, fp, fn = int(tp.sum()), int(fp.sum()), int(fn.sum())
         return LabelMetrics(
             _ratio(tp, tp + fp), _ratio(tp, tp + fn), _ratio(2 * tp, 2 * tp + fp + fn)
         )
     if average == "macro":
         k = len(kept)
-        precision = sum(_ratio(tp, tp + fp) for tp, fp, _, _ in counts) / k
-        recall = sum(_ratio(tp, tp + fn) for tp, _, fn, _ in counts) / k
-        f1 = sum(_ratio(2 * tp, 2 * tp + fp + fn) for tp, fp, fn, _ in counts) / k
+        precision = sum(_ratios(tp, tp + fp)) / k
+        recall = sum(_ratios(tp, tp + fn)) / k
+        f1 = sum(_ratios(2 * tp, 2 * tp + fp + fn)) / k
         return LabelMetrics(precision, recall, f1)
     raise EvalError(f"unknown averaging mode {average!r}")
 
 
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
+
+
+def _ratios(num: np.ndarray, den: np.ndarray) -> list[float]:
+    """``_ratio`` elementwise."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0).tolist()
 
 
 def consistency(preds: PredictionSet, cut: GoCut) -> float:
@@ -204,28 +267,48 @@ def consistency(preds: PredictionSet, cut: GoCut) -> float:
     parents inside the cut) and otherwise scores the fraction of its cut
     parents that are also predicted; scores are averaged per example and
     then over examples.  An empty predicted set counts as fully consistent.
+
+    The predicted parents of every (example, node) come from one product
+    with the parent-incidence matrix.  Each example's node scores are added
+    exactly (``math.fsum``), so the result does not depend on node order;
+    the per-example means are summed in example order.
     """
     if preds.n == 0:
         raise EvalError("consistency requires at least one example")
     known = set(cut.nodes())
-    total = 0.0
-    for example, predicted in zip(preds.examples, preds.predicted_sets):
-        if not predicted:
-            total += 1.0
+    predicted = preds.predicted
+    outside = [j for j, node in enumerate(preds.predicates) if node not in known]
+    if outside:
+        stray = predicted[:, outside].any(axis=1)
+        if stray.any():
+            i = int(np.argmax(stray))
+            node = preds.predicates[outside[int(np.argmax(predicted[i, outside]))]]
+            raise EvalError(
+                f"predicted node {node!r} for {preds.examples[i]!r} is not part of the cut"
+            )
+    k = len(preds.predicates)
+    column = {node: j for j, node in enumerate(preds.predicates)}
+    incidence = np.zeros((k, k))  # [parent, child]
+    n_parents = np.ones(k)
+    free = np.ones(k, dtype=bool)  # scores 1 wherever it is predicted
+    for j, node in enumerate(preds.predicates):
+        if node not in known:
             continue
-        acc = 0.0
-        for node in predicted:
-            if node not in known:
-                raise EvalError(
-                    f"predicted node {node!r} for {example!r} is not part of the cut"
-                )
-            parents = cut.par(node)
-            if cut.level(node) <= 1 or not parents:
-                acc += 1.0
-            else:
-                acc += sum(1 for p in parents if p in predicted) / len(parents)
-        total += acc / len(predicted)
-    return total / preds.n
+        parents = cut.par(node)
+        if cut.level(node) <= 1 or not parents:
+            continue
+        free[j] = False
+        n_parents[j] = len(parents)
+        for parent in parents:
+            if parent in column:
+                incidence[column[parent], j] = 1.0
+    scores = np.where(free, 1.0, (predicted @ incidence) / n_parents)
+    sizes = np.count_nonzero(predicted, axis=1)
+    means = [
+        math.fsum(row[chosen]) / size if size else 1.0
+        for row, chosen, size in zip(scores, predicted, sizes.tolist())
+    ]
+    return _running_sum(np.array(means)) / preds.n
 
 
 @dataclass(frozen=True)
@@ -356,25 +439,30 @@ def generate_folds(
     if len(set(term_list)) != len(term_list):
         raise EvalError("duplicate term ids")
     rank = {protein: index for index, protein in enumerate(ordered)}
-    members: dict[str, tuple[str, ...]] = {}
+    # Both maps are read into sets once, so the cross-check is linear.
+    terms_of: dict[str, set[str]] = {}
+    groups: dict[str, set[str]] = {}
     for term in term_list:
-        group = set(term_proteins.get(term, ()))
+        group = groups[term] = set(term_proteins.get(term, ()))
         for protein in group:
             if protein not in rank:
                 raise EvalError(
                     f"term {term!r} references unknown protein {protein!r}"
                 )
-            if term not in set(protein_terms.get(protein, ())):
+            carried = terms_of.get(protein)
+            if carried is None:
+                carried = terms_of[protein] = set(protein_terms.get(protein, ()))
+            if term not in carried:
                 raise EvalError(
                     f"annotation maps disagree on ({protein!r}, {term!r})"
                 )
-        members[term] = tuple(sorted(group, key=rank.__getitem__))
     for protein in ordered:
         for term in protein_terms.get(protein, ()):
-            if term in members and protein not in members[term]:
+            if term in groups and protein not in groups[term]:
                 raise EvalError(
                     f"annotation maps disagree on ({protein!r}, {term!r})"
                 )
+    members = {term: sorted(group, key=rank.__getitem__) for term, group in groups.items()}
 
     folds: list[list[str]] = [[] for _ in range(n)]
     assigned: set[str] = set()

@@ -16,6 +16,7 @@ reals with ``%.17g`` where the value must survive a round trip.  Formats:
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from typing import Iterable, Mapping, Sequence
@@ -110,12 +111,12 @@ def read_fasta(path: str) -> dict[str, str]:
 
 
 def _split_columns(path: str, number: int, line: str, count: int) -> list[str]:
-    fields = line.split("\t")
-    if len(fields) != count or any(not f.strip() for f in fields):
+    fields = [f.strip() for f in line.split("\t")]
+    if len(fields) != count or "" in fields:
         raise DataFileError(
             path, number, f"expected {count} tab-separated fields, got {line!r}"
         )
-    return [f.strip() for f in fields]
+    return fields
 
 
 def read_pairs(path: str) -> tuple[tuple[str, str], ...]:
@@ -145,7 +146,7 @@ def _parse_real(path: str, number: int, token: str) -> float:
         value = float(token)
     except ValueError:
         raise DataFileError(path, number, f"not a real number: {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataFileError(path, number, f"non-finite value: {token!r}")
     return value
 
@@ -153,6 +154,7 @@ def _parse_real(path: str, number: int, token: str) -> float:
 def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headerless CSV matrix: ``protein,v1,v2,...`` per row."""
     ids: list[str] = []
+    seen: set[str] = set()
     rows: list[list[float]] = []
     width: int | None = None
     for number, line in enumerate(_read_lines(path), start=1):
@@ -164,8 +166,9 @@ def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         name = fields[0].strip()
         if not name:
             raise DataFileError(path, number, "empty protein id")
-        if name in ids:
+        if name in seen:
             raise DataFileError(path, number, f"duplicate protein id {name!r}")
+        seen.add(name)
         values = [_parse_real(path, number, token) for token in fields[1:]]
         if width is None:
             width = len(values)

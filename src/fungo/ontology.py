@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 import statistics as stats_mod
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
 
@@ -56,123 +57,120 @@ class OntologyDag:
     ``is_a`` edges must stay inside one namespace, be acyclic and lead every
     term up to its namespace's single root.  ``level`` is the length of the
     shortest ``is_a`` path to that root.
+
+    Terms are numbered in the order given.  The ``is_a`` edges are kept as
+    two CSR index arrays, parents per child and children per parent, and
+    are validated with array passes: Kahn's algorithm by rounds for
+    acyclicity, a frontier BFS per root for the levels.  Parent and child
+    tuples, ancestor sets and the per-relation edge lists are built on first
+    request and memoised, so a closure touches only the annotated terms and
+    their ancestors.  A memoised value is final once stored, so concurrent
+    readers at worst compute it twice.
     """
 
     def __init__(self, terms: Iterable[Term], edges: Iterable[tuple[str, str, str]]):
         table: dict[str, Term] = {}
+        codes: list[int] = []
         for term in terms:
-            if term.namespace not in NAMESPACES:
+            code = _NAMESPACE_CODE.get(term.namespace)
+            if code is None:
                 raise OntologyError(
                     f"term {term.id!r} has unknown namespace {term.namespace!r}"
                 )
             if term.id in table:
                 raise OntologyError(f"duplicate term id {term.id!r}")
             table[term.id] = term
+            codes.append(code)
 
-        seen: set[tuple[str, str, str]] = set()
-        kept: list[tuple[str, str, str]] = []
-        for child, parent, relation in edges:
-            if relation not in RELATIONS:
-                raise OntologyError(f"unknown relation {relation!r}")
-            if child not in table:
-                raise OntologyError(f"dangling edge source {child!r}")
-            if parent not in table:
-                raise OntologyError(f"dangling edge target {parent!r}")
-            key = (child, parent, relation)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(key)
+        kept = list(dict.fromkeys((c, p, r) for c, p, r in edges))
+        sources, targets, relations = zip(*kept) if kept else ((), (), ())
+        if not (set(relations) <= _RELATION_SET and table.keys() >= set(sources)
+                and table.keys() >= set(targets)):
+            for child, parent, relation in kept:
+                if relation not in _RELATION_SET:
+                    raise OntologyError(f"unknown relation {relation!r}")
+                if child not in table:
+                    raise OntologyError(f"dangling edge source {child!r}")
+                if parent not in table:
+                    raise OntologyError(f"dangling edge target {parent!r}")
+
+        n = len(table)
+        ids = list(table)
+        index = dict(zip(ids, range(n)))
+        isa = np.fromiter(map(ISA.__eq__, relations), bool, len(kept))
+        child = np.fromiter(map(index.__getitem__, sources), np.intp, len(kept))[isa]
+        parent = np.fromiter(map(index.__getitem__, targets), np.intp, len(kept))[isa]
+        up = _csr(child, parent, n)
+        down = _csr(parent, child, n)
+        namespace = np.array(codes, dtype=np.int8)
+
+        has_parent = up[0][1:] > up[0][:-1]
+        has_same = np.zeros(n, dtype=bool)
+        has_same[child[namespace[child] == namespace[parent]]] = True
+        orphans = np.flatnonzero(has_parent & ~has_same)
+        if orphans.size:
+            term = table[ids[orphans[0]]]
+            raise OntologyError(
+                f"term {term.id!r} has no is_a parent in namespace {term.namespace!r}"
+            )
+
+        # Kahn's algorithm by rounds; terms left with pending parents sit on
+        # or below a cycle.
+        pending = np.diff(up[0])
+        frontier = np.flatnonzero(pending == 0)
+        removed = 0
+        while frontier.size:
+            removed += frontier.size
+            kids = _gather(down, frontier)
+            np.subtract.at(pending, kids, 1)
+            frontier = _distinct(kids[pending[kids] == 0])
+        if removed != n:
+            cyclic = sorted(ids[i] for i in np.flatnonzero(pending).tolist())
+            raise OntologyError(f"cycle among is_a edges involving {cyclic[:5]}")
+
+        roots: dict[str, str] = {}
+        for i in np.flatnonzero(~has_parent).tolist():
+            tid = ids[i]
+            space = table[tid].namespace
+            if space in roots:
+                raise OntologyError(
+                    f"namespace {space!r} has multiple roots: {roots[space]!r} and {tid!r}"
+                )
+            roots[space] = tid
+        for code in dict.fromkeys(codes):  # namespaces by first term
+            if NAMESPACES[code] not in roots:
+                raise OntologyError(f"namespace {NAMESPACES[code]!r} has no root")
+
+        # One BFS per root in turn; a term keeps the level of the first BFS
+        # that reaches it.
+        level = np.full(n, -1, dtype=np.intp)
+        for tid in roots.values():
+            frontier = np.array([index[tid]], dtype=np.intp)
+            depth = 0
+            level[frontier] = depth
+            while frontier.size:
+                depth += 1
+                kids = _gather(down, frontier)
+                frontier = _distinct(kids[level[kids] < 0])
+                level[frontier] = depth
+        missing = np.flatnonzero(level < 0)
+        if missing.size:
+            names = sorted(ids[i] for i in missing.tolist())
+            raise OntologyError(f"terms unreachable from their root: {names[:5]}")
 
         self._terms = table
-        self._edges = tuple(sorted(kept))
-        self._isa_parents: dict[str, tuple[str, ...]] = {t: () for t in table}
-        self._isa_children: dict[str, tuple[str, ...]] = {t: () for t in table}
-        up: dict[str, list[str]] = {t: [] for t in table}
-        down: dict[str, list[str]] = {t: [] for t in table}
-        for child, parent, relation in self._edges:
-            if relation == ISA:
-                up[child].append(parent)
-                down[parent].append(child)
-        for tid in table:
-            self._isa_parents[tid] = tuple(sorted(up[tid]))
-            self._isa_children[tid] = tuple(sorted(down[tid]))
-
-        self._validate_parent_namespaces()
-        order = self._topological_order()
-        self._roots = self._find_roots()
-        self._levels = self._compute_levels()
-        self._ancestors = self._compute_ancestors(order)
-
-    def _validate_parent_namespaces(self) -> None:
-        for tid, term in self._terms.items():
-            parents = self._isa_parents[tid]
-            if not parents:
-                continue
-            same_ns = [p for p in parents if self._terms[p].namespace == term.namespace]
-            if not same_ns:
-                raise OntologyError(
-                    f"term {tid!r} has no is_a parent in namespace {term.namespace!r}"
-                )
-
-    def _topological_order(self) -> list[str]:
-        # Kahn's algorithm over is_a edges; leftovers mean there is a cycle.
-        pending = {t: len(self._isa_parents[t]) for t in self._terms}
-        queue = deque(sorted(t for t, n in pending.items() if n == 0))
-        order: list[str] = []
-        while queue:
-            tid = queue.popleft()
-            order.append(tid)
-            for child in self._isa_children[tid]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    queue.append(child)
-        if len(order) != len(self._terms):
-            cyclic = sorted(t for t, n in pending.items() if n > 0)
-            raise OntologyError(f"cycle among is_a edges involving {cyclic[:5]}")
-        return order
-
-    def _find_roots(self) -> dict[str, str]:
-        roots: dict[str, str] = {}
-        for tid, term in self._terms.items():
-            if self._isa_parents[tid]:
-                continue
-            if term.namespace in roots:
-                raise OntologyError(
-                    f"namespace {term.namespace!r} has multiple roots: "
-                    f"{roots[term.namespace]!r} and {tid!r}"
-                )
-            roots[term.namespace] = tid
-        for term in self._terms.values():
-            if term.namespace not in roots:
-                raise OntologyError(f"namespace {term.namespace!r} has no root")
-        return roots
-
-    def _compute_levels(self) -> dict[str, int]:
-        levels: dict[str, int] = {}
-        for root in self._roots.values():
-            levels[root] = 0
-            queue = deque([root])
-            while queue:
-                tid = queue.popleft()
-                for child in self._isa_children[tid]:
-                    if child not in levels:
-                        levels[child] = levels[tid] + 1
-                        queue.append(child)
-        missing = sorted(set(self._terms) - set(levels))
-        if missing:
-            raise OntologyError(f"terms unreachable from their root: {missing[:5]}")
-        return levels
-
-    def _compute_ancestors(self, order: Sequence[str]) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
-        for tid in order:
-            acc: set[str] = set()
-            for parent in self._isa_parents[tid]:
-                acc.add(parent)
-                acc.update(out[parent])
-            out[tid] = frozenset(acc)
-        return out
+        self._ids = ids
+        self._index = index
+        self._kept = kept
+        self._up = up
+        self._down = down
+        self._roots = roots
+        self._levels = dict(zip(ids, level.tolist()))
+        self._parents: dict[str, tuple[str, ...]] = {}
+        self._children: dict[str, tuple[str, ...]] = {}
+        self._ancestors: dict[str, frozenset[str]] = {}
+        self._sorted_edges: tuple[tuple[str, str, str], ...] | None = None
+        self._by_relation: dict[str, tuple[tuple[str, str], ...]] | None = None
 
     @property
     def terms(self) -> Mapping[str, Term]:
@@ -180,7 +178,9 @@ class OntologyDag:
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return self._edges
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(sorted(self._kept))
+        return self._sorted_edges
 
     def __contains__(self, term_id: str) -> bool:
         return term_id in self._terms
@@ -192,23 +192,36 @@ class OntologyDag:
     def parents(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
         self._require(term_id)
         if relation == ISA:
-            return self._isa_parents[term_id]
-        return tuple(
-            sorted(p for c, p, r in self._edges if c == term_id and r == relation)
-        )
+            return self._isa(self._parents, self._up, term_id)
+        return tuple(p for c, p in self._relation_pairs(relation) if c == term_id)
 
     def children(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
         self._require(term_id)
         if relation == ISA:
-            return self._isa_children[term_id]
-        return tuple(
-            sorted(c for c, p, r in self._edges if p == term_id and r == relation)
-        )
+            return self._isa(self._children, self._down, term_id)
+        return tuple(c for c, p in self._relation_pairs(relation) if p == term_id)
 
     def ancestors(self, term_id: str) -> frozenset[str]:
         """All is_a ancestors of a term, the term itself excluded."""
         self._require(term_id)
-        return self._ancestors[term_id]
+        memo = self._ancestors
+        stack = [term_id]
+        while stack:
+            tid = stack[-1]
+            if tid in memo:
+                stack.pop()
+                continue
+            parents = self._isa(self._parents, self._up, tid)
+            todo = [p for p in parents if p not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            found = set(parents)
+            for p in parents:
+                found |= memo[p]
+            memo[tid] = frozenset(found)
+            stack.pop()
+        return memo[term_id]
 
     def roots(self) -> Mapping[str, str]:
         return dict(self._roots)
@@ -216,11 +229,61 @@ class OntologyDag:
     def relation_edges(self, relation: str) -> tuple[tuple[str, str], ...]:
         if relation not in RELATIONS:
             raise OntologyError(f"unknown relation {relation!r}")
-        return tuple((c, p) for c, p, r in self._edges if r == relation)
+        return self._relation_pairs(relation)
+
+    def _isa(self, memo: dict[str, tuple[str, ...]], csr: tuple[np.ndarray, np.ndarray],
+             term_id: str) -> tuple[str, ...]:
+        """A term's sorted is_a neighbours on one side, memoised in ``memo``."""
+        found = memo.get(term_id)
+        if found is None:
+            ptr, targets = csr
+            i = self._index[term_id]
+            found = memo[term_id] = tuple(
+                sorted([self._ids[j] for j in targets[ptr[i]:ptr[i + 1]].tolist()])
+            )
+        return found
+
+    def _relation_pairs(self, relation: str) -> tuple[tuple[str, str], ...]:
+        """Sorted (child, parent) pairs of one relation; all relations are
+        indexed together on the first call."""
+        if self._by_relation is None:
+            grouped: dict[str, list[tuple[str, str]]] = {r: [] for r in RELATIONS}
+            for child, parent, relation_of in self._kept:
+                grouped[relation_of].append((child, parent))
+            self._by_relation = {r: tuple(sorted(pairs)) for r, pairs in grouped.items()}
+        return self._by_relation.get(relation, ())
 
     def _require(self, term_id: str) -> None:
         if term_id not in self._terms:
             raise OntologyError(f"unknown term id {term_id!r}")
+
+
+_NAMESPACE_CODE = {name: code for code, name in enumerate(NAMESPACES)}
+_RELATION_SET = frozenset(RELATIONS)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the ``rows -> cols`` edges over ``n`` nodes."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows, kind="stable")]
+
+
+def _gather(csr: tuple[np.ndarray, np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """The targets of every node in ``nodes``, concatenated."""
+    indptr, indices = csr
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    offsets = np.repeat(starts - ends + counts, counts)
+    return indices[offsets + np.arange(ends[-1] if ends.size else 0)]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` pays about 12 ms of set-up on
+    its first call in a process)."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
 
 
 def parse_obo(text: str) -> OntologyDag:
@@ -229,71 +292,65 @@ def parse_obo(text: str) -> OntologyDag:
     Only ``[Term]`` stanzas are read; recognised keys are ``id``, ``name``,
     ``namespace``, ``is_a``, ``relationship`` and ``is_obsolete``.  Obsolete
     terms are dropped along with their outgoing edges; an edge pointing at a
-    dropped or missing term is an error.
+    dropped or missing term is an error.  A ``!`` starts a comment anywhere
+    on a line.
     """
     terms: list[Term] = []
     edges: list[tuple[str, str, str]] = []
-    stanza: dict[str, object] | None = None
-
-    def flush() -> None:
-        nonlocal stanza
-        if stanza is None:
-            return
-        tid = stanza.get("id")
-        if not tid:
-            raise OntologyError("[Term] stanza without an id")
-        namespace = stanza.get("namespace")
-        if not namespace:
-            raise OntologyError(f"term {tid!r} has no namespace")
-        if not stanza.get("obsolete"):
-            terms.append(Term(str(tid), str(stanza.get("name", "")), str(namespace)))
-            for parent, relation in stanza.get("links", ()):  # type: ignore[union-attr]
-                edges.append((str(tid), parent, relation))
-        stanza = None
-
-    in_term = False
-    for raw in text.splitlines():
-        line = _strip_obo_comment(raw).strip()
+    inside = False  # within a [Term] stanza
+    tid = name = namespace = None
+    obsolete = False
+    links: list[tuple[str, str]] = []
+    lines = text.splitlines()
+    lines.append("[]")  # closes the last stanza
+    for raw in lines:
+        cut = raw.find("!")
+        line = (raw if cut < 0 else raw[:cut]).strip()
         if not line:
             continue
-        if line.startswith("["):
-            flush()
-            in_term = line == "[Term]"
-            if in_term:
-                stanza = {"links": []}
+        if line[0] == "[":
+            if inside:
+                if not tid:
+                    raise OntologyError("[Term] stanza without an id")
+                if not namespace:
+                    raise OntologyError(f"term {tid!r} has no namespace")
+                if not obsolete:
+                    terms.append(Term(tid, name or "", namespace))
+                    edges.extend([(tid, target, relation) for target, relation in links])
+            inside = line == "[Term]"
+            tid = name = namespace = None
+            obsolete = False
+            links = []
             continue
-        if not in_term or stanza is None or ":" not in line:
+        if not inside:
             continue
-        key, _, value = line.partition(":")
+        key, colon, value = line.partition(":")
+        if not colon:
+            continue
         key = key.strip()
         value = value.strip()
         if key == "id":
-            stanza["id"] = value
+            tid = value
         elif key == "name":
-            stanza["name"] = value
+            name = value
         elif key == "namespace":
-            stanza["namespace"] = value
-        elif key == "is_obsolete":
-            stanza["obsolete"] = value.lower() == "true"
+            namespace = value
         elif key == "is_a":
-            target = value.split()[0] if value else ""
-            if not target:
+            if not value:
                 raise OntologyError("is_a line without a target id")
-            stanza["links"].append((target, ISA))  # type: ignore[union-attr]
+            links.append((value.split()[0], ISA))
+        elif key == "is_obsolete":
+            obsolete = value.lower() == "true"
         elif key == "relationship":
             parts = value.split()
             if len(parts) < 2:
                 raise OntologyError(f"malformed relationship line {raw.strip()!r}")
-            relation, target = parts[0], parts[1]
-            if relation in (PART_OF, REGULATES, OCCURS_IN):
-                stanza["links"].append((target, relation))  # type: ignore[union-attr]
-    flush()
+            if parts[0] in _LINKED_RELATIONS:
+                links.append((parts[1], parts[0]))
     return OntologyDag(terms, edges)
 
 
-def _strip_obo_comment(line: str) -> str:
-    cut = line.find("!")
-    return line if cut < 0 else line[:cut]
+_LINKED_RELATIONS = frozenset((PART_OF, REGULATES, OCCURS_IN))
 
 
 class AnnotationSet:
@@ -317,6 +374,10 @@ class AnnotationSet:
     def proteins_of(self, term: str) -> frozenset[str]:
         return self._by_term.get(term, frozenset())
 
+    def carried_terms(self) -> tuple[str, ...]:
+        """The terms at least one protein carries."""
+        return tuple(self._by_term)
+
     def items(self):
         return self._by_protein.items()
 
@@ -337,22 +398,48 @@ def tpr_closure(raw: Mapping[str, Iterable[str]], dag: OntologyDag) -> Annotatio
         acc: set[str] = set()
         for tid in term_ids:
             if tid not in dag:
-                raise OntologyError(
-                    f"protein {protein!r} annotated with unknown term {tid!r}"
-                )
+                raise _unknown_term(protein, tid)
             acc.add(tid)
             acc.update(dag.ancestors(tid))
         closed[protein] = acc
     return AnnotationSet(closed)
 
 
+def namespace_coverage(raw: Mapping[str, Iterable[str]],
+                       dag: OntologyDag) -> dict[str, frozenset[str]]:
+    """The namespaces each protein's closed annotations fall in.
+
+    Equals the namespaces of :func:`tpr_closure` ``(raw, dag)`` and raises
+    the same errors, but closes nothing: the namespaces of a term and its
+    ancestors are found once per distinct term.
+    """
+    reach: dict[str, frozenset[str]] = {}
+    terms = dag.terms
+    coverage: dict[str, frozenset[str]] = {}
+    for protein, term_ids in raw.items():
+        covered: set[str] = set()
+        for tid in term_ids:
+            spans = reach.get(tid)
+            if spans is None:
+                if tid not in dag:
+                    raise _unknown_term(protein, tid)
+                spans = reach[tid] = frozenset(
+                    [terms[tid].namespace] + [terms[a].namespace for a in dag.ancestors(tid)]
+                )
+            covered |= spans
+        coverage[protein] = frozenset(covered)
+    return coverage
+
+
+def _unknown_term(protein: str, tid: str) -> OntologyError:
+    return OntologyError(f"protein {protein!r} annotated with unknown term {tid!r}")
+
+
 def _check_closed(annotations: AnnotationSet, dag: OntologyDag) -> None:
     for protein, terms in annotations.items():
         for tid in terms:
             if tid not in dag:
-                raise OntologyError(
-                    f"protein {protein!r} annotated with unknown term {tid!r}"
-                )
+                raise _unknown_term(protein, tid)
             for parent in dag.parents(tid):
                 if parent not in terms:
                     raise OntologyError(
@@ -490,10 +577,12 @@ def go_cut(
         raise OntologyError("count threshold must be non-negative")
     _check_closed(annotations, dag)
 
+    # Above a zero count threshold only carried terms can pass.
+    candidates = dag.terms if count_threshold == 0 else annotations.carried_terms()
     retained = frozenset(
         tid
-        for tid, term in dag.terms.items()
-        if term.namespace in ns
+        for tid in candidates
+        if dag.terms[tid].namespace in ns
         and dag.level(tid) <= level_threshold
         and len(annotations.proteins_of(tid)) >= count_threshold
     )

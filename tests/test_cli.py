@@ -3,9 +3,13 @@
 import logging
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import fungo
+import hierarchy_fixture
 from fungo.cli import main
 from fungo.io import read_folds, read_gram, read_predictions
 
@@ -229,6 +233,35 @@ class TestRun:
         diagnostics = list(out.glob("fold_*/divergence.txt"))
         assert diagnostics
         assert "fold = " in diagnostics[0].read_text()
+
+
+    def test_run_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict iteration order changes with PYTHONHASHSEED; nothing
+        # it orders may reach the bundle.
+        hierarchy_fixture.write_dataset(str(tmp_path))
+        cfg = hierarchy_fixture.write_config(str(tmp_path), "out")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
+        bundles = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out_{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "fungo.cli", "run", "--config", cfg,
+                 "--out", str(out), "--jobs", "2"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            masked = str(out).encode()
+            bundles.append({
+                p.relative_to(out): p.read_bytes().replace(masked, b"<out>")
+                for p in out.rglob("*") if p.is_file()
+            })
+        first, second = bundles
+        assert {"metrics.txt", "per_node.tsv", "curve_average.csv"} <= {str(p) for p in first}
+        assert first.keys() == second.keys()
+        for path in first:
+            assert first[path] == second[path], path
 
 
 class TestExportTree:

@@ -1,7 +1,17 @@
 """Tests for prediction metrics, curve averaging, and fold generation."""
 
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fungo import cli
+from fungo import io as fungo_io
+from fungo.cli import Dataset
 
 from fungo.evaluation import (
     EvalError,
@@ -16,6 +26,14 @@ from fungo.evaluation import (
     pr_curve,
 )
 from fungo.ontology import go_cut, parse_obo, tpr_closure
+from support import (
+    ReferencePredictionSet,
+    reference_build_sets,
+    reference_consistency,
+    reference_example_metrics,
+    reference_label_metrics,
+)
+from test_ontology import leaf_annotations, random_dag
 
 DIAMOND_OBO = """\
 format-version: 1.2
@@ -462,3 +480,167 @@ class TestFolds:
             assert max(spread) - min(spread) <= 1
             again = generate_folds(n, proteins, terms, protein_terms, term_proteins)
             assert again == folds
+
+
+# --- matrix metrics against the set-based reference ------------------------
+
+
+def _reference_of(preds):
+    return ReferencePredictionSet(
+        preds.predicates, preds.examples, preds.truth_sets,
+        preds.predicted_sets, preds.undecided_sets,
+    )
+
+
+@st.composite
+def prediction_sets(draw):
+    """Random sets over up to 7 predicates and 40 examples; sizes vary enough
+    that the per-example ratios need rounding."""
+    predicates = tuple(draw(st.permutations("abcdefg")))[: draw(st.integers(1, 7))]
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.1, 0.4, 0.8)))
+
+    def sets():
+        picks = rng.random((n, len(predicates))) < density
+        return tuple(frozenset(p for p, on in zip(predicates, row) if on) for row in picks)
+
+    return PredictionSet(predicates, tuple(f"e{i}" for i in range(n)), sets(), sets(), sets())
+
+
+@settings(max_examples=200, deadline=None)
+@given(prediction_sets(), st.data())
+def test_metrics_are_bit_equal_to_the_set_reference(preds, data):
+    excluded = data.draw(st.sets(st.sampled_from(preds.predicates)))
+    for current in (preds, preds.filtered()):
+        reference = _reference_of(current)
+        if current is not preds:
+            assert reference == _reference_of(preds).filtered()
+        for predicate in current.predicates:
+            assert current.confusion(predicate) == reference.confusion(predicate)
+        assert example_metrics(current) == reference_example_metrics(reference)
+        for average in ("micro", "macro"):
+            if len(excluded) == len(current.predicates):
+                with pytest.raises(EvalError, match="at least one scored"):
+                    label_metrics(current, average, excluded=excluded)
+                continue
+            assert label_metrics(current, average, excluded=excluded) == \
+                reference_label_metrics(reference, average, excluded=excluded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_consistency_is_bit_equal_to_the_set_reference(seed):
+    # Cut nodes here have at most two cut parents, so every node score is
+    # a multiple of 1/2 and the reference's set-order sum is exact.
+    rng = np.random.default_rng(seed)
+    dag = random_dag(rng, int(rng.integers(3, 25)))
+    annotations = leaf_annotations(rng, dag, int(rng.integers(3, 15)))
+    cut = go_cut(dag, annotations, ["biological_process"], int(rng.integers(1, 6)), 0)
+    nodes = cut.nodes()
+    picks = rng.random((int(rng.integers(1, 30)), len(nodes))) < rng.random()
+    preds = PredictionSet(
+        nodes, tuple(f"e{i}" for i in range(len(picks))),
+        tuple(frozenset() for _ in picks),
+        tuple(frozenset(n for n, on in zip(nodes, row) if on) for row in picks),
+    )
+    assert consistency(preds, cut) == reference_consistency(_reference_of(preds), cut)
+
+
+def test_consistency_sums_node_scores_exactly():
+    # A node with three cut parents scores a third, and a running sum of
+    # 1 + 1 + 1/3 rounds differently from one of 1/3 + 1 + 1; the example's
+    # scores are added with fsum instead, so node order does not matter.
+    def term(tid, *parents):
+        links = "".join(f"is_a: GO:000000{p}\n" for p in parents)
+        return f"\n[Term]\nid: GO:000000{tid}\nnamespace: molecular_function\n{links}"
+
+    text = DIAMOND_OBO + term(5, 1) + term(6, 2, 3, 5)
+    dag = parse_obo(text)
+    cut = go_cut(dag, tpr_closure({"p": set(dag.terms)}, dag), ("molecular_function",), 3, 0)
+    chosen = frozenset({ROOT, ALPHA, "GO:0000006"})
+    assert 1.0 + 1.0 + 1 / 3 != 1 / 3 + 1.0 + 1.0
+    expected = math.fsum([1.0, 1.0, 1 / 3]) / 3
+    values = set()
+    for order in (cut.nodes(), tuple(reversed(cut.nodes()))):
+        preds = PredictionSet(order, ("e0",), (frozenset(),), (chosen,))
+        values.add(consistency(preds, cut))
+    assert values == {expected}
+    assert abs(reference_consistency(_reference_of(preds), cut) - expected) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_aggregate_matches_the_set_based_reference(seed):
+    rng = np.random.default_rng(seed)
+    dag = random_dag(rng, int(rng.integers(3, 20)))
+    annotations = leaf_annotations(rng, dag, int(rng.integers(3, 25)))
+    cut = go_cut(dag, annotations, ["biological_process"], int(rng.integers(1, 5)),
+                 int(rng.integers(0, 3)))
+    nodes = cut.nodes()
+    proteins = annotations.proteins
+    rows = [
+        (p, cut.predicate(node), float(rng.random()), bool(rng.random() < 0.5),
+         bool(rng.random() < 0.2))
+        for p in proteins for node in nodes if rng.random() < 0.9
+    ]
+    rng.shuffle(rows)
+    data = Dataset(dag, proteins, annotations, cut, ())
+    real = [n for n in nodes if not cut.is_bin(n)]
+    headline = reference_build_sets(cut, rows, real, cut.predicate)
+    node_level = reference_build_sets(cut, rows, nodes, lambda n: n)
+    if not headline.examples:
+        return
+    expected = {}
+    for tag, preds in (("", headline), ("filtered_", headline.filtered())):
+        expected.update(zip(
+            (f"{tag}example_precision", f"{tag}example_recall", f"{tag}example_f1",
+             f"{tag}example_exact_match"),
+            reference_example_metrics(preds),
+        ))
+        for average in ("micro", "macro"):
+            expected.update(zip(
+                (f"{tag}label_{average}_precision", f"{tag}label_{average}_recall",
+                 f"{tag}label_{average}_f1"),
+                reference_label_metrics(preds, average),
+            ))
+    expected["consistency"] = reference_consistency(node_level, cut)
+    expected["filtered_consistency"] = reference_consistency(node_level.filtered(), cut)
+
+    captured = {}
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fungo_io, "write_metrics_report",
+                      lambda path, metrics: captured.update(metrics))
+        cli._aggregate(None, data, [cli.FoldOutcome(0, tuple(rows), ())], out)
+        per_node = open(os.path.join(out, "per_node.tsv")).read().splitlines()
+    captured.pop("auc_average", None)
+    assert captured == expected
+    for line, node in zip(per_node[1:], nodes):
+        tp, fp, fn, _ = node_level.confusion(node)
+        assert line == "\t".join((
+            node,
+            f"{tp / (tp + fp) if tp + fp else 0.0:.6f}",
+            f"{tp / (tp + fn) if tp + fn else 0.0:.6f}",
+            f"{2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0:.6f}",
+        ))
+    assert len(per_node) == len(nodes) + 1
+
+
+def test_prediction_set_views_round_trip():
+    preds = PredictionSet(("a", "b"), ("e0", "e1"), (frozenset("a"), frozenset()),
+                          (frozenset("ab"), frozenset("b")))
+    assert preds.truth_sets == (frozenset("a"), frozenset())
+    assert preds.predicted_sets == (frozenset("ab"), frozenset("b"))
+    assert preds.undecided_sets == (frozenset(), frozenset())
+    assert preds.truth.tolist() == [[True, False], [False, False]]
+    with pytest.raises(ValueError):
+        preds.truth[0, 0] = False
+    same = PredictionSet.from_matrices(preds.predicates, preds.examples, preds.truth,
+                                       preds.predicted, preds.undecided)
+    assert same.predicted_sets == preds.predicted_sets
+    with pytest.raises(EvalError, match="shape"):
+        PredictionSet.from_matrices(("a",), ("e0",), preds.truth, preds.predicted,
+                                    preds.undecided)
+    with pytest.raises(EvalError, match="duplicate predicate"):
+        PredictionSet.from_matrices(("a", "a"), ("e0", "e1"), preds.truth,
+                                    preds.predicted, preds.undecided)

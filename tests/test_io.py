@@ -106,6 +106,12 @@ class TestExpression:
         with pytest.raises(DataFileError, match="non-finite"):
             read_expression(put(tmp_path, "e.csv", "p1,inf\n"))
 
+    def test_duplicate_id_names_its_line(self, tmp_path):
+        path = put(tmp_path, "dup.csv", "p1,1\np2,2\n\np3,3\np2,4\n")
+        with pytest.raises(DataFileError, match="duplicate protein id 'p2'") as caught:
+            read_expression(path)
+        assert caught.value.line == 5
+
 
 class TestGram:
     def test_round_trip_is_exact(self, tmp_path):
@@ -127,6 +133,25 @@ class TestGram:
             read_gram(put(tmp_path, "c.csv", "a,b\n1,0\n0\n"))
         with pytest.raises(DataFileError, match="empty id"):
             read_gram(put(tmp_path, "d.csv", "a,\n1,0\n0,1\n"))
+
+
+NON_FINITE = ("nan", "inf", "-inf", "1e999")
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_readers_reject_non_finite_reals(tmp_path, token):
+    expression = put(tmp_path, "e.csv", f"p1,1.0\np2,{token}\n")
+    with pytest.raises(DataFileError, match="non-finite") as caught:
+        read_expression(expression)
+    assert caught.value.line == 2
+    gram = put(tmp_path, "g.csv", f"a,b\n1,0\n0,{token}\n")
+    with pytest.raises(DataFileError, match="non-finite") as caught:
+        read_gram(gram)
+    assert caught.value.line == 3
+    predictions = put(tmp_path, "p.tsv", f"p1\tA\t0.5\tpos\t0\np2\tA\t{token}\tneg\t0\n")
+    with pytest.raises(DataFileError, match="non-finite") as caught:
+        read_predictions(predictions)
+    assert caught.value.line == 2
 
 
 class TestRules:

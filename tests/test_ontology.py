@@ -1,11 +1,18 @@
 """Ontology: OBO parsing, closure, cuts with bins, rule generation, statistics."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungo.ontology import (
     ISA,
+    NAMESPACES,
     PART_OF,
+    RELATIONS,
     AnnotationSet,
     GoCut,
     OntologyDag,
@@ -15,11 +22,13 @@ from fungo.ontology import (
     generate_part_of_rules,
     generate_ppi_rules,
     go_cut,
+    namespace_coverage,
     parse_obo,
     ppi_statistics,
     predicate_name,
     tpr_closure,
 )
+from support import ReferenceOntologyDag, reference_parse_obo, reference_tpr_closure
 
 BP = "biological_process"
 MF = "molecular_function"
@@ -442,3 +451,252 @@ def test_ppi_statistics_undefined_ratio():
     assert all(r.ratio is None for r in result.rows)
     assert result.jaccard["overall"].count == 0
     assert result.jaccard["overall"].mean is None
+
+
+# --- array-backed DAG against the string-keyed reference -------------------
+
+ID_POOL = tuple(f"GO:{i:07d}" for i in range(1, 13))
+MISSING_ID = "GO:9999999"
+LINK_RELATIONS = (PART_OF, "regulates", "occurs_in", "has_part")
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the reference decides which types are expected
+        return None, (type(exc), str(exc))
+
+
+SPACING = (("", ""), (" ", ""), ("\t", " "), ("  ", "\t"))
+CORRUPTIONS = ("extra root", "back edge", "dangling parent", "cross-namespace parent",
+               "obsolete parent", "no namespace", "short relationship")
+
+
+@st.composite
+def obo_documents(draw):
+    """OBO text over a mostly valid DAG: each term's is_a parents come from
+    earlier terms of its namespace.  One document in three carries one of
+    the CORRUPTIONS.  The text has obsolete terms, ``!`` comments (one
+    inside a name), relationship lines of every kind, duplicate edges, odd
+    spacing and [Typedef] stanzas."""
+    n = draw(st.integers(1, 9))
+    ids = tuple(draw(st.permutations(ID_POOL))[:n])
+    spaces = draw(st.lists(st.sampled_from(NAMESPACES[:2]), min_size=n, max_size=n))
+    obsolete = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    live = [k for k in range(n) if k not in obsolete]
+    parents: list[list[int]] = []
+    for k in range(n):
+        same = [j for j in live if j < k and spaces[j] == spaces[k]]
+        parents.append(draw(st.lists(st.sampled_from(same), min_size=1, max_size=3))
+                       if same else [])
+    links = [[ids[j] for j in js] for js in parents]
+    for k in range(n):
+        relations = draw(st.lists(st.tuples(st.sampled_from(LINK_RELATIONS),
+                                            st.sampled_from(live or [0])), max_size=2))
+        links[k] += [f"{relation} {ids[j]}" for relation, j in relations]
+
+    corruption = draw(st.sampled_from((None,) * 14 + CORRUPTIONS))
+    k = draw(st.integers(0, n - 1))
+    namespace_lines = [f"namespace: {space}" for space in spaces]
+    if corruption == "extra root":
+        links[k] = [link for link in links[k] if " " in link]
+    elif corruption == "back edge":
+        edges = [(c, p) for c in range(n) for p in parents[c]]
+        if edges:
+            child, parent = draw(st.sampled_from(edges))
+            links[parent].append(ids[child])
+    elif corruption == "dangling parent":
+        links[k].append(MISSING_ID)
+    elif corruption == "cross-namespace parent" and k:
+        links[k] = [ids[draw(st.integers(0, k - 1))]]
+    elif corruption == "obsolete parent" and obsolete:
+        links[k].append(ids[min(obsolete)])
+    elif corruption == "no namespace":
+        namespace_lines[k] = ""
+    elif corruption == "short relationship":
+        links[k].append("part_of")
+
+    lines = ["format-version: 1.2", "! a file comment", ""]
+    for k, tid in enumerate(ids):
+        if draw(st.integers(0, 7)) == 0:
+            lines += ["[Typedef]", "id: part_of", "name: part of", f"is_a: {ids[0]}", ""]
+        body = [f"id: {tid}", namespace_lines[k]]
+        if draw(st.booleans()):
+            body.append(f"name: term {k}" + draw(st.sampled_from(("", " ! aside", "!x"))))
+        for link in links[k]:
+            if " " in link or link == "part_of":
+                body.append(f"relationship: {link} ! linked")
+            else:
+                body.append(f"is_a: {link}" + draw(st.sampled_from(("", " ! parent name"))))
+        if k in obsolete:
+            body.append("is_obsolete: " + draw(st.sampled_from(("true", "TRUE"))))
+        elif draw(st.booleans()):
+            body.append("is_obsolete: false")
+        pad, tail = draw(st.sampled_from(SPACING))
+        lines.append("[Term]")
+        lines += [pad + line + tail for line in draw(st.permutations(body)) if line]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _assert_same_dag(dag, reference):
+    assert list(dag.terms.items()) == list(reference.terms.items())
+    assert dag.edges == reference.edges
+    assert dag.roots() == reference.roots()
+    for relation in RELATIONS:
+        assert dag.relation_edges(relation) == reference.relation_edges(relation)
+    # Ancestors first in a random-ish order, so the memo fills out of order.
+    for tid in sorted(reference.terms, reverse=True):
+        assert dag.ancestors(tid) == reference.ancestors(tid)
+    for tid in reference.terms:
+        assert dag.level(tid) == reference.level(tid)
+        for relation in RELATIONS + ("has_part",):
+            assert dag.parents(tid, relation) == reference.parents(tid, relation)
+            assert dag.children(tid, relation) == reference.children(tid, relation)
+    for query in (dag.level, dag.parents, dag.children, dag.ancestors):
+        assert _outcome(query, MISSING_ID)[1] == (OntologyError,
+                                                  f"unknown term id {MISSING_ID!r}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(obo_documents(), st.data())
+def test_parse_obo_matches_the_reference(text, data):
+    dag, error = _outcome(parse_obo, text)
+    reference, expected = _outcome(reference_parse_obo, text)
+    assert error == expected
+    if expected is not None:
+        return
+    _assert_same_dag(dag, reference)
+
+    pool = list(reference.terms) + [MISSING_ID]
+    raw = data.draw(st.dictionaries(
+        st.sampled_from([f"p{i}" for i in range(6)]),
+        st.sets(st.sampled_from(pool), max_size=4),
+        max_size=6,
+    ))
+    closed, error = _outcome(tpr_closure, raw, dag)
+    want, expected = _outcome(reference_tpr_closure, raw, reference)
+    assert error == expected
+    coverage, error = _outcome(namespace_coverage, raw, dag)
+    assert error == expected
+    if expected is None:
+        assert dict(closed.items()) == want
+        assert coverage == {
+            p: {reference.terms[t].namespace for t in ts} for p, ts in want.items()
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dag_constructor_matches_the_reference(data):
+    ids = data.draw(st.lists(st.sampled_from(ID_POOL[:6]), min_size=1, max_size=7))
+    terms = [Term(t, "", data.draw(st.sampled_from(NAMESPACES[:2] + ("nowhere",))))
+             for t in ids]
+    edges = data.draw(st.lists(
+        st.tuples(st.sampled_from(ID_POOL[:7]), st.sampled_from(ID_POOL[:7]),
+                  st.sampled_from(RELATIONS + ("has_part",))),
+        max_size=10,
+    ))
+    dag, error = _outcome(OntologyDag, terms, edges)
+    reference, expected = _outcome(ReferenceOntologyDag, terms, edges)
+    assert error == expected
+    if expected is None:
+        _assert_same_dag(dag, reference)
+
+
+def _stanza(tid, namespace, *links):
+    return "\n".join([f"[Term]\nid: {tid}\nnamespace: {namespace}", *links, ""])
+
+
+MALFORMED = {
+    "cycle": (
+        _stanza("GO:1", BP)
+        + _stanza("GO:3", BP, "is_a: GO:2")
+        + _stanza("GO:2", BP, "is_a: GO:1", "is_a: GO:3"),
+        "cycle among is_a edges involving ['GO:2', 'GO:3']",
+    ),
+    "two roots": (
+        _stanza("GO:1", BP) + _stanza("GO:2", MF) + _stanza("GO:3", BP),
+        "namespace 'biological_process' has multiple roots: 'GO:1' and 'GO:3'",
+    ),
+    "dangling target": (
+        _stanza("GO:1", BP) + _stanza("GO:2", BP, "relationship: part_of GO:7"),
+        "dangling edge target 'GO:7'",
+    ),
+    "obsolete target": (
+        _stanza("GO:1", BP) + _stanza("GO:2", BP, "is_a: GO:1", "is_obsolete: true")
+        + _stanza("GO:3", BP, "is_a: GO:2"),
+        "dangling edge target 'GO:2'",
+    ),
+    "parent only in another namespace": (
+        _stanza("GO:1", BP) + _stanza("GO:2", MF) + _stanza("GO:3", MF, "is_a: GO:1"),
+        "term 'GO:3' has no is_a parent in namespace 'molecular_function'",
+    ),
+    # A term that no root reaches has parents, so it sits below a cycle.
+    "unreachable term": (
+        _stanza("GO:1", BP) + _stanza("GO:6", BP, "is_a: GO:5")
+        + _stanza("GO:5", BP, "is_a: GO:4") + _stanza("GO:4", BP, "is_a: GO:5"),
+        "cycle among is_a edges involving ['GO:4', 'GO:5', 'GO:6']",
+    ),
+    "stanza without an id": ("[Term]\nname: x\nnamespace: biological_process\n",
+                             "[Term] stanza without an id"),
+    "no namespace": ("[Term]\nid: GO:1\n", "term 'GO:1' has no namespace"),
+    "bare is_a": (_stanza("GO:1", BP, "is_a: ! nothing"), "is_a line without a target id"),
+    "short relationship": (
+        _stanza("GO:1", BP, "relationship: part_of ! GO:2"),
+        "malformed relationship line 'relationship: part_of ! GO:2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_ontologies_fail_as_the_reference_does(case):
+    text, message = MALFORMED[case]
+    assert _outcome(parse_obo, text)[1] == (OntologyError, message)
+    assert _outcome(reference_parse_obo, text)[1] == (OntologyError, message)
+
+
+def test_ancestors_are_built_only_on_request():
+    text = "".join(
+        _stanza(f"GO:{i}", BP, *([f"is_a: GO:{i - 1}"] if i else [])) for i in range(50)
+    )
+    dag = parse_obo(text)
+    assert not dag._ancestors
+    assert dag.ancestors("GO:3") == {"GO:0", "GO:1", "GO:2"}
+    assert set(dag._ancestors) == {"GO:0", "GO:1", "GO:2", "GO:3"}
+    # Deep chains need no recursion.
+    deep = parse_obo("".join(
+        _stanza(f"GO:{i}", BP, *([f"is_a: GO:{i - 1}"] if i else [])) for i in range(3000)
+    ))
+    assert len(deep.ancestors("GO:2999")) == 2999
+    assert deep.level("GO:2999") == 2999
+
+
+def test_memoised_queries_agree_across_threads():
+    rng = np.random.default_rng(5)
+    edges_dag = random_dag(rng, 60)
+    text = "".join(
+        _stanza(t, BP, *(f"is_a: {p}" for p in edges_dag.parents(t))) for t in edges_dag.terms
+    )
+    reference = reference_parse_obo(text)
+    expected = {t: (reference.ancestors(t), reference.parents(t), reference.children(t))
+                for t in reference.terms}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            dag = parse_obo(text)
+            order = list(reference.terms)
+
+            def query(seed):
+                local = list(order)
+                np.random.default_rng(seed).shuffle(local)
+                return {t: (dag.ancestors(t), dag.parents(t), dag.children(t)) for t in local}
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=30) for f in
+                           [pool.submit(query, seed) for seed in range(8)]]
+            assert all(result == expected for result in results)
+    finally:
+        sys.setswitchinterval(previous)
