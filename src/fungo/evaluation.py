@@ -268,8 +268,9 @@ def consistency(preds: PredictionSet, cut: GoCut) -> float:
     parents that are also predicted; scores are averaged per example and
     then over examples.  An empty predicted set counts as fully consistent.
 
-    The predicted parents of every (example, node) come from one product
-    with the parent-incidence matrix.  Each example's node scores are added
+    Each node's predicted parents are counted over its parent columns for
+    all examples at once, in O(examples x parent links) with no
+    nodes x nodes array.  Each example's node scores are added
     exactly (``math.fsum``), so the result does not depend on node order;
     the per-example means are summed in example order.
     """
@@ -286,23 +287,16 @@ def consistency(preds: PredictionSet, cut: GoCut) -> float:
             raise EvalError(
                 f"predicted node {node!r} for {preds.examples[i]!r} is not part of the cut"
             )
-    k = len(preds.predicates)
     column = {node: j for j, node in enumerate(preds.predicates)}
-    incidence = np.zeros((k, k))  # [parent, child]
-    n_parents = np.ones(k)
-    free = np.ones(k, dtype=bool)  # scores 1 wherever it is predicted
+    scores = np.ones(predicted.shape)  # a free node scores 1 wherever it is predicted
     for j, node in enumerate(preds.predicates):
         if node not in known:
             continue
         parents = cut.par(node)
         if cut.level(node) <= 1 or not parents:
             continue
-        free[j] = False
-        n_parents[j] = len(parents)
-        for parent in parents:
-            if parent in column:
-                incidence[column[parent], j] = 1.0
-    scores = np.where(free, 1.0, (predicted @ incidence) / n_parents)
+        cols = [column[p] for p in parents if p in column]
+        scores[:, j] = np.count_nonzero(predicted[:, cols], axis=1) / len(parents)
     sizes = np.count_nonzero(predicted, axis=1)
     means = [
         math.fsum(row[chosen]) / size if size else 1.0

@@ -14,8 +14,6 @@ import statistics as stats_mod
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
 
 NAMESPACES = ("biological_process", "cellular_component", "molecular_function")
@@ -58,119 +56,103 @@ class OntologyDag:
     term up to its namespace's single root.  ``level`` is the length of the
     shortest ``is_a`` path to that root.
 
-    Terms are numbered in the order given.  The ``is_a`` edges are kept as
-    two CSR index arrays, parents per child and children per parent, and
-    are validated with array passes: Kahn's algorithm by rounds for
-    acyclicity, a frontier BFS per root for the levels.  Parent and child
-    tuples, ancestor sets and the per-relation edge lists are built on first
-    request and memoised, so a closure touches only the annotated terms and
-    their ancestors.  A memoised value is final once stored, so concurrent
-    readers at worst compute it twice.
+    Ancestor sets, sorted parent and child tuples, the sorted ``edges``
+    tuple and the per-relation edge lists are built on first request and
+    memoised, so a closure touches only the annotated terms and their
+    ancestors.  A memoised value is final once stored, so concurrent readers
+    at worst compute it twice.
     """
 
     def __init__(self, terms: Iterable[Term], edges: Iterable[tuple[str, str, str]]):
         table: dict[str, Term] = {}
-        codes: list[int] = []
         for term in terms:
-            code = _NAMESPACE_CODE.get(term.namespace)
-            if code is None:
+            if term.namespace not in NAMESPACES:
                 raise OntologyError(
                     f"term {term.id!r} has unknown namespace {term.namespace!r}"
                 )
             if term.id in table:
                 raise OntologyError(f"duplicate term id {term.id!r}")
             table[term.id] = term
-            codes.append(code)
 
         kept = list(dict.fromkeys((c, p, r) for c, p, r in edges))
-        sources, targets, relations = zip(*kept) if kept else ((), (), ())
-        if not (set(relations) <= _RELATION_SET and table.keys() >= set(sources)
-                and table.keys() >= set(targets)):
-            for child, parent, relation in kept:
-                if relation not in _RELATION_SET:
-                    raise OntologyError(f"unknown relation {relation!r}")
-                if child not in table:
-                    raise OntologyError(f"dangling edge source {child!r}")
-                if parent not in table:
-                    raise OntologyError(f"dangling edge target {parent!r}")
-
-        n = len(table)
-        ids = list(table)
-        index = dict(zip(ids, range(n)))
-        isa = np.fromiter(map(ISA.__eq__, relations), bool, len(kept))
-        child = np.fromiter(map(index.__getitem__, sources), np.intp, len(kept))[isa]
-        parent = np.fromiter(map(index.__getitem__, targets), np.intp, len(kept))[isa]
-        up = _csr(child, parent, n)
-        down = _csr(parent, child, n)
-        namespace = np.array(codes, dtype=np.int8)
-
-        has_parent = up[0][1:] > up[0][:-1]
-        has_same = np.zeros(n, dtype=bool)
-        has_same[child[namespace[child] == namespace[parent]]] = True
-        orphans = np.flatnonzero(has_parent & ~has_same)
-        if orphans.size:
-            term = table[ids[orphans[0]]]
-            raise OntologyError(
-                f"term {term.id!r} has no is_a parent in namespace {term.namespace!r}"
-            )
-
-        # Kahn's algorithm by rounds; terms left with pending parents sit on
-        # or below a cycle.
-        pending = np.diff(up[0])
-        frontier = np.flatnonzero(pending == 0)
-        removed = 0
-        while frontier.size:
-            removed += frontier.size
-            kids = _gather(down, frontier)
-            np.subtract.at(pending, kids, 1)
-            frontier = _distinct(kids[pending[kids] == 0])
-        if removed != n:
-            cyclic = sorted(ids[i] for i in np.flatnonzero(pending).tolist())
-            raise OntologyError(f"cycle among is_a edges involving {cyclic[:5]}")
-
-        roots: dict[str, str] = {}
-        for i in np.flatnonzero(~has_parent).tolist():
-            tid = ids[i]
-            space = table[tid].namespace
-            if space in roots:
+        up: dict[str, list[str]] = {t: [] for t in table}
+        down: dict[str, list[str]] = {t: [] for t in table}
+        rooted: set[str] = set()  # terms with an is_a parent in their own namespace
+        for child, parent, relation in kept:
+            if relation not in RELATIONS:
+                raise OntologyError(f"unknown relation {relation!r}")
+            if child not in table:
+                raise OntologyError(f"dangling edge source {child!r}")
+            if parent not in table:
+                raise OntologyError(f"dangling edge target {parent!r}")
+            if relation == ISA:
+                up[child].append(parent)
+                down[parent].append(child)
+                if table[child].namespace == table[parent].namespace:
+                    rooted.add(child)
+        for tid, parents in up.items():
+            if parents and tid not in rooted:
                 raise OntologyError(
-                    f"namespace {space!r} has multiple roots: {roots[space]!r} and {tid!r}"
+                    f"term {tid!r} has no is_a parent in namespace {table[tid].namespace!r}"
                 )
-            roots[space] = tid
-        for code in dict.fromkeys(codes):  # namespaces by first term
-            if NAMESPACES[code] not in roots:
-                raise OntologyError(f"namespace {NAMESPACES[code]!r} has no root")
-
-        # One BFS per root in turn; a term keeps the level of the first BFS
-        # that reaches it.
-        level = np.full(n, -1, dtype=np.intp)
-        for tid in roots.values():
-            frontier = np.array([index[tid]], dtype=np.intp)
-            depth = 0
-            level[frontier] = depth
-            while frontier.size:
-                depth += 1
-                kids = _gather(down, frontier)
-                frontier = _distinct(kids[level[kids] < 0])
-                level[frontier] = depth
-        missing = np.flatnonzero(level < 0)
-        if missing.size:
-            names = sorted(ids[i] for i in missing.tolist())
-            raise OntologyError(f"terms unreachable from their root: {names[:5]}")
 
         self._terms = table
-        self._ids = ids
-        self._index = index
         self._kept = kept
         self._up = up
         self._down = down
-        self._roots = roots
-        self._levels = dict(zip(ids, level.tolist()))
+        self._check_acyclic()
+        self._roots = self._find_roots()
+        self._levels = self._compute_levels()
         self._parents: dict[str, tuple[str, ...]] = {}
         self._children: dict[str, tuple[str, ...]] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._sorted_edges: tuple[tuple[str, str, str], ...] | None = None
         self._by_relation: dict[str, tuple[tuple[str, str], ...]] | None = None
+
+    def _check_acyclic(self) -> None:
+        # Kahn's algorithm over is_a edges; leftovers mean there is a cycle.
+        pending = {t: len(ps) for t, ps in self._up.items()}
+        queue = [t for t, n in pending.items() if n == 0]
+        for tid in queue:
+            for child in self._down[tid]:
+                pending[child] -= 1
+                if pending[child] == 0:
+                    queue.append(child)
+        if len(queue) != len(self._terms):
+            cyclic = sorted(t for t, n in pending.items() if n > 0)
+            raise OntologyError(f"cycle among is_a edges involving {cyclic[:5]}")
+
+    def _find_roots(self) -> dict[str, str]:
+        roots: dict[str, str] = {}
+        for tid, term in self._terms.items():
+            if self._up[tid]:
+                continue
+            if term.namespace in roots:
+                raise OntologyError(
+                    f"namespace {term.namespace!r} has multiple roots: "
+                    f"{roots[term.namespace]!r} and {tid!r}"
+                )
+            roots[term.namespace] = tid
+        for term in self._terms.values():
+            if term.namespace not in roots:
+                raise OntologyError(f"namespace {term.namespace!r} has no root")
+        return roots
+
+    def _compute_levels(self) -> dict[str, int]:
+        levels: dict[str, int] = {}
+        for root in self._roots.values():
+            levels[root] = 0
+            queue = [root]
+            for tid in queue:
+                depth = levels[tid] + 1
+                for child in self._down[tid]:
+                    if child not in levels:
+                        levels[child] = depth
+                        queue.append(child)
+        if len(levels) != len(self._terms):
+            missing = sorted(set(self._terms) - set(levels))
+            raise OntologyError(f"terms unreachable from their root: {missing[:5]}")
+        return levels
 
     @property
     def terms(self) -> Mapping[str, Term]:
@@ -192,13 +174,13 @@ class OntologyDag:
     def parents(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
         self._require(term_id)
         if relation == ISA:
-            return self._isa(self._parents, self._up, term_id)
+            return _sorted_once(self._parents, self._up, term_id)
         return tuple(p for c, p in self._relation_pairs(relation) if c == term_id)
 
     def children(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
         self._require(term_id)
         if relation == ISA:
-            return self._isa(self._children, self._down, term_id)
+            return _sorted_once(self._children, self._down, term_id)
         return tuple(c for c, p in self._relation_pairs(relation) if p == term_id)
 
     def ancestors(self, term_id: str) -> frozenset[str]:
@@ -211,7 +193,7 @@ class OntologyDag:
             if tid in memo:
                 stack.pop()
                 continue
-            parents = self._isa(self._parents, self._up, tid)
+            parents = self._up[tid]
             todo = [p for p in parents if p not in memo]
             if todo:
                 stack.extend(todo)
@@ -231,18 +213,6 @@ class OntologyDag:
             raise OntologyError(f"unknown relation {relation!r}")
         return self._relation_pairs(relation)
 
-    def _isa(self, memo: dict[str, tuple[str, ...]], csr: tuple[np.ndarray, np.ndarray],
-             term_id: str) -> tuple[str, ...]:
-        """A term's sorted is_a neighbours on one side, memoised in ``memo``."""
-        found = memo.get(term_id)
-        if found is None:
-            ptr, targets = csr
-            i = self._index[term_id]
-            found = memo[term_id] = tuple(
-                sorted([self._ids[j] for j in targets[ptr[i]:ptr[i + 1]].tolist()])
-            )
-        return found
-
     def _relation_pairs(self, relation: str) -> tuple[tuple[str, str], ...]:
         """Sorted (child, parent) pairs of one relation; all relations are
         indexed together on the first call."""
@@ -258,32 +228,13 @@ class OntologyDag:
             raise OntologyError(f"unknown term id {term_id!r}")
 
 
-_NAMESPACE_CODE = {name: code for code, name in enumerate(NAMESPACES)}
-_RELATION_SET = frozenset(RELATIONS)
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the ``rows -> cols`` edges over ``n`` nodes."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.argsort(rows, kind="stable")]
-
-
-def _gather(csr: tuple[np.ndarray, np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """The targets of every node in ``nodes``, concatenated."""
-    indptr, indices = csr
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    offsets = np.repeat(starts - ends + counts, counts)
-    return indices[offsets + np.arange(ends[-1] if ends.size else 0)]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (``np.unique`` pays about 12 ms of set-up on
-    its first call in a process)."""
-    values = np.sort(values)
-    return values[np.diff(values, prepend=-1) != 0]
+def _sorted_once(memo: dict[str, tuple[str, ...]], lists: Mapping[str, list[str]],
+                 term_id: str) -> tuple[str, ...]:
+    """``lists[term_id]`` as a sorted tuple, memoised in ``memo``."""
+    found = memo.get(term_id)
+    if found is None:
+        found = memo[term_id] = tuple(sorted(lists[term_id]))
+    return found
 
 
 def parse_obo(text: str) -> OntologyDag:
@@ -373,10 +324,6 @@ class AnnotationSet:
 
     def proteins_of(self, term: str) -> frozenset[str]:
         return self._by_term.get(term, frozenset())
-
-    def carried_terms(self) -> tuple[str, ...]:
-        """The terms at least one protein carries."""
-        return tuple(self._by_term)
 
     def items(self):
         return self._by_protein.items()
@@ -577,12 +524,10 @@ def go_cut(
         raise OntologyError("count threshold must be non-negative")
     _check_closed(annotations, dag)
 
-    # Above a zero count threshold only carried terms can pass.
-    candidates = dag.terms if count_threshold == 0 else annotations.carried_terms()
     retained = frozenset(
         tid
-        for tid in candidates
-        if dag.terms[tid].namespace in ns
+        for tid, term in dag.terms.items()
+        if term.namespace in ns
         and dag.level(tid) <= level_threshold
         and len(annotations.proteins_of(tid)) >= count_threshold
     )
