@@ -12,18 +12,20 @@ Subcommands:
 * ``export-tree`` — the cut as a DOT graph annotated with per-node scores.
 
 Every experiment is driven by a flat ``key = value`` config file; outputs
-are plain files in the chosen output directory.  Given the same config and
-seed, ``run`` produces byte-identical reports.
+are plain files in the chosen output directory.  Given the same config,
+``run`` produces byte-identical reports.  Folds and training are
+deterministic, so the ``seed`` key is only echoed into ``config.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -88,7 +90,11 @@ class CliError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of a flat config file, with paths resolved."""
+    """Typed view of a flat config file, with paths resolved.
+
+    Its fields, less ``train``, and those of ``TrainConfig`` are the config
+    keys; a key left out takes its field's default.
+    """
 
     obo: str
     annotations: str
@@ -112,134 +118,90 @@ class ExperimentConfig:
     beta: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self) -> None:
+        if not self.namespaces:
+            raise CliError("config key 'namespaces' is empty")
+        if self.kernel not in KERNEL_CHOICES:
+            raise CliError(
+                f"unknown kernel {self.kernel!r} (choose from {KERNEL_CHOICES})"
+            )
+        _validate_rule_tokens(self.rules)
+
     def echo(self) -> dict[str, str]:
-        """The resolved settings as writable config lines."""
-        out: dict[str, str] = {
-            "obo": self.obo,
-            "annotations": self.annotations,
-            "namespaces": ",".join(self.namespaces),
-            "level": str(self.level),
-            "min_count": str(self.min_count),
-            "kernel": self.kernel,
-            "rules": "+".join(self.rules),
-            "folds": str(self.folds),
-            "seed": str(self.seed),
-            "k": str(self.k),
-            "beta": repr(self.beta),
-        }
-        if self.out is not None:
-            out["out"] = self.out
-        for key in ("sequences", "domains", "expression", "graph", "gram",
-                    "pair_gram", "ppi"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        for spec in fields(TrainConfig):
-            value = getattr(self.train, spec.name)
-            if isinstance(value, bool):
-                out[spec.name] = "true" if value else "false"
-            elif isinstance(value, float):
-                out[spec.name] = repr(value)
-            else:
-                out[spec.name] = str(value)
+        """The resolved settings as writable config lines.
+
+        ``jobs`` is left out: the bundle must not depend on it.
+        """
+        out: dict[str, str] = {}
+        for owner in (self, self.train):
+            for spec in fields(owner):
+                value = getattr(owner, spec.name)
+                if spec.name in ("jobs", "train") or value is None:
+                    continue
+                if isinstance(value, bool):
+                    out[spec.name] = "true" if value else "false"
+                elif isinstance(value, tuple):
+                    out[spec.name] = _SEPARATORS[spec.name].join(value)
+                else:
+                    out[spec.name] = str(value)
         return out
 
 
-_PATH_KEYS = ("obo", "annotations", "sequences", "domains", "expression",
-              "graph", "gram", "pair_gram", "ppi", "out")
-_INT_KEYS = {"level", "min_count", "folds", "seed", "jobs", "k",
-             "max_iterations", "divergence_patience"}
-_FLOAT_KEYS = {"beta", "lambda_r", "lambda_c", "learning_rate", "tolerance",
-               "threshold", "undecided_band"}
-_BOOL_KEYS = {"line_search"}
+# How each non-string key is read; list keys are split on their separator.
+_KINDS = {
+    **dict.fromkeys(("obo", "annotations", "sequences", "domains", "expression",
+                     "graph", "gram", "pair_gram", "ppi", "out"), "path"),
+    **dict.fromkeys(("level", "min_count", "folds", "seed", "jobs", "k",
+                     "max_iterations", "divergence_patience"), "integer"),
+    **dict.fromkeys(("beta", "lambda_r", "lambda_c", "learning_rate", "tolerance",
+                     "threshold", "undecided_band"), "real"),
+    "line_search": "flag",
+}
+_SEPARATORS = {"namespaces": ",", "rules": "+"}
 _TRAIN_KEYS = {spec.name for spec in fields(TrainConfig)}
-_KNOWN_KEYS = (
-    set(_PATH_KEYS) | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _TRAIN_KEYS
-    | {"namespaces", "kernel", "rules"}
+_KNOWN_KEYS = _TRAIN_KEYS | {spec.name for spec in fields(ExperimentConfig)} - {"train"}
+_REQUIRED_KEYS = tuple(
+    spec.name for spec in fields(ExperimentConfig)
+    if spec.default is MISSING and spec.default_factory is MISSING
 )
+
+
+def _read_value(key: str, text: str, base_dir: str):
+    kind = _KINDS.get(key)
+    if kind == "path":
+        return os.path.abspath(os.path.join(base_dir, text))
+    if kind == "integer":
+        try:
+            return int(text)
+        except ValueError:
+            raise CliError(f"config key {key!r} must be an integer") from None
+    if kind == "real":
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise CliError(f"config key {key!r} must be a finite real number")
+        return value
+    if kind == "flag":
+        if text not in ("true", "false"):
+            raise CliError(f"config key {key!r} must be true or false")
+        return text == "true"
+    if key in _SEPARATORS:
+        return tuple(t.strip() for t in text.split(_SEPARATORS[key]) if t.strip())
+    return text
 
 
 def parse_experiment_config(raw: dict[str, str], base_dir: str) -> ExperimentConfig:
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("obo", "annotations", "namespaces", "level", "min_count", "kernel"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise CliError(f"missing required config key {key!r}")
-
-    def path_of(key: str) -> str | None:
-        if key not in raw:
-            return None
-        return os.path.abspath(os.path.join(base_dir, raw[key]))
-
-    def int_of(key: str, default: int | None = None) -> int | None:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise CliError(f"config key {key!r} must be an integer") from None
-
-    def float_of(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise CliError(f"config key {key!r} must be a real number") from None
-
-    def bool_of(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        if raw[key] not in ("true", "false"):
-            raise CliError(f"config key {key!r} must be true or false")
-        return raw[key] == "true"
-
-    namespaces = tuple(t.strip() for t in raw["namespaces"].split(",") if t.strip())
-    if not namespaces:
-        raise CliError("config key 'namespaces' is empty")
-    kernel = raw["kernel"]
-    if kernel not in KERNEL_CHOICES:
-        raise CliError(f"unknown kernel {kernel!r} (choose from {KERNEL_CHOICES})")
-    rules = tuple(t.strip() for t in raw.get("rules", "none").split("+") if t.strip())
-    _validate_rule_tokens(rules)
-
-    train_config = TrainConfig(
-        lambda_r=float_of("lambda_r", 1.0),
-        lambda_c=float_of("lambda_c", 1.0),
-        tnorm=raw.get("tnorm", "minimum"),
-        learning_rate=float_of("learning_rate", 1.0),
-        max_iterations=int_of("max_iterations", 500),
-        tolerance=float_of("tolerance", 1e-10),
-        threshold=float_of("threshold", 0.5),
-        undecided_band=float_of("undecided_band", 1e-3),
-        constraint_scope=raw.get("constraint_scope", "unsupervised"),
-        line_search=bool_of("line_search", True),
-        divergence_patience=int_of("divergence_patience", 20),
-    )
-    return ExperimentConfig(
-        obo=path_of("obo"),
-        annotations=path_of("annotations"),
-        namespaces=namespaces,
-        level=int_of("level"),
-        min_count=int_of("min_count"),
-        kernel=kernel,
-        out=path_of("out"),
-        rules=rules,
-        folds=int_of("folds", 10),
-        seed=int_of("seed", 0),
-        jobs=int_of("jobs", None),
-        sequences=path_of("sequences"),
-        domains=path_of("domains"),
-        expression=path_of("expression"),
-        graph=path_of("graph"),
-        gram=path_of("gram"),
-        pair_gram=path_of("pair_gram"),
-        ppi=path_of("ppi"),
-        k=int_of("k", 3),
-        beta=float_of("beta", 1.0),
-        train=train_config,
-    )
+    values = {key: _read_value(key, text, base_dir) for key, text in raw.items()}
+    train = TrainConfig(**{key: values.pop(key) for key in _TRAIN_KEYS & set(raw)})
+    return ExperimentConfig(**values, train=train)
 
 
 def _validate_rule_tokens(tokens: tuple[str, ...]) -> None:
@@ -335,22 +297,11 @@ def build_gram(config: ExperimentConfig, proteins: tuple[str, ...]) -> GramMatri
         profiles = {name: matrix[i] for i, name in enumerate(ids)}
         return expression_gram(profiles, proteins)
     if config.kernel == "diffusion":
-        pairs = io.read_pairs(_require(config.graph, "graph",
-                                       "for the diffusion kernel"))
-        known = set(proteins)
-        edges: dict[tuple[str, str], float] = {}
-        skipped = 0
-        for a, b in pairs:
-            if a not in known or b not in known or a == b:
-                log.debug("skipping graph edge %s-%s outside the dataset", a, b)
-                skipped += 1
-                continue
-            edges[(min(a, b), max(a, b))] = 1.0
-        if skipped:
-            log.info("skipped %d graph edges outside the dataset", skipped)
-        graph = InteractionGraph(
-            proteins, tuple((a, b, w) for (a, b), w in sorted(edges.items()))
+        pairs = _canonical_pairs(
+            io.read_pairs(_require(config.graph, "graph", "for the diffusion kernel")),
+            set(proteins),
         )
+        graph = InteractionGraph(proteins, tuple((a, b, 1.0) for a, b in pairs))
         return diffusion_kernel(graph, config.beta)
     loaded = io.read_gram(_require(config.gram, "gram", "for a precomputed kernel"))
     return _reindex_gram(loaded, proteins)
@@ -837,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="flat key = value file")
         sub.add_argument("--out", help="output directory (overrides the config)")
         sub.add_argument("--jobs", type=int, help="max parallel fold workers")
-        sub.add_argument("--seed", type=int, help="experiment seed (overrides)")
     return parser
 
 
@@ -865,8 +815,6 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, out=os.path.abspath(args.out))
         if args.jobs is not None:
             config = replace(config, jobs=args.jobs)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
         return _DISPATCH[args.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,13 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields, replace
 
+import numpy as np
 import pytest
 
 import fungo
 import hierarchy_fixture
-from fungo.cli import main
-from fungo.io import read_folds, read_gram, read_predictions
+from fungo.cli import ExperimentConfig, main, parse_experiment_config
+from fungo.io import read_config, read_folds, read_gram, read_predictions
+from fungo.io import write_config as write_config_file
+from fungo.kernels import InteractionGraph, diffusion_kernel
+from fungo.learner import TrainConfig
 
 SMALL_OBO = """\
 format-version: 1.2
@@ -144,6 +149,21 @@ class TestSimpleCommands:
         gram = read_gram(str(dataset / "out" / "gram_expression.csv"))
         assert gram.ids == tuple(f"p{i}" for i in range(1, 9))
 
+    def test_diffusion_kernel_uses_the_canonical_edges(self, dataset):
+        # A reversed duplicate, a self-loop, an unknown protein and a protein
+        # dropped by dataset adaptation all reduce to the two real edges.
+        (dataset / "graph.tsv").write_text(
+            "p2\tp1\np1\tp2\np3\tp3\np4\tpX\np9\tp5\np6\tp5\n"
+        )
+        cfg = write_config(dataset, kernel="diffusion", graph="graph.tsv", beta="0.5")
+        assert main(["kernel", "--config", cfg]) == 0
+        gram = read_gram(str(dataset / "out" / "gram_diffusion.csv"))
+        proteins = tuple(f"p{i}" for i in range(1, 9))
+        graph = InteractionGraph(proteins, (("p1", "p2", 1.0), ("p5", "p6", 1.0)))
+        expected = diffusion_kernel(graph, 0.5)
+        assert gram.ids == expected.ids
+        assert np.array_equal(gram.matrix, expected.matrix)
+
     def test_stats_reports_full_sharing_for_shared_terms(self, dataset):
         cfg = write_config(dataset)
         assert main(["stats", "--config", cfg]) == 0
@@ -234,6 +254,32 @@ class TestRun:
         assert diagnostics
         assert "fold = " in diagnostics[0].read_text()
 
+    def test_learned_pair_predicate(self, dataset):
+        # The two listed interactions, two non-interacting pairs and one pair
+        # with a protein dropped by dataset adaptation.
+        ids = ["p1|p2", "p3|p8", "p1|p5", "p4|p6", "p9|p1"]
+        matrix = np.eye(len(ids)) + 0.5
+        (dataset / "pairs.csv").write_text(
+            ",".join(ids) + "\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in matrix)
+        )
+        cfg = write_config(dataset, rules="OC+PP2", pair_gram="pairs.csv",
+                           out="out_pp2")
+        assert main(["run", "--config", cfg]) == 0
+        out = dataset / "out_pp2"
+        metrics = (out / "metrics.txt").read_text()
+        for key in ("bound_precision", "bound_recall", "bound_f1"):
+            assert f"{key} = " in metrics
+        fold_of = read_folds(str(out / "folds.tsv"))
+        rows = read_predictions(str(out / "bound_predictions.tsv"))
+        assert all(row[1] == "BOUND" for row in rows)
+        # A pair is predicted in every fold that holds out one of its
+        # proteins: twice when its proteins sit in different folds.
+        counts = {name: [row[0] for row in rows].count(name) for name in ids[:4]}
+        assert counts == {
+            name: len({fold_of[p] for p in name.split("|")}) for name in ids[:4]
+        }
+        assert len(rows) == sum(counts.values())
 
     def test_run_does_not_depend_on_the_hash_seed(self, tmp_path):
         # Set and dict iteration order changes with PYTHONHASHSEED; nothing
@@ -313,3 +359,60 @@ class TestErrorHandling:
         (dataset / "broken.cfg").write_text("obo = onto.obo\n")
         assert main(["rules", "--config", str(dataset / "broken.cfg")]) == 2
         assert "missing required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta", "lambda_r", "lambda_c", "learning_rate",
+                                     "tolerance", "threshold", "undecided_band"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "many"])
+    def test_real_keys_must_be_finite(self, dataset, capsys, key, value):
+        cfg = write_config(dataset, **{key: value})
+        assert main(["rules", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be a finite real number" in err
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("level", "2.5", "must be an integer"),
+        ("jobs", "two", "must be an integer"),
+        ("line_search", "yes", "must be true or false"),
+        ("kernel", "cosine", "unknown kernel"),
+        ("namespaces", " , ", "'namespaces' is empty"),
+    ])
+    def test_malformed_values(self, dataset, capsys, key, value, expected):
+        cfg = write_config(dataset, **{key: value})
+        assert main(["rules", "--config", cfg]) == 2
+        assert expected in capsys.readouterr().err
+
+
+class TestConfig:
+    # Every key, each set away from its default.
+    EVERY_KEY = {
+        "obo": "onto.obo", "annotations": "ann.tsv",
+        "namespaces": "molecular_function,biological_process", "level": "3",
+        "min_count": "2", "kernel": "diffusion", "out": "elsewhere",
+        "rules": "OC+partof+DPP2", "folds": "4", "seed": "7", "jobs": "2",
+        "sequences": "seq.fasta", "domains": "dom.tsv", "expression": "expr.csv",
+        "graph": "graph.tsv", "gram": "gram.csv", "pair_gram": "pairs.csv",
+        "ppi": "ppi.tsv", "k": "4", "beta": "0.25", "lambda_r": "0.5",
+        "lambda_c": "2.5", "tnorm": "lukasiewicz", "learning_rate": "0.125",
+        "max_iterations": "40", "tolerance": "1e-06", "threshold": "0.375",
+        "undecided_band": "0.01", "constraint_scope": "all",
+        "line_search": "false", "divergence_patience": "5",
+    }
+
+    def test_every_key_is_set_away_from_its_default(self, tmp_path):
+        keys = {spec.name for spec in fields(ExperimentConfig) + fields(TrainConfig)}
+        assert set(self.EVERY_KEY) == keys - {"train"}
+        config = parse_experiment_config(self.EVERY_KEY, str(tmp_path))
+        for owner in (config, config.train):
+            for spec in fields(owner):
+                if spec.default is not MISSING:
+                    assert getattr(owner, spec.name) != spec.default, spec.name
+
+    def test_config_txt_round_trips(self, tmp_path):
+        config = parse_experiment_config(self.EVERY_KEY, str(tmp_path / "a"))
+        echoed = config.echo()
+        assert "jobs" not in echoed
+        path = str(tmp_path / "b" / "config.txt")
+        write_config_file(path, echoed)
+        again = parse_experiment_config(read_config(path), str(tmp_path / "b"))
+        assert again == replace(config, jobs=None)
+        assert again.echo() == echoed
