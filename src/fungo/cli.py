@@ -248,7 +248,7 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     listed at DEBUG.  Only the kept proteins' annotations are closed, and
     the cut is built from them.
     """
-    dag = parse_obo(_read_text(config.obo))
+    dag = parse_obo(io.read_lines(config.obo))
     raw = io.read_annotations(config.annotations)
     coverage = namespace_coverage(raw, dag)
     kept: dict[str, set[str]] = {}
@@ -491,9 +491,10 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
                 )
     bound_rows: list[io.PredictionRow] = []
     if bound_mode == "learned":
+        # A pair is scored once, in the fold that holds out its lesser protein.
         task_prediction = predictions["BOUND"]
         for i, example in enumerate(task_prediction.examples):
-            if example[0] in held_out or example[1] in held_out:
+            if min(example) in held_out:
                 bound_rows.append(
                     (pair_key(example), "BOUND", float(task_prediction.truths[i]),
                      bool(task_prediction.positive[i]),

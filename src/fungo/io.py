@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .logic import Formula, ParseError, parse_rules
 
 __all__ = [
     "DataFileError",
+    "read_lines",
     "read_fasta",
     "read_pairs",
     "read_annotations",
@@ -75,10 +77,31 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _read_lines(path: str) -> list[str]:
+_CHUNK_CHARS = 1 << 16
+# The characters at which str.splitlines breaks; a universal-newline read
+# has already turned "\r" and "\r\n" into "\n".
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """Stream the lines of a UTF-8 text file without their line breaks.
+
+    The file is read in chunks of ``_CHUNK_CHARS`` characters, so only one
+    chunk's lines are held at a time, and the lines are exactly those of
+    ``str.splitlines`` on the whole text.  The file stays open until the
+    iterator is exhausted or closed.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            tail = ""
+            while chunk := handle.read(_CHUNK_CHARS):
+                text = tail + chunk
+                lines = text.splitlines()
+                # A last line without its break may go on in the next chunk.
+                tail = "" if text[-1] in _LINE_BREAKS else lines.pop()
+                yield from lines
+            if tail:
+                yield tail
     except OSError as exc:
         raise DataFileError(path, None, f"cannot read file ({exc.strerror})") from exc
 
@@ -87,7 +110,7 @@ def read_fasta(path: str) -> dict[str, str]:
     """Read sequences keyed by the first token of each ``>`` header."""
     sequences: dict[str, list[str]] = {}
     current: str | None = None
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -122,7 +145,7 @@ def _split_columns(path: str, number: int, line: str, count: int) -> list[str]:
 def read_pairs(path: str) -> tuple[tuple[str, str], ...]:
     """Read a two-column TSV of id pairs (interactions or graph edges)."""
     pairs = []
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         a, b = _split_columns(path, number, line, 2)
@@ -131,13 +154,16 @@ def read_pairs(path: str) -> tuple[tuple[str, str], ...]:
 
 
 def read_annotations(path: str) -> dict[str, set[str]]:
-    """Read ``protein<TAB>id`` rows into a protein-keyed mapping."""
+    """Read ``protein<TAB>id`` rows into a protein-keyed mapping.
+
+    Ids are interned, so each id is one string shared with the ontology's.
+    """
     annotations: dict[str, set[str]] = {}
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         protein, item = _split_columns(path, number, line, 2)
-        annotations.setdefault(protein, set()).add(item)
+        annotations.setdefault(protein, set()).add(sys.intern(item))
     return annotations
 
 
@@ -157,7 +183,7 @@ def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     seen: set[str] = set()
     rows: list[list[float]] = []
     width: int | None = None
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -185,7 +211,7 @@ def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 def read_gram(path: str) -> GramMatrix:
     """Read a Gram CSV: header row of ids, then one row of reals per id."""
-    lines = [line for line in _read_lines(path) if line.strip()]
+    lines = [line for line in read_lines(path) if line.strip()]
     if not lines:
         raise DataFileError(path, None, "empty Gram file")
     ids = tuple(token.strip() for token in lines[0].split(","))
@@ -218,7 +244,7 @@ def write_gram(path: str, gram: GramMatrix) -> None:
 def read_rule_file(path: str) -> list[Formula]:
     """Parse a rule file: one rule per line, ``#`` comments allowed."""
     try:
-        return parse_rules("\n".join(_read_lines(path)))
+        return parse_rules("\n".join(read_lines(path)))
     except ParseError as exc:
         raise DataFileError(path, None, str(exc)) from exc
 
@@ -230,7 +256,7 @@ def write_rule_file(path: str, rules: Iterable[Formula]) -> None:
 def read_config(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; blank lines and ``#`` comments skipped."""
     config: dict[str, str] = {}
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -255,7 +281,7 @@ def write_config(path: str, config: Mapping[str, str]) -> None:
 def read_folds(path: str) -> dict[str, int]:
     """Read ``protein<TAB>fold_index`` rows."""
     assignment: dict[str, int] = {}
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         protein, index = _split_columns(path, number, line, 2)
@@ -303,7 +329,7 @@ def write_predictions(path: str, rows: Iterable[PredictionRow]) -> None:
 
 def read_predictions(path: str) -> list[PredictionRow]:
     rows: list[PredictionRow] = []
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         protein, predicate, truth, label, undecided = _split_columns(
@@ -339,7 +365,7 @@ def write_curve_file(path: str, recalls: Sequence[float], precisions: Sequence[f
 
 
 def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    lines = [line for line in _read_lines(path) if line.strip()]
+    lines = [line for line in read_lines(path) if line.strip()]
     if not lines or lines[0] != "recall,precision":
         raise DataFileError(path, 1, "missing 'recall,precision' header")
     recalls: list[float] = []

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import re
 import statistics as stats_mod
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
 
@@ -41,7 +43,7 @@ class OntologyError(ValueError):
     """Raised for malformed ontologies, annotations or cut parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     id: str
     name: str
@@ -56,11 +58,13 @@ class OntologyDag:
     term up to its namespace's single root.  ``level`` is the length of the
     shortest ``is_a`` path to that root.
 
-    Ancestor sets, sorted parent and child tuples, the sorted ``edges``
-    tuple and the per-relation edge lists are built on first request and
-    memoised, so a closure touches only the annotated terms and their
-    ancestors.  A memoised value is final once stored, so concurrent readers
-    at worst compute it twice.
+    The is_a neighbours of each term are kept as tuples, and every term
+    without parents or children shares the one empty tuple.  Ancestor sets,
+    sorted parent and child tuples, the sorted ``edges`` tuple and the
+    per-relation edge lists are built on first request and memoised, so a
+    closure touches only the annotated terms and their ancestors.  A
+    memoised value is final once stored, so concurrent readers at worst
+    compute it twice.
     """
 
     def __init__(self, terms: Iterable[Term], edges: Iterable[tuple[str, str, str]]):
@@ -74,11 +78,13 @@ class OntologyDag:
                 raise OntologyError(f"duplicate term id {term.id!r}")
             table[term.id] = term
 
-        kept = list(dict.fromkeys((c, p, r) for c, p, r in edges))
+        # is_a edges live in _up and _down alone; _links holds the rest.
+        links: list[tuple[str, str, str]] = []
         up: dict[str, list[str]] = {t: [] for t in table}
         down: dict[str, list[str]] = {t: [] for t in table}
         rooted: set[str] = set()  # terms with an is_a parent in their own namespace
-        for child, parent, relation in kept:
+        for edge in dict.fromkeys((c, p, r) for c, p, r in edges):
+            child, parent, relation = edge
             if relation not in RELATIONS:
                 raise OntologyError(f"unknown relation {relation!r}")
             if child not in table:
@@ -90,6 +96,8 @@ class OntologyDag:
                 down[parent].append(child)
                 if table[child].namespace == table[parent].namespace:
                     rooted.add(child)
+            else:
+                links.append(edge)
         for tid, parents in up.items():
             if parents and tid not in rooted:
                 raise OntologyError(
@@ -97,9 +105,10 @@ class OntologyDag:
                 )
 
         self._terms = table
-        self._kept = kept
-        self._up = up
-        self._down = down
+        self._links = tuple(links)
+        # tuple() of an empty list is the one shared empty tuple.
+        self._up = {t: tuple(ps) for t, ps in up.items()}
+        self._down = {t: tuple(cs) for t, cs in down.items()}
         self._check_acyclic()
         self._roots = self._find_roots()
         self._levels = self._compute_levels()
@@ -161,7 +170,8 @@ class OntologyDag:
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
         if self._sorted_edges is None:
-            self._sorted_edges = tuple(sorted(self._kept))
+            isa = ((c, p, ISA) for c, p in self._isa_pairs())
+            self._sorted_edges = tuple(sorted(chain(isa, self._links)))
         return self._sorted_edges
 
     def __contains__(self, term_id: str) -> bool:
@@ -218,18 +228,22 @@ class OntologyDag:
         indexed together on the first call."""
         if self._by_relation is None:
             grouped: dict[str, list[tuple[str, str]]] = {r: [] for r in RELATIONS}
-            for child, parent, relation_of in self._kept:
+            grouped[ISA].extend(self._isa_pairs())
+            for child, parent, relation_of in self._links:
                 grouped[relation_of].append((child, parent))
             self._by_relation = {r: tuple(sorted(pairs)) for r, pairs in grouped.items()}
         return self._by_relation.get(relation, ())
+
+    def _isa_pairs(self) -> Iterator[tuple[str, str]]:
+        return ((c, p) for c, parents in self._up.items() for p in parents)
 
     def _require(self, term_id: str) -> None:
         if term_id not in self._terms:
             raise OntologyError(f"unknown term id {term_id!r}")
 
 
-def _sorted_once(memo: dict[str, tuple[str, ...]], lists: Mapping[str, list[str]],
-                 term_id: str) -> tuple[str, ...]:
+def _sorted_once(memo: dict[str, tuple[str, ...]],
+                 lists: Mapping[str, tuple[str, ...]], term_id: str) -> tuple[str, ...]:
     """``lists[term_id]`` as a sorted tuple, memoised in ``memo``."""
     found = memo.get(term_id)
     if found is None:
@@ -237,24 +251,29 @@ def _sorted_once(memo: dict[str, tuple[str, ...]], lists: Mapping[str, list[str]
     return found
 
 
-def parse_obo(text: str) -> OntologyDag:
-    """Parse an OBO 1.2-style document into an :class:`OntologyDag`.
+def parse_obo(lines: Iterable[str]) -> OntologyDag:
+    """Parse the lines of an OBO 1.2-style document into an :class:`OntologyDag`.
+
+    ``lines`` is any iterable of lines, such as ``text.splitlines()`` or
+    :func:`fungo.io.read_lines`; it is read once, line by line.  A bare
+    string is refused, since iterating it would yield characters.
 
     Only ``[Term]`` stanzas are read; recognised keys are ``id``, ``name``,
     ``namespace``, ``is_a``, ``relationship`` and ``is_obsolete``.  Obsolete
     terms are dropped along with their outgoing edges; an edge pointing at a
     dropped or missing term is an error.  A ``!`` starts a comment anywhere
-    on a line.
+    on a line.  Term ids and edge targets are interned, so each id is one
+    string object, and namespaces are the :data:`NAMESPACES` strings.
     """
+    if isinstance(lines, str):
+        raise TypeError("parse_obo takes an iterable of lines, not a str")
     terms: list[Term] = []
     edges: list[tuple[str, str, str]] = []
     inside = False  # within a [Term] stanza
     tid = name = namespace = None
     obsolete = False
     links: list[tuple[str, str]] = []
-    lines = text.splitlines()
-    lines.append("[]")  # closes the last stanza
-    for raw in lines:
+    for raw in chain(lines, ["[]"]):  # "[]" closes the last stanza
         cut = raw.find("!")
         line = (raw if cut < 0 else raw[:cut]).strip()
         if not line:
@@ -281,15 +300,15 @@ def parse_obo(text: str) -> OntologyDag:
         key = key.strip()
         value = value.strip()
         if key == "id":
-            tid = value
+            tid = sys.intern(value)
         elif key == "name":
             name = value
         elif key == "namespace":
-            namespace = value
+            namespace = _NAMESPACE_OF.get(value, value)
         elif key == "is_a":
             if not value:
                 raise OntologyError("is_a line without a target id")
-            links.append((value.split()[0], ISA))
+            links.append((sys.intern(value.split()[0]), ISA))
         elif key == "is_obsolete":
             obsolete = value.lower() == "true"
         elif key == "relationship":
@@ -297,11 +316,12 @@ def parse_obo(text: str) -> OntologyDag:
             if len(parts) < 2:
                 raise OntologyError(f"malformed relationship line {raw.strip()!r}")
             if parts[0] in _LINKED_RELATIONS:
-                links.append((parts[1], parts[0]))
+                links.append((sys.intern(parts[1]), _LINKED_RELATIONS[parts[0]]))
     return OntologyDag(terms, edges)
 
 
-_LINKED_RELATIONS = frozenset((PART_OF, REGULATES, OCCURS_IN))
+_NAMESPACE_OF = {ns: ns for ns in NAMESPACES}
+_LINKED_RELATIONS = {r: r for r in (PART_OF, REGULATES, OCCURS_IN)}
 
 
 class AnnotationSet:
@@ -358,11 +378,13 @@ def namespace_coverage(raw: Mapping[str, Iterable[str]],
 
     Equals the namespaces of :func:`tpr_closure` ``(raw, dag)`` and raises
     the same errors, but closes nothing: the namespaces of a term and its
-    ancestors are found once per distinct term.
+    ancestors are found once per distinct term, and proteins that cover the
+    same namespaces share one frozenset.
     """
     reach: dict[str, frozenset[str]] = {}
     terms = dag.terms
     coverage: dict[str, frozenset[str]] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for protein, term_ids in raw.items():
         covered: set[str] = set()
         for tid in term_ids:
@@ -374,7 +396,8 @@ def namespace_coverage(raw: Mapping[str, Iterable[str]],
                     [terms[tid].namespace] + [terms[a].namespace for a in dag.ancestors(tid)]
                 )
             covered |= spans
-        coverage[protein] = frozenset(covered)
+        key = frozenset(covered)
+        coverage[protein] = shared.setdefault(key, key)
     return coverage
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics
+from fungo.io import DataFileError
 from fungo.logic import PredicateBinding, compile_constraint, parse_rule
 from fungo.ontology import (
     ISA,
@@ -413,6 +414,28 @@ class ReferenceOntologyDag:
     def _require(self, term_id: str) -> None:
         if term_id not in self._terms:
             raise OntologyError(f"unknown term id {term_id!r}")
+
+
+# Every line break that str.splitlines knows.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def write_raw(path: str, text: str) -> str:
+    """Write ``text`` with every line break as it is, ``\\r\\n`` included."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    return path
+
+
+def reference_read_lines(path: str) -> list[str]:
+    """The whole-file reading that the streamed ``fungo.io.read_lines``
+    replaces: the whole text at once, split by ``str.splitlines``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read().splitlines()
+    except OSError as exc:
+        raise DataFileError(path, None, f"cannot read file ({exc.strerror})") from exc
 
 
 def reference_parse_obo(text: str) -> ReferenceOntologyDag:

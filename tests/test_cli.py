@@ -12,6 +12,7 @@ import pytest
 
 import fungo
 import hierarchy_fixture
+from fungo import cli
 from fungo.cli import ExperimentConfig, main, parse_experiment_config
 from fungo.io import read_config, read_folds, read_gram, read_predictions
 from fungo.io import write_config as write_config_file
@@ -254,7 +255,7 @@ class TestRun:
         assert diagnostics
         assert "fold = " in diagnostics[0].read_text()
 
-    def test_learned_pair_predicate(self, dataset):
+    def test_learned_pair_predicate(self, dataset, monkeypatch):
         # The two listed interactions, two non-interacting pairs and one pair
         # with a protein dropped by dataset adaptation.
         ids = ["p1|p2", "p3|p8", "p1|p5", "p4|p6", "p9|p1"]
@@ -265,6 +266,14 @@ class TestRun:
         )
         cfg = write_config(dataset, rules="OC+PP2", pair_gram="pairs.csv",
                            out="out_pp2")
+        outcomes = []
+        aggregate = cli._aggregate
+
+        def record(config, data, found, *rest):
+            outcomes.extend(found)
+            return aggregate(config, data, found, *rest)
+
+        monkeypatch.setattr(cli, "_aggregate", record)
         assert main(["run", "--config", cfg]) == 0
         out = dataset / "out_pp2"
         metrics = (out / "metrics.txt").read_text()
@@ -273,13 +282,14 @@ class TestRun:
         fold_of = read_folds(str(out / "folds.tsv"))
         rows = read_predictions(str(out / "bound_predictions.tsv"))
         assert all(row[1] == "BOUND" for row in rows)
-        # A pair is predicted in every fold that holds out one of its
-        # proteins: twice when its proteins sit in different folds.
-        counts = {name: [row[0] for row in rows].count(name) for name in ids[:4]}
-        assert counts == {
-            name: len({fold_of[p] for p in name.split("|")}) for name in ids[:4]
-        }
-        assert len(rows) == sum(counts.values())
+        # Each pair is predicted once, in the fold that holds out its lesser
+        # protein, even when its proteins sit in different folds.
+        names = [row[0] for row in rows]
+        assert sorted(names) == sorted(ids[:4])
+        assert any(len({fold_of[p] for p in name.split("|")}) == 2 for name in names)
+        scored_in = {row[0]: outcome.index for outcome in outcomes
+                     for row in outcome.bound_rows}
+        assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
     def test_run_does_not_depend_on_the_hash_seed(self, tmp_path):
         # Set and dict iteration order changes with PYTHONHASHSEED; nothing

@@ -80,7 +80,7 @@ def make_preds(truths, predictions, undecided=None, predicates=("a", "b", "c")):
 
 
 def diamond_cut():
-    dag = parse_obo(DIAMOND_OBO)
+    dag = parse_obo(DIAMOND_OBO.splitlines())
     closed = tpr_closure({"p1": {DEEP}}, dag)
     return go_cut(dag, closed, ("molecular_function",), 2, 0)
 
@@ -560,7 +560,7 @@ def test_consistency_sums_node_scores_exactly():
         return f"\n[Term]\nid: GO:000000{tid}\nnamespace: molecular_function\n{links}"
 
     text = DIAMOND_OBO + term(5, 1) + term(6, 2, 3, 5)
-    dag = parse_obo(text)
+    dag = parse_obo(text.splitlines())
     cut = go_cut(dag, tpr_closure({"p": set(dag.terms)}, dag), ("molecular_function",), 3, 0)
     chosen = frozenset({ROOT, ALPHA, "GO:0000006"})
     assert 1.0 + 1.0 + 1 / 3 != 1 / 3 + 1.0 + 1.0
@@ -616,7 +616,8 @@ def test_aggregate_matches_the_set_based_reference(seed):
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
         cli._aggregate(None, data, [cli.FoldOutcome(0, tuple(rows), ())], out)
-        per_node = open(os.path.join(out, "per_node.tsv")).read().splitlines()
+        with open(os.path.join(out, "per_node.tsv")) as handle:
+            per_node = handle.read().splitlines()
     captured.pop("auc_average", None)
     assert captured == expected
     for line, node in zip(per_node[1:], nodes):

@@ -1,8 +1,14 @@
 """Round-trip and validation tests for the file-format helpers."""
 
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fungo import io as fungo_io
 from fungo.io import (
     DataFileError,
     atomic_write_text,
@@ -13,6 +19,7 @@ from fungo.io import (
     read_fasta,
     read_folds,
     read_gram,
+    read_lines,
     read_pairs,
     read_predictions,
     read_rule_file,
@@ -27,6 +34,7 @@ from fungo.io import (
 )
 from fungo.kernels import GramMatrix
 from fungo.logic import parse_rules
+from support import LINE_BREAKS, reference_read_lines, write_raw
 
 
 def put(tmp_path, name, text):
@@ -263,3 +271,82 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [p for p in target.parent.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
+
+
+def _result(reader, path):
+    """What ``reader(path)`` returns, made comparable, or its error and line."""
+    try:
+        found = reader(path)
+    except DataFileError as exc:
+        return "error", str(exc), exc.line
+    if isinstance(found, GramMatrix):
+        return found.ids, found.matrix.tolist()
+    if reader is read_expression:
+        return found[0], found[1].tolist()
+    return found
+
+
+# Per reader, blocks of lines to draw from: well-formed ones, blank ones
+# and malformed ones, so both good files and every kind of error turn up.
+BLANK = (("",), ("  ",))
+READER_BLOCKS = {
+    read_annotations: (("p1\tGO:1",), ("p2\tGO:2",), (" p1 \t GO:2 ",), ("p1",),
+                       ("p1\tGO:1\tx",), ("\tGO:1",)),
+    read_pairs: (("p1\tp2",), ("p2\tp3",), ("p1",), ("p1\t",)),
+    read_fasta: ((">s1 desc", "ACGT", "MK"), (">s2", "GG"), ("ACGT",), (">",), (">s1",)),
+    read_expression: (("p1,1,0.5",), ("p2,-2e3,1",), ("p3, 0 ,0",), ("p4,nan,1",),
+                      ("p5,1",), ("p1,2,2",), ("p6",)),
+    read_gram: (("a,b", "1,0.5", "0.5,1"), ("c", "2"), ("1,0.5",), ("x,",)),
+    read_config: (("k = v",), ("seed = 1 # note",), ("# only",), ("novalue",), ("= v",),
+                  ("k = w",)),
+}
+
+
+@st.composite
+def stream_cases(draw):
+    reader = draw(st.sampled_from(list(READER_BLOCKS)))
+    blocks = draw(st.lists(st.sampled_from(READER_BLOCKS[reader] + BLANK), max_size=6))
+    lines = [line for block in blocks for line in block]
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if lines and draw(st.booleans()):
+        text = text[:-len(breaks[-1])]  # no final line break
+    return reader, text, draw(st.sampled_from((1, 2, 3, 5, 8, 64, 1 << 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_cases())
+def test_streamed_readers_match_whole_file_reading(case):
+    reader, text, chunk = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_raw(f"{directory}/data.txt", text)
+        assert list(read_lines(path)) == reference_read_lines(path)
+        with mock.patch.object(fungo_io, "read_lines", reference_read_lines):
+            expected = _result(reader, path)
+        with mock.patch.object(fungo_io, "_CHUNK_CHARS", chunk):
+            assert list(read_lines(path)) == reference_read_lines(path)
+            assert _result(reader, path) == expected
+
+
+def test_lines_longer_than_a_chunk(tmp_path):
+    long_id = "P" * (3 << 16)
+    text = f"{long_id}\tQ\r\n\x85{long_id}\u2028R\tS"
+    path = put(tmp_path, "pairs.tsv", text)
+    assert len(long_id) > fungo_io._CHUNK_CHARS
+    assert list(read_lines(path)) == [f"{long_id}\tQ", "", long_id, "R\tS"]
+    with pytest.raises(DataFileError, match=r"pairs\.tsv:3: expected 2"):
+        read_pairs(path)
+
+
+def test_missing_file_is_reported_on_first_read(tmp_path):
+    lines = read_lines(str(tmp_path / "absent.tsv"))
+    with pytest.raises(DataFileError, match="absent.tsv: cannot read file"):
+        next(lines)
+
+
+def test_annotation_ids_are_interned(tmp_path):
+    path = put(tmp_path, "a.tsv", "p1\tGO:0000001\np2\tGO:0000001\n")
+    annotations = read_annotations(path)
+    (first,), (second,) = annotations["p1"], annotations["p2"]
+    assert first is second

@@ -1,13 +1,18 @@
 """Ontology: OBO parsing, closure, cuts with bins, rule generation, statistics."""
 
+import os
 import sys
+import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fungo import io as fungo_io
 from fungo.ontology import (
     ISA,
     NAMESPACES,
@@ -28,7 +33,14 @@ from fungo.ontology import (
     predicate_name,
     tpr_closure,
 )
-from support import ReferenceOntologyDag, reference_parse_obo, reference_tpr_closure
+from support import (
+    LINE_BREAKS,
+    ReferenceOntologyDag,
+    reference_parse_obo,
+    reference_read_lines,
+    reference_tpr_closure,
+    write_raw,
+)
 
 BP = "biological_process"
 MF = "molecular_function"
@@ -61,7 +73,7 @@ name: part of
 
 
 def test_parse_chain_levels_and_relations():
-    dag = parse_obo(CHAIN_OBO)
+    dag = parse_obo(CHAIN_OBO.splitlines())
     assert set(dag.terms) == {"GO:0000001", "GO:0000002", "GO:0000003"}
     assert dag.level("GO:0000001") == 0
     assert dag.level("GO:0000002") == 1
@@ -80,7 +92,7 @@ namespace: biological_process
 is_a: GO:0000002
 is_a: GO:0000003
 """
-    dag = parse_obo(text)
+    dag = parse_obo(text.splitlines())
     assert dag.level("GO:0000004") == 2
 
 
@@ -93,13 +105,14 @@ namespace: biological_process
 is_a: GO:0000001
 is_obsolete: true
 """
-    dag = parse_obo(text)
+    dag = parse_obo(text.splitlines())
     assert "GO:0000009" not in dag
 
 
 def test_parse_errors():
     with pytest.raises(OntologyError, match="dangling"):
-        parse_obo("[Term]\nid: GO:1\nname: a\nnamespace: biological_process\nis_a: GO:9\n")
+        parse_obo(["[Term]", "id: GO:1", "name: a", "namespace: biological_process",
+                   "is_a: GO:9"])
     with pytest.raises(OntologyError, match="cycle"):
         OntologyDag(
             [Term("a", "", BP), Term("b", "", BP), Term("r", "", BP)],
@@ -117,7 +130,7 @@ def test_parse_errors():
 
 
 def test_closure_chain_and_idempotence():
-    dag = parse_obo(CHAIN_OBO)
+    dag = parse_obo(CHAIN_OBO.splitlines())
     closed = tpr_closure({"p1": {"GO:0000003"}}, dag)
     assert closed.terms_of("p1") == {"GO:0000001", "GO:0000002", "GO:0000003"}
     again = tpr_closure(dict(closed.items()), dag)
@@ -126,7 +139,7 @@ def test_closure_chain_and_idempotence():
 
 
 def test_closure_unknown_term():
-    dag = parse_obo(CHAIN_OBO)
+    dag = parse_obo(CHAIN_OBO.splitlines())
     with pytest.raises(OntologyError, match="unknown term"):
         tpr_closure({"p1": {"GO:9999999"}}, dag)
 
@@ -562,7 +575,7 @@ def _assert_same_dag(dag, reference):
 @settings(max_examples=200, deadline=None)
 @given(obo_documents(), st.data())
 def test_parse_obo_matches_the_reference(text, data):
-    dag, error = _outcome(parse_obo, text)
+    dag, error = _outcome(parse_obo, text.splitlines())
     reference, expected = _outcome(reference_parse_obo, text)
     assert error == expected
     if expected is not None:
@@ -585,6 +598,8 @@ def test_parse_obo_matches_the_reference(text, data):
         assert coverage == {
             p: {reference.terms[t].namespace for t in ts} for p, ts in want.items()
         }
+        # Proteins with the same namespaces share one frozenset.
+        assert len({id(spans) for spans in coverage.values()}) == len(set(coverage.values()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -653,7 +668,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_ontologies_fail_as_the_reference_does(case):
     text, message = MALFORMED[case]
-    assert _outcome(parse_obo, text)[1] == (OntologyError, message)
+    assert _outcome(parse_obo, text.splitlines())[1] == (OntologyError, message)
     assert _outcome(reference_parse_obo, text)[1] == (OntologyError, message)
 
 
@@ -661,14 +676,14 @@ def test_ancestors_are_built_only_on_request():
     text = "".join(
         _stanza(f"GO:{i}", BP, *([f"is_a: GO:{i - 1}"] if i else [])) for i in range(50)
     )
-    dag = parse_obo(text)
+    dag = parse_obo(text.splitlines())
     assert not dag._ancestors
     assert dag.ancestors("GO:3") == {"GO:0", "GO:1", "GO:2"}
     assert set(dag._ancestors) == {"GO:0", "GO:1", "GO:2", "GO:3"}
     # Deep chains need no recursion.
     deep = parse_obo("".join(
         _stanza(f"GO:{i}", BP, *([f"is_a: GO:{i - 1}"] if i else [])) for i in range(3000)
-    ))
+    ).splitlines())
     assert len(deep.ancestors("GO:2999")) == 2999
     assert deep.level("GO:2999") == 2999
 
@@ -686,7 +701,7 @@ def test_memoised_queries_agree_across_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            dag = parse_obo(text)
+            dag = parse_obo(text.splitlines())
             order = list(reference.terms)
 
             def query(seed):
@@ -700,3 +715,87 @@ def test_memoised_queries_agree_across_threads():
             assert all(result == expected for result in results)
     finally:
         sys.setswitchinterval(previous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obo_documents(), st.data())
+def test_parse_obo_streams_a_file_as_the_whole_text_parses(text, data):
+    lines = text.split("\n")
+    breaks = data.draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                                max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    chunk = data.draw(st.sampled_from((1, 3, 8, 1 << 16)))
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_raw(os.path.join(directory, "go.obo"), text)
+        reference, expected = _outcome(reference_parse_obo,
+                                       "\n".join(reference_read_lines(path)))
+        with mock.patch.object(fungo_io, "_CHUNK_CHARS", chunk):
+            dag, error = _outcome(parse_obo, fungo_io.read_lines(path))
+    assert error == expected
+    if expected is None:
+        _assert_same_dag(dag, reference)
+
+
+def test_parse_obo_refuses_a_bare_string():
+    with pytest.raises(TypeError, match="iterable of lines"):
+        parse_obo(CHAIN_OBO)
+
+
+def test_ids_and_namespaces_are_shared_strings():
+    # Each value cut from a line is a new string until the parser shares it.
+    dag = parse_obo(CHAIN_OBO.splitlines())
+    terms = dag.terms
+    parent = dag.parents("GO:0000003")[0]
+    assert parent is terms[parent].id
+    linked = dag.parents("GO:0000003", PART_OF)[0]
+    assert linked is terms[linked].id
+    assert all(term.namespace is BP for term in terms.values())
+    assert BP is NAMESPACES[0]
+
+
+def _big_obo(n):
+    lines = [f"[Term]\nid: GO:{0:07d}\nname: root\nnamespace: {BP}\n"]
+    rng = np.random.default_rng(3)
+    for i in range(1, n):
+        parents = {int(rng.integers(0, i)) for _ in range(2)}
+        links = "".join(f"is_a: GO:{p:07d} ! term {p}\n" for p in sorted(parents))
+        lines.append(f"[Term]\nid: GO:{i:07d}\nname: term {i}\nnamespace: {BP}\n{links}")
+    return "\n".join(lines)
+
+
+def _transient(parse):
+    """Peak minus retained traced memory while ``parse()`` runs."""
+    tracemalloc.start()
+    try:
+        dag = parse()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dag.terms) > 0
+    return peak - retained
+
+
+def test_streamed_parse_holds_little_besides_the_dag(tmp_path):
+    path = str(tmp_path / "go.obo")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_big_obo(10_000))
+
+    def whole_text():
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        return parse_obo(text.splitlines())
+
+    streamed = _transient(lambda: parse_obo(fungo_io.read_lines(path)))
+    reference = _transient(whole_text)
+    assert streamed <= reference / 2, (streamed, reference)
+
+
+def test_terms_are_slotted_and_leaves_share_one_empty_tuple():
+    dag = parse_obo(CHAIN_OBO.splitlines())
+    term = dag.terms["GO:0000003"]
+    assert not hasattr(term, "__dict__")
+    assert term == Term("GO:0000003", "gamma", BP)
+    assert dag.children("GO:0000003") == ()
+    empty = {id(dag._down[t]) for t in dag.terms if not dag.children(t)}
+    empty |= {id(dag._up[t]) for t in dag.terms if not dag.parents(t)}
+    assert empty == {id(())}
