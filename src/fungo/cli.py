@@ -39,6 +39,7 @@ from .evaluation import (
     generate_folds,
     label_metrics,
     pr_curve,
+    predicate_metrics,
 )
 from .kernels import (
     GramMatrix,
@@ -361,9 +362,13 @@ def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, .
 
 @dataclass(frozen=True)
 class FoldOutcome:
+    """A fold's held-out predictions: (truths, positive, undecided) rows."""
+
     index: int
-    rows: tuple[io.PredictionRow, ...]
-    bound_rows: tuple[io.PredictionRow, ...]
+    held_out: np.ndarray | None = None  # positions in Dataset.proteins
+    predictions: tuple[np.ndarray, ...] = ()  # their rows, one column per cut node
+    pairs: tuple[str, ...] = ()  # learned pairs this fold scores
+    bound: tuple[np.ndarray, ...] = ()  # their one-column rows
     failure: DivergenceError | None = None
 
 
@@ -475,32 +480,21 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
             os.path.join(fold_dir, "divergence.txt"),
             f"fold = {index}\n{failure}\n",
         )
-        return FoldOutcome(index, (), (), failure)
-    predictions = predict(model, tasks, config.train)
-
-    rows: list[io.PredictionRow] = []
-    for node in data.cut.nodes():
-        predicate = data.cut.predicate(node)
-        task_prediction = predictions[predicate]
-        for i, example in enumerate(task_prediction.examples):
-            if example in held_out:
-                rows.append(
-                    (example, predicate, float(task_prediction.truths[i]),
-                     bool(task_prediction.positive[i]),
-                     bool(task_prediction.undecided[i]))
-                )
-    bound_rows: list[io.PredictionRow] = []
+        return FoldOutcome(index, failure=failure)
+    nodes = data.cut.nodes()
+    held = np.flatnonzero([p in held_out for p in data.proteins])
+    predictions = tuple(m[held] for m in predict(model, tasks[:len(nodes)], config.train))
+    io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
+                         [data.proteins[i] for i in held],
+                         [data.cut.predicate(node) for node in nodes], *predictions)
+    pairs: tuple[str, ...] = ()
+    bound: tuple[np.ndarray, ...] = ()
     if bound_mode == "learned":
         # A pair is scored once, in the fold that holds out its lesser protein.
-        task_prediction = predictions["BOUND"]
-        for i, example in enumerate(task_prediction.examples):
-            if min(example) in held_out:
-                bound_rows.append(
-                    (pair_key(example), "BOUND", float(task_prediction.truths[i]),
-                     bool(task_prediction.positive[i]),
-                     bool(task_prediction.undecided[i]))
-                )
-    io.write_predictions(os.path.join(fold_dir, "predictions.tsv"), rows)
+        task = tasks[-1]
+        scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
+        pairs = tuple(pair_key(task.examples[i]) for i in scored)
+        bound = tuple(m[scored] for m in predict(model, [task], config.train))
     trace_lines = [
         f"stage=1 step={i} objective={value:.17g}"
         for i, value in enumerate(model.trace.stage1)
@@ -514,105 +508,67 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         config.echo(),
         trace_lines,
     )
-    return FoldOutcome(index, tuple(rows), tuple(bound_rows))
+    return FoldOutcome(index, held, predictions, pairs, bound)
 
 
 def _aggregate(config: ExperimentConfig, data: Dataset,
                outcomes: list[FoldOutcome], out_dir: str,
                bound_positive: frozenset[str] = frozenset()) -> None:
     """Merge per-fold predictions, compute all metrics, write the bundle."""
-    rows: list[io.PredictionRow] = []
-    bound_rows: list[io.PredictionRow] = []
-    for outcome in sorted(outcomes, key=lambda o: o.index):
-        rows.extend(outcome.rows)
-        bound_rows.extend(outcome.bound_rows)
-    io.write_predictions(os.path.join(out_dir, "predictions.tsv"), rows)
-    if bound_rows:
-        io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
-                             bound_rows)
-
-    # Boolean examples × nodes matrices; folds partition the proteins, so
-    # each (protein, node) cell has at most one row.
+    # Proteins × nodes matrices; folds partition the proteins, so each fold
+    # fills its own rows and every cell is set once.
     cut = data.cut
     nodes = cut.nodes()
-    column = {cut.predicate(node): j for j, node in enumerate(nodes)}
-    proteins = tuple(sorted({row[0] for row in rows}))
-    position = {protein: i for i, protein in enumerate(proteins)}
-    cells = [row for row in rows if row[1] in column]
-    at = ([position[row[0]] for row in cells], [column[row[1]] for row in cells])
-    shape = (len(proteins), len(nodes))
-    present = np.zeros(shape, dtype=bool)
-    scores = np.zeros(shape)
-    predicted = np.zeros(shape, dtype=bool)
-    undecided = np.zeros(shape, dtype=bool)
-    present[at] = True
-    scores[at] = [row[2] for row in cells]
-    predicted[at] = [row[3] for row in cells]
-    undecided[at] = [row[4] for row in cells]
+    shape = (len(data.proteins), len(nodes))
+    scores, predicted, undecided = merged = (
+        np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    )
+    for outcome in outcomes:
+        for whole, part in zip(merged, outcome.predictions):
+            whole[outcome.held_out] = part
+    io.write_predictions(os.path.join(out_dir, "predictions.tsv"), data.proteins,
+                         [cut.predicate(node) for node in nodes], *merged)
     truth = np.zeros(shape, dtype=bool)
     for j, node in enumerate(nodes):
-        truth[[position[p] for p in cut.proteins(node) if p in position], j] = True
+        members = cut.proteins(node)
+        truth[:, j] = [p in members for p in data.proteins]
 
     real = [j for j, node in enumerate(nodes) if not cut.is_bin(node)]
-    real_nodes = [nodes[j] for j in real]
-    headline = PredictionSet.from_matrices(
-        [cut.predicate(node) for node in real_nodes], proteins,
-        truth[:, real], predicted[:, real], undecided[:, real],
-    )
-    node_level = PredictionSet.from_matrices(nodes, proteins, truth, predicted, undecided)
+    node_level = PredictionSet.from_matrices(nodes, data.proteins, truth, predicted, undecided)
+    headline = node_level.columns(real)
 
     metrics: dict[str, float] = {}
     for tag, preds in (("", headline), ("filtered_", headline.filtered())):
-        example = example_metrics(preds)
-        metrics[f"{tag}example_precision"] = example.precision
-        metrics[f"{tag}example_recall"] = example.recall
-        metrics[f"{tag}example_f1"] = example.f1
-        metrics[f"{tag}example_exact_match"] = example.exact_match
+        metrics.update(_named(f"{tag}example", example_metrics(preds)))
         for average in ("micro", "macro"):
-            label = label_metrics(preds, average)
-            metrics[f"{tag}label_{average}_precision"] = label.precision
-            metrics[f"{tag}label_{average}_recall"] = label.recall
-            metrics[f"{tag}label_{average}_f1"] = label.f1
+            metrics.update(_named(f"{tag}label_{average}", label_metrics(preds, average)))
     metrics["consistency"] = consistency(node_level, cut)
     metrics["filtered_consistency"] = consistency(node_level.filtered(), cut)
 
-    if bound_rows:
-        tp = fp = fn = 0
-        for name, _, _, chosen, _ in bound_rows:
-            truth_value = name in bound_positive
-            if chosen and truth_value:
-                tp += 1
-            elif chosen:
-                fp += 1
-            elif truth_value:
-                fn += 1
-        metrics["bound_precision"] = tp / (tp + fp) if tp + fp else 0.0
-        metrics["bound_recall"] = tp / (tp + fn) if tp + fn else 0.0
-        metrics["bound_f1"] = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+    pairs = [pair for outcome in outcomes for pair in outcome.pairs]
+    if pairs:
+        bound = [np.concatenate(parts) for parts in zip(*(o.bound for o in outcomes))]
+        io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
+                             pairs, ("BOUND",), *bound)
+        bound_truth = np.array([[pair in bound_positive] for pair in pairs])
+        bound_set = PredictionSet.from_matrices(("BOUND",), pairs, bound_truth, *bound[1:])
+        metrics.update(_named("bound", label_metrics(bound_set, "micro")))
 
     # Per-node statistics drive the result tree and the per-predicate table.
     stats_lines = ["node\tprecision\trecall\tf1"]
-    counts = zip(nodes, *(c.tolist() for c in node_level.confusion_counts()[:3]))
-    for node, tp, fp, fn in counts:
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-        stats_lines.append(
-            f"{node}\t{precision:.6f}\t{recall:.6f}\t{f1:.6f}"
-        )
+    for node, *values in zip(nodes, *predicate_metrics(node_level)):
+        stats_lines.append(f"{node}\t" + "\t".join(f"{v:.6f}" for v in values))
     io.atomic_write_text(os.path.join(out_dir, "per_node.tsv"),
                          "\n".join(stats_lines) + "\n")
 
     curves = []
     curve_dir = os.path.join(out_dir, "curves")
-    for j, node in zip(real, real_nodes):
-        predicate = cut.predicate(node)
-        scored = present[:, j]
-        labels = truth[scored, j]
-        if not labels.any():
+    for j in real:
+        predicate = cut.predicate(nodes[j])
+        if not truth[:, j].any():
             log.info("no positive test example for %s; curve skipped", predicate)
             continue
-        curve = pr_curve(scores[scored, j], labels)
+        curve = pr_curve(scores[:, j], truth[:, j])
         curves.append(curve)
         io.write_curve_file(os.path.join(curve_dir, f"{predicate}.csv"),
                             curve.recalls, curve.precisions)
@@ -623,6 +579,11 @@ def _aggregate(config: ExperimentConfig, data: Dataset,
         metrics["auc_average"] = auc_pr(averaged)
 
     io.write_metrics_report(os.path.join(out_dir, "metrics.txt"), metrics)
+
+
+def _named(prefix: str, values) -> dict[str, float]:
+    """A metrics named tuple as ``<prefix>_<field>`` report entries."""
+    return {f"{prefix}_{name}": value for name, value in values._asdict().items()}
 
 
 def cmd_run(config: ExperimentConfig) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "PRCurve",
     "example_metrics",
     "label_metrics",
+    "predicate_metrics",
     "consistency",
     "pr_curve",
     "average_pr_curves",
@@ -151,6 +152,13 @@ class PredictionSet:
         j = self.predicates.index(predicate)
         return tuple(int(c[j]) for c in self.confusion_counts())
 
+    def columns(self, keep: Sequence[int]) -> "PredictionSet":
+        """The predictions of the predicates at positions ``keep`` only."""
+        return PredictionSet.from_matrices(
+            [self.predicates[j] for j in keep], self.examples,
+            self.truth[:, keep], self.predicted[:, keep], self.undecided[:, keep],
+        )
+
     def filtered(self) -> "PredictionSet":
         """Drop every undecided entry from the computation.
 
@@ -219,36 +227,30 @@ def example_metrics(preds: PredictionSet) -> ExampleMetrics:
     )
 
 
-def label_metrics(
-    preds: PredictionSet,
-    average: str = "micro",
-    *,
-    excluded: Iterable[str] = (),
-) -> LabelMetrics:
+def label_metrics(preds: PredictionSet, average: str = "micro") -> LabelMetrics:
     """Per-predicate metrics, either pooled (micro) or averaged (macro).
 
-    ``excluded`` names predicates left out of the computation entirely,
-    e.g. the synthetic bin nodes of a term cut.  Zero-denominator terms
-    contribute 0.  Macro averages add the per-predicate values with the
-    built-in ``sum``, in predicate order.
+    Zero-denominator terms contribute 0.  Macro averages add the
+    per-predicate values with the built-in ``sum``, in predicate order.
     """
-    dropped = frozenset(excluded)
-    kept = [j for j, p in enumerate(preds.predicates) if p not in dropped]
-    if not kept:
+    if not preds.predicates:
         raise EvalError("label_metrics requires at least one scored predicate")
-    tp, fp, fn, _ = (c[kept] for c in preds.confusion_counts())
     if average == "micro":
-        tp, fp, fn = int(tp.sum()), int(fp.sum()), int(fn.sum())
+        tp, fp, fn = (int(c.sum()) for c in preds.confusion_counts()[:3])
         return LabelMetrics(
             _ratio(tp, tp + fp), _ratio(tp, tp + fn), _ratio(2 * tp, 2 * tp + fp + fn)
         )
     if average == "macro":
-        k = len(kept)
-        precision = sum(_ratios(tp, tp + fp)) / k
-        recall = sum(_ratios(tp, tp + fn)) / k
-        f1 = sum(_ratios(2 * tp, 2 * tp + fp + fn)) / k
-        return LabelMetrics(precision, recall, f1)
+        k = len(preds.predicates)
+        return LabelMetrics(*(sum(values) / k for values in predicate_metrics(preds)))
     raise EvalError(f"unknown averaging mode {average!r}")
+
+
+def predicate_metrics(preds: PredictionSet) -> tuple[list[float], list[float], list[float]]:
+    """Precision, recall and F1 lists, one value per predicate in predicate
+    order; a zero denominator gives 0."""
+    tp, fp, fn, _ = preds.confusion_counts()
+    return _ratios(tp, tp + fp), _ratios(tp, tp + fn), _ratios(2 * tp, 2 * tp + fp + fn)
 
 
 def _ratio(num: int, den: int) -> float:

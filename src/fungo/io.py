@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -63,10 +62,15 @@ class DataFileError(ValueError):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
+    """Write ``text`` to ``path`` via a temp file in the same directory.
+
+    The temp file is created with mode 0o666 less the process umask, as
+    ``open(path, "w")`` would create ``path`` itself.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
+    temp = os.path.join(directory, f".tmp-io-{os.urandom(8).hex()}")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -309,21 +313,22 @@ def write_folds(path: str, folds: Sequence[Iterable[str]]) -> None:
 PredictionRow = tuple[str, str, float, bool, bool]
 
 
-def write_predictions(path: str, rows: Iterable[PredictionRow]) -> None:
-    """Write ``protein predicate truth label undecided`` rows, sorted."""
+def write_predictions(path: str, examples: Sequence[str], predicates: Sequence[str],
+                      truths: np.ndarray, positive: np.ndarray,
+                      undecided: np.ndarray) -> None:
+    """Write one ``example predicate truth label undecided`` row per cell of
+    the examples × predicates matrices, sorted by example, then predicate."""
+    rows = sorted(range(len(examples)), key=examples.__getitem__)
+    columns = sorted(range(len(predicates)), key=predicates.__getitem__)
+    cells = np.ix_(rows, columns)
+    truths, positive, undecided = (
+        np.asarray(m)[cells].tolist() for m in (truths, positive, undecided)
+    )
     lines = []
-    for protein, predicate, truth, positive, undecided in sorted(rows):
-        lines.append(
-            "\t".join(
-                (
-                    protein,
-                    predicate,
-                    format(truth, ".17g"),
-                    "pos" if positive else "neg",
-                    "1" if undecided else "0",
-                )
-            )
-        )
+    for i, truth_row, positive_row, undecided_row in zip(rows, truths, positive, undecided):
+        for j, truth, chosen, blurred in zip(columns, truth_row, positive_row, undecided_row):
+            lines.append("\t".join((examples[i], predicates[j], format(truth, ".17g"),
+                                    "pos" if chosen else "neg", "1" if blurred else "0")))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

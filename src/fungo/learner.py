@@ -78,7 +78,7 @@ def pair_key(pair: tuple[str, str]) -> str:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One predicate to train (or echo) over an ordered example list.
+    """One predicate to train, or to read from a table, over an example list.
 
     Learned tasks carry a Gram matrix aligned with ``examples`` and 0/1
     labels on the supervised subset.  Given tasks carry a read-only value
@@ -559,29 +559,20 @@ def train(
     return Model(ws.unstack(weights), TrainTrace(tuple(stage1), tuple(stage2)))
 
 
-@dataclass(frozen=True)
-class TaskPrediction:
-    predicate: str
-    examples: tuple[Example, ...]
-    truths: np.ndarray
-    positive: np.ndarray
-    undecided: np.ndarray
-
-
 def predict(
     model: Model, tasks: Sequence[TaskSpec], config: TrainConfig
-) -> dict[str, TaskPrediction]:
-    """Decision per example: truth at or above the threshold reads positive,
-    truths within the undecided band around it are additionally flagged."""
-    out: dict[str, TaskPrediction] = {}
-    for task in tasks:
-        if task.mode == GIVEN:
-            truths = np.array([float(task.values[e]) for e in task.examples])  # type: ignore[index]
-        else:
-            _, truths = decision_values(model, task)
-        positive = truths >= config.threshold
-        undecided = np.abs(truths - config.threshold) < config.undecided_band
-        out[task.predicate] = TaskPrediction(
-            task.predicate, task.examples, truths, positive, undecided
-        )
-    return out
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Examples × tasks truths, decisions and undecided flags of learned
+    tasks that share one example list.
+
+    Column k is task k's own clamped ``G @ alpha`` (see ``decision_values``).
+    A truth at or above the threshold reads positive; truths within the
+    undecided band around it are additionally flagged.
+    """
+    examples = tasks[0].examples
+    if any(task.examples != examples for task in tasks):
+        raise LearnerError("predicted tasks must share one example list")
+    truths = np.column_stack([decision_values(model, task)[1] for task in tasks])
+    positive = truths >= config.threshold
+    undecided = np.abs(truths - config.threshold) < config.undecided_band
+    return truths, positive, undecided

@@ -3,6 +3,7 @@
 import logging
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import MISSING, fields, replace
@@ -13,6 +14,7 @@ import pytest
 import fungo
 import hierarchy_fixture
 from fungo import cli
+from fungo import io as fungo_io
 from fungo.cli import ExperimentConfig, main, parse_experiment_config
 from fungo.io import read_config, read_folds, read_gram, read_predictions
 from fungo.io import write_config as write_config_file
@@ -287,9 +289,78 @@ class TestRun:
         names = [row[0] for row in rows]
         assert sorted(names) == sorted(ids[:4])
         assert any(len({fold_of[p] for p in name.split("|")}) == 2 for name in names)
-        scored_in = {row[0]: outcome.index for outcome in outcomes
-                     for row in outcome.bound_rows}
+        scored_in = {name: outcome.index for outcome in outcomes
+                     for name in outcome.pairs}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
+
+    def test_merged_files_are_the_union_of_the_fold_files(self, tmp_path, monkeypatch):
+        # The hierarchy fixture with a learned pair predicate: ten chained
+        # interactions, and a pair Gram over them, the reversals of two of
+        # them and five non-interacting pairs.
+        hierarchy_fixture.write_dataset(str(tmp_path))
+        proteins = [row[0] for row in hierarchy_fixture.protein_positions()]
+        interactions = [(proteins[i], proteins[i + 5]) for i in range(0, 50, 5)[:-1]]
+        interactions.append((proteins[3], proteins[41]))
+        (tmp_path / "ppi.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in interactions))
+        ids = [f"{a}|{b}" for a, b in interactions]
+        ids += [f"{b}|{a}" for a, b in interactions[:2]]
+        ids += [f"{proteins[i]}|{proteins[i + 2]}" for i in (1, 12, 23, 34, 45)]
+        matrix = np.eye(len(ids)) + 0.5
+        (tmp_path / "pairs.csv").write_text(
+            ",".join(ids) + "\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in matrix)
+        )
+        cfg = hierarchy_fixture.write_config(
+            str(tmp_path), "out", rules="OC+PP2", ppi="ppi.tsv", pair_gram="pairs.csv",
+            max_iterations=40,
+        )
+        outcomes = []
+        aggregate = cli._aggregate
+
+        def record(config, data, found, *rest):
+            outcomes.extend(found)
+            return aggregate(config, data, found, *rest)
+
+        monkeypatch.setattr(cli, "_aggregate", record)
+        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+        out = tmp_path / "out"
+        folds = sorted(out.glob("fold_*/predictions.tsv"))
+        assert len(folds) == len(outcomes) == 5
+        fold_lines = [line for path in folds for line in path.read_text().splitlines()]
+        merged = (out / "predictions.tsv").read_text().splitlines()
+        assert len(merged) == 50 * 3
+        assert merged == sorted(fold_lines)
+        # Folds write no pair file; each fold's pairs, written alone, give
+        # the fold's share of the merged one.
+        bound_lines = []
+        for outcome in outcomes:
+            path = tmp_path / f"bound_{outcome.index}.tsv"
+            fungo_io.write_predictions(str(path), outcome.pairs, ("BOUND",), *outcome.bound)
+            bound_lines += [line for line in path.read_text().splitlines() if line]
+        merged = (out / "bound_predictions.tsv").read_text().splitlines()
+        assert len(merged) == len(ids)
+        assert merged == sorted(bound_lines)
+        # The bound_* metrics count the merged pairs against the interactions.
+        chosen = {line.split("\t")[0] for line in merged if "\tpos\t" in line}
+        true = set(ids[:len(interactions)])
+        tp, fp, fn = len(chosen & true), len(chosen - true), len(true - chosen)
+        assert tp and fp and fn
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        for key, value in (("precision", tp / (tp + fp)), ("recall", tp / (tp + fn)),
+                           ("f1", 2 * tp / (2 * tp + fp + fn))):
+            assert f"bound_{key} = {value:.6f}" in metrics
+
+    def test_bundle_files_take_the_umask_mode(self, dataset):
+        cfg = write_config(dataset, rules="OC")
+        previous = os.umask(0o022)
+        try:
+            assert main(["run", "--config", cfg]) == 0
+        finally:
+            os.umask(previous)
+        files = [p for p in (dataset / "out").rglob("*") if p.is_file()]
+        assert len(files) > 10
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == \
+            {p.name: 0o644 for p in files}
 
     def test_run_does_not_depend_on_the_hash_seed(self, tmp_path):
         # Set and dict iteration order changes with PYTHONHASHSEED; nothing

@@ -24,6 +24,7 @@ from fungo.evaluation import (
     generate_folds,
     label_metrics,
     pr_curve,
+    predicate_metrics,
 )
 from fungo.ontology import go_cut, parse_obo, tpr_closure
 from support import (
@@ -196,16 +197,18 @@ class TestLabelMetrics:
             [{"a"}, {"a", "bin"}], [{"a", "bin"}, {"a"}], predicates=("a", "bin")
         )
         full = label_metrics(preds, "micro")
-        trimmed = label_metrics(preds, "micro", excluded=("bin",))
+        trimmed = label_metrics(preds.columns([0]), "micro")
         assert trimmed.precision == 1.0
         assert full.precision < 1.0
+        assert trimmed == reference_label_metrics(_reference_of(preds), "micro",
+                                                  excluded=("bin",))
 
     def test_validation(self):
         preds = make_preds([{"a"}], [{"a"}], predicates=("a",))
         with pytest.raises(EvalError, match="averaging"):
             label_metrics(preds, "median")
         with pytest.raises(EvalError, match="at least one"):
-            label_metrics(preds, "micro", excluded=("a",))
+            label_metrics(preds.columns([]), "micro")
 
 
 class TestConsistency:
@@ -512,6 +515,7 @@ def prediction_sets(draw):
 @given(prediction_sets(), st.data())
 def test_metrics_are_bit_equal_to_the_set_reference(preds, data):
     excluded = data.draw(st.sets(st.sampled_from(preds.predicates)))
+    kept = [j for j, p in enumerate(preds.predicates) if p not in excluded]
     for current in (preds, preds.filtered()):
         reference = _reference_of(current)
         if current is not preds:
@@ -519,13 +523,20 @@ def test_metrics_are_bit_equal_to_the_set_reference(preds, data):
         for predicate in current.predicates:
             assert current.confusion(predicate) == reference.confusion(predicate)
         assert example_metrics(current) == reference_example_metrics(reference)
+        scored = current.columns(kept)
         for average in ("micro", "macro"):
-            if len(excluded) == len(current.predicates):
+            if not kept:
                 with pytest.raises(EvalError, match="at least one scored"):
-                    label_metrics(current, average, excluded=excluded)
+                    label_metrics(scored, average)
                 continue
-            assert label_metrics(current, average, excluded=excluded) == \
+            assert label_metrics(scored, average) == \
                 reference_label_metrics(reference, average, excluded=excluded)
+        if kept:
+            per_predicate = zip(*predicate_metrics(scored))
+            for predicate, values in zip(scored.predicates, per_predicate):
+                single = reference_label_metrics(
+                    reference, "micro", excluded=set(current.predicates) - {predicate})
+                assert values == tuple(single)
 
 
 @settings(max_examples=150, deadline=None)
@@ -583,12 +594,19 @@ def test_aggregate_matches_the_set_based_reference(seed):
                  int(rng.integers(0, 3)))
     nodes = cut.nodes()
     proteins = annotations.proteins
+    # Each fold predicts every node for its held-out proteins, so the folds
+    # together give full proteins × nodes matrices.
+    shape = (len(proteins), len(nodes))
+    matrices = (rng.random(shape), rng.random(shape) < 0.5, rng.random(shape) < 0.2)
     rows = [
-        (p, cut.predicate(node), float(rng.random()), bool(rng.random() < 0.5),
-         bool(rng.random() < 0.2))
-        for p in proteins for node in nodes if rng.random() < 0.9
+        (p, cut.predicate(node), *(m[i, j].item() for m in matrices))
+        for i, p in enumerate(proteins) for j, node in enumerate(nodes)
     ]
-    rng.shuffle(rows)
+    fold_of = rng.integers(0, 3, size=len(proteins))
+    outcomes = []
+    for index in rng.permutation(3).tolist():
+        held = np.flatnonzero(fold_of == index)
+        outcomes.append(cli.FoldOutcome(index, held, tuple(m[held] for m in matrices)))
     data = Dataset(dag, proteins, annotations, cut, ())
     real = [n for n in nodes if not cut.is_bin(n)]
     headline = reference_build_sets(cut, rows, real, cut.predicate)
@@ -615,9 +633,10 @@ def test_aggregate_matches_the_set_based_reference(seed):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
-        cli._aggregate(None, data, [cli.FoldOutcome(0, tuple(rows), ())], out)
+        cli._aggregate(None, data, outcomes, out)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
+        assert fungo_io.read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)
     captured.pop("auc_average", None)
     assert captured == expected
     for line, node in zip(per_node[1:], nodes):

@@ -1,5 +1,7 @@
 """Round-trip and validation tests for the file-format helpers."""
 
+import os
+import stat
 import tempfile
 from unittest import mock
 
@@ -200,16 +202,21 @@ class TestConfig:
 
 class TestPredictions:
     def test_round_trip_sorted(self, tmp_path):
+        # Rows and columns out of name order; each cell becomes one row.
+        examples, predicates = ("p2", "p1"), ("B", "A")
+        truths = np.array([[0.5, 0.25], [1.0 / 3.0, 0.875]])
+        positive = np.array([[True, False], [True, True]])
+        undecided = np.array([[False, True], [False, False]])
         rows = [
-            ("p2", "A", 0.25, False, True),
-            ("p1", "B", 1.0 / 3.0, True, False),
-            ("p1", "A", 0.875, True, False),
+            (e, p, float(truths[i, j]), bool(positive[i, j]), bool(undecided[i, j]))
+            for i, e in enumerate(examples) for j, p in enumerate(predicates)
         ]
         path = str(tmp_path / "preds.tsv")
-        write_predictions(path, rows)
+        write_predictions(path, examples, predicates, truths, positive, undecided)
         loaded = read_predictions(path)
         assert loaded == sorted(rows)
-        assert loaded[0][2] == 0.875
+        assert loaded[0] == ("p1", "A", 0.875, True, False)
+        assert loaded[1][2] == 1.0 / 3.0
 
     def test_errors(self, tmp_path):
         with pytest.raises(DataFileError, match="unknown label"):
@@ -271,6 +278,20 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [p for p in target.parent.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
+
+    def test_files_take_the_mode_open_would_give(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            atomic_write_text(str(tmp_path / "new.txt"), "x\n")
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            os.umask(0o077)
+            atomic_write_text(str(tmp_path / "private.txt"), "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "private.txt").stat().st_mode) == 0o600
 
 
 def _result(reader, path):

@@ -623,18 +623,30 @@ def test_predict_threshold_conventions():
     truth_values = np.array([0.5, 0.525, 0.475, 0.9])
     task = TaskSpec("A", 1, ids, gram=gram(ids, np.eye(4)))
     model = Model({"A": truth_values})
-    result = predict(model, [task], cfg)["A"]
-    assert result.positive.tolist() == [True, True, False, True]
-    assert result.undecided.tolist() == [True, True, True, False]
+    truths, positive, undecided = predict(model, [task], cfg)
+    assert truths.shape == positive.shape == undecided.shape == (4, 1)
+    assert positive[:, 0].tolist() == [True, True, False, True]
+    assert undecided[:, 0].tolist() == [True, True, True, False]
 
 
-def test_predict_echoes_given_tables():
-    cfg = TrainConfig()
-    pairs = (("a", "b"), ("b", "c"))
-    bound = TaskSpec("BOUND", 2, pairs, mode="given", values={p: 1.0 for p in pairs})
-    result = predict(Model({}), [bound], cfg)["BOUND"]
-    assert np.array_equal(result.truths, np.ones(2))
-    assert result.positive.all()
+def test_predict_stacks_each_tasks_own_decision_values():
+    rng = np.random.default_rng(3)
+    ids = tuple(f"p{i}" for i in range(7))
+    root = rng.normal(size=(7, 7))
+    shared = gram(ids, root @ root.T)
+    tasks = [TaskSpec(name, 1, ids, gram=shared) for name in ("A", "B", "C")]
+    model = Model({t.predicate: rng.normal(size=7) for t in tasks})
+    truths, positive, undecided = predict(model, tasks, TrainConfig())
+    for k, task in enumerate(tasks):
+        assert truths[:, k].tobytes() == decision_values(model, task)[1].tobytes()
+    assert np.array_equal(positive, truths >= 0.5)
+    pairs = (("a", "b"),)
+    bound = TaskSpec("BOUND", 2, pairs, mode="given", values={pairs[0]: 1.0})
+    with pytest.raises(LearnerError, match="not learned"):
+        predict(model, [bound], TrainConfig())
+    other = TaskSpec("D", 1, ids[::-1], gram=gram(ids[::-1], np.eye(7)))
+    with pytest.raises(LearnerError, match="one example list"):
+        predict(Model({**model.alphas, "D": np.zeros(7)}), [*tasks, other], TrainConfig())
 
 
 def test_task_validation():
