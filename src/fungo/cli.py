@@ -348,12 +348,7 @@ def build_rules(config: ExperimentConfig, cut: GoCut):
 def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, ...], ...]:
     terms = tuple(sorted(data.cut.retained))
     term_proteins = {t: data.cut.proteins(t) for t in terms}
-    protein_terms: dict[str, set[str]] = {}
-    for term, group in term_proteins.items():
-        for protein in group:
-            protein_terms.setdefault(protein, set()).add(term)
-    return generate_folds(config.folds, data.proteins, terms,
-                          protein_terms, term_proteins)
+    return generate_folds(config.folds, data.proteins, terms, term_proteins)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +506,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
     return FoldOutcome(index, held, predictions, pairs, bound)
 
 
-def _aggregate(config: ExperimentConfig, data: Dataset,
-               outcomes: list[FoldOutcome], out_dir: str,
+def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
                bound_positive: frozenset[str] = frozenset()) -> None:
     """Merge per-fold predictions, compute all metrics, write the bundle."""
     # Proteins × nodes matrices; folds partition the proteins, so each fold
@@ -623,7 +617,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     if bound_mode == "learned":
         pairs, _ = bound_data
         bound_positive = frozenset(pair_key(pair) for pair in pairs)
-    _aggregate(config, data, outcomes, out_dir, bound_positive)
+    _aggregate(data, outcomes, out_dir, bound_positive)
     return 0
 
 
@@ -710,7 +704,7 @@ def cmd_export_tree(config: ExperimentConfig) -> int:
         parts = line.split("\t")
         if len(parts) != 4:
             raise io.DataFileError(stats_path, number, f"expected 4 fields, got {line!r}")
-        per_node[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
+        per_node[parts[0]] = tuple(io.parse_real(stats_path, number, v) for v in parts[1:])
 
     cut = data.cut
     lines = ["digraph cut {", "  rankdir=BT;", '  node [shape=box];']

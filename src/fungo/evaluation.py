@@ -413,7 +413,6 @@ def generate_folds(
     n: int,
     proteins: Sequence[str],
     terms: Iterable[str],
-    protein_terms: Mapping[str, Iterable[str]],
     term_proteins: Mapping[str, Iterable[str]],
 ) -> tuple[tuple[str, ...], ...]:
     """Split ``proteins`` into ``n`` balanced folds, rare terms first.
@@ -435,30 +434,15 @@ def generate_folds(
     if len(set(term_list)) != len(term_list):
         raise EvalError("duplicate term ids")
     rank = {protein: index for index, protein in enumerate(ordered)}
-    # Both maps are read into sets once, so the cross-check is linear.
-    terms_of: dict[str, set[str]] = {}
-    groups: dict[str, set[str]] = {}
+    members: dict[str, list[str]] = {}
     for term in term_list:
-        group = groups[term] = set(term_proteins.get(term, ()))
+        group = set(term_proteins.get(term, ()))
         for protein in group:
             if protein not in rank:
                 raise EvalError(
                     f"term {term!r} references unknown protein {protein!r}"
                 )
-            carried = terms_of.get(protein)
-            if carried is None:
-                carried = terms_of[protein] = set(protein_terms.get(protein, ()))
-            if term not in carried:
-                raise EvalError(
-                    f"annotation maps disagree on ({protein!r}, {term!r})"
-                )
-    for protein in ordered:
-        for term in protein_terms.get(protein, ()):
-            if term in groups and protein not in groups[term]:
-                raise EvalError(
-                    f"annotation maps disagree on ({protein!r}, {term!r})"
-                )
-    members = {term: sorted(group, key=rank.__getitem__) for term, group in groups.items()}
+        members[term] = sorted(group, key=rank.__getitem__)
 
     folds: list[list[str]] = [[] for _ in range(n)]
     assigned: set[str] = set()

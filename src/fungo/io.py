@@ -28,6 +28,7 @@ from .logic import Formula, ParseError, parse_rules
 
 __all__ = [
     "DataFileError",
+    "parse_real",
     "read_lines",
     "read_fasta",
     "read_pairs",
@@ -171,7 +172,8 @@ def read_annotations(path: str) -> dict[str, set[str]]:
     return annotations
 
 
-def _parse_real(path: str, number: int, token: str) -> float:
+def parse_real(path: str, number: int, token: str) -> float:
+    """``token`` as a finite real; anything else fails as ``path:number``."""
     try:
         value = float(token)
     except ValueError:
@@ -199,7 +201,7 @@ def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         if name in seen:
             raise DataFileError(path, number, f"duplicate protein id {name!r}")
         seen.add(name)
-        values = [_parse_real(path, number, token) for token in fields[1:]]
+        values = [parse_real(path, number, token) for token in fields[1:]]
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -231,7 +233,7 @@ def read_gram(path: str) -> GramMatrix:
         tokens = line.split(",")
         if len(tokens) != n:
             raise DataFileError(path, index, f"expected {n} values, got {len(tokens)}")
-        matrix[index - 2] = [_parse_real(path, index, token) for token in tokens]
+        matrix[index - 2] = [parse_real(path, index, token) for token in tokens]
     try:
         return GramMatrix(ids, matrix)
     except ValueError as exc:
@@ -348,7 +350,7 @@ def read_predictions(path: str) -> list[PredictionRow]:
             (
                 protein,
                 predicate,
-                _parse_real(path, number, truth),
+                parse_real(path, number, truth),
                 label == "pos",
                 undecided == "1",
             )
@@ -379,8 +381,8 @@ def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
         tokens = line.split(",")
         if len(tokens) != 2:
             raise DataFileError(path, number, f"expected 2 values, got {line!r}")
-        recalls.append(_parse_real(path, number, tokens[0]))
-        precisions.append(_parse_real(path, number, tokens[1]))
+        recalls.append(parse_real(path, number, tokens[0]))
+        precisions.append(parse_real(path, number, tokens[1]))
     return tuple(recalls), tuple(precisions)
 
 

@@ -94,33 +94,6 @@ def psd_check(matrix: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, f
 # ---------------------------------------------------------------------------
 # string spectrum
 
-def kmer_counts(sequence: str, k: int) -> dict[str, int]:
-    if k < 1:
-        raise ValueError(f"k-mer length must be positive, got {k}")
-    counts: dict[str, int] = {}
-    for i in range(len(sequence) - k + 1):
-        mer = sequence[i : i + k]
-        counts[mer] = counts.get(mer, 0) + 1
-    return counts
-
-
-def spectrum_kernel(s1: str, s2: str, k: int) -> float:
-    """Dot product of k-mer count vectors; 0 when either string is shorter
-    than k."""
-    c1 = kmer_counts(s1, k)
-    c2 = kmer_counts(s2, k)
-    if len(c2) < len(c1):
-        c1, c2 = c2, c1
-    return float(sum(count * c2.get(mer, 0) for mer, count in c1.items()))
-
-
-def normalize_kernel(raw: float, self1: float, self2: float) -> float:
-    """Cosine normalization; zero self-similarity yields 0."""
-    if self1 <= 0.0 or self2 <= 0.0:
-        return 0.0
-    return raw / float(np.sqrt(self1 * self2))
-
-
 def spectrum_gram(
     sequences: Mapping[str, str],
     ids: Sequence[str] | None = None,
@@ -128,9 +101,9 @@ def spectrum_gram(
     k: int,
     normalized: bool = True,
 ) -> GramMatrix:
-    """Spectrum kernel over every pair, as sums of ``B @ B.T`` over column
-    blocks B of the protein x k-mer count matrix.  The counts are integers,
-    so every partial sum is exact and the result equals ``spectrum_kernel``."""
+    """Dot products of k-mer count vectors over every pair, as sums of
+    ``B @ B.T`` over column blocks B of the protein x k-mer count matrix.
+    The counts are integers, so every partial sum is exact."""
     order = tuple(ids) if ids is not None else tuple(sequences)
     for name in order:
         if name not in sequences:
@@ -162,21 +135,13 @@ def spectrum_gram(
 # ---------------------------------------------------------------------------
 # functional domains
 
-def domain_kernel(domains1: Iterable[str], domains2: Iterable[str]) -> float:
+def domain_gram(
+    annotations: Mapping[str, Iterable[str]], ids: Sequence[str] | None = None
+) -> GramMatrix:
     """Shared-domain similarity |A & B| / (|A| * |B|); empty sets give 0.
 
     The diagonal is 1/|A|, not 1: the raw formula is kept as is.
     """
-    a = set(domains1)
-    b = set(domains2)
-    if not a or not b:
-        return 0.0
-    return len(a & b) / (len(a) * len(b))
-
-
-def domain_gram(
-    annotations: Mapping[str, Iterable[str]], ids: Sequence[str] | None = None
-) -> GramMatrix:
     order = tuple(ids) if ids is not None else tuple(annotations)
     sets = []
     for name in order:
@@ -253,22 +218,10 @@ def diffusion_kernel(graph: InteractionGraph, beta: float = 1.0) -> GramMatrix:
 # ---------------------------------------------------------------------------
 # expression profiles
 
-def correlation_kernel(x: Sequence[float], y: Sequence[float]) -> float:
-    """Covariance of two expression profiles over the measured conditions."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape != yv.shape:
-        raise ValueError(f"profile shapes differ: {xv.shape} vs {yv.shape}")
-    if xv.size == 0:
-        raise ValueError("empty expression profile")
-    cx = xv - xv.mean()
-    cy = yv - yv.mean()
-    return float(np.dot(cx, cy) / xv.size)
-
-
 def expression_gram(
     profiles: Mapping[str, Sequence[float]], ids: Sequence[str] | None = None
 ) -> GramMatrix:
+    """Covariance of the expression profiles over the measured conditions."""
     order = tuple(ids) if ids is not None else tuple(profiles)
     if not order:
         return GramMatrix(order, np.zeros((0, 0)))

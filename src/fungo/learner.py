@@ -434,36 +434,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.vdot(x, y))
 
 
-def objective(
-    model: Model,
-    tasks: Sequence[TaskSpec],
-    constraints: Sequence[CompiledConstraint],
-    config: TrainConfig,
-) -> float:
-    """Full objective at the model's weights (constraints at full strength)."""
-    return _evaluate_model(model, tasks, constraints, config, False)[1][0]
-
-
-def objective_gradient(
-    model: Model,
-    tasks: Sequence[TaskSpec],
-    constraints: Sequence[CompiledConstraint],
-    config: TrainConfig,
-) -> dict[str, np.ndarray]:
-    """Gradient of the full objective with respect to each task's weights."""
-    ws, (_, grads) = _evaluate_model(model, tasks, constraints, config, True)
-    return ws.unstack(grads)  # type: ignore[arg-type]
-
-
-def _evaluate_model(
-    model: Model, tasks: Sequence[TaskSpec], constraints: Sequence[CompiledConstraint],
-    config: TrainConfig, with_gradient: bool,
-) -> tuple[_Workspace, tuple[float, list[np.ndarray] | None]]:
-    ws = _Workspace(tasks, constraints, config)
-    weights = [np.array([model.alpha(p) for p in b.predicates], dtype=float) for b in ws.blocks]
-    return ws, ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
-
-
 def _descend(
     ws: _Workspace, weights: list[np.ndarray], lambda_c: float, stage: str
 ) -> tuple[list[float], list[np.ndarray]]:

@@ -31,12 +31,13 @@ from .engine import (
     OP_LOAD,
     OP_NOT,
     OP_OR,
+    TN_CODE,
+    TNORMS,
     Program,
 )
 from .formula import (
     And, Atom, EXISTS, EXISTS_N, FORALL, Formula, Iff, Implies, Node, Not, Or, iter_atoms,
 )
-from .tnorms import LUKASIEWICZ, MINIMUM, PRODUCT, TNORMS
 
 RESIDUUM = "residuum"
 MATERIAL = "material"
@@ -44,12 +45,6 @@ IMPLICATIONS = (RESIDUUM, MATERIAL)
 
 LEARNED = "learned"
 GIVEN = "given"
-
-_TN_CODE = {
-    MINIMUM: _engine.TN_MINIMUM,
-    PRODUCT: _engine.TN_PRODUCT,
-    LUKASIEWICZ: _engine.TN_LUKASIEWICZ,
-}
 
 
 class CompileError(ValueError):
@@ -157,38 +152,6 @@ class CompiledConstraint:
             present = gather >= 0
             np.add.at(grad, gather[present], dvalues[present, s])
         return float(phi), grads
-
-    def nonsmooth_margin(self, outputs: Mapping[str, np.ndarray]) -> float:
-        """Distance of the evaluation from the nearest subgradient boundary.
-
-        Used by gradient checks to keep finite-difference probes away from
-        kinks (branch switches of min/max, residuum satisfaction boundaries,
-        selection ties of existential aggregation).
-        """
-        vals, penalties = self._forward(outputs)
-        program = self.program
-        tn = program.tnorm_code
-        margin = np.inf
-        for i in range(program.n_nodes):
-            op = program.opcodes[i]
-            if op in (OP_LOAD, OP_NOT):
-                continue
-            a = vals[program.lhs[i]]
-            b = vals[program.rhs[i]]
-            if op == OP_AND or op == OP_OR:
-                if tn == _engine.TN_MINIMUM:
-                    margin = min(margin, float(np.abs(a - b).min()))
-                elif tn == _engine.TN_LUKASIEWICZ:
-                    margin = min(margin, float(np.abs(a + b - 1.0).min()))
-            elif op == OP_IMPL:
-                margin = min(margin, float(np.abs(a - b).min()))
-            else:  # OP_IMPL_MAT
-                if tn == _engine.TN_MINIMUM:
-                    margin = min(margin, float(np.abs(a + b - 1.0).min()))
-                elif tn == _engine.TN_LUKASIEWICZ:
-                    margin = min(margin, float(np.abs(a - b).min()))
-        margin = min(margin, _selection_margin(penalties, self.formula.quantifiers))
-        return margin
 
 
 def _output_vector(outputs: Mapping[str, np.ndarray], pred: str, size: int) -> np.ndarray:
@@ -447,7 +410,7 @@ def compile_constraint(
         ids = tuple(resolved[formula.quantifiers[k].domain] for k in axes)
         slots.append(_bind_slot(binding, args, axes, ids, mesh))
 
-    program = _lower(formula.body, slot_order, _TN_CODE[tnorm], implication)
+    program = _lower(formula.body, slot_order, TN_CODE[tnorm], implication)
     return CompiledConstraint(
         formula=formula,
         tnorm=tnorm,
@@ -608,21 +571,3 @@ def _aggregate(
             weights = expanded
     return cur, weights
 
-
-def _selection_margin(penalties: np.ndarray, quantifiers) -> float:
-    """Smallest gap at any existential selection boundary."""
-    margin = np.inf
-    cur = penalties
-    for q in reversed(quantifiers):
-        if q.kind == FORALL:
-            cur = cur.sum(axis=-1)
-            continue
-        srt = np.sort(cur, axis=-1)
-        k = 1 if q.kind == EXISTS else q.count
-        if k < cur.shape[-1]:
-            margin = min(margin, float((srt[..., k] - srt[..., k - 1]).min()))
-        if q.kind == EXISTS:
-            cur = srt[..., 0]
-        else:
-            cur = srt[..., :k].sum(axis=-1)
-    return margin

@@ -1,4 +1,9 @@
-"""Execution of compiled rule bodies.
+"""Fuzzy semantics and execution of compiled rule bodies.
+
+Three t-norm families are supported; negation is the strong negation
+``1 - x``, disjunction the dual co-norm ``1 - T(1 - a, 1 - b)``, and
+implication the residuum of the chosen t-norm, or the material
+``1 - T(a, 1 - b)`` (``1 + a*b - a`` under the product t-norm).
 
 A rule body is lowered to a flat postorder instruction program.
 :func:`node_values` is the forward pass over a batch of groundings and
@@ -13,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tnorms import PRODUCT_GUARD
-
 OP_LOAD = 0
 OP_NOT = 1
 OP_AND = 2
@@ -22,9 +25,21 @@ OP_OR = 3
 OP_IMPL = 4
 OP_IMPL_MAT = 5
 
+MINIMUM = "minimum"
+PRODUCT = "product"
+LUKASIEWICZ = "lukasiewicz"
+
+TNORMS = (MINIMUM, PRODUCT, LUKASIEWICZ)
+
 TN_MINIMUM = 0
 TN_PRODUCT = 1
 TN_LUKASIEWICZ = 2
+
+TN_CODE = {MINIMUM: TN_MINIMUM, PRODUCT: TN_PRODUCT, LUKASIEWICZ: TN_LUKASIEWICZ}
+
+# Below this value the antecedent of a product residuum counts as satisfied,
+# keeping the quotient bounded.
+PRODUCT_GUARD = 1e-12
 
 # perfbench/setup_probe.py reads these two for its environment fingerprint.
 HAS_NUMBA = False

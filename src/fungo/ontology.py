@@ -48,7 +48,6 @@ class Term:
     id: str
     name: str
     namespace: str
-    obsolete: bool = False
 
 
 class OntologyDag:

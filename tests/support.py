@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: random constraint instances, a
-central finite-difference oracle for penalty gradients, the reference
-descent that evaluates every line-search trial in full, and the string- and
-set-based ingest and evaluation that the array versions must reproduce."""
+central finite-difference oracle for penalty gradients with the kink margin
+that keeps its probes away from subgradient boundaries, the full objective
+and its gradient, the reference descent that evaluates every line-search
+trial in full, the pairwise kernels that the Gram builders must reproduce,
+and the string- and set-based ingest and evaluation that the array versions
+must reproduce."""
 
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics
 from fungo.io import DataFileError
-from fungo.logic import PredicateBinding, compile_constraint, parse_rule
+from fungo.logic import EXISTS, FORALL, PredicateBinding, compile_constraint, engine, parse_rule
 from fungo.ontology import (
     ISA,
     NAMESPACES,
@@ -140,12 +143,64 @@ def stack_outputs(rng, outputs):
     return layout, truths, where
 
 
+def nonsmooth_margin(constraint, outputs) -> float:
+    """Distance of the constraint's evaluation at ``outputs`` from the
+    nearest subgradient boundary.
+
+    Used by gradient checks to keep finite-difference probes away from
+    kinks (branch switches of min/max, residuum satisfaction boundaries,
+    selection ties of existential aggregation).
+    """
+    vals, penalties = constraint._forward(outputs)
+    program = constraint.program
+    tn = program.tnorm_code
+    margin = np.inf
+    for i in range(program.n_nodes):
+        op = program.opcodes[i]
+        if op in (engine.OP_LOAD, engine.OP_NOT):
+            continue
+        a = vals[program.lhs[i]]
+        b = vals[program.rhs[i]]
+        if op == engine.OP_AND or op == engine.OP_OR:
+            if tn == engine.TN_MINIMUM:
+                margin = min(margin, float(np.abs(a - b).min()))
+            elif tn == engine.TN_LUKASIEWICZ:
+                margin = min(margin, float(np.abs(a + b - 1.0).min()))
+        elif op == engine.OP_IMPL:
+            margin = min(margin, float(np.abs(a - b).min()))
+        else:  # OP_IMPL_MAT
+            if tn == engine.TN_MINIMUM:
+                margin = min(margin, float(np.abs(a + b - 1.0).min()))
+            elif tn == engine.TN_LUKASIEWICZ:
+                margin = min(margin, float(np.abs(a - b).min()))
+    return min(margin, _selection_margin(penalties, constraint.formula.quantifiers))
+
+
+def _selection_margin(penalties: np.ndarray, quantifiers) -> float:
+    """Smallest gap at any existential selection boundary."""
+    margin = np.inf
+    cur = penalties
+    for q in reversed(quantifiers):
+        if q.kind == FORALL:
+            cur = cur.sum(axis=-1)
+            continue
+        srt = np.sort(cur, axis=-1)
+        k = 1 if q.kind == EXISTS else q.count
+        if k < cur.shape[-1]:
+            margin = min(margin, float((srt[..., k] - srt[..., k - 1]).min()))
+        if q.kind == EXISTS:
+            cur = srt[..., 0]
+        else:
+            cur = srt[..., :k].sum(axis=-1)
+    return margin
+
+
 def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):
     """Like random_instance, but resampled until the evaluation point sits at
     least ``margin`` away from every subgradient boundary."""
     for _ in range(tries):
         constraint, outputs = random_instance(rng, tnorm, implication)
-        if constraint.nonsmooth_margin(outputs) > margin:
+        if nonsmooth_margin(constraint, outputs) > margin:
             return constraint, outputs
     raise AssertionError("could not sample a smooth evaluation point")
 
@@ -179,6 +234,23 @@ def gradient_close(analytic, numeric, rtol=1e-5):
         if not np.all(np.abs(g - f) <= rtol * scale):
             return False
     return True
+
+
+def objective(model, tasks, constraints, config) -> float:
+    """Full objective at the model's weights (constraints at full strength)."""
+    return _evaluate_model(model, tasks, constraints, config, False)[1][0]
+
+
+def objective_gradient(model, tasks, constraints, config) -> dict[str, np.ndarray]:
+    """Gradient of the full objective with respect to each task's weights."""
+    ws, (_, grads) = _evaluate_model(model, tasks, constraints, config, True)
+    return ws.unstack(grads)
+
+
+def _evaluate_model(model, tasks, constraints, config, with_gradient):
+    ws = learner._Workspace(tasks, constraints, config)
+    weights = [np.array([model.alpha(p) for p in b.predicates], dtype=float) for b in ws.blocks]
+    return ws, ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
 
 
 def reference_descend(ws, weights, lambda_c, stage):
@@ -243,6 +315,58 @@ def reference_train(tasks, constraints, config):
     else:
         stage2 = []
     return learner.Model(ws.unstack(weights), learner.TrainTrace(tuple(stage1), tuple(stage2)))
+
+
+# --- reference kernels: one pair of examples at a time ---------------------
+
+
+def kmer_counts(sequence: str, k: int) -> dict[str, int]:
+    if k < 1:
+        raise ValueError(f"k-mer length must be positive, got {k}")
+    counts: dict[str, int] = {}
+    for i in range(len(sequence) - k + 1):
+        mer = sequence[i : i + k]
+        counts[mer] = counts.get(mer, 0) + 1
+    return counts
+
+
+def spectrum_kernel(s1: str, s2: str, k: int) -> float:
+    """Dot product of k-mer count vectors; 0 when either string is shorter
+    than k."""
+    c1 = kmer_counts(s1, k)
+    c2 = kmer_counts(s2, k)
+    if len(c2) < len(c1):
+        c1, c2 = c2, c1
+    return float(sum(count * c2.get(mer, 0) for mer, count in c1.items()))
+
+
+def normalize_kernel(raw: float, self1: float, self2: float) -> float:
+    """Cosine normalization; zero self-similarity yields 0."""
+    if self1 <= 0.0 or self2 <= 0.0:
+        return 0.0
+    return raw / float(np.sqrt(self1 * self2))
+
+
+def domain_kernel(domains1: Iterable[str], domains2: Iterable[str]) -> float:
+    """Shared-domain similarity |A & B| / (|A| * |B|); empty sets give 0."""
+    a = set(domains1)
+    b = set(domains2)
+    if not a or not b:
+        return 0.0
+    return len(a & b) / (len(a) * len(b))
+
+
+def correlation_kernel(x: Sequence[float], y: Sequence[float]) -> float:
+    """Covariance of two expression profiles over the measured conditions."""
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.ndim != 1 or xv.shape != yv.shape:
+        raise ValueError(f"profile shapes differ: {xv.shape} vs {yv.shape}")
+    if xv.size == 0:
+        raise ValueError("empty expression profile")
+    cx = xv - xv.mean()
+    cy = yv - yv.mean()
+    return float(np.dot(cx, cy) / xv.size)
 
 
 # --- reference ingest: string-keyed DAG, eager ancestors -------------------

@@ -28,14 +28,11 @@ from fungo.kernels import (
     expression_gram,
     psd_check,
     spectrum_gram,
-    spectrum_kernel,
 )
 from fungo.learner import (
     Model,
     TaskSpec,
     TrainConfig,
-    objective,
-    objective_gradient,
     predicate_bindings,
     train,
 )
@@ -53,7 +50,15 @@ from fungo.ontology import (
     tpr_closure,
 )
 from hierarchy_fixture import read_metrics, write_config, write_dataset
-from support import fd_penalty_gradients, gradient_close, smooth_instance
+from support import (
+    fd_penalty_gradients,
+    gradient_close,
+    nonsmooth_margin,
+    objective,
+    objective_gradient,
+    smooth_instance,
+    spectrum_kernel,
+)
 from test_ontology import leaf_annotations, random_dag
 
 
@@ -173,7 +178,7 @@ def _smooth_objective_instance(rng):
             for s in scores.values()
         )
         clamped = {name: np.clip(s, 0.0, 1.0) for name, s in scores.items()}
-        if margin > 1e-3 and constraint.nonsmooth_margin(clamped) > 1e-3:
+        if margin > 1e-3 and nonsmooth_margin(constraint, clamped) > 1e-3:
             return model, tasks, [constraint], config
 
 
@@ -372,7 +377,7 @@ def test_metric_and_fold_invariants():
         }
         term_proteins = {t: tuple(p for p in proteins if t in protein_terms[p]) for t in terms}
         n_folds = int(rng.integers(2, min(4, n_proteins) + 1))
-        folds = generate_folds(n_folds, proteins, terms, protein_terms, term_proteins)
+        folds = generate_folds(n_folds, proteins, terms, term_proteins)
         flat = [p for fold in folds for p in fold]
         assert sorted(flat) == sorted(proteins)
         assert len(flat) == len(set(flat))

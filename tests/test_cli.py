@@ -271,9 +271,9 @@ class TestRun:
         outcomes = []
         aggregate = cli._aggregate
 
-        def record(config, data, found, *rest):
+        def record(data, found, *rest):
             outcomes.extend(found)
-            return aggregate(config, data, found, *rest)
+            return aggregate(data, found, *rest)
 
         monkeypatch.setattr(cli, "_aggregate", record)
         assert main(["run", "--config", cfg]) == 0
@@ -317,9 +317,9 @@ class TestRun:
         outcomes = []
         aggregate = cli._aggregate
 
-        def record(config, data, found, *rest):
+        def record(data, found, *rest):
             outcomes.extend(found)
-            return aggregate(config, data, found, *rest)
+            return aggregate(data, found, *rest)
 
         monkeypatch.setattr(cli, "_aggregate", record)
         assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
@@ -408,6 +408,45 @@ class TestExportTree:
         cfg = write_config(dataset, out="out_fresh")
         assert main(["export-tree", "--config", cfg]) == 2
         assert "run 'run' first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", "not a real number: 'abc'"),
+        ("nan", "non-finite value: 'nan'"),
+    ], ids=("text", "nan"))
+    def test_malformed_statistics_name_their_line(self, dataset, capsys, cell, message):
+        cfg = write_config(dataset, out="out_bad")
+        (dataset / "out_bad").mkdir()
+        (dataset / "out_bad" / "per_node.tsv").write_text(
+            f"node\tprecision\trecall\tf1\nGO:0000002\t0.5\t{cell}\t0.5\n"
+        )
+        assert main(["export-tree", "--config", cfg]) == 2
+        assert f"per_node.tsv:2: {message}" in capsys.readouterr().err
+        assert not (dataset / "out_bad" / "tree.dot").exists()
+
+
+# What perfbench/tracing.py wraps and perfbench/setup_probe.py calls.
+BENCHMARK_HOOKS = """
+import tracing
+tracing.install(tracing.Tracer())
+import fungo.cli as cli
+from fungo.logic import HAS_NUMBA, resolve_engine
+assert isinstance(HAS_NUMBA, bool) and isinstance(resolve_engine(), str)
+for name in ("parse_experiment_config", "load_dataset", "build_gram", "build_rules",
+             "dataset_folds"):
+    assert callable(getattr(cli, name)), name
+for name in ("read_config", "read_pairs"):
+    assert callable(getattr(cli.io, name)), name
+"""
+
+
+def test_benchmark_hooks_resolve():
+    # In a child process: install() patches fungo's modules in place.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([perfbench, src]))
+    done = subprocess.run([sys.executable, "-c", BENCHMARK_HOOKS], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 class TestErrorHandling:

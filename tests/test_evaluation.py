@@ -404,26 +404,13 @@ class TestCurveAveraging:
 class TestFolds:
     def test_single_term_splits_evenly(self):
         proteins = ("p1", "p2", "p3", "p4")
-        folds = generate_folds(
-            2,
-            proteins,
-            ("t",),
-            {p: {"t"} for p in proteins},
-            {"t": set(proteins)},
-        )
+        folds = generate_folds(2, proteins, ("t",), {"t": set(proteins)})
         assert folds == (("p1", "p3"), ("p2", "p4"))
 
     def test_rare_term_lands_in_distinct_folds(self):
         proteins = tuple(f"p{i}" for i in range(1, 7))
-        protein_terms = {p: {"big"} for p in proteins}
-        protein_terms["p5"] = {"big", "rare"}
-        protein_terms["p6"] = {"big", "rare"}
         folds = generate_folds(
-            3,
-            proteins,
-            ("big", "rare"),
-            protein_terms,
-            {"big": set(proteins), "rare": {"p5", "p6"}},
+            3, proteins, ("big", "rare"), {"big": set(proteins), "rare": {"p5", "p6"}}
         )
         homes = {p: i for i, fold in enumerate(folds) for p in fold}
         assert homes["p5"] != homes["p6"]
@@ -431,33 +418,25 @@ class TestFolds:
 
     def test_one_fold_per_protein(self):
         proteins = ("a", "b", "c")
-        folds = generate_folds(
-            3, proteins, ("t",), {p: {"t"} for p in proteins}, {"t": set(proteins)}
-        )
+        folds = generate_folds(3, proteins, ("t",), {"t": set(proteins)})
         assert sorted(len(f) for f in folds) == [1, 1, 1]
 
     def test_unannotated_proteins_are_swept_in(self):
-        folds = generate_folds(
-            2, ("a", "b", "c"), ("t",), {"a": {"t"}}, {"t": {"a"}}
-        )
+        folds = generate_folds(2, ("a", "b", "c"), ("t",), {"t": {"a"}})
         assert sorted(p for fold in folds for p in fold) == ["a", "b", "c"]
         assert sorted(len(f) for f in folds) == [1, 2]
 
     def test_validation(self):
         with pytest.raises(EvalError, match="at least 2"):
-            generate_folds(1, ("a", "b"), (), {}, {})
+            generate_folds(1, ("a", "b"), (), {})
         with pytest.raises(EvalError, match="cannot split"):
-            generate_folds(3, ("a", "b"), (), {}, {})
+            generate_folds(3, ("a", "b"), (), {})
         with pytest.raises(EvalError, match="duplicate protein"):
-            generate_folds(2, ("a", "a"), (), {}, {})
+            generate_folds(2, ("a", "a"), (), {})
         with pytest.raises(EvalError, match="duplicate term"):
-            generate_folds(2, ("a", "b"), ("t", "t"), {}, {})
+            generate_folds(2, ("a", "b"), ("t", "t"), {})
         with pytest.raises(EvalError, match="unknown protein"):
-            generate_folds(2, ("a", "b"), ("t",), {}, {"t": {"z"}})
-        with pytest.raises(EvalError, match="disagree"):
-            generate_folds(2, ("a", "b"), ("t",), {}, {"t": {"a"}})
-        with pytest.raises(EvalError, match="disagree"):
-            generate_folds(2, ("a", "b"), ("t",), {"b": {"t"}}, {"t": {"a"}})
+            generate_folds(2, ("a", "b"), ("t",), {"t": {"z"}})
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(29)
@@ -468,11 +447,8 @@ class TestFolds:
             term_proteins = {
                 t: {p for p in proteins if rng.random() < 0.4} for t in terms
             }
-            protein_terms = {
-                p: {t for t in terms if p in term_proteins[t]} for p in proteins
-            }
             n = int(rng.integers(2, size + 1))
-            folds = generate_folds(n, proteins, terms, protein_terms, term_proteins)
+            folds = generate_folds(n, proteins, terms, term_proteins)
             flat = [p for fold in folds for p in fold]
             assert sorted(flat) == sorted(proteins)
             assert len(flat) == len(set(flat))
@@ -481,7 +457,7 @@ class TestFolds:
             first = min(terms, key=lambda t: (len(term_proteins[t]), t))
             spread = [len(term_proteins[first] & set(fold)) for fold in folds]
             assert max(spread) - min(spread) <= 1
-            again = generate_folds(n, proteins, terms, protein_terms, term_proteins)
+            again = generate_folds(n, proteins, terms, term_proteins)
             assert again == folds
 
 
@@ -633,7 +609,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
-        cli._aggregate(None, data, outcomes, out)
+        cli._aggregate(data, outcomes, out)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
         assert fungo_io.read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)

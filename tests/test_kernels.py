@@ -9,21 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import (
+    correlation_kernel,
+    domain_kernel,
+    kmer_counts,
+    normalize_kernel,
+    spectrum_kernel,
+)
 
 from fungo import kernels
 from fungo.kernels import (
     GramMatrix,
     InteractionGraph,
-    correlation_kernel,
     diffusion_kernel,
     domain_gram,
-    domain_kernel,
     expression_gram,
-    kmer_counts,
-    normalize_kernel,
     psd_check,
     spectrum_gram,
-    spectrum_kernel,
 )
 
 
@@ -44,11 +46,18 @@ def test_spectrum_rejects_zero_k():
         spectrum_kernel("AB", "AB", k=0)
     with pytest.raises(ValueError):
         kmer_counts("AB", -1)
+    with pytest.raises(ValueError, match="positive"):
+        spectrum_gram({"a": "AB"}, k=0)
 
 
 def test_normalize_frozen_value():
     assert normalize_kernel(1.0, 2.0, 2.0) == 0.5
     assert normalize_kernel(3.0, 0.0, 2.0) == 0.0
+    # GramMatrix.normalized follows the pairwise rule, a dead row included.
+    matrix = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+    norm = GramMatrix(("a", "b", "c"), matrix).normalized().matrix
+    assert norm[0, 1] == pytest.approx(normalize_kernel(1.0, 2.0, 2.0), rel=1e-15)
+    assert norm[0, 2] == normalize_kernel(3.0, 2.0, 0.0)
 
 
 def test_spectrum_gram_normalized_diagonal():
@@ -167,6 +176,8 @@ def test_correlation_validation():
         correlation_kernel((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         correlation_kernel((), ())
+    with pytest.raises(ValueError, match="conditions"):
+        expression_gram({"a": (1.0, 2.0), "b": (1.0, 2.0, 3.0)})
 
 
 def test_expression_gram_matches_scalar_and_is_psd():

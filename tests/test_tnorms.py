@@ -1,5 +1,11 @@
-"""Connective and quantifier semantics: endpoint behaviour, frozen values,
-algebraic properties."""
+"""Connective and quantifier semantics of the rule engine: endpoint
+behaviour, frozen values, algebraic properties.
+
+Connectives are read off the engine's forward pass on compiled
+one-grounding rules; quantifier values come from compiled ``forall``,
+``exists`` and ``exists[n]`` rules in the rule set that training evaluates."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -7,19 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungo.logic import (
-    EXISTS,
-    EXISTS_N,
-    FORALL,
+    IMPLICATIONS,
     TNORMS,
-    aggregate_quantifier,
-    eval_connective,
-    material,
-    residuum,
-    t_conorm,
-    t_norm,
+    CompiledRuleSet,
+    ParseError,
+    PredicateBinding,
+    compile_constraint,
+    engine,
+    parse_rule,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+BODIES = {
+    "not": "not A(x)",
+    "and": "A(x) and B(x)",
+    "or": "A(x) or B(x)",
+    "implies": "A(x) => B(x)",
+    "iff": "A(x) <=> B(x)",
+}
 
 # Classical truth tables on {0, 1}: (a, b) -> value.
 BOOL_TABLES = {
@@ -30,132 +42,149 @@ BOOL_TABLES = {
 }
 
 
+@functools.cache
+def _program(tnorm, body, implication):
+    formula = parse_rule(f"forall x:D. {body}")
+    bindings = {
+        name: PredicateBinding(name, 1, positions={"e": 0}) for name in formula.predicates()
+    }
+    compiled = compile_constraint(
+        formula, tnorm, {"D": ("e",)}, bindings, implication=implication
+    )
+    return compiled.program
+
+
+def truth(tnorm, body, *operands, implication="residuum"):
+    """The body's truth from ``engine.node_values``, one grounding per
+    operand element; operand k feeds the k-th distinct atom of the body."""
+    columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in operands))
+    values = np.stack([c.ravel() for c in columns], axis=1)
+    out = engine.node_values(_program(tnorm, body, implication), values)[-1]
+    return out.reshape(columns[0].shape)[()]
+
+
+def penalty(kind, truths):
+    """Penalty of the rule ``<kind> x:D. P(x)`` with P's truths given."""
+    t = np.asarray(truths, dtype=np.float64)
+    ids = tuple(f"e{i}" for i in range(t.size))
+    bindings = {"P": PredicateBinding("P", 1, positions={e: i for i, e in enumerate(ids)})}
+    rule = compile_constraint(parse_rule(f"{kind} x:D. P(x)"), "product", {"D": ids}, bindings)
+    return CompiledRuleSet([rule], [(("P",), t.size)]).penalties([t[None, :]])[0]
+
+
 @pytest.mark.parametrize("tnorm", TNORMS)
 def test_boolean_endpoints(tnorm):
     for kind, table in BOOL_TABLES.items():
         for (a, b), want in table.items():
-            assert eval_connective(tnorm, kind, (a, b)) == want, (tnorm, kind, a, b)
-    assert eval_connective(tnorm, "not", (0.0,)) == 1.0
-    assert eval_connective(tnorm, "not", (1.0,)) == 1.0 - 1.0
+            assert truth(tnorm, BODIES[kind], a, b) == want, (tnorm, kind, a, b)
+    assert truth(tnorm, BODIES["not"], 0.0) == 1.0
+    assert truth(tnorm, BODIES["not"], 1.0) == 1.0 - 1.0
 
 
 @pytest.mark.parametrize("tnorm", TNORMS)
 def test_residuum_grid_formulas(tnorm):
-    grid = [round(0.05 * i, 10) for i in range(21)]
-    for a in grid:
-        for b in grid:
-            got = eval_connective(tnorm, "implies", (a, b))
-            if a <= b:
-                want = 1.0
-            elif tnorm == "minimum":
-                want = b
-            elif tnorm == "product":
-                want = b / a
-            else:
-                want = 1.0 - a + b
-            assert got == pytest.approx(want, abs=1e-12), (tnorm, a, b)
+    grid = np.array([round(0.05 * i, 10) for i in range(21)])
+    got = truth(tnorm, BODIES["implies"], grid[:, None], grid[None, :])
+    for (i, j), value in np.ndenumerate(got):
+        a, b = grid[i], grid[j]
+        if a <= b:
+            want = 1.0
+        elif tnorm == "minimum":
+            want = b
+        elif tnorm == "product":
+            want = b / a
+        else:
+            want = 1.0 - a + b
+        assert value == pytest.approx(want, abs=1e-12), (tnorm, a, b)
 
 
 def test_frozen_connective_values():
-    assert eval_connective("product", "and", (0.5, 0.4)) == pytest.approx(0.2, abs=1e-15)
-    assert eval_connective("product", "or", (0.5, 0.4)) == pytest.approx(0.7, abs=1e-15)
-    assert eval_connective("product", "implies", (0.5, 0.25)) == pytest.approx(0.5, abs=1e-15)
-    assert eval_connective("lukasiewicz", "implies", (0.8, 0.5)) == pytest.approx(0.7, abs=1e-15)
-    assert eval_connective("minimum", "and", (1.0, 1.0)) == 1.0
+    assert truth("product", BODIES["and"], 0.5, 0.4) == pytest.approx(0.2, abs=1e-15)
+    assert truth("product", BODIES["or"], 0.5, 0.4) == pytest.approx(0.7, abs=1e-15)
+    assert truth("product", BODIES["implies"], 0.5, 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert truth("lukasiewicz", BODIES["implies"], 0.8, 0.5) == pytest.approx(0.7, abs=1e-15)
+    assert truth("minimum", BODIES["and"], 1.0, 1.0) == 1.0
 
 
 def test_material_product_form():
     # With the product t-norm the material implication is 1 + a*b - a.
-    for a in np.linspace(0, 1, 11):
-        for b in np.linspace(0, 1, 11):
-            assert material("product", a, b) == pytest.approx(1.0 + a * b - a, abs=1e-12)
+    grid = np.linspace(0, 1, 11)
+    got = truth("product", BODIES["implies"], grid[:, None], grid[None, :],
+                implication="material")
+    for (i, j), value in np.ndenumerate(got):
+        a, b = grid[i], grid[j]
+        assert value == pytest.approx(1.0 + a * b - a, abs=1e-12)
     # Boolean endpoints agree with the classical table.
     for (a, b), want in BOOL_TABLES["implies"].items():
         for tnorm in TNORMS:
-            assert material(tnorm, float(a), float(b)) == want
-
-
-def test_connective_validation():
-    with pytest.raises(ValueError):
-        eval_connective("product", "and", (1.2, 0.5))
-    with pytest.raises(ValueError):
-        eval_connective("product", "and", (-0.1, 0.5))
-    with pytest.raises(ValueError):
-        eval_connective("product", "xor", (0.5, 0.5))
-    with pytest.raises(ValueError):
-        eval_connective("softmax", "and", (0.5, 0.5))
+            assert truth(tnorm, BODIES["implies"], a, b, implication="material") == want
 
 
 @pytest.mark.parametrize("tnorm", TNORMS)
 def test_range_on_grid(tnorm):
     grid = np.linspace(0.0, 1.0, 11)
     for kind in ("and", "or", "implies", "iff"):
-        for a in grid:
-            for b in grid:
-                v = eval_connective(tnorm, kind, (a, b))
-                assert 0.0 <= v <= 1.0
-    for a in grid:
-        assert 0.0 <= eval_connective(tnorm, "not", (a,)) <= 1.0
+        for implication in IMPLICATIONS:
+            v = truth(tnorm, BODIES[kind], grid[:, None], grid[None, :],
+                      implication=implication)
+            assert ((0.0 <= v) & (v <= 1.0)).all(), (kind, implication)
+    v = truth(tnorm, BODIES["not"], grid)
+    assert ((0.0 <= v) & (v <= 1.0)).all()
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=UNIT, b=UNIT, c=UNIT, tnorm=st.sampled_from(TNORMS))
 def test_tnorm_axioms(a, b, c, tnorm):
-    assert t_norm(tnorm, a, b) == t_norm(tnorm, b, a)
-    assert t_norm(tnorm, a, 1.0) == pytest.approx(a, abs=1e-15)
-    left = t_norm(tnorm, t_norm(tnorm, a, b), c)
-    right = t_norm(tnorm, a, t_norm(tnorm, b, c))
+    def t_norm(x, y):
+        return truth(tnorm, BODIES["and"], x, y)
+
+    assert t_norm(a, b) == t_norm(b, a)
+    assert t_norm(a, 1.0) == pytest.approx(a, abs=1e-15)
+    left = truth(tnorm, "(A(x) and B(x)) and C(x)", a, b, c)
+    right = truth(tnorm, "A(x) and (B(x) and C(x))", a, b, c)
     assert left == pytest.approx(right, abs=1e-9)
     # Monotone in each argument, bounded by the minimum.
-    assert t_norm(tnorm, a, b) <= min(a, b) + 1e-15
+    assert t_norm(a, b) <= min(a, b) + 1e-15
     if a <= c:
-        assert t_norm(tnorm, a, b) <= t_norm(tnorm, c, b) + 1e-15
+        assert t_norm(a, b) <= t_norm(c, b) + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=UNIT, b=UNIT, tnorm=st.sampled_from(TNORMS))
 def test_conorm_duality_and_residuum_bounds(a, b, tnorm):
-    assert t_conorm(tnorm, a, b) == pytest.approx(
-        1.0 - t_norm(tnorm, 1.0 - a, 1.0 - b), abs=1e-15
+    assert truth(tnorm, BODIES["or"], a, b) == pytest.approx(
+        1.0 - truth(tnorm, BODIES["and"], 1.0 - a, 1.0 - b), abs=1e-15
     )
-    r = residuum(tnorm, a, b)
+    r = truth(tnorm, BODIES["implies"], a, b)
     assert 0.0 <= r <= 1.0
     if a <= b:
         assert r == 1.0
 
 
 def test_aggregate_frozen_values():
-    assert aggregate_quantifier(FORALL, [1.0, 1.0, 1.0]) == 0.0
-    assert aggregate_quantifier(FORALL, [0.5, 0.75]) == pytest.approx(0.75, abs=1e-15)
-    assert aggregate_quantifier(EXISTS, [0.2, 0.9]) == pytest.approx(0.1, abs=1e-15)
+    assert penalty("forall", [1.0, 1.0, 1.0]) == 0.0
+    assert penalty("forall", [0.5, 0.75]) == pytest.approx(0.75, abs=1e-15)
+    assert penalty("exists", [0.2, 0.9]) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_aggregate_identities_exact():
     rng = np.random.default_rng(7)
     for _ in range(200):
         t = rng.uniform(0.0, 1.0, size=rng.integers(1, 12))
-        assert aggregate_quantifier(EXISTS, t) == aggregate_quantifier(EXISTS_N, t, n=1)
-        assert aggregate_quantifier(FORALL, t) == aggregate_quantifier(
-            EXISTS_N, t, n=t.size
-        )
+        assert penalty("exists", t) == penalty("exists[1]", t)
+        assert penalty("forall", t) == penalty(f"exists[{t.size}]", t)
 
 
 def test_aggregate_exists_n_partial_sum():
     t = np.array([0.9, 0.2, 0.6, 0.4])
     # Penalties are (0.1, 0.8, 0.4, 0.6); the two smallest are 0.1 and 0.4.
-    assert aggregate_quantifier(EXISTS_N, t, n=2) == pytest.approx(0.5, abs=1e-15)
+    assert penalty("exists[2]", t) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_aggregate_validation():
-    with pytest.raises(ValueError):
-        aggregate_quantifier(FORALL, [])
-    with pytest.raises(ValueError):
-        aggregate_quantifier(EXISTS_N, [0.5, 0.5], n=3)
-    with pytest.raises(ValueError):
-        aggregate_quantifier(EXISTS_N, [0.5, 0.5], n=0)
-    with pytest.raises(ValueError):
-        aggregate_quantifier(EXISTS_N, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        aggregate_quantifier("most", [0.5])
-    with pytest.raises(ValueError):
-        aggregate_quantifier(FORALL, [1.5])
+    # An empty domain, a count above the domain size and exists[0] are
+    # rejected by compile_constraint and parse_rule (test_compiler, test_parser).
+    with pytest.raises(ParseError, match="count"):
+        parse_rule("exists[] x:D. P(x)")
+    with pytest.raises(ParseError, match="quantifier"):
+        parse_rule("most x:D. P(x)")
