@@ -26,6 +26,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,8 @@ class ExperimentConfig:
                 f"unknown kernel {self.kernel!r} (choose from {KERNEL_CHOICES})"
             )
         _validate_rule_tokens(self.rules)
+        if self.jobs is not None and self.jobs < 1:
+            raise CliError(f"config key 'jobs' must be at least 1, got {self.jobs}")
 
     def echo(self) -> dict[str, str]:
         """The resolved settings as writable config lines.
@@ -240,6 +243,12 @@ class Dataset:
     cut: GoCut
     dropped: tuple[str, ...]
 
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Proteins × cut nodes: True where the protein carries the node."""
+        members = [self.cut.proteins(node) for node in self.cut.nodes()]
+        return np.array([[p in m for m in members] for p in self.proteins], dtype=bool)
+
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
     """Parse the ontology and annotations, then adapt and cut.
@@ -337,7 +346,7 @@ def build_rules(config: ExperimentConfig, cut: GoCut):
         else:
             variant = PP if token.startswith("PP") else DPP
             bound_mode = "given" if token.endswith("1") else "learned"
-            rules.extend(generate_ppi_rules(cut, variant, bound_mode))
+            rules.extend(generate_ppi_rules(cut, variant))
     return rules, bound_mode
 
 
@@ -420,34 +429,26 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     return pairs, (tuple(examples), gram)
 
 
-def _fold_tasks(data: Dataset, gram: GramMatrix, training: set[str],
+def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],
                 bound_mode: str | None, bound_data) -> list[TaskSpec]:
-    tasks = []
-    for node in data.cut.nodes():
-        members = data.cut.proteins(node)
-        labels = {p: (1.0 if p in members else 0.0) for p in training}
-        tasks.append(
-            TaskSpec(data.cut.predicate(node), 1, data.proteins,
-                     LEARNED, gram=gram, labels=labels)
-        )
+    """One learned spec for all cut nodes, labelled by the membership rows of
+    the training proteins; then BOUND, given or learned."""
+    training = np.array([p not in held_out for p in data.proteins])
+    predicates = tuple(data.cut.predicate(node) for node in data.cut.nodes())
+    tasks = [TaskSpec(predicates, 1, data.proteins, LEARNED, gram=gram,
+                      labels=np.where(training, data.membership.T, np.nan))]
     if bound_mode == "given":
         pairs, _ = bound_data
-        if pairs:
-            tasks.append(
-                TaskSpec("BOUND", 2, pairs, GIVEN,
-                         values={pair: 1.0 for pair in pairs})
-            )
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, GIVEN, values=dict.fromkeys(pairs, 1.0)))
     elif bound_mode == "learned":
+        # A pair is labelled only where both of its proteins train.
         pairs, (examples, pair_gram) = bound_data
         positive = set(pairs)
-        labels = {
-            e: (1.0 if (min(e), max(e)) in positive else 0.0)
-            for e in examples
-            if e[0] in training and e[1] in training
-        }
-        tasks.append(
-            TaskSpec("BOUND", 2, examples, LEARNED, gram=pair_gram, labels=labels)
-        )
+        labels = [float((min(e), max(e)) in positive)
+                  if e[0] not in held_out and e[1] not in held_out else np.nan
+                  for e in examples]
+        tasks.append(TaskSpec(("BOUND",), 2, examples, LEARNED, gram=pair_gram,
+                              labels=[labels]))
     return tasks
 
 
@@ -455,9 +456,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
               data: Dataset, gram: GramMatrix, rules, bound_mode,
               bound_data, out_dir: str) -> FoldOutcome:
     held_out = set(fold)
-    training = set(data.proteins) - held_out
-    assert not (training & held_out), "fold leaked into its training set"
-    tasks = _fold_tasks(data, gram, training, bound_mode, bound_data)
+    tasks = _fold_tasks(data, gram, held_out, bound_mode, bound_data)
     if config.train.constraint_scope == "unsupervised":
         scope = tuple(p for p in data.proteins if p in held_out)
     else:
@@ -476,12 +475,10 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
             f"fold = {index}\n{failure}\n",
         )
         return FoldOutcome(index, failure=failure)
-    nodes = data.cut.nodes()
     held = np.flatnonzero([p in held_out for p in data.proteins])
-    predictions = tuple(m[held] for m in predict(model, tasks[:len(nodes)], config.train))
+    predictions = tuple(m[held] for m in predict(model, tasks[0], config.train))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
-                         [data.proteins[i] for i in held],
-                         [data.cut.predicate(node) for node in nodes], *predictions)
+                         [data.proteins[i] for i in held], tasks[0].predicates, *predictions)
     pairs: tuple[str, ...] = ()
     bound: tuple[np.ndarray, ...] = ()
     if bound_mode == "learned":
@@ -489,7 +486,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         task = tasks[-1]
         scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
         pairs = tuple(pair_key(task.examples[i]) for i in scored)
-        bound = tuple(m[scored] for m in predict(model, [task], config.train))
+        bound = tuple(m[scored] for m in predict(model, task, config.train))
     trace_lines = [
         f"stage=1 step={i} objective={value:.17g}"
         for i, value in enumerate(model.trace.stage1)
@@ -522,10 +519,7 @@ def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
             whole[outcome.held_out] = part
     io.write_predictions(os.path.join(out_dir, "predictions.tsv"), data.proteins,
                          [cut.predicate(node) for node in nodes], *merged)
-    truth = np.zeros(shape, dtype=bool)
-    for j, node in enumerate(nodes):
-        members = cut.proteins(node)
-        truth[:, j] = [p in members for p in data.proteins]
+    truth = data.membership
 
     real = [j for j, node in enumerate(nodes) if not cut.is_bin(node)]
     node_level = PredictionSet.from_matrices(nodes, data.proteins, truth, predicted, undecided)
@@ -628,7 +622,10 @@ def cmd_run(config: ExperimentConfig) -> int:
 def _out_dir(config: ExperimentConfig) -> str:
     if config.out is None:
         raise CliError("an output directory is required (config 'out' or --out)")
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {config.out} ({exc.strerror})") from exc
     return config.out
 
 
@@ -704,7 +701,11 @@ def cmd_export_tree(config: ExperimentConfig) -> int:
         parts = line.split("\t")
         if len(parts) != 4:
             raise io.DataFileError(stats_path, number, f"expected 4 fields, got {line!r}")
+        if parts[0] in per_node:
+            raise io.DataFileError(stats_path, number, f"duplicate node {parts[0]!r}")
         per_node[parts[0]] = tuple(io.parse_real(stats_path, number, v) for v in parts[1:])
+        if not all(0.0 <= v <= 1.0 for v in per_node[parts[0]]):
+            raise io.DataFileError(stats_path, number, f"score outside [0, 1] in {line!r}")
 
     cut = data.cut
     lines = ["digraph cut {", "  rankdir=BT;", '  node [shape=box];']

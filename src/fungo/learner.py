@@ -1,9 +1,10 @@
 """Multitask kernel-machine training under compiled rule constraints.
 
-Each learned task is a kernel expansion over its example list: raw scores are
-``s = G @ alpha`` and fuzzy truth values are ``clip(s, 0, 1)``.  Tasks sharing
-one Gram object are trained as one block: their weights stack into a K x n
-matrix ``A`` with scores ``S = A @ G``, one product for all K tasks.  The objective
+Each learned predicate is a kernel expansion over its example list: raw scores
+are ``s = G @ alpha`` and fuzzy truth values are ``clip(s, 0, 1)``.  A learned
+``TaskSpec`` is one block of K predicates sharing a Gram matrix and a K x n
+label matrix: their weights stack into a K x n matrix ``A`` with scores
+``S = A @ G``, one product for all K predicates.  The objective
 
     lambda_r * sum_k alpha_k' G_k alpha_k
     + sum_k sum_{i labeled} (s_k(i) - y_k(i))**2
@@ -78,81 +79,69 @@ def pair_key(pair: tuple[str, str]) -> str:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One predicate to train, or to read from a table, over an example list.
+    """Predicates to train over one example list, or one to read from a table.
 
-    Learned tasks carry a Gram matrix aligned with ``examples`` and 0/1
-    labels on the supervised subset.  Given tasks carry a read-only value
-    table instead and are never touched by training.
+    A learned spec is one block: K predicates that share a Gram matrix
+    aligned with ``examples`` and a K x n label matrix, 1.0 or 0.0 where
+    supervised and NaN where not (``None``: nowhere).  A given spec names one
+    predicate and carries a read-only value table that training never touches.
     """
 
-    predicate: str
+    predicates: tuple[str, ...]
     arity: int
     examples: tuple[Example, ...]
     mode: str = LEARNED
     gram: GramMatrix | None = None
-    labels: Mapping[Example, float] | None = None
+    labels: np.ndarray | None = None
     values: Mapping[Example, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.predicates, tuple) or not self.predicates:
+            raise LearnerError(f"task predicates must be a non-empty tuple, got {self.predicates!r}")
+        name = f"task {self.predicates[0]!r}"
         if self.arity not in (1, 2):
-            raise LearnerError(f"task {self.predicate!r}: arity must be 1 or 2")
+            raise LearnerError(f"{name}: arity must be 1 or 2")
         if self.mode not in (LEARNED, GIVEN):
-            raise LearnerError(f"task {self.predicate!r}: unknown mode {self.mode!r}")
+            raise LearnerError(f"{name}: unknown mode {self.mode!r}")
         if len(set(self.examples)) != len(self.examples):
-            raise LearnerError(f"task {self.predicate!r}: duplicate examples")
+            raise LearnerError(f"{name}: duplicate examples")
         if self.mode == LEARNED:
             if self.gram is None:
-                raise LearnerError(f"task {self.predicate!r}: learned task needs a Gram matrix")
+                raise LearnerError(f"{name}: learned task needs a Gram matrix")
             expected = tuple(
                 e if self.arity == 1 else pair_key(e) for e in self.examples  # type: ignore[arg-type]
             )
             if self.gram.ids != expected:
-                raise LearnerError(
-                    f"task {self.predicate!r}: Gram ids do not match the example list"
-                )
-            labels = self.labels or {}
-            known = set(self.examples)
-            for example, value in labels.items():
-                if example not in known:
-                    raise LearnerError(
-                        f"task {self.predicate!r}: label on unknown example {example!r}"
-                    )
-                if value not in (0, 1, 0.0, 1.0):
-                    raise LearnerError(
-                        f"task {self.predicate!r}: labels must be 0 or 1, got {value!r}"
-                    )
+                raise LearnerError(f"{name}: Gram ids do not match the example list")
+            shape = (len(self.predicates), self.size)
+            labels = np.full(shape, np.nan) if self.labels is None else np.array(
+                self.labels, dtype=np.float64)
+            if labels.shape != shape:
+                raise LearnerError(f"{name}: labels have shape {labels.shape}, expected {shape}")
+            if not (np.isnan(labels) | (labels == 0.0) | (labels == 1.0)).all():
+                raise LearnerError(f"{name}: labels must be 0, 1 or NaN (unsupervised)")
+            labels.flags.writeable = False
+            object.__setattr__(self, "labels", labels)
         else:
+            if len(self.predicates) != 1:
+                raise LearnerError(f"{name}: a given task names exactly one predicate")
             if self.values is None:
-                raise LearnerError(f"task {self.predicate!r}: given task needs a value table")
+                raise LearnerError(f"{name}: given task needs a value table")
             missing = [e for e in self.examples if e not in self.values]
             if missing:
-                raise LearnerError(
-                    f"task {self.predicate!r}: no value for example {missing[0]!r}"
-                )
+                raise LearnerError(f"{name}: no value for example {missing[0]!r}")
             # Truths in [0, 1] keep every rule penalty non-negative, which
             # the line search relies on to skip the rules of rejected trials.
             for example, value in self.values.items():
                 if not 0.0 <= value <= 1.0:
                     raise LearnerError(
-                        f"task {self.predicate!r}: value {value!r} for example "
+                        f"{name}: value {value!r} for example "
                         f"{example!r} is not a truth in [0, 1]"
                     )
 
     @property
     def size(self) -> int:
         return len(self.examples)
-
-    def labeled_indices(self) -> np.ndarray:
-        labels = self.labels or {}
-        return np.array(
-            [i for i, e in enumerate(self.examples) if e in labels], dtype=np.intp
-        )
-
-    def label_vector(self) -> np.ndarray:
-        labels = self.labels or {}
-        return np.array(
-            [float(labels[e]) for e in self.examples if e in labels], dtype=np.float64
-        )
 
 
 @dataclass(frozen=True)
@@ -215,55 +204,35 @@ class Model:
 
 
 def predicate_bindings(tasks: Iterable[TaskSpec]) -> dict[str, PredicateBinding]:
-    """Compiler bindings for a task list: index maps for learned predicates,
-    value tables for given ones."""
+    """Compiler bindings for a task list: the predicates of a learned spec
+    share one index map; a given one binds its value table."""
     out: dict[str, PredicateBinding] = {}
     for task in tasks:
-        if task.predicate in out:
-            raise LearnerError(f"duplicate task predicate {task.predicate!r}")
         if task.mode == GIVEN:
-            out[task.predicate] = PredicateBinding(
-                task.predicate, task.arity, GIVEN, table=dict(task.values or {})
-            )
-        elif task.arity == 1:
-            positions = {e: i for i, e in enumerate(task.examples)}
-            out[task.predicate] = PredicateBinding(
-                task.predicate, 1, LEARNED, positions=positions
-            )
+            source = {"table": dict(task.values or {})}
         else:
-            pair_positions = {e: i for i, e in enumerate(task.examples)}
-            out[task.predicate] = PredicateBinding(
-                task.predicate, 2, LEARNED, pair_positions=pair_positions
-            )
+            index = {e: i for i, e in enumerate(task.examples)}
+            source = {"positions" if task.arity == 1 else "pair_positions": index}
+        for predicate in task.predicates:
+            if predicate in out:
+                raise LearnerError(f"duplicate task predicate {predicate!r}")
+            out[predicate] = PredicateBinding(predicate, task.arity, task.mode, **source)
     return out
 
 
-def decision_values(model: Model, task: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Raw scores ``G @ alpha`` and their clamp to [0, 1]."""
-    if task.mode != LEARNED:
-        raise LearnerError(f"task {task.predicate!r} is not learned")
-    alpha = np.asarray(model.alpha(task.predicate), dtype=np.float64)
-    if alpha.shape != (task.size,):
-        raise LearnerError(
-            f"weights for {task.predicate!r} have shape {alpha.shape}, "
-            f"expected ({task.size},)"
-        )
-    scores = task.gram.matrix @ alpha  # type: ignore[union-attr]
-    return scores, np.clip(scores, 0.0, 1.0)
-
-
 class _Block(NamedTuple):
-    """Learned tasks sharing one Gram object, and so one example list."""
+    """One learned spec: its Gram matrix, predicates and labels as arrays."""
 
     gram: np.ndarray
-    predicates: tuple[str, ...]  # one row of every K x n array per task
+    predicates: tuple[str, ...]  # one row of every K x n array per predicate
     mask: np.ndarray  # 1.0 on labeled examples
     targets: np.ndarray  # the labels there, 0.0 elsewhere
 
 
 class _Workspace:
-    """Validated, array-ified view of one training problem, one block per Gram.
-    Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is exactly symmetric."""
+    """Validated, array-ified view of one training problem, one block per
+    learned spec.  Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is
+    exactly symmetric."""
 
     def __init__(
         self,
@@ -277,32 +246,23 @@ class _Workspace:
         if not self.learned:
             raise LearnerError("training needs at least one learned task")
         seen: set[str] = set()
-        for task in tasks:
-            if task.predicate in seen:
-                raise LearnerError(f"duplicate task predicate {task.predicate!r}")
-            seen.add(task.predicate)
+        for predicate in (p for task in tasks for p in task.predicates):
+            if predicate in seen:
+                raise LearnerError(f"duplicate task predicate {predicate!r}")
+            seen.add(predicate)
         self.constraints = tuple(constraints)
-        by_gram: dict[int, list[TaskSpec]] = {}
-        for task in self.learned:
-            by_gram.setdefault(id(task.gram), []).append(task)
         self.blocks: list[_Block] = []
-        for group in by_gram.values():
-            gram = group[0].gram
+        for task in self.learned:
             if check_psd:
-                ok, smallest = gram.psd_check()  # type: ignore[union-attr]
+                ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
                 if not ok:
                     raise LearnerError(
-                        f"Gram matrix of task {group[0].predicate!r} is not positive "
+                        f"Gram matrix of task {task.predicates[0]!r} is not positive "
                         f"semi-definite (smallest eigenvalue {smallest:.3g})"
                     )
-            mask = np.zeros((len(group), gram.size))  # type: ignore[union-attr]
-            targets = np.zeros_like(mask)
-            for row, task in enumerate(group):
-                labeled = task.labeled_indices()
-                mask[row, labeled] = 1.0
-                targets[row, labeled] = task.label_vector()
-            predicates = tuple(t.predicate for t in group)
-            self.blocks.append(_Block(gram.matrix, predicates, mask, targets))  # type: ignore[union-attr]
+            labels = task.labels
+            self.blocks.append(_Block(task.gram.matrix, task.predicates,  # type: ignore[union-attr]
+                                      1.0 - np.isnan(labels), np.nan_to_num(labels, nan=0.0)))
         self.rule_set = CompiledRuleSet(
             self.constraints, [(b.predicates, b.gram.shape[0]) for b in self.blocks]
         )
@@ -312,9 +272,8 @@ class _Workspace:
         self.kappa = 4.0 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
     def unstack(self, weights: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-        """Per-task copies of the stacked rows, in task order."""
-        rows = {p: a[k] for b, a in zip(self.blocks, weights) for k, p in enumerate(b.predicates)}
-        return {t.predicate: rows[t.predicate].copy() for t in self.learned}
+        """Per-predicate copies of the stacked rows, in task order."""
+        return {p: a[k].copy() for b, a in zip(self.blocks, weights) for k, p in enumerate(b.predicates)}
 
     def scores(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [a @ b.gram for b, a in zip(self.blocks, weights)]
@@ -530,19 +489,26 @@ def train(
 
 
 def predict(
-    model: Model, tasks: Sequence[TaskSpec], config: TrainConfig
+    model: Model, task: TaskSpec, config: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Examples × tasks truths, decisions and undecided flags of learned
-    tasks that share one example list.
+    """Examples × predicates truths, decisions and undecided flags of one
+    learned spec.
 
-    Column k is task k's own clamped ``G @ alpha`` (see ``decision_values``).
-    A truth at or above the threshold reads positive; truths within the
-    undecided band around it are additionally flagged.
+    Column k is the clamped ``G @ alpha_k`` of predicate k, one product per
+    column (``A @ G`` would differ in the last bits).  A truth at or above
+    the threshold reads positive; truths within the undecided band around it
+    are additionally flagged.
     """
-    examples = tasks[0].examples
-    if any(task.examples != examples for task in tasks):
-        raise LearnerError("predicted tasks must share one example list")
-    truths = np.column_stack([decision_values(model, task)[1] for task in tasks])
+    if task.mode != LEARNED:
+        raise LearnerError(f"task {task.predicates[0]!r} is not learned")
+    columns = []
+    for predicate in task.predicates:
+        alpha = np.asarray(model.alpha(predicate), dtype=np.float64)
+        if alpha.shape != (task.size,):
+            raise LearnerError(f"weights for {predicate!r} have shape {alpha.shape}, "
+                               f"expected ({task.size},)")
+        columns.append(task.gram.matrix @ alpha)  # type: ignore[union-attr]
+    truths = np.clip(np.column_stack(columns), 0.0, 1.0)
     positive = truths >= config.threshold
     undecided = np.abs(truths - config.threshold) < config.undecided_band
     return truths, positive, undecided

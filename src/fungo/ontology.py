@@ -33,7 +33,6 @@ PROTEIN_DOMAIN = "Prot"
 PP = "PP"
 DPP = "DPP"
 PPI_VARIANTS = (PP, DPP)
-BOUND_MODES = ("given", "learned")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"forall", "exists", "and", "or", "not", BOUND_PREDICATE})
@@ -618,19 +617,15 @@ def generate_part_of_rules(cut: GoCut) -> list[Formula]:
     return rules
 
 
-def generate_ppi_rules(cut: GoCut, variant: str, bound_mode: str) -> list[Formula]:
+def generate_ppi_rules(cut: GoCut, variant: str) -> list[Formula]:
     """Interaction rules over the BOUND pair predicate.
 
     PP emits, for every retained term P, ``BOUND(x,y) => (P(x) <=> P(y))``.
     DPP emits a single weaker rule whose conclusion is a disjunction of
-    ``P(x) and P(y)`` over the biological-process terms of the cut.  The
-    ``bound_mode`` argument is validated here and tells the caller whether
-    BOUND should be bound to ingested pair values or to a learned predicate.
+    ``P(x) and P(y)`` over the biological-process terms of the cut.
     """
     if variant not in PPI_VARIANTS:
         raise OntologyError(f"unknown interaction-rule variant {variant!r}")
-    if bound_mode not in BOUND_MODES:
-        raise OntologyError(f"unknown bound mode {bound_mode!r}")
     quantifiers = (
         Quantifier(FORALL, "x", PROTEIN_DOMAIN),
         Quantifier(FORALL, "y", PROTEIN_DOMAIN),

@@ -151,14 +151,12 @@ def _smooth_objective_instance(rng):
         ids = tuple(f"p{i}" for i in range(n))
         basis = rng.normal(size=(n, n))
         gram = GramMatrix(ids, basis @ basis.T / n + 0.2 * np.eye(n))
-        tasks = []
-        for name in ("A", "B"):
-            labels = {
-                ids[i]: float(rng.integers(0, 2))
-                for i in range(n)
-                if rng.random() < 0.8
-            }
-            tasks.append(TaskSpec(name, 1, ids, gram=gram, labels=labels))
+        labels = np.full((2, n), np.nan)
+        for row in labels:  # A, then B
+            for i in range(n):
+                if rng.random() < 0.8:
+                    row[i] = float(rng.integers(0, 2))
+        tasks = [TaskSpec(("A", "B"), 1, ids, gram=gram, labels=labels)]
         tnorm = TNORMS[int(rng.integers(len(TNORMS)))]
         constraint = compile_constraint(
             parse_rule(f"forall x:{PROTEIN_DOMAIN}. A(x) => B(x)"),
@@ -227,7 +225,7 @@ def test_unconstrained_training_reaches_ridge_solution():
         basis = rng.normal(size=(n, n))
         gram = GramMatrix(ids, basis @ basis.T / n + 0.05 * np.eye(n))
         y = rng.integers(0, 2, size=n).astype(float)
-        task = TaskSpec("A", 1, ids, gram=gram, labels={ids[i]: y[i] for i in range(n)})
+        task = TaskSpec(("A",), 1, ids, gram=gram, labels=[y])
         config = TrainConfig(
             lambda_r=float(rng.uniform(0.5, 2.0)),
             lambda_c=0.0,

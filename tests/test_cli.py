@@ -293,6 +293,47 @@ class TestRun:
                      for name in outcome.pairs}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
+    @pytest.mark.parametrize("rules", ["OC", "OC+PP2"])
+    def test_fold_specs_match_the_per_protein_labels(self, dataset, monkeypatch, rules):
+        (dataset / "pairs.csv").write_text(
+            "p1|p2,p3|p8,p1|p5,p4|p6,p9|p1\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(5) + 0.5)
+        )
+        cfg = write_config(dataset, rules=rules, pair_gram="pairs.csv")
+        calls = []
+        fold_tasks = cli._fold_tasks
+
+        def record(data, gram, held_out, *rest):
+            tasks = fold_tasks(data, gram, held_out, *rest)
+            calls.append((set(held_out), tasks))
+            return tasks
+
+        monkeypatch.setattr(cli, "_fold_tasks", record)
+        assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        fold_of = read_folds(str(dataset / "out" / "folds.tsv"))
+        assert sorted(sorted(held) for held, _ in calls) == sorted(
+            sorted(p for p in fold_of if fold_of[p] == f) for f in set(fold_of.values()))
+        cut = cli.load_dataset(parse_experiment_config(read_config(cfg), str(dataset))).cut
+        proteins = tuple(f"p{i}" for i in range(1, 9))
+        interactions = {frozenset(("p1", "p2")), frozenset(("p3", "p8"))}
+        for held, tasks in calls:
+            learned = [t for t in tasks if t.mode == "learned"]
+            assert len(learned) == (2 if rules == "OC+PP2" else 1)
+            nodes = learned[0]
+            assert nodes.predicates == tuple(cut.predicate(n) for n in cut.nodes())
+            assert nodes.examples == proteins
+            expected = [[np.nan if p in held else float(p in cut.proteins(n)) for p in proteins]
+                        for n in cut.nodes()]
+            assert np.array_equal(nodes.labels, expected, equal_nan=True)
+            if rules == "OC+PP2":
+                bound = learned[1]
+                assert bound.predicates == ("BOUND",) and bound.gram.ids == (
+                    "p1|p2", "p3|p8", "p1|p5", "p4|p6")
+                expected = [[float(frozenset(e) in interactions)
+                             if e[0] not in held and e[1] not in held else np.nan
+                             for e in bound.examples]]
+                assert np.array_equal(bound.labels, expected, equal_nan=True)
+
     def test_merged_files_are_the_union_of_the_fold_files(self, tmp_path, monkeypatch):
         # The hierarchy fixture with a learned pair predicate: ten chained
         # interactions, and a pair Gram over them, the reversals of two of
@@ -423,6 +464,24 @@ class TestExportTree:
         assert f"per_node.tsv:2: {message}" in capsys.readouterr().err
         assert not (dataset / "out_bad" / "tree.dot").exists()
 
+    def test_scores_outside_the_unit_interval_and_repeated_rows_fail(self, dataset, capsys):
+        cfg = write_config(dataset)
+        assert main(["run", "--config", cfg]) == 0
+        path = dataset / "out" / "per_node.tsv"
+        header, first, *rest = path.read_text().splitlines()
+        node, *scores = first.split("\t")
+        config = cli.parse_experiment_config(read_config(cfg), str(dataset))
+        for column, value in ((0, "-0.1"), (1, "1.000001"), (2, "5.5")):
+            bad = "\t".join([node, *scores[:column], value, *scores[column + 1:]])
+            path.write_text("\n".join([header, bad, *rest]) + "\n")
+            with pytest.raises(fungo_io.DataFileError, match=r"per_node\.tsv:2: score outside"):
+                cli.cmd_export_tree(config)
+        # The row repeated further down: the later line is named.
+        path.write_text("\n".join([header, first, *rest, first]) + "\n")
+        assert main(["export-tree", "--config", cfg]) == 2
+        assert f"per_node.tsv:{len(rest) + 3}: duplicate node {node!r}" in capsys.readouterr().err
+        assert not (dataset / "out" / "tree.dot").exists()
+
 
 # What perfbench/tracing.py wraps and perfbench/setup_probe.py calls.
 BENCHMARK_HOOKS = """
@@ -474,6 +533,22 @@ class TestErrorHandling:
         cfg = write_config(dataset, rules="PP1", ppi=None)
         assert main(["run", "--config", cfg]) == 2
         assert "ppi" in capsys.readouterr().err
+
+    def test_output_path_that_is_a_file(self, dataset, capsys):
+        (dataset / "taken").write_text("")
+        cfg = write_config(dataset)
+        assert main(["folds", "--config", cfg, "--out", str(dataset / "taken")]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, dataset, capsys, jobs):
+        cfg = write_config(dataset, jobs=jobs)
+        assert main(["run", "--config", cfg]) == 2
+        assert f"'jobs' must be at least 1, got {jobs}" in capsys.readouterr().err
+        cfg = write_config(dataset, name="flag.cfg")
+        assert main(["run", "--config", cfg, f"--jobs={jobs}"]) == 2
+        assert f"'jobs' must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (dataset / "out").exists()
 
     def test_missing_required_key(self, dataset, capsys):
         (dataset / "broken.cfg").write_text("obo = onto.obo\n")

@@ -23,7 +23,6 @@ from fungo.learner import (
     Model,
     TaskSpec,
     TrainConfig,
-    decision_values,
     pair_key,
     predicate_bindings,
     predict,
@@ -36,9 +35,22 @@ def gram(ids, matrix):
     return GramMatrix(tuple(ids), np.asarray(matrix, dtype=np.float64))
 
 
+def row(ids, labels):
+    """One label row over ``ids``: the given 0/1 labels, NaN elsewhere."""
+    return [float(labels[e]) if e in labels else np.nan for e in ids]
+
+
 def identity_task(pred, n, labels=None):
     ids = tuple(f"p{i}" for i in range(n))
-    return TaskSpec(pred, 1, ids, gram=gram(ids, np.eye(n)), labels=labels or {})
+    return TaskSpec((pred,), 1, ids, gram=gram(ids, np.eye(n)), labels=[row(ids, labels or {})])
+
+
+def truths_of(model, tasks):
+    """Each learned predicate's clamped ``G @ alpha``, computed directly."""
+    return {
+        p: np.clip(t.gram.matrix @ model.alpha(p), 0.0, 1.0)
+        for t in tasks if t.mode == "learned" for p in t.predicates
+    }
 
 
 def random_pd_gram(rng, ids):
@@ -63,28 +75,29 @@ def test_objective_frozen_values():
     assert objective(zero, [unlabeled], [], cfg) == 0.0
 
 
-def test_decision_values_against_matvec():
+def test_predict_against_matvec():
     rng = np.random.default_rng(0)
     ids = tuple(f"p{i}" for i in range(6))
-    task = TaskSpec("A", 1, ids, gram=random_pd_gram(rng, ids))
+    task = TaskSpec(("A",), 1, ids, gram=random_pd_gram(rng, ids))
     alpha = rng.normal(size=6)
-    scores, truths = decision_values(Model({"A": alpha}), task)
+    truths = predict(Model({"A": alpha}), task, TrainConfig())[0][:, 0]
     brute = np.array([sum(task.gram.matrix[i, j] * alpha[j] for j in range(6)) for i in range(6)])
-    assert np.allclose(scores, brute, atol=1e-12)
+    assert np.allclose(truths, np.clip(brute, 0.0, 1.0), atol=1e-12)
+    assert 0 < ((brute > 0.0) & (brute < 1.0)).sum() < 6  # both sides of the clamp
     assert truths.min() >= 0.0 and truths.max() <= 1.0
 
-    zeros, ztruths = decision_values(Model({"A": np.zeros(6)}), task)
-    assert not zeros.any() and not ztruths.any()
+    ztruths = predict(Model({"A": np.zeros(6)}), task, TrainConfig())[0]
+    assert not ztruths.any()
 
     half = Model({"B": np.full(4, 0.5)})
-    _, f = decision_values(half, identity_task("B", 4))
+    f = predict(half, identity_task("B", 4), TrainConfig())[0][:, 0]
     assert np.array_equal(f, np.full(4, 0.5))
 
 
-def test_decision_values_size_mismatch():
+def test_predict_size_mismatch():
     task = identity_task("A", 3)
     with pytest.raises(LearnerError, match="shape"):
-        decision_values(Model({"A": np.zeros(2)}), task)
+        predict(Model({"A": np.zeros(2)}), task, TrainConfig())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -94,7 +107,7 @@ def test_stage1_matches_ridge_closed_form(seed):
     ids = tuple(f"p{i}" for i in range(n))
     g = random_pd_gram(rng, ids)
     y = rng.integers(0, 2, size=n).astype(float)
-    task = TaskSpec("A", 1, ids, gram=g, labels={ids[i]: y[i] for i in range(n)})
+    task = TaskSpec(("A",), 1, ids, gram=g, labels=[y])
     cfg = TrainConfig(lambda_r=1.0, lambda_c=0.0, tolerance=1e-14, max_iterations=3000)
     model = train([task], [], cfg)
     expected = np.linalg.solve(cfg.lambda_r * np.eye(n) + g.matrix, y)
@@ -106,7 +119,7 @@ def test_stage1_trace_is_non_increasing():
     rng = np.random.default_rng(3)
     ids = tuple(f"p{i}" for i in range(6))
     task = TaskSpec(
-        "A", 1, ids, gram=random_pd_gram(rng, ids), labels={ids[0]: 1.0, ids[3]: 0.0}
+        ("A",), 1, ids, gram=random_pd_gram(rng, ids), labels=[row(ids, {ids[0]: 1.0, ids[3]: 0.0})]
     )
     model = train([task], [], TrainConfig(lambda_c=0.0))
     trace = model.trace.stage1
@@ -119,11 +132,9 @@ def _constrained_problem(lambda_c, *, scope_all=True, seed=7):
     rng = np.random.default_rng(seed)
     ids = tuple(f"p{i}" for i in range(6))
     coupling = gram(ids, 0.5 * np.eye(6) + 0.5 / 6.0)
-    child = TaskSpec(
-        "C", 1, ids, gram=coupling, labels={ids[0]: 1.0, ids[1]: 1.0, ids[2]: 1.0}
-    )
-    parent = TaskSpec("P", 1, ids, gram=coupling)
-    tasks = [child, parent]
+    # The labelled child C and the unlabelled parent P, one block.
+    labels = [row(ids, {ids[0]: 1.0, ids[1]: 1.0, ids[2]: 1.0}), row(ids, {})]
+    tasks = [TaskSpec(("C", "P"), 1, ids, gram=coupling, labels=labels)]
     domain = list(ids) if scope_all else list(ids[3:])
     rule = parse_rule("forall x:Prot. C(x) => P(x)")
     constraint = compile_constraint(
@@ -136,15 +147,14 @@ def _constrained_problem(lambda_c, *, scope_all=True, seed=7):
 def test_constraint_pushes_parent_above_child():
     tasks, constraints, cfg = _constrained_problem(50.0, scope_all=False)
     model = train(tasks, constraints, cfg)
-    _, child_truth = decision_values(model, tasks[0])
-    _, parent_truth = decision_values(model, tasks[1])
+    child_truth, parent_truth = predict(model, tasks[0], cfg)[0].T
     # Unsupervised tail: the implication must hold there after training.
     assert (parent_truth[3:] >= child_truth[3:] - 5e-3).all()
     assert model.trace.stage2, "constraint stage should have run"
 
     # Without constraints the parent stays at zero.
     bare = train(tasks, [], cfg)
-    _, bare_parent = decision_values(bare, tasks[1])
+    bare_parent = predict(bare, tasks[0], cfg)[0][:, 1]
     assert not bare_parent.any()
 
 
@@ -163,34 +173,31 @@ def test_full_objective_gradient_matches_finite_differences():
     checked = 0
     while checked < 6:
         tasks, constraints, cfg = _constrained_problem(2.0, seed=int(rng.integers(1 << 30)))
-        alphas = {
-            t.predicate: rng.normal(scale=0.35, size=t.size) for t in tasks
-        }
+        (block,) = tasks
+        alphas = {p: rng.normal(scale=0.35, size=block.size) for p in block.predicates}
         model = Model(alphas)
         # Keep probes away from clamp and constraint kinks.
         margin_ok = True
-        outputs = {}
-        for t in tasks:
-            s, f = decision_values(model, t)
-            outputs[t.predicate] = f
+        for p in block.predicates:
+            s = block.gram.matrix @ alphas[p]
             if np.min(np.abs(s)) < 1e-3 or np.min(np.abs(s - 1.0)) < 1e-3:
                 margin_ok = False
-        if not margin_ok or nonsmooth_margin(constraints[0], outputs) < 1e-3:
+        if not margin_ok or nonsmooth_margin(constraints[0], truths_of(model, tasks)) < 1e-3:
             continue
         checked += 1
         grads = objective_gradient(model, tasks, constraints, cfg)
         h = 1e-6
-        for t in tasks:
-            analytic = grads[t.predicate]
-            for i in range(t.size):
+        for p in block.predicates:
+            analytic = grads[p]
+            for i in range(block.size):
                 bump = dict(alphas)
-                up = alphas[t.predicate].copy()
+                up = alphas[p].copy()
                 up[i] += h
-                bump[t.predicate] = up
+                bump[p] = up
                 j_up = objective(Model(bump), tasks, constraints, cfg)
-                down = alphas[t.predicate].copy()
+                down = alphas[p].copy()
                 down[i] -= h
-                bump[t.predicate] = down
+                bump[p] = down
                 j_down = objective(Model(bump), tasks, constraints, cfg)
                 numeric = (j_up - j_down) / (2 * h)
                 scale = max(1.0, abs(numeric), abs(analytic[i]))
@@ -214,23 +221,24 @@ def _rule_problem(rng, tnorm, implication, bound_mode):
     """Five unary tasks, a BOUND task and every FORMULA_POOL rule over them."""
     ids = tuple(f"p{i}" for i in range(5))
     tasks = [
-        TaskSpec(name, 1, ids, gram=random_pd_gram(rng, ids), labels={ids[0]: 1.0, ids[1]: 0.0})
+        TaskSpec((name,), 1, ids, gram=random_pd_gram(rng, ids),
+                 labels=[row(ids, {ids[0]: 1.0, ids[1]: 0.0})])
         for name in "ABCDE"
     ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
     if bound_mode == "given":
         values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
-        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram))
     bindings = predicate_bindings(tasks)
     constraints = [
         compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings,
                            implication=implication)
         for text in FORMULA_POOL
     ]
-    alphas = {t.predicate: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
+    alphas = {t.predicates[0]: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
     return tasks, constraints, Model(alphas)
 
 
@@ -242,10 +250,10 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
     tasks, constraints, model = _rule_problem(rng, tnorm, implication, bound_mode)
     cfg = TrainConfig(lambda_c=0.7, tnorm=tnorm)
     learned = [t for t in tasks if t.mode == "learned"]
-    outputs = {t.predicate: decision_values(model, t)[1] for t in learned}
+    outputs = truths_of(model, tasks)
 
     value = objective(model, tasks, [], cfg)
-    dtruth = {t.predicate: np.zeros(t.size) for t in learned}
+    dtruth = {t.predicates[0]: np.zeros(t.size) for t in learned}
     for constraint in constraints:
         phi, partials = constraint.penalty_and_gradients(outputs)
         value += cfg.lambda_c * phi
@@ -256,60 +264,64 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
     bare = objective_gradient(model, tasks, [], cfg)
     grads = objective_gradient(model, tasks, constraints, cfg)
     for task in learned:
-        scores, _ = decision_values(model, task)
+        (p,) = task.predicates
+        scores = task.gram.matrix @ model.alpha(p)
         inside = (scores >= 0.0) & (scores <= 1.0)
-        expected = bare[task.predicate] + cfg.lambda_c * (
-            task.gram.matrix @ np.where(inside, dtruth[task.predicate], 0.0)
+        expected = bare[p] + cfg.lambda_c * (
+            task.gram.matrix @ np.where(inside, dtruth[p], 0.0)
         )
         tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
-        assert np.abs(grads[task.predicate] - expected).max() <= tol, task.predicate
+        assert np.abs(grads[p] - expected).max() <= tol, p
 
 
 def _stacked_problem(rng, tnorm, bound_mode):
-    """Tasks over four Gram objects: A, B and the rule-free F share one, C and
-    D share another with different labeled sets, and the unlabeled E has its
-    own; BOUND is a given table or a learned pair task with its own Gram."""
+    """Specs over four Gram matrices: A, B and the rule-free F share one, C
+    and D share another with different labeled sets, and the unlabeled E has
+    its own; BOUND is a given table or a learned pair spec with its own Gram."""
     ids = tuple(f"p{i}" for i in range(6))
     shared, other, own = (random_pd_gram(rng, ids) for _ in range(3))
     tasks = [
-        TaskSpec("A", 1, ids, gram=shared, labels={ids[0]: 1.0, ids[1]: 0.0}),
-        TaskSpec("C", 1, ids, gram=other, labels={ids[2]: 1.0}),
-        TaskSpec("B", 1, ids, gram=shared, labels={ids[1]: 1.0, ids[4]: 1.0, ids[5]: 0.0}),
-        TaskSpec("E", 1, ids, gram=own),
-        TaskSpec("D", 1, ids, gram=other, labels={ids[0]: 0.0, ids[3]: 1.0}),
-        TaskSpec("F", 1, ids, gram=shared, labels={ids[5]: 1.0}),
+        TaskSpec(("A", "B", "F"), 1, ids, gram=shared, labels=[
+            row(ids, {ids[0]: 1.0, ids[1]: 0.0}),
+            row(ids, {ids[1]: 1.0, ids[4]: 1.0, ids[5]: 0.0}),
+            row(ids, {ids[5]: 1.0}),
+        ]),
+        TaskSpec(("C", "D"), 1, ids, gram=other, labels=[
+            row(ids, {ids[2]: 1.0}), row(ids, {ids[0]: 0.0, ids[3]: 1.0}),
+        ]),
+        TaskSpec(("E",), 1, ids, gram=own),
     ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
     if bound_mode == "given":
         values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
-        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram))
     bindings = predicate_bindings(tasks)
     constraints = [
         compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings)
         for text in FORMULA_POOL
     ]
-    alphas = {t.predicate: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
+    names = ["A", "C", "B", "E", "D", "F"] + (["BOUND"] if bound_mode == "learned" else [])
+    alphas = {p: rng.normal(scale=0.4, size=len(pairs) if p == "BOUND" else 6) for p in names}
     return tasks, constraints, Model(alphas)
 
 
 def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
     """Reference objective and gradient: one product with G per task and term,
     and the per-rule penalties and gradients summed rule by rule."""
-    learned = [t for t in tasks if t.mode == "learned"]
-    scores = {t.predicate: t.gram.matrix @ alphas[t.predicate] for t in learned}
+    learned = [(t, k, p) for t in tasks if t.mode == "learned" for k, p in enumerate(t.predicates)]
+    scores = {p: t.gram.matrix @ alphas[p] for t, _, p in learned}
     total = 0.0
     grads = {}
-    for task in learned:
-        p = task.predicate
+    for task, k, p in learned:
         s = scores[p]
         total += config.lambda_r * float(alphas[p] @ s)
         grads[p] = config.lambda_r * 2.0 * s
-        idx = task.labeled_indices()
+        idx = np.flatnonzero(~np.isnan(task.labels[k]))
         if idx.size:
-            residual = s[idx] - task.label_vector()
+            residual = s[idx] - task.labels[k][idx]
             total += float(residual @ residual)
             full = np.zeros_like(s)
             full[idx] = residual
@@ -322,8 +334,7 @@ def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
             total += lambda_c * phi
             for p, grad in partials.items():
                 dtruth[p] += grad
-        for task in learned:
-            p = task.predicate
+        for task, _, p in learned:
             s = scores[p]
             inside = (s >= 0.0) & (s <= 1.0)
             dscore = np.where(inside, dtruth[p], 0.0)
@@ -337,7 +348,7 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
     rng = np.random.default_rng(23)
     tasks, constraints, model = _stacked_problem(rng, tnorm, bound_mode)
     blocks = learner._Workspace(tasks, constraints, TrainConfig()).blocks
-    assert [b.predicates for b in blocks][:3] == [("A", "B", "F"), ("C", "D"), ("E",)]
+    assert [b.predicates for b in blocks] == [t.predicates for t in tasks if t.mode == "learned"]
     assert len(blocks) == (4 if bound_mode == "learned" else 3)
     for lambda_c in (0.0, 0.7):
         cfg = TrainConfig(lambda_r=0.3, lambda_c=lambda_c, tnorm=tnorm)
@@ -345,7 +356,7 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
             value, grads = _per_task_evaluate(tasks, rules, cfg, model.alphas, lambda_c)
             assert objective(model, tasks, rules, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
             stacked = objective_gradient(model, tasks, rules, cfg)
-            assert list(stacked) == [t.predicate for t in tasks if t.mode == "learned"]
+            assert list(stacked) == [p for t in tasks if t.mode == "learned" for p in t.predicates]
             for pred, expected in grads.items():
                 tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
                 assert np.abs(stacked[pred] - expected).max() <= tol, pred
@@ -402,7 +413,7 @@ def test_each_accepted_step_costs_three_products_per_gram(monkeypatch, caplog):
         if task.mode == "learned" and id(task.gram) not in counting:
             counting[id(task.gram)] = GramMatrix(task.gram.ids, task.gram.matrix.view(_CountingGram))
     tasks = [
-        TaskSpec(t.predicate, t.arity, t.examples, gram=counting[id(t.gram)], labels=t.labels)
+        TaskSpec(t.predicates, t.arity, t.examples, gram=counting[id(t.gram)], labels=t.labels)
         if t.mode == "learned" else t
         for t in tasks
     ]
@@ -437,23 +448,30 @@ def test_descent_logs_where_its_trials_were_decided(caplog):
 
 
 def _random_problem(rng, tnorm, bound_mode, n_rules):
-    """Unary tasks over one to three Gram objects with random labeled sets,
-    a BOUND task and ``n_rules`` rules drawn from FORMULA_POOL."""
+    """Unary predicates over one to three Gram matrices with random labeled
+    sets, one spec per Gram; a BOUND spec and ``n_rules`` rules drawn from
+    FORMULA_POOL."""
     n = int(rng.integers(3, 7))
     ids = tuple(f"p{i}" for i in range(n))
     grams = [random_pd_gram(rng, ids) for _ in range(int(rng.integers(1, 4)))]
-    tasks = []
+    by_gram = {}
     for name in "ABCDE":
         labeled = [e for e in ids if rng.random() < 0.4]
-        labels = {e: float(rng.integers(2)) for e in labeled}
-        tasks.append(TaskSpec(name, 1, ids, gram=grams[rng.integers(len(grams))], labels=labels))
+        labels = row(ids, {e: float(rng.integers(2)) for e in labeled})
+        by_gram.setdefault(int(rng.integers(len(grams))), []).append((name, labels))
+    tasks = [
+        TaskSpec(tuple(name for name, _ in group), 1, ids, gram=grams[g],
+                 labels=[labels for _, labels in group])
+        for g, group in by_gram.items()
+    ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5) or ((ids[0], ids[1]),)
     if bound_mode == "given":
         values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec("BOUND", 2, pairs, mode="given", values=values))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
-        tasks.append(TaskSpec("BOUND", 2, pairs, gram=pair_gram, labels={pairs[0]: 1.0}))
+        tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram,
+                              labels=[row(pairs, {pairs[0]: 1.0})]))
     bindings = predicate_bindings(tasks)
     texts = [FORMULA_POOL[i] for i in rng.permutation(len(FORMULA_POOL))[:n_rules]]
     constraints = [
@@ -579,14 +597,15 @@ def test_psd_check_runs_once_per_gram(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    # Two specs on the one Gram, in three runs.
     for labels in ({"p0": 1.0}, {"p1": 1.0}, {"p2": 0.0}):
-        tasks = [TaskSpec(p, 1, ids, gram=shared, labels=labels) for p in "AB"]
+        tasks = [TaskSpec((p,), 1, ids, gram=shared, labels=[row(ids, labels)]) for p in "AB"]
         train(tasks, [], TrainConfig(max_iterations=2))
     assert len(calls) == 1
     # The error still names the first task of each run that uses the Gram.
     bad = gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     for first in "XY":
-        tasks = [TaskSpec(p, 1, ("p0", "p1"), gram=bad) for p in (first, "Z")]
+        tasks = [TaskSpec((p,), 1, ("p0", "p1"), gram=bad) for p in (first, "Z")]
         with pytest.raises(LearnerError, match=f"task '{first}' is not positive"):
             train(tasks, [], TrainConfig())
     assert len(calls) == 2
@@ -601,9 +620,9 @@ def test_fixed_step_divergence_guard():
 
 def test_given_bound_flows_into_unary_predicate():
     ids = ("p0", "p1", "p2")
-    task_a = TaskSpec("A", 1, ids, gram=gram(ids, np.eye(3)), labels={"p0": 1.0})
+    task_a = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(3)), labels=[row(ids, {"p0": 1.0})])
     pairs = (("p0", "p1"),)
-    bound = TaskSpec("BOUND", 2, pairs, mode="given", values={("p0", "p1"): 1.0})
+    bound = TaskSpec(("BOUND",), 2, pairs, mode="given", values={("p0", "p1"): 1.0})
     tasks = [task_a, bound]
     rule = parse_rule("forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))")
     constraint = compile_constraint(
@@ -611,9 +630,9 @@ def test_given_bound_flows_into_unary_predicate():
     )
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
     model = train(tasks, [constraint], cfg)
-    _, truths = decision_values(model, task_a)
+    truths = predict(model, task_a, cfg)[0][:, 0]
     bare = train(tasks, [], cfg)
-    _, bare_truths = decision_values(bare, task_a)
+    bare_truths = predict(bare, task_a, cfg)[0][:, 0]
     # p1 interacts with the positively-labeled p0, so its truth is pulled up.
     assert truths[1] > bare_truths[1] + 0.1
     assert abs(truths[2] - bare_truths[2]) < 0.05
@@ -625,66 +644,100 @@ def test_predict_threshold_conventions():
     cfg = TrainConfig(threshold=0.5, undecided_band=0.05)
     ids = ("p0", "p1", "p2", "p3")
     truth_values = np.array([0.5, 0.525, 0.475, 0.9])
-    task = TaskSpec("A", 1, ids, gram=gram(ids, np.eye(4)))
+    task = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(4)))
     model = Model({"A": truth_values})
-    truths, positive, undecided = predict(model, [task], cfg)
+    truths, positive, undecided = predict(model, task, cfg)
     assert truths.shape == positive.shape == undecided.shape == (4, 1)
     assert positive[:, 0].tolist() == [True, True, False, True]
     assert undecided[:, 0].tolist() == [True, True, True, False]
 
 
-def test_predict_stacks_each_tasks_own_decision_values():
+def test_predict_stacks_each_predicates_own_matvec():
     rng = np.random.default_rng(3)
     ids = tuple(f"p{i}" for i in range(7))
     root = rng.normal(size=(7, 7))
     shared = gram(ids, root @ root.T)
-    tasks = [TaskSpec(name, 1, ids, gram=shared) for name in ("A", "B", "C")]
-    model = Model({t.predicate: rng.normal(size=7) for t in tasks})
-    truths, positive, undecided = predict(model, tasks, TrainConfig())
-    for k, task in enumerate(tasks):
-        assert truths[:, k].tobytes() == decision_values(model, task)[1].tobytes()
+    task = TaskSpec(("A", "B", "C"), 1, ids, gram=shared)
+    model = Model({p: rng.normal(size=7) for p in task.predicates})
+    truths, positive, undecided = predict(model, task, TrainConfig())
+    direct = truths_of(model, [task])
+    for k, p in enumerate(task.predicates):
+        assert truths[:, k].tobytes() == direct[p].tobytes()
     assert np.array_equal(positive, truths >= 0.5)
     pairs = (("a", "b"),)
-    bound = TaskSpec("BOUND", 2, pairs, mode="given", values={pairs[0]: 1.0})
+    bound = TaskSpec(("BOUND",), 2, pairs, mode="given", values={pairs[0]: 1.0})
     with pytest.raises(LearnerError, match="not learned"):
-        predict(model, [bound], TrainConfig())
-    other = TaskSpec("D", 1, ids[::-1], gram=gram(ids[::-1], np.eye(7)))
-    with pytest.raises(LearnerError, match="one example list"):
-        predict(Model({**model.alphas, "D": np.zeros(7)}), [*tasks, other], TrainConfig())
+        predict(model, bound, TrainConfig())
+    with pytest.raises(LearnerError, match="no weights for predicate 'C'"):
+        predict(Model({"A": model.alpha("A"), "B": model.alpha("B")}), task, TrainConfig())
 
 
 def test_task_validation():
     ids = ("p0", "p1")
+    eye = gram(ids, np.eye(2))
+    with pytest.raises(LearnerError, match="non-empty tuple"):
+        TaskSpec("A", 1, ids, gram=eye)
+    with pytest.raises(LearnerError, match="non-empty tuple"):
+        TaskSpec((), 1, ids, gram=eye)
     with pytest.raises(LearnerError, match="Gram"):
-        TaskSpec("A", 1, ids)
-    with pytest.raises(LearnerError, match="label on unknown"):
-        TaskSpec("A", 1, ids, gram=gram(ids, np.eye(2)), labels={"zz": 1.0})
-    with pytest.raises(LearnerError, match="0 or 1"):
-        TaskSpec("A", 1, ids, gram=gram(ids, np.eye(2)), labels={"p0": 0.5})
+        TaskSpec(("A",), 1, ids)
+    for labels in ([[1.0, 0.0, 1.0]], [1.0, 0.0], [[1.0, 0.0]] * 2):
+        with pytest.raises(LearnerError, match=r"labels have shape .*, expected \(1, 2\)"):
+            TaskSpec(("A",), 1, ids, gram=eye, labels=labels)
+    for value in (0.5, -1.0, float("inf")):
+        with pytest.raises(LearnerError, match="0, 1 or NaN"):
+            TaskSpec(("A",), 1, ids, gram=eye, labels=[[np.nan, value]])
     with pytest.raises(LearnerError, match="value table"):
-        TaskSpec("B", 2, (("a", "b"),), mode="given")
+        TaskSpec(("B",), 2, (("a", "b"),), mode="given")
     with pytest.raises(LearnerError, match="no value"):
-        TaskSpec("B", 2, (("a", "b"),), mode="given", values={})
+        TaskSpec(("B",), 2, (("a", "b"),), mode="given", values={})
+    with pytest.raises(LearnerError, match="exactly one predicate"):
+        TaskSpec(("B", "C"), 2, (("a", "b"),), mode="given", values={("a", "b"): 1.0})
     with pytest.raises(LearnerError, match="ids do not match"):
-        TaskSpec("A", 1, ids, gram=gram(("x", "y"), np.eye(2)))
+        TaskSpec(("A",), 1, ids, gram=gram(("x", "y"), np.eye(2)))
     pair = ("a", "b")
     for value in (1.5, -0.25, float("nan"), float("inf")):
         with pytest.raises(LearnerError, match=r"task 'B': value .* example \('a', 'b'\)"):
-            TaskSpec("B", 2, (pair,), mode="given", values={pair: value})
+            TaskSpec(("B",), 2, (pair,), mode="given", values={pair: value})
     for value in (0.0, 0.5, 1.0):
-        TaskSpec("B", 2, (pair,), mode="given", values={pair: value})
+        TaskSpec(("B",), 2, (pair,), mode="given", values={pair: value})
+
+
+def test_task_labels_are_a_read_only_copy():
+    ids = ("p0", "p1", "p2")
+    source = np.array([[1.0, np.nan, 0.0], [np.nan, np.nan, 1.0]])
+    task = TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3)), labels=source)
+    source[:] = 0.0
+    assert np.array_equal(task.labels, [[1.0, np.nan, 0.0], [np.nan, np.nan, 1.0]], equal_nan=True)
+    assert task.labels.dtype == np.float64 and not task.labels.flags.writeable
+    with pytest.raises(ValueError):
+        task.labels[0, 0] = 0.0
+    # No labels: every entry unsupervised.
+    bare = TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3)))
+    assert bare.labels.shape == (2, 3) and np.isnan(bare.labels).all()
 
 
 def test_train_validation():
     cfg = TrainConfig()
-    bound = TaskSpec("BOUND", 2, (("a", "b"),), mode="given", values={("a", "b"): 1.0})
+    bound = TaskSpec(("BOUND",), 2, (("a", "b"),), mode="given", values={("a", "b"): 1.0})
     with pytest.raises(LearnerError, match="at least one learned"):
         train([bound], [], cfg)
     bad = TaskSpec(
-        "A", 1, ("p0", "p1"), gram=gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ("A",), 1, ("p0", "p1"), gram=gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     )
     with pytest.raises(LearnerError, match="positive semi-definite"):
         train([bad], [], cfg)
+    # A predicate in two specs, or twice in one.
+    ids = ("p0", "p1")
+    for tasks in ([TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(2))),
+                   TaskSpec(("B", "A"), 1, ids, gram=gram(ids, np.eye(2)))],
+                  [TaskSpec(("A", "A"), 1, ids, gram=gram(ids, np.eye(2)))],
+                  [TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(2))),
+                   TaskSpec(("A",), 2, (("p0", "p1"),), mode="given", values={("p0", "p1"): 1.0})]):
+        with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
+            train(tasks, [], cfg)
+        with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
+            predicate_bindings(tasks)
     with pytest.raises(LearnerError):
         TrainConfig(lambda_r=-1.0)
     with pytest.raises(LearnerError):
@@ -696,20 +749,35 @@ def test_train_validation():
 def test_train_rejects_rules_that_do_not_fit_the_tasks():
     cfg = TrainConfig()
     ids = ("p0", "p1", "p2")
-    tasks = [TaskSpec(p, 1, ids, gram=gram(ids, np.eye(3))) for p in "AB"]
+    tasks = [TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3)))]
     rule = parse_rule("forall x:P. A(x) => C(x)")
     # C is learned in the bindings but no task trains it.
-    bindings = predicate_bindings(tasks + [TaskSpec("C", 1, ids, gram=gram(ids, np.eye(3)))])
+    bindings = predicate_bindings(tasks + [TaskSpec(("C",), 1, ids, gram=gram(ids, np.eye(3)))])
     untrained = compile_constraint(rule, "product", {"P": list(ids)}, bindings)
     with pytest.raises(CompileError, match=r"A\(x\) => C\(x\).*unknown learned predicate 'C'"):
         train(tasks, [untrained], cfg)
     # Compiled for four examples of B; the task trains three.
     more = ids + ("p3",)
-    bindings = predicate_bindings([TaskSpec(p, 1, more, gram=gram(more, np.eye(4))) for p in "AB"])
+    bindings = predicate_bindings([TaskSpec(("A", "B"), 1, more, gram=gram(more, np.eye(4)))])
     rule = parse_rule("forall x:P. A(x) => B(x)")
     resized = compile_constraint(rule, "product", {"P": list(more)}, bindings)
     with pytest.raises(CompileError, match=r"A\(x\) => B\(x\).*compiled for 4 outputs of 'A'"):
         train(tasks, [resized], cfg)
+
+
+def test_bindings_share_one_index_map_per_spec():
+    ids = ("p0", "p1", "p2")
+    pairs = (("p0", "p1"), ("p2", "p0"))
+    bindings = predicate_bindings([
+        TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3))),
+        TaskSpec(("BOUND",), 2, pairs, gram=gram(("p0|p1", "p2|p0"), np.eye(2))),
+        TaskSpec(("G",), 1, ids[:1], mode="given", values={"p0": 0.5}),
+    ])
+    assert bindings["A"].positions is bindings["B"].positions
+    assert bindings["A"].positions == {"p0": 0, "p1": 1, "p2": 2}
+    assert bindings["BOUND"].pair_positions == {pairs[0]: 0, pairs[1]: 1}
+    assert (bindings["BOUND"].arity, bindings["BOUND"].mode) == (2, "learned")
+    assert (bindings["G"].mode, bindings["G"].table) == ("given", {"p0": 0.5})
 
 
 def test_pair_key():

@@ -301,14 +301,14 @@ def test_part_of_rules_cross_namespace():
 
 def test_ppi_rules_pp_shape():
     cut = _small_tree_cut()
-    texts = [r.to_text() for r in generate_ppi_rules(cut, "PP", "given")]
+    texts = [r.to_text() for r in generate_ppi_rules(cut, "PP")]
     assert len(texts) == len(cut.retained)
     assert "forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))" in texts
 
 
 def test_ppi_rules_dpp_shape():
     cut = _small_tree_cut()
-    rules = generate_ppi_rules(cut, "DPP", "learned")
+    rules = generate_ppi_rules(cut, "DPP")
     assert len(rules) == 1
     text = rules[0].to_text()
     assert text == (
@@ -320,13 +320,11 @@ def test_ppi_rules_dpp_shape():
 def test_ppi_rules_validation():
     cut = _small_tree_cut()
     with pytest.raises(OntologyError, match="variant"):
-        generate_ppi_rules(cut, "XX", "given")
-    with pytest.raises(OntologyError, match="bound mode"):
-        generate_ppi_rules(cut, "PP", "maybe")
+        generate_ppi_rules(cut, "XX")
     dag = OntologyDag([Term("M", "", MF)], [])
     mf_cut = go_cut(dag, AnnotationSet({}), [MF], 0, 0)
     with pytest.raises(OntologyError, match="biological-process"):
-        generate_ppi_rules(mf_cut, "DPP", "given")
+        generate_ppi_rules(mf_cut, "DPP")
 
 
 # --- randomized battery ----------------------------------------------------
