@@ -51,8 +51,6 @@ from .kernels import (
     spectrum_gram,
 )
 from .learner import (
-    GIVEN,
-    LEARNED,
     DivergenceError,
     TaskSpec,
     TrainConfig,
@@ -61,7 +59,7 @@ from .learner import (
     predict,
     train,
 )
-from .logic import compile_constraint
+from .logic import GIVEN, PredicateBinding, compile_constraint
 from .ontology import (
     DPP,
     PP,
@@ -392,7 +390,8 @@ def _canonical_pairs(pairs, known: set[str]) -> tuple[tuple[str, str], ...]:
 
 def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
                   proteins: tuple[str, ...]):
-    """Interaction pairs and, for the learned mode, the pair Gram matrix."""
+    """Interaction pairs, with the given BOUND binding over them or, for the
+    learned mode, the pair examples and their Gram matrix."""
     if bound_mode is None:
         return None
     pairs = _canonical_pairs(
@@ -402,7 +401,7 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     if not pairs:
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
-        return pairs, None
+        return pairs, PredicateBinding("BOUND", 2, GIVEN, table=dict.fromkeys(pairs, 1.0))
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
     known = set(proteins)
@@ -431,24 +430,20 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
 
 def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],
                 bound_mode: str | None, bound_data) -> list[TaskSpec]:
-    """One learned spec for all cut nodes, labelled by the membership rows of
-    the training proteins; then BOUND, given or learned."""
+    """One spec for all cut nodes, labelled by the membership rows of the
+    training proteins; then a learned BOUND."""
     training = np.array([p not in held_out for p in data.proteins])
     predicates = tuple(data.cut.predicate(node) for node in data.cut.nodes())
-    tasks = [TaskSpec(predicates, 1, data.proteins, LEARNED, gram=gram,
+    tasks = [TaskSpec(predicates, 1, data.proteins, gram=gram,
                       labels=np.where(training, data.membership.T, np.nan))]
-    if bound_mode == "given":
-        pairs, _ = bound_data
-        tasks.append(TaskSpec(("BOUND",), 2, pairs, GIVEN, values=dict.fromkeys(pairs, 1.0)))
-    elif bound_mode == "learned":
+    if bound_mode == "learned":
         # A pair is labelled only where both of its proteins train.
         pairs, (examples, pair_gram) = bound_data
         positive = set(pairs)
         labels = [float((min(e), max(e)) in positive)
                   if e[0] not in held_out and e[1] not in held_out else np.nan
                   for e in examples]
-        tasks.append(TaskSpec(("BOUND",), 2, examples, LEARNED, gram=pair_gram,
-                              labels=[labels]))
+        tasks.append(TaskSpec(("BOUND",), 2, examples, gram=pair_gram, labels=[labels]))
     return tasks
 
 
@@ -462,6 +457,8 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
     else:
         scope = data.proteins
     bindings = predicate_bindings(tasks)
+    if bound_mode == "given":
+        bindings["BOUND"] = bound_data[1]
     constraints = [
         compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: scope}, bindings)
         for rule in rules
@@ -662,7 +659,11 @@ def cmd_folds(config: ExperimentConfig) -> int:
 def cmd_stats(config: ExperimentConfig) -> int:
     out_dir = _out_dir(config)
     data = load_dataset(config)
-    pairs = io.read_pairs(_require(config.ppi, "ppi", "for interaction statistics"))
+    # The pairs a run would use: each once, inside the dataset, no self-pairs.
+    pairs = _canonical_pairs(
+        io.read_pairs(_require(config.ppi, "ppi", "for interaction statistics")),
+        set(data.proteins),
+    )
     stats = ppi_statistics(pairs, data.closed, data.cut)
     lines = ["term\tname\tnamespace\tlevel\tpos\ttot\tratio"]
     for row in stats.rows:
@@ -714,6 +715,7 @@ def cmd_export_tree(config: ExperimentConfig) -> int:
             raise CliError(f"per-node statistics are missing node {node!r}")
         precision, recall, f1 = per_node[node]
         name = node if cut.is_bin(node) else data.dag.terms[node].name
+        name = name.replace("\\", "\\\\").replace('"', '\\"')  # a DOT string
         style = ", style=dashed" if cut.is_bin(node) else ""
         lines.append(
             f'  "{node}" [label="{name}\\n'

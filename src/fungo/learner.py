@@ -1,10 +1,10 @@
 """Multitask kernel-machine training under compiled rule constraints.
 
-Each learned predicate is a kernel expansion over its example list: raw scores
-are ``s = G @ alpha`` and fuzzy truth values are ``clip(s, 0, 1)``.  A learned
-``TaskSpec`` is one block of K predicates sharing a Gram matrix and a K x n
-label matrix: their weights stack into a K x n matrix ``A`` with scores
-``S = A @ G``, one product for all K predicates.  The objective
+Each predicate is a kernel expansion over its example list: raw scores are
+``s = G @ alpha`` and fuzzy truths are ``clip(s, 0, 1)``.  A ``TaskSpec`` is
+one block of K predicates sharing a Gram matrix and a K x n label matrix:
+their weights stack into a K x n matrix ``A`` with scores ``S = A @ G``, one
+product for all K predicates.  The objective
 
     lambda_r * sum_k alpha_k' G_k alpha_k
     + sum_k sum_{i labeled} (s_k(i) - y_k(i))**2
@@ -15,7 +15,7 @@ constraint penalties entirely (lambda_c = 0) and provides the starting point
 for the second, which optimises the full objective.  Each accepted step takes
 three products with G per block (the scores, the gradient ``D`` and ``D @ G``);
 a trial step ``A - t*D`` then scores as ``S - t*(D @ G)`` without one.  Steps
-use a backtracking line search by default; a fixed-step mode exists and is
+use a backtracking line search by default; fixed-step descent is available and
 guarded against divergence.
 
 Along the ray ``A - t*D`` the ridge and label part of the objective is a
@@ -29,6 +29,8 @@ negative, so every decision, and every trace value, equals the direct one.
 The rule set is compiled against the same block layout: it reads the K x n
 truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
 predicates against the layout, and returns one K x n gradient per block.
+Fixed evidence, such as an interaction list, is never a task: the rules read
+it as a given ``PredicateBinding``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import GramMatrix
-from .logic import GIVEN, LEARNED, CompiledConstraint, CompiledRuleSet, PredicateBinding, TNORMS
+from .logic import CompiledConstraint, CompiledRuleSet, PredicateBinding, TNORMS
 
 log = logging.getLogger(__name__)
 
@@ -79,21 +81,18 @@ def pair_key(pair: tuple[str, str]) -> str:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Predicates to train over one example list, or one to read from a table.
+    """K predicates trained as one block over one example list.
 
-    A learned spec is one block: K predicates that share a Gram matrix
-    aligned with ``examples`` and a K x n label matrix, 1.0 or 0.0 where
-    supervised and NaN where not (``None``: nowhere).  A given spec names one
-    predicate and carries a read-only value table that training never touches.
+    They share a Gram matrix aligned with ``examples`` and a K x n label
+    matrix, 1.0 or 0.0 where supervised and NaN where not (``None``:
+    nowhere).
     """
 
     predicates: tuple[str, ...]
     arity: int
     examples: tuple[Example, ...]
-    mode: str = LEARNED
     gram: GramMatrix | None = None
     labels: np.ndarray | None = None
-    values: Mapping[Example, float] | None = None
 
     def __post_init__(self):
         if not isinstance(self.predicates, tuple) or not self.predicates:
@@ -101,43 +100,24 @@ class TaskSpec:
         name = f"task {self.predicates[0]!r}"
         if self.arity not in (1, 2):
             raise LearnerError(f"{name}: arity must be 1 or 2")
-        if self.mode not in (LEARNED, GIVEN):
-            raise LearnerError(f"{name}: unknown mode {self.mode!r}")
         if len(set(self.examples)) != len(self.examples):
             raise LearnerError(f"{name}: duplicate examples")
-        if self.mode == LEARNED:
-            if self.gram is None:
-                raise LearnerError(f"{name}: learned task needs a Gram matrix")
-            expected = tuple(
-                e if self.arity == 1 else pair_key(e) for e in self.examples  # type: ignore[arg-type]
-            )
-            if self.gram.ids != expected:
-                raise LearnerError(f"{name}: Gram ids do not match the example list")
-            shape = (len(self.predicates), self.size)
-            labels = np.full(shape, np.nan) if self.labels is None else np.array(
-                self.labels, dtype=np.float64)
-            if labels.shape != shape:
-                raise LearnerError(f"{name}: labels have shape {labels.shape}, expected {shape}")
-            if not (np.isnan(labels) | (labels == 0.0) | (labels == 1.0)).all():
-                raise LearnerError(f"{name}: labels must be 0, 1 or NaN (unsupervised)")
-            labels.flags.writeable = False
-            object.__setattr__(self, "labels", labels)
-        else:
-            if len(self.predicates) != 1:
-                raise LearnerError(f"{name}: a given task names exactly one predicate")
-            if self.values is None:
-                raise LearnerError(f"{name}: given task needs a value table")
-            missing = [e for e in self.examples if e not in self.values]
-            if missing:
-                raise LearnerError(f"{name}: no value for example {missing[0]!r}")
-            # Truths in [0, 1] keep every rule penalty non-negative, which
-            # the line search relies on to skip the rules of rejected trials.
-            for example, value in self.values.items():
-                if not 0.0 <= value <= 1.0:
-                    raise LearnerError(
-                        f"{name}: value {value!r} for example "
-                        f"{example!r} is not a truth in [0, 1]"
-                    )
+        if self.gram is None:
+            raise LearnerError(f"{name}: a task needs a Gram matrix")
+        expected = tuple(
+            e if self.arity == 1 else pair_key(e) for e in self.examples  # type: ignore[arg-type]
+        )
+        if self.gram.ids != expected:
+            raise LearnerError(f"{name}: Gram ids do not match the example list")
+        shape = (len(self.predicates), self.size)
+        labels = np.full(shape, np.nan) if self.labels is None else np.array(
+            self.labels, dtype=np.float64)
+        if labels.shape != shape:
+            raise LearnerError(f"{name}: labels have shape {labels.shape}, expected {shape}")
+        if not (np.isnan(labels) | (labels == 0.0) | (labels == 1.0)).all():
+            raise LearnerError(f"{name}: labels must be 0, 1 or NaN (unsupervised)")
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -181,7 +161,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Objective values per accepted step, one tuple per stage.
+    """The objective at each accepted step, one tuple per stage.
 
     ``stage1[0]`` is the objective at the zero start; ``stage2`` is empty
     when the constraint stage was skipped (no constraints or lambda_c = 0).
@@ -204,24 +184,21 @@ class Model:
 
 
 def predicate_bindings(tasks: Iterable[TaskSpec]) -> dict[str, PredicateBinding]:
-    """Compiler bindings for a task list: the predicates of a learned spec
-    share one index map; a given one binds its value table."""
+    """Compiler bindings for a task list: the predicates of a spec share one
+    index map."""
     out: dict[str, PredicateBinding] = {}
     for task in tasks:
-        if task.mode == GIVEN:
-            source = {"table": dict(task.values or {})}
-        else:
-            index = {e: i for i, e in enumerate(task.examples)}
-            source = {"positions" if task.arity == 1 else "pair_positions": index}
+        index = {e: i for i, e in enumerate(task.examples)}
+        source = {"positions" if task.arity == 1 else "pair_positions": index}
         for predicate in task.predicates:
             if predicate in out:
                 raise LearnerError(f"duplicate task predicate {predicate!r}")
-            out[predicate] = PredicateBinding(predicate, task.arity, task.mode, **source)
+            out[predicate] = PredicateBinding(predicate, task.arity, **source)
     return out
 
 
 class _Block(NamedTuple):
-    """One learned spec: its Gram matrix, predicates and labels as arrays."""
+    """One spec: its Gram matrix, predicates and labels as arrays."""
 
     gram: np.ndarray
     predicates: tuple[str, ...]  # one row of every K x n array per predicate
@@ -231,7 +208,7 @@ class _Block(NamedTuple):
 
 class _Workspace:
     """Validated, array-ified view of one training problem, one block per
-    learned spec.  Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is
+    spec.  Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is
     exactly symmetric."""
 
     def __init__(
@@ -242,9 +219,8 @@ class _Workspace:
         check_psd: bool = False,
     ):
         self.config = config
-        self.learned = [t for t in tasks if t.mode == LEARNED]
-        if not self.learned:
-            raise LearnerError("training needs at least one learned task")
+        if not tasks:
+            raise LearnerError("training needs at least one task")
         seen: set[str] = set()
         for predicate in (p for task in tasks for p in task.predicates):
             if predicate in seen:
@@ -252,7 +228,7 @@ class _Workspace:
             seen.add(predicate)
         self.constraints = tuple(constraints)
         self.blocks: list[_Block] = []
-        for task in self.learned:
+        for task in tasks:
             if check_psd:
                 ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
                 if not ok:
@@ -401,7 +377,7 @@ def _descend(
     A line-search trial is first put to the ray's scalars (see
     ``_Workspace.ray``); only the trials they cannot reject build the trial
     arrays, and evaluate() adds the rules only to those within the Armijo
-    bound.  The fixed-step mode evaluates its one trial per step in full.
+    bound.  Fixed-step descent evaluates its one trial per step in full.
     """
     config = ws.config
     scores = ws.scores(weights)
@@ -420,7 +396,7 @@ def _descend(
             break
         moves = ws.scores(grads)  # type: ignore[arg-type]
         step = config.learning_rate
-        # The fixed-step mode takes its one trial whatever its value.
+        # Fixed-step descent takes its one trial whatever it scores.
         ray = ws.ray(weights, scores, grads, moves) if config.line_search else None  # type: ignore
         for _ in range(MAX_HALVINGS if config.line_search else 1):
             trials += 1
@@ -492,15 +468,13 @@ def predict(
     model: Model, task: TaskSpec, config: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Examples × predicates truths, decisions and undecided flags of one
-    learned spec.
+    spec.
 
     Column k is the clamped ``G @ alpha_k`` of predicate k, one product per
     column (``A @ G`` would differ in the last bits).  A truth at or above
     the threshold reads positive; truths within the undecided band around it
     are additionally flagged.
     """
-    if task.mode != LEARNED:
-        raise LearnerError(f"task {task.predicates[0]!r} is not learned")
     columns = []
     for predicate in task.predicates:
         alpha = np.asarray(model.alpha(predicate), dtype=np.float64)

@@ -19,6 +19,8 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,16 +53,18 @@ class CompileError(ValueError):
     """A formula cannot be grounded against the given bindings."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredicateBinding:
     """How a predicate symbol maps onto model outputs or fixed values.
 
     Learned predicates index into an output vector handed to the
     constraint at evaluation time: ``positions`` for unary predicates
     (example id -> vector index), ``pair_positions`` for binary ones.
-    Given predicates carry a read-only ``table`` of truth values instead.
-    Ids absent from the index or table read as constant 0.  Binary
-    lookups try ``(a, b)`` then ``(b, a)`` while ``symmetric`` is set.
+    Given predicates carry a read-only ``table`` of truth values instead,
+    each checked to lie in [0, 1]: that keeps every rule penalty
+    non-negative, which the learner's line search relies on to skip the
+    rules of rejected trials.  Ids absent from the index or table read as
+    constant 0.  Binary lookups try ``(a, b)`` then ``(b, a)``.
     """
 
     name: str
@@ -69,7 +73,19 @@ class PredicateBinding:
     positions: Mapping[str, int] | None = None
     pair_positions: Mapping[tuple[str, str], int] | None = None
     table: Mapping | None = None
-    symmetric: bool = True
+
+    def __post_init__(self):
+        if self.mode not in (LEARNED, GIVEN):
+            raise CompileError(f"predicate {self.name!r} has unknown mode {self.mode!r}")
+        if self.mode == GIVEN:
+            table = dict(self.table or {})
+            for key, value in table.items():
+                if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
+                    raise CompileError(
+                        f"predicate {self.name!r}: value {value!r} for {key!r} "
+                        f"is not a truth in [0, 1]"
+                    )
+            object.__setattr__(self, "table", MappingProxyType(table))
 
     def output_size(self) -> int:
         if self.mode != LEARNED:
@@ -91,9 +107,6 @@ class SlotBinding:
 @dataclass(frozen=True)
 class CompiledConstraint:
     formula: Formula
-    tnorm: str
-    implication: str
-    domains: dict[str, tuple[str, ...]]
     shape: tuple[int, ...]
     program: Program
     slots: tuple[SlotBinding, ...]
@@ -387,8 +400,6 @@ def compile_constraint(
             raise CompileError(
                 f"predicate {pred!r} bound with arity {binding.arity}, used with {arity}"
             )
-        if binding.mode not in (LEARNED, GIVEN):
-            raise CompileError(f"predicate {pred!r} has unknown mode {binding.mode!r}")
         modes[pred] = binding.mode
 
     shape = tuple(len(resolved[q.domain]) for q in formula.quantifiers)
@@ -413,9 +424,6 @@ def compile_constraint(
     program = _lower(formula.body, slot_order, TN_CODE[tnorm], implication)
     return CompiledConstraint(
         formula=formula,
-        tnorm=tnorm,
-        implication=implication,
-        domains=resolved,
         shape=shape,
         program=program,
         slots=tuple(slots),
@@ -431,12 +439,12 @@ def _bind_slot(
     mesh: np.ndarray,
 ) -> SlotBinding:
     if binding.mode == GIVEN:
-        table = binding.table or {}
+        table = binding.table
         if binding.arity == 1:
             col = np.array([float(table.get(i, 0.0)) for i in axis_ids[0]])
             const = col[mesh[axes[0]]]
         else:
-            mat = _pair_matrix(table, *axis_ids, binding.symmetric, 0.0, np.float64)
+            mat = _pair_matrix(table, *axis_ids, 0.0, np.float64)
             const = mat[mesh[axes[0]], mesh[axes[1]]]
         return SlotBinding(binding.name, args, GIVEN, 0, None, const)
 
@@ -446,7 +454,7 @@ def _bind_slot(
         gather = col[mesh[axes[0]]]
     else:
         index = binding.pair_positions or {}
-        mat = _pair_matrix(index, *axis_ids, binding.symmetric, -1, np.int64)
+        mat = _pair_matrix(index, *axis_ids, -1, np.int64)
         gather = mat[mesh[axes[0]], mesh[axes[1]]]
     return SlotBinding(binding.name, args, LEARNED, binding.output_size(), gather, None)
 
@@ -455,26 +463,24 @@ def _pair_matrix(
     entries: Mapping,
     left: tuple[str, ...],
     right: tuple[str, ...],
-    symmetric: bool,
     missing,
     dtype,
 ) -> np.ndarray:
     """``entries[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``.
 
-    A pair without an entry falls back to ``entries[(b, a)]`` while
-    ``symmetric`` is set, and to ``missing`` otherwise.  One walk over the
-    entries fills a matrix over the distinct ids.
+    A pair without an entry falls back to ``entries[(b, a)]``, and to
+    ``missing`` without either.  One walk over the entries fills a matrix
+    over the distinct ids.
     """
     rows = {a: i for i, a in enumerate(dict.fromkeys(left))}
     cols = {b: j for j, b in enumerate(dict.fromkeys(right))}
     mat = np.full((len(rows), len(cols)), missing, dtype=dtype)
     # The reversed entries go in first so that a direct entry overwrites them.
-    for first, second in ((1, 0), (0, 1)) if symmetric else ((0, 1),):
+    for first, second in ((1, 0), (0, 1)):
         hits = [
             (rows[key[first]], cols[key[second]], value)
             for key, value in entries.items()
-            if value is not None
-            and isinstance(key, tuple)
+            if isinstance(key, tuple)
             and len(key) == 2
             and key[first] in rows
             and key[second] in cols

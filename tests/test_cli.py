@@ -175,6 +175,13 @@ class TestSimpleCommands:
         kinase = [line for line in text.splitlines() if line.startswith("GO:0000004")]
         assert kinase and kinase[0].endswith("2\t2\t1.000")
         assert "scope\tcount\tmean\tmedian\tstd" in text
+        # Each pair in both orders, a self-pair and a pair with the dropped p9:
+        # counted as the run counts them, the report does not change.
+        (dataset / "ppi_noisy.tsv").write_text(
+            "p1\tp2\np2\tp1\np3\tp8\np8\tp3\np1\tp1\np9\tp1\n")
+        noisy = write_config(dataset, name="noisy.cfg", ppi="ppi_noisy.tsv", out="out_noisy")
+        assert main(["stats", "--config", noisy]) == 0
+        assert (dataset / "out_noisy" / "stats.txt").read_text() == text
 
     def test_out_flag_overrides_config(self, dataset, tmp_path):
         cfg = write_config(dataset, out=None)
@@ -293,7 +300,7 @@ class TestRun:
                      for name in outcome.pairs}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
-    @pytest.mark.parametrize("rules", ["OC", "OC+PP2"])
+    @pytest.mark.parametrize("rules", ["OC", "OC+PP1", "OC+PP2"])
     def test_fold_specs_match_the_per_protein_labels(self, dataset, monkeypatch, rules):
         (dataset / "pairs.csv").write_text(
             "p1|p2,p3|p8,p1|p5,p4|p6,p9|p1\n"
@@ -308,7 +315,15 @@ class TestRun:
             calls.append((set(held_out), tasks))
             return tasks
 
+        compiled = []
+        compile_constraint = cli.compile_constraint
+
+        def record_compile(rule, tnorm, domains, bindings):
+            compiled.append(bindings.get("BOUND"))
+            return compile_constraint(rule, tnorm, domains, bindings)
+
         monkeypatch.setattr(cli, "_fold_tasks", record)
+        monkeypatch.setattr(cli, "compile_constraint", record_compile)
         assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
         fold_of = read_folds(str(dataset / "out" / "folds.tsv"))
         assert sorted(sorted(held) for held, _ in calls) == sorted(
@@ -317,22 +332,31 @@ class TestRun:
         proteins = tuple(f"p{i}" for i in range(1, 9))
         interactions = {frozenset(("p1", "p2")), frozenset(("p3", "p8"))}
         for held, tasks in calls:
-            learned = [t for t in tasks if t.mode == "learned"]
-            assert len(learned) == (2 if rules == "OC+PP2" else 1)
-            nodes = learned[0]
+            assert len(tasks) == (2 if rules == "OC+PP2" else 1)
+            nodes = tasks[0]
             assert nodes.predicates == tuple(cut.predicate(n) for n in cut.nodes())
             assert nodes.examples == proteins
             expected = [[np.nan if p in held else float(p in cut.proteins(n)) for p in proteins]
                         for n in cut.nodes()]
             assert np.array_equal(nodes.labels, expected, equal_nan=True)
             if rules == "OC+PP2":
-                bound = learned[1]
+                bound = tasks[1]
                 assert bound.predicates == ("BOUND",) and bound.gram.ids == (
                     "p1|p2", "p3|p8", "p1|p5", "p4|p6")
                 expected = [[float(frozenset(e) in interactions)
                              if e[0] not in held and e[1] not in held else np.nan
                              for e in bound.examples]]
                 assert np.array_equal(bound.labels, expected, equal_nan=True)
+        # A given BOUND is one binding, built once per run, that every fold's
+        # rules compile against; it never becomes a task.
+        assert len(compiled) > len(calls)
+        if rules == "OC+PP1":
+            bound = compiled[0]
+            assert all(b is bound for b in compiled)
+            assert (bound.name, bound.arity, bound.mode) == ("BOUND", 2, "given")
+            assert bound.table == {("p1", "p2"): 1.0, ("p3", "p8"): 1.0}
+        else:
+            assert all(b is None or b.mode == "learned" for b in compiled)
 
     def test_merged_files_are_the_union_of_the_fold_files(self, tmp_path, monkeypatch):
         # The hierarchy fixture with a learned pair predicate: ten chained
@@ -444,6 +468,18 @@ class TestExportTree:
         assert "style=dashed" in dot
         assert "F1=0." in dot or "F1=1." in dot
         assert "kinase" in dot
+
+    def test_term_names_are_escaped_in_labels(self, dataset):
+        (dataset / "onto.obo").write_text(
+            SMALL_OBO.replace("name: kinase", 'name: a "b" \\ c'))
+        cfg = write_config(dataset)
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["export-tree", "--config", cfg]) == 0
+        dot = (dataset / "out" / "tree.dot").read_text()
+        assert '"GO:0000004" [label="a \\"b\\" \\\\ c\\nP=' in dot
+        # Outside the escapes, every line holds an even number of quotes.
+        for line in dot.splitlines():
+            assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0, line
 
     def test_tree_requires_run_outputs(self, dataset, capsys):
         cfg = write_config(dataset, out="out_fresh")

@@ -127,6 +127,46 @@ def test_given_mode_reads_table_and_gets_no_gradient():
     assert grads["A"][0] != 0.0 and grads["A"][1] != 0.0
 
 
+@pytest.mark.parametrize("arity", (1, 2))
+def test_given_truths_must_lie_in_the_unit_interval(arity):
+    key = "p0" if arity == 1 else ("p0", "p1")
+    for value in (1.5, -0.25, float("nan"), float("inf"), float("-inf"), None, "0.5"):
+        with pytest.raises(CompileError, match=r"'G': value .* is not a truth in \[0, 1\]"):
+            PredicateBinding("G", arity, mode="given", table={key: value})
+    for value in (0.0, 0.5, 1.0, 1, np.float64(0.25)):
+        PredicateBinding("G", arity, mode="given", table={key: value})
+    with pytest.raises(CompileError, match="unknown mode 'fixed'"):
+        PredicateBinding("G", arity, mode="fixed")
+
+
+def test_given_table_is_a_read_only_copy():
+    source = {"p0": 0.5}
+    binding = PredicateBinding("G", 1, mode="given", table=source)
+    source["p0"] = -0.5
+    assert binding.table == {"p0": 0.5}
+    with pytest.raises(TypeError):
+        binding.table["p0"] = -0.5
+    assert PredicateBinding("G", 1, mode="given").table == {}
+
+
+@pytest.mark.parametrize("tnorm", ("product", "minimum"))
+def test_a_negative_given_truth_never_reaches_a_penalty(tnorm):
+    # An unchecked table made this rule's penalty -0.5: a negative penalty
+    # would break the learner's skipping of the rules of rejected trials.
+    f = parse_rule("forall x:P. A(x) or not G(x)")
+    ids = ["p0", "p1"]
+    with pytest.raises(CompileError, match="not a truth"):
+        compile_constraint(f, tnorm, {"P": ids}, {
+            "A": _unary("A", ids),
+            "G": PredicateBinding("G", 1, mode="given", table={"p0": -0.5, "p1": 1.0}),
+        })
+    c = compile_constraint(f, tnorm, {"P": ids}, {
+        "A": _unary("A", ids),
+        "G": PredicateBinding("G", 1, mode="given", table={"p0": 0.0, "p1": 1.0}),
+    })
+    assert c.penalty({"A": np.array([0.0, 1.0])}) == 0.0
+
+
 def test_missing_pairs_read_as_zero():
     f = parse_rule("forall x:P. forall y:P. BOUND(x,y) => A(y)")
     ids = ["p0", "p1"]
@@ -239,20 +279,20 @@ def test_gradient_pass_penalty_is_exact(tnorm, implication):
         assert constraint.penalty(outputs) == phi, text
 
 
-def _pair_lookup_loop(entries, left, right, symmetric, missing):
-    """Reference pair lookup: one dict probe per (left, right) cell."""
+def _pair_lookup_loop(entries, left, right, missing):
+    """Reference pair lookup: one dict probe per (left, right) cell, then one
+    for the reversed pair."""
     mat = np.empty((len(left), len(right)))
     for i, a in enumerate(left):
         for j, b in enumerate(right):
             value = entries.get((a, b))
-            if value is None and symmetric:
+            if value is None:
                 value = entries.get((b, a))
             mat[i, j] = missing if value is None else value
     return mat
 
 
-@pytest.mark.parametrize("symmetric", (True, False))
-def test_pair_binding_matches_the_double_loop(symmetric):
+def test_pair_binding_matches_the_double_loop():
     rng = np.random.default_rng(5)
     f = parse_rule("forall x:P. forall y:Q. R(x,y) => R(y,x)")
     for _ in range(20):
@@ -264,14 +304,14 @@ def test_pair_binding_matches_the_double_loop(symmetric):
         positions = {key: k for k, key in enumerate(keys)}
         table = {key: float(rng.uniform()) for key in keys}
         bindings = {
-            "learned": PredicateBinding("R", 2, pair_positions=positions, symmetric=symmetric),
-            "given": PredicateBinding("R", 2, mode="given", table=table, symmetric=symmetric),
+            "learned": PredicateBinding("R", 2, pair_positions=positions),
+            "given": PredicateBinding("R", 2, mode="given", table=table),
         }
         for mode, binding in bindings.items():
             c = compile_constraint(f, "product", {"P": left, "Q": right}, {"R": binding})
             entries, missing = (positions, -1) if mode == "learned" else (table, 0.0)
-            forward = _pair_lookup_loop(entries, left, right, symmetric, missing)
-            backward = _pair_lookup_loop(entries, right, left, symmetric, missing)
+            forward = _pair_lookup_loop(entries, left, right, missing)
+            backward = _pair_lookup_loop(entries, right, left, missing)
             got = [slot.gather if mode == "learned" else slot.const for slot in c.slots]
             assert np.array_equal(got[0], forward.reshape(-1)), mode
             assert np.array_equal(got[1], backward.T.reshape(-1)), mode

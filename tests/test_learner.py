@@ -28,7 +28,9 @@ from fungo.learner import (
     predict,
     train,
 )
-from fungo.logic import IMPLICATIONS, TNORMS, CompileError, compile_constraint, parse_rule
+from fungo.logic import (
+    IMPLICATIONS, TNORMS, CompileError, PredicateBinding, compile_constraint, parse_rule,
+)
 
 
 def gram(ids, matrix):
@@ -46,11 +48,17 @@ def identity_task(pred, n, labels=None):
 
 
 def truths_of(model, tasks):
-    """Each learned predicate's clamped ``G @ alpha``, computed directly."""
+    """Each predicate's clamped ``G @ alpha``, computed directly."""
     return {
         p: np.clip(t.gram.matrix @ model.alpha(p), 0.0, 1.0)
-        for t in tasks if t.mode == "learned" for p in t.predicates
+        for t in tasks for p in t.predicates
     }
+
+
+def given_bound(rng, pairs):
+    """BOUND read from a table of random truths over ``pairs``, as rules see it."""
+    table = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
+    return {"BOUND": PredicateBinding("BOUND", 2, "given", table=table)}
 
 
 def random_pd_gram(rng, ids):
@@ -218,7 +226,8 @@ def test_exhausted_line_search_is_logged(monkeypatch, caplog):
 
 
 def _rule_problem(rng, tnorm, implication, bound_mode):
-    """Five unary tasks, a BOUND task and every FORMULA_POOL rule over them."""
+    """Five unary tasks, BOUND given or learned and every FORMULA_POOL rule
+    over them."""
     ids = tuple(f"p{i}" for i in range(5))
     tasks = [
         TaskSpec((name,), 1, ids, gram=random_pd_gram(rng, ids),
@@ -226,19 +235,19 @@ def _rule_problem(rng, tnorm, implication, bound_mode):
         for name in "ABCDE"
     ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
+    fixed = {}
     if bound_mode == "given":
-        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
+        fixed = given_bound(rng, pairs)
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
         tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram))
-    bindings = predicate_bindings(tasks)
+    bindings = {**predicate_bindings(tasks), **fixed}
     constraints = [
         compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings,
                            implication=implication)
         for text in FORMULA_POOL
     ]
-    alphas = {t.predicates[0]: rng.normal(scale=0.4, size=t.size) for t in tasks if t.mode == "learned"}
+    alphas = {t.predicates[0]: rng.normal(scale=0.4, size=t.size) for t in tasks}
     return tasks, constraints, Model(alphas)
 
 
@@ -249,11 +258,10 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
     rng = np.random.default_rng(17)
     tasks, constraints, model = _rule_problem(rng, tnorm, implication, bound_mode)
     cfg = TrainConfig(lambda_c=0.7, tnorm=tnorm)
-    learned = [t for t in tasks if t.mode == "learned"]
     outputs = truths_of(model, tasks)
 
     value = objective(model, tasks, [], cfg)
-    dtruth = {t.predicates[0]: np.zeros(t.size) for t in learned}
+    dtruth = {t.predicates[0]: np.zeros(t.size) for t in tasks}
     for constraint in constraints:
         phi, partials = constraint.penalty_and_gradients(outputs)
         value += cfg.lambda_c * phi
@@ -263,7 +271,7 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
 
     bare = objective_gradient(model, tasks, [], cfg)
     grads = objective_gradient(model, tasks, constraints, cfg)
-    for task in learned:
+    for task in tasks:
         (p,) = task.predicates
         scores = task.gram.matrix @ model.alpha(p)
         inside = (scores >= 0.0) & (scores <= 1.0)
@@ -292,13 +300,13 @@ def _stacked_problem(rng, tnorm, bound_mode):
         TaskSpec(("E",), 1, ids, gram=own),
     ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5)
+    fixed = {}
     if bound_mode == "given":
-        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
+        fixed = given_bound(rng, pairs)
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
         tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram))
-    bindings = predicate_bindings(tasks)
+    bindings = {**predicate_bindings(tasks), **fixed}
     constraints = [
         compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings)
         for text in FORMULA_POOL
@@ -311,7 +319,7 @@ def _stacked_problem(rng, tnorm, bound_mode):
 def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
     """Reference objective and gradient: one product with G per task and term,
     and the per-rule penalties and gradients summed rule by rule."""
-    learned = [(t, k, p) for t in tasks if t.mode == "learned" for k, p in enumerate(t.predicates)]
+    learned = [(t, k, p) for t in tasks for k, p in enumerate(t.predicates)]
     scores = {p: t.gram.matrix @ alphas[p] for t, _, p in learned}
     total = 0.0
     grads = {}
@@ -348,7 +356,7 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
     rng = np.random.default_rng(23)
     tasks, constraints, model = _stacked_problem(rng, tnorm, bound_mode)
     blocks = learner._Workspace(tasks, constraints, TrainConfig()).blocks
-    assert [b.predicates for b in blocks] == [t.predicates for t in tasks if t.mode == "learned"]
+    assert [b.predicates for b in blocks] == [t.predicates for t in tasks]
     assert len(blocks) == (4 if bound_mode == "learned" else 3)
     for lambda_c in (0.0, 0.7):
         cfg = TrainConfig(lambda_r=0.3, lambda_c=lambda_c, tnorm=tnorm)
@@ -356,7 +364,7 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
             value, grads = _per_task_evaluate(tasks, rules, cfg, model.alphas, lambda_c)
             assert objective(model, tasks, rules, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
             stacked = objective_gradient(model, tasks, rules, cfg)
-            assert list(stacked) == [p for t in tasks if t.mode == "learned" for p in t.predicates]
+            assert list(stacked) == [p for t in tasks for p in t.predicates]
             for pred, expected in grads.items():
                 tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
                 assert np.abs(stacked[pred] - expected).max() <= tol, pred
@@ -410,11 +418,10 @@ def test_each_accepted_step_costs_three_products_per_gram(monkeypatch, caplog):
     tasks, constraints, _ = _stacked_problem(rng, "product", "learned")
     counting = {}
     for task in tasks:
-        if task.mode == "learned" and id(task.gram) not in counting:
+        if id(task.gram) not in counting:
             counting[id(task.gram)] = GramMatrix(task.gram.ids, task.gram.matrix.view(_CountingGram))
     tasks = [
         TaskSpec(t.predicates, t.arity, t.examples, gram=counting[id(t.gram)], labels=t.labels)
-        if t.mode == "learned" else t
         for t in tasks
     ]
     monkeypatch.setattr(_CountingGram, "products", 0)
@@ -449,8 +456,8 @@ def test_descent_logs_where_its_trials_were_decided(caplog):
 
 def _random_problem(rng, tnorm, bound_mode, n_rules):
     """Unary predicates over one to three Gram matrices with random labeled
-    sets, one spec per Gram; a BOUND spec and ``n_rules`` rules drawn from
-    FORMULA_POOL."""
+    sets, one spec per Gram; BOUND given or learned and ``n_rules`` rules
+    drawn from FORMULA_POOL."""
     n = int(rng.integers(3, 7))
     ids = tuple(f"p{i}" for i in range(n))
     grams = [random_pd_gram(rng, ids) for _ in range(int(rng.integers(1, 4)))]
@@ -465,14 +472,14 @@ def _random_problem(rng, tnorm, bound_mode, n_rules):
         for g, group in by_gram.items()
     ]
     pairs = tuple((a, b) for a in ids for b in ids if a < b and rng.random() < 0.5) or ((ids[0], ids[1]),)
+    fixed = {}
     if bound_mode == "given":
-        values = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-        tasks.append(TaskSpec(("BOUND",), 2, pairs, mode="given", values=values))
+        fixed = given_bound(rng, pairs)
     else:
         pair_gram = random_pd_gram(rng, tuple(pair_key(pair) for pair in pairs))
         tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram,
                               labels=[row(pairs, {pairs[0]: 1.0})]))
-    bindings = predicate_bindings(tasks)
+    bindings = {**predicate_bindings(tasks), **fixed}
     texts = [FORMULA_POOL[i] for i in rng.permutation(len(FORMULA_POOL))[:n_rules]]
     constraints = [
         compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings) for text in texts
@@ -621,13 +628,11 @@ def test_fixed_step_divergence_guard():
 def test_given_bound_flows_into_unary_predicate():
     ids = ("p0", "p1", "p2")
     task_a = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(3)), labels=[row(ids, {"p0": 1.0})])
-    pairs = (("p0", "p1"),)
-    bound = TaskSpec(("BOUND",), 2, pairs, mode="given", values={("p0", "p1"): 1.0})
-    tasks = [task_a, bound]
+    tasks = [task_a]
+    bindings = {**predicate_bindings(tasks),
+                "BOUND": PredicateBinding("BOUND", 2, "given", table={("p0", "p1"): 1.0})}
     rule = parse_rule("forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))")
-    constraint = compile_constraint(
-        rule, "product", {"Prot": list(ids)}, predicate_bindings(tasks)
-    )
+    constraint = compile_constraint(rule, "product", {"Prot": list(ids)}, bindings)
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
     model = train(tasks, [constraint], cfg)
     truths = predict(model, task_a, cfg)[0][:, 0]
@@ -664,10 +669,6 @@ def test_predict_stacks_each_predicates_own_matvec():
     for k, p in enumerate(task.predicates):
         assert truths[:, k].tobytes() == direct[p].tobytes()
     assert np.array_equal(positive, truths >= 0.5)
-    pairs = (("a", "b"),)
-    bound = TaskSpec(("BOUND",), 2, pairs, mode="given", values={pairs[0]: 1.0})
-    with pytest.raises(LearnerError, match="not learned"):
-        predict(model, bound, TrainConfig())
     with pytest.raises(LearnerError, match="no weights for predicate 'C'"):
         predict(Model({"A": model.alpha("A"), "B": model.alpha("B")}), task, TrainConfig())
 
@@ -687,20 +688,8 @@ def test_task_validation():
     for value in (0.5, -1.0, float("inf")):
         with pytest.raises(LearnerError, match="0, 1 or NaN"):
             TaskSpec(("A",), 1, ids, gram=eye, labels=[[np.nan, value]])
-    with pytest.raises(LearnerError, match="value table"):
-        TaskSpec(("B",), 2, (("a", "b"),), mode="given")
-    with pytest.raises(LearnerError, match="no value"):
-        TaskSpec(("B",), 2, (("a", "b"),), mode="given", values={})
-    with pytest.raises(LearnerError, match="exactly one predicate"):
-        TaskSpec(("B", "C"), 2, (("a", "b"),), mode="given", values={("a", "b"): 1.0})
     with pytest.raises(LearnerError, match="ids do not match"):
         TaskSpec(("A",), 1, ids, gram=gram(("x", "y"), np.eye(2)))
-    pair = ("a", "b")
-    for value in (1.5, -0.25, float("nan"), float("inf")):
-        with pytest.raises(LearnerError, match=r"task 'B': value .* example \('a', 'b'\)"):
-            TaskSpec(("B",), 2, (pair,), mode="given", values={pair: value})
-    for value in (0.0, 0.5, 1.0):
-        TaskSpec(("B",), 2, (pair,), mode="given", values={pair: value})
 
 
 def test_task_labels_are_a_read_only_copy():
@@ -719,9 +708,8 @@ def test_task_labels_are_a_read_only_copy():
 
 def test_train_validation():
     cfg = TrainConfig()
-    bound = TaskSpec(("BOUND",), 2, (("a", "b"),), mode="given", values={("a", "b"): 1.0})
-    with pytest.raises(LearnerError, match="at least one learned"):
-        train([bound], [], cfg)
+    with pytest.raises(LearnerError, match="at least one task"):
+        train([], [], cfg)
     bad = TaskSpec(
         ("A",), 1, ("p0", "p1"), gram=gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     )
@@ -731,9 +719,7 @@ def test_train_validation():
     ids = ("p0", "p1")
     for tasks in ([TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(2))),
                    TaskSpec(("B", "A"), 1, ids, gram=gram(ids, np.eye(2)))],
-                  [TaskSpec(("A", "A"), 1, ids, gram=gram(ids, np.eye(2)))],
-                  [TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(2))),
-                   TaskSpec(("A",), 2, (("p0", "p1"),), mode="given", values={("p0", "p1"): 1.0})]):
+                  [TaskSpec(("A", "A"), 1, ids, gram=gram(ids, np.eye(2)))]):
         with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
             train(tasks, [], cfg)
         with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
@@ -771,13 +757,12 @@ def test_bindings_share_one_index_map_per_spec():
     bindings = predicate_bindings([
         TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3))),
         TaskSpec(("BOUND",), 2, pairs, gram=gram(("p0|p1", "p2|p0"), np.eye(2))),
-        TaskSpec(("G",), 1, ids[:1], mode="given", values={"p0": 0.5}),
     ])
     assert bindings["A"].positions is bindings["B"].positions
     assert bindings["A"].positions == {"p0": 0, "p1": 1, "p2": 2}
     assert bindings["BOUND"].pair_positions == {pairs[0]: 0, pairs[1]: 1}
     assert (bindings["BOUND"].arity, bindings["BOUND"].mode) == (2, "learned")
-    assert (bindings["G"].mode, bindings["G"].table) == ("given", {"p0": 0.5})
+    assert all(b.mode == "learned" for b in bindings.values())
 
 
 def test_pair_key():
