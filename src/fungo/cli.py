@@ -59,7 +59,7 @@ from .learner import (
     predict,
     train,
 )
-from .logic import GIVEN, PredicateBinding, compile_constraint
+from .logic import PredicateBinding, compile_constraint
 from .ontology import (
     DPP,
     PP,
@@ -374,17 +374,27 @@ class FoldOutcome:
     failure: DivergenceError | None = None
 
 
+def _canonical(pair) -> tuple[str, str]:
+    """A pair in its ``(min, max)`` order, the form interactions are kept in."""
+    return min(pair), max(pair)
+
+
 def _canonical_pairs(pairs, known: set[str]) -> tuple[tuple[str, str], ...]:
     out = set()
-    skipped = 0
+    outside = selfs = 0
     for a, b in pairs:
-        if a == b or a not in known or b not in known:
+        if a not in known or b not in known:
             log.debug("skipping interaction %s-%s outside the dataset", a, b)
-            skipped += 1
-            continue
-        out.add((min(a, b), max(a, b)))
-    if skipped:
-        log.info("skipped %d interactions outside the dataset", skipped)
+            outside += 1
+        elif a == b:
+            log.debug("skipping self-pair %s-%s", a, b)
+            selfs += 1
+        else:
+            out.add(_canonical((a, b)))
+    if outside:
+        log.info("skipped %d interactions outside the dataset", outside)
+    if selfs:
+        log.info("skipped %d self-pairs", selfs)
     return tuple(sorted(out))
 
 
@@ -401,7 +411,8 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     if not pairs:
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
-        return pairs, PredicateBinding("BOUND", 2, GIVEN, table=dict.fromkeys(pairs, 1.0))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        return pairs, PredicateBinding("BOUND", 2, index, truths=np.ones(len(pairs)))
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
     known = set(proteins)
@@ -440,7 +451,7 @@ def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],
         # A pair is labelled only where both of its proteins train.
         pairs, (examples, pair_gram) = bound_data
         positive = set(pairs)
-        labels = [float((min(e), max(e)) in positive)
+        labels = [float(_canonical(e) in positive)
                   if e[0] not in held_out and e[1] not in held_out else np.nan
                   for e in examples]
         tasks.append(TaskSpec(("BOUND",), 2, examples, gram=pair_gram, labels=[labels]))
@@ -501,7 +512,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
 
 
 def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
-               bound_positive: frozenset[str] = frozenset()) -> None:
+               bound_positive: frozenset[tuple[str, str]] = frozenset()) -> None:
     """Merge per-fold predictions, compute all metrics, write the bundle."""
     # Proteins × nodes matrices; folds partition the proteins, so each fold
     # fills its own rows and every cell is set once.
@@ -535,7 +546,9 @@ def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
         bound = [np.concatenate(parts) for parts in zip(*(o.bound for o in outcomes))]
         io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
                              pairs, ("BOUND",), *bound)
-        bound_truth = np.array([[pair in bound_positive] for pair in pairs])
+        # A pair Gram may name an interaction in either order.
+        bound_truth = np.array([[_canonical(pair.split("|")) in bound_positive]
+                                for pair in pairs])
         bound_set = PredictionSet.from_matrices(("BOUND",), pairs, bound_truth, *bound[1:])
         metrics.update(_named("bound", label_metrics(bound_set, "micro")))
 
@@ -604,10 +617,7 @@ def cmd_run(config: ExperimentConfig) -> int:
             file=sys.stderr,
         )
         return 1
-    bound_positive = frozenset()
-    if bound_mode == "learned":
-        pairs, _ = bound_data
-        bound_positive = frozenset(pair_key(pair) for pair in pairs)
+    bound_positive = frozenset(bound_data[0]) if bound_mode == "learned" else frozenset()
     _aggregate(data, outcomes, out_dir, bound_positive)
     return 0
 

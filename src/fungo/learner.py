@@ -189,11 +189,10 @@ def predicate_bindings(tasks: Iterable[TaskSpec]) -> dict[str, PredicateBinding]
     out: dict[str, PredicateBinding] = {}
     for task in tasks:
         index = {e: i for i, e in enumerate(task.examples)}
-        source = {"positions" if task.arity == 1 else "pair_positions": index}
         for predicate in task.predicates:
             if predicate in out:
                 raise LearnerError(f"duplicate task predicate {predicate!r}")
-            out[predicate] = PredicateBinding(predicate, task.arity, **source)
+            out[predicate] = PredicateBinding(predicate, task.arity, index)
     return out
 
 

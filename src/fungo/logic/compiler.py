@@ -4,7 +4,7 @@
 domains: the body is lowered to a flat instruction program (``iff``
 becomes the t-norm conjunction of the two residua), every distinct atom
 becomes an input slot with a precomputed gather map from grounding index
-to the owning predicate's output vector, and the quantifier prefix
+to the owning predicate's truth vector, and the quantifier prefix
 becomes a stack of axis reductions over the grounding grid.
 
 Groundings are enumerated row-major over the quantifier axes, with each
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,63 +44,65 @@ RESIDUUM = "residuum"
 MATERIAL = "material"
 IMPLICATIONS = (RESIDUUM, MATERIAL)
 
-LEARNED = "learned"
-GIVEN = "given"
-
 
 class CompileError(ValueError):
     """A formula cannot be grounded against the given bindings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredicateBinding:
-    """How a predicate symbol maps onto model outputs or fixed values.
+    """Where a predicate's truth for each example or pair is found.
 
-    Learned predicates index into an output vector handed to the
-    constraint at evaluation time: ``positions`` for unary predicates
-    (example id -> vector index), ``pair_positions`` for binary ones.
-    Given predicates carry a read-only ``table`` of truth values instead,
-    each checked to lie in [0, 1]: that keeps every rule penalty
-    non-negative, which the learner's line search relies on to skip the
-    rules of rejected trials.  Ids absent from the index or table read as
-    constant 0.  Binary lookups try ``(a, b)`` then ``(b, a)``.
+    ``index`` maps an example id (unary) or an ``(a, b)`` pair (binary) to
+    a position; binary lookups try ``(a, b)`` then ``(b, a)``, and ids
+    absent from the index read as constant 0.  A learned predicate's
+    positions index the output vector handed to the constraint at
+    evaluation time.  A given predicate carries that vector itself as
+    ``truths``, a read-only copy with one entry per position, each checked
+    to lie in [0, 1]: that keeps every rule penalty non-negative, which
+    the learner's line search relies on to skip the rules of rejected
+    trials.  Bindings compare by identity, as the rule set compares truths.
     """
 
     name: str
     arity: int
-    mode: str = LEARNED
-    positions: Mapping[str, int] | None = None
-    pair_positions: Mapping[tuple[str, str], int] | None = None
-    table: Mapping | None = None
+    index: Mapping
+    truths: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in (LEARNED, GIVEN):
-            raise CompileError(f"predicate {self.name!r} has unknown mode {self.mode!r}")
-        if self.mode == GIVEN:
-            table = dict(self.table or {})
-            for key, value in table.items():
-                if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
-                    raise CompileError(
-                        f"predicate {self.name!r}: value {value!r} for {key!r} "
-                        f"is not a truth in [0, 1]"
-                    )
-            object.__setattr__(self, "table", MappingProxyType(table))
+        if self.truths is None:
+            return
+        truths = np.asarray(self.truths)
+        if truths.shape != (self.size,):
+            raise CompileError(
+                f"predicate {self.name!r}: truths of shape {truths.shape} for an "
+                f"index of {self.size} positions"
+            )
+        bad = [v for v in truths.tolist() if not (isinstance(v, Real) and 0.0 <= v <= 1.0)]
+        if bad:
+            raise CompileError(
+                f"predicate {self.name!r}: value {bad[0]!r} is not a truth in [0, 1]"
+            )
+        truths = truths.astype(np.float64)
+        truths.flags.writeable = False
+        object.__setattr__(self, "truths", truths)
 
-    def output_size(self) -> int:
-        if self.mode != LEARNED:
-            return 0
-        index = self.positions if self.arity == 1 else self.pair_positions
-        return 0 if index is None else (max(index.values()) + 1 if index else 0)
+    @property
+    def size(self) -> int:
+        """The length of the predicate's truth vector."""
+        return max(self.index.values()) + 1 if self.index else 0
 
 
 @dataclass(frozen=True)
 class SlotBinding:
+    """One atom's gather map into its predicate's truth vector (-1 where
+    absent), and that vector itself for a given predicate."""
+
     pred: str
     args: tuple[str, ...]
-    mode: str
     out_size: int
-    gather: np.ndarray | None
-    const: np.ndarray | None
+    gather: np.ndarray
+    truths: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class CompiledConstraint:
     shape: tuple[int, ...]
     program: Program
     slots: tuple[SlotBinding, ...]
-    modes: dict[str, str]
 
     @property
     def text(self) -> str:
@@ -124,18 +124,11 @@ class CompiledConstraint:
         """Per-grounding slot values, shape (n_groundings, n_slots)."""
         values = np.empty((self.n_groundings, len(self.slots)), dtype=np.float64)
         for s, slot in enumerate(self.slots):
-            if slot.mode == GIVEN:
-                values[:, s] = slot.const
-                continue
-            arr = _output_vector(outputs, slot.pred, slot.out_size)
-            gather = slot.gather
-            present = gather >= 0
-            if arr.size == 0:
-                values[:, s] = 0.0
-            elif present.all():
-                values[:, s] = arr[gather]
-            else:
-                values[:, s] = np.where(present, arr[np.maximum(gather, 0)], 0.0)
+            arr = slot.truths
+            if arr is None:
+                arr = _output_vector(outputs, slot.pred, slot.out_size)
+            # Absent ids gather -1, the appended 0.0.
+            values[:, s] = np.append(arr, 0.0)[slot.gather]
         return values
 
     def _forward(self, outputs: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +151,7 @@ class CompiledConstraint:
         dvalues = _engine.backward(self.program, vals, -weights.reshape(-1))
         grads: dict[str, np.ndarray] = {}
         for s, slot in enumerate(self.slots):
-            if slot.mode == GIVEN:
+            if slot.truths is not None:
                 continue
             grad = grads.setdefault(slot.pred, np.zeros(slot.out_size, dtype=np.float64))
             gather = slot.gather
@@ -204,16 +197,18 @@ class CompiledRuleSet:
     The learned outputs arrive as truth blocks laid out by ``layout``: one
     ``(predicates, n)`` entry per block, whose K x n truths hold one row per
     predicate, in that order.  The blocks are read as one flat vector,
-    followed by a 0.0 sentinel that absent examples read and by the
-    distinct given-slot constants.  Rules with the same program, t-norm,
-    quantifier prefix and grid shape form a group that costs one gather,
-    one forward pass and, for gradients, one backward pass.
+    followed by a 0.0 sentinel that absent examples read and by each given
+    predicate's truths, placed once.  Every slot, learned or given, reads
+    position ``offset + gather`` of that vector, or the sentinel where its
+    gather is -1.  Rules with the same program, t-norm, quantifier prefix
+    and grid shape form a group that costs one gather, one forward pass
+    and, for gradients, one backward pass.
 
     A ``forall x. forall y. G(x, y) => body`` group is grounded only where
-    its guard ``G`` can be non-zero (a non-zero given value, or a learned
-    example present in the index): with ``G = 0`` either implication is
-    exactly 1 under every t-norm and passes no gradient to the body, so the
-    dropped groundings change only the order of the sum.  Other groups
+    its guard ``G`` is live, that is where the pair is in ``G``'s index:
+    elsewhere ``G = 0``, either implication is exactly 1 under every t-norm
+    and passes no gradient to the body, so the dropped groundings change
+    only the order of the sum.  Other groups
     over a grid of two or more axes keep one rule each, so memory does not
     grow with the rule count.  :class:`CompiledConstraint` is the per-rule
     reference that this class must agree with.
@@ -233,21 +228,23 @@ class CompiledRuleSet:
                 place[pred] = (sentinel, n)
                 sentinel += n
         tail = [np.zeros(1)]
-        tail_start: dict[bytes, int] = {}
+        given: dict[str, np.ndarray] = {}
         end = sentinel + 1
 
         members: dict[tuple, list[tuple[int, np.ndarray]]] = {}
         for r, constraint in enumerate(self.constraints):
             columns = []
             for slot in constraint.slots:
-                if slot.mode == GIVEN:
-                    key = slot.const.tobytes()
-                    if key not in tail_start:
-                        tail_start[key] = end
-                        tail.append(slot.const)
-                        end += slot.const.size
-                    columns.append(tail_start[key] + np.arange(slot.const.size))
-                    continue
+                if slot.truths is not None and slot.pred not in place:
+                    place[slot.pred] = (end, slot.out_size)
+                    given[slot.pred] = slot.truths
+                    tail.append(slot.truths)
+                    end += slot.out_size
+                if given.get(slot.pred) is not slot.truths:
+                    raise CompileError(
+                        f"rule {constraint.text!r} binds {slot.pred!r} to other truths "
+                        f"than the rule set reads for it"
+                    )
                 if slot.pred not in place:
                     raise CompileError(
                         f"rule {constraint.text!r} references unknown learned "
@@ -259,19 +256,16 @@ class CompiledRuleSet:
                         f"rule {constraint.text!r} was compiled for {slot.out_size} "
                         f"outputs of {slot.pred!r}, its block has {n}"
                     )
-                gather = slot.gather
-                columns.append(np.where(gather >= 0, offset + gather, sentinel))
+                columns.append(np.where(slot.gather >= 0, offset + slot.gather, sentinel))
             index = np.stack(columns, axis=1)
             guard = _guard_slot(constraint)
             if guard is not None:
-                slot = constraint.slots[guard]
-                live = slot.const != 0.0 if slot.mode == GIVEN else slot.gather >= 0
-                index = index[live]
+                index = index[constraint.slots[guard].gather >= 0]
             program = constraint.program
             key = (
-                program.opcodes.tobytes(),
-                program.lhs.tobytes(),
-                program.rhs.tobytes(),
+                tuple(program.opcodes.tolist()),
+                tuple(program.lhs.tolist()),
+                tuple(program.rhs.tolist()),
                 program.tnorm_code,
                 tuple((q.kind, q.count) for q in constraint.formula.quantifiers),
                 constraint.shape,
@@ -390,9 +384,7 @@ def compile_constraint(
             )
         resolved[q.domain] = ids
 
-    arities = formula.predicates()
-    modes: dict[str, str] = {}
-    for pred, arity in sorted(arities.items()):
+    for pred, arity in sorted(formula.predicates().items()):
         binding = predicates.get(pred)
         if binding is None:
             raise CompileError(f"unknown predicate {pred!r}")
@@ -400,7 +392,6 @@ def compile_constraint(
             raise CompileError(
                 f"predicate {pred!r} bound with arity {binding.arity}, used with {arity}"
             )
-        modes[pred] = binding.mode
 
     shape = tuple(len(resolved[q.domain]) for q in formula.quantifiers)
     axis_of = {q.var: k for k, q in enumerate(formula.quantifiers)}
@@ -427,7 +418,6 @@ def compile_constraint(
         shape=shape,
         program=program,
         slots=tuple(slots),
-        modes=modes,
     )
 
 
@@ -438,56 +428,40 @@ def _bind_slot(
     axis_ids: tuple[tuple[str, ...], ...],
     mesh: np.ndarray,
 ) -> SlotBinding:
-    if binding.mode == GIVEN:
-        table = binding.table
-        if binding.arity == 1:
-            col = np.array([float(table.get(i, 0.0)) for i in axis_ids[0]])
-            const = col[mesh[axes[0]]]
-        else:
-            mat = _pair_matrix(table, *axis_ids, 0.0, np.float64)
-            const = mat[mesh[axes[0]], mesh[axes[1]]]
-        return SlotBinding(binding.name, args, GIVEN, 0, None, const)
-
+    index = binding.index
     if binding.arity == 1:
-        index = binding.positions or {}
         col = np.array([index.get(i, -1) for i in axis_ids[0]], dtype=np.int64)
         gather = col[mesh[axes[0]]]
     else:
-        index = binding.pair_positions or {}
-        mat = _pair_matrix(index, *axis_ids, -1, np.int64)
-        gather = mat[mesh[axes[0]], mesh[axes[1]]]
-    return SlotBinding(binding.name, args, LEARNED, binding.output_size(), gather, None)
+        gather = _pair_matrix(index, *axis_ids)[mesh[axes[0]], mesh[axes[1]]]
+    return SlotBinding(binding.name, args, binding.size, gather, binding.truths)
 
 
 def _pair_matrix(
-    entries: Mapping,
-    left: tuple[str, ...],
-    right: tuple[str, ...],
-    missing,
-    dtype,
+    index: Mapping, left: tuple[str, ...], right: tuple[str, ...]
 ) -> np.ndarray:
-    """``entries[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``.
+    """``index[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``.
 
-    A pair without an entry falls back to ``entries[(b, a)]``, and to
-    ``missing`` without either.  One walk over the entries fills a matrix
-    over the distinct ids.
+    A pair without an entry falls back to ``index[(b, a)]``, and to -1
+    without either.  One walk over the entries fills a matrix over the
+    distinct ids.
     """
     rows = {a: i for i, a in enumerate(dict.fromkeys(left))}
     cols = {b: j for j, b in enumerate(dict.fromkeys(right))}
-    mat = np.full((len(rows), len(cols)), missing, dtype=dtype)
+    mat = np.full((len(rows), len(cols)), -1, dtype=np.int64)
     # The reversed entries go in first so that a direct entry overwrites them.
     for first, second in ((1, 0), (0, 1)):
         hits = [
-            (rows[key[first]], cols[key[second]], value)
-            for key, value in entries.items()
+            (rows[key[first]], cols[key[second]], position)
+            for key, position in index.items()
             if isinstance(key, tuple)
             and len(key) == 2
             and key[first] in rows
             and key[second] in cols
         ]
         if hits:
-            i, j, values = zip(*hits)
-            mat[list(i), list(j)] = values
+            i, j, positions = zip(*hits)
+            mat[list(i), list(j)] = positions
     row_of = np.array([rows[a] for a in left], dtype=np.intp)
     col_of = np.array([cols[b] for b in right], dtype=np.intp)
     return mat[row_of[:, None], col_of[None, :]]

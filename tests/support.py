@@ -60,7 +60,7 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
     outputs = {}
     for name, arity in formula.predicates().items():
         if arity == 1:
-            predicates[name] = PredicateBinding(name, 1, positions=dict(positions))
+            predicates[name] = PredicateBinding(name, 1, dict(positions))
             outputs[name] = rng.uniform(0.05, 0.95, size=n)
         else:
             pairs = [
@@ -69,9 +69,8 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
                 for j in range(i + 1, n)
                 if rng.random() < 0.7
             ]
-            pair_positions = {pair: k for k, pair in enumerate(pairs)}
             predicates[name] = PredicateBinding(
-                name, 2, pair_positions=pair_positions
+                name, 2, {pair: k for k, pair in enumerate(pairs)}
             )
             outputs[name] = rng.uniform(0.05, 0.95, size=len(pairs))
 
@@ -79,6 +78,12 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
         formula, tnorm, {"P": ids}, predicates, implication=implication
     )
     return constraint, outputs
+
+
+def given_binding(name, arity, table):
+    """A given predicate over the keys of ``table``, whose values are its truths."""
+    index = {key: k for k, key in enumerate(table)}
+    return PredicateBinding(name, arity, index, truths=list(table.values()))
 
 
 # The guarded pair rules of FORMULA_POOL: the rule set grounds them only
@@ -93,14 +98,14 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode):
     bindings, plus matching outputs.
 
     Each rule's unary predicates are renamed at random (collisions allowed),
-    so one template recurs over different predicates.  BOUND is either a
-    given table with some zero entries or a learned predicate with absent
-    pairs; pairs may be listed in both orders.
+    so one template recurs over different predicates.  BOUND is either
+    given, with some zero truths, or learned; either way some pairs are
+    absent, and pairs may be listed in both orders.
     """
     n = int(rng.integers(3, 7))
     ids = [f"p{i}" for i in range(n)]
     positions = {p: i for i, p in enumerate(ids)}
-    predicates = {name: PredicateBinding(name, 1, positions=positions) for name in UNARY_NAMES}
+    predicates = {name: PredicateBinding(name, 1, positions) for name in UNARY_NAMES}
     outputs = {name: rng.uniform(0.05, 0.95, size=n) for name in UNARY_NAMES}
     pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.4]
     if bound_mode == "given":
@@ -109,10 +114,9 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode):
         for pair in pairs:
             value = choices[rng.integers(3)]
             table[pair] = rng.uniform(0.05, 0.95) if value is None else value
-        predicates["BOUND"] = PredicateBinding("BOUND", 2, mode="given", table=table)
+        predicates["BOUND"] = given_binding("BOUND", 2, table)
     else:
-        pair_positions = {pair: k for k, pair in enumerate(pairs)}
-        predicates["BOUND"] = PredicateBinding("BOUND", 2, pair_positions=pair_positions)
+        predicates["BOUND"] = PredicateBinding("BOUND", 2, {pair: k for k, pair in enumerate(pairs)})
         outputs["BOUND"] = rng.uniform(0.05, 0.95, size=len(pairs))
     constraints = []
     for text in texts:
@@ -208,8 +212,9 @@ def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):
 def fd_penalty_gradients(constraint, outputs, h=1e-6):
     """Central finite differences of the constraint penalty."""
     grads = {}
+    learned = {slot.pred for slot in constraint.slots if slot.truths is None}
     for name, vec in outputs.items():
-        if constraint.modes.get(name) != "learned":
+        if name not in learned:
             continue
         g = np.zeros_like(vec)
         for i in range(vec.size):

@@ -67,7 +67,7 @@ def _truth(tnorm: str, text: str, implication: str = "residuum", **outputs: floa
     aggregated penalty is exactly 1 - truth."""
     formula = parse_rule(text)
     bindings = {
-        name: PredicateBinding(name, 1, positions={"e": 0})
+        name: PredicateBinding(name, 1, {"e": 0})
         for name in formula.predicates()
     }
     compiled = compile_constraint(
@@ -122,7 +122,7 @@ def test_quantifier_reduction_identities():
         key = (kind, n)
         if key not in compiled:
             ids = tuple(f"e{i}" for i in range(n))
-            bindings = {"P": PredicateBinding("P", 1, positions={e: i for i, e in enumerate(ids)})}
+            bindings = {"P": PredicateBinding("P", 1, {e: i for i, e in enumerate(ids)})}
             compiled[key] = compile_constraint(
                 parse_rule(f"{kind} x:D. P(x)"), "product", {"D": ids}, bindings
             )

@@ -183,6 +183,16 @@ class TestSimpleCommands:
         assert main(["stats", "--config", noisy]) == 0
         assert (dataset / "out_noisy" / "stats.txt").read_text() == text
 
+    def test_stats_logs_self_pairs_apart(self, dataset, caplog):
+        # p1 is kept; p9 is dropped by dataset adaptation.
+        (dataset / "ppi_self.tsv").write_text("p1\tp2\np1\tp1\np9\tp1\n")
+        cfg = write_config(dataset, ppi="ppi_self.tsv")
+        with caplog.at_level(logging.INFO, logger="fungo"):
+            assert main(["stats", "--config", cfg]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert "skipped 1 self-pairs" in messages
+        assert "skipped 1 interactions outside the dataset" in messages
+
     def test_out_flag_overrides_config(self, dataset, tmp_path):
         cfg = write_config(dataset, out=None)
         target = tmp_path / "elsewhere"
@@ -206,8 +216,14 @@ class TestRun:
         assert "consistency = " in metrics
         assert "filtered_label_micro_f1 = " in metrics
 
-    def test_run_is_deterministic(self, dataset):
-        cfg = write_config(dataset)
+    @pytest.mark.parametrize("rules", ["OC", "OC+PP1", "OC+PP2"])
+    def test_run_is_deterministic(self, dataset, rules):
+        # Under OC+PP1 the concurrent folds share one given BOUND binding.
+        (dataset / "pairs.csv").write_text(
+            "p1|p2,p3|p8,p5|p6,p4|p1\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(4) + 0.5)
+        )
+        cfg = write_config(dataset, rules=rules, pair_gram="pairs.csv")
         out = dataset / "out"
 
         def bundle():
@@ -353,10 +369,48 @@ class TestRun:
         if rules == "OC+PP1":
             bound = compiled[0]
             assert all(b is bound for b in compiled)
-            assert (bound.name, bound.arity, bound.mode) == ("BOUND", 2, "given")
-            assert bound.table == {("p1", "p2"): 1.0, ("p3", "p8"): 1.0}
+            assert (bound.name, bound.arity) == ("BOUND", 2)
+            assert bound.index == {("p1", "p2"): 0, ("p3", "p8"): 1}
+            assert bound.truths.tolist() == [1.0, 1.0]
         else:
-            assert all(b is None or b.mode == "learned" for b in compiled)
+            assert all(b is None or b.truths is None for b in compiled)
+
+    def test_a_learned_pair_is_true_in_either_order(self, tmp_path, monkeypatch):
+        # The interaction list names prot01-prot02, the pair Gram prot02|prot01:
+        # training labels the pair 1.0, and evaluation counts it as true.
+        hierarchy_fixture.write_dataset(str(tmp_path))
+        (tmp_path / "ppi.tsv").write_text("prot01\tprot02\n")
+        ids = ["prot02|prot01", "prot03|prot04", "prot05|prot06"]
+        (tmp_path / "pairs.csv").write_text(
+            ",".join(ids) + "\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(3) + 0.5)
+        )
+        cfg = hierarchy_fixture.write_config(
+            str(tmp_path), "out", rules="OC+PP2", ppi="ppi.tsv", pair_gram="pairs.csv",
+            max_iterations=20,
+        )
+        labels = []
+        fold_tasks = cli._fold_tasks
+
+        def record_labels(*args):
+            tasks = fold_tasks(*args)
+            labels.append(tasks[1].labels[0, 0])
+            return tasks
+
+        truths = []
+        from_matrices = cli.PredictionSet.from_matrices
+
+        def record_truths(predicates, examples, truth, *rest):
+            if predicates == ("BOUND",):
+                truths.append(dict(zip(examples, truth[:, 0].tolist())))
+            return from_matrices(predicates, examples, truth, *rest)
+
+        monkeypatch.setattr(cli, "_fold_tasks", record_labels)
+        monkeypatch.setattr(cli.PredictionSet, "from_matrices", record_truths)
+        assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        assert 1.0 in labels and all(v == 1.0 or np.isnan(v) for v in labels)
+        assert truths == [{"prot02|prot01": True, "prot03|prot04": False,
+                           "prot05|prot06": False}]
 
     def test_merged_files_are_the_union_of_the_fold_files(self, tmp_path, monkeypatch):
         # The hierarchy fixture with a learned pair predicate: ten chained
@@ -405,9 +459,10 @@ class TestRun:
         merged = (out / "bound_predictions.tsv").read_text().splitlines()
         assert len(merged) == len(ids)
         assert merged == sorted(bound_lines)
-        # The bound_* metrics count the merged pairs against the interactions.
+        # The bound_* metrics count the merged pairs against the interactions,
+        # each in either order.
         chosen = {line.split("\t")[0] for line in merged if "\tpos\t" in line}
-        true = set(ids[:len(interactions)])
+        true = set(ids[:len(interactions) + 2])
         tp, fp, fn = len(chosen & true), len(chosen - true), len(true - chosen)
         assert tp and fp and fn
         metrics = (out / "metrics.txt").read_text().splitlines()

@@ -8,6 +8,7 @@ from support import (
     FORMULA_POOL,
     GUARDED_PREFIX,
     fd_penalty_gradients,
+    given_binding,
     gradient_close,
     random_instance,
     random_rule_set,
@@ -28,7 +29,7 @@ from fungo.logic import (
 
 
 def _unary(name, ids):
-    return PredicateBinding(name, 1, positions={p: i for i, p in enumerate(ids)})
+    return PredicateBinding(name, 1, {p: i for i, p in enumerate(ids)})
 
 
 def test_frozen_penalty_single_grounding():
@@ -96,7 +97,7 @@ def test_compile_is_deterministic():
     pairs = {(a, b): k for k, (a, b) in enumerate([("p0", "p1"), ("p1", "p2")])}
     preds = {
         "A": _unary("A", ids),
-        "BOUND": PredicateBinding("BOUND", 2, pair_positions=pairs),
+        "BOUND": PredicateBinding("BOUND", 2, pairs),
     }
     rng = np.random.default_rng(0)
     outputs = {"A": rng.uniform(0, 1, 4), "BOUND": rng.uniform(0, 1, 2)}
@@ -111,12 +112,10 @@ def test_given_mode_reads_table_and_gets_no_gradient():
     ids = ["p0", "p1", "p2"]
     preds = {
         "A": _unary("A", ids),
-        "BOUND": PredicateBinding(
-            "BOUND", 2, mode="given", table={("p0", "p1"): 1.0}
-        ),
+        "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, truths=[1.0]),
     }
     c = compile_constraint(f, "product", {"P": ids}, preds)
-    assert c.modes == {"A": "learned", "BOUND": "given"}
+    assert {slot.pred: slot.truths is None for slot in c.slots} == {"A": True, "BOUND": False}
     outputs = {"A": np.array([0.9, 0.2, 0.5])}
     phi, grads = c.penalty_and_gradients(outputs)
     # Only the (p0, p1) and (p1, p0) groundings have a live antecedent.
@@ -130,23 +129,37 @@ def test_given_mode_reads_table_and_gets_no_gradient():
 @pytest.mark.parametrize("arity", (1, 2))
 def test_given_truths_must_lie_in_the_unit_interval(arity):
     key = "p0" if arity == 1 else ("p0", "p1")
-    for value in (1.5, -0.25, float("nan"), float("inf"), float("-inf"), None, "0.5"):
+    for value in (1.5, -0.25, float("nan"), float("inf"), float("-inf"), None, "0.5", 2**70):
         with pytest.raises(CompileError, match=r"'G': value .* is not a truth in \[0, 1\]"):
-            PredicateBinding("G", arity, mode="given", table={key: value})
-    for value in (0.0, 0.5, 1.0, 1, np.float64(0.25)):
-        PredicateBinding("G", arity, mode="given", table={key: value})
-    with pytest.raises(CompileError, match="unknown mode 'fixed'"):
-        PredicateBinding("G", arity, mode="fixed")
+            given_binding("G", arity, {key: value})
+        with pytest.raises(CompileError, match=r"'G': value .* is not a truth in \[0, 1\]"):
+            given_binding("G", arity, {key: 0.5, "other": value})
+    for value in (0.0, 0.5, 1.0, 1, np.float64(0.25), True):
+        given_binding("G", arity, {key: value})
+
+
+def test_given_truths_must_match_the_index():
+    index = {"p0": 0, "p1": 2}  # positions 0 to 2
+    PredicateBinding("G", 1, index, truths=[0.0, 0.5, 1.0])
+    for truths in ([0.5, 1.0], [0.0, 0.5, 1.0, 1.0], [[0.0, 0.5, 1.0]], 0.5):
+        with pytest.raises(CompileError, match=r"'G': truths of shape .* index of 3 positions"):
+            PredicateBinding("G", 1, index, truths=truths)
+    assert PredicateBinding("G", 1, {}, truths=[]).size == 0
 
 
 def test_given_table_is_a_read_only_copy():
-    source = {"p0": 0.5}
-    binding = PredicateBinding("G", 1, mode="given", table=source)
-    source["p0"] = -0.5
-    assert binding.table == {"p0": 0.5}
-    with pytest.raises(TypeError):
-        binding.table["p0"] = -0.5
-    assert PredicateBinding("G", 1, mode="given").table == {}
+    source = np.array([0.5])
+    binding = PredicateBinding("G", 1, {"p0": 0}, truths=source)
+    source[0] = -0.5
+    assert binding.truths.tolist() == [0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        binding.truths[0] = -0.5
+    assert binding.truths.dtype == np.float64
+    assert PredicateBinding("G", 1, {"p0": 0}, truths=[1]).truths.dtype == np.float64
+    assert PredicateBinding("G", 1, {"p0": 0}).truths is None
+    # A binding is its own key: comparing truth vectors would be ambiguous.
+    pair = PredicateBinding("G", 1, {"p0": 0, "p1": 1}, truths=[0.5, 1.0])
+    assert pair == pair and len({pair, binding}) == 2
 
 
 @pytest.mark.parametrize("tnorm", ("product", "minimum"))
@@ -158,11 +171,11 @@ def test_a_negative_given_truth_never_reaches_a_penalty(tnorm):
     with pytest.raises(CompileError, match="not a truth"):
         compile_constraint(f, tnorm, {"P": ids}, {
             "A": _unary("A", ids),
-            "G": PredicateBinding("G", 1, mode="given", table={"p0": -0.5, "p1": 1.0}),
+            "G": given_binding("G", 1, {"p0": -0.5, "p1": 1.0}),
         })
     c = compile_constraint(f, tnorm, {"P": ids}, {
         "A": _unary("A", ids),
-        "G": PredicateBinding("G", 1, mode="given", table={"p0": 0.0, "p1": 1.0}),
+        "G": given_binding("G", 1, {"p0": 0.0, "p1": 1.0}),
     })
     assert c.penalty({"A": np.array([0.0, 1.0])}) == 0.0
 
@@ -172,7 +185,7 @@ def test_missing_pairs_read_as_zero():
     ids = ["p0", "p1"]
     preds = {
         "A": _unary("A", ids),
-        "BOUND": PredicateBinding("BOUND", 2, pair_positions={}),
+        "BOUND": PredicateBinding("BOUND", 2, {}),
     }
     c = compile_constraint(f, "product", {"P": ids}, preds)
     outputs = {"A": np.array([0.1, 0.1]), "BOUND": np.zeros(0)}
@@ -199,7 +212,7 @@ def test_compile_validation_errors():
             "product",
             {"P": ids},
             {
-                "A": PredicateBinding("A", 2, pair_positions={}),
+                "A": PredicateBinding("A", 2, {}),
                 "B": _unary("B", ids),
             },
         )
@@ -304,15 +317,16 @@ def test_pair_binding_matches_the_double_loop():
         positions = {key: k for k, key in enumerate(keys)}
         table = {key: float(rng.uniform()) for key in keys}
         bindings = {
-            "learned": PredicateBinding("R", 2, pair_positions=positions),
-            "given": PredicateBinding("R", 2, mode="given", table=table),
+            "learned": PredicateBinding("R", 2, positions),
+            "given": given_binding("R", 2, table),
         }
         for mode, binding in bindings.items():
             c = compile_constraint(f, "product", {"P": left, "Q": right}, {"R": binding})
             entries, missing = (positions, -1) if mode == "learned" else (table, 0.0)
             forward = _pair_lookup_loop(entries, left, right, missing)
             backward = _pair_lookup_loop(entries, right, left, missing)
-            got = [slot.gather if mode == "learned" else slot.const for slot in c.slots]
+            # A given slot reads its truths through the same gather.
+            got = [slot.gather for slot in c.slots] if mode == "learned" else c.input_matrix({}).T
             assert np.array_equal(got[0], forward.reshape(-1)), mode
             assert np.array_equal(got[1], backward.T.reshape(-1)), mode
 
@@ -360,7 +374,7 @@ def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
     layout, _, _ = stack_outputs(rng, outputs)
     guard = constraints[0].slots[0]
     assert guard.pred == "BOUND"
-    live = np.count_nonzero(guard.const if bound_mode == "given" else guard.gather >= 0)
+    live = np.count_nonzero(guard.gather >= 0)
     assert 0 < live < constraints[0].n_groundings
     assert CompiledRuleSet(constraints[:1], layout).n_groundings == live
     assert CompiledRuleSet(constraints, layout).n_groundings == 2 * live
@@ -436,3 +450,47 @@ def test_rule_set_penalties_are_non_negative(text, tnorm, implication, bound_mod
     rule_set = CompiledRuleSet(constraints, layout)
     assert np.all(rule_set.penalties(truths) >= 0.0)
     assert np.all(rule_set.penalties_and_gradients(truths)[0] >= 0.0)
+
+
+def test_rule_set_reads_given_truths_as_learned_rows_are_read():
+    ids = ["p0", "p1", "p2"]
+    rule = parse_rule("forall x:P. forall y:P. G(x,y) => (A(x) <=> A(y))")
+    given = PredicateBinding("G", 2, {("p0", "p1"): 0, ("p2", "p1"): 1}, truths=[1.0, 0.25])
+    learned = PredicateBinding("G", 2, given.index)
+    truths = [np.array([[0.9, 0.2, 0.6]])]
+    for tnorm in TNORMS:
+        given_rule, learned_rule = (
+            compile_constraint(rule, tnorm, {"P": ids}, {"A": _unary("A", ids), "G": binding})
+            for binding in (given, learned)
+        )
+        # The given truths, placed after the learned rows, read like a learned G.
+        phis, grads = CompiledRuleSet([given_rule] * 2, [(("A",), 3)]).penalties_and_gradients(truths)
+        want, want_grads = CompiledRuleSet([learned_rule] * 2, [(("A",), 3), (("G",), 2)]) \
+            .penalties_and_gradients(truths + [np.array([[1.0, 0.25]])])
+        assert phis.tolist() == want.tolist()
+        assert np.array_equal(grads[0], want_grads[0])
+        # Only the pairs in G's index are grounded, in either order.
+        assert CompiledRuleSet([given_rule], [(("A",), 3)]).n_groundings == 4
+
+
+def test_rule_set_rejects_clashing_given_predicates():
+    ids = ["p0", "p1"]
+    rule = parse_rule("forall x:P. G(x) => A(x)")
+    given = PredicateBinding("G", 1, {"p0": 0}, truths=[1.0])
+    compiled = compile_constraint(rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": given})
+    clash = r"G\(x\) => A\(x\).*binds 'G' to other truths than the rule set reads"
+    # A given predicate named like a learned block row.
+    with pytest.raises(CompileError, match=clash):
+        CompiledRuleSet([compiled], [(("A", "G"), 2)])
+    # Two rules that bind G to different truth vectors.
+    again = PredicateBinding("G", 1, {"p0": 0}, truths=[1.0])
+    other = compile_constraint(rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": again})
+    with pytest.raises(CompileError, match=clash):
+        CompiledRuleSet([compiled, other], [(("A",), 2)])
+    # A learned G after a given one.
+    learned = compile_constraint(
+        rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": _unary("G", ids)}
+    )
+    with pytest.raises(CompileError, match=clash):
+        CompiledRuleSet([compiled, learned], [(("A",), 2)])
+    assert CompiledRuleSet([compiled, compiled], [(("A",), 2)]).n_groundings == 4

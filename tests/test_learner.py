@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
     FORMULA_POOL,
+    given_binding,
     nonsmooth_margin,
     objective,
     objective_gradient,
@@ -56,9 +57,9 @@ def truths_of(model, tasks):
 
 
 def given_bound(rng, pairs):
-    """BOUND read from a table of random truths over ``pairs``, as rules see it."""
+    """BOUND given as random truths over ``pairs``, as rules see it."""
     table = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-    return {"BOUND": PredicateBinding("BOUND", 2, "given", table=table)}
+    return {"BOUND": given_binding("BOUND", 2, table)}
 
 
 def random_pd_gram(rng, ids):
@@ -630,7 +631,7 @@ def test_given_bound_flows_into_unary_predicate():
     task_a = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(3)), labels=[row(ids, {"p0": 1.0})])
     tasks = [task_a]
     bindings = {**predicate_bindings(tasks),
-                "BOUND": PredicateBinding("BOUND", 2, "given", table={("p0", "p1"): 1.0})}
+                "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, truths=[1.0])}
     rule = parse_rule("forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))")
     constraint = compile_constraint(rule, "product", {"Prot": list(ids)}, bindings)
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
@@ -641,7 +642,7 @@ def test_given_bound_flows_into_unary_predicate():
     # p1 interacts with the positively-labeled p0, so its truth is pulled up.
     assert truths[1] > bare_truths[1] + 0.1
     assert abs(truths[2] - bare_truths[2]) < 0.05
-    # The pair table itself never trains.
+    # The given pair truths never train.
     assert "BOUND" not in model.alphas
 
 
@@ -758,11 +759,11 @@ def test_bindings_share_one_index_map_per_spec():
         TaskSpec(("A", "B"), 1, ids, gram=gram(ids, np.eye(3))),
         TaskSpec(("BOUND",), 2, pairs, gram=gram(("p0|p1", "p2|p0"), np.eye(2))),
     ])
-    assert bindings["A"].positions is bindings["B"].positions
-    assert bindings["A"].positions == {"p0": 0, "p1": 1, "p2": 2}
-    assert bindings["BOUND"].pair_positions == {pairs[0]: 0, pairs[1]: 1}
-    assert (bindings["BOUND"].arity, bindings["BOUND"].mode) == (2, "learned")
-    assert all(b.mode == "learned" for b in bindings.values())
+    assert bindings["A"].index is bindings["B"].index
+    assert bindings["A"].index == {"p0": 0, "p1": 1, "p2": 2}
+    assert bindings["BOUND"].index == {pairs[0]: 0, pairs[1]: 1}
+    assert (bindings["BOUND"].arity, bindings["BOUND"].truths) == (2, None)
+    assert all(b.truths is None for b in bindings.values())
 
 
 def test_pair_key():

@@ -46,7 +46,7 @@ BOOL_TABLES = {
 def _program(tnorm, body, implication):
     formula = parse_rule(f"forall x:D. {body}")
     bindings = {
-        name: PredicateBinding(name, 1, positions={"e": 0}) for name in formula.predicates()
+        name: PredicateBinding(name, 1, {"e": 0}) for name in formula.predicates()
     }
     compiled = compile_constraint(
         formula, tnorm, {"D": ("e",)}, bindings, implication=implication
@@ -67,7 +67,7 @@ def penalty(kind, truths):
     """Penalty of the rule ``<kind> x:D. P(x)`` with P's truths given."""
     t = np.asarray(truths, dtype=np.float64)
     ids = tuple(f"e{i}" for i in range(t.size))
-    bindings = {"P": PredicateBinding("P", 1, positions={e: i for i, e in enumerate(ids)})}
+    bindings = {"P": PredicateBinding("P", 1, {e: i for i, e in enumerate(ids)})}
     rule = compile_constraint(parse_rule(f"{kind} x:D. P(x)"), "product", {"D": ids}, bindings)
     return CompiledRuleSet([rule], [(("P",), t.size)]).penalties([t[None, :]])[0]
 
