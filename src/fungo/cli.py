@@ -415,28 +415,37 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
         return pairs, PredicateBinding("BOUND", 2, index, truths=np.ones(len(pairs)))
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
+    # One example per interaction: the first of a|b and b|a in Gram order.
     known = set(proteins)
-    examples = []
+    examples: dict[tuple[str, str], tuple[str, str]] = {}  # canonical -> as written
     keep = []
+    outside = repeats = 0
     for i, name in enumerate(loaded.ids):
         parts = name.split("|")
         if len(parts) != 2:
             raise CliError(f"pair Gram id {name!r} is not 'a|b'")
-        if parts[0] in known and parts[1] in known:
-            examples.append((parts[0], parts[1]))
-            keep.append(i)
-        else:
+        pair = (parts[0], parts[1])
+        if pair[0] not in known or pair[1] not in known:
             log.debug("skipping pair Gram entry %s outside the dataset", name)
-    if len(keep) < len(loaded.ids):
-        log.info("skipped %d pair Gram entries outside the dataset",
-                 len(loaded.ids) - len(keep))
+            outside += 1
+        elif _canonical(pair) in examples:
+            log.debug("skipping pair Gram entry %s, a repeat of %s", name,
+                      pair_key(examples[_canonical(pair)]))
+            repeats += 1
+        else:
+            examples[_canonical(pair)] = pair
+            keep.append(i)
+    if outside:
+        log.info("skipped %d pair Gram entries outside the dataset", outside)
+    if repeats:
+        log.info("skipped %d pair Gram entries that repeat a pair", repeats)
     if not examples:
         raise CliError("pair Gram has no pairs inside the dataset")
     index = np.array(keep, dtype=np.intp)
     gram = GramMatrix(
-        tuple(pair_key(e) for e in examples), loaded.matrix[np.ix_(index, index)]
+        tuple(map(pair_key, examples.values())), loaded.matrix[np.ix_(index, index)]
     )
-    return pairs, (tuple(examples), gram)
+    return pairs, (tuple(examples.values()), gram)
 
 
 def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],

@@ -1,24 +1,24 @@
 """Compilation of rules into executable constraints.
 
-``compile_constraint`` grounds a prenex formula over named example
-domains: the body is lowered to a flat instruction program (``iff``
-becomes the t-norm conjunction of the two residua), every distinct atom
-becomes an input slot with a precomputed gather map from grounding index
-to the owning predicate's truth vector, and the quantifier prefix
-becomes a stack of axis reductions over the grounding grid.
+``compile_constraint`` checks a prenex formula against named example
+domains and predicate bindings and lowers its body to a flat instruction
+program (``iff`` becomes the t-norm conjunction of the two residua).  It
+records every distinct atom as an input slot, that is the predicate's
+binding and the quantifier axis of each argument, and the example ids of
+each axis.  It builds no grounding arrays.
 
-Groundings are enumerated row-major over the quantifier axes, with each
-domain in its ingestion order, so penalties are deterministic.
-
-``CompiledRuleSet`` evaluates many compiled rules together over the
-learner's stacked truth blocks, one engine pass per group of rules that
-share a template; the per-rule ``CompiledConstraint`` methods are its
-reference.
+``CompiledRuleSet`` is the one place where rules are grounded.  It groups
+the rules by template first, then grounds each rule straight to the rows
+that it evaluates: a guarded pair rule to the pairs in its guard's index,
+any other rule to its whole grid.  Grounding rows run row-major over the
+quantifier axes, with each domain in its ingestion order, so penalties
+are deterministic.  The per-rule ``CompiledConstraint.penalty`` methods
+evaluate a one-rule set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -55,7 +55,8 @@ class PredicateBinding:
 
     ``index`` maps an example id (unary) or an ``(a, b)`` pair (binary) to
     a position; binary lookups try ``(a, b)`` then ``(b, a)``, and ids
-    absent from the index read as constant 0.  A learned predicate's
+    absent from the index read as constant 0.  ``size``, the length of the
+    truth vector, is taken from the index once.  A learned predicate's
     positions index the output vector handed to the constraint at
     evaluation time.  A given predicate carries that vector itself as
     ``truths``, a read-only copy with one entry per position, each checked
@@ -68,8 +69,10 @@ class PredicateBinding:
     arity: int
     index: Mapping
     truths: np.ndarray | None = None
+    size: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "size", max(self.index.values()) + 1 if self.index else 0)
         if self.truths is None:
             return
         truths = np.asarray(self.truths)
@@ -87,28 +90,20 @@ class PredicateBinding:
         truths.flags.writeable = False
         object.__setattr__(self, "truths", truths)
 
-    @property
-    def size(self) -> int:
-        """The length of the predicate's truth vector."""
-        return max(self.index.values()) + 1 if self.index else 0
-
 
 @dataclass(frozen=True)
 class SlotBinding:
-    """One atom's gather map into its predicate's truth vector (-1 where
-    absent), and that vector itself for a given predicate."""
+    """One distinct atom: its predicate's binding and, per argument, the
+    quantifier axis it ranges over."""
 
-    pred: str
-    args: tuple[str, ...]
-    out_size: int
-    gather: np.ndarray
-    truths: np.ndarray | None
+    binding: PredicateBinding
+    axes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CompiledConstraint:
     formula: Formula
-    shape: tuple[int, ...]
+    domains: tuple[tuple[str, ...], ...]  # the example ids of each quantifier axis
     program: Program
     slots: tuple[SlotBinding, ...]
 
@@ -117,71 +112,49 @@ class CompiledConstraint:
         return self.formula.to_text()
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(ids) for ids in self.domains)
+
+    @property
     def n_groundings(self) -> int:
         return int(np.prod(self.shape))
 
-    def input_matrix(self, outputs: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Per-grounding slot values, shape (n_groundings, n_slots)."""
-        values = np.empty((self.n_groundings, len(self.slots)), dtype=np.float64)
-        for s, slot in enumerate(self.slots):
-            arr = slot.truths
-            if arr is None:
-                arr = _output_vector(outputs, slot.pred, slot.out_size)
-            # Absent ids gather -1, the appended 0.0.
-            values[:, s] = np.append(arr, 0.0)[slot.gather]
-        return values
-
-    def _forward(self, outputs: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's value per grounding, and the grid of penalties ``1 - truth``."""
-        vals = _engine.node_values(self.program, self.input_matrix(outputs))
-        return vals, (1.0 - vals[-1]).reshape(self.shape)
-
     def penalty(self, outputs: Mapping[str, np.ndarray]) -> float:
-        _, penalties = self._forward(outputs)
-        phi, _ = _aggregate(penalties, self.formula.quantifiers, need_weights=False)
-        return float(phi)
+        rule_set, truths, _ = self._alone(outputs)
+        return float(rule_set.penalties(truths)[0])
 
     def penalty_and_gradients(
         self, outputs: Mapping[str, np.ndarray]
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Penalty plus its gradient wrt each learned predicate's outputs."""
-        vals, penalties = self._forward(outputs)
-        phi, weights = _aggregate(penalties, self.formula.quantifiers, need_weights=True)
-        # phi depends on truths through penalties = 1 - truths.
-        dvalues = _engine.backward(self.program, vals, -weights.reshape(-1))
-        grads: dict[str, np.ndarray] = {}
-        for s, slot in enumerate(self.slots):
-            if slot.truths is not None:
-                continue
-            grad = grads.setdefault(slot.pred, np.zeros(slot.out_size, dtype=np.float64))
-            gather = slot.gather
-            present = gather >= 0
-            np.add.at(grad, gather[present], dvalues[present, s])
-        return float(phi), grads
+        rule_set, truths, names = self._alone(outputs)
+        phis, grads = rule_set.penalties_and_gradients(truths)
+        return float(phis[0]), {name: grad[0] for name, grad in zip(names, grads)}
 
-
-def _output_vector(outputs: Mapping[str, np.ndarray], pred: str, size: int) -> np.ndarray:
-    try:
-        arr = np.asarray(outputs[pred], dtype=np.float64)
-    except KeyError:
-        raise ValueError(f"missing predictions for predicate {pred!r}") from None
-    if arr.shape != (size,):
-        raise ValueError(
-            f"predictions for {pred!r} have shape {arr.shape}, expected ({size},)"
-        )
-    return arr
+    def _alone(self, outputs: Mapping[str, np.ndarray]):
+        """This rule as a rule set over ``outputs``, one block per learned
+        predicate, with those blocks and their predicates' names."""
+        sizes = {s.binding.name: s.binding.size for s in self.slots if s.binding.truths is None}
+        truths = []
+        for pred, size in sizes.items():
+            try:
+                arr = np.asarray(outputs[pred], dtype=np.float64)
+            except KeyError:
+                raise ValueError(f"missing predictions for predicate {pred!r}") from None
+            if arr.shape != (size,):
+                raise ValueError(f"predictions for {pred!r} have shape {arr.shape}, "
+                                 f"expected ({size},)")
+            truths.append(arr[None, :])
+        rule_set = CompiledRuleSet([self], [((pred,), size) for pred, size in sizes.items()])
+        return rule_set, truths, list(sizes)
 
 
 @dataclass(frozen=True)
 class _RuleGroup:
-    """Rules sharing one template, stacked for a single engine pass.
-
-    ``index`` maps each stacked grounding row and slot to a position of the
-    rule set's flat input vector.  Dense groups stack every grounding,
-    rule-major, with ``row_rule`` unset; guard-sparse groups keep only
-    the live rows and name each row's rule (0-based within ``rules``) in
-    ``row_rule``.
-    """
+    """Rules sharing one template, their rows stacked rule-major for a
+    single engine pass: ``index`` holds each row's position in the flat input
+    vector per slot, and ``row_rule``, in a guarded group, each row's rule
+    (0-based within ``rules``)."""
 
     program: Program
     quantifiers: tuple
@@ -192,26 +165,31 @@ class _RuleGroup:
 
 
 class CompiledRuleSet:
-    """A sequence of compiled rules evaluated one template at a time.
+    """A sequence of compiled rules, grounded together and evaluated one
+    template at a time.
 
     The learned outputs arrive as truth blocks laid out by ``layout``: one
     ``(predicates, n)`` entry per block, whose K x n truths hold one row per
     predicate, in that order.  The blocks are read as one flat vector,
     followed by a 0.0 sentinel that absent examples read and by each given
-    predicate's truths, placed once.  Every slot, learned or given, reads
-    position ``offset + gather`` of that vector, or the sentinel where its
-    gather is -1.  Rules with the same program, t-norm, quantifier prefix
-    and grid shape form a group that costs one gather, one forward pass
-    and, for gradients, one backward pass.
+    predicate's truths, placed once.  Each grounding row reads, for every
+    slot, the position of its example or pair in the slot's predicate, or
+    the sentinel where the predicate's index lacks it.  Rules with the same
+    program, t-norm, quantifier prefix and grid shape form a group that
+    costs one gather, one forward pass and, for gradients, one backward
+    pass.
 
-    A ``forall x. forall y. G(x, y) => body`` group is grounded only where
-    its guard ``G`` is live, that is where the pair is in ``G``'s index:
-    elsewhere ``G = 0``, either implication is exactly 1 under every t-norm
-    and passes no gradient to the body, so the dropped groundings change
-    only the order of the sum.  Other groups
-    over a grid of two or more axes keep one rule each, so memory does not
-    grow with the rule count.  :class:`CompiledConstraint` is the per-rule
-    reference that this class must agree with.
+    A ``forall x. forall y. G(x, y) => body`` rule, ``G`` a pair predicate,
+    is grounded only where its guard ``G`` is live, that is where the pair
+    is in ``G``'s index: elsewhere ``G = 0``, either implication is exactly
+    1 under every t-norm and passes no gradient to the body, so the dropped
+    groundings change only the order of the sum.  Its rows come straight
+    from the guard's index and never from the grid.  Other rules over a
+    grid of two or more axes walk the whole grid, one rule per group, so
+    memory does not grow with the rule count.
+
+    Lookups are built once per rule set, for each index map and domain:
+    the predicates of one block share their index map.
     """
 
     def __init__(
@@ -231,36 +209,35 @@ class CompiledRuleSet:
         given: dict[str, np.ndarray] = {}
         end = sentinel + 1
 
-        members: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+        offsets: list[list[int]] = []
+        members: dict[tuple, list[int]] = {}
         for r, constraint in enumerate(self.constraints):
-            columns = []
+            offsets.append([])
             for slot in constraint.slots:
-                if slot.truths is not None and slot.pred not in place:
-                    place[slot.pred] = (end, slot.out_size)
-                    given[slot.pred] = slot.truths
-                    tail.append(slot.truths)
-                    end += slot.out_size
-                if given.get(slot.pred) is not slot.truths:
+                binding = slot.binding
+                pred = binding.name
+                if binding.truths is not None and pred not in place:
+                    place[pred] = (end, binding.size)
+                    given[pred] = binding.truths
+                    tail.append(binding.truths)
+                    end += binding.size
+                if given.get(pred) is not binding.truths:
                     raise CompileError(
-                        f"rule {constraint.text!r} binds {slot.pred!r} to other truths "
+                        f"rule {constraint.text!r} binds {pred!r} to other truths "
                         f"than the rule set reads for it"
                     )
-                if slot.pred not in place:
+                if pred not in place:
                     raise CompileError(
                         f"rule {constraint.text!r} references unknown learned "
-                        f"predicate {slot.pred!r}"
+                        f"predicate {pred!r}"
                     )
-                offset, n = place[slot.pred]
-                if slot.out_size != n:
+                offset, n = place[pred]
+                if binding.size != n:
                     raise CompileError(
-                        f"rule {constraint.text!r} was compiled for {slot.out_size} "
-                        f"outputs of {slot.pred!r}, its block has {n}"
+                        f"rule {constraint.text!r} was compiled for {binding.size} "
+                        f"outputs of {pred!r}, its block has {n}"
                     )
-                columns.append(np.where(slot.gather >= 0, offset + slot.gather, sentinel))
-            index = np.stack(columns, axis=1)
-            guard = _guard_slot(constraint)
-            if guard is not None:
-                index = index[constraint.slots[guard].gather >= 0]
+                offsets[r].append(offset)
             program = constraint.program
             key = (
                 tuple(program.opcodes.tolist()),
@@ -270,26 +247,26 @@ class CompiledRuleSet:
                 tuple((q.kind, q.count) for q in constraint.formula.quantifiers),
                 constraint.shape,
             )
-            if guard is None and len(constraint.shape) > 1:
+            if _guard_slot(constraint) is None and len(constraint.shape) > 1:
                 key += (r,)
-            members.setdefault(key, []).append((r, index))
+            members.setdefault(key, []).append(r)
 
         self._tail = np.concatenate(tail)
+        lookups: dict = {}
         self._groups = []
-        for rows in members.values():
-            first = self.constraints[rows[0][0]]
-            sparse = _guard_slot(first) is not None
-            counts = [len(index) for _, index in rows]
-            self._groups.append(
-                _RuleGroup(
-                    program=first.program,
-                    quantifiers=first.formula.quantifiers,
-                    shape=first.shape,
-                    rules=np.array([r for r, _ in rows], dtype=np.intp),
-                    index=np.concatenate([index for _, index in rows]),
-                    row_rule=np.repeat(np.arange(len(rows)), counts) if sparse else None,
-                )
-            )
+        for rules in members.values():
+            first = self.constraints[rules[0]]
+            index = []
+            for r in rules:
+                position = _positions(self.constraints[r], lookups)
+                index.append(np.where(position >= 0, np.array(offsets[r]) + position, sentinel))
+            row_rule = None
+            if _guard_slot(first) is not None:
+                row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
+            self._groups.append(_RuleGroup(
+                first.program, first.formula.quantifiers, first.shape,
+                np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
+            ))
 
     @property
     def n_groundings(self) -> int:
@@ -342,8 +319,77 @@ class CompiledRuleSet:
         return phis, grad
 
 
+def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
+    """The rule's grounding rows: each slot's position in its predicate's
+    truth vector, -1 where absent.  Rules with the same guard slot that read
+    the same index maps over the same domains share one array."""
+    guard = _guard_slot(constraint)
+    key = ("rows", guard, constraint.domains) + tuple(
+        (id(slot.binding.index), slot.axes) for slot in constraint.slots)
+    if key in lookups:
+        return lookups[key]
+    if guard is None:
+        cells = np.arange(constraint.n_groundings)
+    else:
+        # The guard's pairs, row-major; the codes of a G(y, x) guard count y first.
+        slot = constraint.slots[guard]
+        cells = _pair_codes(slot, constraint.domains, lookups)[0][:-1]
+        if slot.axes == (1, 0):
+            n_x, n_y = constraint.shape
+            cells = np.sort(cells % n_x * n_y + cells // n_x)
+    coords = np.unravel_index(cells, constraint.shape)
+    columns = []
+    for slot in constraint.slots:
+        if slot.binding.arity == 1:
+            columns.append(_unary_column(slot, constraint.domains, lookups)[coords[slot.axes[0]]])
+        else:
+            codes, positions = _pair_codes(slot, constraint.domains, lookups)
+            a, b = slot.axes
+            wanted = coords[a] * len(constraint.domains[b]) + coords[b]
+            at = np.searchsorted(codes, wanted)
+            columns.append(np.where(codes[at] == wanted, positions[at], -1))
+    lookups[key] = np.stack(columns, axis=1)
+    return lookups[key]
+
+
+def _unary_column(slot: SlotBinding, domains, lookups: dict) -> np.ndarray:
+    """Each id's position in a unary index, -1 where absent."""
+    ids = domains[slot.axes[0]]
+    key = ("unary", id(slot.binding.index), ids)
+    if key not in lookups:
+        index = slot.binding.index
+        lookups[key] = np.array([index.get(i, -1) for i in ids], dtype=np.int64)
+    return lookups[key]
+
+
+def _pair_codes(slot: SlotBinding, domains, lookups: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A pair index over two domains as the sorted codes ``i * len(right) + j``
+    of its pairs ``(left[i], right[j])``, each in either order, and their
+    positions.  A direct entry beats a reversed one, and pairs with an id
+    outside the domains are left out.  A last code, past every pair, reads
+    position -1.
+    """
+    left, right = (domains[axis] for axis in slot.axes)
+    key = ("pairs", id(slot.binding.index), left, right)
+    if key not in lookups:
+        row = {a: i for i, a in enumerate(left)}
+        col = {b: j for j, b in enumerate(right)}
+        found = [(len(left) * len(right), 0, -1)]  # code, reversed, position
+        for (a, b), position in slot.binding.index.items():
+            for flip, (x, y) in enumerate(((a, b), (b, a))):
+                if x in row and y in col:
+                    found.append((row[x] * len(right) + col[y], flip, position))
+        codes, flips, positions = np.array(found, dtype=np.int64).T
+        order = np.lexsort((flips, codes))
+        codes, positions = codes[order], positions[order]
+        first = np.append(True, codes[1:] != codes[:-1])
+        lookups[key] = (codes[first], positions[first])
+    return lookups[key]
+
+
 def _guard_slot(constraint: CompiledConstraint) -> int | None:
-    """Slot of the guard ``G`` of a ``forall x. forall y. G => body`` rule."""
+    """Slot of the pair guard ``G`` of a ``forall x. forall y. G(x, y) => body``
+    rule, ``G(y, x)`` too."""
     if [q.kind for q in constraint.formula.quantifiers] != [FORALL, FORALL]:
         return None
     program = constraint.program
@@ -353,7 +399,8 @@ def _guard_slot(constraint: CompiledConstraint) -> int | None:
     left = program.lhs[root]
     if program.opcodes[left] != OP_LOAD:
         return None
-    return int(program.lhs[left])
+    guard = int(program.lhs[left])
+    return guard if sorted(constraint.slots[guard].axes) == [0, 1] else None
 
 
 def compile_constraint(
@@ -364,25 +411,28 @@ def compile_constraint(
     *,
     implication: str = RESIDUUM,
 ) -> CompiledConstraint:
-    """Ground a formula against example domains and predicate bindings."""
+    """Check a formula against example domains and predicate bindings and
+    lower it; :class:`CompiledRuleSet` grounds it."""
     if tnorm not in TNORMS:
         raise CompileError(f"unknown t-norm {tnorm!r}")
     if implication not in IMPLICATIONS:
         raise CompileError(f"unknown implication mapping {implication!r}")
 
-    resolved: dict[str, tuple[str, ...]] = {}
+    axis_ids = []
     for q in formula.quantifiers:
         if q.domain not in domains:
             raise CompileError(f"unknown domain {q.domain!r}")
         ids = tuple(domains[q.domain])
         if not ids:
             raise CompileError(f"domain {q.domain!r} is empty")
+        if len(set(ids)) != len(ids):
+            raise CompileError(f"domain {q.domain!r} lists an example twice")
         if q.kind == EXISTS_N and q.count > len(ids):
             raise CompileError(
                 f"exists[{q.count}] over {q.var!r} exceeds the {len(ids)} "
                 f"examples of domain {q.domain!r}"
             )
-        resolved[q.domain] = ids
+        axis_ids.append(ids)
 
     for pred, arity in sorted(formula.predicates().items()):
         binding = predicates.get(pred)
@@ -393,78 +443,17 @@ def compile_constraint(
                 f"predicate {pred!r} bound with arity {binding.arity}, used with {arity}"
             )
 
-    shape = tuple(len(resolved[q.domain]) for q in formula.quantifiers)
     axis_of = {q.var: k for k, q in enumerate(formula.quantifiers)}
-    mesh = np.indices(shape).reshape(len(shape), -1)
-
-    slot_order: list[tuple[str, tuple[str, ...]]] = []
-    seen: set[tuple[str, tuple[str, ...]]] = set()
-    for atom in iter_atoms(formula.body):
-        key = (atom.pred, atom.args)
-        if key not in seen:
-            seen.add(key)
-            slot_order.append(key)
-
-    slots = []
-    for pred, args in slot_order:
-        binding = predicates[pred]
-        axes = tuple(axis_of[v] for v in args)
-        ids = tuple(resolved[formula.quantifiers[k].domain] for k in axes)
-        slots.append(_bind_slot(binding, args, axes, ids, mesh))
-
-    program = _lower(formula.body, slot_order, TN_CODE[tnorm], implication)
+    slot_order = list(dict.fromkeys((atom.pred, atom.args) for atom in iter_atoms(formula.body)))
     return CompiledConstraint(
         formula=formula,
-        shape=shape,
-        program=program,
-        slots=tuple(slots),
+        domains=tuple(axis_ids),
+        program=_lower(formula.body, slot_order, TN_CODE[tnorm], implication),
+        slots=tuple(
+            SlotBinding(predicates[pred], tuple(axis_of[v] for v in args))
+            for pred, args in slot_order
+        ),
     )
-
-
-def _bind_slot(
-    binding: PredicateBinding,
-    args: tuple[str, ...],
-    axes: tuple[int, ...],
-    axis_ids: tuple[tuple[str, ...], ...],
-    mesh: np.ndarray,
-) -> SlotBinding:
-    index = binding.index
-    if binding.arity == 1:
-        col = np.array([index.get(i, -1) for i in axis_ids[0]], dtype=np.int64)
-        gather = col[mesh[axes[0]]]
-    else:
-        gather = _pair_matrix(index, *axis_ids)[mesh[axes[0]], mesh[axes[1]]]
-    return SlotBinding(binding.name, args, binding.size, gather, binding.truths)
-
-
-def _pair_matrix(
-    index: Mapping, left: tuple[str, ...], right: tuple[str, ...]
-) -> np.ndarray:
-    """``index[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``.
-
-    A pair without an entry falls back to ``index[(b, a)]``, and to -1
-    without either.  One walk over the entries fills a matrix over the
-    distinct ids.
-    """
-    rows = {a: i for i, a in enumerate(dict.fromkeys(left))}
-    cols = {b: j for j, b in enumerate(dict.fromkeys(right))}
-    mat = np.full((len(rows), len(cols)), -1, dtype=np.int64)
-    # The reversed entries go in first so that a direct entry overwrites them.
-    for first, second in ((1, 0), (0, 1)):
-        hits = [
-            (rows[key[first]], cols[key[second]], position)
-            for key, position in index.items()
-            if isinstance(key, tuple)
-            and len(key) == 2
-            and key[first] in rows
-            and key[second] in cols
-        ]
-        if hits:
-            i, j, positions = zip(*hits)
-            mat[list(i), list(j)] = positions
-    row_of = np.array([rows[a] for a in left], dtype=np.intp)
-    col_of = np.array([cols[b] for b in right], dtype=np.intp)
-    return mat[row_of[:, None], col_of[None, :]]
 
 
 def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> Program:

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: random constraint instances, a
-central finite-difference oracle for penalty gradients with the kink margin
+"""Shared helpers for the test suite: random constraint instances, the
+dense per-rule grounding that the rule set must agree with, a central
+finite-difference oracle for penalty gradients with the kink margin
 that keeps its probes away from subgradient boundaries, the full objective
 and its gradient, the reference descent that evaluates every line-search
 trial in full, the pairwise kernels that the Gram builders must reproduce,
@@ -20,6 +21,7 @@ from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics
 from fungo.io import DataFileError
 from fungo.logic import EXISTS, FORALL, PredicateBinding, compile_constraint, engine, parse_rule
+from fungo.logic.compiler import _aggregate
 from fungo.ontology import (
     ISA,
     NAMESPACES,
@@ -147,6 +149,79 @@ def stack_outputs(rng, outputs):
     return layout, truths, where
 
 
+# --- dense per-rule grounding: the reference for the rule set -------------
+
+
+def dense_gathers(constraint) -> list[np.ndarray]:
+    """Each slot's position in its predicate's truth vector at every
+    grounding of the full grid, row-major, -1 where absent."""
+    mesh = np.indices(constraint.shape).reshape(len(constraint.shape), -1)
+    gathers = []
+    for slot in constraint.slots:
+        index = slot.binding.index
+        ids = [constraint.domains[k] for k in slot.axes]
+        if slot.binding.arity == 1:
+            col = np.array([index.get(i, -1) for i in ids[0]], dtype=np.int64)
+            gathers.append(col[mesh[slot.axes[0]]])
+        else:
+            gathers.append(_pair_matrix(index, *ids)[mesh[slot.axes[0]], mesh[slot.axes[1]]])
+    return gathers
+
+
+def _pair_matrix(index, left, right) -> np.ndarray:
+    """``index[(a, b)]`` for every ``a`` of ``left`` and ``b`` of ``right``,
+    falling back to ``index[(b, a)]`` and to -1 without either: one walk
+    over the entries fills a matrix over the distinct ids."""
+    rows = {a: i for i, a in enumerate(dict.fromkeys(left))}
+    cols = {b: j for j, b in enumerate(dict.fromkeys(right))}
+    mat = np.full((len(rows), len(cols)), -1, dtype=np.int64)
+    # The reversed entries go in first so that a direct entry overwrites them.
+    for first, second in ((1, 0), (0, 1)):
+        hits = [(rows[key[first]], cols[key[second]], position)
+                for key, position in index.items()
+                if key[first] in rows and key[second] in cols]
+        if hits:
+            i, j, positions = zip(*hits)
+            mat[list(i), list(j)] = positions
+    row_of = np.array([rows[a] for a in left], dtype=np.intp)
+    col_of = np.array([cols[b] for b in right], dtype=np.intp)
+    return mat[row_of[:, None], col_of[None, :]]
+
+
+def dense_inputs(constraint, outputs) -> np.ndarray:
+    """Per-grounding slot values over the full grid, (n_groundings, n_slots)."""
+    values = np.empty((constraint.n_groundings, len(constraint.slots)))
+    for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
+        truths = slot.binding.truths
+        if truths is None:
+            truths = np.asarray(outputs[slot.binding.name], dtype=np.float64)
+        # Absent ids gather -1, the appended 0.0.
+        values[:, s] = np.append(truths, 0.0)[gather]
+    return values
+
+
+def dense_forward(constraint, outputs) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's value per grounding, and the grid of penalties ``1 - truth``."""
+    vals = engine.node_values(constraint.program, dense_inputs(constraint, outputs))
+    return vals, (1.0 - vals[-1]).reshape(constraint.shape)
+
+
+def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, np.ndarray]]:
+    """The rule's penalty from every grounding of its grid, and its gradient
+    wrt each learned predicate's outputs."""
+    vals, penalties = dense_forward(constraint, outputs)
+    phi, weights = _aggregate(penalties, constraint.formula.quantifiers, need_weights=True)
+    dvalues = engine.backward(constraint.program, vals, -weights.reshape(-1))
+    grads: dict[str, np.ndarray] = {}
+    for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
+        if slot.binding.truths is not None:
+            continue
+        grad = grads.setdefault(slot.binding.name, np.zeros(slot.binding.size))
+        present = gather >= 0
+        np.add.at(grad, gather[present], dvalues[present, s])
+    return float(phi), grads
+
+
 def nonsmooth_margin(constraint, outputs) -> float:
     """Distance of the constraint's evaluation at ``outputs`` from the
     nearest subgradient boundary.
@@ -155,7 +230,7 @@ def nonsmooth_margin(constraint, outputs) -> float:
     kinks (branch switches of min/max, residuum satisfaction boundaries,
     selection ties of existential aggregation).
     """
-    vals, penalties = constraint._forward(outputs)
+    vals, penalties = dense_forward(constraint, outputs)
     program = constraint.program
     tn = program.tnorm_code
     margin = np.inf
@@ -212,7 +287,7 @@ def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):
 def fd_penalty_gradients(constraint, outputs, h=1e-6):
     """Central finite differences of the constraint penalty."""
     grads = {}
-    learned = {slot.pred for slot in constraint.slots if slot.truths is None}
+    learned = {slot.binding.name for slot in constraint.slots if slot.binding.truths is None}
     for name, vec in outputs.items():
         if name not in learned:
             continue

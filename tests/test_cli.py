@@ -375,6 +375,27 @@ class TestRun:
         else:
             assert all(b is None or b.truths is None for b in compiled)
 
+    def test_a_pair_gram_keeps_one_example_per_interaction(self, dataset, caplog):
+        # p2|p1 and p8|p3 repeat p1|p2 and p3|p8; p9 left the dataset.
+        ids = ["p1|p2", "p3|p8", "p2|p1", "p1|p5", "p8|p3", "p9|p1"]
+        matrix = np.arange(36.0).reshape(6, 6)
+        matrix = matrix + matrix.T
+        (dataset / "pairs.csv").write_text(
+            ",".join(ids) + "\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in matrix)
+        )
+        cfg = write_config(dataset, rules="OC+PP2", pair_gram="pairs.csv")
+        config = parse_experiment_config(read_config(cfg), str(dataset))
+        proteins = cli.load_dataset(config).proteins
+        with caplog.at_level(logging.INFO, logger="fungo"):
+            _, (examples, gram) = cli._bound_inputs(config, "learned", proteins)
+        assert examples == (("p1", "p2"), ("p3", "p8"), ("p1", "p5"))
+        assert gram.ids == ("p1|p2", "p3|p8", "p1|p5")
+        assert np.array_equal(gram.matrix, matrix[np.ix_([0, 1, 3], [0, 1, 3])])
+        messages = [r.getMessage() for r in caplog.records]
+        assert "skipped 2 pair Gram entries that repeat a pair" in messages
+        assert "skipped 1 pair Gram entries outside the dataset" in messages
+
     def test_a_learned_pair_is_true_in_either_order(self, tmp_path, monkeypatch):
         # The interaction list names prot01-prot02, the pair Gram prot02|prot01:
         # training labels the pair 1.0, and evaluation counts it as true.
@@ -415,7 +436,8 @@ class TestRun:
     def test_merged_files_are_the_union_of_the_fold_files(self, tmp_path, monkeypatch):
         # The hierarchy fixture with a learned pair predicate: ten chained
         # interactions, and a pair Gram over them, the reversals of two of
-        # them and five non-interacting pairs.
+        # them and five non-interacting pairs.  A reversal repeats its
+        # interaction and is dropped.
         hierarchy_fixture.write_dataset(str(tmp_path))
         proteins = [row[0] for row in hierarchy_fixture.protein_positions()]
         interactions = [(proteins[i], proteins[i + 5]) for i in range(0, 50, 5)[:-1]]
@@ -457,12 +479,13 @@ class TestRun:
             fungo_io.write_predictions(str(path), outcome.pairs, ("BOUND",), *outcome.bound)
             bound_lines += [line for line in path.read_text().splitlines() if line]
         merged = (out / "bound_predictions.tsv").read_text().splitlines()
-        assert len(merged) == len(ids)
+        distinct = ids[:len(interactions)] + ids[len(interactions) + 2:]
+        assert sorted(line.split("\t")[0] for line in merged) == sorted(distinct)
         assert merged == sorted(bound_lines)
         # The bound_* metrics count the merged pairs against the interactions,
         # each in either order.
         chosen = {line.split("\t")[0] for line in merged if "\tpos\t" in line}
-        true = set(ids[:len(interactions) + 2])
+        true = set(ids[:len(interactions)])
         tp, fp, fn = len(chosen & true), len(chosen - true), len(true - chosen)
         assert tp and fp and fn
         metrics = (out / "metrics.txt").read_text().splitlines()

@@ -1,5 +1,7 @@
 """Constraint compilation: grounding, penalties and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 from support import (
     FORMULA_POOL,
     GUARDED_PREFIX,
+    dense_gathers,
+    dense_inputs,
+    dense_penalty_and_gradients,
     fd_penalty_gradients,
     given_binding,
     gradient_close,
@@ -115,7 +120,8 @@ def test_given_mode_reads_table_and_gets_no_gradient():
         "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, truths=[1.0]),
     }
     c = compile_constraint(f, "product", {"P": ids}, preds)
-    assert {slot.pred: slot.truths is None for slot in c.slots} == {"A": True, "BOUND": False}
+    assert {slot.binding.name: slot.binding.truths is None for slot in c.slots} == {
+        "A": True, "BOUND": False}
     outputs = {"A": np.array([0.9, 0.2, 0.5])}
     phi, grads = c.penalty_and_gradients(outputs)
     # Only the (p0, p1) and (p1, p0) groundings have a live antecedent.
@@ -219,6 +225,10 @@ def test_compile_validation_errors():
     with pytest.raises(CompileError, match="t-norm"):
         compile_constraint(
             f, "softmin", {"P": ids}, {"A": _unary("A", ids), "B": _unary("B", ids)}
+        )
+    with pytest.raises(CompileError, match="domain 'P' lists an example twice"):
+        compile_constraint(
+            f, "product", {"P": ["p0", "p1", "p0"]}, {"A": _unary("A", ids), "B": _unary("B", ids)}
         )
     g = parse_rule("exists[5] x:P. A(x)")
     with pytest.raises(CompileError, match="exceeds"):
@@ -326,9 +336,40 @@ def test_pair_binding_matches_the_double_loop():
             forward = _pair_lookup_loop(entries, left, right, missing)
             backward = _pair_lookup_loop(entries, right, left, missing)
             # A given slot reads its truths through the same gather.
-            got = [slot.gather for slot in c.slots] if mode == "learned" else c.input_matrix({}).T
+            got = dense_gathers(c) if mode == "learned" else dense_inputs(c, {}).T
             assert np.array_equal(got[0], forward.reshape(-1)), mode
             assert np.array_equal(got[1], backward.T.reshape(-1)), mode
+
+
+def test_pair_guards_over_two_domains_match_the_dense_grounding():
+    rng = np.random.default_rng(9)
+    texts = ["forall x:P. forall y:Q. R(x,y) => R(y,x)",
+             "forall x:P. forall y:Q. R(y,x) => A(x) or R(x,y)"]
+    for _ in range(20):
+        left = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
+        right = [f"p{i}" for i in range(int(rng.integers(1, 6)))] + ["q0"]
+        ids = sorted(set(left) | set(right)) + ["outside"]
+        keys = [(a, b) for a in ids for b in ids if rng.random() < 0.4]
+        outputs = {"A": rng.uniform(0.05, 0.95, len(ids)), "R": rng.uniform(0.05, 0.95, len(keys))}
+        for mode in ("given", "learned"):
+            if mode == "given":
+                binding = given_binding("R", 2, dict(zip(keys, outputs["R"].tolist())))
+            else:
+                binding = PredicateBinding("R", 2, {key: k for k, key in enumerate(keys)})
+            bindings = {"A": _unary("A", ids), "R": binding}
+            constraints = [compile_constraint(parse_rule(t), "product", {"P": left, "Q": right},
+                                              bindings) for t in texts]
+            layout = [(("A",), len(ids))] + [(("R",), len(keys))] * (mode == "learned")
+            truths = [outputs[preds[0]][None, :] for preds, _ in layout]
+            phis, grads = CompiledRuleSet(constraints, layout).penalties_and_gradients(truths)
+            expected = [np.zeros_like(t) for t in truths]
+            for constraint, phi in zip(constraints, phis.tolist()):
+                oracle, partials = dense_penalty_and_gradients(constraint, outputs)
+                assert phi == pytest.approx(oracle, rel=1e-12, abs=0.0), (mode, constraint.text)
+                for pred, grad in partials.items():
+                    expected[[p for p, _ in layout].index((pred,))][0] += grad
+            for grad, want in zip(grads, expected):
+                assert np.allclose(grad, want, rtol=1e-12, atol=1e-15), mode
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,7 +393,7 @@ def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_m
     expected = [np.zeros_like(t) for t in truths]
     scale = [np.zeros_like(t) for t in truths]
     for text, constraint, phi in zip(texts, constraints, phis.tolist()):
-        oracle, partials = constraint.penalty_and_gradients(outputs)
+        oracle, partials = dense_penalty_and_gradients(constraint, outputs)
         if text.startswith(GUARDED_PREFIX):
             assert phi == pytest.approx(oracle, rel=1e-12, abs=0.0), constraint.text
         else:
@@ -372,12 +413,62 @@ def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
     assert text.startswith(GUARDED_PREFIX)
     constraints, outputs = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
     layout, _, _ = stack_outputs(rng, outputs)
-    guard = constraints[0].slots[0]
-    assert guard.pred == "BOUND"
-    live = np.count_nonzero(guard.gather >= 0)
+    assert constraints[0].slots[0].binding.name == "BOUND"
+    live = np.count_nonzero(dense_gathers(constraints[0])[0] >= 0)
     assert 0 < live < constraints[0].n_groundings
     assert CompiledRuleSet(constraints[:1], layout).n_groundings == live
     assert CompiledRuleSet(constraints, layout).n_groundings == 2 * live
+
+
+@pytest.mark.parametrize("tnorm", TNORMS)
+@pytest.mark.parametrize("implication", IMPLICATIONS)
+@pytest.mark.parametrize("bound_mode", ("given", "learned"))
+def test_guarded_rules_over_a_scope_subset_match_the_dense_grounding(
+    tnorm, implication, bound_mode
+):
+    rng = np.random.default_rng(7)
+    ids = [f"p{i}" for i in range(8)]
+    scope = ["p5", "p1", "p3", "p6", "p0"]  # a subset, not in index order
+    # Pairs inside the scope (one listed in both orders), with one id
+    # outside it, and with both outside it.
+    pairs = [("p1", "p5"), ("p5", "p1"), ("p3", "p0"), ("p6", "p3"), ("p1", "p2"),
+             ("p7", "p6"), ("p2", "p4"), ("p4", "p7")]
+    bindings = {name: _unary(name, ids) for name in "AB"}
+    layout = [(("A", "B"), len(ids))]
+    truths = [rng.uniform(0.05, 0.95, (2, len(ids)))]
+    if bound_mode == "given":
+        bindings["BOUND"] = given_binding(
+            "BOUND", 2, {pair: float(v) for pair, v in zip(pairs, rng.uniform(0.0, 1.0, 8))})
+    else:
+        bindings["BOUND"] = PredicateBinding("BOUND", 2, {p: k for k, p in enumerate(pairs)})
+        layout.append((("BOUND",), len(pairs)))
+        truths.append(rng.uniform(0.05, 0.95, (1, len(pairs))))
+    outputs = {"A": truths[0][0], "B": truths[0][1]}
+    if bound_mode == "learned":
+        outputs["BOUND"] = truths[1][0]
+    # The last rule reads the same slots as the second but has no guard.
+    texts = [FORMULA_POOL[7], FORMULA_POOL[8],
+             "forall x:P. forall y:P. BOUND(y,x) => (A(x) => B(y))",
+             "forall x:P. forall y:P. BOUND(x,y) and ((A(x) and A(y)) or (B(x) and B(y)))"]
+    constraints = [
+        compile_constraint(parse_rule(t), tnorm, {"P": scope}, bindings, implication=implication)
+        for t in texts
+    ]
+    rule_set = CompiledRuleSet(constraints, layout)
+    phis, grads = rule_set.penalties_and_gradients(truths)
+    live = [np.count_nonzero(dense_gathers(c)[0] >= 0) for c in constraints[:3]]
+    assert rule_set.n_groundings == sum(live) + len(scope) ** 2 and 0 < live[0] < len(scope) ** 2
+    expected = [np.zeros_like(t) for t in truths]
+    scale = [np.zeros_like(t) for t in truths]
+    for constraint, phi in zip(constraints, phis.tolist()):
+        oracle, partials = dense_penalty_and_gradients(constraint, outputs)
+        assert phi == pytest.approx(oracle, rel=1e-12, abs=0.0), constraint.text
+        for pred, grad in partials.items():
+            b, k = (1, 0) if pred == "BOUND" else (0, "AB".index(pred))
+            expected[b][k] += grad
+            scale[b][k] += np.abs(grad)
+    for grad, want, tol in zip(grads, expected, scale):
+        assert np.all(np.abs(grad - want) <= 1e-12 * tol)
 
 
 def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
@@ -494,3 +585,22 @@ def test_rule_set_rejects_clashing_given_predicates():
     with pytest.raises(CompileError, match=clash):
         CompiledRuleSet([compiled, learned], [(("A",), 2)])
     assert CompiledRuleSet([compiled, compiled], [(("A",), 2)]).n_groundings == 4
+
+
+def test_a_guarded_rule_is_grounded_without_its_grid():
+    # One PP rule over 1,000 ids and 20 interactions: 40 live rows, both
+    # orders of each pair, out of a million-cell grid.
+    ids = [f"p{i:04d}" for i in range(1000)]
+    pairs = {(ids[i], ids[i + 25]): k for k, i in enumerate(range(0, 1000, 50))}
+    bindings = {"A": _unary("A", ids),
+                "BOUND": PredicateBinding("BOUND", 2, pairs, truths=np.ones(len(pairs)))}
+    rule = parse_rule(f"{GUARDED_PREFIX} (A(x) <=> A(y))")
+    tracemalloc.start()
+    try:
+        constraint = compile_constraint(rule, "minimum", {"P": ids}, bindings)
+        rule_set = CompiledRuleSet([constraint], [(("A",), len(ids))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rule_set.n_groundings == 2 * len(pairs)
+    assert peak < 2**20, f"peak {peak} bytes"
