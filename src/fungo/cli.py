@@ -493,7 +493,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         )
         return FoldOutcome(index, failure=failure)
     held = np.flatnonzero([p in held_out for p in data.proteins])
-    predictions = tuple(m[held] for m in predict(model, tasks[0], config.train))
+    predictions = tuple(m[held] for m in predict(model.weights[0], tasks[0], config.train))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
                          [data.proteins[i] for i in held], tasks[0].predicates, *predictions)
     pairs: tuple[str, ...] = ()
@@ -503,7 +503,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         task = tasks[-1]
         scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
         pairs = tuple(pair_key(task.examples[i]) for i in scored)
-        bound = tuple(m[scored] for m in predict(model, task, config.train))
+        bound = tuple(m[scored] for m in predict(model.weights[-1], task, config.train))
     trace_lines = [
         f"stage=1 step={i} objective={value:.17g}"
         for i, value in enumerate(model.trace.stage1)
@@ -511,12 +511,8 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         f"stage=2 step={i} objective={value:.17g}"
         for i, value in enumerate(model.trace.stage2)
     ]
-    io.write_model(
-        os.path.join(fold_dir, "model.txt"),
-        model.alphas,
-        config.echo(),
-        trace_lines,
-    )
+    io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
+                   model.weights, config.echo(), trace_lines)
     return FoldOutcome(index, held, predictions, pairs, bound)
 
 

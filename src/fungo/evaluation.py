@@ -2,7 +2,7 @@
 
 Three groups of tools live here:
 
-* multi-label metrics over a batch of per-protein prediction sets —
+* multi-label metrics over boolean examples × predicates matrices —
   example-averaged precision/recall/F1, pooled and per-predicate-averaged
   label metrics, and a hierarchy-consistency score that checks predictions
   against the parent links of a term cut;
@@ -48,46 +48,18 @@ class EvalError(ValueError):
 class PredictionSet:
     """Multi-label predictions for a batch of examples.
 
-    Each example carries a truth set, a predicted set, and the subset of
-    predicates whose decision fell inside the undecided band.  They are held
-    as three read-only boolean examples × predicates matrices, so confusion
-    counts are column sums (and always sum to the number of examples) and
-    per-example counts are row sums.  :meth:`from_matrices` builds one from
-    the matrices directly; the set views are derived on demand.
+    Three read-only boolean examples × predicates matrices: the truth, the
+    predictions, and the entries whose decision fell inside the undecided
+    band.  Confusion counts are column sums (and always sum to the number of
+    examples) and per-example counts are row sums.  Built by
+    :meth:`from_matrices`.
     """
 
-    def __init__(
-        self,
-        predicates: Sequence[str],
-        examples: Sequence[str],
-        truth_sets: Sequence[Iterable[str]],
-        predicted_sets: Sequence[Iterable[str]],
-        undecided_sets: Sequence[Iterable[str]] = (),
-    ):
-        predicates, examples = _check_ids(predicates, examples)
-        if undecided_sets == () and examples:
-            undecided_sets = tuple(frozenset() for _ in examples)
-        column = {p: j for j, p in enumerate(predicates)}
-        matrices = []
-        for name, sets in (
-            ("truth", truth_sets),
-            ("predicted", predicted_sets),
-            ("undecided", undecided_sets),
-        ):
-            if len(sets) != len(examples):
-                raise EvalError(f"{name} sets do not match the example count")
-            matrix = np.zeros((len(examples), len(predicates)), dtype=bool)
-            for i, (example, members) in enumerate(zip(examples, sets)):
-                members = set(members)
-                unknown = members - column.keys()
-                if unknown:
-                    raise EvalError(
-                        f"{name} set of {example!r} references unknown "
-                        f"predicates {sorted(unknown)}"
-                    )
-                matrix[i, [column[p] for p in members]] = True
-            matrices.append(matrix)
-        self._store(predicates, examples, *matrices)
+    predicates: tuple[str, ...]
+    examples: tuple[str, ...]
+    truth: np.ndarray
+    predicted: np.ndarray
+    undecided: np.ndarray
 
     @classmethod
     def from_matrices(
@@ -99,43 +71,25 @@ class PredictionSet:
         undecided: np.ndarray,
     ) -> "PredictionSet":
         """Wrap boolean examples × predicates matrices (copied)."""
-        predicates, examples = _check_ids(predicates, examples)
+        predicates, examples = tuple(predicates), tuple(examples)
+        if len(set(predicates)) != len(predicates):
+            raise EvalError("duplicate predicate ids")
+        if len(set(examples)) != len(examples):
+            raise EvalError("duplicate example ids")
         shape = (len(examples), len(predicates))
         matrices = [np.array(m, dtype=bool) for m in (truth, predicted, undecided)]
         if any(m.shape != shape for m in matrices):
             raise EvalError(f"prediction matrices must have shape {shape}")
-        self = cls.__new__(cls)
-        self._store(predicates, examples, *matrices)
-        return self
-
-    def _store(self, predicates, examples, truth, predicted, undecided) -> None:
-        for matrix in (truth, predicted, undecided):
+        for matrix in matrices:
             matrix.setflags(write=False)
-        self.predicates: tuple[str, ...] = predicates
-        self.examples: tuple[str, ...] = examples
-        self.truth = truth
-        self.predicted = predicted
-        self.undecided = undecided
+        self = cls.__new__(cls)
+        self.predicates, self.examples = predicates, examples
+        self.truth, self.predicted, self.undecided = matrices
+        return self
 
     @property
     def n(self) -> int:
         return len(self.examples)
-
-    @property
-    def truth_sets(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.truth)
-
-    @property
-    def predicted_sets(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.predicted)
-
-    @property
-    def undecided_sets(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.undecided)
-
-    def _sets(self, matrix: np.ndarray) -> tuple[frozenset[str], ...]:
-        names = self.predicates
-        return tuple(frozenset(names[j] for j in np.flatnonzero(row)) for row in matrix)
 
     def confusion_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-predicate (TP, FP, FN, TN) count vectors, in predicate order."""
@@ -144,13 +98,6 @@ class PredictionSet:
         fp = np.count_nonzero(predicted, axis=0) - tp
         fn = np.count_nonzero(truth, axis=0) - tp
         return tp, fp, fn, self.n - tp - fp - fn
-
-    def confusion(self, predicate: str) -> tuple[int, int, int, int]:
-        """Return (TP, FP, FN, TN) counts for one predicate."""
-        if predicate not in self.predicates:
-            raise EvalError(f"unknown predicate {predicate!r}")
-        j = self.predicates.index(predicate)
-        return tuple(int(c[j]) for c in self.confusion_counts())
 
     def columns(self, keep: Sequence[int]) -> "PredictionSet":
         """The predictions of the predicates at positions ``keep`` only."""
@@ -162,8 +109,8 @@ class PredictionSet:
     def filtered(self) -> "PredictionSet":
         """Drop every undecided entry from the computation.
 
-        An undecided (example, predicate) pair is removed from both the truth
-        and the predicted set, so it contributes to none of the precision,
+        An undecided (example, predicate) entry is cleared in both the truth
+        and the predicted matrix, so it contributes to none of the precision,
         recall, or F1 counts.
         """
         decided = ~self.undecided
@@ -171,15 +118,6 @@ class PredictionSet:
             self.predicates, self.examples, self.truth & decided,
             self.predicted & decided, np.zeros_like(decided),
         )
-
-
-def _check_ids(predicates, examples) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    predicates, examples = tuple(predicates), tuple(examples)
-    if len(set(predicates)) != len(predicates):
-        raise EvalError("duplicate predicate ids")
-    if len(set(examples)) != len(examples):
-        raise EvalError("duplicate example ids")
-    return predicates, examples
 
 
 def _running_sum(values: np.ndarray) -> float:

@@ -386,16 +386,21 @@ def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(recalls), tuple(precisions)
 
 
-def write_model(path: str, alphas: Mapping[str, np.ndarray],
+def write_model(path: str, predicates: Sequence[Sequence[str]], weights: Sequence[np.ndarray],
                 config: Mapping[str, str], trace_lines: Iterable[str]) -> None:
-    """Write coefficient vectors with a config echo and the training trace."""
+    """Write weight matrices with a config echo and the training trace.
+
+    ``weights[b]`` holds one row per name in ``predicates[b]``; the rows are
+    written under their names, sorted by name.
+    """
+    rows = {name: row for names, matrix in zip(predicates, weights, strict=True)
+            for name, row in zip(names, matrix, strict=True)}
     lines = ["[config]"]
     lines.extend(f"{key} = {config[key]}" for key in sorted(config))
     lines.append("")
     lines.append("[coefficients]")
-    for task in sorted(alphas):
-        vector = " ".join(map("{:.17g}".format, np.asarray(alphas[task]).tolist()))
-        lines.append(f"{task}: {vector}")
+    for name in sorted(rows):
+        lines.append(f"{name}: " + " ".join(map("{:.17g}".format, rows[name].tolist())))
     lines.append("")
     lines.append("[trace]")
     lines.extend(trace_lines)

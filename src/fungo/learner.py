@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,14 +173,11 @@ class TrainTrace:
 
 @dataclass(frozen=True)
 class Model:
-    alphas: Mapping[str, np.ndarray]
-    trace: TrainTrace = field(default_factory=lambda: TrainTrace((),))
+    """Trained weights, one K x n matrix per ``TaskSpec`` in task order (row
+    k is the expansion of the spec's predicate k), and the descent trace."""
 
-    def alpha(self, predicate: str) -> np.ndarray:
-        try:
-            return self.alphas[predicate]
-        except KeyError:
-            raise LearnerError(f"model has no weights for predicate {predicate!r}") from None
+    weights: tuple[np.ndarray, ...]
+    trace: TrainTrace = field(default_factory=lambda: TrainTrace((),))
 
 
 def predicate_bindings(tasks: Iterable[TaskSpec]) -> dict[str, PredicateBinding]:
@@ -245,10 +242,6 @@ class _Workspace:
         # See ray(): gamma_n = n*u / (1 - n*u) for the longest chain of roundings.
         n = max(b.mask.size for b in self.blocks) + len(self.blocks) + 8
         self.kappa = 4.0 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
-
-    def unstack(self, weights: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-        """Per-predicate copies of the stacked rows, in task order."""
-        return {p: a[k].copy() for b, a in zip(self.blocks, weights) for k, p in enumerate(b.predicates)}
 
     def scores(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [a @ b.gram for b, a in zip(self.blocks, weights)]
@@ -460,28 +453,26 @@ def train(
         stage2, weights = _descend(ws, weights, config.lambda_c, "stage 2")
     else:
         stage2 = []
-    return Model(ws.unstack(weights), TrainTrace(tuple(stage1), tuple(stage2)))
+    return Model(tuple(weights), TrainTrace(tuple(stage1), tuple(stage2)))
 
 
 def predict(
-    model: Model, task: TaskSpec, config: TrainConfig
+    weights: np.ndarray, task: TaskSpec, config: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Examples × predicates truths, decisions and undecided flags of one
-    spec.
+    spec, from its K x n weight matrix.
 
-    Column k is the clamped ``G @ alpha_k`` of predicate k, one product per
-    column (``A @ G`` would differ in the last bits).  A truth at or above
-    the threshold reads positive; truths within the undecided band around it
-    are additionally flagged.
+    Column k is the clamped ``G @ a_k`` of row k, one product per row
+    (``A @ G`` would differ in the last bits).  A truth at or above the
+    threshold reads positive; truths within the undecided band around it are
+    additionally flagged.
     """
-    columns = []
-    for predicate in task.predicates:
-        alpha = np.asarray(model.alpha(predicate), dtype=np.float64)
-        if alpha.shape != (task.size,):
-            raise LearnerError(f"weights for {predicate!r} have shape {alpha.shape}, "
-                               f"expected ({task.size},)")
-        columns.append(task.gram.matrix @ alpha)  # type: ignore[union-attr]
-    truths = np.clip(np.column_stack(columns), 0.0, 1.0)
+    shape = (len(task.predicates), task.size)
+    if np.shape(weights) != shape:
+        raise LearnerError(f"weights of task {task.predicates[0]!r} have shape "
+                           f"{np.shape(weights)}, expected {shape}")
+    gram = task.gram.matrix  # type: ignore[union-attr]
+    truths = np.clip(np.column_stack([gram @ a for a in weights]), 0.0, 1.0)
     positive = truths >= config.threshold
     undecided = np.abs(truths - config.threshold) < config.undecided_band
     return truths, positive, undecided

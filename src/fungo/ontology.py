@@ -52,9 +52,9 @@ class Term:
 class OntologyDag:
     """Immutable typed-relation DAG over ontology terms.
 
-    ``is_a`` edges must stay inside one namespace, be acyclic and lead every
-    term up to its namespace's single root.  ``level`` is the length of the
-    shortest ``is_a`` path to that root.
+    ``is_a`` edges must be acyclic, and every term but its namespace's single
+    root needs an ``is_a`` parent in its own namespace.  ``level`` is the
+    length of the shortest ``is_a`` path to that root within the namespace.
 
     The is_a neighbours of each term are kept as tuples, and every term
     without parents or children shares the one empty tuple.  Ancestor sets,
@@ -147,13 +147,14 @@ class OntologyDag:
 
     def _compute_levels(self) -> dict[str, int]:
         levels: dict[str, int] = {}
-        for root in self._roots.values():
+        terms = self._terms
+        for namespace, root in self._roots.items():
             levels[root] = 0
             queue = [root]
             for tid in queue:
                 depth = levels[tid] + 1
                 for child in self._down[tid]:
-                    if child not in levels:
+                    if child not in levels and terms[child].namespace == namespace:
                         levels[child] = depth
                         queue.append(child)
         if len(levels) != len(self._terms):

@@ -123,3 +123,20 @@ def read_metrics(path: str) -> dict[str, float]:
             key, _, value = line.partition("=")
             out[key.strip()] = float(value)
     return out
+
+
+def write_pair_files(root_dir: str) -> None:
+    """Write ``ppi.tsv`` (interactions chosen by index arithmetic) and
+    ``pairs.csv``, a pair Gram over the interactions plus five
+    non-interacting neighbours."""
+    proteins = [row[0] for row in protein_positions()]
+    interactions = [(proteins[i], proteins[j]) for i in range(50) for j in range(i + 1, 50)
+                    if (i + 2 * j) % 11 == 0]
+    with open(os.path.join(root_dir, "ppi.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{a}\t{b}\n" for a, b in interactions))
+    ids = [f"{a}|{b}" for a, b in interactions]
+    ids += [f"{proteins[i]}|{proteins[i + 1]}" for i in (1, 12, 23, 34, 45)]
+    with open(os.path.join(root_dir, "pairs.csv"), "w", encoding="utf-8") as fh:
+        fh.write(",".join(ids) + "\n")
+        for i in range(len(ids)):
+            fh.write(",".join("1.25" if i == j else "0.25" for j in range(len(ids))) + "\n")

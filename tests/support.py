@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from fungo import learner
-from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics
+from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics, PredictionSet
 from fungo.io import DataFileError
 from fungo.logic import EXISTS, FORALL, PredicateBinding, compile_constraint, engine, parse_rule
 from fungo.logic.compiler import _aggregate
@@ -316,21 +316,27 @@ def gradient_close(analytic, numeric, rtol=1e-5):
     return True
 
 
+def weight_rows(tasks, blocks) -> dict[str, np.ndarray]:
+    """The rows of K x n blocks (weights or gradients) by predicate name, in
+    task order."""
+    return {p: a[k] for t, a in zip(tasks, blocks, strict=True)
+            for k, p in enumerate(t.predicates)}
+
+
 def objective(model, tasks, constraints, config) -> float:
     """Full objective at the model's weights (constraints at full strength)."""
-    return _evaluate_model(model, tasks, constraints, config, False)[1][0]
+    return _evaluate_model(model, tasks, constraints, config, False)[0]
 
 
-def objective_gradient(model, tasks, constraints, config) -> dict[str, np.ndarray]:
-    """Gradient of the full objective with respect to each task's weights."""
-    ws, (_, grads) = _evaluate_model(model, tasks, constraints, config, True)
-    return ws.unstack(grads)
+def objective_gradient(model, tasks, constraints, config) -> list[np.ndarray]:
+    """Gradient of the full objective, one K x n matrix per task."""
+    return _evaluate_model(model, tasks, constraints, config, True)[1]
 
 
 def _evaluate_model(model, tasks, constraints, config, with_gradient):
     ws = learner._Workspace(tasks, constraints, config)
-    weights = [np.array([model.alpha(p) for p in b.predicates], dtype=float) for b in ws.blocks]
-    return ws, ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
+    weights = list(model.weights)
+    return ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
 
 
 def reference_descend(ws, weights, lambda_c, stage):
@@ -394,7 +400,7 @@ def reference_train(tasks, constraints, config):
         stage2, weights = reference_descend(ws, weights, config.lambda_c, "stage 2")
     else:
         stage2 = []
-    return learner.Model(ws.unstack(weights), learner.TrainTrace(tuple(stage1), tuple(stage2)))
+    return learner.Model(tuple(weights), learner.TrainTrace(tuple(stage1), tuple(stage2)))
 
 
 # --- reference kernels: one pair of examples at a time ---------------------
@@ -548,13 +554,13 @@ class ReferenceOntologyDag:
 
     def _compute_levels(self) -> dict[str, int]:
         levels: dict[str, int] = {}
-        for root in self._roots.values():
+        for namespace, root in self._roots.items():
             levels[root] = 0
             queue = deque([root])
             while queue:
                 tid = queue.popleft()
                 for child in self._isa_children[tid]:
-                    if child not in levels:
+                    if child not in levels and self._terms[child].namespace == namespace:
                         levels[child] = levels[tid] + 1
                         queue.append(child)
         missing = sorted(set(self._terms) - set(levels))
@@ -740,6 +746,16 @@ class ReferencePredictionSet:
     predicted_sets: tuple[frozenset[str], ...]
     undecided_sets: tuple[frozenset[str], ...]
 
+    @classmethod
+    def of(cls, preds: PredictionSet) -> "ReferencePredictionSet":
+        """The member sets of each example of a matrix prediction set."""
+        def sets(matrix):
+            return tuple(frozenset(p for p, on in zip(preds.predicates, row) if on)
+                         for row in matrix.tolist())
+
+        return cls(preds.predicates, preds.examples, sets(preds.truth),
+                   sets(preds.predicted), sets(preds.undecided))
+
     @property
     def n(self) -> int:
         return len(self.examples)
@@ -765,6 +781,22 @@ class ReferencePredictionSet:
             tuple(z - u for z, u in zip(self.predicted_sets, self.undecided_sets)),
             tuple(frozenset() for _ in self.examples),
         )
+
+
+def prediction_set(predicates, examples, truth_sets, predicted_sets,
+                   undecided_sets=()) -> PredictionSet:
+    """A :class:`PredictionSet` from one member set per example; the undecided
+    sets default to empty."""
+    column = {p: j for j, p in enumerate(predicates)}
+
+    def matrix(sets):
+        out = np.zeros((len(examples), len(predicates)), dtype=bool)
+        for i, members in enumerate(sets):
+            out[i, [column[p] for p in members]] = True
+        return out
+
+    return PredictionSet.from_matrices(predicates, examples, matrix(truth_sets),
+                                       matrix(predicted_sets), matrix(undecided_sets))
 
 
 def reference_example_metrics(preds) -> ExampleMetrics:

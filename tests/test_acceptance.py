@@ -12,7 +12,6 @@ import numpy as np
 
 from fungo.cli import main as cli_main
 from fungo.evaluation import (
-    PredictionSet,
     average_pr_curves,
     consistency,
     example_metrics,
@@ -56,8 +55,10 @@ from support import (
     nonsmooth_margin,
     objective,
     objective_gradient,
+    prediction_set,
     smooth_instance,
     spectrum_kernel,
+    weight_rows,
 )
 from test_ontology import leaf_annotations, random_dag
 
@@ -169,8 +170,8 @@ def _smooth_objective_instance(rng):
             lambda_c=float(rng.uniform(0.2, 2.0)),
             tnorm=tnorm,
         )
-        model = Model({name: rng.normal(scale=0.25, size=n) for name in ("A", "B")})
-        scores = {name: gram.matrix @ model.alpha(name) for name in ("A", "B")}
+        model = Model((rng.normal(scale=0.25, size=(2, n)),))
+        scores = dict(zip(("A", "B"), (gram.matrix @ a for a in model.weights[0])))
         margin = min(
             min(float(np.abs(s).min()), float(np.abs(1.0 - s).min()))
             for s in scores.values()
@@ -192,24 +193,20 @@ def test_gradients_match_finite_differences():
         assert gradient_close(analytic, numeric, rtol=1e-5)
     for _ in range(80):
         model, tasks, constraints, config = _smooth_objective_instance(rng)
-        analytic = objective_gradient(model, tasks, constraints, config)
+        analytic = weight_rows(tasks, objective_gradient(model, tasks, constraints, config))
         numeric = {}
         h = 1e-6
-        for name in analytic:
-            base = model.alpha(name)
-            grad = np.zeros_like(base)
-            for j in range(base.size):
-                plus = dict(model.alphas)
-                minus = dict(model.alphas)
-                pv = base.copy()
-                mv = base.copy()
-                pv[j] += h
-                mv[j] -= h
-                plus[name] = pv
-                minus[name] = mv
+        (base,) = model.weights
+        for k, name in enumerate(analytic):
+            grad = np.zeros(base.shape[1])
+            for j in range(grad.size):
+                plus = base.copy()
+                minus = base.copy()
+                plus[k, j] += h
+                minus[k, j] -= h
                 grad[j] = (
-                    objective(Model(plus), tasks, constraints, config)
-                    - objective(Model(minus), tasks, constraints, config)
+                    objective(Model((plus,)), tasks, constraints, config)
+                    - objective(Model((minus,)), tasks, constraints, config)
                 ) / (2.0 * h)
             numeric[name] = grad
         assert gradient_close(analytic, numeric, rtol=1e-5)
@@ -235,7 +232,7 @@ def test_unconstrained_training_reaches_ridge_solution():
         model = train([task], [], config)
         expected = np.linalg.solve(config.lambda_r * np.eye(n) + gram.matrix, y)
         scale = max(1.0, float(np.linalg.norm(expected)))
-        assert float(np.linalg.norm(model.alpha("A") - expected)) / scale < 1e-4
+        assert float(np.linalg.norm(model.weights[0][0] - expected)) / scale < 1e-4
     assert time.perf_counter() - start < 5.0
 
 
@@ -382,7 +379,7 @@ def test_metric_and_fold_invariants():
         sizes = [len(fold) for fold in folds]
         assert max(sizes) - min(sizes) <= 1
 
-    preds = PredictionSet(
+    preds = prediction_set(
         predicates=("a", "b"),
         examples=("e1", "e2", "e3"),
         truth_sets=(frozenset({"a"}), frozenset({"a", "b"}), frozenset()),
@@ -405,7 +402,7 @@ def test_metric_and_fold_invariants():
     annotations = leaf_annotations(np.random.default_rng(82), dag, 10)
     cut = go_cut(dag, annotations, ["biological_process"], 4, 0)
     nodes = cut.nodes()
-    closed = PredictionSet(
+    closed = prediction_set(
         predicates=nodes,
         examples=tuple(annotations.proteins),
         truth_sets=tuple(

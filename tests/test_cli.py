@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end on a small dataset."""
 
+import json
 import logging
 import os
 import shutil
@@ -620,6 +621,29 @@ def test_benchmark_hooks_resolve():
     done = subprocess.run([sys.executable, "-c", BENCHMARK_HOOKS], env=env,
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_traced_run_reads_its_bundle(tmp_path):
+    # perfbench/tracing.py run as a script, as the traced benchmark runs it.
+    hierarchy_fixture.write_dataset(str(tmp_path))
+    hierarchy_fixture.write_pair_files(str(tmp_path))
+    cfg = hierarchy_fixture.write_config(str(tmp_path), "out", rules="OC+PP2",
+                                         ppi="ppi.tsv", pair_gram="pairs.csv")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
+    script = os.path.join(os.path.dirname(src), "perfbench", "tracing.py")
+    out, result = tmp_path / "out", tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, script, cfg, str(out), str(result)], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    metrics = json.loads(result.read_text())
+    # Accepted stage-1 steps: the stage-1 trace lines after each fold's start.
+    steps = sum(
+        sum(line.startswith("stage=1 step=") for line in path.read_text().splitlines()) - 1
+        for path in out.glob("fold_*/model.txt")
+    )
+    assert steps > 0 and metrics["learner.stage1_steps"] == steps
+    assert metrics["learner.predict_s"] > 0
 
 
 class TestErrorHandling:

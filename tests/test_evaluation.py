@@ -29,6 +29,7 @@ from fungo.evaluation import (
 from fungo.ontology import go_cut, parse_obo, tpr_closure
 from support import (
     ReferencePredictionSet,
+    prediction_set,
     reference_build_sets,
     reference_consistency,
     reference_example_metrics,
@@ -69,7 +70,7 @@ ROOT, ALPHA, BETA, DEEP = "GO:0000001", "GO:0000002", "GO:0000003", "GO:0000004"
 
 def make_preds(truths, predictions, undecided=None, predicates=("a", "b", "c")):
     examples = tuple(f"e{i}" for i in range(len(truths)))
-    return PredictionSet(
+    return prediction_set(
         tuple(predicates),
         examples,
         tuple(frozenset(y) for y in truths),
@@ -78,6 +79,12 @@ def make_preds(truths, predictions, undecided=None, predicates=("a", "b", "c")):
         if undecided is None
         else tuple(frozenset(u) for u in undecided),
     )
+
+
+def confusion(preds, predicate):
+    """(TP, FP, FN, TN) of one predicate, from the per-predicate counts."""
+    j = preds.predicates.index(predicate)
+    return tuple(int(c[j]) for c in preds.confusion_counts())
 
 
 def diamond_cut():
@@ -89,9 +96,9 @@ def diamond_cut():
 class TestPredictionSet:
     def test_confusion_counts(self):
         preds = make_preds([{"a", "b"}, {"b"}], [{"a"}, {"a", "b"}])
-        assert preds.confusion("a") == (1, 1, 0, 0)
-        assert preds.confusion("b") == (1, 0, 1, 0)
-        assert preds.confusion("c") == (0, 0, 0, 2)
+        assert confusion(preds, "a") == (1, 1, 0, 0)
+        assert confusion(preds, "b") == (1, 0, 1, 0)
+        assert confusion(preds, "c") == (0, 0, 0, 2)
 
     def test_confusion_sums_to_n(self):
         rng = np.random.default_rng(7)
@@ -103,28 +110,28 @@ class TestPredictionSet:
             predictions.append({p for p in predicates if rng.random() < 0.4})
         preds = make_preds(truths, predictions, predicates=predicates)
         for p in predicates:
-            assert sum(preds.confusion(p)) == preds.n
+            assert sum(confusion(preds, p)) == preds.n
 
     def test_filtered_removes_pairs_from_both_sides(self):
         preds = make_preds(
             [{"a"}, {"a"}], [{"a"}, set()], undecided=[set(), {"a"}]
         )
-        assert preds.confusion("a") == (1, 0, 1, 0)
+        assert confusion(preds, "a") == (1, 0, 1, 0)
         bare = preds.filtered()
-        assert bare.confusion("a") == (1, 0, 0, 1)
-        assert all(not u for u in bare.undecided_sets)
+        assert confusion(bare, "a") == (1, 0, 0, 1)
+        assert not bare.undecided.any()
 
     def test_rejects_unknown_predicates_and_bad_shapes(self):
-        with pytest.raises(EvalError, match="unknown"):
-            make_preds([{"z"}], [set()])
-        with pytest.raises(EvalError, match="example count"):
-            PredictionSet(("a",), ("e0",), (frozenset(),), ())
+        one = np.zeros((1, 1), dtype=bool)
+        with pytest.raises(EvalError, match=r"shape \(1, 2\)"):
+            PredictionSet.from_matrices(("a", "b"), ("e0",), one, one, one)
+        with pytest.raises(EvalError, match="shape"):
+            PredictionSet.from_matrices(("a",), ("e0",), one, one, np.zeros(1, dtype=bool))
+        two = np.zeros((2, 1), dtype=bool)
         with pytest.raises(EvalError, match="duplicate example"):
-            PredictionSet(
-                ("a",), ("e0", "e0"), (frozenset(),) * 2, (frozenset(),) * 2
-            )
+            PredictionSet.from_matrices(("a",), ("e0", "e0"), two, two, two)
         with pytest.raises(EvalError, match="duplicate predicate"):
-            PredictionSet(("a", "a"), ("e0",), (frozenset(),), (frozenset(),))
+            PredictionSet.from_matrices(("a", "a"), ("e0",), one, one, one)
 
 
 class TestExampleMetrics:
@@ -200,7 +207,7 @@ class TestLabelMetrics:
         trimmed = label_metrics(preds.columns([0]), "micro")
         assert trimmed.precision == 1.0
         assert full.precision < 1.0
-        assert trimmed == reference_label_metrics(_reference_of(preds), "micro",
+        assert trimmed == reference_label_metrics(ReferencePredictionSet.of(preds), "micro",
                                                   excluded=("bin",))
 
     def test_validation(self):
@@ -214,7 +221,7 @@ class TestLabelMetrics:
 class TestConsistency:
     def cut_preds(self, *sets):
         cut = diamond_cut()
-        preds = PredictionSet(
+        preds = prediction_set(
             cut.nodes(),
             tuple(f"e{i}" for i in range(len(sets))),
             tuple(frozenset() for _ in sets),
@@ -253,7 +260,7 @@ class TestConsistency:
 
     def test_rejects_nodes_outside_the_cut(self):
         cut = diamond_cut()
-        preds = PredictionSet(
+        preds = prediction_set(
             ("GO:9999999",), ("e0",), (frozenset(),), (frozenset(("GO:9999999",)),)
         )
         with pytest.raises(EvalError, match="not part of the cut"):
@@ -464,13 +471,6 @@ class TestFolds:
 # --- matrix metrics against the set-based reference ------------------------
 
 
-def _reference_of(preds):
-    return ReferencePredictionSet(
-        preds.predicates, preds.examples, preds.truth_sets,
-        preds.predicted_sets, preds.undecided_sets,
-    )
-
-
 @st.composite
 def prediction_sets(draw):
     """Random sets over up to 7 predicates and 40 examples; sizes vary enough
@@ -484,7 +484,7 @@ def prediction_sets(draw):
         picks = rng.random((n, len(predicates))) < density
         return tuple(frozenset(p for p, on in zip(predicates, row) if on) for row in picks)
 
-    return PredictionSet(predicates, tuple(f"e{i}" for i in range(n)), sets(), sets(), sets())
+    return prediction_set(predicates, tuple(f"e{i}" for i in range(n)), sets(), sets(), sets())
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,11 +493,11 @@ def test_metrics_are_bit_equal_to_the_set_reference(preds, data):
     excluded = data.draw(st.sets(st.sampled_from(preds.predicates)))
     kept = [j for j, p in enumerate(preds.predicates) if p not in excluded]
     for current in (preds, preds.filtered()):
-        reference = _reference_of(current)
+        reference = ReferencePredictionSet.of(current)
         if current is not preds:
-            assert reference == _reference_of(preds).filtered()
+            assert reference == ReferencePredictionSet.of(preds).filtered()
         for predicate in current.predicates:
-            assert current.confusion(predicate) == reference.confusion(predicate)
+            assert confusion(current, predicate) == reference.confusion(predicate)
         assert example_metrics(current) == reference_example_metrics(reference)
         scored = current.columns(kept)
         for average in ("micro", "macro"):
@@ -530,12 +530,12 @@ def test_consistency_is_bit_equal_to_the_set_reference(seed):
     if rng.random() < 0.5:
         nodes = tuple(n for n in nodes if rng.random() < 0.7) or nodes[-1:]
     picks = rng.random((int(rng.integers(1, 30)), len(nodes))) < rng.random()
-    preds = PredictionSet(
+    preds = prediction_set(
         nodes, tuple(f"e{i}" for i in range(len(picks))),
         tuple(frozenset() for _ in picks),
         tuple(frozenset(n for n, on in zip(nodes, row) if on) for row in picks),
     )
-    assert consistency(preds, cut) == reference_consistency(_reference_of(preds), cut)
+    assert consistency(preds, cut) == reference_consistency(ReferencePredictionSet.of(preds), cut)
 
 
 def test_consistency_sums_node_scores_exactly():
@@ -554,10 +554,10 @@ def test_consistency_sums_node_scores_exactly():
     expected = math.fsum([1.0, 1.0, 1 / 3]) / 3
     values = set()
     for order in (cut.nodes(), tuple(reversed(cut.nodes()))):
-        preds = PredictionSet(order, ("e0",), (frozenset(),), (chosen,))
+        preds = prediction_set(order, ("e0",), (frozenset(),), (chosen,))
         values.add(consistency(preds, cut))
     assert values == {expected}
-    assert abs(reference_consistency(_reference_of(preds), cut) - expected) <= 1e-15
+    assert abs(reference_consistency(ReferencePredictionSet.of(preds), cut) - expected) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,17 +627,16 @@ def test_aggregate_matches_the_set_based_reference(seed):
 
 
 def test_prediction_set_views_round_trip():
-    preds = PredictionSet(("a", "b"), ("e0", "e1"), (frozenset("a"), frozenset()),
-                          (frozenset("ab"), frozenset("b")))
-    assert preds.truth_sets == (frozenset("a"), frozenset())
-    assert preds.predicted_sets == (frozenset("ab"), frozenset("b"))
-    assert preds.undecided_sets == (frozenset(), frozenset())
+    preds = prediction_set(("a", "b"), ("e0", "e1"), (frozenset("a"), frozenset()),
+                           (frozenset("ab"), frozenset("b")))
     assert preds.truth.tolist() == [[True, False], [False, False]]
+    assert preds.predicted.tolist() == [[True, True], [False, True]]
+    assert not preds.undecided.any()
     with pytest.raises(ValueError):
         preds.truth[0, 0] = False
     same = PredictionSet.from_matrices(preds.predicates, preds.examples, preds.truth,
                                        preds.predicted, preds.undecided)
-    assert same.predicted_sets == preds.predicted_sets
+    assert same.predicted.tolist() == preds.predicted.tolist()
     with pytest.raises(EvalError, match="shape"):
         PredictionSet.from_matrices(("a",), ("e0",), preds.truth, preds.predicted,
                                     preds.undecided)

@@ -249,14 +249,17 @@ class TestReportsAndCurves:
         path = str(tmp_path / "model.txt")
         write_model(
             path,
-            {"B": np.array([0.5, -0.25]), "A": np.array([1.0])},
+            [("B", "C"), ("A",)],
+            [np.array([[0.5, -0.25], [2.0, 0.0]]), np.array([[1.0, 3.0]])],
             {"lambda_r": "1.0"},
             ["stage=1 iteration=0 objective=2.0"],
         )
         text = (tmp_path / "model.txt").read_text()
         assert text.index("[config]") < text.index("[coefficients]") < text.index("[trace]")
-        assert text.index("A: 1") < text.index("B: 0.5 -0.25")
+        assert text.index("A: 1 3") < text.index("B: 0.5 -0.25") < text.index("C: 2 0")
         assert "lambda_r = 1.0" in text
+        with pytest.raises(ValueError):
+            write_model(path, [("A",)], [np.zeros((2, 1))], {}, [])
 
     def test_model_coefficients_print_as_numpy_scalars_do(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -265,7 +268,7 @@ class TestReportsAndCurves:
             [0.0, -0.0, 5e-324, -1.5, 1e16, 0.1, np.inf, -np.inf, np.nan],
         ])
         path = str(tmp_path / "model.txt")
-        write_model(path, {"A": vector}, {}, [])
+        write_model(path, [("A",)], [vector[None, :]], {}, [])
         line = (tmp_path / "model.txt").read_text().splitlines()[3]
         assert line == "A: " + " ".join(format(v, ".17g") for v in vector)
 

@@ -14,6 +14,7 @@ from support import (
     objective,
     objective_gradient,
     reference_train,
+    weight_rows,
 )
 
 from fungo import learner
@@ -51,8 +52,8 @@ def identity_task(pred, n, labels=None):
 def truths_of(model, tasks):
     """Each predicate's clamped ``G @ alpha``, computed directly."""
     return {
-        p: np.clip(t.gram.matrix @ model.alpha(p), 0.0, 1.0)
-        for t in tasks for p in t.predicates
+        p: np.clip(t.gram.matrix @ a, 0.0, 1.0)
+        for t, block in zip(tasks, model.weights) for p, a in zip(t.predicates, block)
     }
 
 
@@ -74,10 +75,10 @@ def random_pd_gram(rng, ids):
 def test_objective_frozen_values():
     cfg = TrainConfig(lambda_r=1.0, lambda_c=0.0)
     task = identity_task("A", 1, labels={"p0": 1.0})
-    model = Model({"A": np.array([0.5])})
+    model = Model((np.array([[0.5]]),))
     assert objective(model, [task], [], cfg) == pytest.approx(0.5)
 
-    zero = Model({"A": np.array([0.0])})
+    zero = Model((np.array([[0.0]]),))
     assert objective(zero, [task], [], cfg) == pytest.approx(1.0)
 
     unlabeled = identity_task("A", 1)
@@ -89,24 +90,23 @@ def test_predict_against_matvec():
     ids = tuple(f"p{i}" for i in range(6))
     task = TaskSpec(("A",), 1, ids, gram=random_pd_gram(rng, ids))
     alpha = rng.normal(size=6)
-    truths = predict(Model({"A": alpha}), task, TrainConfig())[0][:, 0]
+    truths = predict(alpha[None, :], task, TrainConfig())[0][:, 0]
     brute = np.array([sum(task.gram.matrix[i, j] * alpha[j] for j in range(6)) for i in range(6)])
     assert np.allclose(truths, np.clip(brute, 0.0, 1.0), atol=1e-12)
     assert 0 < ((brute > 0.0) & (brute < 1.0)).sum() < 6  # both sides of the clamp
     assert truths.min() >= 0.0 and truths.max() <= 1.0
 
-    ztruths = predict(Model({"A": np.zeros(6)}), task, TrainConfig())[0]
+    ztruths = predict(np.zeros((1, 6)), task, TrainConfig())[0]
     assert not ztruths.any()
 
-    half = Model({"B": np.full(4, 0.5)})
-    f = predict(half, identity_task("B", 4), TrainConfig())[0][:, 0]
+    f = predict(np.full((1, 4), 0.5), identity_task("B", 4), TrainConfig())[0][:, 0]
     assert np.array_equal(f, np.full(4, 0.5))
 
 
 def test_predict_size_mismatch():
     task = identity_task("A", 3)
     with pytest.raises(LearnerError, match="shape"):
-        predict(Model({"A": np.zeros(2)}), task, TrainConfig())
+        predict(np.zeros((1, 2)), task, TrainConfig())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -121,7 +121,7 @@ def test_stage1_matches_ridge_closed_form(seed):
     model = train([task], [], cfg)
     expected = np.linalg.solve(cfg.lambda_r * np.eye(n) + g.matrix, y)
     scale = max(1.0, float(np.linalg.norm(expected)))
-    assert np.linalg.norm(model.alpha("A") - expected) / scale < 1e-4
+    assert np.linalg.norm(model.weights[0][0] - expected) / scale < 1e-4
 
 
 def test_stage1_trace_is_non_increasing():
@@ -156,14 +156,14 @@ def _constrained_problem(lambda_c, *, scope_all=True, seed=7):
 def test_constraint_pushes_parent_above_child():
     tasks, constraints, cfg = _constrained_problem(50.0, scope_all=False)
     model = train(tasks, constraints, cfg)
-    child_truth, parent_truth = predict(model, tasks[0], cfg)[0].T
+    child_truth, parent_truth = predict(model.weights[0], tasks[0], cfg)[0].T
     # Unsupervised tail: the implication must hold there after training.
     assert (parent_truth[3:] >= child_truth[3:] - 5e-3).all()
     assert model.trace.stage2, "constraint stage should have run"
 
     # Without constraints the parent stays at zero.
     bare = train(tasks, [], cfg)
-    bare_parent = predict(bare, tasks[0], cfg)[0][:, 1]
+    bare_parent = predict(bare.weights[0], tasks[0], cfg)[0][:, 1]
     assert not bare_parent.any()
 
 
@@ -173,8 +173,7 @@ def test_lambda_c_zero_is_bitwise_inert():
     with_rules = train(tasks, constraints, cfg)
     without = train(tasks, [], cfg)
     assert with_rules.trace == without.trace
-    for pred in ("C", "P"):
-        assert np.array_equal(with_rules.alpha(pred), without.alpha(pred))
+    assert np.array_equal(with_rules.weights[0], without.weights[0])
 
 
 def test_full_objective_gradient_matches_finite_differences():
@@ -183,31 +182,27 @@ def test_full_objective_gradient_matches_finite_differences():
     while checked < 6:
         tasks, constraints, cfg = _constrained_problem(2.0, seed=int(rng.integers(1 << 30)))
         (block,) = tasks
-        alphas = {p: rng.normal(scale=0.35, size=block.size) for p in block.predicates}
-        model = Model(alphas)
+        weights = rng.normal(scale=0.35, size=(len(block.predicates), block.size))
+        model = Model((weights,))
         # Keep probes away from clamp and constraint kinks.
         margin_ok = True
-        for p in block.predicates:
-            s = block.gram.matrix @ alphas[p]
+        for a in weights:
+            s = block.gram.matrix @ a
             if np.min(np.abs(s)) < 1e-3 or np.min(np.abs(s - 1.0)) < 1e-3:
                 margin_ok = False
         if not margin_ok or nonsmooth_margin(constraints[0], truths_of(model, tasks)) < 1e-3:
             continue
         checked += 1
-        grads = objective_gradient(model, tasks, constraints, cfg)
+        (grads,) = objective_gradient(model, tasks, constraints, cfg)
         h = 1e-6
-        for p in block.predicates:
-            analytic = grads[p]
+        for k, analytic in enumerate(grads):
             for i in range(block.size):
-                bump = dict(alphas)
-                up = alphas[p].copy()
-                up[i] += h
-                bump[p] = up
-                j_up = objective(Model(bump), tasks, constraints, cfg)
-                down = alphas[p].copy()
-                down[i] -= h
-                bump[p] = down
-                j_down = objective(Model(bump), tasks, constraints, cfg)
+                up = weights.copy()
+                up[k, i] += h
+                j_up = objective(Model((up,)), tasks, constraints, cfg)
+                down = weights.copy()
+                down[k, i] -= h
+                j_down = objective(Model((down,)), tasks, constraints, cfg)
                 numeric = (j_up - j_down) / (2 * h)
                 scale = max(1.0, abs(numeric), abs(analytic[i]))
                 assert abs(numeric - analytic[i]) / scale < 1e-5
@@ -248,8 +243,7 @@ def _rule_problem(rng, tnorm, implication, bound_mode):
                            implication=implication)
         for text in FORMULA_POOL
     ]
-    alphas = {t.predicates[0]: rng.normal(scale=0.4, size=t.size) for t in tasks}
-    return tasks, constraints, Model(alphas)
+    return tasks, constraints, Model(tuple(rng.normal(scale=0.4, size=(1, t.size)) for t in tasks))
 
 
 @pytest.mark.parametrize("bound_mode", ("given", "learned"))
@@ -270,11 +264,11 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
             dtruth[pred] += grad
     assert objective(model, tasks, constraints, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
 
-    bare = objective_gradient(model, tasks, [], cfg)
-    grads = objective_gradient(model, tasks, constraints, cfg)
-    for task in tasks:
+    bare = weight_rows(tasks, objective_gradient(model, tasks, [], cfg))
+    grads = weight_rows(tasks, objective_gradient(model, tasks, constraints, cfg))
+    for task, (a,) in zip(tasks, model.weights):
         (p,) = task.predicates
-        scores = task.gram.matrix @ model.alpha(p)
+        scores = task.gram.matrix @ a
         inside = (scores >= 0.0) & (scores <= 1.0)
         expected = bare[p] + cfg.lambda_c * (
             task.gram.matrix @ np.where(inside, dtruth[p], 0.0)
@@ -314,7 +308,8 @@ def _stacked_problem(rng, tnorm, bound_mode):
     ]
     names = ["A", "C", "B", "E", "D", "F"] + (["BOUND"] if bound_mode == "learned" else [])
     alphas = {p: rng.normal(scale=0.4, size=len(pairs) if p == "BOUND" else 6) for p in names}
-    return tasks, constraints, Model(alphas)
+    return tasks, constraints, Model(tuple(np.array([alphas[p] for p in t.predicates])
+                                           for t in tasks))
 
 
 def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
@@ -362,10 +357,12 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
     for lambda_c in (0.0, 0.7):
         cfg = TrainConfig(lambda_r=0.3, lambda_c=lambda_c, tnorm=tnorm)
         for rules in ([], constraints):
-            value, grads = _per_task_evaluate(tasks, rules, cfg, model.alphas, lambda_c)
+            alphas = weight_rows(tasks, model.weights)
+            value, grads = _per_task_evaluate(tasks, rules, cfg, alphas, lambda_c)
             assert objective(model, tasks, rules, cfg) == pytest.approx(value, rel=1e-12, abs=0.0)
             stacked = objective_gradient(model, tasks, rules, cfg)
-            assert list(stacked) == [p for t in tasks for p in t.predicates]
+            assert [g.shape for g in stacked] == [w.shape for w in model.weights]
+            stacked = weight_rows(tasks, stacked)
             for pred, expected in grads.items():
                 tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
                 assert np.abs(stacked[pred] - expected).max() <= tol, pred
@@ -506,7 +503,7 @@ def _bits(model):
     return (
         np.array(model.trace.stage1).tobytes(),
         np.array(model.trace.stage2).tobytes(),
-        {p: a.tobytes() for p, a in model.alphas.items()},
+        [a.tobytes() for a in model.weights],
     )
 
 
@@ -636,14 +633,14 @@ def test_given_bound_flows_into_unary_predicate():
     constraint = compile_constraint(rule, "product", {"Prot": list(ids)}, bindings)
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
     model = train(tasks, [constraint], cfg)
-    truths = predict(model, task_a, cfg)[0][:, 0]
+    truths = predict(model.weights[0], task_a, cfg)[0][:, 0]
     bare = train(tasks, [], cfg)
-    bare_truths = predict(bare, task_a, cfg)[0][:, 0]
+    bare_truths = predict(bare.weights[0], task_a, cfg)[0][:, 0]
     # p1 interacts with the positively-labeled p0, so its truth is pulled up.
     assert truths[1] > bare_truths[1] + 0.1
     assert abs(truths[2] - bare_truths[2]) < 0.05
     # The given pair truths never train.
-    assert "BOUND" not in model.alphas
+    assert [w.shape for w in model.weights] == [(1, 3)]
 
 
 def test_predict_threshold_conventions():
@@ -651,8 +648,7 @@ def test_predict_threshold_conventions():
     ids = ("p0", "p1", "p2", "p3")
     truth_values = np.array([0.5, 0.525, 0.475, 0.9])
     task = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(4)))
-    model = Model({"A": truth_values})
-    truths, positive, undecided = predict(model, task, cfg)
+    truths, positive, undecided = predict(truth_values[None, :], task, cfg)
     assert truths.shape == positive.shape == undecided.shape == (4, 1)
     assert positive[:, 0].tolist() == [True, True, False, True]
     assert undecided[:, 0].tolist() == [True, True, True, False]
@@ -664,14 +660,14 @@ def test_predict_stacks_each_predicates_own_matvec():
     root = rng.normal(size=(7, 7))
     shared = gram(ids, root @ root.T)
     task = TaskSpec(("A", "B", "C"), 1, ids, gram=shared)
-    model = Model({p: rng.normal(size=7) for p in task.predicates})
-    truths, positive, undecided = predict(model, task, TrainConfig())
+    model = Model((rng.normal(size=(3, 7)),))
+    truths, positive, undecided = predict(model.weights[0], task, TrainConfig())
     direct = truths_of(model, [task])
     for k, p in enumerate(task.predicates):
         assert truths[:, k].tobytes() == direct[p].tobytes()
     assert np.array_equal(positive, truths >= 0.5)
-    with pytest.raises(LearnerError, match="no weights for predicate 'C'"):
-        predict(Model({"A": model.alpha("A"), "B": model.alpha("B")}), task, TrainConfig())
+    with pytest.raises(LearnerError, match=r"shape \(2, 7\), expected \(3, 7\)"):
+        predict(model.weights[0][:2], task, TrainConfig())
 
 
 def test_task_validation():

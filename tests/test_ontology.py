@@ -284,6 +284,20 @@ def test_oc_rules_include_bins_both_ways():
     assert not any(t.startswith("forall x:Prot. BIN_B(x) => B(x) or") for t in texts)
 
 
+@pytest.mark.parametrize("dag_class", (OntologyDag, ReferenceOntologyDag))
+def test_level_follows_only_the_terms_own_namespace(dag_class):
+    # MF:t sits four MF steps below its root and one step below BP:x, which
+    # is one below the BP root; the level must not depend on term order.
+    terms = [Term("BP:r", "", BP), Term("BP:x", "", BP), Term("MF:r", "", MF)]
+    terms += [Term(f"MF:{t}", "", MF) for t in "abct"]
+    edges = [("BP:x", "BP:r", ISA), ("MF:a", "MF:r", ISA), ("MF:b", "MF:a", ISA),
+             ("MF:c", "MF:b", ISA), ("MF:t", "MF:c", ISA), ("MF:t", "BP:x", ISA)]
+    for order in (terms, terms[::-1]):
+        dag = dag_class(order, edges)
+        assert dag.level("MF:t") == 4
+        assert dag.level("BP:x") == 1
+
+
 def test_part_of_rules_cross_namespace():
     dag = OntologyDag(
         [Term("R", "", BP), Term("M", "", MF), Term("F", "", MF)],

@@ -45,16 +45,7 @@ FROZEN = {
 def _fold_zero_problem(root, monkeypatch, rules, scope, tnorm):
     """The tasks and compiled rules that a run hands to training in fold 0."""
     hierarchy_fixture.write_dataset(str(root))
-    proteins = [row[0] for row in hierarchy_fixture.protein_positions()]
-    interactions = [(proteins[i], proteins[j]) for i in range(50) for j in range(i + 1, 50)
-                    if (i + 2 * j) % 11 == 0]
-    (root / "ppi.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in interactions))
-    ids = [f"{a}|{b}" for a, b in interactions]
-    ids += [f"{proteins[i]}|{proteins[i + 1]}" for i in (1, 12, 23, 34, 45)]
-    matrix = np.eye(len(ids)) + 0.25
-    (root / "pairs.csv").write_text(
-        ",".join(ids) + "\n" + "".join(",".join(str(v) for v in row) + "\n" for row in matrix)
-    )
+    hierarchy_fixture.write_pair_files(str(root))
     cfg = hierarchy_fixture.write_config(
         str(root), "out", rules=rules, ppi="ppi.tsv", pair_gram="pairs.csv",
         constraint_scope=scope, tnorm=tnorm, max_iterations=1,
