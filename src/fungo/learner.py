@@ -10,13 +10,29 @@ product for all K predicates.  The objective
     + sum_k sum_{i labeled} (s_k(i) - y_k(i))**2
     + lambda_c * sum_h phi_h(truths)
 
-is minimised by plain gradient descent in two stages: the first ignores the
+is minimised by gradient descent in two stages: the first ignores the
 constraint penalties entirely (lambda_c = 0) and provides the starting point
-for the second, which optimises the full objective.  Each accepted step takes
-three products with G per block (the scores, the gradient ``D`` and ``D @ G``);
-a trial step ``A - t*D`` then scores as ``S - t*(D @ G)`` without one.  Steps
-use a backtracking line search by default; fixed-step descent is available and
-guarded against divergence.
+for the second, which optimises the full objective.  Each step follows the
+functional gradient (Kivinen, Smola & Williamson, Online learning with
+kernels, IEEE TSP 2004): the derivative in the scores,
+
+    D = 2*lambda_r*A + 2*mask*(S - Y) + lambda_c*[0 <= S <= 1]*dT,
+
+read as a direction in the weights.  Its image ``M = D @ G`` is the gradient
+in the weights, so ``g = <D, M>`` is the slope of the objective along -D, and
+each accepted step takes two products with G per block: the scores and M.
+A trial step ``A - t*D`` then scores as ``S - t*M`` without one.  Unlike the
+weight gradient ``M``, whose step size shrinks like 1/||G||**2, D needs steps
+of about 1/||G||.  D is a descent direction only while g > 0, which a Gram
+matrix that is PSD within ``psd_check``'s tolerance does not promise; a stage
+stops where g <= 0.
+
+Steps use a backtracking line search by default: ``learning_rate`` is the
+first and largest trial step, and each later search starts at twice the
+stage's last accepted step, capped there.  Fixed-step descent always steps
+``learning_rate`` and is guarded against divergence.  Each stage logs why it
+stopped: ``tolerance``, ``max_iterations``, ``line search exhausted`` or
+``no descent direction``.
 
 Along the ray ``A - t*D`` the ridge and label part of the objective is a
 quadratic in t.  Its coefficients, and a bound on the rounding of both it and
@@ -251,7 +267,8 @@ class _Workspace:
         with_gradient: bool, bound: float | None = None,
     ) -> tuple[float, list[np.ndarray] | None]:
         """Objective at ``weights`` (whose scores the caller supplies) and, when
-        asked, its gradient: one product with G per block.
+        asked, its functional gradient ``D`` per block, without a product
+        with G: the weight gradient is ``D @ G``.
 
         Given a ``bound``, a ridge and label part that already exceeds it (or
         is NaN) is returned as it is, without the rules: every penalty is
@@ -283,14 +300,14 @@ class _Workspace:
         if not with_gradient:
             return total, None
         grads = []
-        for i, (b, a, s, r) in enumerate(zip(self.blocks, weights, scores, residuals)):
+        for i, (a, s, r) in enumerate(zip(weights, scores, residuals)):
             slope = 2.0 * lambda_r * a + 2.0 * r
             if dtruths is not None:
                 # Slope 1 on the closed unit interval: a task parked exactly
                 # at the boundary (e.g. an unlabeled one starting from zero)
                 # must still feel the constraints.
                 slope += lambda_c * np.where((s >= 0.0) & (s <= 1.0), dtruths[i], 0.0)
-            grads.append(slope @ b.gram)
+            grads.append(slope)
         return total, grads
 
     def ray(
@@ -379,20 +396,25 @@ def _descend(
     history = [current]
     growth = 0
     trials = scalar = reached = 0
+    last = 0.0  # the last accepted step
+    reason = "max_iterations"
     for iteration in range(config.max_iterations):
         if iteration:
             scores = ws.scores(weights)
             _, grads = ws.evaluate(weights, scores, lambda_c, True)
-        norm2 = sum(float(np.vdot(d, d)) for d in grads)  # type: ignore[union-attr]
-        if norm2 == 0.0:
-            break
         moves = ws.scores(grads)  # type: ignore[arg-type]
-        step = config.learning_rate
-        # Fixed-step descent takes its one trial whatever it scores.
+        slope = sum(float(np.vdot(d, m)) for d, m in zip(grads, moves))  # type: ignore[arg-type]
+        if not slope > 0.0:
+            reason = "no descent direction"
+            break
+        # Each search starts at twice the last accepted step, capped at the
+        # learning rate; fixed-step descent takes its one trial whatever it
+        # scores.
+        step = min(config.learning_rate, 2.0 * last) if last else config.learning_rate
         ray = ws.ray(weights, scores, grads, moves) if config.line_search else None  # type: ignore
         for _ in range(MAX_HALVINGS if config.line_search else 1):
             trials += 1
-            bound = current - ARMIJO * step * norm2 if config.line_search else None
+            bound = current - ARMIJO * step * slope if config.line_search else None
             if ray is not None and ws.rejects(ray, step, bound):  # type: ignore[arg-type]
                 scalar += 1
                 step *= 0.5
@@ -411,8 +433,10 @@ def _descend(
                 "iteration %d (objective %.17g); stopping",
                 stage, MAX_HALVINGS, iteration, current,
             )
+            reason = "line search exhausted"
             break
         weights = trial
+        last = step
         if not config.line_search:
             if not np.isfinite(value):
                 raise DivergenceError(stage, iteration + 1, value)
@@ -426,10 +450,15 @@ def _descend(
         relative = abs(current - value) / max(1.0, abs(current))
         current = value
         if config.line_search and relative < config.tolerance:
+            reason = "tolerance"
             break
+    if reason == "max_iterations":
+        log.info("%s: stopped at max_iterations = %d (objective %.17g, last step %.3g)",
+                 stage, config.max_iterations, current, last)
     log.debug(
-        "%s: %d accepted steps, %d trials, %d decided by the scalars, "
-        "%d reached the rule set", stage, len(history) - 1, trials, scalar, reached,
+        "%s: stopped by %s after %d accepted steps (last step %.3g), %d trials, "
+        "%d decided by the scalars, %d reached the rule set",
+        stage, reason, len(history) - 1, last, trials, scalar, reached,
     )
     return history, weights
 

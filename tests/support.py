@@ -2,10 +2,10 @@
 dense per-rule grounding that the rule set must agree with, a central
 finite-difference oracle for penalty gradients with the kink margin
 that keeps its probes away from subgradient boundaries, the full objective
-and its gradient, the reference descent that evaluates every line-search
-trial in full, the pairwise kernels that the Gram builders must reproduce,
-and the string- and set-based ingest and evaluation that the array versions
-must reproduce."""
+and its gradients, the reference descent that evaluates every line-search
+trial in full, the weight-gradient descent that it replaced, the pairwise
+kernels that the Gram builders must reproduce, and the string- and
+set-based ingest and evaluation that the array versions must reproduce."""
 
 from __future__ import annotations
 
@@ -329,7 +329,15 @@ def objective(model, tasks, constraints, config) -> float:
 
 
 def objective_gradient(model, tasks, constraints, config) -> list[np.ndarray]:
-    """Gradient of the full objective, one K x n matrix per task."""
+    """Gradient of the full objective in the weights, one K x n matrix per
+    task: the functional gradient's image ``D @ G``."""
+    ws = learner._Workspace(tasks, constraints, config)
+    return ws.scores(functional_gradient(model, tasks, constraints, config))
+
+
+def functional_gradient(model, tasks, constraints, config) -> list[np.ndarray]:
+    """Gradient of the full objective in the scores (``D``), one K x n matrix
+    per task."""
     return _evaluate_model(model, tasks, constraints, config, True)[1]
 
 
@@ -349,31 +357,29 @@ def reference_descend(ws, weights, lambda_c, stage):
         raise learner.DivergenceError(stage, 0, current)
     history = [current]
     growth = 0
+    last = 0.0
     for iteration in range(config.max_iterations):
         if iteration:
             scores = ws.scores(weights)
             _, grads = ws.evaluate(weights, scores, lambda_c, True)
-        norm2 = sum(float(np.vdot(d, d)) for d in grads)
-        if norm2 == 0.0:
-            break
         moves = ws.scores(grads)
-        step = config.learning_rate
+        slope = sum(float(np.vdot(d, m)) for d, m in zip(grads, moves))
+        if not slope > 0.0:
+            break
+        step = min(config.learning_rate, 2.0 * last) if last else config.learning_rate
         # The fixed-step mode takes its one trial whatever its value.
         for _ in range(learner.MAX_HALVINGS if config.line_search else 1):
             trial = [a - step * d for a, d in zip(weights, grads)]
             moved = [s - step * m for s, m in zip(scores, moves)]
             value, _ = ws.evaluate(trial, moved, lambda_c, False)
-            if not config.line_search or value <= current - learner.ARMIJO * step * norm2:
+            if not config.line_search or value <= current - learner.ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
-            logging.getLogger("fungo.learner").warning(
-                "%s: line search found no descent step in %d halvings at "
-                "iteration %d (objective %.17g); stopping",
-                stage, learner.MAX_HALVINGS, iteration, current,
-            )
+            _log_exhausted(stage, iteration, current)
             break
         weights = trial
+        last = step
         if not config.line_search:
             if not np.isfinite(value):
                 raise learner.DivergenceError(stage, iteration + 1, value)
@@ -391,13 +397,59 @@ def reference_descend(ws, weights, lambda_c, stage):
     return history, weights
 
 
-def reference_train(tasks, constraints, config):
-    """``learner.train`` on :func:`reference_descend`."""
+def alpha_gradient_descend(ws, weights, lambda_c, stage):
+    """Line-search descent along the gradient in the weights, ``D @ G``,
+    with every search starting at ``learning_rate``: the trainer's descent
+    before it followed the functional gradient, kept as the step-count
+    reference."""
+    config = ws.config
+    scores = ws.scores(weights)
+    current, _ = ws.evaluate(weights, scores, lambda_c, False)
+    history = [current]
+    for iteration in range(config.max_iterations):
+        _, direction = ws.evaluate(weights, scores, lambda_c, True)
+        grads = ws.scores(direction)
+        norm2 = sum(float(np.vdot(d, d)) for d in grads)
+        if norm2 == 0.0:
+            break
+        moves = ws.scores(grads)
+        step = config.learning_rate
+        for _ in range(learner.MAX_HALVINGS):
+            trial = [a - step * d for a, d in zip(weights, grads)]
+            moved = [s - step * m for s, m in zip(scores, moves)]
+            value, _ = ws.evaluate(trial, moved, lambda_c, False)
+            if value <= current - learner.ARMIJO * step * norm2:
+                break
+            step *= 0.5
+        else:
+            _log_exhausted(stage, iteration, current)
+            break
+        weights = trial
+        scores = ws.scores(weights)
+        history.append(value)
+        relative = abs(current - value) / max(1.0, abs(current))
+        current = value
+        if relative < config.tolerance:
+            break
+    return history, weights
+
+
+def _log_exhausted(stage, iteration, current):
+    logging.getLogger("fungo.learner").warning(
+        "%s: line search found no descent step in %d halvings at "
+        "iteration %d (objective %.17g); stopping",
+        stage, learner.MAX_HALVINGS, iteration, current,
+    )
+
+
+def reference_train(tasks, constraints, config, descend=reference_descend):
+    """``learner.train`` on :func:`reference_descend`, or on another
+    ``descend`` of the same signature."""
     ws = learner._Workspace(tasks, constraints, config, check_psd=True)
     weights = [np.zeros_like(b.mask) for b in ws.blocks]
-    stage1, weights = reference_descend(ws, weights, 0.0, "stage 1")
+    stage1, weights = descend(ws, weights, 0.0, "stage 1")
     if config.lambda_c > 0 and ws.constraints:
-        stage2, weights = reference_descend(ws, weights, config.lambda_c, "stage 2")
+        stage2, weights = descend(ws, weights, config.lambda_c, "stage 2")
     else:
         stage2 = []
     return learner.Model(tuple(weights), learner.TrainTrace(tuple(stage1), tuple(stage2)))

@@ -20,15 +20,15 @@ FILES = ("fold_0/model.txt", "predictions.tsv", "bound_predictions.tsv", "metric
 # rules -> {file: sha256}; a missing file hashes as None
 FROZEN = {
     "OC": {
-        "fold_0/model.txt": "2f3630d964d4e9f979af04dd61fc00071349a07d0b2dc41a898cab3d256c3df6",
-        "predictions.tsv": "44e34369601cc9eea16776c7bcce7717cf4d817a943888b98b043731d82c711a",
+        "fold_0/model.txt": "ee5215d9518a494b780977dae4f95fc49f825fe1395dbf5d66f1bbf45ded7bc1",
+        "predictions.tsv": "10b2832a814ce49d6d31f9b88dce588a23ab906368b2294fcc60121758883ed4",
         "bound_predictions.tsv": None,
         "metrics.txt": "428fa656a7e05a42d44dd400d7ec0062c5bd9f50ccf0a9975760373c2d278147",
     },
     "OC+PP2": {
-        "fold_0/model.txt": "2d342012a8d3afac6d07f2fc191f933d82ba0a6767c1cb3f8ca1071d7fc17af9",
-        "predictions.tsv": "a383c7256e66540ba906ead3e448263fec112a971a9fe735256e9ad56842003c",
-        "bound_predictions.tsv": "f8c0303144fdcd39e5bae4ba41e3269f40e1d8d70ee4d5fe1f9d59f81c00a826",
+        "fold_0/model.txt": "215785f96c4832f004312a80474eeaf5edd85c41aa28984bf09b53e0758ab689",
+        "predictions.tsv": "9f03a384a623f46a1ba9c6fff3c165e7c0ac239e27e7fb923e93cb31a3374819",
+        "bound_predictions.tsv": "4df07440670821c5cc6c6ef055809c62fbc2c720da95253e1a464a72c97ea58c",
         "metrics.txt": "b0cf85433c1f31def6f64bb86cc829db63cfa9600bbe4e0a21adaae4fdee8ab1",
     },
 }

@@ -1,5 +1,6 @@
 """Learner: objective arithmetic, ridge oracle, gradients, stages, prediction."""
 
+import dataclasses
 import logging
 from unittest import mock
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import hierarchy_fixture
 from support import (
     FORMULA_POOL,
+    alpha_gradient_descend,
+    functional_gradient,
     given_binding,
     nonsmooth_margin,
     objective,
@@ -17,7 +21,8 @@ from support import (
     weight_rows,
 )
 
-from fungo import learner
+from fungo import cli, learner
+from fungo.io import read_config
 from fungo.kernels import GramMatrix
 from fungo.learner import (
     DivergenceError,
@@ -208,6 +213,137 @@ def test_full_objective_gradient_matches_finite_differences():
                 assert abs(numeric - analytic[i]) / scale < 1e-5
 
 
+def _ridge_minimiser(task, lambda_r):
+    """The exact stage-1 minimiser: ``a_U = 0`` and ``a_L = (G_LL + lambda_r*I)^-1
+    y_L`` per predicate, L its labeled examples."""
+    weights = np.zeros((len(task.predicates), task.size))
+    for a, y in zip(weights, task.labels):
+        labeled = ~np.isnan(y)
+        g_ll = task.gram.matrix[np.ix_(labeled, labeled)]
+        a[labeled] = np.linalg.solve(g_ll + lambda_r * np.eye(int(labeled.sum())), y[labeled])
+    return weights
+
+
+def _partly_labeled_problem(seed):
+    """Three predicates on a seeded PSD Gram (eigenvalues from 0.05 up to
+    about 4), each labeled on about 60% of the examples."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    ids = tuple(f"p{i}" for i in range(n))
+    basis = rng.normal(size=(n, n))
+    matrix = basis @ basis.T / n + 0.05 * np.eye(n)
+    labels = np.where(rng.random((3, n)) < 0.6, rng.integers(0, 2, (3, n)), np.nan)
+    return TaskSpec(("A", "B", "C"), 1, ids, gram=gram(ids, (matrix + matrix.T) / 2.0),
+                    labels=labels)
+
+
+def _hierarchy_fold_task(root):
+    """Fold 0's spec of the hierarchy fixture, as ``fungo run`` trains it."""
+    hierarchy_fixture.write_dataset(root)
+    config = cli.parse_experiment_config(
+        read_config(hierarchy_fixture.write_config(root, "out")), root)
+    data = cli.load_dataset(config)
+    held_out = set(cli.dataset_folds(config, data)[0])
+    (task,) = cli._fold_tasks(data, cli.build_gram(config, data.proteins), held_out, None, None)
+    return task, config.train
+
+
+# Stage 1 stops by its relative-change tolerance (1e-10 by default); on
+# these problems it then lies within 1e-9 of the minimum, and the weight
+# gradient descent within 1e-5.
+RIDGE_OBJECTIVE_RTOL = 1e-8
+
+
+@pytest.mark.parametrize("problem", ("psd-0", "psd-1", "psd-2", "psd-3", "hierarchy"))
+def test_stage1_reaches_the_ridge_minimiser_in_fewer_steps(problem, tmp_path):
+    if problem == "hierarchy":
+        task, cfg = _hierarchy_fold_task(str(tmp_path))
+        cfg = dataclasses.replace(cfg, lambda_c=0.0)
+    else:
+        task = _partly_labeled_problem(int(problem[4:]))
+        cfg = TrainConfig(lambda_c=0.0)
+    best = objective(Model((_ridge_minimiser(task, cfg.lambda_r),)), [task], [], cfg)
+    model = train([task], [], cfg)
+    assert abs(model.trace.stage1[-1] - best) <= RIDGE_OBJECTIVE_RTOL * best
+    # D is zero on the unlabeled examples of a zero start, so they keep a = 0.
+    assert not model.weights[0][np.isnan(task.labels)].any()
+    reference = reference_train([task], [], cfg, alpha_gradient_descend)
+    assert len(model.trace.stage1) <= len(reference.trace.stage1)
+
+
+def _stop_reasons(records):
+    """Stage -> (stop reason, last accepted step) from the DEBUG lines."""
+    return {stage: (reason, last)
+            for stage, (reason, _, last, *_) in _stage_lines(records).items()}
+
+
+def _infos(records):
+    return [r.getMessage() for r in records
+            if r.name == "fungo.learner" and r.levelno >= logging.INFO]
+
+
+def test_a_converged_stage_stops_by_tolerance(caplog):
+    task = _partly_labeled_problem(0)
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train([task], [], TrainConfig(lambda_c=0.0))
+    (reason, last), = _stop_reasons(caplog.records).values()
+    assert reason == "tolerance" and 0.0 < last <= 1.0
+    assert len(model.trace.stage1) - 1 < TrainConfig().max_iterations
+    assert _infos(caplog.records) == []
+
+
+def test_a_capped_stage_logs_one_info_line(caplog):
+    tasks, constraints, _ = _constrained_problem(2.0)
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train(tasks, constraints, TrainConfig(lambda_c=2.0, max_iterations=3))
+    assert len(model.trace.stage1) == len(model.trace.stage2) == 4
+    reasons = _stop_reasons(caplog.records)
+    assert [r for r, _ in reasons.values()] == ["max_iterations"] * 2
+    assert all(last > 0.0 for _, last in reasons.values())
+    infos = _infos(caplog.records)
+    assert len(infos) == 2
+    for stage, message in zip(("stage 1", "stage 2"), infos):
+        assert message.startswith(f"{stage}: stopped at max_iterations = 3")
+
+
+def test_an_exhausted_line_search_stops_the_stage(monkeypatch, caplog):
+    monkeypatch.setattr(learner, "MAX_HALVINGS", 2)
+    task = identity_task("A", 2, labels={"p0": 1.0})
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        # Steps of 1e6 and 5e5 both overshoot by far.
+        model = train([task], [], TrainConfig(lambda_c=0.0, learning_rate=1e6))
+    assert model.trace.stage1 == (1.0,)
+    assert _stop_reasons(caplog.records) == {"stage 1": ("line search exhausted", 0.0)}
+    (message,) = _infos(caplog.records)
+    assert "found no descent step in 2 halvings" in message
+
+
+def test_no_descent_direction_stops_the_stage(caplog):
+    # G = diag(1, -eps) passes psd_check, and the one label sits on the
+    # negative direction: <D, D @ G> = -4 eps, so -D climbs.  An Armijo bound
+    # of current - c*t*<D, D @ G> would accept that climb.
+    eps = 1e-9
+    ids = ("p0", "p1")
+    task = TaskSpec(("A",), 1, ids, gram=gram(ids, np.diag([1.0, -eps])),
+                    labels=[row(ids, {"p1": 1.0})])
+    cfg = TrainConfig(lambda_c=0.0)
+    (d,) = functional_gradient(Model((np.zeros((1, 2)),)), [task], [], cfg)
+    assert float(np.vdot(d, d @ task.gram.matrix)) == pytest.approx(-4.0 * eps, rel=1e-12)
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train([task], [], cfg)
+    trace = model.trace.stage1
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert trace == (1.0,)
+    assert _stop_reasons(caplog.records) == {"stage 1": ("no descent direction", 0.0)}
+    # A zero gradient is no descent direction either: nothing is labeled.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+        model = train([identity_task("A", 3)], [], cfg)
+    assert model.trace.stage1 == (0.0,)
+    assert _stop_reasons(caplog.records) == {"stage 1": ("no descent direction", 0.0)}
+    assert _infos(caplog.records) == []
+
+
 def test_exhausted_line_search_is_logged(monkeypatch, caplog):
     monkeypatch.setattr(learner, "MAX_HALVINGS", 0)
     task = identity_task("A", 2, labels={"p0": 1.0})
@@ -266,6 +402,8 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
 
     bare = weight_rows(tasks, objective_gradient(model, tasks, [], cfg))
     grads = weight_rows(tasks, objective_gradient(model, tasks, constraints, cfg))
+    bare_d = weight_rows(tasks, functional_gradient(model, tasks, [], cfg))
+    grads_d = weight_rows(tasks, functional_gradient(model, tasks, constraints, cfg))
     for task, (a,) in zip(tasks, model.weights):
         (p,) = task.predicates
         scores = task.gram.matrix @ a
@@ -275,6 +413,10 @@ def test_objective_matches_the_per_rule_sum(tnorm, implication, bound_mode):
         )
         tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
         assert np.abs(grads[p] - expected).max() <= tol, p
+        # In the scores the rule part adds without a product with G.
+        expected = bare_d[p] + cfg.lambda_c * np.where(inside, dtruth[p], 0.0)
+        tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
+        assert np.abs(grads_d[p] - expected).max() <= tol, p
 
 
 def _stacked_problem(rng, tnorm, bound_mode):
@@ -402,16 +544,23 @@ class _CountingGram(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def _stage_counts(records):
-    """The per-stage DEBUG counts of _descend: steps, trials, decided by the
-    scalars, reached the rule set."""
+def _stage_lines(records):
+    """The per-stage DEBUG lines of _descend, by stage: the stop reason, the
+    accepted steps, the last accepted step, the trials, those decided by the
+    scalars and those that reached the rule set."""
     return {
         r.args[0]: r.args[1:] for r in records
         if r.levelno == logging.DEBUG and "accepted steps" in r.msg
     }
 
 
-def test_each_accepted_step_costs_three_products_per_gram(monkeypatch, caplog):
+def _stage_counts(records):
+    """Steps, trials, decided by the scalars, reached the rule set."""
+    return {stage: (steps, *counts)
+            for stage, (_, steps, _, *counts) in _stage_lines(records).items()}
+
+
+def test_each_accepted_step_costs_two_products_per_gram(monkeypatch, caplog):
     rng = np.random.default_rng(31)
     tasks, constraints, _ = _stacked_problem(rng, "product", "learned")
     counting = {}
@@ -428,9 +577,30 @@ def test_each_accepted_step_costs_three_products_per_gram(monkeypatch, caplog):
         model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=6))
     steps = len(model.trace.stage1) - 1 + len(model.trace.stage2) - 1
     assert len(model.trace.stage1) == 7 and model.trace.stage2
+    # Every step taken was accepted: no stage stopped for want of one.
+    reasons = {reason for reason, _ in _stop_reasons(caplog.records).values()}
+    assert reasons <= {"max_iterations", "tolerance"}
     counts = _stage_counts(caplog.records)
     assert sum(trials for _, trials, _, _ in counts.values()) > steps
-    assert _CountingGram.products == 3 * len(counting) * steps
+    assert _CountingGram.products == 2 * len(counting) * steps
+
+
+def test_each_line_search_starts_at_twice_the_last_step(monkeypatch):
+    searches = []
+    ray, rejects = learner._Workspace.ray, learner._Workspace.rejects
+    monkeypatch.setattr(learner._Workspace, "ray",
+                        lambda ws, *args: searches.append([]) or ray(ws, *args))
+    monkeypatch.setattr(learner._Workspace, "rejects",
+                        lambda ws, r, step, bound: searches[-1].append(step)
+                        or rejects(ws, r, step, bound))
+    cfg = TrainConfig(lambda_c=0.0, learning_rate=8.0, max_iterations=30)
+    model = train([_partly_labeled_problem(1)], [], cfg)
+    assert len(searches) == len(model.trace.stage1) - 1 == 30
+    assert searches[0][0] == 8.0
+    for before, after in zip(searches, searches[1:]):
+        # Every search ended at its last trial, the accepted step.
+        assert after[0] == min(8.0, 2.0 * before[-1])
+    assert any(s[0] < 8.0 for s in searches) and any(len(s) == 1 for s in searches)
 
 
 def test_descent_logs_where_its_trials_were_decided(caplog):
