@@ -111,25 +111,46 @@ def spectrum_gram(
     if k < 1:
         raise ValueError(f"k-mer length must be positive, got {k}")
     seqs = [sequences[name] for name in order]
-    counts = np.array([max(len(s) - k + 1, 0) for s in seqs], dtype=np.intp)
-    vocab: dict[str, int] = {}
-    cols = np.fromiter(
-        (vocab.setdefault(s[i : i + k], len(vocab)) for s in seqs for i in range(len(s) - k + 1)),
-        np.intp, int(counts.sum()),
-    )
-    rows = np.repeat(np.arange(len(seqs)), counts)
+    rows, cols, distinct = _kmer_codes(seqs, k)
     by_col = np.argsort(cols, kind="stable")
     rows, cols = rows[by_col], cols[by_col]
     n = len(order)
     m = np.zeros((n, n), dtype=np.float64)
-    for start in range(0, len(vocab), SPECTRUM_BLOCK):
-        width = min(SPECTRUM_BLOCK, len(vocab) - start)
+    for start in range(0, distinct, SPECTRUM_BLOCK):
+        width = min(SPECTRUM_BLOCK, distinct - start)
         lo, hi = np.searchsorted(cols, (start, start + width))
         flat = rows[lo:hi] * width + (cols[lo:hi] - start)
         block = np.bincount(flat, minlength=n * width).reshape(n, width).astype(np.float64)
         m += block @ block.T
     gram = GramMatrix(order, m)
     return gram.normalized() if normalized else gram
+
+
+def _kmer_codes(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sequence and the k-mer number of every k-mer occurrence, and the
+    count of distinct k-mers.
+
+    Every letter gets a code, and a k-mer's number grows by one letter at a
+    time: ``number * alphabet + code``, renumbered to ``0..distinct - 1`` after
+    each letter, so no number exceeds the occurrence count times the alphabet
+    size, whatever k is.
+    """
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    counts = np.maximum(lengths - k + 1, 0)
+    # UTF-32 gives every character, ASCII or not, one fixed-width code point.
+    points = np.frombuffer("".join(seqs).encode("utf-32-le"), dtype=np.uint32)
+    _, letters = np.unique(points, return_inverse=True)
+    alphabet = int(letters.max()) + 1 if letters.size else 0
+    # Where each occurrence starts in the joined text.
+    firsts = np.cumsum(lengths) - lengths
+    total = int(counts.sum())
+    starts = np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+    numbers = letters[starts]
+    for offset in range(1, k):
+        _, numbers = np.unique(numbers * alphabet + letters[starts + offset],
+                               return_inverse=True)
+    distinct = int(numbers.max()) + 1 if total else 0
+    return np.repeat(np.arange(len(seqs)), counts), numbers, distinct
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,20 @@ product for all K predicates.  The objective
     + sum_k sum_{i labeled} (s_k(i) - y_k(i))**2
     + lambda_c * sum_h phi_h(truths)
 
-is minimised by gradient descent in two stages: the first ignores the
-constraint penalties entirely (lambda_c = 0) and provides the starting point
-for the second, which optimises the full objective.  Each step follows the
-functional gradient (Kivinen, Smola & Williamson, Online learning with
-kernels, IEEE TSP 2004): the derivative in the scores,
+is minimised in two stages: the first ignores the constraint penalties
+entirely (lambda_c = 0) and provides the starting point for the second, which
+optimises the full objective.
+
+Without the rules the objective is kernel ridge regression, one problem per
+predicate, so stage 1 is solved in closed form: ``a_U = 0`` and ``a_L = (G_LL
++ lambda_r*I)^-1 y_L`` on each predicate's labeled examples L (Saunders,
+Gammerman & Vovk 1998).  The predicates of a block that share a label mask
+share one Cholesky factor.  ``lambda_r`` must be positive, because G_LL alone
+may be singular.
+
+Stage 2 descends along the functional gradient (Kivinen, Smola &
+Williamson, Online learning with kernels, IEEE TSP 2004): the derivative in
+the scores,
 
     D = 2*lambda_r*A + 2*mask*(S - Y) + lambda_c*[0 <= S <= 1]*dT,
 
@@ -24,23 +33,21 @@ each accepted step takes two products with G per block: the scores and M.
 A trial step ``A - t*D`` then scores as ``S - t*M`` without one.  Unlike the
 weight gradient ``M``, whose step size shrinks like 1/||G||**2, D needs steps
 of about 1/||G||.  D is a descent direction only while g > 0, which a Gram
-matrix that is PSD within ``psd_check``'s tolerance does not promise; a stage
-stops where g <= 0.
+matrix that is PSD within ``psd_check``'s tolerance does not promise; the
+stage stops where g <= 0.
 
 Steps use a backtracking line search by default: ``learning_rate`` is the
 first and largest trial step, and each later search starts at twice the
 stage's last accepted step, capped there.  Fixed-step descent always steps
-``learning_rate`` and is guarded against divergence.  Each stage logs why it
-stopped: ``tolerance``, ``max_iterations``, ``line search exhausted`` or
-``no descent direction``.
-
-Along the ray ``A - t*D`` the ridge and label part of the objective is a
-quadratic in t.  Its coefficients, and a bound on the rounding of both it and
-the direct sum, are taken once per accepted step, so most rejected trials are
-decided from scalars without building an array.  A trial the scalars cannot
-reject is summed directly, and the rule set is evaluated only when the ridge
-and label part alone stays within the Armijo bound: rule penalties are never
-negative, so every decision, and every trace value, equals the direct one.
+``learning_rate`` and is guarded against divergence.  ``learning_rate``,
+``max_iterations``, ``tolerance``, ``line_search`` and ``divergence_patience``
+govern stage 2 only.  The stage logs why it stopped: ``tolerance`` (the
+relative change fell below it along a small slope), ``stalled`` (it fell
+below it only because the accepted step was tiny), ``max_iterations``,
+``line search exhausted`` or ``no descent direction``.  A trial reaches the
+rule set only when its ridge and label part alone stays within the Armijo
+bound: rule penalties are never negative, so every decision equals the full
+evaluation's.
 
 The rule set is compiled against the same block layout: it reads the K x n
 truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
@@ -52,7 +59,6 @@ it as a given ``PredicateBinding``.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,9 +71,6 @@ log = logging.getLogger(__name__)
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
-
-UNIT_ROUNDOFF = 2.0**-53
-MAGNITUDE_FLOOR = 2.0**-500  # added to every magnitude in the rounding bound
 
 CONSTRAINT_SCOPES = ("unsupervised", "all")
 
@@ -155,8 +158,12 @@ class TrainConfig:
     divergence_patience: int = 20
 
     def __post_init__(self):
-        if self.lambda_r < 0 or self.lambda_c < 0:
-            raise LearnerError("regularization weights must be non-negative")
+        # At lambda_r = 0 the labeled Gram block G_LL that stage 1 factorises
+        # can be singular, and the ridge minimiser is then not unique.
+        if not self.lambda_r > 0:
+            raise LearnerError(f"lambda_r must be positive, got {self.lambda_r!r}")
+        if self.lambda_c < 0:
+            raise LearnerError("lambda_c must be non-negative")
         if self.tnorm not in TNORMS:
             raise LearnerError(f"unknown t-norm {self.tnorm!r}")
         if self.learning_rate <= 0:
@@ -177,10 +184,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """The objective at each accepted step, one tuple per stage.
+    """The objective along each stage, one tuple per stage.
 
-    ``stage1[0]`` is the objective at the zero start; ``stage2`` is empty
-    when the constraint stage was skipped (no constraints or lambda_c = 0).
+    ``stage1`` holds the objective at zero weights and at the ridge
+    minimiser that stage 1 solves for.  ``stage2`` holds the objective at the
+    start and after each accepted step, and is empty when the constraint
+    stage was skipped (no constraints or lambda_c = 0).
     """
 
     stage1: tuple[float, ...]
@@ -190,7 +199,7 @@ class TrainTrace:
 @dataclass(frozen=True)
 class Model:
     """Trained weights, one K x n matrix per ``TaskSpec`` in task order (row
-    k is the expansion of the spec's predicate k), and the descent trace."""
+    k is the expansion of the spec's predicate k), and the training trace."""
 
     weights: tuple[np.ndarray, ...]
     trace: TrainTrace = field(default_factory=lambda: TrainTrace((),))
@@ -255,9 +264,6 @@ class _Workspace:
             self.constraints, [(b.predicates, b.gram.shape[0]) for b in self.blocks]
         )
         self.rule_calls = 0
-        # See ray(): gamma_n = n*u / (1 - n*u) for the longest chain of roundings.
-        n = max(b.mask.size for b in self.blocks) + len(self.blocks) + 8
-        self.kappa = 4.0 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
     def scores(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [a @ b.gram for b, a in zip(self.blocks, weights)]
@@ -310,83 +316,15 @@ class _Workspace:
             grads.append(slope)
         return total, grads
 
-    def ray(
-        self, weights: Sequence[np.ndarray], scores: Sequence[np.ndarray],
-        grads: Sequence[np.ndarray], moves: Sequence[np.ndarray],
-    ) -> tuple[float, float, float, float, float, float] | None:
-        """Coefficients ``(c0, c1, c2, e0, e1, e2)`` of the ridge and label part
-        along the ray ``weights - t * grads`` (scores ``scores - t * moves``),
-        or None when one is not finite.
-
-        With exact arithmetic that part is ``Q(t) = c0 - c1*t + c2*t**2``
-        (the sums below, taken without symmetry of G).  ``E(t) = e0 + e1*t +
-        e2*t**2`` is the same sum over magnitudes: per element, ``|a| + t|d|``
-        times ``|s| + t|m|`` for the ridge and ``(|s| + y + t|m|)**2`` for the
-        labels, each magnitude raised by MAGNITUDE_FLOOR.
-
-        Rounding bound (Higham, Accuracy and Stability of Numerical
-        Algorithms, section 3.1: u = 2**-53, gamma_n = n*u / (1 - n*u)).  Let
-        m be the largest block size K*n and B the block count.  In the direct
-        sum of evaluate() each factor of a product term carries at most three
-        roundings (``t*d`` or ``t*m``, the subtraction, and ``s - y`` for the
-        labels), the dot product m more and the block sums at most B + 2, so
-        every term is off by a factor within gamma = gamma_{m+B+8} of 1.  The
-        coefficients round at most m + B + 4 times per term and q(t), the
-        quadratic evaluated in floats from them, 4 times more.  Hence
-
-            |direct(t) - Q(t)| <= gamma * E(t),   |Q(t) - q(t)| <= gamma * E(t).
-
-        E(t) and ``kappa * E(t)`` are computed with the same counts, so with
-        ``kappa = 4 * gamma`` the computed ``kappa * E(t)`` is at least
-        ``3 * gamma * E(t)`` (gamma is far below 1/8), and ``fl(q - kappa*E) >
-        bound`` implies ``direct(t) > bound``: the trial fails Armijo whatever
-        its rules add.  The floors make gradual underflow harmless: a product
-        that underflows errs by at most u * 2**-1022, below u times the floored
-        magnitudes it enters, and the 2**-1000 added to e0, e1 and e2 covers
-        the few scalar products.  Overflow makes a coefficient non-finite, and
-        then every trial is summed directly.
-        """
-        lambda_r = self.config.lambda_r
-        c0 = c1 = c2 = e0 = e1 = e2 = 0.0
-        for b, a, s, d, m in zip(self.blocks, weights, scores, grads, moves):
-            r = b.mask * (s - b.targets)
-            mm = b.mask * m
-            c0 += lambda_r * _dot(a, s) + _dot(r, r)
-            c1 += lambda_r * (_dot(a, m) + _dot(d, s)) + 2.0 * _dot(r, mm)
-            c2 += lambda_r * _dot(d, m) + _dot(mm, mm)
-            # The same sums over the floored magnitudes.
-            a, s, d, m = (np.abs(x) + MAGNITUDE_FLOOR for x in (a, s, d, m))
-            h = b.mask * (s + b.targets)
-            hm = b.mask * m
-            e0 += lambda_r * _dot(a, s) + _dot(h, h)
-            e1 += lambda_r * (_dot(a, m) + _dot(d, s)) + 2.0 * _dot(h, hm)
-            e2 += lambda_r * _dot(d, m) + _dot(hm, hm)
-        tiny = MAGNITUDE_FLOOR * MAGNITUDE_FLOOR
-        coefficients = (c0, c1, c2, e0 + tiny, e1 + tiny, e2 + tiny)
-        return coefficients if math.isfinite(sum(coefficients)) else None
-
-    def rejects(self, ray: tuple[float, ...], step: float, bound: float) -> bool:
-        """True when the ray's scalars prove that the trial at ``step`` sums to
-        more than ``bound`` (see ray())."""
-        c0, c1, c2, e0, e1, e2 = ray
-        q = c0 + (c2 * step - c1) * step
-        spread = e0 + (e2 * step + e1) * step
-        return q - self.kappa * spread > bound
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.vdot(x, y))
-
 
 def _descend(
     ws: _Workspace, weights: list[np.ndarray], lambda_c: float, stage: str
 ) -> tuple[list[float], list[np.ndarray]]:
     """Descent from the block weights; returns the trace and the final weights.
 
-    A line-search trial is first put to the ray's scalars (see
-    ``_Workspace.ray``); only the trials they cannot reject build the trial
-    arrays, and evaluate() adds the rules only to those within the Armijo
-    bound.  Fixed-step descent evaluates its one trial per step in full.
+    evaluate() adds the rules only to a line-search trial whose ridge and
+    label part stays within the Armijo bound.  Fixed-step descent evaluates
+    its one trial per step in full.
     """
     config = ws.config
     scores = ws.scores(weights)
@@ -395,7 +333,7 @@ def _descend(
         raise DivergenceError(stage, 0, current)
     history = [current]
     growth = 0
-    trials = scalar = reached = 0
+    trials = reached = 0
     last = 0.0  # the last accepted step
     reason = "max_iterations"
     for iteration in range(config.max_iterations):
@@ -411,14 +349,9 @@ def _descend(
         # learning rate; fixed-step descent takes its one trial whatever it
         # scores.
         step = min(config.learning_rate, 2.0 * last) if last else config.learning_rate
-        ray = ws.ray(weights, scores, grads, moves) if config.line_search else None  # type: ignore
         for _ in range(MAX_HALVINGS if config.line_search else 1):
             trials += 1
             bound = current - ARMIJO * step * slope if config.line_search else None
-            if ray is not None and ws.rejects(ray, step, bound):  # type: ignore[arg-type]
-                scalar += 1
-                step *= 0.5
-                continue
             trial = [a - step * d for a, d in zip(weights, grads)]  # type: ignore[arg-type]
             moved = [s - step * m for s, m in zip(scores, moves)]
             before = ws.rule_calls
@@ -447,20 +380,79 @@ def _descend(
             else:
                 growth = 0
         history.append(value)
-        relative = abs(current - value) / max(1.0, abs(current))
+        scale = max(1.0, abs(current))
+        relative = abs(current - value) / scale
         current = value
         if config.line_search and relative < config.tolerance:
-            reason = "tolerance"
+            reason = "stalled" if _stalled(ws, moves, slope, scale) else "tolerance"
             break
     if reason == "max_iterations":
         log.info("%s: stopped at max_iterations = %d (objective %.17g, last step %.3g)",
                  stage, config.max_iterations, current, last)
     log.debug(
         "%s: stopped by %s after %d accepted steps (last step %.3g), %d trials, "
-        "%d decided by the scalars, %d reached the rule set",
-        stage, reason, len(history) - 1, last, trials, scalar, reached,
+        "%d reached the rule set",
+        stage, reason, len(history) - 1, last, trials, reached,
     )
     return history, weights
+
+
+def _stalled(ws: _Workspace, moves: list[np.ndarray], slope: float, scale: float) -> bool:
+    """Whether a stage whose relative change fell below the tolerance stalled
+    rather than converged.
+
+    Along ``-D`` the ridge and label part is the quadratic ``t*slope -
+    t**2*curvature`` below the current value.  When its best step, capped at
+    the learning rate, would lower the objective by more than the tolerance,
+    the change was small only because the accepted step was: the line search
+    met a kink (a clamp or a rule's min/max), not a small slope.
+    """
+    config = ws.config
+    masked = [b.mask * m for b, m in zip(ws.blocks, moves)]
+    curvature = config.lambda_r * slope + sum(float(np.vdot(x, x)) for x in masked)
+    step = min(config.learning_rate, slope / (2.0 * curvature))
+    return step * (slope - step * curvature) > config.tolerance * scale
+
+
+def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray]]:
+    """Stage 1 in closed form: the objective at zero and at the kernel-ridge
+    minimiser, and the minimiser's block weights.
+
+    Without the rules the objective splits into one ridge problem per
+    predicate, whose minimiser is ``a_U = 0`` and ``a_L = (G_LL + lambda_r*I)^-1
+    y_L`` on its labeled examples L (Saunders, Gammerman & Vovk, Ridge
+    regression learning algorithm in dual variables, ICML 1998).  The rows of
+    a block that share a label mask share the system: one Cholesky factor,
+    with their labels as right-hand sides.
+    """
+    lambda_r = ws.config.lambda_r
+    zeros = [np.zeros_like(b.mask) for b in ws.blocks]
+    start, _ = ws.evaluate(zeros, zeros, 0.0, False)
+    weights = []
+    for b in ws.blocks:
+        a = np.zeros_like(b.mask)
+        masks, group = np.unique(b.mask, axis=0, return_inverse=True)
+        for g, mask in enumerate(masks):
+            labeled = np.flatnonzero(mask)
+            if not labeled.size:
+                continue
+            rows = np.flatnonzero(group == g)
+            system = b.gram[np.ix_(labeled, labeled)]
+            system[np.diag_indices_from(system)] += lambda_r
+            try:
+                factor = np.linalg.cholesky(system)
+            except np.linalg.LinAlgError:
+                raise LearnerError(
+                    f"task {b.predicates[0]!r}: its labeled Gram block plus "
+                    f"lambda_r = {lambda_r!r} times the identity is not positive "
+                    f"definite; raise lambda_r"
+                ) from None
+            # numpy has no triangular solver: solve with each factor in turn.
+            a[np.ix_(rows, labeled)] = np.linalg.solve(
+                factor.T, np.linalg.solve(factor, b.targets[np.ix_(rows, labeled)].T)).T
+        weights.append(a)
+    end, _ = ws.evaluate(weights, ws.scores(weights), 0.0, False)
+    return [start, end], weights
 
 
 def train(
@@ -468,16 +460,15 @@ def train(
     constraints: Sequence[CompiledConstraint],
     config: TrainConfig,
 ) -> Model:
-    """Two-stage descent: label fit first, then the constrained objective.
+    """Two-stage training: label fit first, then the constrained objective.
 
-    Stage one starts from zero weights with the constraint term switched
-    off.  Stage two resumes from its result at full constraint strength and
-    is skipped outright when there are no constraints or lambda_c is zero,
+    Stage one solves the ridge problem without the constraint term.  Stage
+    two descends from its minimiser at full constraint strength and is
+    skipped outright when there are no constraints or lambda_c is zero,
     leaving the trace bit-identical to a constraint-free run.
     """
     ws = _Workspace(tasks, constraints, config, check_psd=True)
-    weights = [np.zeros_like(b.mask) for b in ws.blocks]
-    stage1, weights = _descend(ws, weights, 0.0, "stage 1")
+    stage1, weights = _ridge(ws)
     if config.lambda_c > 0 and ws.constraints:
         stage2, weights = _descend(ws, weights, config.lambda_c, "stage 2")
     else:

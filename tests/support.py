@@ -348,8 +348,8 @@ def _evaluate_model(model, tasks, constraints, config, with_gradient):
 
 
 def reference_descend(ws, weights, lambda_c, stage):
-    """``learner._descend`` with every trial built and evaluated in full,
-    rules included: the oracle for the scalar and early rejections."""
+    """``learner._descend`` with every trial evaluated in full, rules
+    included: the oracle for the early rejections."""
     config = ws.config
     scores = ws.scores(weights)
     current, grads = ws.evaluate(weights, scores, lambda_c, True)
@@ -443,11 +443,11 @@ def _log_exhausted(stage, iteration, current):
 
 
 def reference_train(tasks, constraints, config, descend=reference_descend):
-    """``learner.train`` on :func:`reference_descend`, or on another
-    ``descend`` of the same signature."""
+    """``learner.train`` with stage 2 on :func:`reference_descend`, or on
+    another ``descend`` of the same signature; stage 1 is the trainer's
+    closed form."""
     ws = learner._Workspace(tasks, constraints, config, check_psd=True)
-    weights = [np.zeros_like(b.mask) for b in ws.blocks]
-    stage1, weights = descend(ws, weights, 0.0, "stage 1")
+    stage1, weights = learner._ridge(ws)
     if config.lambda_c > 0 and ws.constraints:
         stage2, weights = descend(ws, weights, config.lambda_c, "stage 2")
     else:

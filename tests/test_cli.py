@@ -269,7 +269,7 @@ class TestRun:
 
     def test_divergence_fails_the_run_with_diagnostics(self, dataset, capsys):
         cfg = write_config(
-            dataset, name="bad.cfg", out="out_bad", rules="none",
+            dataset, name="bad.cfg", out="out_bad", rules="OC",
             line_search="false", learning_rate="1000.0", divergence_patience="3",
         )
         assert main(["run", "--config", cfg]) == 1
@@ -637,12 +637,15 @@ def test_traced_run_reads_its_bundle(tmp_path):
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     metrics = json.loads(result.read_text())
-    # Accepted stage-1 steps: the stage-1 trace lines after each fold's start.
-    steps = sum(
-        sum(line.startswith("stage=1 step=") for line in path.read_text().splitlines()) - 1
-        for path in out.glob("fold_*/model.txt")
-    )
-    assert steps > 0 and metrics["learner.stage1_steps"] == steps
+    # Stage 1 is solved in closed form: each fold's trace holds the objective
+    # at zero and at the minimiser, one step, and no fold reaches the cap.
+    models = sorted(out.glob("fold_*/model.txt"))
+    for path in models:
+        lines = path.read_text().splitlines()
+        assert sum(line.startswith("stage=1 step=") for line in lines) == 2, path
+    assert len(models) > 1
+    assert metrics["learner.stage1_steps"] == len(models)
+    assert metrics["learner.stage1_capped_folds"] == 0
     assert metrics["learner.predict_s"] > 0
 
 
@@ -708,6 +711,7 @@ class TestErrorHandling:
         ("line_search", "yes", "must be true or false"),
         ("kernel", "cosine", "unknown kernel"),
         ("namespaces", " , ", "'namespaces' is empty"),
+        ("lambda_r", "0", "lambda_r must be positive"),
     ])
     def test_malformed_values(self, dataset, capsys, key, value, expected):
         cfg = write_config(dataset, **{key: value})

@@ -96,6 +96,23 @@ def test_spectrum_gram_matches_the_pairwise_kernel(k, block, monkeypatch):
     assert spectrum_gram({}, k=k, normalized=False).matrix.shape == (0, 0)
 
 
+@pytest.mark.parametrize("k", (1, 4, 20, 70))
+def test_spectrum_gram_numbers_any_letters_and_any_k(k):
+    # Letters outside Latin-1 and outside the BMP; 34 letters to the power
+    # k = 20 overflows 64 bits, and k = 70 exceeds every sequence.
+    rng = np.random.default_rng(100 + k)
+    letters = list("ACDEFGHIKLMNPQRSTVWY") + list("αβγδ") + list("蛋白质") + ["\U0001F9EC", "\u00e9"]
+    letters += list("XBZ*-uj")
+    seqs = {f"p{i}": "".join(rng.choice(letters[:4], size=rng.integers(0, 8)))
+            + "".join(rng.choice(letters, size=rng.integers(0, 60))) for i in range(12)}
+    seqs.update({"twin": seqs["p0"], "repeat": "\U0001F9EC" * 64, "repeat2": "\U0001F9EC" * 30})
+    gram = spectrum_gram(seqs, k=k, normalized=False)
+    for i, a in enumerate(gram.ids):
+        for j, b in enumerate(gram.ids):
+            assert gram.matrix[i, j] == spectrum_kernel(seqs[a], seqs[b], k=k), (a, b)
+    assert (gram.matrix[0] == gram.matrix[gram.ids.index("twin")]).all()
+
+
 def test_domain_frozen_values():
     assert domain_kernel({"d1", "d2"}, {"d2", "d3"}) == 0.25
     for m in (1, 2, 5):
