@@ -24,7 +24,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -106,7 +105,6 @@ class ExperimentConfig:
     rules: tuple[str, ...] = ("none",)
     folds: int = 10
     seed: int = 0
-    jobs: int | None = None
     sequences: str | None = None
     domains: str | None = None
     expression: str | None = None
@@ -126,19 +124,14 @@ class ExperimentConfig:
                 f"unknown kernel {self.kernel!r} (choose from {KERNEL_CHOICES})"
             )
         _validate_rule_tokens(self.rules)
-        if self.jobs is not None and self.jobs < 1:
-            raise CliError(f"config key 'jobs' must be at least 1, got {self.jobs}")
 
     def echo(self) -> dict[str, str]:
-        """The resolved settings as writable config lines.
-
-        ``jobs`` is left out: the bundle must not depend on it.
-        """
+        """The resolved settings as writable config lines."""
         out: dict[str, str] = {}
         for owner in (self, self.train):
             for spec in fields(owner):
                 value = getattr(owner, spec.name)
-                if spec.name in ("jobs", "train") or value is None:
+                if spec.name == "train" or value is None:
                     continue
                 if isinstance(value, bool):
                     out[spec.name] = "true" if value else "false"
@@ -153,7 +146,7 @@ class ExperimentConfig:
 _KINDS = {
     **dict.fromkeys(("obo", "annotations", "sequences", "domains", "expression",
                      "graph", "gram", "pair_gram", "ppi", "out"), "path"),
-    **dict.fromkeys(("level", "min_count", "folds", "seed", "jobs", "k",
+    **dict.fromkeys(("level", "min_count", "folds", "seed", "k",
                      "max_iterations", "divergence_patience"), "integer"),
     **dict.fromkeys(("beta", "lambda_r", "lambda_c", "learning_rate", "tolerance",
                      "threshold", "undecided_band"), "real"),
@@ -600,19 +593,13 @@ def cmd_run(config: ExperimentConfig) -> int:
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
     bound_data = _bound_inputs(config, bound_mode, data.proteins)
 
-    # Folds train in threads; more of them than cores only contend for the CPU.
-    jobs = config.jobs if config.jobs is not None else os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(folds)))
-    log.info("training %d folds with %d workers", len(folds), jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_fold, index, fold, config, data, gram,
-                        rules, bound_mode, bound_data, out_dir)
-            for index, fold in enumerate(folds)
-        ]
-        outcomes = [future.result() for future in futures]
+    # One fold after another: each fold's Gram products get every BLAS thread.
+    outcomes = [
+        _run_fold(index, fold, config, data, gram, rules, bound_mode, bound_data, out_dir)
+        for index, fold in enumerate(folds)
+    ]
 
-    failed = [o for o in sorted(outcomes, key=lambda o: o.index) if o.failure]
+    failed = [o for o in outcomes if o.failure]
     if failed:
         for outcome in failed:
             log.error("fold %d diverged: %s", outcome.index, outcome.failure)
@@ -761,7 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name)
         sub.add_argument("--config", required=True, help="flat key = value file")
         sub.add_argument("--out", help="output directory (overrides the config)")
-        sub.add_argument("--jobs", type=int, help="max parallel fold workers")
+        if name == "run":
+            # Still accepted from older callers; the folds train one after another.
+            sub.add_argument("--jobs", type=int, help="ignored")
     return parser
 
 
@@ -787,8 +776,6 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_experiment_config(raw, base_dir)
         if args.out is not None:
             config = replace(config, out=os.path.abspath(args.out))
-        if args.jobs is not None:
-            config = replace(config, jobs=args.jobs)
         return _DISPATCH[args.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

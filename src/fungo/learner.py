@@ -318,16 +318,17 @@ class _Workspace:
 
 
 def _descend(
-    ws: _Workspace, weights: list[np.ndarray], lambda_c: float, stage: str
+    ws: _Workspace, weights: list[np.ndarray], scores: list[np.ndarray],
+    lambda_c: float, stage: str,
 ) -> tuple[list[float], list[np.ndarray]]:
-    """Descent from the block weights; returns the trace and the final weights.
+    """Descent from the block weights, whose scores the caller supplies;
+    returns the trace and the final weights.
 
     evaluate() adds the rules only to a line-search trial whose ridge and
     label part stays within the Armijo bound.  Fixed-step descent evaluates
     its one trial per step in full.
     """
     config = ws.config
-    scores = ws.scores(weights)
     current, grads = ws.evaluate(weights, scores, lambda_c, True)
     if not np.isfinite(current):
         raise DivergenceError(stage, 0, current)
@@ -414,9 +415,9 @@ def _stalled(ws: _Workspace, moves: list[np.ndarray], slope: float, scale: float
     return step * (slope - step * curvature) > config.tolerance * scale
 
 
-def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray]]:
+def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray], list[np.ndarray]]:
     """Stage 1 in closed form: the objective at zero and at the kernel-ridge
-    minimiser, and the minimiser's block weights.
+    minimiser, and the minimiser's block weights and scores.
 
     Without the rules the objective splits into one ridge problem per
     predicate, whose minimiser is ``a_U = 0`` and ``a_L = (G_LL + lambda_r*I)^-1
@@ -451,8 +452,9 @@ def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray]]:
             a[np.ix_(rows, labeled)] = np.linalg.solve(
                 factor.T, np.linalg.solve(factor, b.targets[np.ix_(rows, labeled)].T)).T
         weights.append(a)
-    end, _ = ws.evaluate(weights, ws.scores(weights), 0.0, False)
-    return [start, end], weights
+    scores = ws.scores(weights)
+    end, _ = ws.evaluate(weights, scores, 0.0, False)
+    return [start, end], weights, scores
 
 
 def train(
@@ -468,9 +470,9 @@ def train(
     leaving the trace bit-identical to a constraint-free run.
     """
     ws = _Workspace(tasks, constraints, config, check_psd=True)
-    stage1, weights = _ridge(ws)
+    stage1, weights, scores = _ridge(ws)
     if config.lambda_c > 0 and ws.constraints:
-        stage2, weights = _descend(ws, weights, config.lambda_c, "stage 2")
+        stage2, weights = _descend(ws, weights, scores, config.lambda_c, "stage 2")
     else:
         stage2 = []
     return Model(tuple(weights), TrainTrace(tuple(stage1), tuple(stage2)))

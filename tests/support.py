@@ -447,7 +447,7 @@ def reference_train(tasks, constraints, config, descend=reference_descend):
     another ``descend`` of the same signature; stage 1 is the trainer's
     closed form."""
     ws = learner._Workspace(tasks, constraints, config, check_psd=True)
-    stage1, weights = learner._ridge(ws)
+    stage1, weights, _ = learner._ridge(ws)
     if config.lambda_c > 0 and ws.constraints:
         stage2, weights = descend(ws, weights, config.lambda_c, "stage 2")
     else:

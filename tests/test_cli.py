@@ -7,7 +7,8 @@ import shutil
 import stat
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
+import threading
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestRun:
 
     @pytest.mark.parametrize("rules", ["OC", "OC+PP1", "OC+PP2"])
     def test_run_is_deterministic(self, dataset, rules):
-        # Under OC+PP1 the concurrent folds share one given BOUND binding.
+        # Under OC+PP1 every fold reads one given BOUND binding.
         (dataset / "pairs.csv").write_text(
             "p1|p2,p3|p8,p5|p6,p4|p1\n"
             + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(4) + 0.5)
@@ -230,23 +231,33 @@ class TestRun:
         def bundle():
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-        assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
-        first = bundle()
-        shutil.rmtree(out)
-        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
-        second = bundle()
+        # ``run`` ignores ``--jobs``: with it or without, the bundle is the same.
+        bundles = []
+        for extra in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            assert main(["run", "--config", cfg, *extra]) == 0
+            bundles.append(bundle())
+            shutil.rmtree(out)
+        first = bundles[0]
         assert "metrics.txt" in {str(p) for p in first}
-        assert first.keys() == second.keys()
-        for path in first:
-            assert first[path] == second[path], path
+        for other in bundles[1:]:
+            assert first.keys() == other.keys()
+            for path in first:
+                assert first[path] == other[path], path
 
-    def test_default_jobs_follow_the_core_count(self, dataset, caplog, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    def test_folds_train_one_after_another_in_the_main_thread(self, dataset, monkeypatch):
+        calls = []
+        train = cli.train
+
+        def spy(*args, **kwargs):
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
         cfg = write_config(dataset)
-        with caplog.at_level(logging.INFO, logger="fungo"):
-            assert main(["run", "--config", cfg]) == 0
-        messages = [r.getMessage() for r in caplog.records]
-        assert "training 2 folds with 1 workers" in messages
+        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+        # One call per fold, each on the main thread with no other thread alive.
+        assert calls == [(True, 1)] * 2
 
     def test_inert_constraints_match_the_bare_run(self, dataset):
         bare = write_config(dataset, name="bare.cfg", rules="none", out="out_bare")
@@ -274,12 +285,15 @@ class TestRun:
         )
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert "diverged" in err
         out = dataset / "out_bad"
         assert not (out / "metrics.txt").exists()
         diagnostics = list(out.glob("fold_*/divergence.txt"))
         assert diagnostics
         assert "fold = " in diagnostics[0].read_text()
+        assert f"error: {len(diagnostics)} fold(s) diverged" in err
+        # A diverged fold does not stop the folds after it.
+        for index in set(read_folds(str(out / "folds.tsv")).values()):
+            assert (out / f"fold_{index}").is_dir(), index
 
     def test_learned_pair_predicate(self, dataset, monkeypatch):
         # The two listed interactions, two non-interacting pairs and one pair
@@ -681,14 +695,19 @@ class TestErrorHandling:
         assert main(["folds", "--config", cfg, "--out", str(dataset / "taken")]) == 2
         assert "error: cannot create output directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_must_be_positive(self, dataset, capsys, jobs):
-        cfg = write_config(dataset, jobs=jobs)
+    def test_jobs_is_an_unknown_config_key(self, dataset, capsys):
+        cfg = write_config(dataset, jobs="2")
         assert main(["run", "--config", cfg]) == 2
-        assert f"'jobs' must be at least 1, got {jobs}" in capsys.readouterr().err
-        cfg = write_config(dataset, name="flag.cfg")
-        assert main(["run", "--config", cfg, f"--jobs={jobs}"]) == 2
-        assert f"'jobs' must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert "unknown config keys: jobs" in capsys.readouterr().err
+        assert not (dataset / "out").exists()
+
+    @pytest.mark.parametrize("command", ["kernel", "rules", "folds", "stats", "export-tree"])
+    def test_only_run_takes_jobs(self, dataset, capsys, command):
+        cfg = write_config(dataset)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not (dataset / "out").exists()
 
     def test_missing_required_key(self, dataset, capsys):
@@ -707,7 +726,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("level", "2.5", "must be an integer"),
-        ("jobs", "two", "must be an integer"),
+        ("folds", "two", "must be an integer"),
         ("line_search", "yes", "must be true or false"),
         ("kernel", "cosine", "unknown kernel"),
         ("namespaces", " , ", "'namespaces' is empty"),
@@ -725,7 +744,7 @@ class TestConfig:
         "obo": "onto.obo", "annotations": "ann.tsv",
         "namespaces": "molecular_function,biological_process", "level": "3",
         "min_count": "2", "kernel": "diffusion", "out": "elsewhere",
-        "rules": "OC+partof+DPP2", "folds": "4", "seed": "7", "jobs": "2",
+        "rules": "OC+partof+DPP2", "folds": "4", "seed": "7",
         "sequences": "seq.fasta", "domains": "dom.tsv", "expression": "expr.csv",
         "graph": "graph.tsv", "gram": "gram.csv", "pair_gram": "pairs.csv",
         "ppi": "ppi.tsv", "k": "4", "beta": "0.25", "lambda_r": "0.5",
@@ -747,9 +766,8 @@ class TestConfig:
     def test_config_txt_round_trips(self, tmp_path):
         config = parse_experiment_config(self.EVERY_KEY, str(tmp_path / "a"))
         echoed = config.echo()
-        assert "jobs" not in echoed
         path = str(tmp_path / "b" / "config.txt")
         write_config_file(path, echoed)
         again = parse_experiment_config(read_config(path), str(tmp_path / "b"))
-        assert again == replace(config, jobs=None)
+        assert again == config
         assert again.echo() == echoed

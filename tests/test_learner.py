@@ -651,8 +651,9 @@ def test_each_accepted_step_costs_two_products_per_gram(monkeypatch, caplog):
     assert _stop_reasons(caplog.records).keys() == {"stage 2"}
     ((steps_logged, trials, _),) = _stage_counts(caplog.records).values()
     assert steps_logged == steps and trials > steps
-    # Stage 1 takes one product per block, for the minimiser's scores.
-    assert _CountingGram.products == len(counting) * (1 + 2 * steps)
+    # Stage 1 takes one product per block, for the minimiser's scores, and
+    # stage 2 starts from those scores.
+    assert _CountingGram.products == len(counting) * 2 * steps
 
 
 def test_each_line_search_starts_at_twice_the_last_step(monkeypatch):
