@@ -695,8 +695,9 @@ class TestErrorHandling:
         assert main(["folds", "--config", cfg, "--out", str(dataset / "taken")]) == 2
         assert "error: cannot create output directory" in capsys.readouterr().err
 
-    def test_jobs_is_an_unknown_config_key(self, dataset, capsys):
-        cfg = write_config(dataset, jobs="2")
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+    def test_jobs_is_an_unknown_config_key(self, dataset, capsys, jobs):
+        cfg = write_config(dataset, jobs=jobs)
         assert main(["run", "--config", cfg]) == 2
         assert "unknown config keys: jobs" in capsys.readouterr().err
         assert not (dataset / "out").exists()
