@@ -50,7 +50,6 @@ from .kernels import (
     spectrum_gram,
 )
 from .learner import (
-    DivergenceError,
     TaskSpec,
     TrainConfig,
     pair_key,
@@ -133,9 +132,7 @@ class ExperimentConfig:
                 value = getattr(owner, spec.name)
                 if spec.name == "train" or value is None:
                     continue
-                if isinstance(value, bool):
-                    out[spec.name] = "true" if value else "false"
-                elif isinstance(value, tuple):
+                if isinstance(value, tuple):
                     out[spec.name] = _SEPARATORS[spec.name].join(value)
                 else:
                     out[spec.name] = str(value)
@@ -146,11 +143,10 @@ class ExperimentConfig:
 _KINDS = {
     **dict.fromkeys(("obo", "annotations", "sequences", "domains", "expression",
                      "graph", "gram", "pair_gram", "ppi", "out"), "path"),
-    **dict.fromkeys(("level", "min_count", "folds", "seed", "k",
-                     "max_iterations", "divergence_patience"), "integer"),
+    **dict.fromkeys(("level", "min_count", "folds", "seed", "k", "max_iterations"),
+                    "integer"),
     **dict.fromkeys(("beta", "lambda_r", "lambda_c", "learning_rate", "tolerance",
                      "threshold", "undecided_band"), "real"),
-    "line_search": "flag",
 }
 _SEPARATORS = {"namespaces": ",", "rules": "+"}
 _TRAIN_KEYS = {spec.name for spec in fields(TrainConfig)}
@@ -178,10 +174,6 @@ def _read_value(key: str, text: str, base_dir: str):
         if not math.isfinite(value):
             raise CliError(f"config key {key!r} must be a finite real number")
         return value
-    if kind == "flag":
-        if text not in ("true", "false"):
-            raise CliError(f"config key {key!r} must be true or false")
-        return text == "true"
     if key in _SEPARATORS:
         return tuple(t.strip() for t in text.split(_SEPARATORS[key]) if t.strip())
     return text
@@ -359,12 +351,10 @@ def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, .
 class FoldOutcome:
     """A fold's held-out predictions: (truths, positive, undecided) rows."""
 
-    index: int
-    held_out: np.ndarray | None = None  # positions in Dataset.proteins
-    predictions: tuple[np.ndarray, ...] = ()  # their rows, one column per cut node
+    held_out: np.ndarray  # positions in Dataset.proteins
+    predictions: tuple[np.ndarray, ...]  # their rows, one column per cut node
     pairs: tuple[str, ...] = ()  # learned pairs this fold scores
     bound: tuple[np.ndarray, ...] = ()  # their one-column rows
-    failure: DivergenceError | None = None
 
 
 def _canonical(pair) -> tuple[str, str]:
@@ -477,14 +467,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         for rule in rules
     ]
     fold_dir = os.path.join(out_dir, f"fold_{index}")
-    try:
-        model = train(tasks, constraints, config.train)
-    except DivergenceError as failure:
-        io.atomic_write_text(
-            os.path.join(fold_dir, "divergence.txt"),
-            f"fold = {index}\n{failure}\n",
-        )
-        return FoldOutcome(index, failure=failure)
+    model = train(tasks, constraints, config.train)
     held = np.flatnonzero([p in held_out for p in data.proteins])
     predictions = tuple(m[held] for m in predict(model.weights[0], tasks[0], config.train))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
@@ -506,7 +489,7 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
     ]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
-    return FoldOutcome(index, held, predictions, pairs, bound)
+    return FoldOutcome(held, predictions, pairs, bound)
 
 
 def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
@@ -588,27 +571,18 @@ def cmd_run(config: ExperimentConfig) -> int:
     gram = build_gram(config, data.proteins)
     rules, bound_mode = build_rules(config, data.cut)
     folds = dataset_folds(config, data)
+    # The interaction inputs are read before the first write, so a run that
+    # cannot read them leaves an earlier bundle in the directory whole.
+    bound_data = _bound_inputs(config, bound_mode, data.proteins)
     io.write_config(os.path.join(out_dir, "config.txt"), config.echo())
     io.write_rule_file(os.path.join(out_dir, "rules.txt"), rules)
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
-    bound_data = _bound_inputs(config, bound_mode, data.proteins)
 
     # One fold after another: each fold's Gram products get every BLAS thread.
     outcomes = [
         _run_fold(index, fold, config, data, gram, rules, bound_mode, bound_data, out_dir)
         for index, fold in enumerate(folds)
     ]
-
-    failed = [o for o in outcomes if o.failure]
-    if failed:
-        for outcome in failed:
-            log.error("fold %d diverged: %s", outcome.index, outcome.failure)
-        print(
-            f"error: {len(failed)} fold(s) diverged; partial outputs kept in "
-            f"{out_dir}",
-            file=sys.stderr,
-        )
-        return 1
     bound_positive = frozenset(bound_data[0]) if bound_mode == "learned" else frozenset()
     _aggregate(data, outcomes, out_dir, bound_positive)
     return 0

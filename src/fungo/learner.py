@@ -36,18 +36,16 @@ of about 1/||G||.  D is a descent direction only while g > 0, which a Gram
 matrix that is PSD within ``psd_check``'s tolerance does not promise; the
 stage stops where g <= 0.
 
-Steps use a backtracking line search by default: ``learning_rate`` is the
-first and largest trial step, and each later search starts at twice the
-stage's last accepted step, capped there.  Fixed-step descent always steps
-``learning_rate`` and is guarded against divergence.  ``learning_rate``,
-``max_iterations``, ``tolerance``, ``line_search`` and ``divergence_patience``
-govern stage 2 only.  The stage logs why it stopped: ``tolerance`` (the
-relative change fell below it along a small slope), ``stalled`` (it fell
-below it only because the accepted step was tiny), ``max_iterations``,
-``line search exhausted`` or ``no descent direction``.  A trial reaches the
-rule set only when its ridge and label part alone stays within the Armijo
-bound: rule penalties are never negative, so every decision equals the full
-evaluation's.
+Steps use a backtracking line search: ``learning_rate`` is the first and
+largest trial step, and each later search starts at twice the stage's last
+accepted step, capped there.  An accepted step never raises the objective.
+``learning_rate``, ``max_iterations`` and ``tolerance`` govern stage 2 only.
+The stage logs why it stopped: ``tolerance`` (the relative change fell below
+it along a small slope), ``stalled`` (it fell below it only because the
+accepted step was tiny), ``max_iterations``, ``line search exhausted`` or
+``no descent direction``.  A trial reaches the rule set only when its ridge
+and label part alone stays within the Armijo bound: rule penalties are never
+negative, so every decision equals the full evaluation's.
 
 The rule set is compiled against the same block layout: it reads the K x n
 truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
@@ -79,19 +77,6 @@ Example = str | tuple[str, str]
 
 class LearnerError(ValueError):
     """Invalid task, configuration or model input."""
-
-
-class DivergenceError(RuntimeError):
-    """Fixed-step descent grew the objective for too many consecutive steps."""
-
-    def __init__(self, stage: str, iteration: int, objective: float):
-        super().__init__(
-            f"objective diverged during {stage} at iteration {iteration} "
-            f"(value {objective:.6g}); lower the learning rate"
-        )
-        self.stage = stage
-        self.iteration = iteration
-        self.objective = objective
 
 
 def pair_key(pair: tuple[str, str]) -> str:
@@ -154,32 +139,29 @@ class TrainConfig:
     threshold: float = 0.5
     undecided_band: float = 1e-3
     constraint_scope: str = "unsupervised"
-    line_search: bool = True
-    divergence_patience: int = 20
 
     def __post_init__(self):
         # At lambda_r = 0 the labeled Gram block G_LL that stage 1 factorises
         # can be singular, and the ridge minimiser is then not unique.
         if not self.lambda_r > 0:
             raise LearnerError(f"lambda_r must be positive, got {self.lambda_r!r}")
-        if self.lambda_c < 0:
-            raise LearnerError("lambda_c must be non-negative")
+        if not self.lambda_c >= 0:
+            raise LearnerError(f"lambda_c must be non-negative, got {self.lambda_c!r}")
         if self.tnorm not in TNORMS:
             raise LearnerError(f"unknown t-norm {self.tnorm!r}")
-        if self.learning_rate <= 0:
-            raise LearnerError("learning rate must be positive")
+        if not self.learning_rate > 0:
+            raise LearnerError(f"learning rate must be positive, got {self.learning_rate!r}")
         if self.max_iterations < 1:
             raise LearnerError("at least one iteration is required")
-        if self.tolerance < 0:
-            raise LearnerError("tolerance must be non-negative")
+        if not self.tolerance >= 0:
+            raise LearnerError(f"tolerance must be non-negative, got {self.tolerance!r}")
         if not 0.0 < self.threshold < 1.0:
             raise LearnerError("decision threshold must lie in (0, 1)")
-        if self.undecided_band < 0:
-            raise LearnerError("undecided band must be non-negative")
+        if not self.undecided_band >= 0:
+            raise LearnerError(
+                f"undecided band must be non-negative, got {self.undecided_band!r}")
         if self.constraint_scope not in CONSTRAINT_SCOPES:
             raise LearnerError(f"unknown constraint scope {self.constraint_scope!r}")
-        if self.divergence_patience < 1:
-            raise LearnerError("divergence patience must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -324,16 +306,14 @@ def _descend(
     """Descent from the block weights, whose scores the caller supplies;
     returns the trace and the final weights.
 
-    evaluate() adds the rules only to a line-search trial whose ridge and
-    label part stays within the Armijo bound.  Fixed-step descent evaluates
-    its one trial per step in full.
+    evaluate() adds the rules only to a trial whose ridge and label part
+    stays within the Armijo bound.
     """
     config = ws.config
     current, grads = ws.evaluate(weights, scores, lambda_c, True)
     if not np.isfinite(current):
-        raise DivergenceError(stage, 0, current)
+        raise LearnerError(f"{stage}: the objective at its start is not finite ({current!r})")
     history = [current]
-    growth = 0
     trials = reached = 0
     last = 0.0  # the last accepted step
     reason = "max_iterations"
@@ -347,18 +327,17 @@ def _descend(
             reason = "no descent direction"
             break
         # Each search starts at twice the last accepted step, capped at the
-        # learning rate; fixed-step descent takes its one trial whatever it
-        # scores.
+        # learning rate.
         step = min(config.learning_rate, 2.0 * last) if last else config.learning_rate
-        for _ in range(MAX_HALVINGS if config.line_search else 1):
+        for _ in range(MAX_HALVINGS):
             trials += 1
-            bound = current - ARMIJO * step * slope if config.line_search else None
+            bound = current - ARMIJO * step * slope
             trial = [a - step * d for a, d in zip(weights, grads)]  # type: ignore[arg-type]
             moved = [s - step * m for s, m in zip(scores, moves)]
             before = ws.rule_calls
             value, _ = ws.evaluate(trial, moved, lambda_c, False, bound)
             reached += ws.rule_calls - before
-            if bound is None or value <= bound:
+            if value <= bound:
                 break
             step *= 0.5
         else:
@@ -371,20 +350,11 @@ def _descend(
             break
         weights = trial
         last = step
-        if not config.line_search:
-            if not np.isfinite(value):
-                raise DivergenceError(stage, iteration + 1, value)
-            if value > current:
-                growth += 1
-                if growth >= config.divergence_patience:
-                    raise DivergenceError(stage, iteration + 1, value)
-            else:
-                growth = 0
         history.append(value)
         scale = max(1.0, abs(current))
         relative = abs(current - value) / scale
         current = value
-        if config.line_search and relative < config.tolerance:
+        if relative < config.tolerance:
             reason = "stalled" if _stalled(ws, moves, slope, scale) else "tolerance"
             break
     if reason == "max_iterations":

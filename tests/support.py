@@ -354,9 +354,9 @@ def reference_descend(ws, weights, lambda_c, stage):
     scores = ws.scores(weights)
     current, grads = ws.evaluate(weights, scores, lambda_c, True)
     if not np.isfinite(current):
-        raise learner.DivergenceError(stage, 0, current)
+        raise learner.LearnerError(
+            f"{stage}: the objective at its start is not finite ({current!r})")
     history = [current]
-    growth = 0
     last = 0.0
     for iteration in range(config.max_iterations):
         if iteration:
@@ -367,12 +367,11 @@ def reference_descend(ws, weights, lambda_c, stage):
         if not slope > 0.0:
             break
         step = min(config.learning_rate, 2.0 * last) if last else config.learning_rate
-        # The fixed-step mode takes its one trial whatever its value.
-        for _ in range(learner.MAX_HALVINGS if config.line_search else 1):
+        for _ in range(learner.MAX_HALVINGS):
             trial = [a - step * d for a, d in zip(weights, grads)]
             moved = [s - step * m for s, m in zip(scores, moves)]
             value, _ = ws.evaluate(trial, moved, lambda_c, False)
-            if not config.line_search or value <= current - learner.ARMIJO * step * slope:
+            if value <= current - learner.ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
@@ -380,19 +379,10 @@ def reference_descend(ws, weights, lambda_c, stage):
             break
         weights = trial
         last = step
-        if not config.line_search:
-            if not np.isfinite(value):
-                raise learner.DivergenceError(stage, iteration + 1, value)
-            if value > current:
-                growth += 1
-                if growth >= config.divergence_patience:
-                    raise learner.DivergenceError(stage, iteration + 1, value)
-            else:
-                growth = 0
         history.append(value)
         relative = abs(current - value) / max(1.0, abs(current))
         current = value
-        if config.line_search and relative < config.tolerance:
+        if relative < config.tolerance:
             break
     return history, weights
 

@@ -20,13 +20,13 @@ FILES = ("fold_0/model.txt", "predictions.tsv", "bound_predictions.tsv", "metric
 # rules -> {file: sha256}; a missing file hashes as None
 FROZEN = {
     "OC": {
-        "fold_0/model.txt": "5bf9499b57e3409b22060ba0796826453b60ebd13e7a8e14e5929641f32b8133",
+        "fold_0/model.txt": "2f6ac05c2bad90d38d1e68ef285d7c990908d40f848b80434df007f8b83355cf",
         "predictions.tsv": "c836b8924d9c240f56a685f11cb80895512140dc077d4811a04cf2f098c50d15",
         "bound_predictions.tsv": None,
         "metrics.txt": "428fa656a7e05a42d44dd400d7ec0062c5bd9f50ccf0a9975760373c2d278147",
     },
     "OC+PP2": {
-        "fold_0/model.txt": "54a9b71f19c9523bde694ad0fbac9ae9717620368aee374764ae209130f50a33",
+        "fold_0/model.txt": "58696e0e0da9dcde80fb9f085fe0dae339197b2ce5a39401c6780d74c90b27a4",
         "predictions.tsv": "8bccf948d96be953297e5bcdf748592bd4e4b78786ca4e3e3ff84a7300f277e9",
         "bound_predictions.tsv": "3610e7f86a33ca1523c5ae506a743a461fec81ce43717f4b4c0f1ea6ae9c7e1a",
         "metrics.txt": "b0cf85433c1f31def6f64bb86cc829db63cfa9600bbe4e0a21adaae4fdee8ab1",

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,23 +279,6 @@ class TestRun:
         rows = read_predictions(str(dataset / "out_pp" / "predictions.tsv"))
         assert all(row[1] != "BOUND" for row in rows)
 
-    def test_divergence_fails_the_run_with_diagnostics(self, dataset, capsys):
-        cfg = write_config(
-            dataset, name="bad.cfg", out="out_bad", rules="OC",
-            line_search="false", learning_rate="1000.0", divergence_patience="3",
-        )
-        assert main(["run", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        out = dataset / "out_bad"
-        assert not (out / "metrics.txt").exists()
-        diagnostics = list(out.glob("fold_*/divergence.txt"))
-        assert diagnostics
-        assert "fold = " in diagnostics[0].read_text()
-        assert f"error: {len(diagnostics)} fold(s) diverged" in err
-        # A diverged fold does not stop the folds after it.
-        for index in set(read_folds(str(out / "folds.tsv")).values()):
-            assert (out / f"fold_{index}").is_dir(), index
-
     def test_learned_pair_predicate(self, dataset, monkeypatch):
         # The two listed interactions, two non-interacting pairs and one pair
         # with a protein dropped by dataset adaptation.
@@ -327,7 +311,8 @@ class TestRun:
         names = [row[0] for row in rows]
         assert sorted(names) == sorted(ids[:4])
         assert any(len({fold_of[p] for p in name.split("|")}) == 2 for name in names)
-        scored_in = {name: outcome.index for outcome in outcomes
+        # Outcomes come in fold order.
+        scored_in = {name: index for index, outcome in enumerate(outcomes)
                      for name in outcome.pairs}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
@@ -489,8 +474,8 @@ class TestRun:
         # Folds write no pair file; each fold's pairs, written alone, give
         # the fold's share of the merged one.
         bound_lines = []
-        for outcome in outcomes:
-            path = tmp_path / f"bound_{outcome.index}.tsv"
+        for index, outcome in enumerate(outcomes):
+            path = tmp_path / f"bound_{index}.tsv"
             fungo_io.write_predictions(str(path), outcome.pairs, ("BOUND",), *outcome.bound)
             bound_lines += [line for line in path.read_text().splitlines() if line]
         merged = (out / "bound_predictions.tsv").read_text().splitlines()
@@ -689,17 +674,30 @@ class TestErrorHandling:
         assert main(["run", "--config", cfg]) == 2
         assert "ppi" in capsys.readouterr().err
 
+    def test_a_run_that_fails_on_its_inputs_keeps_the_earlier_bundle(self, dataset, capsys):
+        assert main(["run", "--config", write_config(dataset)]) == 0
+        out = dataset / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg = write_config(dataset, name="pp.cfg", rules="PP1", ppi=None)
+        assert main(["run", "--config", cfg]) == 2
+        assert "ppi" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_output_path_that_is_a_file(self, dataset, capsys):
         (dataset / "taken").write_text("")
         cfg = write_config(dataset)
         assert main(["folds", "--config", cfg, "--out", str(dataset / "taken")]) == 2
         assert "error: cannot create output directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
-    def test_jobs_is_an_unknown_config_key(self, dataset, capsys, jobs):
-        cfg = write_config(dataset, jobs=jobs)
+    # Keys that once existed: ``jobs``, and the fixed-step descent's two.
+    @pytest.mark.parametrize("key, value", [
+        ("jobs", "0"), ("jobs", "-3"), ("jobs", "2"),
+        ("line_search", "false"), ("divergence_patience", "20"),
+    ], ids=["0", "-3", "2", "line_search", "divergence_patience"])
+    def test_jobs_is_an_unknown_config_key(self, dataset, capsys, key, value):
+        cfg = write_config(dataset, **{key: value})
         assert main(["run", "--config", cfg]) == 2
-        assert "unknown config keys: jobs" in capsys.readouterr().err
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
         assert not (dataset / "out").exists()
 
     @pytest.mark.parametrize("command", ["kernel", "rules", "folds", "stats", "export-tree"])
@@ -728,7 +726,6 @@ class TestErrorHandling:
     @pytest.mark.parametrize("key, value, expected", [
         ("level", "2.5", "must be an integer"),
         ("folds", "two", "must be an integer"),
-        ("line_search", "yes", "must be true or false"),
         ("kernel", "cosine", "unknown kernel"),
         ("namespaces", " , ", "'namespaces' is empty"),
         ("lambda_r", "0", "lambda_r must be positive"),
@@ -752,7 +749,6 @@ class TestConfig:
         "lambda_c": "2.5", "tnorm": "lukasiewicz", "learning_rate": "0.125",
         "max_iterations": "40", "tolerance": "1e-06", "threshold": "0.375",
         "undecided_band": "0.01", "constraint_scope": "all",
-        "line_search": "false", "divergence_patience": "5",
     }
 
     def test_every_key_is_set_away_from_its_default(self, tmp_path):
@@ -763,6 +759,12 @@ class TestConfig:
             for spec in fields(owner):
                 if spec.default is not MISSING:
                     assert getattr(owner, spec.name) != spec.default, spec.name
+
+    def test_the_readme_documents_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+        keys = {spec.name for spec in fields(ExperimentConfig) + fields(TrainConfig)}
+        assert sorted(k for k in keys - {"train"} if f"`{k}`" not in section) == []
 
     def test_config_txt_round_trips(self, tmp_path):
         config = parse_experiment_config(self.EVERY_KEY, str(tmp_path / "a"))

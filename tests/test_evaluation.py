@@ -582,7 +582,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     outcomes = []
     for index in rng.permutation(3).tolist():
         held = np.flatnonzero(fold_of == index)
-        outcomes.append(cli.FoldOutcome(index, held, tuple(m[held] for m in matrices)))
+        outcomes.append(cli.FoldOutcome(held, tuple(m[held] for m in matrices)))
     data = Dataset(dag, proteins, annotations, cut, ())
     real = [n for n in nodes if not cut.is_bin(n)]
     headline = reference_build_sets(cut, rows, real, cut.predicate)

@@ -27,7 +27,6 @@ from fungo import cli, learner
 from fungo.io import read_config
 from fungo.kernels import GramMatrix
 from fungo.learner import (
-    DivergenceError,
     LearnerError,
     Model,
     TaskSpec,
@@ -409,6 +408,21 @@ def test_lambda_r_must_be_positive():
             TrainConfig(lambda_r=lambda_r)
 
 
+@pytest.mark.parametrize("key", ["lambda_c", "learning_rate", "tolerance", "undecided_band"])
+def test_train_config_rejects_nan(key):
+    # nan > 0 is false: a NaN lambda_c would skip stage 2 without a word.
+    with pytest.raises(LearnerError, match=f"{key.replace('_', '.')}.*got nan"):
+        TrainConfig(**{key: float("nan")})
+
+
+def test_a_non_finite_start_of_stage_2_is_an_error():
+    # Six violated groundings at lambda_c = 1e308 overflow the objective.
+    tasks, constraints, cfg = _constrained_problem(1e308)
+    with pytest.raises(LearnerError, match=r"stage 2: the objective at its start is "
+                                           r"not finite \(inf\)"):
+        train(tasks, constraints, cfg)
+
+
 def test_a_failed_factorisation_names_the_task():
     # diag(1, -eps) passes psd_check, but with a tiny lambda_r the labeled
     # block of p1 stays negative: no Cholesky factor exists.
@@ -575,14 +589,12 @@ def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
                 assert np.abs(stacked[pred] - expected).max() <= tol, pred
 
 
-@pytest.mark.parametrize("line_search", (True, False))
-def test_trace_ends_at_the_objective_of_the_returned_weights(line_search):
+def test_trace_ends_at_the_objective_of_the_returned_weights():
     # Trial steps are scored as S - t * (D @ G); the value the trace keeps
     # must match a fresh evaluation at the weights that step produced.
     rng = np.random.default_rng(29)
     tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "learned")
-    common = dict(lambda_r=0.3, tnorm="lukasiewicz", line_search=line_search,
-                  learning_rate=1.0 if line_search else 0.05, max_iterations=40)
+    common = dict(lambda_r=0.3, tnorm="lukasiewicz", max_iterations=40)
     bare_cfg = TrainConfig(lambda_c=0.0, **common)
     bare = train(tasks, constraints, bare_cfg)
     assert len(bare.trace.stage1) == 2 and bare.trace.stage2 == ()
@@ -735,7 +747,7 @@ def _random_problem(rng, tnorm, bound_mode, n_rules):
     return tasks, constraints
 
 
-def _train_or_error(trainer, tasks, constraints, cfg):
+def _train_with_warnings(trainer, tasks, constraints, cfg):
     warnings = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda record: warnings.append(record.getMessage())
@@ -743,8 +755,6 @@ def _train_or_error(trainer, tasks, constraints, cfg):
     logger.addHandler(handler)
     try:
         return trainer(tasks, constraints, cfg), warnings
-    except DivergenceError as exc:
-        return str(exc), warnings
     finally:
         logger.removeHandler(handler)
 
@@ -766,27 +776,22 @@ def _bits(model):
     lambda_r=st.sampled_from((0.01, 0.3, 1.0)),
     lambda_c=st.sampled_from((0.0, 0.7, 5.0)),
     learning_rate=st.sampled_from((0.25, 1.0, 8.0, 1e3)),
-    line_search=st.booleans(),
     max_halvings=st.sampled_from((60, 2)),
 )
 def test_line_search_matches_the_full_evaluation_reference(
-    seed, tnorm, bound_mode, n_rules, lambda_r, lambda_c, learning_rate, line_search,
-    max_halvings,
+    seed, tnorm, bound_mode, n_rules, lambda_r, lambda_c, learning_rate, max_halvings,
 ):
     rng = np.random.default_rng(seed)
     tasks, constraints = _random_problem(rng, tnorm, bound_mode, n_rules)
     cfg = TrainConfig(
         lambda_r=lambda_r, lambda_c=lambda_c, tnorm=tnorm, learning_rate=learning_rate,
-        line_search=line_search, max_iterations=8, divergence_patience=3,
+        max_iterations=8,
     )
     with mock.patch.object(learner, "MAX_HALVINGS", max_halvings):
-        got, got_warnings = _train_or_error(train, tasks, constraints, cfg)
-        want, want_warnings = _train_or_error(reference_train, tasks, constraints, cfg)
+        got, got_warnings = _train_with_warnings(train, tasks, constraints, cfg)
+        want, want_warnings = _train_with_warnings(reference_train, tasks, constraints, cfg)
     assert got_warnings == want_warnings
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(want)
 
 
 def test_psd_check_runs_once_per_gram(monkeypatch):
@@ -808,13 +813,6 @@ def test_psd_check_runs_once_per_gram(monkeypatch):
         with pytest.raises(LearnerError, match=f"task '{first}' is not positive"):
             train(tasks, [], TrainConfig())
     assert len(calls) == 2
-
-
-def test_fixed_step_divergence_guard():
-    tasks, constraints, _ = _constrained_problem(2.0)
-    cfg = TrainConfig(lambda_c=2.0, learning_rate=5.0, line_search=False)
-    with pytest.raises(DivergenceError, match="stage 2"):
-        train(tasks, constraints, cfg)
 
 
 def test_given_bound_flows_into_unary_predicate():
