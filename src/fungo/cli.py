@@ -246,11 +246,13 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     coverage = namespace_coverage(raw, dag)
     kept: dict[str, set[str]] = {}
     dropped: list[str] = []
+    list_drops = log.isEnabledFor(logging.DEBUG)
     for protein in sorted(raw):
         missing = [ns for ns in config.namespaces if ns not in coverage[protein]]
         if missing:
             dropped.append(protein)
-            log.debug("dropping %s: no annotation in %s", protein, ", ".join(missing))
+            if list_drops:
+                log.debug("dropping %s: no annotation in %s", protein, ", ".join(missing))
         else:
             kept[protein] = raw[protein]
     if dropped:

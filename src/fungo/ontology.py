@@ -81,7 +81,7 @@ class OntologyDag:
         up: dict[str, list[str]] = {t: [] for t in table}
         down: dict[str, list[str]] = {t: [] for t in table}
         rooted: set[str] = set()  # terms with an is_a parent in their own namespace
-        for edge in dict.fromkeys((c, p, r) for c, p, r in edges):
+        for edge in dict.fromkeys(edges):
             child, parent, relation = edge
             if relation not in RELATIONS:
                 raise OntologyError(f"unknown relation {relation!r}")
@@ -107,60 +107,57 @@ class OntologyDag:
         # tuple() of an empty list is the one shared empty tuple.
         self._up = {t: tuple(ps) for t, ps in up.items()}
         self._down = {t: tuple(cs) for t, cs in down.items()}
-        self._check_acyclic()
-        self._roots = self._find_roots()
-        self._levels = self._compute_levels()
+        self._roots, self._levels = self._walk()
         self._parents: dict[str, tuple[str, ...]] = {}
         self._children: dict[str, tuple[str, ...]] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._sorted_edges: tuple[tuple[str, str, str], ...] | None = None
         self._by_relation: dict[str, tuple[tuple[str, str], ...]] | None = None
 
-    def _check_acyclic(self) -> None:
-        # Kahn's algorithm over is_a edges; leftovers mean there is a cycle.
-        pending = {t: len(ps) for t, ps in self._up.items()}
-        queue = [t for t, n in pending.items() if n == 0]
-        for tid in queue:
-            for child in self._down[tid]:
+    def _walk(self) -> tuple[dict[str, str], dict[str, int]]:
+        """Roots and levels from one walk over Kahn's topological order.
+
+        The walk starts from the parentless terms in table order, which are
+        the roots; the first two of one namespace are the pair a "multiple
+        roots" error names.  Each parent offers its children in its own
+        namespace its level plus one, and a term keeps the smallest offer;
+        it joins the walk only after all of its parents, so its level is
+        final by then.  A term the walk never reaches sits on or below a
+        cycle.
+
+        No namespace can lack a root and no term can miss a level: once the
+        DAG is acyclic, every chain of own-namespace is_a parents ends at a
+        parentless term, and since every term with parents has one in its
+        own namespace, that term is the namespace's root.
+        """
+        terms, up, down = self._terms, self._up, self._down
+        pending = {t: len(ps) for t, ps in up.items()}
+        order = [t for t, n in pending.items() if n == 0]
+        levels = dict.fromkeys(order, 0)
+        for tid in order:
+            depth = levels[tid] + 1
+            namespace = terms[tid].namespace
+            for child in down[tid]:
+                if terms[child].namespace == namespace and levels.get(child, depth) >= depth:
+                    levels[child] = depth
                 pending[child] -= 1
                 if pending[child] == 0:
-                    queue.append(child)
-        if len(queue) != len(self._terms):
+                    order.append(child)
+        if len(order) != len(terms):
             cyclic = sorted(t for t, n in pending.items() if n > 0)
             raise OntologyError(f"cycle among is_a edges involving {cyclic[:5]}")
-
-    def _find_roots(self) -> dict[str, str]:
         roots: dict[str, str] = {}
-        for tid, term in self._terms.items():
-            if self._up[tid]:
-                continue
-            if term.namespace in roots:
+        for tid in order:
+            if up[tid]:
+                break
+            namespace = terms[tid].namespace
+            if namespace in roots:
                 raise OntologyError(
-                    f"namespace {term.namespace!r} has multiple roots: "
-                    f"{roots[term.namespace]!r} and {tid!r}"
+                    f"namespace {namespace!r} has multiple roots: "
+                    f"{roots[namespace]!r} and {tid!r}"
                 )
-            roots[term.namespace] = tid
-        for term in self._terms.values():
-            if term.namespace not in roots:
-                raise OntologyError(f"namespace {term.namespace!r} has no root")
-        return roots
-
-    def _compute_levels(self) -> dict[str, int]:
-        levels: dict[str, int] = {}
-        terms = self._terms
-        for namespace, root in self._roots.items():
-            levels[root] = 0
-            queue = [root]
-            for tid in queue:
-                depth = levels[tid] + 1
-                for child in self._down[tid]:
-                    if child not in levels and terms[child].namespace == namespace:
-                        levels[child] = depth
-                        queue.append(child)
-        if len(levels) != len(self._terms):
-            missing = sorted(set(self._terms) - set(levels))
-            raise OntologyError(f"terms unreachable from their root: {missing[:5]}")
-        return levels
+            roots[namespace] = tid
+        return roots, levels
 
     @property
     def terms(self) -> Mapping[str, Term]:

@@ -149,6 +149,14 @@ class TestSimpleCommands:
         assert any("dropping p9" in message for message in debug)
         assert not any("dropping p9" in message for message in info)
 
+    def test_adaptation_lists_no_drops_at_info(self, dataset, caplog, monkeypatch):
+        cfg = write_config(dataset)
+        calls = []
+        monkeypatch.setattr(cli.log, "debug", lambda *args: calls.append(args))
+        with caplog.at_level(logging.INFO, logger="fungo"):
+            assert main(["folds", "--config", cfg]) == 0
+        assert not any(args[0].startswith("dropping") for args in calls)
+
     def test_kernel_writes_a_gram_file(self, dataset):
         cfg = write_config(dataset)
         assert main(["kernel", "--config", cfg]) == 0

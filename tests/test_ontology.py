@@ -298,6 +298,18 @@ def test_level_follows_only_the_terms_own_namespace(dag_class):
         assert dag.level("BP:x") == 1
 
 
+@pytest.mark.parametrize("dag_class", (OntologyDag, ReferenceOntologyDag))
+def test_level_takes_the_nearest_own_namespace_parent(dag_class):
+    # BP:t has BP parents at depths 1 and 3 and the MF root as a third parent.
+    terms = [Term(f"BP:{t}", "", BP) for t in "rabct"] + [Term("MF:r", "", MF)]
+    edges = [("BP:a", "BP:r", ISA), ("BP:b", "BP:a", ISA), ("BP:c", "BP:b", ISA),
+             ("BP:t", "BP:c", ISA), ("BP:t", "MF:r", ISA), ("BP:t", "BP:a", ISA)]
+    for order in (terms, terms[::-1]):
+        dag = dag_class(order, edges)
+        assert [dag.level(f"BP:{t}") for t in "rabct"] == [0, 1, 2, 3, 2]
+        assert dag.roots() == {BP: "BP:r", MF: "MF:r"}
+
+
 def test_part_of_rules_cross_namespace():
     dag = OntologyDag(
         [Term("R", "", BP), Term("M", "", MF), Term("F", "", MF)],
@@ -665,6 +677,17 @@ MALFORMED = {
         _stanza("GO:1", BP) + _stanza("GO:6", BP, "is_a: GO:5")
         + _stanza("GO:5", BP, "is_a: GO:4") + _stanza("GO:4", BP, "is_a: GO:5"),
         "cycle among is_a edges involving ['GO:4', 'GO:5', 'GO:6']",
+    ),
+    # Two defects each: the error names the one that is checked first.
+    "cycle before two roots": (
+        _stanza("GO:1", MF) + _stanza("GO:2", MF) + _stanza("GO:3", BP)
+        + _stanza("GO:5", BP, "is_a: GO:3", "is_a: GO:4") + _stanza("GO:4", BP, "is_a: GO:5"),
+        "cycle among is_a edges involving ['GO:4', 'GO:5']",
+    ),
+    "parent only in another namespace before a cycle": (
+        _stanza("GO:1", BP) + _stanza("GO:2", MF) + _stanza("GO:5", BP, "is_a: GO:4")
+        + _stanza("GO:4", BP, "is_a: GO:5") + _stanza("GO:6", MF, "is_a: GO:1"),
+        "term 'GO:6' has no is_a parent in namespace 'molecular_function'",
     ),
     "stanza without an id": ("[Term]\nname: x\nnamespace: biological_process\n",
                              "[Term] stanza without an id"),
