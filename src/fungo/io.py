@@ -1,13 +1,15 @@
 """Plain-text file formats for experiment inputs and outputs.
 
 Readers validate eagerly and report failures as ``path:line: message``;
-writers are atomic (temp file + rename), emit ``\\n`` newlines, and format
-reals with ``%.17g`` where the value must survive a round trip.  Formats:
+every line reader takes its non-blank lines from ``_records``, which
+numbers them as lines of the whole file.  Writers are atomic (temp file +
+rename), emit ``\\n`` newlines, and format reals with ``%.17g`` where the
+value must survive a round trip.  Formats:
 
 * FASTA sequences; TSV pair lists (interactions, graph edges); TSV
   annotation lists (``protein<TAB>id``); headerless CSV expression matrix
   (``protein,v1,v2,...``);
-* Gram CSV: a header row of example ids, then one row of reals per example;
+* Gram CSV: a header of ids, then one row of reals per id, read row by row;
 * rule files in the logic grammar, one rule per line;
 * flat ``key = value`` config files;
 * folds TSV, prediction TSV, curve CSV, and a sorted ``key = value``
@@ -111,14 +113,19 @@ def read_lines(path: str) -> Iterator[str]:
         raise DataFileError(path, None, f"cannot read file ({exc.strerror})") from exc
 
 
+def _records(path: str) -> Iterator[tuple[int, str]]:
+    """Stream the non-blank lines of ``path`` with their 1-based file line."""
+    for number, line in enumerate(read_lines(path), start=1):
+        if line.strip():
+            yield number, line
+
+
 def read_fasta(path: str) -> dict[str, str]:
     """Read sequences keyed by the first token of each ``>`` header."""
     sequences: dict[str, list[str]] = {}
     current: str | None = None
-    for number, line in enumerate(read_lines(path), start=1):
+    for number, line in _records(path):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith(">"):
             name = stripped[1:].split()[0] if stripped[1:].split() else ""
             if not name:
@@ -150,9 +157,7 @@ def _split_columns(path: str, number: int, line: str, count: int) -> list[str]:
 def read_pairs(path: str) -> tuple[tuple[str, str], ...]:
     """Read a two-column TSV of id pairs (interactions or graph edges)."""
     pairs = []
-    for number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for number, line in _records(path):
         a, b = _split_columns(path, number, line, 2)
         pairs.append((a, b))
     return tuple(pairs)
@@ -164,9 +169,7 @@ def read_annotations(path: str) -> dict[str, set[str]]:
     Ids are interned, so each id is one string shared with the ontology's.
     """
     annotations: dict[str, set[str]] = {}
-    for number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for number, line in _records(path):
         protein, item = _split_columns(path, number, line, 2)
         annotations.setdefault(protein, set()).add(sys.intern(item))
     return annotations
@@ -185,22 +188,17 @@ def parse_real(path: str, number: int, token: str) -> float:
 
 def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headerless CSV matrix: ``protein,v1,v2,...`` per row."""
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[list[float]] = []
+    rows: dict[str, list[float]] = {}
     width: int | None = None
-    for number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for number, line in _records(path):
         fields = line.split(",")
         if len(fields) < 2:
             raise DataFileError(path, number, "expected an id and at least one value")
         name = fields[0].strip()
         if not name:
             raise DataFileError(path, number, "empty protein id")
-        if name in seen:
+        if name in rows:
             raise DataFileError(path, number, f"duplicate protein id {name!r}")
-        seen.add(name)
         values = [parse_real(path, number, token) for token in fields[1:]]
         if width is None:
             width = len(values)
@@ -208,32 +206,35 @@ def read_expression(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise DataFileError(
                 path, number, f"expected {width} values, got {len(values)}"
             )
-        ids.append(name)
-        rows.append(values)
-    if not ids:
+        rows[name] = values
+    if not rows:
         raise DataFileError(path, None, "no expression rows")
-    return tuple(ids), np.asarray(rows, dtype=float)
+    return tuple(rows), np.asarray(list(rows.values()), dtype=float)
 
 
 def read_gram(path: str) -> GramMatrix:
     """Read a Gram CSV: header row of ids, then one row of reals per id."""
-    lines = [line for line in read_lines(path) if line.strip()]
-    if not lines:
+    records = _records(path)
+    number, header = next(records, (None, None))
+    if header is None:
         raise DataFileError(path, None, "empty Gram file")
-    ids = tuple(token.strip() for token in lines[0].split(","))
+    ids = tuple(token.strip() for token in header.split(","))
     if any(not name for name in ids):
-        raise DataFileError(path, 1, "empty id in header")
+        raise DataFileError(path, number, "empty id in header")
     n = len(ids)
-    if len(lines) - 1 != n:
-        raise DataFileError(
-            path, None, f"expected {n} data rows for {n} ids, got {len(lines) - 1}"
-        )
-    matrix = np.empty((n, n), dtype=float)
-    for index, line in enumerate(lines[1:], start=2):
-        tokens = line.split(",")
-        if len(tokens) != n:
-            raise DataFileError(path, index, f"expected {n} values, got {len(tokens)}")
-        matrix[index - 2] = [parse_real(path, index, token) for token in tokens]
+    try:  # a header alone can ask for more reals than memory holds
+        matrix = np.empty((n, n), dtype=float)
+    except MemoryError:
+        raise DataFileError(path, number, f"no memory for {n} x {n} reals") from None
+    rows = 0
+    for rows, (number, line) in enumerate(records, start=1):
+        if rows <= n:  # surplus rows are only counted, for the error below
+            tokens = line.split(",")
+            if len(tokens) != n:
+                raise DataFileError(path, number, f"expected {n} values, got {len(tokens)}")
+            matrix[rows - 1] = [parse_real(path, number, token) for token in tokens]
+    if rows != n:
+        raise DataFileError(path, None, f"expected {n} data rows for {n} ids, got {rows}")
     try:
         return GramMatrix(ids, matrix)
     except ValueError as exc:
@@ -262,7 +263,7 @@ def write_rule_file(path: str, rules: Iterable[Formula]) -> None:
 def read_config(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; blank lines and ``#`` comments skipped."""
     config: dict[str, str] = {}
-    for number, line in enumerate(read_lines(path), start=1):
+    for number, line in _records(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -287,9 +288,7 @@ def write_config(path: str, config: Mapping[str, str]) -> None:
 def read_folds(path: str) -> dict[str, int]:
     """Read ``protein<TAB>fold_index`` rows."""
     assignment: dict[str, int] = {}
-    for number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for number, line in _records(path):
         protein, index = _split_columns(path, number, line, 2)
         if protein in assignment:
             raise DataFileError(path, number, f"duplicate protein {protein!r}")
@@ -336,9 +335,7 @@ def write_predictions(path: str, examples: Sequence[str], predicates: Sequence[s
 
 def read_predictions(path: str) -> list[PredictionRow]:
     rows: list[PredictionRow] = []
-    for number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for number, line in _records(path):
         protein, predicate, truth, label, undecided = _split_columns(
             path, number, line, 5
         )
@@ -372,12 +369,13 @@ def write_curve_file(path: str, recalls: Sequence[float], precisions: Sequence[f
 
 
 def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    lines = [line for line in read_lines(path) if line.strip()]
-    if not lines or lines[0] != "recall,precision":
-        raise DataFileError(path, 1, "missing 'recall,precision' header")
+    records = _records(path)
+    number, header = next(records, (1, None))
+    if header != "recall,precision":
+        raise DataFileError(path, number, "missing 'recall,precision' header")
     recalls: list[float] = []
     precisions: list[float] = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in records:
         tokens = line.split(",")
         if len(tokens) != 2:
             raise DataFileError(path, number, f"expected 2 values, got {line!r}")

@@ -144,6 +144,54 @@ class TestGram:
         with pytest.raises(DataFileError, match="empty id"):
             read_gram(put(tmp_path, "d.csv", "a,\n1,0\n0,1\n"))
 
+    def test_a_matrix_too_large_for_memory_names_the_header(self, tmp_path):
+        # The matrix is allocated from the header, before any row is read.
+        path = put(tmp_path, "g.csv", "\na,b\n1,0\n")
+        with mock.patch.object(fungo_io.np, "empty", side_effect=MemoryError):
+            with pytest.raises(DataFileError, match=r"g\.csv:2: no memory for 2 x 2 reals"):
+                read_gram(path)
+
+
+# Per line reader, a file whose malformed record follows a blank line, and
+# the file line of that record.
+AFTER_A_BLANK = [
+    pytest.param(read_fasta, ">p1\nAA\n\n>p1\nCC\n", 4, id="fasta"),
+    pytest.param(read_pairs, "p1\tp2\n\np3\n", 3, id="pairs"),
+    pytest.param(read_annotations, "p1\tGO:1\n\n\np2\n", 4, id="annotations"),
+    pytest.param(read_expression, "p1,1\n\np2,x\n", 3, id="expression"),
+    pytest.param(read_gram, "\n\na,\n1,0\n0,1\n", 3, id="gram-header"),
+    pytest.param(read_gram, "a,b\n\n1,0\n0,x\n", 4, id="gram-row"),
+    pytest.param(read_config, "k = 1\n\n# note\njust words\n", 4, id="config"),
+    pytest.param(read_folds, "p\t0\n\nq\tzero\n", 3, id="folds"),
+    pytest.param(read_predictions, "p\tA\t0.5\tpos\t0\n\nq\tA\t0.5\tmaybe\t0\n", 3,
+                 id="predictions"),
+    pytest.param(read_curve_file, "\n0.0,1.0\n", 2, id="curve-header"),
+    pytest.param(read_curve_file, "recall,precision\n\n0.0,1.0\n0.5,zz\n", 4,
+                 id="curve-row"),
+]
+
+
+@pytest.mark.parametrize(("reader", "text", "line"), AFTER_A_BLANK)
+def test_errors_name_the_file_line_after_blank_lines(tmp_path, reader, text, line):
+    with pytest.raises(DataFileError) as caught:
+        reader(put(tmp_path, "data.txt", text))
+    assert caught.value.line == line
+    assert str(caught.value).startswith(f"{caught.value.path}:{line}: ")
+
+
+def test_gram_rows_are_parsed_as_they_are_read(tmp_path):
+    path = put(tmp_path, "g.csv", "a,b\n1,x\n0,1\n")
+
+    def two_lines_only(name):
+        for number, line in enumerate(read_lines(name), start=1):
+            assert number <= 2, "read_gram read past the bad row"
+            yield line
+
+    with mock.patch.object(fungo_io, "read_lines", two_lines_only):
+        with pytest.raises(DataFileError, match="not a real number: 'x'") as caught:
+            read_gram(path)
+    assert caught.value.line == 2
+
 
 NON_FINITE = ("nan", "inf", "-inf", "1e999")
 
@@ -323,7 +371,19 @@ READER_BLOCKS = {
     read_gram: (("a,b", "1,0.5", "0.5,1"), ("c", "2"), ("1,0.5",), ("x,",)),
     read_config: (("k = v",), ("seed = 1 # note",), ("# only",), ("novalue",), ("= v",),
                   ("k = w",)),
+    read_folds: (("p1\t0",), ("p2\t1",), (" p3 \t 2 ",), ("p1\t3",), ("p4\tx",),
+                 ("p5\t-1",), ("p6",)),
+    read_predictions: (("p\tA\t0.5\tpos\t0",), ("q\tB\t1\tneg\t1",), ("p\tA\tx\tpos\t0",),
+                       ("p\tA\t0.5\tmaybe\t0",), ("p\tA\t0.5\tpos\t2",), ("p\tA",)),
+    read_curve_file: (("recall,precision", "0,1"), ("0.5, 0.25",), ("1,x",), ("0.5",),
+                      ("recall,precision",)),
 }
+
+
+def test_every_line_reader_has_stream_cases():
+    readers = {name for name in fungo_io.__all__ if name.startswith("read_")}
+    assert {reader.__name__ for reader in READER_BLOCKS} == readers - {
+        "read_lines", "read_rule_file"}
 
 
 @st.composite
