@@ -57,7 +57,7 @@ from .learner import (
     predict,
     train,
 )
-from .logic import PredicateBinding, compile_constraint
+from .logic import CompiledRuleSet, PredicateBinding, compile_constraint
 from .ontology import (
     DPP,
     PP,
@@ -452,25 +452,16 @@ def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],
     return tasks
 
 
-def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
-              data: Dataset, gram: GramMatrix, rules, bound_mode,
-              bound_data, out_dir: str) -> FoldOutcome:
+def _run_fold(index: int, fold: tuple[str, ...], tasks: list[TaskSpec],
+              rule_set: CompiledRuleSet, config: ExperimentConfig, data: Dataset,
+              bound_mode, out_dir: str) -> FoldOutcome:
     held_out = set(fold)
-    tasks = _fold_tasks(data, gram, held_out, bound_mode, bound_data)
+    kept = np.array([p in held_out for p in data.proteins])
     if config.train.constraint_scope == "unsupervised":
-        scope = tuple(p for p in data.proteins if p in held_out)
-    else:
-        scope = data.proteins
-    bindings = predicate_bindings(tasks)
-    if bound_mode == "given":
-        bindings["BOUND"] = bound_data[1]
-    constraints = [
-        compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: scope}, bindings)
-        for rule in rules
-    ]
+        rule_set = rule_set.restricted(kept)
     fold_dir = os.path.join(out_dir, f"fold_{index}")
-    model = train(tasks, constraints, config.train)
-    held = np.flatnonzero([p in held_out for p in data.proteins])
+    model = train(tasks, rule_set, config.train)
+    held = np.flatnonzero(kept)
     predictions = tuple(m[held] for m in predict(model.weights[0], tasks[0], config.train))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
                          [data.proteins[i] for i in held], tasks[0].predicates, *predictions)
@@ -482,13 +473,9 @@ def _run_fold(index: int, fold: tuple[str, ...], config: ExperimentConfig,
         scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
         pairs = tuple(pair_key(task.examples[i]) for i in scored)
         bound = tuple(m[scored] for m in predict(model.weights[-1], task, config.train))
-    trace_lines = [
-        f"stage=1 step={i} objective={value:.17g}"
-        for i, value in enumerate(model.trace.stage1)
-    ] + [
-        f"stage=2 step={i} objective={value:.17g}"
-        for i, value in enumerate(model.trace.stage2)
-    ]
+    trace_lines = [f"stage={stage} step={i} objective={value:.17g}"
+                   for stage, trace in ((1, model.trace.stage1), (2, model.trace.stage2))
+                   for i, value in enumerate(trace)]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
     return FoldOutcome(held, predictions, pairs, bound)
@@ -580,10 +567,21 @@ def cmd_run(config: ExperimentConfig) -> int:
     io.write_rule_file(os.path.join(out_dir, "rules.txt"), rules)
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
 
+    # The folds' specs differ only in their labels, so the rules compile and
+    # ground once, over every protein; each fold narrows them to its scope.
+    tasks = [_fold_tasks(data, gram, set(fold), bound_mode, bound_data) for fold in folds]
+    bindings = predicate_bindings(tasks[0])
+    if bound_mode == "given":
+        bindings["BOUND"] = bound_data[1]
+    rule_set = CompiledRuleSet(
+        [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins}, bindings)
+         for rule in rules],
+        [(t.predicates, t.size) for t in tasks[0]],
+    )
     # One fold after another: each fold's Gram products get every BLAS thread.
     outcomes = [
-        _run_fold(index, fold, config, data, gram, rules, bound_mode, bound_data, out_dir)
-        for index, fold in enumerate(folds)
+        _run_fold(index, fold, fold_tasks, rule_set, config, data, bound_mode, out_dir)
+        for index, (fold, fold_tasks) in enumerate(zip(folds, tasks))
     ]
     bound_positive = frozenset(bound_data[0]) if bound_mode == "learned" else frozenset()
     _aggregate(data, outcomes, out_dir, bound_positive)

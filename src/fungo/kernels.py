@@ -10,7 +10,6 @@ order, so kernels can be mixed per experiment behind one interface.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -20,8 +19,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PSD_TOL = 1e-8
 SPECTRUM_BLOCK = 512  # k-mer columns per dense count block
-
-_PSD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,11 @@ class GramMatrix:
 
     def psd_check(self, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
         """:func:`psd_check` of the matrix, computed once per object and
-        tolerance, also when several threads ask at once."""
-        with _PSD_LOCK:
-            results = self.__dict__.setdefault("_psd_results", {})
-            if tol not in results:
-                results[tol] = psd_check(self.matrix, tol)
-            return results[tol]
+        tolerance."""
+        results = self.__dict__.setdefault("_psd_results", {})
+        if tol not in results:
+            results[tol] = psd_check(self.matrix, tol)
+        return results[tol]
 
     def normalized(self) -> "GramMatrix":
         """Unit-diagonal variant k(i,j)/sqrt(k(i,i)k(j,j)).

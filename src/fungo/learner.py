@@ -47,9 +47,9 @@ accepted step was tiny), ``max_iterations``, ``line search exhausted`` or
 and label part alone stays within the Armijo bound: rule penalties are never
 negative, so every decision equals the full evaluation's.
 
-The rule set is compiled against the same block layout: it reads the K x n
-truth blocks ``clip(S, 0, 1)`` as they are, checks the rules' learned
-predicates against the layout, and returns one K x n gradient per block.
+Training takes the rules compiled and grounded, against the same block
+layout, which it checks: the rule set reads the K x n truth blocks
+``clip(S, 0, 1)`` as they are and returns one K x n gradient per block.
 Fixed evidence, such as an interaction list, is never a task: the rules read
 it as a given ``PredicateBinding``.
 """
@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import GramMatrix
-from .logic import CompiledConstraint, CompiledRuleSet, PredicateBinding, TNORMS
+from .logic import CompiledRuleSet, PredicateBinding, TNORMS
 
 log = logging.getLogger(__name__)
 
@@ -214,13 +214,8 @@ class _Workspace:
     spec.  Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is
     exactly symmetric."""
 
-    def __init__(
-        self,
-        tasks: Sequence[TaskSpec],
-        constraints: Sequence[CompiledConstraint],
-        config: TrainConfig,
-        check_psd: bool = False,
-    ):
+    def __init__(self, tasks: Sequence[TaskSpec], rule_set: CompiledRuleSet,
+                 config: TrainConfig, check_psd: bool = False):
         self.config = config
         if not tasks:
             raise LearnerError("training needs at least one task")
@@ -229,7 +224,6 @@ class _Workspace:
             if predicate in seen:
                 raise LearnerError(f"duplicate task predicate {predicate!r}")
             seen.add(predicate)
-        self.constraints = tuple(constraints)
         self.blocks: list[_Block] = []
         for task in tasks:
             if check_psd:
@@ -242,9 +236,10 @@ class _Workspace:
             labels = task.labels
             self.blocks.append(_Block(task.gram.matrix, task.predicates,  # type: ignore[union-attr]
                                       1.0 - np.isnan(labels), np.nan_to_num(labels, nan=0.0)))
-        self.rule_set = CompiledRuleSet(
-            self.constraints, [(b.predicates, b.gram.shape[0]) for b in self.blocks]
-        )
+        layout = tuple((b.predicates, b.gram.shape[0]) for b in self.blocks)
+        if rule_set.layout != layout:
+            raise LearnerError(f"the rule set reads blocks {rule_set.layout}, not {layout}")
+        self.rule_set = rule_set
         self.rule_calls = 0
 
     def scores(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -274,7 +269,7 @@ class _Workspace:
         if bound is not None and not total <= bound:
             return total, None
         dtruths = None
-        if lambda_c and self.constraints:
+        if lambda_c and self.rule_set.constraints:
             self.rule_calls += 1
             truths = [np.clip(s, 0.0, 1.0) for s in scores]
             if with_gradient:
@@ -427,21 +422,17 @@ def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray], list[np.ndarr
     return [start, end], weights, scores
 
 
-def train(
-    tasks: Sequence[TaskSpec],
-    constraints: Sequence[CompiledConstraint],
-    config: TrainConfig,
-) -> Model:
+def train(tasks: Sequence[TaskSpec], rule_set: CompiledRuleSet, config: TrainConfig) -> Model:
     """Two-stage training: label fit first, then the constrained objective.
 
     Stage one solves the ridge problem without the constraint term.  Stage
     two descends from its minimiser at full constraint strength and is
-    skipped outright when there are no constraints or lambda_c is zero,
+    skipped outright when the rule set is empty or lambda_c is zero,
     leaving the trace bit-identical to a constraint-free run.
     """
-    ws = _Workspace(tasks, constraints, config, check_psd=True)
+    ws = _Workspace(tasks, rule_set, config, check_psd=True)
     stage1, weights, scores = _ridge(ws)
-    if config.lambda_c > 0 and ws.constraints:
+    if config.lambda_c > 0 and rule_set.constraints:
         stage2, weights = _descend(ws, weights, scores, config.lambda_c, "stage 2")
     else:
         stage2 = []

@@ -12,12 +12,14 @@ the rules by template first, then grounds each rule straight to the rows
 that it evaluates: a guarded pair rule to the pairs in its guard's index,
 any other rule to its whole grid.  Grounding rows run row-major over the
 quantifier axes, with each domain in its ingestion order, so penalties
-are deterministic.  The per-rule ``CompiledConstraint.penalty`` methods
-evaluate a one-rule set.
+are deterministic.  ``CompiledRuleSet.restricted`` narrows a grounded set
+to part of its domain without grounding again.  The per-rule
+``CompiledConstraint.penalty`` methods evaluate a one-rule set.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Mapping, Sequence
@@ -153,14 +155,16 @@ class CompiledConstraint:
 class _RuleGroup:
     """Rules sharing one template, their rows stacked rule-major for a
     single engine pass: ``index`` holds each row's position in the flat input
-    vector per slot, and ``row_rule``, in a guarded group, each row's rule
-    (0-based within ``rules``)."""
+    vector per slot, ``axes`` its position on each quantifier axis, and
+    ``row_rule``, in a guarded group, each row's rule (0-based within
+    ``rules``)."""
 
     program: Program
     quantifiers: tuple
     shape: tuple[int, ...]
     rules: np.ndarray
     index: np.ndarray
+    axes: np.ndarray
     row_rule: np.ndarray | None
 
 
@@ -198,7 +202,8 @@ class CompiledRuleSet:
         layout: Sequence[tuple[Sequence[str], int]],
     ):
         self.constraints = tuple(constraints)
-        self._shapes = [(len(predicates), n) for predicates, n in layout]
+        self.layout = tuple((tuple(predicates), n) for predicates, n in layout)
+        self._shapes = [(len(predicates), n) for predicates, n in self.layout]
         place: dict[str, tuple[int, int]] = {}  # offset into the flat vector, n
         sentinel = 0
         for predicates, n in layout:
@@ -256,17 +261,43 @@ class CompiledRuleSet:
         self._groups = []
         for rules in members.values():
             first = self.constraints[rules[0]]
-            index = []
+            index, axes = [], []
             for r in rules:
-                position = _positions(self.constraints[r], lookups)
+                cells, position = _positions(self.constraints[r], lookups)
                 index.append(np.where(position >= 0, np.array(offsets[r]) + position, sentinel))
+                axes.append(cells)
             row_rule = None
             if _guard_slot(first) is not None:
                 row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
             self._groups.append(_RuleGroup(
                 first.program, first.formula.quantifiers, first.shape,
-                np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
+                np.array(rules, dtype=np.intp), np.concatenate(index), np.concatenate(axes),
+                row_rule,
             ))
+
+    def restricted(self, keep: Sequence[bool]) -> CompiledRuleSet:
+        """This set narrowed to the positions of its rules' one id list that
+        the mask ``keep`` keeps.  Each group keeps, in order, the rows whose
+        every axis position is kept.  Rows run row-major over the axes in
+        domain order and guarded rows in sorted pair codes, so a compile over
+        the kept ids grounds the same rows in the same order, bit for bit."""
+        domains = {ids for c in self.constraints for ids in c.domains}
+        if len(domains) > 1:
+            raise CompileError("the rules range over more than one id list")
+        keep = np.asarray(keep, dtype=bool)
+        for ids in domains:
+            kept = tuple(i for i, k in zip(ids, keep.tolist(), strict=True) if k)
+            for q in (q for c in self.constraints for q in c.formula.quantifiers):
+                _check_axis(q, kept)
+        renumber, size = np.cumsum(keep) - 1, int(keep.sum())
+        narrowed = copy(self)
+        narrowed._groups = []
+        for g in self._groups:
+            rows = keep[g.axes].all(axis=1)
+            narrowed._groups.append(_RuleGroup(
+                g.program, g.quantifiers, (size,) * len(g.shape), g.rules, g.index[rows],
+                renumber[g.axes[rows]], None if g.row_rule is None else g.row_rule[rows]))
+        return narrowed
 
     @property
     def n_groundings(self) -> int:
@@ -319,10 +350,10 @@ class CompiledRuleSet:
         return phis, grad
 
 
-def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
-    """The rule's grounding rows: each slot's position in its predicate's
-    truth vector, -1 where absent.  Rules with the same guard slot that read
-    the same index maps over the same domains share one array."""
+def _positions(constraint: CompiledConstraint, lookups: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's grounding rows: their positions on the quantifier axes, and
+    each slot's position in its predicate's truth vector, -1 where absent.
+    Rules with the same guard slot, index maps and domains share them."""
     guard = _guard_slot(constraint)
     key = ("rows", guard, constraint.domains) + tuple(
         (id(slot.binding.index), slot.axes) for slot in constraint.slots)
@@ -348,7 +379,7 @@ def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
             wanted = coords[a] * len(constraint.domains[b]) + coords[b]
             at = np.searchsorted(codes, wanted)
             columns.append(np.where(codes[at] == wanted, positions[at], -1))
-    lookups[key] = np.stack(columns, axis=1)
+    lookups[key] = np.stack(coords, axis=1), np.stack(columns, axis=1)
     return lookups[key]
 
 
@@ -423,15 +454,9 @@ def compile_constraint(
         if q.domain not in domains:
             raise CompileError(f"unknown domain {q.domain!r}")
         ids = tuple(domains[q.domain])
-        if not ids:
-            raise CompileError(f"domain {q.domain!r} is empty")
         if len(set(ids)) != len(ids):
             raise CompileError(f"domain {q.domain!r} lists an example twice")
-        if q.kind == EXISTS_N and q.count > len(ids):
-            raise CompileError(
-                f"exists[{q.count}] over {q.var!r} exceeds the {len(ids)} "
-                f"examples of domain {q.domain!r}"
-            )
+        _check_axis(q, ids)
         axis_ids.append(ids)
 
     for pred, arity in sorted(formula.predicates().items()):
@@ -454,6 +479,16 @@ def compile_constraint(
             for pred, args in slot_order
         ),
     )
+
+
+def _check_axis(q, ids: tuple) -> None:
+    if not ids:
+        raise CompileError(f"domain {q.domain!r} is empty")
+    if q.kind == EXISTS_N and q.count > len(ids):
+        raise CompileError(
+            f"exists[{q.count}] over {q.var!r} exceeds the {len(ids)} "
+            f"examples of domain {q.domain!r}"
+        )
 
 
 def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> Program:

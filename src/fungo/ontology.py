@@ -10,11 +10,10 @@ but generate nothing.
 from __future__ import annotations
 
 import re
-import statistics as stats_mod
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
 
@@ -58,11 +57,9 @@ class OntologyDag:
 
     The is_a neighbours of each term are kept as tuples, and every term
     without parents or children shares the one empty tuple.  Ancestor sets,
-    sorted parent and child tuples, the sorted ``edges`` tuple and the
-    per-relation edge lists are built on first request and memoised, so a
-    closure touches only the annotated terms and their ancestors.  A
-    memoised value is final once stored, so concurrent readers at worst
-    compute it twice.
+    sorted parent and child tuples and the per-relation edge lists are
+    built on first request and memoised, so a closure touches only the
+    annotated terms and their ancestors.
     """
 
     def __init__(self, terms: Iterable[Term], edges: Iterable[tuple[str, str, str]]):
@@ -107,15 +104,15 @@ class OntologyDag:
         # tuple() of an empty list is the one shared empty tuple.
         self._up = {t: tuple(ps) for t, ps in up.items()}
         self._down = {t: tuple(cs) for t, cs in down.items()}
-        self._roots, self._levels = self._walk()
+        self._levels = self._walk()
         self._parents: dict[str, tuple[str, ...]] = {}
         self._children: dict[str, tuple[str, ...]] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
-        self._sorted_edges: tuple[tuple[str, str, str], ...] | None = None
         self._by_relation: dict[str, tuple[tuple[str, str], ...]] | None = None
 
-    def _walk(self) -> tuple[dict[str, str], dict[str, int]]:
-        """Roots and levels from one walk over Kahn's topological order.
+    def _walk(self) -> dict[str, int]:
+        """Levels from one walk over Kahn's topological order, which also
+        rejects a cycle and a second root in one namespace.
 
         The walk starts from the parentless terms in table order, which are
         the roots; the first two of one namespace are the pair a "multiple
@@ -157,18 +154,11 @@ class OntologyDag:
                     f"{roots[namespace]!r} and {tid!r}"
                 )
             roots[namespace] = tid
-        return roots, levels
+        return levels
 
     @property
     def terms(self) -> Mapping[str, Term]:
         return self._terms
-
-    @property
-    def edges(self) -> tuple[tuple[str, str, str], ...]:
-        if self._sorted_edges is None:
-            isa = ((c, p, ISA) for c, p in self._isa_pairs())
-            self._sorted_edges = tuple(sorted(chain(isa, self._links)))
-        return self._sorted_edges
 
     def __contains__(self, term_id: str) -> bool:
         return term_id in self._terms
@@ -177,17 +167,13 @@ class OntologyDag:
         self._require(term_id)
         return self._levels[term_id]
 
-    def parents(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
+    def parents(self, term_id: str) -> tuple[str, ...]:
         self._require(term_id)
-        if relation == ISA:
-            return _sorted_once(self._parents, self._up, term_id)
-        return tuple(p for c, p in self._relation_pairs(relation) if c == term_id)
+        return _sorted_once(self._parents, self._up, term_id)
 
-    def children(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
+    def children(self, term_id: str) -> tuple[str, ...]:
         self._require(term_id)
-        if relation == ISA:
-            return _sorted_once(self._children, self._down, term_id)
-        return tuple(c for c, p in self._relation_pairs(relation) if p == term_id)
+        return _sorted_once(self._children, self._down, term_id)
 
     def ancestors(self, term_id: str) -> frozenset[str]:
         """All is_a ancestors of a term, the term itself excluded."""
@@ -211,27 +197,18 @@ class OntologyDag:
             stack.pop()
         return memo[term_id]
 
-    def roots(self) -> Mapping[str, str]:
-        return dict(self._roots)
-
     def relation_edges(self, relation: str) -> tuple[tuple[str, str], ...]:
-        if relation not in RELATIONS:
-            raise OntologyError(f"unknown relation {relation!r}")
-        return self._relation_pairs(relation)
-
-    def _relation_pairs(self, relation: str) -> tuple[tuple[str, str], ...]:
         """Sorted (child, parent) pairs of one relation; all relations are
         indexed together on the first call."""
+        if relation not in RELATIONS:
+            raise OntologyError(f"unknown relation {relation!r}")
         if self._by_relation is None:
             grouped: dict[str, list[tuple[str, str]]] = {r: [] for r in RELATIONS}
-            grouped[ISA].extend(self._isa_pairs())
+            grouped[ISA].extend((c, p) for c, parents in self._up.items() for p in parents)
             for child, parent, relation_of in self._links:
                 grouped[relation_of].append((child, parent))
             self._by_relation = {r: tuple(sorted(pairs)) for r, pairs in grouped.items()}
-        return self._by_relation.get(relation, ())
-
-    def _isa_pairs(self) -> Iterator[tuple[str, str]]:
-        return ((c, p) for c, parents in self._up.items() for p in parents)
+        return self._by_relation[relation]
 
     def _require(self, term_id: str) -> None:
         if term_id not in self._terms:
@@ -678,13 +655,16 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def _summary(values: Sequence[float]) -> JaccardSummary:
+    # Imported here: only ``stats`` needs it, and it pulls in decimal.
+    import statistics
+
     if not values:
         return JaccardSummary(0, None, None, None)
     return JaccardSummary(
         count=len(values),
-        mean=float(stats_mod.fmean(values)),
-        median=float(stats_mod.median(values)),
-        std=float(stats_mod.pstdev(values)),
+        mean=float(statistics.fmean(values)),
+        median=float(statistics.median(values)),
+        std=float(statistics.pstdev(values)),
     )
 
 

@@ -20,7 +20,9 @@ import numpy as np
 from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics, PredictionSet
 from fungo.io import DataFileError
-from fungo.logic import EXISTS, FORALL, PredicateBinding, compile_constraint, engine, parse_rule
+from fungo.logic import (
+    EXISTS, FORALL, CompiledRuleSet, PredicateBinding, compile_constraint, engine, parse_rule,
+)
 from fungo.logic.compiler import _aggregate
 from fungo.ontology import (
     ISA,
@@ -323,6 +325,12 @@ def weight_rows(tasks, blocks) -> dict[str, np.ndarray]:
             for k, p in enumerate(t.predicates)}
 
 
+def compiled_for(tasks, constraints=()):
+    """``constraints`` compiled together against the tasks' block layout:
+    the rule set that ``learner.train`` and its workspace take."""
+    return CompiledRuleSet(constraints, [(t.predicates, t.size) for t in tasks])
+
+
 def objective(model, tasks, constraints, config) -> float:
     """Full objective at the model's weights (constraints at full strength)."""
     return _evaluate_model(model, tasks, constraints, config, False)[0]
@@ -331,7 +339,7 @@ def objective(model, tasks, constraints, config) -> float:
 def objective_gradient(model, tasks, constraints, config) -> list[np.ndarray]:
     """Gradient of the full objective in the weights, one K x n matrix per
     task: the functional gradient's image ``D @ G``."""
-    ws = learner._Workspace(tasks, constraints, config)
+    ws = learner._Workspace(tasks, compiled_for(tasks, constraints), config)
     return ws.scores(functional_gradient(model, tasks, constraints, config))
 
 
@@ -342,7 +350,7 @@ def functional_gradient(model, tasks, constraints, config) -> list[np.ndarray]:
 
 
 def _evaluate_model(model, tasks, constraints, config, with_gradient):
-    ws = learner._Workspace(tasks, constraints, config)
+    ws = learner._Workspace(tasks, compiled_for(tasks, constraints), config)
     weights = list(model.weights)
     return ws.evaluate(weights, ws.scores(weights), config.lambda_c, with_gradient)
 
@@ -432,13 +440,13 @@ def _log_exhausted(stage, iteration, current):
     )
 
 
-def reference_train(tasks, constraints, config, descend=reference_descend):
+def reference_train(tasks, rule_set, config, descend=reference_descend):
     """``learner.train`` with stage 2 on :func:`reference_descend`, or on
     another ``descend`` of the same signature; stage 1 is the trainer's
     closed form."""
-    ws = learner._Workspace(tasks, constraints, config, check_psd=True)
+    ws = learner._Workspace(tasks, rule_set, config, check_psd=True)
     stage1, weights, _ = learner._ridge(ws)
-    if config.lambda_c > 0 and ws.constraints:
+    if config.lambda_c > 0 and ws.rule_set.constraints:
         stage2, weights = descend(ws, weights, config.lambda_c, "stage 2")
     else:
         stage2 = []
@@ -624,10 +632,6 @@ class ReferenceOntologyDag:
     def terms(self) -> Mapping[str, Term]:
         return self._terms
 
-    @property
-    def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return self._edges
-
     def __contains__(self, term_id: str) -> bool:
         return term_id in self._terms
 
@@ -635,28 +639,17 @@ class ReferenceOntologyDag:
         self._require(term_id)
         return self._levels[term_id]
 
-    def parents(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
+    def parents(self, term_id: str) -> tuple[str, ...]:
         self._require(term_id)
-        if relation == ISA:
-            return self._isa_parents[term_id]
-        return tuple(
-            sorted(p for c, p, r in self._edges if c == term_id and r == relation)
-        )
+        return self._isa_parents[term_id]
 
-    def children(self, term_id: str, relation: str = ISA) -> tuple[str, ...]:
+    def children(self, term_id: str) -> tuple[str, ...]:
         self._require(term_id)
-        if relation == ISA:
-            return self._isa_children[term_id]
-        return tuple(
-            sorted(c for c, p, r in self._edges if p == term_id and r == relation)
-        )
+        return self._isa_children[term_id]
 
     def ancestors(self, term_id: str) -> frozenset[str]:
         self._require(term_id)
         return self._ancestors[term_id]
-
-    def roots(self) -> Mapping[str, str]:
-        return dict(self._roots)
 
     def relation_edges(self, relation: str) -> tuple[tuple[str, str], ...]:
         if relation not in RELATIONS:

@@ -50,6 +50,7 @@ from fungo.ontology import (
 )
 from hierarchy_fixture import read_metrics, write_config, write_dataset
 from support import (
+    compiled_for,
     fd_penalty_gradients,
     gradient_close,
     nonsmooth_margin,
@@ -229,7 +230,7 @@ def test_unconstrained_training_reaches_ridge_solution():
             tolerance=1e-14,
             max_iterations=3000,
         )
-        model = train([task], [], config)
+        model = train([task], compiled_for([task]), config)
         expected = np.linalg.solve(config.lambda_r * np.eye(n) + gram.matrix, y)
         scale = max(1.0, float(np.linalg.norm(expected)))
         assert float(np.linalg.norm(model.weights[0][0] - expected)) / scale < 1e-4

@@ -371,7 +371,7 @@ class TestRun:
                              if e[0] not in held and e[1] not in held else np.nan
                              for e in bound.examples]]
                 assert np.array_equal(bound.labels, expected, equal_nan=True)
-        # A given BOUND is one binding, built once per run, that every fold's
+        # A given BOUND is one binding, built once per run, that the run's
         # rules compile against; it never becomes a task.
         assert len(compiled) > len(calls)
         if rules == "OC+PP1":
@@ -630,6 +630,16 @@ def test_benchmark_hooks_resolve():
     assert done.returncode == 0, done.stderr.decode()
 
 
+def test_importing_the_cli_loads_neither_statistics_nor_decimal():
+    # Only the stats subcommand needs statistics, which imports decimal.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
+    code = "import sys, fungo.cli; print(sorted({'statistics', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_traced_run_reads_its_bundle(tmp_path):
     # perfbench/tracing.py run as a script, as the traced benchmark runs it.
     hierarchy_fixture.write_dataset(str(tmp_path))
@@ -654,6 +664,9 @@ def test_traced_run_reads_its_bundle(tmp_path):
     assert metrics["learner.stage1_steps"] == len(models)
     assert metrics["learner.stage1_capped_folds"] == 0
     assert metrics["learner.predict_s"] > 0
+    # The run compiles each rule once, however many folds narrow the set.
+    rules = [line for line in (out / "rules.txt").read_text().splitlines() if line.strip()]
+    assert metrics["logic.compile_calls"] == len(rules)
 
 
 class TestErrorHandling:

@@ -22,6 +22,7 @@ from support import (
 )
 
 from fungo.logic import (
+    EXISTS_N,
     IMPLICATIONS,
     TNORMS,
     CompileError,
@@ -404,6 +405,59 @@ def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_m
             scale[b][k] += np.abs(grad)
     for grad, want, tol in zip(grads, expected, scale):
         assert np.all(np.abs(grad - want) <= 1e-12 * tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    texts=st.lists(st.sampled_from(FORMULA_POOL), min_size=1, max_size=8),
+    tnorm=st.sampled_from(TNORMS),
+    implication=st.sampled_from(IMPLICATIONS),
+    bound_mode=st.sampled_from(("given", "learned")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_restricted_rule_set_matches_a_compile_over_the_kept_ids(
+    texts, tnorm, implication, bound_mode, seed
+):
+    rng = np.random.default_rng(seed)
+    constraints, outputs = random_rule_set(rng, texts, tnorm, implication, bound_mode)
+    layout, truths, _ = stack_outputs(rng, outputs)
+    ids = constraints[0].domains[0]
+    need = max(q.count if q.kind == EXISTS_N else 1
+               for c in constraints for q in c.formula.quantifiers)
+    keep = np.zeros(len(ids), dtype=bool)
+    keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
+    kept = [i for i, k in zip(ids, keep) if k]
+    narrowed = CompiledRuleSet(constraints, layout).restricted(keep)
+    compiled = CompiledRuleSet([
+        compile_constraint(c.formula, tnorm, {"P": kept},
+                           {s.binding.name: s.binding for s in c.slots}, implication=implication)
+        for c in constraints
+    ], layout)
+    assert narrowed.n_groundings == compiled.n_groundings
+    assert np.array_equal(narrowed.penalties(truths), compiled.penalties(truths))
+    phis, grads = narrowed.penalties_and_gradients(truths)
+    want, want_grads = compiled.penalties_and_gradients(truths)
+    assert np.array_equal(phis, want)
+    for grad, want_grad in zip(grads, want_grads, strict=True):
+        assert np.array_equal(grad, want_grad)
+
+
+def test_restricted_rejects_what_a_compile_over_the_kept_ids_rejects():
+    ids = ["p0", "p1", "p2"]
+    preds = {"A": _unary("A", ids)}
+    layout = [(("A",), 3)]
+    rule = parse_rule("forall x:P. A(x)")
+    forward, backward = (compile_constraint(rule, "product", {"P": d}, preds)
+                         for d in (ids, ids[::-1]))
+    with pytest.raises(CompileError, match="more than one id list"):
+        CompiledRuleSet([forward, backward], layout).restricted([True, True, False])
+    with pytest.raises(ValueError, match="shorter"):
+        CompiledRuleSet([forward], layout).restricted([True, True])
+    with pytest.raises(CompileError, match="domain 'P' is empty"):
+        CompiledRuleSet([forward], layout).restricted([False] * 3)
+    pair = compile_constraint(parse_rule("exists[2] x:P. A(x)"), "product", {"P": ids}, preds)
+    with pytest.raises(CompileError, match=r"exists\[2\] over 'x' exceeds the 1 examples"):
+        CompiledRuleSet([pair], layout).restricted([False, True, False])
 
 
 @pytest.mark.parametrize("bound_mode", ("given", "learned"))

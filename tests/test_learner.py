@@ -13,6 +13,7 @@ import hierarchy_fixture
 from support import (
     FORMULA_POOL,
     alpha_gradient_descend,
+    compiled_for,
     functional_gradient,
     given_binding,
     nonsmooth_margin,
@@ -125,7 +126,7 @@ def test_stage1_matches_ridge_closed_form(seed):
     y = rng.integers(0, 2, size=n).astype(float)
     task = TaskSpec(("A",), 1, ids, gram=g, labels=[y])
     cfg = TrainConfig(lambda_r=1.0, lambda_c=0.0, tolerance=1e-14, max_iterations=3000)
-    model = train([task], [], cfg)
+    model = train([task], compiled_for([task]), cfg)
     expected = np.linalg.solve(cfg.lambda_r * np.eye(n) + g.matrix, y)
     scale = max(1.0, float(np.linalg.norm(expected)))
     assert np.linalg.norm(model.weights[0][0] - expected) / scale < 1e-4
@@ -137,7 +138,7 @@ def test_stage1_trace_is_non_increasing():
     task = TaskSpec(
         ("A",), 1, ids, gram=random_pd_gram(rng, ids), labels=[row(ids, {ids[0]: 1.0, ids[3]: 0.0})]
     )
-    model = train([task], [], TrainConfig(lambda_c=0.0))
+    model = train([task], compiled_for([task]), TrainConfig(lambda_c=0.0))
     trace = model.trace.stage1
     assert len(trace) == 2  # the objective at zero, then at the minimiser
     assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -162,14 +163,14 @@ def _constrained_problem(lambda_c, *, scope_all=True, seed=7):
 
 def test_constraint_pushes_parent_above_child():
     tasks, constraints, cfg = _constrained_problem(50.0, scope_all=False)
-    model = train(tasks, constraints, cfg)
+    model = train(tasks, compiled_for(tasks, constraints), cfg)
     child_truth, parent_truth = predict(model.weights[0], tasks[0], cfg)[0].T
     # Unsupervised tail: the implication must hold there after training.
     assert (parent_truth[3:] >= child_truth[3:] - 5e-3).all()
     assert model.trace.stage2, "constraint stage should have run"
 
     # Without constraints the parent stays at zero.
-    bare = train(tasks, [], cfg)
+    bare = train(tasks, compiled_for(tasks), cfg)
     bare_parent = predict(bare.weights[0], tasks[0], cfg)[0][:, 1]
     assert not bare_parent.any()
 
@@ -177,8 +178,8 @@ def test_constraint_pushes_parent_above_child():
 def test_lambda_c_zero_is_bitwise_inert():
     tasks, constraints, _ = _constrained_problem(0.0)
     cfg = TrainConfig(lambda_r=1.0, lambda_c=0.0)
-    with_rules = train(tasks, constraints, cfg)
-    without = train(tasks, [], cfg)
+    with_rules = train(tasks, compiled_for(tasks, constraints), cfg)
+    without = train(tasks, compiled_for(tasks), cfg)
     assert with_rules.trace == without.trace
     assert np.array_equal(with_rules.weights[0], without.weights[0])
 
@@ -267,7 +268,7 @@ def test_stage1_reaches_the_ridge_minimiser_in_fewer_steps(problem, tmp_path, mo
     factored = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(m.shape) or cholesky(m))
-    model = train([task], [], cfg)
+    model = train([task], compiled_for([task]), cfg)
     monkeypatch.undo()
     labeled = ~np.isnan(task.labels)
     assert len(factored) == len(np.unique(labeled, axis=0)) == (1 if problem == "hierarchy" else 3)
@@ -281,7 +282,7 @@ def test_stage1_reaches_the_ridge_minimiser_in_fewer_steps(problem, tmp_path, mo
     assert start == objective(Model((np.zeros_like(weights),)), [task], [], cfg)
     assert best == objective(model, [task], [], cfg)
     # The descents it replaces take more steps and end no lower.
-    ws = learner._Workspace([task], [], cfg)
+    ws = learner._Workspace([task], compiled_for([task]), cfg)
     for descend in (reference_descend, alpha_gradient_descend):
         trace, _ = descend(ws, [np.zeros_like(weights)], 0.0, "stage 1")
         assert len(trace) > len(model.trace.stage1)
@@ -313,7 +314,7 @@ def _pulled_problem():
 def test_a_converged_stage_stops_by_tolerance(caplog):
     tasks, constraints, cfg = _pulled_problem()
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, constraints, cfg)
+        model = train(tasks, compiled_for(tasks, constraints), cfg)
     assert _stop_reasons(caplog.records).keys() == {"stage 2"}
     (reason, last), = _stop_reasons(caplog.records).values()
     assert reason == "tolerance" and 0.0 < last <= 1.0
@@ -326,7 +327,7 @@ def test_a_stalled_stage_is_reported(caplog):
     # shrinks its step to nothing there, while the slope stays steep.
     tasks, constraints, cfg = _constrained_problem(2.0)
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, constraints, cfg)
+        model = train(tasks, compiled_for(tasks, constraints), cfg)
     (reason, last), = _stop_reasons(caplog.records).values()
     assert reason == "stalled" and 0.0 < last < 1e-9
     trace = model.trace.stage2
@@ -338,7 +339,8 @@ def test_a_stalled_stage_is_reported(caplog):
 def test_a_capped_stage_logs_one_info_line(caplog):
     tasks, constraints, _ = _constrained_problem(2.0)
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, constraints, TrainConfig(lambda_c=2.0, max_iterations=3))
+        model = train(tasks, compiled_for(tasks, constraints),
+                      TrainConfig(lambda_c=2.0, max_iterations=3))
     assert len(model.trace.stage1) == 2 and len(model.trace.stage2) == 4
     (reason, last), = _stop_reasons(caplog.records).values()
     assert reason == "max_iterations" and last > 0.0
@@ -351,7 +353,8 @@ def test_an_exhausted_line_search_stops_the_stage(monkeypatch, caplog):
     tasks, constraints, _ = _constrained_problem(2.0)
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
         # Steps of 1e6 and 5e5 both overshoot by far.
-        model = train(tasks, constraints, TrainConfig(lambda_c=2.0, learning_rate=1e6))
+        model = train(tasks, compiled_for(tasks, constraints),
+                      TrainConfig(lambda_c=2.0, learning_rate=1e6))
     assert len(model.trace.stage2) == 1
     assert _stop_reasons(caplog.records) == {"stage 2": ("line search exhausted", 0.0)}
     (message,) = _infos(caplog.records)
@@ -371,7 +374,7 @@ def test_no_descent_direction_stops_the_stage(caplog):
     (d,) = functional_gradient(Model((np.zeros((1, 2)),)), tasks, [constraint], cfg)
     assert float(np.vdot(d, d @ tasks[0].gram.matrix)) == pytest.approx(-eps, rel=1e-12)
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, [constraint], cfg)
+        model = train(tasks, compiled_for(tasks, [constraint]), cfg)
     assert model.trace == TrainTrace((0.0, 0.0), (1.0,))
     assert _stop_reasons(caplog.records) == {"stage 2": ("no descent direction", 0.0)}
     # A zero gradient is no descent direction either: nothing is labeled,
@@ -382,7 +385,7 @@ def test_no_descent_direction_stops_the_stage(caplog):
     constraint = compile_constraint(rule, "minimum", {"P": list(ids)}, predicate_bindings(tasks))
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, [constraint], TrainConfig(lambda_c=1.0))
+        model = train(tasks, compiled_for(tasks, [constraint]), TrainConfig(lambda_c=1.0))
     assert model.trace == TrainTrace((0.0, 0.0), (0.0,))
     assert _stop_reasons(caplog.records) == {"stage 2": ("no descent direction", 0.0)}
     assert _infos(caplog.records) == []
@@ -392,7 +395,7 @@ def test_exhausted_line_search_is_logged(monkeypatch, caplog):
     monkeypatch.setattr(learner, "MAX_HALVINGS", 0)
     tasks, constraints, _ = _constrained_problem(2.0)
     with caplog.at_level(logging.WARNING, logger="fungo.learner"):
-        model = train(tasks, constraints, TrainConfig(lambda_c=2.0))
+        model = train(tasks, compiled_for(tasks, constraints), TrainConfig(lambda_c=2.0))
     (start,) = model.trace.stage2
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
@@ -420,7 +423,7 @@ def test_a_non_finite_start_of_stage_2_is_an_error():
     tasks, constraints, cfg = _constrained_problem(1e308)
     with pytest.raises(LearnerError, match=r"stage 2: the objective at its start is "
                                            r"not finite \(inf\)"):
-        train(tasks, constraints, cfg)
+        train(tasks, compiled_for(tasks, constraints), cfg)
 
 
 def test_a_failed_factorisation_names_the_task():
@@ -430,9 +433,9 @@ def test_a_failed_factorisation_names_the_task():
     task = TaskSpec(("Z", "A"), 1, ids, gram=gram(ids, np.diag([1.0, -1e-9])),
                     labels=[row(ids, {"p1": 1.0}), row(ids, {})])
     with pytest.raises(LearnerError, match="task 'Z'.*not positive definite"):
-        train([task], [], TrainConfig(lambda_r=1e-12))
+        train([task], compiled_for([task]), TrainConfig(lambda_r=1e-12))
     # The same block with a larger lambda_r solves.
-    (weights,) = train([task], [], TrainConfig(lambda_r=1e-3)).weights
+    (weights,) = train([task], compiled_for([task]), TrainConfig(lambda_r=1e-3)).weights
     assert weights[0, 1] == pytest.approx(1.0 / (1e-3 - 1e-9), rel=1e-12)
 
 
@@ -572,7 +575,7 @@ def _per_task_evaluate(tasks, constraints, config, alphas, lambda_c):
 def test_stacked_objective_matches_the_per_task_loop(tnorm, bound_mode):
     rng = np.random.default_rng(23)
     tasks, constraints, model = _stacked_problem(rng, tnorm, bound_mode)
-    blocks = learner._Workspace(tasks, constraints, TrainConfig()).blocks
+    blocks = learner._Workspace(tasks, compiled_for(tasks, constraints), TrainConfig()).blocks
     assert [b.predicates for b in blocks] == [t.predicates for t in tasks]
     assert len(blocks) == (4 if bound_mode == "learned" else 3)
     for lambda_c in (0.0, 0.7):
@@ -596,13 +599,13 @@ def test_trace_ends_at_the_objective_of_the_returned_weights():
     tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "learned")
     common = dict(lambda_r=0.3, tnorm="lukasiewicz", max_iterations=40)
     bare_cfg = TrainConfig(lambda_c=0.0, **common)
-    bare = train(tasks, constraints, bare_cfg)
+    bare = train(tasks, compiled_for(tasks, constraints), bare_cfg)
     assert len(bare.trace.stage1) == 2 and bare.trace.stage2 == ()
     assert bare.trace.stage1[-1] == pytest.approx(
         objective(bare, tasks, constraints, bare_cfg), rel=1e-12, abs=0.0
     )
     cfg = TrainConfig(lambda_c=0.7, **common)
-    model = train(tasks, constraints, cfg)
+    model = train(tasks, compiled_for(tasks, constraints), cfg)
     assert len(model.trace.stage2) > 2
     assert model.trace.stage2[-1] == pytest.approx(
         objective(model, tasks, constraints, cfg), rel=1e-12, abs=0.0
@@ -655,8 +658,8 @@ def test_each_accepted_step_costs_two_products_per_gram(monkeypatch, caplog):
     monkeypatch.setattr(_CountingGram, "products", 0)
     # A large first step forces halvings, so trials outnumber accepted steps.
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, constraints, TrainConfig(tnorm="lukasiewicz", learning_rate=8.0,
-                                                      max_iterations=6))
+        model = train(tasks, compiled_for(tasks, constraints),
+                      TrainConfig(tnorm="lukasiewicz", learning_rate=8.0, max_iterations=6))
     steps = len(model.trace.stage2) - 1
     assert steps == 6
     # Every step taken was accepted: the stage did not stop for want of one.
@@ -690,7 +693,7 @@ def test_each_line_search_starts_at_twice_the_last_step(monkeypatch):
     rng = np.random.default_rng(29)
     tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "given")
     cfg = TrainConfig(lambda_c=0.7, tnorm="lukasiewicz", learning_rate=8.0, max_iterations=12)
-    model = train(tasks, constraints, cfg)
+    model = train(tasks, compiled_for(tasks, constraints), cfg)
     searches = [steps for _, _, steps in searches]
     assert len(searches) == len(model.trace.stage2) - 1 == 12
     assert searches[0][0] == 8.0
@@ -704,7 +707,8 @@ def test_descent_logs_where_its_trials_were_decided(caplog):
     rng = np.random.default_rng(37)
     tasks, constraints, _ = _stacked_problem(rng, "lukasiewicz", "given")
     with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
-        model = train(tasks, constraints, TrainConfig(learning_rate=8.0, max_iterations=20))
+        model = train(tasks, compiled_for(tasks, constraints),
+                      TrainConfig(learning_rate=8.0, max_iterations=20))
     counts = _stage_counts(caplog.records)
     assert set(counts) == {"stage 2"}
     steps, trials, reached = counts["stage 2"]
@@ -754,7 +758,7 @@ def _train_with_warnings(trainer, tasks, constraints, cfg):
     logger = logging.getLogger("fungo.learner")
     logger.addHandler(handler)
     try:
-        return trainer(tasks, constraints, cfg), warnings
+        return trainer(tasks, compiled_for(tasks, constraints), cfg), warnings
     finally:
         logger.removeHandler(handler)
 
@@ -804,14 +808,14 @@ def test_psd_check_runs_once_per_gram(monkeypatch):
     # Two specs on the one Gram, in three runs.
     for labels in ({"p0": 1.0}, {"p1": 1.0}, {"p2": 0.0}):
         tasks = [TaskSpec((p,), 1, ids, gram=shared, labels=[row(ids, labels)]) for p in "AB"]
-        train(tasks, [], TrainConfig(max_iterations=2))
+        train(tasks, compiled_for(tasks), TrainConfig(max_iterations=2))
     assert len(calls) == 1
     # The error still names the first task of each run that uses the Gram.
     bad = gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     for first in "XY":
         tasks = [TaskSpec((p,), 1, ("p0", "p1"), gram=bad) for p in (first, "Z")]
         with pytest.raises(LearnerError, match=f"task '{first}' is not positive"):
-            train(tasks, [], TrainConfig())
+            train(tasks, compiled_for(tasks), TrainConfig())
     assert len(calls) == 2
 
 
@@ -824,9 +828,9 @@ def test_given_bound_flows_into_unary_predicate():
     rule = parse_rule("forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))")
     constraint = compile_constraint(rule, "product", {"Prot": list(ids)}, bindings)
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
-    model = train(tasks, [constraint], cfg)
+    model = train(tasks, compiled_for(tasks, [constraint]), cfg)
     truths = predict(model.weights[0], task_a, cfg)[0][:, 0]
-    bare = train(tasks, [], cfg)
+    bare = train(tasks, compiled_for(tasks), cfg)
     bare_truths = predict(bare.weights[0], task_a, cfg)[0][:, 0]
     # p1 interacts with the positively-labeled p0, so its truth is pulled up.
     assert truths[1] > bare_truths[1] + 0.1
@@ -903,14 +907,14 @@ def test_train_validation():
         ("A",), 1, ("p0", "p1"), gram=gram(("p0", "p1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     )
     with pytest.raises(LearnerError, match="positive semi-definite"):
-        train([bad], [], cfg)
+        train([bad], compiled_for([bad]), cfg)
     # A predicate in two specs, or twice in one.
     ids = ("p0", "p1")
     for tasks in ([TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(2))),
                    TaskSpec(("B", "A"), 1, ids, gram=gram(ids, np.eye(2)))],
                   [TaskSpec(("A", "A"), 1, ids, gram=gram(ids, np.eye(2)))]):
         with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
-            train(tasks, [], cfg)
+            train(tasks, compiled_for(tasks), cfg)
         with pytest.raises(LearnerError, match="duplicate task predicate 'A'"):
             predicate_bindings(tasks)
     with pytest.raises(LearnerError):
@@ -930,14 +934,18 @@ def test_train_rejects_rules_that_do_not_fit_the_tasks():
     bindings = predicate_bindings(tasks + [TaskSpec(("C",), 1, ids, gram=gram(ids, np.eye(3)))])
     untrained = compile_constraint(rule, "product", {"P": list(ids)}, bindings)
     with pytest.raises(CompileError, match=r"A\(x\) => C\(x\).*unknown learned predicate 'C'"):
-        train(tasks, [untrained], cfg)
+        train(tasks, compiled_for(tasks, [untrained]), cfg)
     # Compiled for four examples of B; the task trains three.
     more = ids + ("p3",)
     bindings = predicate_bindings([TaskSpec(("A", "B"), 1, more, gram=gram(more, np.eye(4)))])
     rule = parse_rule("forall x:P. A(x) => B(x)")
     resized = compile_constraint(rule, "product", {"P": list(more)}, bindings)
     with pytest.raises(CompileError, match=r"A\(x\) => B\(x\).*compiled for 4 outputs of 'A'"):
-        train(tasks, [resized], cfg)
+        train(tasks, compiled_for(tasks, [resized]), cfg)
+    # A rule set laid out for other blocks: B before A.
+    swapped = [TaskSpec(("B", "A"), 1, ids, gram=gram(ids, np.eye(3)))]
+    with pytest.raises(LearnerError, match=r"rule set reads blocks \(\(\('B', 'A'\), 3\),\)"):
+        train(tasks, compiled_for(swapped), cfg)
 
 
 def test_bindings_share_one_index_map_per_spec():

@@ -1,6 +1,6 @@
 """Frozen rule-set values on the hierarchy fixture.
 
-Fold 0's rules, compiled as a run compiles them, are evaluated at seeded
+Fold 0's rule set, as a run hands it to training, is evaluated at seeded
 truths.  Each penalty and a checksum of the gradient are pinned as
 ``float.hex`` strings, so any change to how the rules are grounded that
 moves a single bit, including the order in which groundings are summed,
@@ -12,7 +12,6 @@ import pytest
 
 import hierarchy_fixture
 from fungo import cli
-from fungo.logic import CompiledRuleSet
 
 # rules, constraint_scope, tnorm -> (penalties, gradient checksum)
 FROZEN = {
@@ -43,7 +42,7 @@ FROZEN = {
 
 
 def _fold_zero_problem(root, monkeypatch, rules, scope, tnorm):
-    """The tasks and compiled rules that a run hands to training in fold 0."""
+    """The tasks and rule set that a run hands to training in fold 0."""
     hierarchy_fixture.write_dataset(str(root))
     hierarchy_fixture.write_pair_files(str(root))
     cfg = hierarchy_fixture.write_config(
@@ -53,9 +52,9 @@ def _fold_zero_problem(root, monkeypatch, rules, scope, tnorm):
     seen = []
     train = cli.train
 
-    def record(tasks, constraints, config):
-        seen.append((tasks, constraints))
-        return train(tasks, constraints, config)
+    def record(tasks, rule_set, config):
+        seen.append((tasks, rule_set))
+        return train(tasks, rule_set, config)
 
     monkeypatch.setattr(cli, "train", record)
     assert cli.main(["run", "--config", cfg, "--jobs", "1"]) == 0
@@ -64,8 +63,7 @@ def _fold_zero_problem(root, monkeypatch, rules, scope, tnorm):
 
 @pytest.mark.parametrize("case", sorted(FROZEN))
 def test_rule_set_values_are_frozen(tmp_path, monkeypatch, case):
-    tasks, constraints = _fold_zero_problem(tmp_path, monkeypatch, *case)
-    rule_set = CompiledRuleSet(constraints, [(t.predicates, t.size) for t in tasks])
+    tasks, rule_set = _fold_zero_problem(tmp_path, monkeypatch, *case)
     rng = np.random.default_rng(17)
     truths = [rng.uniform(0.0, 1.0, (len(t.predicates), t.size)) for t in tasks]
     probes = [rng.uniform(-1.0, 1.0, t.shape) for t in truths]
