@@ -473,9 +473,13 @@ def _run_fold(index: int, fold: tuple[str, ...], tasks: list[TaskSpec],
         scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
         pairs = tuple(pair_key(task.examples[i]) for i in scored)
         bound = tuple(m[scored] for m in predict(model.weights[-1], task, config.train))
-    trace_lines = [f"stage={stage} step={i} objective={value:.17g}"
-                   for stage, trace in ((1, model.trace.stage1), (2, model.trace.stage2))
-                   for i, value in enumerate(trace)]
+    trace_lines = [
+        f"stage=1 step={i} objective={value:.17g}"
+        for i, value in enumerate(model.trace.stage1)
+    ] + [
+        f"stage=2 step={i} objective={value:.17g}"
+        for i, value in enumerate(model.trace.stage2)
+    ]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
     return FoldOutcome(held, predictions, pairs, bound)
@@ -567,22 +571,24 @@ def cmd_run(config: ExperimentConfig) -> int:
     io.write_rule_file(os.path.join(out_dir, "rules.txt"), rules)
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
 
-    # The folds' specs differ only in their labels, so the rules compile and
-    # ground once, over every protein; each fold narrows them to its scope.
-    tasks = [_fold_tasks(data, gram, set(fold), bound_mode, bound_data) for fold in folds]
-    bindings = predicate_bindings(tasks[0])
-    if bound_mode == "given":
-        bindings["BOUND"] = bound_data[1]
-    rule_set = CompiledRuleSet(
-        [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins}, bindings)
-         for rule in rules],
-        [(t.predicates, t.size) for t in tasks[0]],
-    )
     # One fold after another: each fold's Gram products get every BLAS thread.
-    outcomes = [
-        _run_fold(index, fold, fold_tasks, rule_set, config, data, bound_mode, out_dir)
-        for index, (fold, fold_tasks) in enumerate(zip(folds, tasks))
-    ]
+    # The folds' specs differ only in their labels, so the rules compile once,
+    # over every protein, against fold 0's bindings and layout, and each fold
+    # narrows that one set to its scope.
+    rule_set = None
+    outcomes = []
+    for index, fold in enumerate(folds):
+        tasks = _fold_tasks(data, gram, set(fold), bound_mode, bound_data)
+        if rule_set is None:
+            bindings = predicate_bindings(tasks)
+            if bound_mode == "given":
+                bindings["BOUND"] = bound_data[1]
+            rule_set = CompiledRuleSet(
+                [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins},
+                                    bindings) for rule in rules],
+                [(t.predicates, t.size) for t in tasks],
+            )
+        outcomes.append(_run_fold(index, fold, tasks, rule_set, config, data, bound_mode, out_dir))
     bound_positive = frozenset(bound_data[0]) if bound_mode == "learned" else frozenset()
     _aggregate(data, outcomes, out_dir, bound_positive)
     return 0

@@ -47,7 +47,7 @@ accepted step was tiny), ``max_iterations``, ``line search exhausted`` or
 and label part alone stays within the Armijo bound: rule penalties are never
 negative, so every decision equals the full evaluation's.
 
-Training takes the rules compiled and grounded, against the same block
+Training takes the rules compiled into one rule set, against the same block
 layout, which it checks: the rule set reads the K x n truth blocks
 ``clip(S, 0, 1)`` as they are and returns one K x n gradient per block.
 Fixed evidence, such as an interaction list, is never a task: the rules read
@@ -214,8 +214,13 @@ class _Workspace:
     spec.  Row k of a block's scores ``A @ G`` is ``G @ a_k``: G is
     exactly symmetric."""
 
-    def __init__(self, tasks: Sequence[TaskSpec], rule_set: CompiledRuleSet,
-                 config: TrainConfig, check_psd: bool = False):
+    def __init__(
+        self,
+        tasks: Sequence[TaskSpec],
+        rule_set: CompiledRuleSet,
+        config: TrainConfig,
+        check_psd: bool = False,
+    ):
         self.config = config
         if not tasks:
             raise LearnerError("training needs at least one task")
@@ -422,7 +427,11 @@ def _ridge(ws: _Workspace) -> tuple[list[float], list[np.ndarray], list[np.ndarr
     return [start, end], weights, scores
 
 
-def train(tasks: Sequence[TaskSpec], rule_set: CompiledRuleSet, config: TrainConfig) -> Model:
+def train(
+    tasks: Sequence[TaskSpec],
+    rule_set: CompiledRuleSet,
+    config: TrainConfig,
+) -> Model:
     """Two-stage training: label fit first, then the constrained objective.
 
     Stage one solves the ridge problem without the constraint term.  Stage

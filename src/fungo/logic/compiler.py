@@ -12,15 +12,16 @@ the rules by template first, then grounds each rule straight to the rows
 that it evaluates: a guarded pair rule to the pairs in its guard's index,
 any other rule to its whole grid.  Grounding rows run row-major over the
 quantifier axes, with each domain in its ingestion order, so penalties
-are deterministic.  ``CompiledRuleSet.restricted`` narrows a grounded set
-to part of its domain without grounding again.  The per-rule
+are deterministic.  A rule set grounds when it is first evaluated, and
+``CompiledRuleSet.restricted`` narrows an ungrounded set to part of its
+domain without compiling again.  The per-rule
 ``CompiledConstraint.penalty`` methods evaluate a one-rule set.
 """
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -155,16 +156,14 @@ class CompiledConstraint:
 class _RuleGroup:
     """Rules sharing one template, their rows stacked rule-major for a
     single engine pass: ``index`` holds each row's position in the flat input
-    vector per slot, ``axes`` its position on each quantifier axis, and
-    ``row_rule``, in a guarded group, each row's rule (0-based within
-    ``rules``)."""
+    vector per slot, and ``row_rule``, in a guarded group, each row's rule
+    (0-based within ``rules``)."""
 
     program: Program
     quantifiers: tuple
     shape: tuple[int, ...]
     rules: np.ndarray
     index: np.ndarray
-    axes: np.ndarray
     row_rule: np.ndarray | None
 
 
@@ -192,8 +191,10 @@ class CompiledRuleSet:
     grid of two or more axes walk the whole grid, one rule per group, so
     memory does not grow with the rule count.
 
-    Lookups are built once per rule set, for each index map and domain:
-    the predicates of one block share their index map.
+    The rows are grounded when the set is first evaluated, so a set that is
+    only narrowed with ``restricted`` is never grounded.  Lookups are built
+    once per rule set, for each index map and domain: the predicates of one
+    block share their index map.
     """
 
     def __init__(
@@ -257,47 +258,43 @@ class CompiledRuleSet:
             members.setdefault(key, []).append(r)
 
         self._tail = np.concatenate(tail)
+        self._offsets, self._members, self._sentinel = offsets, members, sentinel
+
+    @cached_property
+    def _groups(self) -> list[_RuleGroup]:
         lookups: dict = {}
-        self._groups = []
-        for rules in members.values():
+        groups = []
+        for rules in self._members.values():
             first = self.constraints[rules[0]]
-            index, axes = [], []
+            index = []
             for r in rules:
-                cells, position = _positions(self.constraints[r], lookups)
-                index.append(np.where(position >= 0, np.array(offsets[r]) + position, sentinel))
-                axes.append(cells)
+                position = _positions(self.constraints[r], lookups)
+                index.append(np.where(position >= 0, np.array(self._offsets[r]) + position,
+                                      self._sentinel))
             row_rule = None
             if _guard_slot(first) is not None:
                 row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
-            self._groups.append(_RuleGroup(
+            groups.append(_RuleGroup(
                 first.program, first.formula.quantifiers, first.shape,
-                np.array(rules, dtype=np.intp), np.concatenate(index), np.concatenate(axes),
-                row_rule,
+                np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
             ))
+        return groups
 
     def restricted(self, keep: Sequence[bool]) -> CompiledRuleSet:
-        """This set narrowed to the positions of its rules' one id list that
-        the mask ``keep`` keeps.  Each group keeps, in order, the rows whose
-        every axis position is kept.  Rows run row-major over the axes in
-        domain order and guarded rows in sorted pair codes, so a compile over
-        the kept ids grounds the same rows in the same order, bit for bit."""
+        """This set over the ids of its rules' one id list that the mask
+        ``keep`` keeps, in their order: the set that a compile over those ids
+        builds, from the same compiled programs.  It grounds only the kept
+        ids, when first evaluated."""
         domains = {ids for c in self.constraints for ids in c.domains}
         if len(domains) > 1:
             raise CompileError("the rules range over more than one id list")
-        keep = np.asarray(keep, dtype=bool)
+        constraints = self.constraints
         for ids in domains:
-            kept = tuple(i for i, k in zip(ids, keep.tolist(), strict=True) if k)
-            for q in (q for c in self.constraints for q in c.formula.quantifiers):
+            kept = tuple(i for i, k in zip(ids, keep, strict=True) if k)
+            for q in (q for c in constraints for q in c.formula.quantifiers):
                 _check_axis(q, kept)
-        renumber, size = np.cumsum(keep) - 1, int(keep.sum())
-        narrowed = copy(self)
-        narrowed._groups = []
-        for g in self._groups:
-            rows = keep[g.axes].all(axis=1)
-            narrowed._groups.append(_RuleGroup(
-                g.program, g.quantifiers, (size,) * len(g.shape), g.rules, g.index[rows],
-                renumber[g.axes[rows]], None if g.row_rule is None else g.row_rule[rows]))
-        return narrowed
+            constraints = tuple(replace(c, domains=(kept,) * len(c.domains)) for c in constraints)
+        return CompiledRuleSet(constraints, self.layout)
 
     @property
     def n_groundings(self) -> int:
@@ -350,10 +347,10 @@ class CompiledRuleSet:
         return phis, grad
 
 
-def _positions(constraint: CompiledConstraint, lookups: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's grounding rows: their positions on the quantifier axes, and
-    each slot's position in its predicate's truth vector, -1 where absent.
-    Rules with the same guard slot, index maps and domains share them."""
+def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
+    """The rule's grounding rows: each slot's position in its predicate's
+    truth vector, -1 where absent.  Rules with the same guard slot that read
+    the same index maps over the same domains share one array."""
     guard = _guard_slot(constraint)
     key = ("rows", guard, constraint.domains) + tuple(
         (id(slot.binding.index), slot.axes) for slot in constraint.slots)
@@ -379,7 +376,7 @@ def _positions(constraint: CompiledConstraint, lookups: dict) -> tuple[np.ndarra
             wanted = coords[a] * len(constraint.domains[b]) + coords[b]
             at = np.searchsorted(codes, wanted)
             columns.append(np.where(codes[at] == wanted, positions[at], -1))
-    lookups[key] = np.stack(coords, axis=1), np.stack(columns, axis=1)
+    lookups[key] = np.stack(columns, axis=1)
     return lookups[key]
 
 

@@ -424,22 +424,27 @@ def test_a_restricted_rule_set_matches_a_compile_over_the_kept_ids(
     ids = constraints[0].domains[0]
     need = max(q.count if q.kind == EXISTS_N else 1
                for c in constraints for q in c.formula.quantifiers)
-    keep = np.zeros(len(ids), dtype=bool)
-    keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
-    kept = [i for i, k in zip(ids, keep) if k]
-    narrowed = CompiledRuleSet(constraints, layout).restricted(keep)
-    compiled = CompiledRuleSet([
-        compile_constraint(c.formula, tnorm, {"P": kept},
-                           {s.binding.name: s.binding for s in c.slots}, implication=implication)
-        for c in constraints
-    ], layout)
-    assert narrowed.n_groundings == compiled.n_groundings
-    assert np.array_equal(narrowed.penalties(truths), compiled.penalties(truths))
-    phis, grads = narrowed.penalties_and_gradients(truths)
-    want, want_grads = compiled.penalties_and_gradients(truths)
-    assert np.array_equal(phis, want)
-    for grad, want_grad in zip(grads, want_grads, strict=True):
-        assert np.array_equal(grad, want_grad)
+    full = narrowed = CompiledRuleSet(constraints, layout)
+    for _ in range(2):  # a narrowed set narrows again, over its own ids
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
+        ids = [i for i, k in zip(ids, keep) if k]
+        narrowed = narrowed.restricted(keep)
+        compiled = CompiledRuleSet([
+            compile_constraint(c.formula, tnorm, {"P": ids},
+                               {s.binding.name: s.binding for s in c.slots},
+                               implication=implication)
+            for c in constraints
+        ], layout)
+        assert narrowed.n_groundings == compiled.n_groundings
+        assert np.array_equal(narrowed.penalties(truths), compiled.penalties(truths))
+        phis, grads = narrowed.penalties_and_gradients(truths)
+        want, want_grads = compiled.penalties_and_gradients(truths)
+        assert np.array_equal(phis, want)
+        for grad, want_grad in zip(grads, want_grads, strict=True):
+            assert np.array_equal(grad, want_grad)
+    # Narrowing grounds nothing: the full set, never evaluated, holds no rows.
+    assert "_groups" not in vars(full)
 
 
 def test_restricted_rejects_what_a_compile_over_the_kept_ids_rejects():
