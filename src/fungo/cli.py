@@ -20,12 +20,14 @@ deterministic, so the ``seed`` key is only echoed into ``config.txt``.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,8 +351,7 @@ def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, .
 # the run pipeline
 
 
-@dataclass(frozen=True)
-class FoldOutcome:
+class FoldOutcome(NamedTuple):
     """A fold's held-out predictions: (truths, positive, undecided) rows."""
 
     held_out: np.ndarray  # positions in Dataset.proteins
@@ -745,6 +746,11 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # Run as a program: the imports' objects live until exit, and the
+        # collections that interpreter exit runs skip frozen objects.
+        # In-process callers of main([...]) keep their collector as it was.
+        gc.freeze()
     args = build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(

@@ -57,7 +57,7 @@ it as a given ``PredicateBinding``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -164,8 +164,7 @@ class TrainConfig:
             raise LearnerError(f"unknown constraint scope {self.constraint_scope!r}")
 
 
-@dataclass(frozen=True)
-class TrainTrace:
+class TrainTrace(NamedTuple):
     """The objective along each stage, one tuple per stage.
 
     ``stage1`` holds the objective at zero weights and at the ridge
@@ -178,13 +177,12 @@ class TrainTrace:
     stage2: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """Trained weights, one K x n matrix per ``TaskSpec`` in task order (row
     k is the expansion of the spec's predicate k), and the training trace."""
 
     weights: tuple[np.ndarray, ...]
-    trace: TrainTrace = field(default_factory=lambda: TrainTrace((),))
+    trace: TrainTrace = TrainTrace(())
 
 
 def predicate_bindings(tasks: Iterable[TaskSpec]) -> dict[str, PredicateBinding]:

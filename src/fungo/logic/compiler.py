@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,7 +84,11 @@ class PredicateBinding:
                 f"predicate {self.name!r}: truths of shape {truths.shape} for an "
                 f"index of {self.size} positions"
             )
-        bad = [v for v in truths.tolist() if not (isinstance(v, Real) and 0.0 <= v <= 1.0)]
+        if truths.dtype.kind in "biuf":  # one mask, which NaN and +-inf fail too
+            offenders = np.flatnonzero(~((truths >= 0) & (truths <= 1)))
+            bad = [truths.tolist()[offenders[0]]] if offenders.size else []
+        else:
+            bad = [v for v in truths.tolist() if not (isinstance(v, Real) and 0.0 <= v <= 1.0)]
         if bad:
             raise CompileError(
                 f"predicate {self.name!r}: value {bad[0]!r} is not a truth in [0, 1]"
@@ -94,8 +98,7 @@ class PredicateBinding:
         object.__setattr__(self, "truths", truths)
 
 
-@dataclass(frozen=True)
-class SlotBinding:
+class SlotBinding(NamedTuple):
     """One distinct atom: its predicate's binding and, per argument, the
     quantifier axis it ranges over."""
 
@@ -152,8 +155,7 @@ class CompiledConstraint:
         return rule_set, truths, list(sizes)
 
 
-@dataclass(frozen=True)
-class _RuleGroup:
+class _RuleGroup(NamedTuple):
     """Rules sharing one template, their rows stacked rule-major for a
     single engine pass: ``index`` holds each row's position in the flat input
     vector per slot, and ``row_rule``, in a guarded group, each row's rule

@@ -14,7 +14,7 @@ its gradient cost one forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ def resolve_engine() -> str:
     return "numpy"
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """Postorder instruction list for one rule body.
 
     ``lhs`` holds the atom slot for OP_LOAD nodes and the left child index

@@ -19,7 +19,7 @@ A "." may also follow each quantifier individually, as in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     EXISTS,
@@ -69,8 +69,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} at {where}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int

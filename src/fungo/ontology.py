@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
 
@@ -41,8 +40,7 @@ class OntologyError(ValueError):
     """Raised for malformed ontologies, annotations or cut parameters."""
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(NamedTuple):
     id: str
     name: str
     namespace: str
@@ -622,8 +620,7 @@ def generate_ppi_rules(cut: GoCut, variant: str) -> list[Formula]:
     return [Formula(quantifiers, Implies(bound, _disjunction(disjuncts)))]
 
 
-@dataclass(frozen=True)
-class SharingRow:
+class SharingRow(NamedTuple):
     term_id: str
     name: str
     namespace: str
@@ -633,16 +630,14 @@ class SharingRow:
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class JaccardSummary:
+class JaccardSummary(NamedTuple):
     count: int
     mean: float | None
     median: float | None
     std: float | None
 
 
-@dataclass(frozen=True)
-class PpiStatistics:
+class PpiStatistics(NamedTuple):
     rows: tuple[SharingRow, ...]
     jaccard: Mapping[str, JaccardSummary]
 

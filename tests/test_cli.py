@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line front end on a small dataset."""
 
+import dataclasses
+import gc
+import importlib
 import json
 import logging
 import os
+import pkgutil
 import shutil
 import stat
 import subprocess
@@ -530,16 +534,51 @@ class TestRun:
                 env=env, capture_output=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr.decode()
-            masked = str(out).encode()
-            bundles.append({
-                p.relative_to(out): p.read_bytes().replace(masked, b"<out>")
-                for p in out.rglob("*") if p.is_file()
-            })
+            bundles.append(_masked_bundle(out))
         first, second = bundles
         assert {"metrics.txt", "per_node.tsv", "curve_average.csv"} <= {str(p) for p in first}
         assert first.keys() == second.keys()
         for path in first:
             assert first[path] == second[path], path
+
+    def test_program_and_in_process_runs_write_the_same_bundle(self, tmp_path):
+        # Run as a program, main() freezes the import-time heap before it
+        # dispatches; called in-process, main([...]) leaves the collector as
+        # it found it.  Neither may change a byte of the bundle.
+        hierarchy_fixture.write_dataset(str(tmp_path))
+        cfg = hierarchy_fixture.write_config(str(tmp_path), "out")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        program, in_process = tmp_path / "program", tmp_path / "in_process"
+        done = subprocess.run(
+            [sys.executable, "-m", "fungo.cli", "run", "--config", cfg, "--out", str(program)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        collector = gc.get_freeze_count(), gc.isenabled()
+        assert main(["run", "--config", cfg, "--out", str(in_process)]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == collector
+        first, second = _masked_bundle(program), _masked_bundle(in_process)
+        assert "metrics.txt" in {str(p) for p in first}
+        assert first.keys() == second.keys()
+        for path in first:
+            assert first[path] == second[path], path
+        # main() with no argv, as the console script and ``-m`` call it.
+        probe = ("import gc, sys; from fungo.cli import main; "
+                 "sys.argv[1:] = ['folds', '--config', sys.argv[1], '--out', sys.argv[2]]; "
+                 "assert gc.get_freeze_count() == 0 and main() == 0; "
+                 "print(gc.get_freeze_count())")
+        done = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "folds")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 1000
+
+
+def _masked_bundle(out):
+    """Each file of a bundle by its path under ``out``, with ``out`` masked."""
+    masked = str(out).encode()
+    return {p.relative_to(out): p.read_bytes().replace(masked, b"<out>")
+            for p in out.rglob("*") if p.is_file()}
 
 
 class TestExportTree:
@@ -638,6 +677,35 @@ def test_importing_the_cli_loads_neither_statistics_nor_decimal():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Each dataclass costs about 0.4 ms of every process start, spent generating
+# and exec-ing its methods at import.  A plain record is a NamedTuple; these
+# classes need what only a dataclass gives: validation in __post_init__,
+# cached properties, dataclasses.fields/replace, or equality that tells
+# classes apart.
+DATACLASSES = {
+    "fungo.cli.Dataset",
+    "fungo.cli.ExperimentConfig",
+    "fungo.evaluation.PRCurve",
+    "fungo.kernels.GramMatrix",
+    "fungo.kernels.InteractionGraph",
+    "fungo.learner.TaskSpec",
+    "fungo.learner.TrainConfig",
+    "fungo.logic.compiler.CompiledConstraint",
+    "fungo.logic.compiler.PredicateBinding",
+} | {f"fungo.logic.formula.{name}"
+     for name in ("Atom", "Not", "And", "Or", "Implies", "Iff", "Quantifier", "Formula")}
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    found = set()
+    for info in pkgutil.walk_packages(fungo.__path__, "fungo."):
+        module = importlib.import_module(info.name)
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == info.name}
+    assert found == DATACLASSES
 
 
 def test_traced_run_reads_its_bundle(tmp_path):

@@ -145,6 +145,17 @@ def test_given_truths_must_lie_in_the_unit_interval(arity):
         given_binding("G", arity, {key: value})
 
 
+@pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (float("nan"), "nan"), (-1, "-1"), (2, "2")])
+def test_a_large_given_table_reports_its_one_bad_truth(bad, shown):
+    truths = np.full(30_000, 0.5 if isinstance(bad, float) else 1, dtype=type(bad))
+    truths[-1] = bad
+    index = {f"p{i}": i for i in range(truths.size)}
+    with pytest.raises(CompileError, match=rf"'G': value {shown} is not a truth in \[0, 1\]"):
+        PredicateBinding("G", 1, index, truths=truths)
+    truths[-1] = 0
+    assert PredicateBinding("G", 1, index, truths=truths).truths.tolist()[-1] == 0.0
+
+
 def test_given_truths_must_match_the_index():
     index = {"p0": 0, "p1": 2}  # positions 0 to 2
     PredicateBinding("G", 1, index, truths=[0.0, 0.5, 1.0])
