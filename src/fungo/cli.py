@@ -6,13 +6,15 @@ Subcommands:
 * ``rules``   — generate the configured constraint rules as a rule file;
 * ``folds``   — write a balanced cross-validation fold assignment;
 * ``stats``   — interaction-sharing statistics for a pair list;
-* ``run``     — cross-validated constrained training with one held-out
-  fold per round used as the transductive set, followed by metric
-  aggregation, curve export, and per-node statistics;
+* ``run``     — cross-validated constrained training: the specs and the
+  rule set are built once, each fold hides the labels of its held-out
+  proteins, which are its transductive set, and metric aggregation,
+  curve export, and per-node statistics follow;
 * ``export-tree`` — the cut as a DOT graph annotated with per-node scores.
 
-Every experiment is driven by a flat ``key = value`` config file; outputs
-are plain files in the chosen output directory.  Given the same config,
+Every experiment is driven by a flat ``key = value`` config file; every
+subcommand makes the output directory, then loads the dataset, and writes
+plain files there.  Given the same config,
 ``run`` produces byte-identical reports.  Folds and training are
 deterministic, so the ``seed`` key is only echoed into ``config.txt``.
 """
@@ -82,6 +84,7 @@ log = logging.getLogger("fungo")
 KERNEL_CHOICES = ("spectrum", "domain", "expression", "diffusion", "gram")
 RULE_TOKENS = ("none", "OC", "partof", "PP1", "PP2", "DPP1", "DPP2")
 SUBCOMMANDS = ("kernel", "rules", "folds", "stats", "run", "export-tree")
+STATS_HEADER = "node\tprecision\trecall\tf1"  # per_node.tsv
 
 
 class CliError(ValueError):
@@ -385,32 +388,30 @@ def _canonical_pairs(pairs, known: set[str]) -> tuple[tuple[str, str], ...]:
 
 
 def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
-                  proteins: tuple[str, ...]):
-    """Interaction pairs, with the given BOUND binding over them or, for the
-    learned mode, the pair examples and their Gram matrix."""
+                  proteins: tuple[str, ...]) -> PredicateBinding | TaskSpec | None:
+    """What the rules read of BOUND: the given binding over the interaction
+    pairs or, for the learned mode, the BOUND spec over the pair Gram's
+    examples, each labelled by whether it is an interaction in either order."""
     if bound_mode is None:
         return None
+    known = set(proteins)
     pairs = _canonical_pairs(
-        io.read_pairs(_require(config.ppi, "ppi", "for interaction rules")),
-        set(proteins),
-    )
+        io.read_pairs(_require(config.ppi, "ppi", "for interaction rules")), known)
     if not pairs:
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
         index = {pair: k for k, pair in enumerate(pairs)}
-        return pairs, PredicateBinding("BOUND", 2, index, truths=np.ones(len(pairs)))
+        return PredicateBinding("BOUND", 2, index, truths=np.ones(len(pairs)))
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
     # One example per interaction: the first of a|b and b|a in Gram order.
-    known = set(proteins)
     examples: dict[tuple[str, str], tuple[str, str]] = {}  # canonical -> as written
     keep = []
     outside = repeats = 0
     for i, name in enumerate(loaded.ids):
-        parts = name.split("|")
-        if len(parts) != 2:
+        pair = tuple(name.split("|"))
+        if len(pair) != 2:
             raise CliError(f"pair Gram id {name!r} is not 'a|b'")
-        pair = (parts[0], parts[1])
         if pair[0] not in known or pair[1] not in known:
             log.debug("skipping pair Gram entry %s outside the dataset", name)
             outside += 1
@@ -427,68 +428,45 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
         log.info("skipped %d pair Gram entries that repeat a pair", repeats)
     if not examples:
         raise CliError("pair Gram has no pairs inside the dataset")
-    index = np.array(keep, dtype=np.intp)
-    gram = GramMatrix(
-        tuple(map(pair_key, examples.values())), loaded.matrix[np.ix_(index, index)]
-    )
-    return pairs, (tuple(examples.values()), gram)
+    gram = GramMatrix(tuple(map(pair_key, examples.values())), loaded.matrix[np.ix_(keep, keep)])
+    positive = set(pairs)
+    return TaskSpec(("BOUND",), 2, tuple(examples.values()), gram=gram,
+                    labels=[[float(pair in positive) for pair in examples]])
 
 
-def _fold_tasks(data: Dataset, gram: GramMatrix, held_out: set[str],
-                bound_mode: str | None, bound_data) -> list[TaskSpec]:
-    """One spec for all cut nodes, labelled by the membership rows of the
-    training proteins; then a learned BOUND."""
-    training = np.array([p not in held_out for p in data.proteins])
-    predicates = tuple(data.cut.predicate(node) for node in data.cut.nodes())
-    tasks = [TaskSpec(predicates, 1, data.proteins, gram=gram,
-                      labels=np.where(training, data.membership.T, np.nan))]
-    if bound_mode == "learned":
-        # A pair is labelled only where both of its proteins train.
-        pairs, (examples, pair_gram) = bound_data
-        positive = set(pairs)
-        labels = [float(_canonical(e) in positive)
-                  if e[0] not in held_out and e[1] not in held_out else np.nan
-                  for e in examples]
-        tasks.append(TaskSpec(("BOUND",), 2, examples, gram=pair_gram, labels=[labels]))
-    return tasks
-
-
-def _run_fold(index: int, fold: tuple[str, ...], tasks: list[TaskSpec],
+def _run_fold(index: int, held: np.ndarray, tasks: list[TaskSpec], lesser: np.ndarray,
               rule_set: CompiledRuleSet, config: ExperimentConfig, data: Dataset,
-              bound_mode, out_dir: str) -> FoldOutcome:
-    held_out = set(fold)
-    kept = np.array([p in held_out for p in data.proteins])
+              out_dir: str) -> FoldOutcome:
+    """Train on a fold's specs; predict the proteins it holds out (mask
+    ``held``) and the learned pairs whose lesser protein (``lesser``) it holds out."""
     if config.train.constraint_scope == "unsupervised":
-        rule_set = rule_set.restricted(kept)
+        rule_set = rule_set.restricted(held)
     fold_dir = os.path.join(out_dir, f"fold_{index}")
     model = train(tasks, rule_set, config.train)
-    held = np.flatnonzero(kept)
-    predictions = tuple(m[held] for m in predict(model.weights[0], tasks[0], config.train))
+    rows = np.flatnonzero(held)
+    predictions = tuple(m[rows] for m in predict(model.weights[0], tasks[0], config.train))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
-                         [data.proteins[i] for i in held], tasks[0].predicates, *predictions)
+                         [data.proteins[i] for i in rows], tasks[0].predicates, *predictions)
     pairs: tuple[str, ...] = ()
     bound: tuple[np.ndarray, ...] = ()
-    if bound_mode == "learned":
+    if len(tasks) > 1:
         # A pair is scored once, in the fold that holds out its lesser protein.
-        task = tasks[-1]
-        scored = np.flatnonzero([min(pair) in held_out for pair in task.examples])
-        pairs = tuple(pair_key(task.examples[i]) for i in scored)
-        bound = tuple(m[scored] for m in predict(model.weights[-1], task, config.train))
-    trace_lines = [
-        f"stage=1 step={i} objective={value:.17g}"
-        for i, value in enumerate(model.trace.stage1)
-    ] + [
-        f"stage=2 step={i} objective={value:.17g}"
-        for i, value in enumerate(model.trace.stage2)
-    ]
+        task = tasks[1]
+        scored = np.flatnonzero(held[lesser])
+        pairs = tuple(task.gram.ids[i] for i in scored)
+        bound = tuple(m[scored] for m in predict(model.weights[1], task, config.train))
+    trace_lines = [f"stage={stage} step={i} objective={value:.17g}"
+                   for stage, values in enumerate(model.trace, start=1)
+                   for i, value in enumerate(values)]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
-    return FoldOutcome(held, predictions, pairs, bound)
+    return FoldOutcome(rows, predictions, pairs, bound)
 
 
 def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
-               bound_positive: frozenset[tuple[str, str]] = frozenset()) -> None:
-    """Merge per-fold predictions, compute all metrics, write the bundle."""
+               bound: TaskSpec | None) -> None:
+    """Merge per-fold predictions, compute all metrics, write the bundle;
+    a learned ``bound`` spec's labels are the truth of its pairs."""
     # Proteins × nodes matrices; folds partition the proteins, so each fold
     # fills its own rows and every cell is set once.
     cut = data.cut
@@ -518,17 +496,16 @@ def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
 
     pairs = [pair for outcome in outcomes for pair in outcome.pairs]
     if pairs:
-        bound = [np.concatenate(parts) for parts in zip(*(o.bound for o in outcomes))]
+        merged = [np.concatenate(parts) for parts in zip(*(o.bound for o in outcomes))]
         io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
-                             pairs, ("BOUND",), *bound)
-        # A pair Gram may name an interaction in either order.
-        bound_truth = np.array([[_canonical(pair.split("|")) in bound_positive]
-                                for pair in pairs])
-        bound_set = PredictionSet.from_matrices(("BOUND",), pairs, bound_truth, *bound[1:])
+                             pairs, ("BOUND",), *merged)
+        interacts = dict(zip(bound.gram.ids, bound.labels[0] == 1.0))  # type: ignore[union-attr]
+        bound_truth = np.array([[interacts[pair]] for pair in pairs])
+        bound_set = PredictionSet.from_matrices(("BOUND",), pairs, bound_truth, *merged[1:])
         metrics.update(_named("bound", label_metrics(bound_set, "micro")))
 
     # Per-node statistics drive the result tree and the per-predicate table.
-    stats_lines = ["node\tprecision\trecall\tf1"]
+    stats_lines = [STATS_HEADER]
     for node, *values in zip(nodes, *predicate_metrics(node_level)):
         stats_lines.append(f"{node}\t" + "\t".join(f"{v:.6f}" for v in values))
     io.atomic_write_text(os.path.join(out_dir, "per_node.tsv"),
@@ -559,39 +536,51 @@ def _named(prefix: str, values) -> dict[str, float]:
     return {f"{prefix}_{name}": value for name, value in values._asdict().items()}
 
 
-def cmd_run(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_run(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     gram = build_gram(config, data.proteins)
     rules, bound_mode = build_rules(config, data.cut)
     folds = dataset_folds(config, data)
     # The interaction inputs are read before the first write, so a run that
     # cannot read them leaves an earlier bundle in the directory whole.
-    bound_data = _bound_inputs(config, bound_mode, data.proteins)
+    bound = _bound_inputs(config, bound_mode, data.proteins)
     io.write_config(os.path.join(out_dir, "config.txt"), config.echo())
     io.write_rule_file(os.path.join(out_dir, "rules.txt"), rules)
     io.write_folds(os.path.join(out_dir, "folds.tsv"), folds)
 
+    # Every fold trains the same proteins, kernel and rules, so the run's specs
+    # (every known label, then a learned BOUND) and its rule set are built once.
+    # A fold hides the labels of its held-out proteins and of the pairs with
+    # either protein held out, and under the unsupervised scope narrows the rules.
+    predicates = tuple(data.cut.predicate(node) for node in data.cut.nodes())
+    tasks = [TaskSpec(predicates, 1, data.proteins, gram=gram, labels=data.membership.T)]
+    if bound_mode == "learned":
+        tasks.append(bound)
+    bindings = predicate_bindings(tasks)
+    if bound_mode == "given":
+        bindings["BOUND"] = bound
+    rule_set = CompiledRuleSet(
+        [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins}, bindings)
+         for rule in rules],
+        [(t.predicates, t.size) for t in tasks],
+    )
+    # Each example's proteins as positions in data.proteins.  That tuple is
+    # sorted, so a pair's lesser position holds its lesser protein id.
+    position = {p: i for i, p in enumerate(data.proteins)}
+    ends = [np.array([[position[p] for p in ((e,) if t.arity == 1 else e)] for e in t.examples])
+            for t in tasks]
+    lesser = ends[-1].min(axis=1)
+
     # One fold after another: each fold's Gram products get every BLAS thread.
-    # The folds' specs differ only in their labels, so the rules compile once,
-    # over every protein, against fold 0's bindings and layout, and each fold
-    # narrows that one set to its scope.
-    rule_set = None
     outcomes = []
     for index, fold in enumerate(folds):
-        tasks = _fold_tasks(data, gram, set(fold), bound_mode, bound_data)
-        if rule_set is None:
-            bindings = predicate_bindings(tasks)
-            if bound_mode == "given":
-                bindings["BOUND"] = bound_data[1]
-            rule_set = CompiledRuleSet(
-                [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins},
-                                    bindings) for rule in rules],
-                [(t.predicates, t.size) for t in tasks],
-            )
-        outcomes.append(_run_fold(index, fold, tasks, rule_set, config, data, bound_mode, out_dir))
-    bound_positive = frozenset(bound_data[0]) if bound_mode == "learned" else frozenset()
-    _aggregate(data, outcomes, out_dir, bound_positive)
+        held = np.zeros(len(data.proteins), dtype=bool)
+        held[[position[p] for p in fold]] = True
+        fold_tasks = [TaskSpec(t.predicates, t.arity, t.examples, gram=t.gram,
+                               labels=np.where(held[e].any(axis=1), np.nan, t.labels))
+                      for t, e in zip(tasks, ends)]
+        outcomes.append(_run_fold(index, held, fold_tasks, lesser, rule_set, config, data,
+                                  out_dir))
+    _aggregate(data, outcomes, out_dir, tasks[1] if bound_mode == "learned" else None)
     return 0
 
 
@@ -609,9 +598,7 @@ def _out_dir(config: ExperimentConfig) -> str:
     return config.out
 
 
-def cmd_kernel(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_kernel(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     gram = build_gram(config, data.proteins)
     path = os.path.join(out_dir, f"gram_{config.kernel}.csv")
     io.write_gram(path, gram)
@@ -619,9 +606,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_rules(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_rules(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     rules, _ = build_rules(config, data.cut)
     path = os.path.join(out_dir, "rules.txt")
     io.write_rule_file(path, rules)
@@ -629,9 +614,7 @@ def cmd_rules(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_folds(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_folds(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     folds = dataset_folds(config, data)
     path = os.path.join(out_dir, "folds.tsv")
     io.write_folds(path, folds)
@@ -639,9 +622,7 @@ def cmd_folds(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_stats(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_stats(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     # The pairs a run would use: each once, inside the dataset, no self-pairs.
     pairs = _canonical_pairs(
         io.read_pairs(_require(config.ppi, "ppi", "for interaction statistics")),
@@ -672,16 +653,17 @@ def cmd_stats(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_export_tree(config: ExperimentConfig) -> int:
-    out_dir = _out_dir(config)
-    data = load_dataset(config)
+def cmd_export_tree(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     stats_path = os.path.join(out_dir, "per_node.tsv")
     if not os.path.exists(stats_path):
         raise CliError(f"no per-node statistics at {stats_path}; run 'run' first")
     per_node: dict[str, tuple[float, float, float]] = {}
-    for number, line in enumerate(_read_text(stats_path).splitlines(), start=1):
-        if number == 1 or not line.strip():
-            continue
+    records = ((number, line) for number, line
+               in enumerate(_read_text(stats_path).splitlines(), start=1) if line.strip())
+    number, header = next(records, (1, None))
+    if header != STATS_HEADER:
+        raise io.DataFileError(stats_path, number, f"missing {STATS_HEADER!r} header")
+    for number, line in records:
         parts = line.split("\t")
         if len(parts) != 4:
             raise io.DataFileError(stats_path, number, f"expected 4 fields, got {line!r}")
@@ -762,7 +744,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_experiment_config(raw, base_dir)
         if args.out is not None:
             config = replace(config, out=os.path.abspath(args.out))
-        return _DISPATCH[args.command](config)
+        return _DISPATCH[args.command](config, _out_dir(config), load_dataset(config))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -297,20 +297,18 @@ class _Workspace:
         return total, grads
 
 
-def _descend(
-    ws: _Workspace, weights: list[np.ndarray], scores: list[np.ndarray],
-    lambda_c: float, stage: str,
-) -> tuple[list[float], list[np.ndarray]]:
-    """Descent from the block weights, whose scores the caller supplies;
-    returns the trace and the final weights.
+def _descend(ws: _Workspace, weights: list[np.ndarray],
+             scores: list[np.ndarray]) -> tuple[list[float], list[np.ndarray]]:
+    """Stage 2: descent from the block weights, whose scores the caller
+    supplies; returns the trace and the final weights.
 
     evaluate() adds the rules only to a trial whose ridge and label part
     stays within the Armijo bound.
     """
     config = ws.config
-    current, grads = ws.evaluate(weights, scores, lambda_c, True)
+    current, grads = ws.evaluate(weights, scores, config.lambda_c, True)
     if not np.isfinite(current):
-        raise LearnerError(f"{stage}: the objective at its start is not finite ({current!r})")
+        raise LearnerError(f"stage 2: the objective at its start is not finite ({current!r})")
     history = [current]
     trials = reached = 0
     last = 0.0  # the last accepted step
@@ -318,7 +316,7 @@ def _descend(
     for iteration in range(config.max_iterations):
         if iteration:
             scores = ws.scores(weights)
-            _, grads = ws.evaluate(weights, scores, lambda_c, True)
+            _, grads = ws.evaluate(weights, scores, config.lambda_c, True)
         moves = ws.scores(grads)  # type: ignore[arg-type]
         slope = sum(float(np.vdot(d, m)) for d, m in zip(grads, moves))  # type: ignore[arg-type]
         if not slope > 0.0:
@@ -333,16 +331,16 @@ def _descend(
             trial = [a - step * d for a, d in zip(weights, grads)]  # type: ignore[arg-type]
             moved = [s - step * m for s, m in zip(scores, moves)]
             before = ws.rule_calls
-            value, _ = ws.evaluate(trial, moved, lambda_c, False, bound)
+            value, _ = ws.evaluate(trial, moved, config.lambda_c, False, bound)
             reached += ws.rule_calls - before
             if value <= bound:
                 break
             step *= 0.5
         else:
             log.warning(
-                "%s: line search found no descent step in %d halvings at "
+                "stage 2: line search found no descent step in %d halvings at "
                 "iteration %d (objective %.17g); stopping",
-                stage, MAX_HALVINGS, iteration, current,
+                MAX_HALVINGS, iteration, current,
             )
             reason = "line search exhausted"
             break
@@ -356,12 +354,12 @@ def _descend(
             reason = "stalled" if _stalled(ws, moves, slope, scale) else "tolerance"
             break
     if reason == "max_iterations":
-        log.info("%s: stopped at max_iterations = %d (objective %.17g, last step %.3g)",
-                 stage, config.max_iterations, current, last)
+        log.info("stage 2: stopped at max_iterations = %d (objective %.17g, last step %.3g)",
+                 config.max_iterations, current, last)
     log.debug(
-        "%s: stopped by %s after %d accepted steps (last step %.3g), %d trials, "
+        "stage 2: stopped by %s after %d accepted steps (last step %.3g), %d trials, "
         "%d reached the rule set",
-        stage, reason, len(history) - 1, last, trials, reached,
+        reason, len(history) - 1, last, trials, reached,
     )
     return history, weights
 
@@ -440,7 +438,7 @@ def train(
     ws = _Workspace(tasks, rule_set, config, check_psd=True)
     stage1, weights, scores = _ridge(ws)
     if config.lambda_c > 0 and rule_set.constraints:
-        stage2, weights = _descend(ws, weights, scores, config.lambda_c, "stage 2")
+        stage2, weights = _descend(ws, weights, scores)
     else:
         stage2 = []
     return Model(tuple(weights), TrainTrace(tuple(stage1), tuple(stage2)))

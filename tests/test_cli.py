@@ -334,32 +334,37 @@ class TestRun:
             "p1|p2,p3|p8,p1|p5,p4|p6,p9|p1\n"
             + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(5) + 0.5)
         )
-        cfg = write_config(dataset, rules=rules, pair_gram="pairs.csv")
+        events = []
         calls = []
-        fold_tasks = cli._fold_tasks
+        train = cli.train
 
-        def record(data, gram, held_out, *rest):
-            tasks = fold_tasks(data, gram, held_out, *rest)
-            calls.append((set(held_out), tasks))
-            return tasks
+        def record(tasks, rule_set, config):
+            events.append("train")
+            calls.append((tasks, rule_set))
+            return train(tasks, rule_set, config)
 
         compiled = []
         compile_constraint = cli.compile_constraint
 
         def record_compile(rule, tnorm, domains, bindings):
+            events.append("compile")
             compiled.append(bindings.get("BOUND"))
             return compile_constraint(rule, tnorm, domains, bindings)
 
-        monkeypatch.setattr(cli, "_fold_tasks", record)
+        monkeypatch.setattr(cli, "train", record)
         monkeypatch.setattr(cli, "compile_constraint", record_compile)
+        cfg = write_config(dataset, rules=rules, pair_gram="pairs.csv")
         assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        # The rules compile once per run, before the first fold trains.
+        assert "compile" in events and "compile" not in events[events.index("train"):]
         fold_of = read_folds(str(dataset / "out" / "folds.tsv"))
-        assert sorted(sorted(held) for held, _ in calls) == sorted(
-            sorted(p for p in fold_of if fold_of[p] == f) for f in set(fold_of.values()))
+        # One train call per fold, in fold order.
+        assert len(calls) == len(set(fold_of.values()))
         cut = cli.load_dataset(parse_experiment_config(read_config(cfg), str(dataset))).cut
         proteins = tuple(f"p{i}" for i in range(1, 9))
         interactions = {frozenset(("p1", "p2")), frozenset(("p3", "p8"))}
-        for held, tasks in calls:
+        for index, (tasks, _) in enumerate(calls):
+            held = {p for p in fold_of if fold_of[p] == index}
             assert len(tasks) == (2 if rules == "OC+PP2" else 1)
             nodes = tasks[0]
             assert nodes.predicates == tuple(cut.predicate(n) for n in cut.nodes())
@@ -386,6 +391,13 @@ class TestRun:
             assert bound.truths.tolist() == [1.0, 1.0]
         else:
             assert all(b is None or b.truths is None for b in compiled)
+        # Under the 'all' scope every fold trains against the run's one rule set.
+        calls.clear()
+        cfg = write_config(dataset, name="all.cfg", rules=rules, pair_gram="pairs.csv",
+                           out="out_all", constraint_scope="all")
+        assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        assert len(calls) == len(set(fold_of.values()))
+        assert all(rule_set is calls[0][1] for _, rule_set in calls)
 
     def test_a_pair_gram_keeps_one_example_per_interaction(self, dataset, caplog):
         # p2|p1 and p8|p3 repeat p1|p2 and p3|p8; p9 left the dataset.
@@ -400,10 +412,13 @@ class TestRun:
         config = parse_experiment_config(read_config(cfg), str(dataset))
         proteins = cli.load_dataset(config).proteins
         with caplog.at_level(logging.INFO, logger="fungo"):
-            _, (examples, gram) = cli._bound_inputs(config, "learned", proteins)
-        assert examples == (("p1", "p2"), ("p3", "p8"), ("p1", "p5"))
-        assert gram.ids == ("p1|p2", "p3|p8", "p1|p5")
-        assert np.array_equal(gram.matrix, matrix[np.ix_([0, 1, 3], [0, 1, 3])])
+            spec = cli._bound_inputs(config, "learned", proteins)
+        assert spec.predicates == ("BOUND",) and spec.arity == 2
+        assert spec.examples == (("p1", "p2"), ("p3", "p8"), ("p1", "p5"))
+        assert spec.gram.ids == ("p1|p2", "p3|p8", "p1|p5")
+        assert np.array_equal(spec.gram.matrix, matrix[np.ix_([0, 1, 3], [0, 1, 3])])
+        # The run's labels: every example, labelled by whether it interacts.
+        assert spec.labels.tolist() == [[1.0, 1.0, 0.0]]
         messages = [r.getMessage() for r in caplog.records]
         assert "skipped 2 pair Gram entries that repeat a pair" in messages
         assert "skipped 1 pair Gram entries outside the dataset" in messages
@@ -423,12 +438,11 @@ class TestRun:
             max_iterations=20,
         )
         labels = []
-        fold_tasks = cli._fold_tasks
+        train = cli.train
 
-        def record_labels(*args):
-            tasks = fold_tasks(*args)
+        def record_labels(tasks, *rest):
             labels.append(tasks[1].labels[0, 0])
-            return tasks
+            return train(tasks, *rest)
 
         truths = []
         from_matrices = cli.PredictionSet.from_matrices
@@ -438,7 +452,7 @@ class TestRun:
                 truths.append(dict(zip(examples, truth[:, 0].tolist())))
             return from_matrices(predicates, examples, truth, *rest)
 
-        monkeypatch.setattr(cli, "_fold_tasks", record_labels)
+        monkeypatch.setattr(cli, "train", record_labels)
         monkeypatch.setattr(cli.PredictionSet, "from_matrices", record_truths)
         assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
         assert 1.0 in labels and all(v == 1.0 or np.isnan(v) for v in labels)
@@ -625,6 +639,32 @@ class TestExportTree:
         assert f"per_node.tsv:2: {message}" in capsys.readouterr().err
         assert not (dataset / "out_bad" / "tree.dot").exists()
 
+    def test_the_header_is_the_first_non_blank_line(self, dataset):
+        cfg = write_config(dataset)
+        assert main(["run", "--config", cfg]) == 0
+        path = dataset / "out" / "per_node.tsv"
+        expected = path.read_text()
+        assert main(["export-tree", "--config", cfg]) == 0
+        dot = (dataset / "out" / "tree.dot").read_text()
+        path.write_text("\n \n" + expected)
+        assert main(["export-tree", "--config", cfg]) == 0
+        assert (dataset / "out" / "tree.dot").read_text() == dot
+
+    def test_statistics_without_their_header_fail(self, dataset, capsys):
+        cfg = write_config(dataset)
+        assert main(["run", "--config", cfg]) == 0
+        path = dataset / "out" / "per_node.tsv"
+        header, *rows = path.read_text().splitlines()
+        assert header == "node\tprecision\trecall\tf1"
+        (dataset / "out" / "tree.dot").unlink(missing_ok=True)
+        for text, number in (("\n".join(rows) + "\n", 1), ("\n\n" + "\n".join(rows) + "\n", 3),
+                             ("", 1)):
+            path.write_text(text)
+            assert main(["export-tree", "--config", cfg]) == 2
+            assert (f"per_node.tsv:{number}: missing 'node\\tprecision\\trecall\\tf1' header"
+                    in capsys.readouterr().err)
+            assert not (dataset / "out" / "tree.dot").exists()
+
     def test_scores_outside_the_unit_interval_and_repeated_rows_fail(self, dataset, capsys):
         cfg = write_config(dataset)
         assert main(["run", "--config", cfg]) == 0
@@ -632,11 +672,12 @@ class TestExportTree:
         header, first, *rest = path.read_text().splitlines()
         node, *scores = first.split("\t")
         config = cli.parse_experiment_config(read_config(cfg), str(dataset))
+        data = cli.load_dataset(config)
         for column, value in ((0, "-0.1"), (1, "1.000001"), (2, "5.5")):
             bad = "\t".join([node, *scores[:column], value, *scores[column + 1:]])
             path.write_text("\n".join([header, bad, *rest]) + "\n")
             with pytest.raises(fungo_io.DataFileError, match=r"per_node\.tsv:2: score outside"):
-                cli.cmd_export_tree(config)
+                cli.cmd_export_tree(config, config.out, data)
         # The row repeated further down: the later line is named.
         path.write_text("\n".join([header, first, *rest, first]) + "\n")
         assert main(["export-tree", "--config", cfg]) == 2

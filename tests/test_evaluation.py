@@ -609,7 +609,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
-        cli._aggregate(data, outcomes, out)
+        cli._aggregate(data, outcomes, out, None)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
         assert fungo_io.read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)

@@ -246,8 +246,13 @@ def _hierarchy_fold_task(root):
     config = cli.parse_experiment_config(
         read_config(hierarchy_fixture.write_config(root, "out")), root)
     data = cli.load_dataset(config)
-    held_out = set(cli.dataset_folds(config, data)[0])
-    (task,) = cli._fold_tasks(data, cli.build_gram(config, data.proteins), held_out, None, None)
+    # The run's spec, labelled by every known label; the fold hides its own.
+    predicates = tuple(data.cut.predicate(node) for node in data.cut.nodes())
+    run = TaskSpec(predicates, 1, data.proteins, gram=cli.build_gram(config, data.proteins),
+                   labels=data.membership.T)
+    held = np.isin(data.proteins, cli.dataset_folds(config, data)[0])
+    task = TaskSpec(run.predicates, run.arity, run.examples, gram=run.gram,
+                    labels=np.where(held, np.nan, run.labels))
     return task, config.train
 
 
@@ -633,7 +638,7 @@ def _stage_lines(records):
     accepted steps, the last accepted step, the trials and those that reached
     the rule set."""
     return {
-        r.args[0]: r.args[1:] for r in records
+        r.msg.partition(":")[0]: r.args for r in records
         if r.levelno == logging.DEBUG and "accepted steps" in r.msg
     }
 
