@@ -14,8 +14,9 @@ any other rule to its whole grid.  Grounding rows run row-major over the
 quantifier axes, with each domain in its ingestion order, so penalties
 are deterministic.  A rule set grounds when it is first evaluated, and
 ``CompiledRuleSet.restricted`` narrows an ungrounded set to part of its
-domain without compiling again.  The per-rule
-``CompiledConstraint.penalty`` methods evaluate a one-rule set.
+domain without compiling again.  Under the minimum t-norm a gradient is
+one scatter of every grounding's signed input position (see ``engine``).
+The per-rule ``CompiledConstraint.penalty`` methods evaluate a one-rule set.
 """
 
 from __future__ import annotations
@@ -175,14 +176,14 @@ class CompiledRuleSet:
 
     The learned outputs arrive as truth blocks laid out by ``layout``: one
     ``(predicates, n)`` entry per block, whose K x n truths hold one row per
-    predicate, in that order.  The blocks are read as one flat vector,
-    followed by a 0.0 sentinel that absent examples read and by each given
-    predicate's truths, placed once.  Each grounding row reads, for every
+    predicate, in that order.  The blocks are read as one flat vector, after
+    a 0.0 sentinel at position 0 that absent examples read and before each
+    given predicate's truths, placed once.  Each grounding row reads, for every
     slot, the position of its example or pair in the slot's predicate, or
     the sentinel where the predicate's index lacks it.  Rules with the same
     program, t-norm, quantifier prefix and grid shape form a group that
-    costs one gather, one forward pass and, for gradients, one backward
-    pass.
+    costs one gather and one forward pass; for gradients, one walk for
+    signed positions (minimum t-norm) or one backward pass.
 
     A ``forall x. forall y. G(x, y) => body`` rule, ``G`` a pair predicate,
     is grounded only where its guard ``G`` is live, that is where the pair
@@ -196,7 +197,8 @@ class CompiledRuleSet:
     The rows are grounded when the set is first evaluated, so a set that is
     only narrowed with ``restricted`` is never grounded.  Lookups are built
     once per rule set, for each index map and domain: the predicates of one
-    block share their index map.
+    block share their index map.  A narrowed set derives its pair lookups
+    from the set that it narrows, which scans each pair index once.
     """
 
     def __init__(
@@ -208,14 +210,13 @@ class CompiledRuleSet:
         self.layout = tuple((tuple(predicates), n) for predicates, n in layout)
         self._shapes = [(len(predicates), n) for predicates, n in self.layout]
         place: dict[str, tuple[int, int]] = {}  # offset into the flat vector, n
-        sentinel = 0
+        end = 1  # position 0 holds the 0.0 that absent examples read
         for predicates, n in layout:
             for pred in predicates:
-                place[pred] = (sentinel, n)
-                sentinel += n
-        tail = [np.zeros(1)]
+                place[pred] = (end, n)
+                end += n
+        tail = [np.zeros(0)]
         given: dict[str, np.ndarray] = {}
-        end = sentinel + 1
 
         offsets: list[list[int]] = []
         members: dict[tuple, list[int]] = {}
@@ -246,12 +247,8 @@ class CompiledRuleSet:
                         f"outputs of {pred!r}, its block has {n}"
                     )
                 offsets[r].append(offset)
-            program = constraint.program
             key = (
-                tuple(program.opcodes.tolist()),
-                tuple(program.lhs.tolist()),
-                tuple(program.rhs.tolist()),
-                program.tnorm_code,
+                constraint.program,
                 tuple((q.kind, q.count) for q in constraint.formula.quantifiers),
                 constraint.shape,
             )
@@ -260,19 +257,19 @@ class CompiledRuleSet:
             members.setdefault(key, []).append(r)
 
         self._tail = np.concatenate(tail)
-        self._offsets, self._members, self._sentinel = offsets, members, sentinel
+        self._offsets, self._members = offsets, members
+        self._pairs: dict = {}  # _pair_codes lookups, handed down by restricted
 
     @cached_property
     def _groups(self) -> list[_RuleGroup]:
-        lookups: dict = {}
+        lookups = dict(self._pairs)
         groups = []
         for rules in self._members.values():
             first = self.constraints[rules[0]]
             index = []
             for r in rules:
                 position = _positions(self.constraints[r], lookups)
-                index.append(np.where(position >= 0, np.array(self._offsets[r]) + position,
-                                      self._sentinel))
+                index.append(np.where(position >= 0, np.array(self._offsets[r]) + position, 0))
             row_rule = None
             if _guard_slot(first) is not None:
                 row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
@@ -290,13 +287,23 @@ class CompiledRuleSet:
         domains = {ids for c in self.constraints for ids in c.domains}
         if len(domains) > 1:
             raise CompileError("the rules range over more than one id list")
-        constraints = self.constraints
+        narrowed = self
         for ids in domains:
             kept = tuple(i for i, k in zip(ids, keep, strict=True) if k)
-            for q in (q for c in constraints for q in c.formula.quantifiers):
+            for q in (q for c in self.constraints for q in c.formula.quantifiers):
                 _check_axis(q, kept)
-            constraints = tuple(replace(c, domains=(kept,) * len(c.domains)) for c in constraints)
-        return CompiledRuleSet(constraints, self.layout)
+            narrowed = CompiledRuleSet(
+                [replace(c, domains=(kept,) * len(c.domains)) for c in self.constraints], self.layout)
+            rank = np.where(keep, np.cumsum(keep) - 1, -1)  # -1 for a dropped id
+            for c, slot in ((c, s) for c in self.constraints for s in c.slots):
+                if slot.binding.arity == 2:
+                    codes, positions = _pair_codes(slot, c.domains, self._pairs)
+                    i, j = (rank[k] for k in np.divmod(codes[:-1], len(ids)))
+                    live = np.append((i >= 0) & (j >= 0), True)  # the last code stays
+                    codes = np.append(i * len(kept) + j, len(kept) ** 2)
+                    key = "pairs", id(slot.binding.index), kept, kept
+                    narrowed._pairs[key] = codes[live], positions[live]
+        return narrowed
 
     @property
     def n_groundings(self) -> int:
@@ -314,7 +321,7 @@ class CompiledRuleSet:
         block, as K x n views of one array."""
         phis, grad = self._evaluate(truths, with_gradient=True)
         grads = []
-        start = 0
+        start = 1
         for k, n in self._shapes:
             grads.append(grad[start : start + k * n].reshape(k, n))
             start += k * n
@@ -326,11 +333,12 @@ class CompiledRuleSet:
         shapes = [np.shape(t) for t in truths]
         if shapes != self._shapes:
             raise ValueError(f"truth blocks have shapes {shapes}, expected {self._shapes}")
-        flat = np.concatenate([np.ravel(t) for t in truths] + [self._tail])
+        flat = np.concatenate([[0.0], *(np.ravel(t) for t in truths), self._tail])
         phis = np.empty(len(self.constraints), dtype=np.float64)
         grad = np.zeros(flat.size, dtype=np.float64) if with_gradient else None
+        codes, signs = [], []  # minimum t-norm rows: |signed position|, signed weight
         for group in self._groups:
-            vals = _engine.node_values(group.program, flat[group.index])
+            vals = _engine.node_values(group.program, flat[group.index.T])
             penalties = 1.0 - vals[-1]
             if group.row_rule is not None:
                 phis[group.rules] = np.bincount(
@@ -340,12 +348,25 @@ class CompiledRuleSet:
             else:
                 grid = penalties.reshape(len(group.rules), *group.shape)
                 phis[group.rules], weights = _aggregate(grid, group.quantifiers, with_gradient)
-            if with_gradient:
-                # Each penalty depends on truths through penalties = 1 - truths.
-                dvalues = _engine.backward(group.program, vals, -weights.reshape(-1))
+            if not with_gradient:
+                continue
+            # Each penalty depends on truths through penalties = 1 - truths.
+            weights = -weights.reshape(-1)
+            if group.program.tnorm_code != _engine.TN_MINIMUM:
+                dvalues = _engine.backward(group.program, vals, weights)
                 grad += np.bincount(
                     group.index.reshape(-1), weights=dvalues.reshape(-1), minlength=flat.size
                 )
+                continue
+            # Each truth moves by +-1 with one input or not at all, and each weight is
+            # 0 or -1, so every gradient entry is a count, exact in any order of sum.
+            code = _engine.signed_positions(group.program, vals, group.index.T)
+            codes.append(np.abs(code))
+            signs.append(np.sign(code) * weights)
+        if codes:
+            grad += np.bincount(
+                np.concatenate(codes), weights=np.concatenate(signs), minlength=flat.size
+            )
         return phis, grad
 
 
@@ -521,13 +542,7 @@ def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> P
         raise TypeError(f"not a formula node: {node!r}")
 
     lower(body)
-    return Program(
-        opcodes=np.asarray(ops, dtype=np.int8),
-        lhs=np.asarray(lhs, dtype=np.int32),
-        rhs=np.asarray(rhs, dtype=np.int32),
-        tnorm_code=tnorm_code,
-        n_slots=len(slot_order),
-    )
+    return Program(tuple(ops), tuple(lhs), tuple(rhs), tnorm_code, len(slot_order))
 
 
 def _aggregate(

@@ -5,11 +5,14 @@ Three t-norm families are supported; negation is the strong negation
 implication the residuum of the chosen t-norm, or the material
 ``1 - T(a, 1 - b)`` (``1 + a*b - a`` under the product t-norm).
 
-A rule body is lowered to a flat postorder instruction program.
-:func:`node_values` is the forward pass over a batch of groundings and
-keeps every node's value; :func:`backward` reuses those values to
-propagate a weighted truth back onto the input slots, so a penalty and
-its gradient cost one forward pass.
+A rule body is lowered to a flat postorder instruction program of plain
+ints.  :func:`node_values` is the forward pass over a batch of groundings
+read slot-major, and keeps every node's values, an atom's as a view.
+Under the minimum t-norm :func:`signed_positions` then finds the one input
+that each grounding's truth equals, so a gradient is a signed count of
+groundings per input; under the others :func:`backward` propagates a
+weighted truth back onto the input slots.  Either way a penalty and its
+gradient cost one forward pass.
 """
 
 from __future__ import annotations
@@ -50,47 +53,65 @@ def resolve_engine() -> str:
 
 
 class Program(NamedTuple):
-    """Postorder instruction list for one rule body.
+    """Postorder instruction list for one rule body, as tuples of ints.
 
     ``lhs`` holds the atom slot for OP_LOAD nodes and the left child index
     otherwise; ``rhs`` holds the right child index or -1.
     """
 
-    opcodes: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    opcodes: tuple[int, ...]
+    lhs: tuple[int, ...]
+    rhs: tuple[int, ...]
     tnorm_code: int
     n_slots: int
 
     @property
     def n_nodes(self) -> int:
-        return int(self.opcodes.shape[0])
+        return len(self.opcodes)
 
 
-def node_values(program: Program, values: np.ndarray) -> np.ndarray:
-    """Forward pass keeping every node's value; shape (n_nodes, n_groundings)."""
-    opcodes, lhs, rhs = program.opcodes, program.lhs, program.rhs
+def node_values(program: Program, values: np.ndarray) -> list[np.ndarray]:
+    """Forward pass over slot-major ``values``, shape (n_slots, n_groundings),
+    keeping every node's values, a LOAD node's as a view of its slot's row."""
     tn = program.tnorm_code
-    n_g = values.shape[0]
-    vals = np.empty((program.n_nodes, n_g), dtype=np.float64)
-    for i in range(program.n_nodes):
-        op = opcodes[i]
+    vals: list[np.ndarray] = []
+    for op, i, j in zip(program.opcodes, program.lhs, program.rhs):
         if op == OP_LOAD:
-            vals[i] = values[:, lhs[i]]
+            vals.append(values[i])
         elif op == OP_NOT:
-            vals[i] = 1.0 - vals[lhs[i]]
+            vals.append(1.0 - vals[i])
+        elif op == OP_AND:
+            vals.append(_tnorm(tn, vals[i], vals[j]))
+        elif op == OP_OR:
+            vals.append(1.0 - _tnorm(tn, 1.0 - vals[i], 1.0 - vals[j]))
+        elif op == OP_IMPL:
+            vals.append(_residuum(tn, vals[i], vals[j]))
         else:
-            a = vals[lhs[i]]
-            b = vals[rhs[i]]
-            if op == OP_AND:
-                vals[i] = _tnorm(tn, a, b)
-            elif op == OP_OR:
-                vals[i] = 1.0 - _tnorm(tn, 1.0 - a, 1.0 - b)
-            elif op == OP_IMPL:
-                vals[i] = _residuum(tn, a, b)
-            else:
-                vals[i] = 1.0 - _tnorm(tn, a, 1.0 - b)
+            vals.append(1.0 - _tnorm(tn, vals[i], 1.0 - vals[j]))
     return vals
+
+
+def signed_positions(program: Program, vals: list[np.ndarray], positions: np.ndarray) -> np.ndarray:
+    """Under the minimum t-norm, per grounding, ``p`` where the truth is the
+    input at position ``p``, ``-p`` where it is one minus it, 0 where it is
+    constant.  ``vals`` is :func:`node_values` over the inputs at the
+    slot-major ``positions``, where 0 holds a constant.  Each node takes its
+    child's position by the test that a reverse pass routes the adjoint by."""
+    codes: list[np.ndarray] = []
+    for op, i, j in zip(program.opcodes, program.lhs, program.rhs):
+        if op == OP_LOAD:
+            codes.append(positions[i])
+        elif op == OP_NOT:
+            codes.append(-codes[i])
+        elif op == OP_AND:
+            codes.append(np.where(vals[i] <= vals[j], codes[i], codes[j]))
+        elif op == OP_OR:
+            codes.append(np.where(vals[i] >= vals[j], codes[i], codes[j]))
+        elif op == OP_IMPL:
+            codes.append(np.where(vals[i] > vals[j], codes[j], 0))
+        else:
+            codes.append(np.where(vals[i] + vals[j] <= 1.0, -codes[i], codes[j]))
+    return codes[-1]
 
 
 def _tnorm(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,16 +134,17 @@ def _residuum(tn: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(sat, 1.0, res)
 
 
-def backward(program: Program, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """d(sum_g weights[g] * t[g]) / d(slot values), shape (n_groundings, n_slots).
+def backward(program: Program, vals: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """d(sum_g weights[g] * t[g]) / d(slot values), shape (n_groundings, n_slots),
+    under the product or Lukasiewicz t-norm.
 
     ``vals`` is the forward pass of :func:`node_values` and ``t`` its
     last row, the body's truth per grounding.
     """
     opcodes, lhs, rhs = program.opcodes, program.lhs, program.rhs
-    tn = program.tnorm_code
+    product = program.tnorm_code == TN_PRODUCT
     n_nodes = program.n_nodes
-    n_g = vals.shape[1]
+    n_g = len(weights)
     adj = np.zeros((n_nodes, n_g), dtype=np.float64)
     adj[n_nodes - 1] = weights
     dvalues = np.zeros((n_g, program.n_slots), dtype=np.float64)
@@ -138,48 +160,20 @@ def backward(program: Program, vals: np.ndarray, weights: np.ndarray) -> np.ndar
         a = vals[lhs[i]]
         b = vals[rhs[i]]
         if op == OP_AND:
-            if tn == TN_MINIMUM:
-                da = np.where(a <= b, 1.0, 0.0)
-                db = 1.0 - da
-            elif tn == TN_PRODUCT:
-                da = b
-                db = a
-            else:
-                da = db = np.where(a + b - 1.0 > 0.0, 1.0, 0.0)
+            da, db = (b, a) if product else (np.where(a + b - 1.0 > 0.0, 1.0, 0.0),) * 2
         elif op == OP_OR:
-            if tn == TN_MINIMUM:
-                da = np.where(a >= b, 1.0, 0.0)
-                db = 1.0 - da
-            elif tn == TN_PRODUCT:
-                da = 1.0 - b
-                db = 1.0 - a
-            else:
-                da = db = np.where(a + b < 1.0, 1.0, 0.0)
-        elif op == OP_IMPL:
-            unsat = a > b
-            if tn == TN_MINIMUM:
-                da = np.zeros(n_g)
-                db = np.where(unsat, 1.0, 0.0)
-            elif tn == TN_PRODUCT:
-                live = unsat & (a >= PRODUCT_GUARD)
-                safe = np.where(live, a, 1.0)
-                da = np.where(live, -b / (safe * safe), 0.0)
-                db = np.where(live, 1.0 / safe, 0.0)
-            else:
-                da = np.where(unsat, -1.0, 0.0)
-                db = np.where(unsat, 1.0, 0.0)
-        else:  # OP_IMPL_MAT
-            if tn == TN_MINIMUM:
-                left = a + b <= 1.0
-                da = np.where(left, -1.0, 0.0)
-                db = np.where(left, 0.0, 1.0)
-            elif tn == TN_PRODUCT:
-                da = b - 1.0
-                db = a
-            else:
-                act = a > b
-                da = np.where(act, -1.0, 0.0)
-                db = np.where(act, 1.0, 0.0)
+            da, db = (1.0 - b, 1.0 - a) if product else (np.where(a + b < 1.0, 1.0, 0.0),) * 2
+        elif op == OP_IMPL and product:
+            live = (a > b) & (a >= PRODUCT_GUARD)
+            safe = np.where(live, a, 1.0)
+            da = np.where(live, -b / (safe * safe), 0.0)
+            db = np.where(live, 1.0 / safe, 0.0)
+        elif product:  # OP_IMPL_MAT
+            da, db = b - 1.0, a
+        else:  # either Lukasiewicz implication
+            act = a > b
+            da = np.where(act, -1.0, 0.0)
+            db = np.where(act, 1.0, 0.0)
         adj[lhs[i]] += w * da
         adj[rhs[i]] += w * db
     return dvalues

@@ -97,31 +97,36 @@ GUARDED_PREFIX = "forall x:P. forall y:P. BOUND(x,y) =>"
 UNARY_NAMES = ("A", "B", "C", "D", "E")
 
 
-def random_rule_set(rng, texts, tnorm, implication, bound_mode):
+def random_rule_set(rng, texts, tnorm, implication, bound_mode, levels=None):
     """Compiled rules for ``texts`` over one shared domain and shared
     bindings, plus matching outputs.
 
     Each rule's unary predicates are renamed at random (collisions allowed),
     so one template recurs over different predicates.  BOUND is either
     given, with some zero truths, or learned; either way some pairs are
-    absent, and pairs may be listed in both orders.
+    absent, and pairs may be listed in both orders.  Truths are uniform in
+    [0.05, 0.95] or, given ``levels``, drawn from them.
     """
+
+    def draw(size=None):
+        return rng.uniform(0.05, 0.95, size=size) if levels is None else rng.choice(levels, size)
+
     n = int(rng.integers(3, 7))
     ids = [f"p{i}" for i in range(n)]
     positions = {p: i for i, p in enumerate(ids)}
     predicates = {name: PredicateBinding(name, 1, positions) for name in UNARY_NAMES}
-    outputs = {name: rng.uniform(0.05, 0.95, size=n) for name in UNARY_NAMES}
+    outputs = {name: draw(n) for name in UNARY_NAMES}
     pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.4]
     if bound_mode == "given":
         choices = (0.0, 1.0, None)
         table = {}
         for pair in pairs:
             value = choices[rng.integers(3)]
-            table[pair] = rng.uniform(0.05, 0.95) if value is None else value
+            table[pair] = draw() if value is None else value
         predicates["BOUND"] = given_binding("BOUND", 2, table)
     else:
         predicates["BOUND"] = PredicateBinding("BOUND", 2, {pair: k for k, pair in enumerate(pairs)})
-        outputs["BOUND"] = rng.uniform(0.05, 0.95, size=len(pairs))
+        outputs["BOUND"] = draw(len(pairs))
     constraints = []
     for text in texts:
         renamed = dict(zip("ABCD", rng.choice(UNARY_NAMES, size=4)))
@@ -204,8 +209,45 @@ def dense_inputs(constraint, outputs) -> np.ndarray:
 
 def dense_forward(constraint, outputs) -> tuple[np.ndarray, np.ndarray]:
     """Every node's value per grounding, and the grid of penalties ``1 - truth``."""
-    vals = engine.node_values(constraint.program, dense_inputs(constraint, outputs))
+    vals = engine.node_values(constraint.program, dense_inputs(constraint, outputs).T)
     return vals, (1.0 - vals[-1]).reshape(constraint.shape)
+
+
+def minimum_backward(program, vals, weights) -> np.ndarray:
+    """``engine.backward`` under the minimum t-norm: the reverse pass that
+    the rule set's signed input positions must agree with, an n_nodes x
+    n_groundings adjoint walked from the root."""
+    assert program.tnorm_code == engine.TN_MINIMUM
+    n_g = len(weights)
+    adj = np.zeros((program.n_nodes, n_g))
+    adj[-1] = weights
+    dvalues = np.zeros((n_g, program.n_slots))
+    for i in range(program.n_nodes - 1, -1, -1):
+        op, w = program.opcodes[i], adj[i]
+        if op == engine.OP_LOAD:
+            dvalues[:, program.lhs[i]] += w
+            continue
+        if op == engine.OP_NOT:
+            adj[program.lhs[i]] -= w
+            continue
+        a = vals[program.lhs[i]]
+        b = vals[program.rhs[i]]
+        if op == engine.OP_AND:
+            da = np.where(a <= b, 1.0, 0.0)
+            db = 1.0 - da
+        elif op == engine.OP_OR:
+            da = np.where(a >= b, 1.0, 0.0)
+            db = 1.0 - da
+        elif op == engine.OP_IMPL:
+            da = np.zeros(n_g)
+            db = np.where(a > b, 1.0, 0.0)
+        else:  # OP_IMPL_MAT
+            left = a + b <= 1.0
+            da = np.where(left, -1.0, 0.0)
+            db = np.where(left, 0.0, 1.0)
+        adj[program.lhs[i]] += w * da
+        adj[program.rhs[i]] += w * db
+    return dvalues
 
 
 def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, np.ndarray]]:
@@ -213,7 +255,9 @@ def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, n
     wrt each learned predicate's outputs."""
     vals, penalties = dense_forward(constraint, outputs)
     phi, weights = _aggregate(penalties, constraint.formula.quantifiers, need_weights=True)
-    dvalues = engine.backward(constraint.program, vals, -weights.reshape(-1))
+    program = constraint.program
+    reverse = minimum_backward if program.tnorm_code == engine.TN_MINIMUM else engine.backward
+    dvalues = reverse(program, vals, -weights.reshape(-1))
     grads: dict[str, np.ndarray] = {}
     for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
         if slot.binding.truths is not None:

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections.abc import Mapping
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from fungo.io import read_config, read_folds, read_gram, read_predictions
 from fungo.io import write_config as write_config_file
 from fungo.kernels import InteractionGraph, diffusion_kernel
 from fungo.learner import TrainConfig
+from fungo.logic import PredicateBinding
 
 SMALL_OBO = """\
 format-version: 1.2
@@ -290,6 +292,40 @@ class TestRun:
         assert all("BOUND(x,y)" in line for line in rules)
         rows = read_predictions(str(dataset / "out_pp" / "predictions.tsv"))
         assert all(row[1] != "BOUND" for row in rows)
+
+    def test_an_unsupervised_run_scans_the_pair_index_once(self, dataset, monkeypatch):
+        # Every fold narrows the run's rule set to its held-out proteins; the
+        # narrowed sets take their pair lookups from the run-level set's scan.
+        class Counted(Mapping):
+            def __init__(self, entries):
+                self.entries, self.scans = entries, 0
+
+            def __getitem__(self, key):
+                return self.entries[key]
+
+            def __iter__(self):
+                return iter(self.entries)
+
+            def __len__(self):
+                return len(self.entries)
+
+            def items(self):
+                self.scans += 1
+                return self.entries.items()
+
+        indexes = []
+        bound_inputs = cli._bound_inputs
+
+        def counted(*args):
+            bound = bound_inputs(*args)
+            indexes.append(Counted(bound.index))
+            return PredicateBinding("BOUND", 2, indexes[-1], truths=bound.truths)
+
+        monkeypatch.setattr(cli, "_bound_inputs", counted)
+        cfg = write_config(dataset, rules="PP1", folds="3", out="out_pp")
+        assert main(["run", "--config", cfg]) == 0
+        assert len(set(read_folds(str(dataset / "out_pp" / "folds.tsv")).values())) == 3
+        assert [index.scans for index in indexes] == [1]
 
     def test_learned_pair_predicate(self, dataset, monkeypatch):
         # The two listed interactions, two non-interacting pairs and one pair

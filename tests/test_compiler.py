@@ -418,6 +418,78 @@ def test_rule_set_matches_the_per_rule_oracle(texts, tnorm, implication, bound_m
         assert np.all(np.abs(grad - want) <= 1e-12 * tol)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.sampled_from(FORMULA_POOL), min_size=1, max_size=8),
+    implication=st.sampled_from(IMPLICATIONS),
+    bound_mode=st.sampled_from(("given", "learned")),
+    narrow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minimum_rule_gradients_are_the_reverse_pass_to_the_byte(
+    texts, implication, bound_mode, narrow, seed
+):
+    # Truths on a coarse grid tie often, and ties decide which child AND and OR
+    # pass on and whether a residuum holds.  Every penalty is then a multiple of
+    # 1/4 and every gradient entry a count, so any order of summation is exact
+    # and the bytes, signed zeros included, must agree.
+    rng = np.random.default_rng(seed)
+    constraints, outputs = random_rule_set(rng, texts, "minimum", implication, bound_mode,
+                                           levels=(0.0, 0.25, 0.5, 0.75, 1.0))
+    layout, truths, where = stack_outputs(rng, outputs)
+    rule_set = CompiledRuleSet(constraints, layout)
+    if narrow:
+        ids = constraints[0].domains[0]
+        need = max(q.count if q.kind == EXISTS_N else 1
+                   for c in constraints for q in c.formula.quantifiers)
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
+        rule_set = rule_set.restricted(keep)
+        kept = [i for i, k in zip(ids, keep) if k]
+        constraints = [
+            compile_constraint(c.formula, "minimum", {"P": kept},
+                               {s.binding.name: s.binding for s in c.slots},
+                               implication=implication)
+            for c in constraints
+        ]
+    phis, grads = rule_set.penalties_and_gradients(truths)
+    assert rule_set.penalties(truths).tobytes() == phis.tobytes()
+    want = []
+    expected = [np.zeros_like(t) for t in truths]
+    for constraint in constraints:
+        phi, partials = dense_penalty_and_gradients(constraint, outputs)
+        want.append(phi)
+        for pred, grad in partials.items():
+            b, k = where[pred]
+            expected[b][k] += grad
+    assert phis.tobytes() == np.array(want).tobytes()
+    for grad, want_grad in zip(grads, expected, strict=True):
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_minimum_rule_gradients_take_no_reverse_pass(monkeypatch):
+    ids = [f"p{i}" for i in range(4)]
+    preds = {name: _unary(name, ids) for name in "ABC"}
+    truths = [np.random.default_rng(5).uniform(0, 1, (3, 4))]
+    texts = ["forall x:P. A(x) and not B(x) => C(x)", "exists x:P. A(x) or B(x)"]
+    reverse = engine.backward
+    reached = []
+
+    def guarded(program, vals, weights):
+        if program.tnorm_code == engine.TN_MINIMUM:
+            raise AssertionError("a reverse pass under the minimum t-norm")
+        reached.append(program.tnorm_code)
+        return reverse(program, vals, weights)
+
+    monkeypatch.setattr(engine, "backward", guarded)
+    for tnorm in ("minimum", "lukasiewicz"):
+        CompiledRuleSet(
+            [compile_constraint(parse_rule(t), tnorm, {"P": ids}, preds) for t in texts],
+            [(("A", "B", "C"), 4)],
+        ).penalties_and_gradients(truths)
+    assert reached == [engine.TN_LUKASIEWICZ] * len(texts)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     texts=st.lists(st.sampled_from(FORMULA_POOL), min_size=1, max_size=8),

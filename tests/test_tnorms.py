@@ -58,7 +58,7 @@ def truth(tnorm, body, *operands, implication="residuum"):
     """The body's truth from ``engine.node_values``, one grounding per
     operand element; operand k feeds the k-th distinct atom of the body."""
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in operands))
-    values = np.stack([c.ravel() for c in columns], axis=1)
+    values = np.stack([c.ravel() for c in columns])
     out = engine.node_values(_program(tnorm, body, implication), values)[-1]
     return out.reshape(columns[0].shape)[()]
 
