@@ -10,10 +10,10 @@ value must survive a round trip.  Formats:
   annotation lists (``protein<TAB>id``); headerless CSV expression matrix
   (``protein,v1,v2,...``);
 * Gram CSV: a header of ids, then one row of reals per id, read row by row;
-* rule files in the logic grammar, one rule per line;
 * flat ``key = value`` config files;
-* folds TSV, prediction TSV, curve CSV, and a sorted ``key = value``
-  metrics report.
+* written only: rule files in the rule syntax, one rule per line; folds
+  TSV, prediction TSV, curve CSV, a sorted ``key = value`` metrics report
+  and model files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .kernels import GramMatrix
-from .logic import Formula, ParseError, parse_rules
+from .logic import Formula
 
 __all__ = [
     "DataFileError",
@@ -38,16 +38,12 @@ __all__ = [
     "read_expression",
     "read_gram",
     "write_gram",
-    "read_rule_file",
     "write_rule_file",
     "read_config",
     "write_config",
-    "read_folds",
     "write_folds",
-    "read_predictions",
     "write_predictions",
     "write_metrics_report",
-    "read_curve_file",
     "write_curve_file",
     "write_model",
     "atomic_write_text",
@@ -248,14 +244,6 @@ def write_gram(path: str, gram: GramMatrix) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_rule_file(path: str) -> list[Formula]:
-    """Parse a rule file: one rule per line, ``#`` comments allowed."""
-    try:
-        return parse_rules("\n".join(read_lines(path)))
-    except ParseError as exc:
-        raise DataFileError(path, None, str(exc)) from exc
-
-
 def write_rule_file(path: str, rules: Iterable[Formula]) -> None:
     atomic_write_text(path, "".join(rule.to_text() + "\n" for rule in rules))
 
@@ -285,33 +273,12 @@ def write_config(path: str, config: Mapping[str, str]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_folds(path: str) -> dict[str, int]:
-    """Read ``protein<TAB>fold_index`` rows."""
-    assignment: dict[str, int] = {}
-    for number, line in _records(path):
-        protein, index = _split_columns(path, number, line, 2)
-        if protein in assignment:
-            raise DataFileError(path, number, f"duplicate protein {protein!r}")
-        try:
-            assignment[protein] = int(index)
-        except ValueError:
-            raise DataFileError(
-                path, number, f"not a fold index: {index!r}"
-            ) from None
-        if assignment[protein] < 0:
-            raise DataFileError(path, number, f"negative fold index: {index!r}")
-    return assignment
-
-
 def write_folds(path: str, folds: Sequence[Iterable[str]]) -> None:
     assignment = {
         protein: index for index, fold in enumerate(folds) for protein in fold
     }
     lines = [f"{protein}\t{assignment[protein]}" for protein in sorted(assignment)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-PredictionRow = tuple[str, str, float, bool, bool]
 
 
 def write_predictions(path: str, examples: Sequence[str], predicates: Sequence[str],
@@ -333,28 +300,6 @@ def write_predictions(path: str, examples: Sequence[str], predicates: Sequence[s
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_predictions(path: str) -> list[PredictionRow]:
-    rows: list[PredictionRow] = []
-    for number, line in _records(path):
-        protein, predicate, truth, label, undecided = _split_columns(
-            path, number, line, 5
-        )
-        if label not in ("pos", "neg"):
-            raise DataFileError(path, number, f"unknown label {label!r}")
-        if undecided not in ("0", "1"):
-            raise DataFileError(path, number, f"unknown undecided flag {undecided!r}")
-        rows.append(
-            (
-                protein,
-                predicate,
-                parse_real(path, number, truth),
-                label == "pos",
-                undecided == "1",
-            )
-        )
-    return rows
-
-
 def write_metrics_report(path: str, metrics: Mapping[str, float]) -> None:
     """Write scalar metrics as sorted ``key = value`` lines (6 decimals)."""
     lines = [f"{key} = {metrics[key]:.6f}" for key in sorted(metrics)]
@@ -366,22 +311,6 @@ def write_curve_file(path: str, recalls: Sequence[float], precisions: Sequence[f
     for recall, precision in zip(recalls, precisions):
         lines.append(f"{recall:.17g},{precision:.17g}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    records = _records(path)
-    number, header = next(records, (1, None))
-    if header != "recall,precision":
-        raise DataFileError(path, number, "missing 'recall,precision' header")
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for number, line in records:
-        tokens = line.split(",")
-        if len(tokens) != 2:
-            raise DataFileError(path, number, f"expected 2 values, got {line!r}")
-        recalls.append(parse_real(path, number, tokens[0]))
-        precisions.append(parse_real(path, number, tokens[1]))
-    return tuple(recalls), tuple(precisions)
 
 
 def write_model(path: str, predicates: Sequence[Sequence[str]], weights: Sequence[np.ndarray],

@@ -2,10 +2,11 @@
 
 ``compile_constraint`` checks a prenex formula against named example
 domains and predicate bindings and lowers its body to a flat instruction
-program (``iff`` becomes the t-norm conjunction of the two residua).  It
-records every distinct atom as an input slot, that is the predicate's
-binding and the quantifier axis of each argument, and the example ids of
-each axis.  It builds no grounding arrays.
+program (``=>`` becomes the t-norm's residuum, and ``iff`` the t-norm
+conjunction of the two residua).  It records every distinct atom as an
+input slot, that is the predicate's binding and the quantifier axis of
+each argument, and the example ids of each axis.  It builds no grounding
+arrays.
 
 ``CompiledRuleSet`` is the one place where rules are grounded.  It groups
 the rules by template first, then grounds each rule straight to the rows
@@ -32,7 +33,6 @@ from . import engine as _engine
 from .engine import (
     OP_AND,
     OP_IMPL,
-    OP_IMPL_MAT,
     OP_LOAD,
     OP_NOT,
     OP_OR,
@@ -43,10 +43,6 @@ from .engine import (
 from .formula import (
     And, Atom, EXISTS, EXISTS_N, FORALL, Formula, Iff, Implies, Node, Not, Or, iter_atoms,
 )
-
-RESIDUUM = "residuum"
-MATERIAL = "material"
-IMPLICATIONS = (RESIDUUM, MATERIAL)
 
 
 class CompileError(ValueError):
@@ -187,7 +183,7 @@ class CompiledRuleSet:
 
     A ``forall x. forall y. G(x, y) => body`` rule, ``G`` a pair predicate,
     is grounded only where its guard ``G`` is live, that is where the pair
-    is in ``G``'s index: elsewhere ``G = 0``, either implication is exactly
+    is in ``G``'s index: elsewhere ``G = 0``, the residuum is exactly
     1 under every t-norm and passes no gradient to the body, so the dropped
     groundings change only the order of the sum.  Its rows come straight
     from the guard's index and never from the grid.  Other rules over a
@@ -445,7 +441,7 @@ def _guard_slot(constraint: CompiledConstraint) -> int | None:
         return None
     program = constraint.program
     root = program.n_nodes - 1
-    if program.opcodes[root] not in (OP_IMPL, OP_IMPL_MAT):
+    if program.opcodes[root] != OP_IMPL:
         return None
     left = program.lhs[root]
     if program.opcodes[left] != OP_LOAD:
@@ -459,15 +455,11 @@ def compile_constraint(
     tnorm: str,
     domains: Mapping[str, tuple[str, ...] | list[str]],
     predicates: Mapping[str, PredicateBinding],
-    *,
-    implication: str = RESIDUUM,
 ) -> CompiledConstraint:
     """Check a formula against example domains and predicate bindings and
     lower it; :class:`CompiledRuleSet` grounds it."""
     if tnorm not in TNORMS:
         raise CompileError(f"unknown t-norm {tnorm!r}")
-    if implication not in IMPLICATIONS:
-        raise CompileError(f"unknown implication mapping {implication!r}")
 
     axis_ids = []
     for q in formula.quantifiers:
@@ -493,7 +485,7 @@ def compile_constraint(
     return CompiledConstraint(
         formula=formula,
         domains=tuple(axis_ids),
-        program=_lower(formula.body, slot_order, TN_CODE[tnorm], implication),
+        program=_lower(formula.body, slot_order, TN_CODE[tnorm]),
         slots=tuple(
             SlotBinding(predicates[pred], tuple(axis_of[v] for v in args))
             for pred, args in slot_order
@@ -511,9 +503,8 @@ def _check_axis(q, ids: tuple) -> None:
         )
 
 
-def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> Program:
+def _lower(body: Node, slot_order: list, tnorm_code: int) -> Program:
     slot_index = {key: s for s, key in enumerate(slot_order)}
-    impl_op = OP_IMPL if implication == RESIDUUM else OP_IMPL_MAT
     ops: list[int] = []
     lhs: list[int] = []
     rhs: list[int] = []
@@ -534,10 +525,10 @@ def _lower(body: Node, slot_order: list, tnorm_code: int, implication: str) -> P
         if isinstance(node, Or):
             return emit(OP_OR, lower(node.left), lower(node.right))
         if isinstance(node, Implies):
-            return emit(impl_op, lower(node.left), lower(node.right))
+            return emit(OP_IMPL, lower(node.left), lower(node.right))
         if isinstance(node, Iff):
-            fwd = emit(impl_op, lower(node.left), lower(node.right))
-            bwd = emit(impl_op, lower(node.right), lower(node.left))
+            fwd = emit(OP_IMPL, lower(node.left), lower(node.right))
+            bwd = emit(OP_IMPL, lower(node.right), lower(node.left))
             return emit(OP_AND, fwd, bwd)
         raise TypeError(f"not a formula node: {node!r}")
 

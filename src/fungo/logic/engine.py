@@ -2,8 +2,7 @@
 
 Three t-norm families are supported; negation is the strong negation
 ``1 - x``, disjunction the dual co-norm ``1 - T(1 - a, 1 - b)``, and
-implication the residuum of the chosen t-norm, or the material
-``1 - T(a, 1 - b)`` (``1 + a*b - a`` under the product t-norm).
+implication the residuum of the chosen t-norm.
 
 A rule body is lowered to a flat postorder instruction program of plain
 ints.  :func:`node_values` is the forward pass over a batch of groundings
@@ -26,7 +25,6 @@ OP_NOT = 1
 OP_AND = 2
 OP_OR = 3
 OP_IMPL = 4
-OP_IMPL_MAT = 5
 
 MINIMUM = "minimum"
 PRODUCT = "product"
@@ -84,10 +82,8 @@ def node_values(program: Program, values: np.ndarray) -> list[np.ndarray]:
             vals.append(_tnorm(tn, vals[i], vals[j]))
         elif op == OP_OR:
             vals.append(1.0 - _tnorm(tn, 1.0 - vals[i], 1.0 - vals[j]))
-        elif op == OP_IMPL:
+        else:  # OP_IMPL
             vals.append(_residuum(tn, vals[i], vals[j]))
-        else:
-            vals.append(1.0 - _tnorm(tn, vals[i], 1.0 - vals[j]))
     return vals
 
 
@@ -107,10 +103,8 @@ def signed_positions(program: Program, vals: list[np.ndarray], positions: np.nda
             codes.append(np.where(vals[i] <= vals[j], codes[i], codes[j]))
         elif op == OP_OR:
             codes.append(np.where(vals[i] >= vals[j], codes[i], codes[j]))
-        elif op == OP_IMPL:
+        else:  # OP_IMPL
             codes.append(np.where(vals[i] > vals[j], codes[j], 0))
-        else:
-            codes.append(np.where(vals[i] + vals[j] <= 1.0, -codes[i], codes[j]))
     return codes[-1]
 
 
@@ -163,14 +157,12 @@ def backward(program: Program, vals: list[np.ndarray], weights: np.ndarray) -> n
             da, db = (b, a) if product else (np.where(a + b - 1.0 > 0.0, 1.0, 0.0),) * 2
         elif op == OP_OR:
             da, db = (1.0 - b, 1.0 - a) if product else (np.where(a + b < 1.0, 1.0, 0.0),) * 2
-        elif op == OP_IMPL and product:
+        elif product:  # OP_IMPL
             live = (a > b) & (a >= PRODUCT_GUARD)
             safe = np.where(live, a, 1.0)
             da = np.where(live, -b / (safe * safe), 0.0)
             db = np.where(live, 1.0 / safe, 0.0)
-        elif product:  # OP_IMPL_MAT
-            da, db = b - 1.0, a
-        else:  # either Lukasiewicz implication
+        else:  # OP_IMPL, Lukasiewicz
             act = a > b
             da = np.where(act, -1.0, 0.0)
             db = np.where(act, 1.0, 0.0)

@@ -170,7 +170,8 @@ def _wrap(node: Node, min_prec: int) -> str:
 
 
 def render(formula: Formula) -> str:
-    """Render a formula in the syntax accepted by the rule parser."""
+    """Render a formula in the rule syntax, one line per rule as in
+    ``rules.txt``; the test suite's ``tests/rule_text.py`` parses it back."""
     parts = []
     for q in formula.quantifiers:
         if q.kind == FORALL:

@@ -1,4 +1,7 @@
-"""Parser for the rule language.
+"""Parser for the rule language, the inverse of ``Formula.to_text``.
+
+``fungo`` builds its rules as ``Formula`` trees and only writes them out
+(``rules.txt``); the tests read rules from text with this parser.
 
 Grammar (one rule per line, ``#`` starts a comment):
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .formula import (
+from fungo.logic.formula import (
     EXISTS,
     EXISTS_N,
     FORALL,

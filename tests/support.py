@@ -4,8 +4,9 @@ finite-difference oracle for penalty gradients with the kink margin
 that keeps its probes away from subgradient boundaries, the full objective
 and its gradients, the reference descent that evaluates every line-search
 trial in full, the weight-gradient descent that it replaced, the pairwise
-kernels that the Gram builders must reproduce, and the string- and
-set-based ingest and evaluation that the array versions must reproduce."""
+kernels that the Gram builders must reproduce, the string- and
+set-based ingest and evaluation that the array versions must reproduce,
+and readers for the bundle files that ``fungo run`` only writes."""
 
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ import numpy as np
 
 from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics, PredictionSet
-from fungo.io import DataFileError
+from fungo.io import DataFileError, _records, _split_columns, parse_real
 from fungo.logic import (
-    EXISTS, FORALL, CompiledRuleSet, PredicateBinding, compile_constraint, engine, parse_rule,
+    EXISTS, FORALL, And, Atom, CompiledRuleSet, Formula, Iff, Implies, Not, Or,
+    PredicateBinding, compile_constraint, engine,
 )
 from fungo.logic.compiler import _aggregate
 from fungo.ontology import (
@@ -35,6 +37,7 @@ from fungo.ontology import (
     OntologyError,
     Term,
 )
+from rule_text import parse_rule
 
 # A representative mix of rule shapes: implications, disjunction heads,
 # equivalences, negation, two-variable bodies, existentials.
@@ -51,11 +54,38 @@ FORMULA_POOL = [
     "forall x:P. exists y:P. BOUND(x,y) and A(y)",
 ]
 
+# Two readings of ``a => b``: the residuum that the compiler lowers it to,
+# and the material ``not a or b`` of the first, CNF-only SBR version, which
+# the engine evaluates with its negation and disjunction.
+IMPLICATIONS = ("residuum", "material")
+
+
+def read_as(formula: Formula, implication: str) -> Formula:
+    """``formula`` under one of ``IMPLICATIONS``: as written for the
+    residuum, with every ``a => b`` rewritten ``not a or b`` and every
+    ``a <=> b`` ``(not a or b) and (not b or a)`` for the material reading."""
+    if implication == "residuum":
+        return formula
+
+    def material(node):
+        if isinstance(node, Atom):
+            return node
+        if isinstance(node, Not):
+            return Not(material(node.child))
+        left, right = material(node.left), material(node.right)
+        if isinstance(node, Implies):
+            return Or(Not(left), right)
+        if isinstance(node, Iff):
+            return And(Or(Not(left), right), Or(Not(right), left))
+        return type(node)(left, right)
+
+    return Formula(formula.quantifiers, material(formula.body))
+
 
 def random_instance(rng, tnorm, implication="residuum", formula_text=None):
     """A compiled constraint over a small random domain plus matching outputs."""
     text = formula_text or FORMULA_POOL[rng.integers(len(FORMULA_POOL))]
-    formula = parse_rule(text)
+    formula = read_as(parse_rule(text), implication)
     n = int(rng.integers(3, 6))
     ids = [f"p{i}" for i in range(n)]
     positions = {p: i for i, p in enumerate(ids)}
@@ -78,10 +108,7 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
             )
             outputs[name] = rng.uniform(0.05, 0.95, size=len(pairs))
 
-    constraint = compile_constraint(
-        formula, tnorm, {"P": ids}, predicates, implication=implication
-    )
-    return constraint, outputs
+    return compile_constraint(formula, tnorm, {"P": ids}, predicates), outputs
 
 
 def given_binding(name, arity, table):
@@ -131,11 +158,8 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode, levels=None):
     for text in texts:
         renamed = dict(zip("ABCD", rng.choice(UNARY_NAMES, size=4)))
         text = re.sub(r"\b([A-D])\(", lambda m: renamed[m.group(1)] + "(", text)
-        constraints.append(
-            compile_constraint(
-                parse_rule(text), tnorm, {"P": ids}, predicates, implication=implication
-            )
-        )
+        formula = read_as(parse_rule(text), implication)
+        constraints.append(compile_constraint(formula, tnorm, {"P": ids}, predicates))
     return constraints, outputs
 
 
@@ -238,13 +262,9 @@ def minimum_backward(program, vals, weights) -> np.ndarray:
         elif op == engine.OP_OR:
             da = np.where(a >= b, 1.0, 0.0)
             db = 1.0 - da
-        elif op == engine.OP_IMPL:
+        else:  # OP_IMPL
             da = np.zeros(n_g)
             db = np.where(a > b, 1.0, 0.0)
-        else:  # OP_IMPL_MAT
-            left = a + b <= 1.0
-            da = np.where(left, -1.0, 0.0)
-            db = np.where(left, 0.0, 1.0)
         adj[program.lhs[i]] += w * da
         adj[program.rhs[i]] += w * db
     return dvalues
@@ -291,13 +311,8 @@ def nonsmooth_margin(constraint, outputs) -> float:
                 margin = min(margin, float(np.abs(a - b).min()))
             elif tn == engine.TN_LUKASIEWICZ:
                 margin = min(margin, float(np.abs(a + b - 1.0).min()))
-        elif op == engine.OP_IMPL:
+        else:  # OP_IMPL
             margin = min(margin, float(np.abs(a - b).min()))
-        else:  # OP_IMPL_MAT
-            if tn == engine.TN_MINIMUM:
-                margin = min(margin, float(np.abs(a + b - 1.0).min()))
-            elif tn == engine.TN_LUKASIEWICZ:
-                margin = min(margin, float(np.abs(a - b).min()))
     return min(margin, _selection_margin(penalties, constraint.formula.quantifiers))
 
 
@@ -969,3 +984,58 @@ def reference_build_sets(cut: GoCut, rows, universe, id_of) -> ReferencePredicti
         tuple(id_of(n) for n in universe), proteins,
         tuple(truth), tuple(predicted), tuple(undecided),
     )
+
+
+# --- readers for the bundle files that ``fungo run`` writes ----------------
+# They read the files back as the tests need them, with fungo.io's record
+# loop, so line numbers and streaming follow fungo's own readers.
+
+
+def read_folds(path: str) -> dict[str, int]:
+    """Read ``protein<TAB>fold_index`` rows."""
+    assignment: dict[str, int] = {}
+    for number, line in _records(path):
+        protein, index = _split_columns(path, number, line, 2)
+        if protein in assignment:
+            raise DataFileError(path, number, f"duplicate protein {protein!r}")
+        try:
+            assignment[protein] = int(index)
+        except ValueError:
+            raise DataFileError(path, number, f"not a fold index: {index!r}") from None
+        if assignment[protein] < 0:
+            raise DataFileError(path, number, f"negative fold index: {index!r}")
+    return assignment
+
+
+PredictionRow = tuple[str, str, float, bool, bool]
+
+
+def read_predictions(path: str) -> list[PredictionRow]:
+    """Read ``example predicate truth label undecided`` rows."""
+    rows: list[PredictionRow] = []
+    for number, line in _records(path):
+        protein, predicate, truth, label, undecided = _split_columns(path, number, line, 5)
+        if label not in ("pos", "neg"):
+            raise DataFileError(path, number, f"unknown label {label!r}")
+        if undecided not in ("0", "1"):
+            raise DataFileError(path, number, f"unknown undecided flag {undecided!r}")
+        rows.append((protein, predicate, parse_real(path, number, truth),
+                     label == "pos", undecided == "1"))
+    return rows
+
+
+def read_curve_file(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Read a ``recall,precision`` curve CSV."""
+    records = _records(path)
+    number, header = next(records, (1, None))
+    if header != "recall,precision":
+        raise DataFileError(path, number, "missing 'recall,precision' header")
+    recalls: list[float] = []
+    precisions: list[float] = []
+    for number, line in records:
+        tokens = line.split(",")
+        if len(tokens) != 2:
+            raise DataFileError(path, number, f"expected 2 values, got {line!r}")
+        recalls.append(parse_real(path, number, tokens[0]))
+        precisions.append(parse_real(path, number, tokens[1]))
+    return tuple(recalls), tuple(precisions)

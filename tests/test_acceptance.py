@@ -35,12 +35,7 @@ from fungo.learner import (
     predicate_bindings,
     train,
 )
-from fungo.logic import (
-    TNORMS,
-    PredicateBinding,
-    compile_constraint,
-    parse_rule,
-)
+from fungo.logic import TNORMS, PredicateBinding, compile_constraint
 from fungo.ontology import (
     PROTEIN_DOMAIN,
     OntologyError,
@@ -49,6 +44,7 @@ from fungo.ontology import (
     tpr_closure,
 )
 from hierarchy_fixture import read_metrics, write_config, write_dataset
+from rule_text import parse_rule
 from support import (
     compiled_for,
     fd_penalty_gradients,
@@ -57,6 +53,7 @@ from support import (
     objective,
     objective_gradient,
     prediction_set,
+    read_as,
     smooth_instance,
     spectrum_kernel,
     weight_rows,
@@ -67,14 +64,12 @@ from test_ontology import leaf_annotations, random_dag
 def _truth(tnorm: str, text: str, implication: str = "residuum", **outputs: float) -> float:
     """Body truth of a one-grounding rule: for a single forall grounding the
     aggregated penalty is exactly 1 - truth."""
-    formula = parse_rule(text)
+    formula = read_as(parse_rule(text), implication)
     bindings = {
         name: PredicateBinding(name, 1, {"e": 0})
         for name in formula.predicates()
     }
-    compiled = compile_constraint(
-        formula, tnorm, {"D": ("e",)}, bindings, implication=implication
-    )
+    compiled = compile_constraint(formula, tnorm, {"D": ("e",)}, bindings)
     vectors = {name: np.array([value], dtype=np.float64) for name, value in outputs.items()}
     return 1.0 - compiled.penalty(vectors)
 

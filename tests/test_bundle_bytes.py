@@ -1,15 +1,18 @@
 """Frozen bundle bytes on the hierarchy fixture.
 
-One ``run --jobs 1`` each with ``OC``, ``OC+PP1`` (a given pair predicate,
+One ``run --jobs 1`` for each of ``OC``, ``OC+PP1`` (a given pair predicate,
 bound once per run) and ``OC+PP2`` (a learned pair predicate, so fold models
-hold two weight blocks), under the default ``unsupervised`` scope, and one
-with ``OC+PP2`` under ``constraint_scope = all``, where every fold trains
-against the one rule set grounded for the run.  The sha256 of the fold-0
-model, both prediction files and the metrics report are pinned, with the
-dataset directory masked out of the echoed paths: any change to what a run
-computes or how it writes it, down to the last bit of a weight, fails here.
-"""
+hold two weight blocks), under both constraint scopes (under ``all`` every
+fold trains against the one rule set grounded for the run) and all three
+t-norms.  The sha256 of the fold-0 model, both prediction files and the
+metrics report are pinned, with the dataset directory masked out of the
+echoed paths: any change to what a run computes or how it writes it, down to
+the last bit of a weight, fails here.
 
+The DPP rules are left out: the fixture's cut holds molecular-function terms
+only, and ``OC+DPP1`` or ``OC+DPP2`` exits 2 with "DPP rule requested but the
+cut has no biological-process terms".
+"""
 import hashlib
 import os
 
@@ -20,31 +23,115 @@ from fungo import cli
 
 FILES = ("fold_0/model.txt", "predictions.tsv", "bound_predictions.tsv", "metrics.txt")
 
-# (rules, constraint scope) -> {file: sha256}; a missing file hashes as None
+# (rules, constraint scope, t-norm) -> {file: sha256}; a missing file hashes as None
 FROZEN = {
-    ("OC", "unsupervised"): {
+    ("OC", "unsupervised", "minimum"): {
         "fold_0/model.txt": "2f6ac05c2bad90d38d1e68ef285d7c990908d40f848b80434df007f8b83355cf",
         "predictions.tsv": "c836b8924d9c240f56a685f11cb80895512140dc077d4811a04cf2f098c50d15",
         "bound_predictions.tsv": None,
         "metrics.txt": "428fa656a7e05a42d44dd400d7ec0062c5bd9f50ccf0a9975760373c2d278147",
     },
-    ("OC+PP2", "unsupervised"): {
-        "fold_0/model.txt": "58696e0e0da9dcde80fb9f085fe0dae339197b2ce5a39401c6780d74c90b27a4",
-        "predictions.tsv": "8bccf948d96be953297e5bcdf748592bd4e4b78786ca4e3e3ff84a7300f277e9",
-        "bound_predictions.tsv": "3610e7f86a33ca1523c5ae506a743a461fec81ce43717f4b4c0f1ea6ae9c7e1a",
-        "metrics.txt": "b0cf85433c1f31def6f64bb86cc829db63cfa9600bbe4e0a21adaae4fdee8ab1",
+    ("OC", "unsupervised", "product"): {
+        "fold_0/model.txt": "0539a80f1d06bd143ea71197f0a68c09c5a353895e433e6254844c6d5582197c",
+        "predictions.tsv": "31cff7fb273429fbe46ff65f5cc49371b7a799488219ffd34f4f2e0f524017a9",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "e662563d0e209818e646249023843618e71d76b1f597132bef41d63dd19ff5c0",
     },
-    ("OC+PP1", "unsupervised"): {
+    ("OC", "unsupervised", "lukasiewicz"): {
+        "fold_0/model.txt": "1d56565e9e6a38daf2cad1f1eaae706d40d6a337e9aed10a38a2c23d796d54cf",
+        "predictions.tsv": "6261a2711d842b4b543a74e6547afbe0b73d8db7b0564d8facf5a7f67c4cf215",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "4c78ad2860ef5ed289e029b5314360c3e96e266d23a95b41ab5dfed41a2eb9c4",
+    },
+    ("OC", "all", "minimum"): {
+        "fold_0/model.txt": "006a653c5d69ba8bb1a6a1aacf5b990c6e05b4d95613d9df0a5bad5a9c9f69a9",
+        "predictions.tsv": "a51e11def79d61c7b4c0b55d99acaf47ec23c53c001775491100240c3b698e28",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "21be3ac2812f24be1f61e992d7e1582a3c194a6a154b7a89cec5dd295049d45c",
+    },
+    ("OC", "all", "product"): {
+        "fold_0/model.txt": "d69bd8f1500e86f45910214475f5c09e5a647f9bc8decfb7b5e700dd1987a7a6",
+        "predictions.tsv": "ef39cd37e639a066c76b5eac77b9690eb10fb6fb362403b1e5f87162a88ba4f9",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "4771482ca6c3a04ebec21241c64be3ec17cbe9efd302209a642c48e4864ea351",
+    },
+    ("OC", "all", "lukasiewicz"): {
+        "fold_0/model.txt": "56368f401d42b5f1256e3c8352360c261aaccb7b2d4235b5dd70b6852b0d4705",
+        "predictions.tsv": "627d2d76a9dc94cf9f0c0fa0e97a25966b83be1bd2867535526d2086cd7c362a",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "2ac52586938795a11bc43c90e2f3f74ab04ff4e5ce5bbeb4dadf687743569081",
+    },
+    ("OC+PP1", "unsupervised", "minimum"): {
         "fold_0/model.txt": "1d5474109b41d24201b9dd7f314d7d6a7aac0f5490921b44dcc57b94424e482e",
         "predictions.tsv": "8bccf948d96be953297e5bcdf748592bd4e4b78786ca4e3e3ff84a7300f277e9",
         "bound_predictions.tsv": None,
         "metrics.txt": "428fa656a7e05a42d44dd400d7ec0062c5bd9f50ccf0a9975760373c2d278147",
     },
-    ("OC+PP2", "all"): {
+    ("OC+PP1", "unsupervised", "product"): {
+        "fold_0/model.txt": "446273c9d85f7c796df7a51a86c1c794e22fc41e3a3da5013d10b6fad92a36e1",
+        "predictions.tsv": "71d275954ccabdbd97206198406963c1f26414ef5cd361dd1191ecfc78914c77",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "e662563d0e209818e646249023843618e71d76b1f597132bef41d63dd19ff5c0",
+    },
+    ("OC+PP1", "unsupervised", "lukasiewicz"): {
+        "fold_0/model.txt": "1630d61432c2cf1b7860e30b5aedd89e6f5981d7fa02997d2b072d081904284d",
+        "predictions.tsv": "174a9d5d71f3762e1eeae8afdb3de7bb2b08fdd6d09e5420c427b929241ebd86",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "05be196a4e94a3b1d098baa046a834eab53fb1aa49a57dad39123642115534bc",
+    },
+    ("OC+PP1", "all", "minimum"): {
+        "fold_0/model.txt": "78aac8d2340ad21ada8865380dd61d99f1bc46ee07c79bdec58b68ae0bdb3b50",
+        "predictions.tsv": "a0513bbec0ffed5aa3ba76ab8c3219db7a23d223b32d810e28f26c221b2eaf58",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "48715326c0bb2d2e74f57b7946bf6d414a2baf84cdaf24e3b92964e87662b925",
+    },
+    ("OC+PP1", "all", "product"): {
+        "fold_0/model.txt": "f6b4b1475daf0a2a83aae52367e067ab242e663bfe32b6fb0a26ee30cb9e50af",
+        "predictions.tsv": "f366b95f82330bb4aa32a410f5bd2e808093982fe4c1c539f0da2a9752265515",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "4771482ca6c3a04ebec21241c64be3ec17cbe9efd302209a642c48e4864ea351",
+    },
+    ("OC+PP1", "all", "lukasiewicz"): {
+        "fold_0/model.txt": "0359b4513a87b9468c17c7d424c990e52ffb666f771c51a3fa89e5ceb85a692f",
+        "predictions.tsv": "1eb8aea16a716aca660a912339a05897a7049cad75607b3025a53f9ebc3dc89b",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "e66651103e86690eac87c167d479a994ff4960020c207be67a2c04d30b32d86e",
+    },
+    ("OC+PP2", "unsupervised", "minimum"): {
+        "fold_0/model.txt": "58696e0e0da9dcde80fb9f085fe0dae339197b2ce5a39401c6780d74c90b27a4",
+        "predictions.tsv": "8bccf948d96be953297e5bcdf748592bd4e4b78786ca4e3e3ff84a7300f277e9",
+        "bound_predictions.tsv": "3610e7f86a33ca1523c5ae506a743a461fec81ce43717f4b4c0f1ea6ae9c7e1a",
+        "metrics.txt": "b0cf85433c1f31def6f64bb86cc829db63cfa9600bbe4e0a21adaae4fdee8ab1",
+    },
+    ("OC+PP2", "unsupervised", "product"): {
+        "fold_0/model.txt": "bd6ccdca25da5dba5dc22a0044d42786bf0cb7f253f29833a37afd04b3cddee4",
+        "predictions.tsv": "d07e35bd231d426dc8923db61457b1c5f2b5c6d631d3f6a9180f290bcc086731",
+        "bound_predictions.tsv": "a7cac2cf21d8550056f0a73f5554217306155a5ba03b9353c2547d0352b2aae3",
+        "metrics.txt": "05daa2fb2b1072e96db478f5c9d1b8080cb73088dd990ddd2bd289ff60b8ccbb",
+    },
+    ("OC+PP2", "unsupervised", "lukasiewicz"): {
+        "fold_0/model.txt": "a9b915b69e6a9c4b084b1fb883a53c09bb7e8cf07bcba2d7cd72e6d6afd937dd",
+        "predictions.tsv": "d446c51348b97cf2282fa629d72faab34bd5231c2ce7c845d1ff311ff1a0b051",
+        "bound_predictions.tsv": "95f319e4fe50bcb26665e4ae5970974736cc8695d8e9f26beee4bd5d3519cf04",
+        "metrics.txt": "df94329bfb71f3bd9468753cbf9151cadcf3db76e168da2197c1fb155001139c",
+    },
+    ("OC+PP2", "all", "minimum"): {
         "fold_0/model.txt": "13f6c13f91607cec2c8f8213e5097e9d90a017fb1466928d366f283033ed581f",
         "predictions.tsv": "87307c04810873b5ab3e3325716e963a90bbcb0acf0ae33d6d27fe3dc66b8bc0",
         "bound_predictions.tsv": "060109152ce83d037d51ac1989035d393794fa85c5e139eb2a1d75adb40c7349",
         "metrics.txt": "582791776e9c097100e125b8ef236be687eb00c9ff7afef16d275855047b04b8",
+    },
+    ("OC+PP2", "all", "product"): {
+        "fold_0/model.txt": "0a82f0f2bff3685c0baa66026877369a5f062506881b7799dc850599a7a245a9",
+        "predictions.tsv": "eff3609dd391c6011f6f235bd8b3b9bbeb36d82dbcb45735a1c1a052eaaa3532",
+        "bound_predictions.tsv": "f63556f09735453039c014628d712be95f9672c4db9bbb23dda0cde73ca25cac",
+        "metrics.txt": "f2f41eca3c551457c794a153db233ce005c5ec483a07dd248b38d689a8d47871",
+    },
+    ("OC+PP2", "all", "lukasiewicz"): {
+        "fold_0/model.txt": "15a02a5ec06afa513ad565e78aa3c7bc2ae55915e037599e6745529de27cf951",
+        "predictions.tsv": "625c1bfc97ddd34de4ceb9b8ac1d60fcea640f433ccd19693fa55c975537c034",
+        "bound_predictions.tsv": "459768608b879bd522be29d30a138c46fd0ce452332eab0d615afc09893cae79",
+        "metrics.txt": "c52674219c1eaed1ca200855264c84eace72e6c7e5a59d97d34a4644650e5280",
     },
 }
 
@@ -57,14 +144,21 @@ def _digest(path: str, root: str) -> str | None:
     return hashlib.sha256(data.replace(os.path.abspath(root).encode(), b"<root>")).hexdigest()
 
 
-@pytest.mark.parametrize("rules, scope", sorted(FROZEN), ids=[
-    rules if scope == "unsupervised" else f"{rules}-{scope}" for rules, scope in sorted(FROZEN)])
-def test_bundle_bytes_are_frozen(tmp_path, rules, scope):
+def _id(rules: str, scope: str, tnorm: str) -> str:
+    return rules + "".join(f"-{part}" for part in (scope, tnorm)
+                           if part not in ("unsupervised", "minimum"))
+
+
+@pytest.mark.parametrize("rules, scope, tnorm", sorted(FROZEN),
+                         ids=[_id(*key) for key in sorted(FROZEN)])
+def test_bundle_bytes_are_frozen(tmp_path, rules, scope, tnorm):
     root = str(tmp_path)
     hierarchy_fixture.write_dataset(root)
     hierarchy_fixture.write_pair_files(root)
     cfg = hierarchy_fixture.write_config(root, "out", rules=rules, ppi="ppi.tsv",
-                                         pair_gram="pairs.csv", constraint_scope=scope)
+                                         pair_gram="pairs.csv", constraint_scope=scope,
+                                         tnorm=tnorm)
     assert cli.main(["run", "--config", cfg, "--jobs", "1"]) == 0
     out = os.path.join(root, "out")
-    assert {name: _digest(os.path.join(out, name), root) for name in FILES} == FROZEN[rules, scope]
+    assert ({name: _digest(os.path.join(out, name), root) for name in FILES}
+            == FROZEN[rules, scope, tnorm])

@@ -24,11 +24,12 @@ import hierarchy_fixture
 from fungo import cli
 from fungo import io as fungo_io
 from fungo.cli import ExperimentConfig, main, parse_experiment_config
-from fungo.io import read_config, read_folds, read_gram, read_predictions
+from fungo.io import read_config, read_gram
 from fungo.io import write_config as write_config_file
 from fungo.kernels import InteractionGraph, diffusion_kernel
 from fungo.learner import TrainConfig
 from fungo.logic import PredicateBinding
+from support import read_folds, read_predictions
 
 SMALL_OBO = """\
 format-version: 1.2
@@ -746,14 +747,30 @@ def test_benchmark_hooks_resolve():
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_importing_the_cli_loads_neither_statistics_nor_decimal():
-    # Only the stats subcommand needs statistics, which imports decimal.
+def _modules_after_importing_the_cli() -> set[str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(fungo.__file__)))
-    code = "import sys, fungo.cli; print(sorted({'statistics', 'decimal'} & set(sys.modules)))"
+    code = "import sys, fungo.cli; print(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_statistics_nor_decimal():
+    # Only the stats subcommand needs statistics, which imports decimal.
+    assert not {"statistics", "decimal"} & _modules_after_importing_the_cli()
+
+
+# Every module here is on the import path of every fungo process; a module
+# that only the tests reach, such as a rule-text parser, belongs in tests/.
+CLI_IMPORTS = ["fungo", "fungo.cli", "fungo.evaluation", "fungo.io", "fungo.kernels",
+               "fungo.learner", "fungo.logic", "fungo.logic.compiler", "fungo.logic.engine",
+               "fungo.logic.formula", "fungo.ontology"]
+
+
+def test_importing_the_cli_loads_only_the_listed_fungo_modules():
+    loaded = _modules_after_importing_the_cli()
+    assert sorted(m for m in loaded if m.split(".")[0] == "fungo") == CLI_IMPORTS
 
 
 # Each dataclass costs about 0.4 ms of every process start, spent generating

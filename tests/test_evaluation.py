@@ -30,6 +30,7 @@ from fungo.ontology import go_cut, parse_obo, tpr_closure
 from support import (
     ReferencePredictionSet,
     prediction_set,
+    read_predictions,
     reference_build_sets,
     reference_consistency,
     reference_example_metrics,
@@ -612,7 +613,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
         cli._aggregate(data, outcomes, out, None)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
-        assert fungo_io.read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)
+        assert read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)
     captured.pop("auc_average", None)
     assert captured == expected
     for line, node in zip(per_node[1:], nodes):

@@ -16,15 +16,11 @@ from fungo.io import (
     atomic_write_text,
     read_annotations,
     read_config,
-    read_curve_file,
     read_expression,
     read_fasta,
-    read_folds,
     read_gram,
     read_lines,
     read_pairs,
-    read_predictions,
-    read_rule_file,
     write_config,
     write_curve_file,
     write_folds,
@@ -35,8 +31,15 @@ from fungo.io import (
     write_rule_file,
 )
 from fungo.kernels import GramMatrix
-from fungo.logic import parse_rules
-from support import LINE_BREAKS, reference_read_lines, write_raw
+from rule_text import parse_rules
+from support import (
+    LINE_BREAKS,
+    read_curve_file,
+    read_folds,
+    read_predictions,
+    reference_read_lines,
+    write_raw,
+)
 
 
 def put(tmp_path, name, text):
@@ -218,14 +221,9 @@ class TestRules:
             "forall x:Prot. Q(x) => P(x)\n"
             "forall x:Prot. forall y:Prot. BOUND(x,y) => (P(x) <=> P(y))\n"
         )
-        path = str(tmp_path / "rules.txt")
-        write_rule_file(path, rules)
-        loaded = read_rule_file(path)
-        assert [r.to_text() for r in loaded] == [r.to_text() for r in rules]
-
-    def test_parse_error_is_wrapped(self, tmp_path):
-        with pytest.raises(DataFileError):
-            read_rule_file(put(tmp_path, "bad.txt", "forall x:Prot Q(x)\n"))
+        path = tmp_path / "rules.txt"
+        write_rule_file(str(path), rules)
+        assert parse_rules(path.read_text(encoding="utf-8")) == rules
 
 
 class TestConfig:
@@ -381,9 +379,10 @@ READER_BLOCKS = {
 
 
 def test_every_line_reader_has_stream_cases():
+    # fungo's own readers, and the tests' readers of the files it only writes
     readers = {name for name in fungo_io.__all__ if name.startswith("read_")}
-    assert {reader.__name__ for reader in READER_BLOCKS} == readers - {
-        "read_lines", "read_rule_file"}
+    readers |= {"read_folds", "read_predictions", "read_curve_file"}
+    assert {reader.__name__ for reader in READER_BLOCKS} == readers - {"read_lines"}
 
 
 @st.composite

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import hierarchy_fixture
+from rule_text import parse_rule
 from support import (
     FORMULA_POOL,
+    IMPLICATIONS,
     alpha_gradient_descend,
     compiled_for,
     functional_gradient,
@@ -19,6 +21,7 @@ from support import (
     nonsmooth_margin,
     objective,
     objective_gradient,
+    read_as,
     reference_descend,
     reference_train,
     weight_rows,
@@ -38,9 +41,7 @@ from fungo.learner import (
     predict,
     train,
 )
-from fungo.logic import (
-    IMPLICATIONS, TNORMS, CompileError, PredicateBinding, compile_constraint, parse_rule,
-)
+from fungo.logic import TNORMS, CompileError, PredicateBinding, compile_constraint
 
 
 def gram(ids, matrix):
@@ -462,8 +463,8 @@ def _rule_problem(rng, tnorm, implication, bound_mode):
         tasks.append(TaskSpec(("BOUND",), 2, pairs, gram=pair_gram))
     bindings = {**predicate_bindings(tasks), **fixed}
     constraints = [
-        compile_constraint(parse_rule(text), tnorm, {"P": list(ids)}, bindings,
-                           implication=implication)
+        compile_constraint(read_as(parse_rule(text), implication), tnorm, {"P": list(ids)},
+                           bindings)
         for text in FORMULA_POOL
     ]
     return tasks, constraints, Model(tuple(rng.normal(scale=0.4, size=(1, t.size)) for t in tasks))

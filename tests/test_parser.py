@@ -1,19 +1,14 @@
 """Rule grammar: shapes, associativity, round trips, error positions."""
 
+import os
+
 import pytest
 
-from fungo.logic import (
-    And,
-    Atom,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    ParseError,
-    parse_rule,
-    parse_rules,
-    render,
-)
+import hierarchy_fixture
+from fungo import cli
+from fungo.io import read_config
+from fungo.logic import And, Atom, Iff, Implies, Not, Or, render
+from rule_text import ParseError, parse_rule, parse_rules
 
 
 def test_single_implication():
@@ -156,3 +151,22 @@ def test_file_errors_report_line():
 def test_keywords_not_predicates():
     with pytest.raises(ParseError):
         parse_rule("forall x:P. and(x)")
+
+
+@pytest.mark.parametrize("rules", ("OC", "OC+PP1", "OC+PP2"))
+def test_every_rule_that_a_run_builds_parses_back(tmp_path, rules):
+    # fungo writes rules.txt with Formula.to_text and reads no rule text, so
+    # this keeps the writer and the tests' parser in step.
+    root = str(tmp_path)
+    hierarchy_fixture.write_dataset(root)
+    hierarchy_fixture.write_pair_files(root)
+    cfg = hierarchy_fixture.write_config(root, "out", rules=rules, ppi="ppi.tsv",
+                                         pair_gram="pairs.csv")
+    config = cli.parse_experiment_config(read_config(cfg), root)
+    built, _ = cli.build_rules(config, cli.load_dataset(config).cut)
+    assert built
+    for rule in built:
+        assert parse_rule(rule.to_text()) == rule
+    assert cli.main(["rules", "--config", cfg]) == 0
+    with open(os.path.join(root, "out", "rules.txt"), encoding="utf-8") as handle:
+        assert parse_rules(handle.read()) == built

@@ -12,16 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fungo.logic import (
-    IMPLICATIONS,
-    TNORMS,
-    CompiledRuleSet,
-    ParseError,
-    PredicateBinding,
-    compile_constraint,
-    engine,
-    parse_rule,
-)
+from rule_text import ParseError, parse_rule
+from support import IMPLICATIONS, read_as
+
+from fungo.logic import TNORMS, CompiledRuleSet, PredicateBinding, compile_constraint, engine
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -44,14 +38,11 @@ BOOL_TABLES = {
 
 @functools.cache
 def _program(tnorm, body, implication):
-    formula = parse_rule(f"forall x:D. {body}")
+    formula = read_as(parse_rule(f"forall x:D. {body}"), implication)
     bindings = {
         name: PredicateBinding(name, 1, {"e": 0}) for name in formula.predicates()
     }
-    compiled = compile_constraint(
-        formula, tnorm, {"D": ("e",)}, bindings, implication=implication
-    )
-    return compiled.program
+    return compile_constraint(formula, tnorm, {"D": ("e",)}, bindings).program
 
 
 def truth(tnorm, body, *operands, implication="residuum"):
@@ -107,7 +98,7 @@ def test_frozen_connective_values():
 
 
 def test_material_product_form():
-    # With the product t-norm the material implication is 1 + a*b - a.
+    # With the product t-norm the material implication, not a or b, is 1 + a*b - a.
     grid = np.linspace(0, 1, 11)
     got = truth("product", BODIES["implies"], grid[:, None], grid[None, :],
                 implication="material")
