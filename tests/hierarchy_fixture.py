@@ -70,11 +70,12 @@ def protein_positions() -> list[tuple[str, float, str]]:
     return rows
 
 
-def write_dataset(root_dir: str) -> None:
-    """Write the ontology, annotation, and expression files into root_dir."""
+def write_dataset(root_dir: str, namespace: str = "molecular_function") -> None:
+    """Write the ontology, annotation, and expression files into root_dir,
+    with every term of the chain in ``namespace``."""
     os.makedirs(root_dir, exist_ok=True)
     with open(os.path.join(root_dir, "chain.obo"), "w", encoding="utf-8") as fh:
-        fh.write(OBO)
+        fh.write(OBO.replace("namespace: molecular_function", f"namespace: {namespace}"))
     rows = protein_positions()
     with open(os.path.join(root_dir, "ann.tsv"), "w", encoding="utf-8") as fh:
         for protein, _, term in rows:

@@ -1,17 +1,17 @@
 """Frozen bundle bytes on the hierarchy fixture.
 
 One ``run --jobs 1`` for each of ``OC``, ``OC+PP1`` (a given pair predicate,
-bound once per run) and ``OC+PP2`` (a learned pair predicate, so fold models
-hold two weight blocks), under both constraint scopes (under ``all`` every
-fold trains against the one rule set grounded for the run) and all three
-t-norms.  The sha256 of the fold-0 model, both prediction files and the
-metrics report are pinned, with the dataset directory masked out of the
-echoed paths: any change to what a run computes or how it writes it, down to
-the last bit of a weight, fails here.
+bound once per run), ``OC+PP2`` (a learned pair predicate, so fold models
+hold two weight blocks), ``OC+DPP1`` and ``OC+DPP2``, under both constraint
+scopes (under ``all`` every fold trains against the one rule set grounded
+for the run) and all three t-norms.  The sha256 of the fold-0 model, both
+prediction files and the metrics report are pinned, with the dataset
+directory masked out of the echoed paths: any change to what a run computes
+or how it writes it, down to the last bit of a weight, fails here.
 
-The DPP rules are left out: the fixture's cut holds molecular-function terms
-only, and ``OC+DPP1`` or ``OC+DPP2`` exits 2 with "DPP rule requested but the
-cut has no biological-process terms".
+The DPP rule's disjunction ranges over the cut's biological-process terms,
+so the DPP configs put the fixture's chain in that namespace: their one DPP
+rule has three disjuncts, one per cut term.
 """
 import hashlib
 import os
@@ -133,6 +133,78 @@ FROZEN = {
         "bound_predictions.tsv": "459768608b879bd522be29d30a138c46fd0ce452332eab0d615afc09893cae79",
         "metrics.txt": "c52674219c1eaed1ca200855264c84eace72e6c7e5a59d97d34a4644650e5280",
     },
+    ("OC+DPP1", "unsupervised", "minimum"): {
+        "fold_0/model.txt": "0185da3a2016ff047b6660f4e684fd8997062ca3746cc0a29b3e655a2c59e86b",
+        "predictions.tsv": "2cefdd8773b58fdd4d0793ac74eb92f5f38fb20fcf0bf5b357959451f86f7522",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "428fa656a7e05a42d44dd400d7ec0062c5bd9f50ccf0a9975760373c2d278147",
+    },
+    ("OC+DPP1", "unsupervised", "product"): {
+        "fold_0/model.txt": "50bf699d230d2203cacd9805138cef4bccdeb29538ae5bc109b55935bbfe57f6",
+        "predictions.tsv": "393c730c428a860c8811c38c79002192df6d94648f345128ef55cafc4057fc1e",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "e662563d0e209818e646249023843618e71d76b1f597132bef41d63dd19ff5c0",
+    },
+    ("OC+DPP1", "unsupervised", "lukasiewicz"): {
+        "fold_0/model.txt": "dc59a68ce0882db69d7139a8fdda94817b7d2b7dcff7f34e36908da8dabc480b",
+        "predictions.tsv": "08f3a39288de27986c0136a50ef97684d5ef2ed5de1f2d575ae27bacb91857b6",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "e662563d0e209818e646249023843618e71d76b1f597132bef41d63dd19ff5c0",
+    },
+    ("OC+DPP1", "all", "minimum"): {
+        "fold_0/model.txt": "9c37333a7909fac4399e05467e8e14086e8de50d4530e7223d5a6fe26048d713",
+        "predictions.tsv": "0257e833062d53e584d052a14bb564cb46032bf2606f5efe3564203e76353e38",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "3420fc8677ea75a188c995bd1cae89629ba59a3ffd3b4c9761f07867ef297fb1",
+    },
+    ("OC+DPP1", "all", "product"): {
+        "fold_0/model.txt": "2ce506f3aa1b07a973b1f1651baea91f60fcae93e368dbda4f60ddccd16e0a54",
+        "predictions.tsv": "c8d47a413ec849766b5a3ab01653c4e905b6d211e8be047378dca7729b932c89",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "63f9a320ba8773c78c0b152c5f327b512b3078c0e7dd3f1d450939497747646d",
+    },
+    ("OC+DPP1", "all", "lukasiewicz"): {
+        "fold_0/model.txt": "6ac7e3f573565012f038d2143ac7a50b14f0a5b9e76458ad64725935c0c4aa18",
+        "predictions.tsv": "18d21285b2a4a552fdacea55847c79acff04b21ba2e522f02c69b2f2879a22fa",
+        "bound_predictions.tsv": None,
+        "metrics.txt": "0edb832a6f44780ecd2c469c737e57650c359c807f8cd5fbc8e41eda3b3b3d06",
+    },
+    ("OC+DPP2", "unsupervised", "minimum"): {
+        "fold_0/model.txt": "57fdc64825608a3f4bcac8ccab6ef3c26102b4e23d1b724f912536a8b6563e87",
+        "predictions.tsv": "2cefdd8773b58fdd4d0793ac74eb92f5f38fb20fcf0bf5b357959451f86f7522",
+        "bound_predictions.tsv": "3610e7f86a33ca1523c5ae506a743a461fec81ce43717f4b4c0f1ea6ae9c7e1a",
+        "metrics.txt": "b0cf85433c1f31def6f64bb86cc829db63cfa9600bbe4e0a21adaae4fdee8ab1",
+    },
+    ("OC+DPP2", "unsupervised", "product"): {
+        "fold_0/model.txt": "998f38fee2cb4b74c2701b30299a91d6fff1861b7fc6096a9e5e7709472e9ad9",
+        "predictions.tsv": "5da4df6091be678ff02d362a330676f21c121511d471ba0947c7b2629af9b580",
+        "bound_predictions.tsv": "1d1da7b04b13da55f8311259588a38f0de4efc0be62754c64ebe0d12b124f77b",
+        "metrics.txt": "06161dab6e1cfb7ffb6d4a4cdd985f5ce223107f3e28e90dd564d6ccb64e1fe1",
+    },
+    ("OC+DPP2", "unsupervised", "lukasiewicz"): {
+        "fold_0/model.txt": "8c58090ab1fb8d0e6f941b6c3ee2bb7ef30be70f2264bc0df5d0b4e9c7c14a5f",
+        "predictions.tsv": "2c4c236ead439346830d197bb48e59231c91e51cd8d14e3eac8ed1cfac4c35be",
+        "bound_predictions.tsv": "d0b5143ce798a52e9ff87ce75d4f6db2ff2b8c23f626dc84c481952e9c34bdae",
+        "metrics.txt": "77ef33809b5f66b33513c93276485863221a060c0105cba67047c3a8f6807b2c",
+    },
+    ("OC+DPP2", "all", "minimum"): {
+        "fold_0/model.txt": "33ee5448dab58841ac835f2664cff7e7a2edf1a0f6fa7c2b41ae636e56d65e08",
+        "predictions.tsv": "b8b4854f8612225a06942dc7be85f1de1f0ccbc2fac677d465fa473f7af71e70",
+        "bound_predictions.tsv": "77418a529d6b1d97016ac7fdcc96efae43f2904fbe5c20f5f8854aa5d2abb14e",
+        "metrics.txt": "c3147ca1ffb94a9e7106e3df5d04b64c5ce5bf35a55e4ff163d55a0f7b3f84ad",
+    },
+    ("OC+DPP2", "all", "product"): {
+        "fold_0/model.txt": "07773a6d7fe99a61538c9aab2f52b640df14176a251408d22474a1fe9368fa89",
+        "predictions.tsv": "43428876e8d64a232303bb3fb4363cef2f5ea1066700784807a7dc46498eaef8",
+        "bound_predictions.tsv": "838c45db0edf7cabb7010853a8d794863b59b8eb0954c6b50c877a637776a2e6",
+        "metrics.txt": "a5db5544a2d97fc195e9c6e45dd0ae8132f248fcb6b42debdede369465b4be3d",
+    },
+    ("OC+DPP2", "all", "lukasiewicz"): {
+        "fold_0/model.txt": "429cd0c262a17cfbb1d03b3dfcbb956dc7b124d75469fb8ad29233d99c44d9ab",
+        "predictions.tsv": "da7308c2eff001981795fe1f752609d779db58656b539bab935a598e5d519e55",
+        "bound_predictions.tsv": "12595295233ee2c6ed92f03315c16ff87c8ad07353fc99d2405d0d71e0929140",
+        "metrics.txt": "eab28a2594e17db8a60e933f005db3f4299a5f007d21d14f537e5d14c26f768e",
+    },
 }
 
 
@@ -153,11 +225,12 @@ def _id(rules: str, scope: str, tnorm: str) -> str:
                          ids=[_id(*key) for key in sorted(FROZEN)])
 def test_bundle_bytes_are_frozen(tmp_path, rules, scope, tnorm):
     root = str(tmp_path)
-    hierarchy_fixture.write_dataset(root)
+    namespace = "biological_process" if "DPP" in rules else "molecular_function"
+    hierarchy_fixture.write_dataset(root, namespace)
     hierarchy_fixture.write_pair_files(root)
     cfg = hierarchy_fixture.write_config(root, "out", rules=rules, ppi="ppi.tsv",
                                          pair_gram="pairs.csv", constraint_scope=scope,
-                                         tnorm=tnorm)
+                                         tnorm=tnorm, namespaces=namespace)
     assert cli.main(["run", "--config", cfg, "--jobs", "1"]) == 0
     out = os.path.join(root, "out")
     assert ({name: _digest(os.path.join(out, name), root) for name in FILES}
