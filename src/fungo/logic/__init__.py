@@ -11,9 +11,6 @@ from .engine import HAS_NUMBA, LUKASIEWICZ, MINIMUM, PRODUCT, TNORMS, resolve_en
 from .formula import (
     And,
     Atom,
-    EXISTS,
-    EXISTS_N,
-    FORALL,
     Formula,
     FormulaError,
     Iff,
@@ -32,9 +29,6 @@ __all__ = [
     "CompileError",
     "CompiledConstraint",
     "CompiledRuleSet",
-    "EXISTS",
-    "EXISTS_N",
-    "FORALL",
     "Formula",
     "FormulaError",
     "HAS_NUMBA",

@@ -1,23 +1,31 @@
 """Compilation of rules into executable constraints.
 
-``compile_constraint`` checks a prenex formula against named example
-domains and predicate bindings and lowers its body to a flat instruction
-program (``=>`` becomes the t-norm's residuum, and ``iff`` the t-norm
-conjunction of the two residua).  It records every distinct atom as an
-input slot, that is the predicate's binding and the quantifier axis of
-each argument, and the example ids of each axis.  It builds no grounding
-arrays.
+``compile_constraint`` checks a rule against named example domains and
+predicate bindings and lowers its body to a flat instruction program
+(``=>`` becomes the t-norm's residuum, and ``iff`` the t-norm conjunction
+of the two residua).  It compiles the two rule shapes that the rule
+generators build, every quantifier over one id list:
 
-``CompiledRuleSet`` is the one place where rules are grounded.  It groups
-the rules by template first, then grounds each rule straight to the rows
-that it evaluates: a guarded pair rule to the pairs in its guard's index,
-any other rule to its whole grid.  Grounding rows run row-major over the
-quantifier axes, with each domain in its ingestion order, so penalties
-are deterministic.  A rule set grounds when it is first evaluated, and
-``CompiledRuleSet.restricted`` narrows an ungrounded set to part of its
-domain without compiling again.  Under the minimum t-norm a gradient is
-one scatter of every grounding's signed input position (see ``engine``).
-The per-rule ``CompiledConstraint.penalty`` methods evaluate a one-rule set.
+* a one-variable rule, ``forall x. body``;
+* a guarded pair rule, ``forall x. forall y. G(x, y) => body``, ``G`` a
+  pair predicate read over ``x`` then ``y``.
+
+Anything else raises :class:`CompileError`.  A compiled rule records every
+distinct atom as an input slot, that is the predicate's binding and the
+quantifier axis of each argument, and the example ids of each axis.  It
+builds no grounding arrays.
+
+``CompiledRuleSet`` is the one place where rules are grounded.  Its rules
+range over one id list.  It groups the rules by template first, then
+grounds each rule straight to the rows that it evaluates: a one-variable
+rule to every id, a guarded pair rule to the pairs in its guard's index.
+Grounding rows run in the id list's order, row-major over a pair rule's
+two axes, so penalties are deterministic.  A rule set grounds when it is
+first evaluated, and ``CompiledRuleSet.restricted`` narrows an ungrounded
+set to part of its ids without compiling again.  Under the minimum t-norm
+a gradient is one scatter of every grounding's signed input position (see
+``engine``).  The per-rule ``CompiledConstraint.penalty`` methods evaluate
+a one-rule set.
 """
 
 from __future__ import annotations
@@ -40,9 +48,7 @@ from .engine import (
     TNORMS,
     Program,
 )
-from .formula import (
-    And, Atom, EXISTS, EXISTS_N, FORALL, Formula, Iff, Implies, Node, Not, Or, iter_atoms,
-)
+from .formula import And, Atom, Formula, Iff, Implies, Node, Not, Or, iter_atoms
 
 
 class CompileError(ValueError):
@@ -159,8 +165,6 @@ class _RuleGroup(NamedTuple):
     (0-based within ``rules``)."""
 
     program: Program
-    quantifiers: tuple
-    shape: tuple[int, ...]
     rules: np.ndarray
     index: np.ndarray
     row_rule: np.ndarray | None
@@ -177,18 +181,16 @@ class CompiledRuleSet:
     given predicate's truths, placed once.  Each grounding row reads, for every
     slot, the position of its example or pair in the slot's predicate, or
     the sentinel where the predicate's index lacks it.  Rules with the same
-    program, t-norm, quantifier prefix and grid shape form a group that
-    costs one gather and one forward pass; for gradients, one walk for
-    signed positions (minimum t-norm) or one backward pass.
+    program, t-norm and number of variables form a group that costs one
+    gather and one forward pass; for gradients, one walk for signed
+    positions (minimum t-norm) or one backward pass.
 
-    A ``forall x. forall y. G(x, y) => body`` rule, ``G`` a pair predicate,
-    is grounded only where its guard ``G`` is live, that is where the pair
-    is in ``G``'s index: elsewhere ``G = 0``, the residuum is exactly
-    1 under every t-norm and passes no gradient to the body, so the dropped
+    A guarded pair rule ``forall x. forall y. G(x, y) => body`` is grounded
+    only where its guard ``G`` is live, that is where the pair is in
+    ``G``'s index: elsewhere ``G = 0``, the residuum is exactly 1 under
+    every t-norm and passes no gradient to the body, so the dropped
     groundings change only the order of the sum.  Its rows come straight
-    from the guard's index and never from the grid.  Other rules over a
-    grid of two or more axes walk the whole grid, one rule per group, so
-    memory does not grow with the rule count.
+    from the guard's index and never from the n x n grid.
 
     The rows are grounded when the set is first evaluated, so a set that is
     only narrowed with ``restricted`` is never grounded.  Lookups are built
@@ -214,6 +216,9 @@ class CompiledRuleSet:
         tail = [np.zeros(0)]
         given: dict[str, np.ndarray] = {}
 
+        ids = self.constraints[0].domains[0] if self.constraints else ()
+        if any(c.domains[0] is not ids and c.domains[0] != ids for c in self.constraints):
+            raise CompileError("the rules range over more than one id list")
         offsets: list[list[int]] = []
         members: dict[tuple, list[int]] = {}
         for r, constraint in enumerate(self.constraints):
@@ -243,14 +248,7 @@ class CompiledRuleSet:
                         f"outputs of {pred!r}, its block has {n}"
                     )
                 offsets[r].append(offset)
-            key = (
-                constraint.program,
-                tuple((q.kind, q.count) for q in constraint.formula.quantifiers),
-                constraint.shape,
-            )
-            if _guard_slot(constraint) is None and len(constraint.shape) > 1:
-                key += (r,)
-            members.setdefault(key, []).append(r)
+            members.setdefault((constraint.program, len(constraint.domains)), []).append(r)
 
         self._tail = np.concatenate(tail)
         self._offsets, self._members = offsets, members
@@ -267,38 +265,36 @@ class CompiledRuleSet:
                 position = _positions(self.constraints[r], lookups)
                 index.append(np.where(position >= 0, np.array(self._offsets[r]) + position, 0))
             row_rule = None
-            if _guard_slot(first) is not None:
+            if len(first.domains) == 2:
                 row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
             groups.append(_RuleGroup(
-                first.program, first.formula.quantifiers, first.shape,
-                np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
+                first.program, np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
             ))
         return groups
 
     def restricted(self, keep: Sequence[bool]) -> CompiledRuleSet:
-        """This set over the ids of its rules' one id list that the mask
-        ``keep`` keeps, in their order: the set that a compile over those ids
-        builds, from the same compiled programs.  It grounds only the kept
-        ids, when first evaluated."""
-        domains = {ids for c in self.constraints for ids in c.domains}
-        if len(domains) > 1:
-            raise CompileError("the rules range over more than one id list")
-        narrowed = self
-        for ids in domains:
-            kept = tuple(i for i, k in zip(ids, keep, strict=True) if k)
-            for q in (q for c in self.constraints for q in c.formula.quantifiers):
-                _check_axis(q, kept)
-            narrowed = CompiledRuleSet(
-                [replace(c, domains=(kept,) * len(c.domains)) for c in self.constraints], self.layout)
-            rank = np.where(keep, np.cumsum(keep) - 1, -1)  # -1 for a dropped id
-            for c, slot in ((c, s) for c in self.constraints for s in c.slots):
-                if slot.binding.arity == 2:
-                    codes, positions = _pair_codes(slot, c.domains, self._pairs)
-                    i, j = (rank[k] for k in np.divmod(codes[:-1], len(ids)))
-                    live = np.append((i >= 0) & (j >= 0), True)  # the last code stays
-                    codes = np.append(i * len(kept) + j, len(kept) ** 2)
-                    key = "pairs", id(slot.binding.index), kept, kept
-                    narrowed._pairs[key] = codes[live], positions[live]
+        """This set over the ids of its id list that the mask ``keep`` keeps,
+        in their order: the set that a compile over those ids builds, from
+        the same compiled programs.  It grounds only the kept ids, when
+        first evaluated."""
+        if not self.constraints:
+            return self
+        ids = self.constraints[0].domains[0]
+        kept = tuple(i for i, k in zip(ids, keep, strict=True) if k)
+        if not kept:
+            name = self.constraints[0].formula.quantifiers[0].domain
+            raise CompileError(f"domain {name!r} is empty")
+        narrowed = CompiledRuleSet(
+            [replace(c, domains=(kept,) * len(c.domains)) for c in self.constraints], self.layout)
+        rank = np.where(keep, np.cumsum(keep) - 1, -1)  # -1 for a dropped id
+        for slot in (s for c in self.constraints for s in c.slots):
+            if slot.binding.arity == 2:
+                codes, positions = _pair_codes(slot.binding, ids, self._pairs)
+                i, j = (rank[k] for k in np.divmod(codes[:-1], len(ids)))
+                live = np.append((i >= 0) & (j >= 0), True)  # the last code stays
+                codes = np.append(i * len(kept) + j, len(kept) ** 2)
+                key = "pairs", id(slot.binding.index), kept
+                narrowed._pairs[key] = codes[live], positions[live]
         return narrowed
 
     @property
@@ -340,14 +336,12 @@ class CompiledRuleSet:
                 phis[group.rules] = np.bincount(
                     group.row_rule, weights=penalties, minlength=len(group.rules)
                 )
-                weights = np.ones_like(penalties)
             else:
-                grid = penalties.reshape(len(group.rules), *group.shape)
-                phis[group.rules], weights = _aggregate(grid, group.quantifiers, with_gradient)
+                phis[group.rules] = penalties.reshape(len(group.rules), -1).sum(axis=-1)
             if not with_gradient:
                 continue
-            # Each penalty depends on truths through penalties = 1 - truths.
-            weights = -weights.reshape(-1)
+            # A rule's penalty is the sum of 1 - truth over its groundings.
+            weights = np.full(penalties.shape, -1.0)
             if group.program.tnorm_code != _engine.TN_MINIMUM:
                 dvalues = _engine.backward(group.program, vals, weights)
                 grad += np.bincount(
@@ -368,64 +362,56 @@ class CompiledRuleSet:
 
 def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
     """The rule's grounding rows: each slot's position in its predicate's
-    truth vector, -1 where absent.  Rules with the same guard slot that read
-    the same index maps over the same domains share one array."""
-    guard = _guard_slot(constraint)
-    key = ("rows", guard, constraint.domains) + tuple(
+    truth vector, -1 where absent.  Rules of as many variables that read
+    the same index maps over the same ids share one array."""
+    ids = constraint.domains[0]
+    key = ("rows", constraint.domains) + tuple(
         (id(slot.binding.index), slot.axes) for slot in constraint.slots)
     if key in lookups:
         return lookups[key]
-    if guard is None:
-        cells = np.arange(constraint.n_groundings)
-    else:
-        # The guard's pairs, row-major; the codes of a G(y, x) guard count y first.
-        slot = constraint.slots[guard]
-        cells = _pair_codes(slot, constraint.domains, lookups)[0][:-1]
-        if slot.axes == (1, 0):
-            n_x, n_y = constraint.shape
-            cells = np.sort(cells % n_x * n_y + cells // n_x)
+    if len(constraint.domains) == 1:
+        cells = np.arange(len(ids))
+    else:  # the pairs of the guard, the first slot, row-major
+        cells = _pair_codes(constraint.slots[0].binding, ids, lookups)[0][:-1]
     coords = np.unravel_index(cells, constraint.shape)
     columns = []
     for slot in constraint.slots:
         if slot.binding.arity == 1:
-            columns.append(_unary_column(slot, constraint.domains, lookups)[coords[slot.axes[0]]])
+            columns.append(_unary_column(slot.binding, ids, lookups)[coords[slot.axes[0]]])
         else:
-            codes, positions = _pair_codes(slot, constraint.domains, lookups)
+            codes, positions = _pair_codes(slot.binding, ids, lookups)
             a, b = slot.axes
-            wanted = coords[a] * len(constraint.domains[b]) + coords[b]
+            wanted = coords[a] * len(ids) + coords[b]
             at = np.searchsorted(codes, wanted)
             columns.append(np.where(codes[at] == wanted, positions[at], -1))
     lookups[key] = np.stack(columns, axis=1)
     return lookups[key]
 
 
-def _unary_column(slot: SlotBinding, domains, lookups: dict) -> np.ndarray:
+def _unary_column(binding: PredicateBinding, ids: tuple, lookups: dict) -> np.ndarray:
     """Each id's position in a unary index, -1 where absent."""
-    ids = domains[slot.axes[0]]
-    key = ("unary", id(slot.binding.index), ids)
+    key = ("unary", id(binding.index), ids)
     if key not in lookups:
-        index = slot.binding.index
+        index = binding.index
         lookups[key] = np.array([index.get(i, -1) for i in ids], dtype=np.int64)
     return lookups[key]
 
 
-def _pair_codes(slot: SlotBinding, domains, lookups: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A pair index over two domains as the sorted codes ``i * len(right) + j``
-    of its pairs ``(left[i], right[j])``, each in either order, and their
-    positions.  A direct entry beats a reversed one, and pairs with an id
-    outside the domains are left out.  A last code, past every pair, reads
-    position -1.
+def _pair_codes(binding: PredicateBinding, ids: tuple,
+                lookups: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A pair index as the sorted codes ``i * len(ids) + j`` of its pairs
+    ``(ids[i], ids[j])``, each in either order, and their positions.  A
+    direct entry beats a reversed one, and pairs with an id outside ``ids``
+    are left out.  A last code, past every pair, reads position -1.
     """
-    left, right = (domains[axis] for axis in slot.axes)
-    key = ("pairs", id(slot.binding.index), left, right)
+    key = ("pairs", id(binding.index), ids)
     if key not in lookups:
-        row = {a: i for i, a in enumerate(left)}
-        col = {b: j for j, b in enumerate(right)}
-        found = [(len(left) * len(right), 0, -1)]  # code, reversed, position
-        for (a, b), position in slot.binding.index.items():
-            for flip, (x, y) in enumerate(((a, b), (b, a))):
-                if x in row and y in col:
-                    found.append((row[x] * len(right) + col[y], flip, position))
+        at = {a: i for i, a in enumerate(ids)}
+        found = [(len(ids) ** 2, 0, -1)]  # code, reversed, position
+        for (a, b), position in binding.index.items():
+            if a in at and b in at:
+                found.append((at[a] * len(ids) + at[b], 0, position))
+                found.append((at[b] * len(ids) + at[a], 1, position))
         codes, flips, positions = np.array(found, dtype=np.int64).T
         order = np.lexsort((flips, codes))
         codes, positions = codes[order], positions[order]
@@ -434,20 +420,14 @@ def _pair_codes(slot: SlotBinding, domains, lookups: dict) -> tuple[np.ndarray, 
     return lookups[key]
 
 
-def _guard_slot(constraint: CompiledConstraint) -> int | None:
-    """Slot of the pair guard ``G`` of a ``forall x. forall y. G(x, y) => body``
-    rule, ``G(y, x)`` too."""
-    if [q.kind for q in constraint.formula.quantifiers] != [FORALL, FORALL]:
-        return None
+def _guarded(constraint: CompiledConstraint) -> bool:
+    """Whether the body reads ``G(x, y) => ...``: its leftmost atom, the
+    first slot, is then the guard."""
     program = constraint.program
     root = program.n_nodes - 1
-    if program.opcodes[root] != OP_IMPL:
-        return None
-    left = program.lhs[root]
-    if program.opcodes[left] != OP_LOAD:
-        return None
-    guard = int(program.lhs[left])
-    return guard if sorted(constraint.slots[guard].axes) == [0, 1] else None
+    return (program.opcodes[root] == OP_IMPL
+            and program.opcodes[program.lhs[root]] == OP_LOAD
+            and constraint.slots[0].axes == (0, 1))
 
 
 def compile_constraint(
@@ -456,20 +436,24 @@ def compile_constraint(
     domains: Mapping[str, tuple[str, ...] | list[str]],
     predicates: Mapping[str, PredicateBinding],
 ) -> CompiledConstraint:
-    """Check a formula against example domains and predicate bindings and
-    lower it; :class:`CompiledRuleSet` grounds it."""
+    """Check a one-variable or guarded pair rule against example domains and
+    predicate bindings and lower it; :class:`CompiledRuleSet` grounds it."""
     if tnorm not in TNORMS:
         raise CompileError(f"unknown t-norm {tnorm!r}")
 
-    axis_ids = []
+    id_lists = []
     for q in formula.quantifiers:
         if q.domain not in domains:
             raise CompileError(f"unknown domain {q.domain!r}")
-        ids = tuple(domains[q.domain])
-        if len(set(ids)) != len(ids):
-            raise CompileError(f"domain {q.domain!r} lists an example twice")
-        _check_axis(q, ids)
-        axis_ids.append(ids)
+        id_lists.append(tuple(domains[q.domain]))
+    ids = id_lists[0]
+    if any(other != ids for other in id_lists[1:]):
+        raise CompileError("the quantifiers range over more than one id list")
+    name = formula.quantifiers[0].domain
+    if len(set(ids)) != len(ids):
+        raise CompileError(f"domain {name!r} lists an example twice")
+    if not ids:
+        raise CompileError(f"domain {name!r} is empty")
 
     for pred, arity in sorted(formula.predicates().items()):
         binding = predicates.get(pred)
@@ -482,25 +466,21 @@ def compile_constraint(
 
     axis_of = {q.var: k for k, q in enumerate(formula.quantifiers)}
     slot_order = list(dict.fromkeys((atom.pred, atom.args) for atom in iter_atoms(formula.body)))
-    return CompiledConstraint(
+    constraint = CompiledConstraint(
         formula=formula,
-        domains=tuple(axis_ids),
+        domains=(ids,) * len(id_lists),
         program=_lower(formula.body, slot_order, TN_CODE[tnorm]),
         slots=tuple(
             SlotBinding(predicates[pred], tuple(axis_of[v] for v in args))
             for pred, args in slot_order
         ),
     )
-
-
-def _check_axis(q, ids: tuple) -> None:
-    if not ids:
-        raise CompileError(f"domain {q.domain!r} is empty")
-    if q.kind == EXISTS_N and q.count > len(ids):
+    if len(id_lists) > 1 and (len(id_lists) > 2 or not _guarded(constraint)):
         raise CompileError(
-            f"exists[{q.count}] over {q.var!r} exceeds the {len(ids)} "
-            f"examples of domain {q.domain!r}"
+            f"rule {constraint.text!r} is neither a one-variable rule nor "
+            f"'forall x. forall y. G(x,y) => body' with G a pair predicate"
         )
+    return constraint
 
 
 def _lower(body: Node, slot_order: list, tnorm_code: int) -> Program:
@@ -534,49 +514,4 @@ def _lower(body: Node, slot_order: list, tnorm_code: int) -> Program:
 
     lower(body)
     return Program(tuple(ops), tuple(lhs), tuple(rhs), tnorm_code, len(slot_order))
-
-
-def _aggregate(
-    penalties: np.ndarray, quantifiers, need_weights: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reduce the grounding grid to a penalty, innermost quantifier first.
-
-    The grid occupies the trailing axes of ``penalties``; a leading axis,
-    when present, stacks the grids of several rules and is kept, one
-    penalty per rule.  Returns the penalties and, when asked,
-    d(penalty)/d(per-grounding penalty) with existential ties routed to the
-    lowest grounding index.
-    """
-    steps = []
-    cur = penalties
-    for q in reversed(quantifiers):
-        if q.kind == FORALL:
-            steps.append((FORALL, None, cur.shape))
-            cur = cur.sum(axis=-1)
-        elif q.kind == EXISTS:
-            sel = np.argmin(cur, axis=-1)
-            steps.append((EXISTS, sel, cur.shape))
-            cur = np.take_along_axis(cur, sel[..., None], axis=-1)[..., 0]
-        else:
-            order = np.argsort(cur, axis=-1, kind="stable")
-            sel = np.sort(order[..., : q.count], axis=-1)
-            steps.append((EXISTS_N, sel, cur.shape))
-            cur = np.take_along_axis(cur, sel, axis=-1).sum(axis=-1)
-    if not need_weights:
-        return cur, None
-    weights = np.ones(np.shape(cur), dtype=np.float64)
-    for kind, sel, shape in reversed(steps):
-        if kind == FORALL:
-            weights = np.broadcast_to(weights[..., None], shape).copy()
-        elif kind == EXISTS:
-            expanded = np.zeros(shape, dtype=np.float64)
-            np.put_along_axis(expanded, sel[..., None], weights[..., None], axis=-1)
-            weights = expanded
-        else:
-            expanded = np.zeros(shape, dtype=np.float64)
-            np.put_along_axis(
-                expanded, sel, np.broadcast_to(weights[..., None], sel.shape), axis=-1
-            )
-            weights = expanded
-    return cur, weights
 

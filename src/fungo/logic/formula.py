@@ -1,21 +1,14 @@
 """Abstract syntax for first-order rules.
 
-A rule is a prenex formula: an ordered quantifier prefix followed by a
-quantifier-free body built from unary and binary predicate atoms with
-``not``, ``and``, ``or``, ``=>`` and ``<=>``.
+A rule is a prenex formula: an ordered prefix of universal quantifiers
+followed by a quantifier-free body built from unary and binary predicate
+atoms with ``not``, ``and``, ``or``, ``=>`` and ``<=>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Union
-
-FORALL = "forall"
-EXISTS = "exists"
-EXISTS_N = "exists_n"
-
-QUANTIFIER_KINDS = (FORALL, EXISTS, EXISTS_N)
-
 
 class FormulaError(ValueError):
     """A formula violates a structural invariant."""
@@ -61,21 +54,10 @@ Node = Union[Atom, Not, And, Or, Implies, Iff]
 
 @dataclass(frozen=True)
 class Quantifier:
-    """One quantifier of the prefix; ``count`` is set only for exists_n."""
+    """One universal quantifier of the prefix: ``forall var:domain``."""
 
-    kind: str
     var: str
     domain: str
-    count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in QUANTIFIER_KINDS:
-            raise FormulaError(f"unknown quantifier kind {self.kind!r}")
-        if self.kind == EXISTS_N:
-            if self.count is None or self.count < 1:
-                raise FormulaError("exists_n needs a positive count")
-        elif self.count is not None:
-            raise FormulaError(f"{self.kind} does not take a count")
 
 
 def iter_atoms(node: Node) -> Iterator[Atom]:
@@ -172,15 +154,6 @@ def _wrap(node: Node, min_prec: int) -> str:
 def render(formula: Formula) -> str:
     """Render a formula in the rule syntax, one line per rule as in
     ``rules.txt``; the test suite's ``tests/rule_text.py`` parses it back."""
-    parts = []
-    for q in formula.quantifiers:
-        if q.kind == FORALL:
-            head = "forall"
-        elif q.kind == EXISTS:
-            head = "exists"
-        else:
-            head = f"exists[{q.count}]"
-        parts.append(f"{head} {q.var}:{q.domain}.")
-    body, _ = _render_node(formula.body)
-    parts.append(body)
+    parts = [f"forall {q.var}:{q.domain}." for q in formula.quantifiers]
+    parts.append(_render_node(formula.body)[0])
     return " ".join(parts)

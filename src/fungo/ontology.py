@@ -14,7 +14,7 @@ import sys
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier, FORALL
+from .logic import Atom, And, Formula, Iff, Implies, Node, Or, Quantifier
 
 NAMESPACES = ("biological_process", "cellular_component", "molecular_function")
 
@@ -547,7 +547,7 @@ def go_cut(
 
 
 def _forall_x(body: Node) -> Formula:
-    return Formula((Quantifier(FORALL, "x", PROTEIN_DOMAIN),), body)
+    return Formula((Quantifier("x", PROTEIN_DOMAIN),), body)
 
 
 def _unary_implication(child_pred: str, parent_pred: str) -> Formula:
@@ -600,8 +600,8 @@ def generate_ppi_rules(cut: GoCut, variant: str) -> list[Formula]:
     if variant not in PPI_VARIANTS:
         raise OntologyError(f"unknown interaction-rule variant {variant!r}")
     quantifiers = (
-        Quantifier(FORALL, "x", PROTEIN_DOMAIN),
-        Quantifier(FORALL, "y", PROTEIN_DOMAIN),
+        Quantifier("x", PROTEIN_DOMAIN),
+        Quantifier("y", PROTEIN_DOMAIN),
     )
     bound = Atom(BOUND_PREDICATE, ("x", "y"))
     if variant == PP:

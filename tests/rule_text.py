@@ -6,7 +6,7 @@
 Grammar (one rule per line, ``#`` starts a comment):
 
     rule  := quant+ "." expr
-    quant := ("forall" | "exists" | "exists[" INT "]") IDENT ":" IDENT
+    quant := "forall" IDENT ":" IDENT
     expr  := iff
     iff   := impl ("<=>" impl)*          left associative
     impl  := disj ("=>" disj)*           right associative
@@ -17,6 +17,8 @@ Grammar (one rule per line, ``#`` starts a comment):
 
 A "." may also follow each quantifier individually, as in
 ``forall x:Prot. forall y:Prot. BOUND(x,y) => (P(x) <=> P(y))``.
+``exists`` stays a keyword: fungo compiles universal rules only, so an
+existential prefix is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ import re
 from typing import NamedTuple
 
 from fungo.logic.formula import (
-    EXISTS,
-    EXISTS_N,
-    FORALL,
     And,
     Atom,
     Formula,
@@ -50,12 +49,9 @@ _TOKEN_RE = re.compile(
   | (?P<implies>=>)
   | (?P<lparen>\()
   | (?P<rparen>\))
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
   | (?P<comma>,)
   | (?P<colon>:)
   | (?P<dot>\.)
-  | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
@@ -129,7 +125,7 @@ class _Parser:
     def parse_prefix(self) -> list[Quantifier]:
         quants = []
         dotted = False
-        while self.peek().kind in (FORALL, EXISTS):
+        while self.peek().kind in ("forall", "exists"):
             quants.append(self.parse_quantifier())
             dotted = False
             if self.peek().kind == "dot":
@@ -145,23 +141,15 @@ class _Parser:
 
     def parse_quantifier(self) -> Quantifier:
         head = self.advance()
-        kind = head.kind
-        count = None
-        if kind == EXISTS and self.peek().kind == "lbracket":
-            self.advance()
-            num = self.expect("int", "a count")
-            count = int(num.text)
-            if count < 1:
-                raise ParseError("exists count must be positive", num.column)
-            self.expect("rbracket")
-            kind = EXISTS_N
+        if head.kind == "exists":
+            raise ParseError("only 'forall' quantifies a rule", head.column)
         var = self.expect("ident", "a variable name")
         if var.text in self.bound:
             raise ParseError(f"duplicate quantified variable {var.text!r}", var.column)
         self.expect("colon", "':' between variable and domain")
         dom = self.expect("ident", "a domain name")
         self.bound.add(var.text)
-        return Quantifier(kind, var.text, dom.text, count)
+        return Quantifier(var.text, dom.text)
 
     def parse_iff(self) -> Node:
         node = self.parse_impl()

@@ -22,10 +22,9 @@ from fungo import learner
 from fungo.evaluation import EvalError, ExampleMetrics, LabelMetrics, PredictionSet
 from fungo.io import DataFileError, _records, _split_columns, parse_real
 from fungo.logic import (
-    EXISTS, FORALL, And, Atom, CompiledRuleSet, Formula, Iff, Implies, Not, Or,
-    PredicateBinding, compile_constraint, engine,
+    And, Atom, CompiledRuleSet, Formula, Iff, Implies, Not, Or, PredicateBinding,
+    compile_constraint, engine,
 )
-from fungo.logic.compiler import _aggregate
 from fungo.ontology import (
     ISA,
     NAMESPACES,
@@ -40,18 +39,15 @@ from fungo.ontology import (
 from rule_text import parse_rule
 
 # A representative mix of rule shapes: implications, disjunction heads,
-# equivalences, negation, two-variable bodies, existentials.
+# equivalences, negation, guarded pair rules.
 FORMULA_POOL = [
     "forall x:P. A(x) => B(x)",
     "forall x:P. A(x) and B(x) => C(x)",
     "forall x:P. A(x) => B(x) or C(x) or D(x)",
     "forall x:P. not (A(x) and not B(x)) or C(x)",
     "forall x:P. (A(x) <=> B(x)) <=> C(x)",
-    "exists x:P. A(x) and not B(x)",
-    "exists[2] x:P. A(x) => B(x)",
     "forall x:P. forall y:P. BOUND(x,y) => (A(x) <=> A(y))",
     "forall x:P. forall y:P. BOUND(x,y) => (A(x) and A(y)) or (B(x) and B(y))",
-    "forall x:P. exists y:P. BOUND(x,y) and A(y)",
 ]
 
 # Two readings of ``a => b``: the residuum that the compiler lowers it to,
@@ -63,7 +59,9 @@ IMPLICATIONS = ("residuum", "material")
 def read_as(formula: Formula, implication: str) -> Formula:
     """``formula`` under one of ``IMPLICATIONS``: as written for the
     residuum, with every ``a => b`` rewritten ``not a or b`` and every
-    ``a <=> b`` ``(not a or b) and (not b or a)`` for the material reading."""
+    ``a <=> b`` ``(not a or b) and (not b or a)`` for the material reading.
+    A pair rule keeps its guard ``G(x,y) =>``, which the compiler needs,
+    and reads its body materially."""
     if implication == "residuum":
         return formula
 
@@ -79,7 +77,10 @@ def read_as(formula: Formula, implication: str) -> Formula:
             return And(Or(Not(left), right), Or(Not(right), left))
         return type(node)(left, right)
 
-    return Formula(formula.quantifiers, material(formula.body))
+    body = formula.body
+    if len(formula.quantifiers) == 2:
+        return Formula(formula.quantifiers, Implies(body.left, material(body.right)))
+    return Formula(formula.quantifiers, material(body))
 
 
 def random_instance(rng, tnorm, implication="residuum", formula_text=None):
@@ -274,10 +275,9 @@ def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, n
     """The rule's penalty from every grounding of its grid, and its gradient
     wrt each learned predicate's outputs."""
     vals, penalties = dense_forward(constraint, outputs)
-    phi, weights = _aggregate(penalties, constraint.formula.quantifiers, need_weights=True)
     program = constraint.program
     reverse = minimum_backward if program.tnorm_code == engine.TN_MINIMUM else engine.backward
-    dvalues = reverse(program, vals, -weights.reshape(-1))
+    dvalues = reverse(program, vals, np.full(penalties.size, -1.0))
     grads: dict[str, np.ndarray] = {}
     for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
         if slot.binding.truths is not None:
@@ -285,7 +285,7 @@ def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, n
         grad = grads.setdefault(slot.binding.name, np.zeros(slot.binding.size))
         present = gather >= 0
         np.add.at(grad, gather[present], dvalues[present, s])
-    return float(phi), grads
+    return float(penalties.sum(axis=-1).sum()), grads  # innermost variable first
 
 
 def nonsmooth_margin(constraint, outputs) -> float:
@@ -293,10 +293,9 @@ def nonsmooth_margin(constraint, outputs) -> float:
     nearest subgradient boundary.
 
     Used by gradient checks to keep finite-difference probes away from
-    kinks (branch switches of min/max, residuum satisfaction boundaries,
-    selection ties of existential aggregation).
+    kinks (branch switches of min/max, residuum satisfaction boundaries).
     """
-    vals, penalties = dense_forward(constraint, outputs)
+    vals, _ = dense_forward(constraint, outputs)
     program = constraint.program
     tn = program.tnorm_code
     margin = np.inf
@@ -313,25 +312,6 @@ def nonsmooth_margin(constraint, outputs) -> float:
                 margin = min(margin, float(np.abs(a + b - 1.0).min()))
         else:  # OP_IMPL
             margin = min(margin, float(np.abs(a - b).min()))
-    return min(margin, _selection_margin(penalties, constraint.formula.quantifiers))
-
-
-def _selection_margin(penalties: np.ndarray, quantifiers) -> float:
-    """Smallest gap at any existential selection boundary."""
-    margin = np.inf
-    cur = penalties
-    for q in reversed(quantifiers):
-        if q.kind == FORALL:
-            cur = cur.sum(axis=-1)
-            continue
-        srt = np.sort(cur, axis=-1)
-        k = 1 if q.kind == EXISTS else q.count
-        if k < cur.shape[-1]:
-            margin = min(margin, float((srt[..., k] - srt[..., k - 1]).min()))
-        if q.kind == EXISTS:
-            cur = srt[..., 0]
-        else:
-            cur = srt[..., :k].sum(axis=-1)
     return margin
 
 

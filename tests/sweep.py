@@ -1,0 +1,133 @@
+"""Compare the output bundles of this checkout and of a git revision.
+
+    python tests/sweep.py --against REV
+
+REV's committed ``src/`` is exported with ``git archive`` into a temporary
+directory.  Both trees then run ``fungo run --jobs 1`` in a child process on
+the same inputs:
+
+* the 30 hierarchy-fixture configs of ``test_bundle_bytes.py``: OC, OC+PP1,
+  OC+PP2, OC+DPP1 and OC+DPP2 under both constraint scopes and all three
+  t-norms;
+* the three benchmark workloads at seeds 41 and 7, their inputs written by
+  ``perfbench/workloads.generate``.
+
+Every file of each pair of bundles is compared, with the output directory
+masked out of the echoed paths.  The script prints each file that differs,
+or that only one bundle has, and each run that exits non-zero, and exits 1
+if there is any.  pytest does not collect it: it is not named ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+sys.path[:0] = [HERE, os.path.join(REPO, "perfbench")]
+
+import hierarchy_fixture  # noqa: E402
+from workloads import WORKLOADS, generate  # noqa: E402
+
+RULES = ("OC", "OC+PP1", "OC+PP2", "OC+DPP1", "OC+DPP2")
+SCOPES = ("unsupervised", "all")
+TNORMS = ("minimum", "product", "lukasiewicz")
+SEEDS = (41, 7)
+
+
+def export(rev: str, directory: str) -> str:
+    """REV's committed ``src/`` under ``directory``; returns that ``src``."""
+    tar = subprocess.run(["git", "-C", REPO, "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(directory, filter="data")
+    return os.path.join(directory, "src")
+
+
+def fixture_configs(directory: str) -> dict[str, str]:
+    """The 30 fixture configs, by name; each namespace's dataset is written once."""
+    configs = {}
+    for namespace in ("molecular_function", "biological_process"):
+        root = os.path.join(directory, namespace)
+        hierarchy_fixture.write_dataset(root, namespace)
+        hierarchy_fixture.write_pair_files(root)
+        for rules in RULES:
+            if ("DPP" in rules) != (namespace == "biological_process"):
+                continue
+            for scope in SCOPES:
+                for tnorm in TNORMS:
+                    name = f"{rules}-{scope}-{tnorm}"
+                    configs[name] = hierarchy_fixture.write_config(
+                        root, name, rules=rules, ppi="ppi.tsv", pair_gram="pairs.csv",
+                        constraint_scope=scope, tnorm=tnorm, namespaces=namespace)
+    return configs
+
+
+def workload_configs(directory: str) -> dict[str, str]:
+    """The benchmark workloads' configs at each seed, by name."""
+    configs = {}
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            tag = f"{name}-{seed}"
+            configs[tag] = generate(workload, seed, os.path.join(directory, tag)).config
+    return configs
+
+
+def run(src: str, config: str, out_dir: str) -> int:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "fungo.cli", "run", "--config", config, "--out", out_dir,
+            "--jobs", "1"]
+    return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def snapshot(out_dir: str) -> dict[str, bytes]:
+    """Every file of a bundle, with the output directory masked."""
+    files = {}
+    marker = os.path.abspath(out_dir).encode()
+    for base, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, out_dir)] = handle.read().replace(marker, b"<out>")
+    return files
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision whose bundles this checkout's must equal")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="fungo-sweep-") as work:
+        trees = {"here": os.path.join(REPO, "src"),
+                 "against": export(args.against, os.path.join(work, "against"))}
+        configs = fixture_configs(os.path.join(work, "fixture"))
+        configs.update(workload_configs(os.path.join(work, "workloads")))
+        compared = differing = 0
+        for name, config in configs.items():
+            bundles = []
+            for tag, src in trees.items():
+                out_dir = os.path.join(work, "out", tag, name)
+                code = run(src, config, out_dir)
+                bundles.append((code, snapshot(out_dir) if os.path.isdir(out_dir) else {}))
+            (code_a, files_a), (code_b, files_b) = bundles
+            if code_a or code_b:
+                print(f"{name}: exit {code_a} here, {code_b} at {args.against}")
+                differing += 1
+            for path in sorted(files_a.keys() | files_b.keys()):
+                compared += 1
+                if files_a.get(path) != files_b.get(path):
+                    print(f"{name}: {path} differs")
+                    differing += 1
+        print(f"{len(configs)} configs, {compared} files compared, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

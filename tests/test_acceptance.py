@@ -47,6 +47,7 @@ from hierarchy_fixture import read_metrics, write_config, write_dataset
 from rule_text import parse_rule
 from support import (
     compiled_for,
+    dense_penalty_and_gradients,
     fd_penalty_gradients,
     gradient_close,
     nonsmooth_margin,
@@ -111,31 +112,29 @@ def test_truth_endpoints_and_residuum_grid():
 
 
 def test_quantifier_reduction_identities():
+    # forall reduces to the plain sum of its groundings' penalties, and a
+    # guarded pair rule to the sum over the pairs that its guard holds: at
+    # every other grounding the guard reads 0 and the residuum is exactly 1.
     start = time.perf_counter()
     rng = np.random.default_rng(20)
-    compiled: dict[tuple[str, int], object] = {}
-
-    def build(kind: str, n: int):
-        key = (kind, n)
-        if key not in compiled:
-            ids = tuple(f"e{i}" for i in range(n))
-            bindings = {"P": PredicateBinding("P", 1, {e: i for i, e in enumerate(ids)})}
-            compiled[key] = compile_constraint(
-                parse_rule(f"{kind} x:D. P(x)"), "product", {"D": ids}, bindings
-            )
-        return compiled[key]
-
-    for i in range(1000):
+    one = parse_rule("forall x:D. P(x)")
+    pair = parse_rule("forall x:D. forall y:D. G(x,y) => (P(x) <=> P(y))")
+    for i in range(300):
         n = 2 + i % 7
+        ids = tuple(f"e{k}" for k in range(n))
+        pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < 0.5]
+        bindings = {
+            "P": PredicateBinding("P", 1, {e: k for k, e in enumerate(ids)}),
+            "G": PredicateBinding("G", 2, {p: k for k, p in enumerate(pairs)},
+                                  truths=rng.random(len(pairs))),
+        }
         outputs = {"P": rng.random(n)}
-        if i % 100 == 0:  # exercise the tie route as well
-            outputs["P"][0] = outputs["P"][1]
-        one = build("exists", n).penalty(outputs)
-        lowest = build("exists[1]", n).penalty(outputs)
-        assert one == lowest
-        everything = build(f"exists[{n}]", n).penalty(outputs)
-        forall = build("forall", n).penalty(outputs)
-        assert everything == forall
+        tnorm = TNORMS[i % len(TNORMS)]
+        assert (compile_constraint(one, tnorm, {"D": ids}, bindings).penalty(outputs)
+                == np.sum(1.0 - outputs["P"]))
+        guarded = compile_constraint(pair, tnorm, {"D": ids}, bindings)
+        dense, _ = dense_penalty_and_gradients(guarded, outputs)
+        assert abs(guarded.penalty(outputs) - dense) <= 1e-12 * max(1.0, dense)
     assert time.perf_counter() - start < 1.0
 
 

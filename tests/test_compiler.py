@@ -1,7 +1,9 @@
 """Constraint compilation: grounding, penalties and gradients."""
 
+import os
 import tracemalloc
 
+import hierarchy_fixture
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,9 @@ from support import (
     stack_outputs,
 )
 
+from fungo import cli
+from fungo.io import read_config
 from fungo.logic import (
-    EXISTS_N,
     TNORMS,
     CompileError,
     CompiledRuleSet,
@@ -33,6 +36,7 @@ from fungo.logic import (
     compile_constraint,
     engine,
 )
+from fungo.ontology import PROTEIN_DOMAIN, generate_oc_rules
 
 
 def _unary(name, ids):
@@ -50,14 +54,13 @@ def test_frozen_penalty_single_grounding():
 
 
 def test_grounding_count_two_universals():
-    f = parse_rule("forall x:D1. forall y:D2. A(x) => B(y)")
-    d1 = ["a", "b", "c"]
-    d2 = ["w", "x", "y", "z"]
-    c = compile_constraint(
-        f, "product", {"D1": d1, "D2": d2}, {"A": _unary("A", d1), "B": _unary("B", d2)}
-    )
-    assert c.n_groundings == 12
-    assert c.shape == (3, 4)
+    f = parse_rule("forall x:D. forall y:D. G(x,y) => (A(x) => B(y))")
+    ids = ["a", "b", "c"]
+    preds = {"A": _unary("A", ids), "B": _unary("B", ids),
+             "G": PredicateBinding("G", 2, {("a", "b"): 0})}
+    c = compile_constraint(f, "product", {"D": ids}, preds)
+    assert c.n_groundings == 9
+    assert c.shape == (3, 3)
 
 
 def test_penalty_zero_iff_universal_body_true():
@@ -243,43 +246,73 @@ def test_compile_validation_errors():
         compile_constraint(
             f, "product", {"P": ["p0", "p1", "p0"]}, {"A": _unary("A", ids), "B": _unary("B", ids)}
         )
-    g = parse_rule("exists[5] x:P. A(x)")
-    with pytest.raises(CompileError, match="exceeds"):
-        compile_constraint(g, "product", {"P": ids}, {"A": _unary("A", ids)})
 
 
-def test_quantifier_identities_compiled():
-    ids = [f"p{i}" for i in range(6)]
-    preds = {"A": _unary("A", ids), "B": _unary("B", ids)}
-    rng = np.random.default_rng(3)
-    outputs = {"A": rng.uniform(0, 1, 6), "B": rng.uniform(0, 1, 6)}
-    body = "A(x) => B(x)"
-    for tnorm in ("minimum", "product", "lukasiewicz"):
-        exists = compile_constraint(
-            parse_rule(f"exists x:P. {body}"), tnorm, {"P": ids}, preds
-        )
-        exists_1 = compile_constraint(
-            parse_rule(f"exists[1] x:P. {body}"), tnorm, {"P": ids}, preds
-        )
-        forall = compile_constraint(
-            parse_rule(f"forall x:P. {body}"), tnorm, {"P": ids}, preds
-        )
-        exists_all = compile_constraint(
-            parse_rule(f"exists[6] x:P. {body}"), tnorm, {"P": ids}, preds
-        )
-        assert exists.penalty(outputs) == exists_1.penalty(outputs)
-        assert forall.penalty(outputs) == exists_all.penalty(outputs)
+SHAPE_ERROR = "is neither a one-variable rule nor 'forall x. forall y. G\\(x,y\\) => body'"
 
 
-def test_exists_gradient_routes_to_first_minimum():
-    f = parse_rule("exists x:P. A(x)")
+@pytest.mark.parametrize("text", [
+    # no guard at all, and a guard that is not the whole antecedent
+    "forall x:P. forall y:P. A(x) => A(y)",
+    "forall x:P. forall y:P. R(x,y) and (A(x) <=> A(y))",
+    "forall x:P. forall y:P. R(x,y) and A(x) => A(y)",
+    "forall x:P. forall y:P. not R(x,y) or A(y)",
+    # a guard read y first, or over one variable twice
+    "forall x:P. forall y:P. R(y,x) => (A(x) <=> A(y))",
+    "forall x:P. forall y:P. R(x,x) => A(y)",
+    # a unary guard, and three variables
+    "forall x:P. forall y:P. A(x) => R(x,y)",
+    "forall x:P. forall y:P. forall z:P. R(x,y) => R(y,z)",
+])
+def test_only_one_variable_and_guarded_pair_rules_compile(text):
     ids = ["p0", "p1", "p2"]
-    c = compile_constraint(f, "product", {"P": ids}, {"A": _unary("A", ids)})
-    outputs = {"A": np.array([0.4, 0.9, 0.9])}
-    phi, grads = c.penalty_and_gradients(outputs)
-    # Penalties (0.6, 0.1, 0.1): tie between index 1 and 2, index 1 wins.
-    assert phi == pytest.approx(0.1, abs=1e-15)
-    assert grads["A"].tolist() == [0.0, -1.0, 0.0]
+    preds = {"A": _unary("A", ids), "R": PredicateBinding("R", 2, {("p0", "p1"): 0})}
+    with pytest.raises(CompileError, match=SHAPE_ERROR):
+        compile_constraint(parse_rule(text), "product", {"P": ids}, preds)
+
+
+def test_a_rule_and_a_rule_set_range_over_one_id_list():
+    ids, other = ["p0", "p1", "p2"], ["p2", "p1", "p0"]
+    preds = {"A": _unary("A", ids), "R": given_binding("R", 2, {("p0", "p1"): 1.0})}
+    pair = parse_rule("forall x:P. forall y:Q. R(x,y) => (A(x) <=> A(y))")
+    with pytest.raises(CompileError, match="quantifiers range over more than one id list"):
+        compile_constraint(pair, "product", {"P": ids, "Q": other}, preds)
+    # Two domain names over one id list are one id list.
+    same = compile_constraint(pair, "product", {"P": ids, "Q": list(ids)}, preds)
+    assert same.domains == (tuple(ids), tuple(ids))
+    rule = parse_rule("forall x:P. A(x)")
+    forward, backward = (compile_constraint(rule, "product", {"P": d}, preds) for d in (ids, other))
+    with pytest.raises(CompileError, match="rules range over more than one id list"):
+        CompiledRuleSet([forward, backward], [(("A",), 3)])
+    assert CompiledRuleSet([forward, same], [(("A",), 3)]).n_groundings == 3 + 2
+
+
+@pytest.mark.parametrize("rules", ("OC+partof", "OC+PP1", "OC+PP2", "OC+DPP1", "OC+DPP2"))
+def test_every_rule_that_a_run_builds_compiles(tmp_path, rules):
+    root = str(tmp_path)
+    namespace = "biological_process" if "DPP" in rules else "molecular_function"
+    hierarchy_fixture.write_dataset(root, namespace)
+    hierarchy_fixture.write_pair_files(root)
+    # The fixture's chain has no part_of edge: make the child part of the root.
+    obo = os.path.join(root, "chain.obo")
+    with open(obo, encoding="utf-8") as handle:
+        text = handle.read()
+    edge = "is_a: GO:0000200 ! regulator activity\n"
+    with open(obo, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(edge, edge + "relationship: part_of GO:0000100\n"))
+    cfg = hierarchy_fixture.write_config(root, "out", rules=rules, ppi="ppi.tsv",
+                                         pair_gram="pairs.csv", namespaces=namespace)
+    config = cli.parse_experiment_config(read_config(cfg), root)
+    data = cli.load_dataset(config)
+    built, bound_mode = cli.build_rules(config, data.cut)
+    extra = built[len(generate_oc_rules(data.cut)):]
+    assert extra and {len(rule.quantifiers) for rule in extra} == {1 if bound_mode is None else 2}
+    preds = {pred: _unary(pred, data.proteins)
+             for pred in (data.cut.predicate(node) for node in data.cut.nodes())}
+    preds["BOUND"] = PredicateBinding("BOUND", 2, {(data.proteins[0], data.proteins[1]): 0})
+    compiled = [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins},
+                                   preds) for rule in built]
+    assert [c.formula for c in compiled] == built
 
 
 def test_material_flag_changes_semantics():
@@ -332,12 +365,11 @@ def _pair_lookup_loop(entries, left, right, missing):
 
 def test_pair_binding_matches_the_double_loop():
     rng = np.random.default_rng(5)
-    f = parse_rule("forall x:P. forall y:Q. R(x,y) => R(y,x)")
+    f = parse_rule("forall x:P. forall y:P. R(x,y) => R(y,x)")
     for _ in range(20):
-        left = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
-        right = [f"p{i}" for i in range(int(rng.integers(1, 6)))] + ["q0"]
-        ids = sorted(set(left) | set(right)) + ["outside"]
-        # Random keys: some in both orders, some outside the domains.
+        domain = [f"p{i}" for i in rng.permutation(int(rng.integers(1, 7)))]
+        ids = sorted(domain) + ["outside"]
+        # Random keys: some in both orders, some outside the domain.
         keys = [(a, b) for a in ids for b in ids if rng.random() < 0.4]
         positions = {key: k for k, key in enumerate(keys)}
         table = {key: float(rng.uniform()) for key in keys}
@@ -346,24 +378,22 @@ def test_pair_binding_matches_the_double_loop():
             "given": given_binding("R", 2, table),
         }
         for mode, binding in bindings.items():
-            c = compile_constraint(f, "product", {"P": left, "Q": right}, {"R": binding})
+            c = compile_constraint(f, "product", {"P": domain}, {"R": binding})
             entries, missing = (positions, -1) if mode == "learned" else (table, 0.0)
-            forward = _pair_lookup_loop(entries, left, right, missing)
-            backward = _pair_lookup_loop(entries, right, left, missing)
+            grid = _pair_lookup_loop(entries, domain, domain, missing)
             # A given slot reads its truths through the same gather.
             got = dense_gathers(c) if mode == "learned" else dense_inputs(c, {}).T
-            assert np.array_equal(got[0], forward.reshape(-1)), mode
-            assert np.array_equal(got[1], backward.T.reshape(-1)), mode
+            assert np.array_equal(got[0], grid.reshape(-1)), mode
+            assert np.array_equal(got[1], grid.T.reshape(-1)), mode
 
 
-def test_pair_guards_over_two_domains_match_the_dense_grounding():
+def test_pair_guards_over_a_subset_match_the_dense_grounding():
     rng = np.random.default_rng(9)
-    texts = ["forall x:P. forall y:Q. R(x,y) => R(y,x)",
-             "forall x:P. forall y:Q. R(y,x) => A(x) or R(x,y)"]
+    texts = ["forall x:P. forall y:P. R(x,y) => R(y,x)",
+             "forall x:P. forall y:P. R(x,y) => A(x) or R(y,x)"]
     for _ in range(20):
-        left = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
-        right = [f"p{i}" for i in range(int(rng.integers(1, 6)))] + ["q0"]
-        ids = sorted(set(left) | set(right)) + ["outside"]
+        domain = [f"p{i}" for i in rng.permutation(int(rng.integers(1, 7)))]
+        ids = sorted(domain) + ["outside"]
         keys = [(a, b) for a in ids for b in ids if rng.random() < 0.4]
         outputs = {"A": rng.uniform(0.05, 0.95, len(ids)), "R": rng.uniform(0.05, 0.95, len(keys))}
         for mode in ("given", "learned"):
@@ -372,8 +402,8 @@ def test_pair_guards_over_two_domains_match_the_dense_grounding():
             else:
                 binding = PredicateBinding("R", 2, {key: k for k, key in enumerate(keys)})
             bindings = {"A": _unary("A", ids), "R": binding}
-            constraints = [compile_constraint(parse_rule(t), "product", {"P": left, "Q": right},
-                                              bindings) for t in texts]
+            constraints = [compile_constraint(parse_rule(t), "product", {"P": domain}, bindings)
+                           for t in texts]
             layout = [(("A",), len(ids))] + [(("R",), len(keys))] * (mode == "learned")
             truths = [outputs[preds[0]][None, :] for preds, _ in layout]
             phis, grads = CompiledRuleSet(constraints, layout).penalties_and_gradients(truths)
@@ -443,10 +473,8 @@ def test_minimum_rule_gradients_are_the_reverse_pass_to_the_byte(
     rule_set = CompiledRuleSet(constraints, layout)
     if narrow:
         ids = constraints[0].domains[0]
-        need = max(q.count if q.kind == EXISTS_N else 1
-                   for c in constraints for q in c.formula.quantifiers)
         keep = np.zeros(len(ids), dtype=bool)
-        keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
+        keep[rng.choice(len(ids), size=rng.integers(1, len(ids) + 1), replace=False)] = True
         rule_set = rule_set.restricted(keep)
         kept = [i for i, k in zip(ids, keep) if k]
         constraints = [
@@ -473,7 +501,7 @@ def test_minimum_rule_gradients_take_no_reverse_pass(monkeypatch):
     ids = [f"p{i}" for i in range(4)]
     preds = {name: _unary(name, ids) for name in "ABC"}
     truths = [np.random.default_rng(5).uniform(0, 1, (3, 4))]
-    texts = ["forall x:P. A(x) and not B(x) => C(x)", "exists x:P. A(x) or B(x)"]
+    texts = ["forall x:P. A(x) and not B(x) => C(x)", "forall x:P. A(x) or B(x)"]
     reverse = engine.backward
     reached = []
 
@@ -507,12 +535,10 @@ def test_a_restricted_rule_set_matches_a_compile_over_the_kept_ids(
     constraints, outputs = random_rule_set(rng, texts, tnorm, implication, bound_mode)
     layout, truths, _ = stack_outputs(rng, outputs)
     ids = constraints[0].domains[0]
-    need = max(q.count if q.kind == EXISTS_N else 1
-               for c in constraints for q in c.formula.quantifiers)
     full = narrowed = CompiledRuleSet(constraints, layout)
     for _ in range(2):  # a narrowed set narrows again, over its own ids
         keep = np.zeros(len(ids), dtype=bool)
-        keep[rng.choice(len(ids), size=rng.integers(need, len(ids) + 1), replace=False)] = True
+        keep[rng.choice(len(ids), size=rng.integers(1, len(ids) + 1), replace=False)] = True
         ids = [i for i, k in zip(ids, keep) if k]
         narrowed = narrowed.restricted(keep)
         compiled = CompiledRuleSet([
@@ -535,24 +561,17 @@ def test_restricted_rejects_what_a_compile_over_the_kept_ids_rejects():
     ids = ["p0", "p1", "p2"]
     preds = {"A": _unary("A", ids)}
     layout = [(("A",), 3)]
-    rule = parse_rule("forall x:P. A(x)")
-    forward, backward = (compile_constraint(rule, "product", {"P": d}, preds)
-                         for d in (ids, ids[::-1]))
-    with pytest.raises(CompileError, match="more than one id list"):
-        CompiledRuleSet([forward, backward], layout).restricted([True, True, False])
+    forward = compile_constraint(parse_rule("forall x:P. A(x)"), "product", {"P": ids}, preds)
     with pytest.raises(ValueError, match="shorter"):
         CompiledRuleSet([forward], layout).restricted([True, True])
     with pytest.raises(CompileError, match="domain 'P' is empty"):
         CompiledRuleSet([forward], layout).restricted([False] * 3)
-    pair = compile_constraint(parse_rule("exists[2] x:P. A(x)"), "product", {"P": ids}, preds)
-    with pytest.raises(CompileError, match=r"exists\[2\] over 'x' exceeds the 1 examples"):
-        CompiledRuleSet([pair], layout).restricted([False, True, False])
 
 
 @pytest.mark.parametrize("bound_mode", ("given", "learned"))
 def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
     rng = np.random.default_rng(2)
-    text = FORMULA_POOL[7]
+    text = FORMULA_POOL[5]
     assert text.startswith(GUARDED_PREFIX)
     constraints, outputs = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
     layout, _, _ = stack_outputs(rng, outputs)
@@ -590,18 +609,16 @@ def test_guarded_rules_over_a_scope_subset_match_the_dense_grounding(
     outputs = {"A": truths[0][0], "B": truths[0][1]}
     if bound_mode == "learned":
         outputs["BOUND"] = truths[1][0]
-    # The last rule reads the same slots as the second but has no guard.
-    texts = [FORMULA_POOL[7], FORMULA_POOL[8],
-             "forall x:P. forall y:P. BOUND(y,x) => (A(x) => B(y))",
-             "forall x:P. forall y:P. BOUND(x,y) and ((A(x) and A(y)) or (B(x) and B(y)))"]
+    texts = [FORMULA_POOL[5], FORMULA_POOL[6],
+             "forall x:P. forall y:P. BOUND(x,y) => (A(x) => B(y))"]
     constraints = [
         compile_constraint(read_as(parse_rule(t), implication), tnorm, {"P": scope}, bindings)
         for t in texts
     ]
     rule_set = CompiledRuleSet(constraints, layout)
     phis, grads = rule_set.penalties_and_gradients(truths)
-    live = [np.count_nonzero(dense_gathers(c)[0] >= 0) for c in constraints[:3]]
-    assert rule_set.n_groundings == sum(live) + len(scope) ** 2 and 0 < live[0] < len(scope) ** 2
+    live = [np.count_nonzero(dense_gathers(c)[0] >= 0) for c in constraints]
+    assert rule_set.n_groundings == sum(live) and 0 < live[0] < len(scope) ** 2
     expected = [np.zeros_like(t) for t in truths]
     scale = [np.zeros_like(t) for t in truths]
     for constraint, phi in zip(constraints, phis.tolist()):

@@ -13,7 +13,7 @@ from rule_text import ParseError, parse_rule, parse_rules
 
 def test_single_implication():
     f = parse_rule("forall x:Prot. CHILD(x) => PARENT(x)")
-    assert [q.kind for q in f.quantifiers] == ["forall"]
+    assert len(f.quantifiers) == 1
     assert f.quantifiers[0].var == "x"
     assert f.quantifiers[0].domain == "Prot"
     assert f.body == Implies(Atom("CHILD", ("x",)), Atom("PARENT", ("x",)))
@@ -33,12 +33,15 @@ def test_single_dot_prefix_also_parses():
     assert len(f.quantifiers) == 2
 
 
-def test_exists_and_counted_exists():
-    f = parse_rule("exists x:Prot. A(x)")
-    assert f.quantifiers[0].kind == "exists"
-    g = parse_rule("exists[3] y:Pairs. B(y)")
-    assert g.quantifiers[0].kind == "exists_n"
-    assert g.quantifiers[0].count == 3
+@pytest.mark.parametrize("text, message", [
+    ("exists x:Prot. A(x)", "only 'forall' quantifies a rule at column 1"),
+    ("forall x:Prot. exists y:Prot. B(x,y)", "only 'forall' quantifies a rule at column 16"),
+    ("exists[3] y:Prot. B(y)", r"unexpected character '\[' at column 7"),
+], ids=["exists", "nested-exists", "counted-exists"])
+def test_exists_is_rejected(text, message):
+    # fungo compiles universal rules only; "exists" stays a keyword.
+    with pytest.raises(ParseError, match=message):
+        parse_rule(text)
 
 
 def test_implies_right_associative():
@@ -84,7 +87,7 @@ def test_disjunction_chain():
         "forall x:Prot. GO_0008150(x) => GO_0003674(x)",
         "forall x:Prot. forall y:Prot. BOUND(x,y) => (P(x) <=> P(y))",
         "forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) and A(y)) or (B(x) and B(y))",
-        "exists[2] x:Prot. not A(x) => B(x)",
+        "forall x:Prot. not A(x) => B(x)",
         "forall x:P. A(x) => B(x) => C(x)",
         "forall x:P. (A(x) <=> B(x)) <=> C(x)",
         "forall x:P. A(x) <=> (B(x) <=> C(x))",
@@ -129,11 +132,6 @@ def test_duplicate_quantified_variable():
 def test_missing_final_dot():
     with pytest.raises(ParseError, match="'.'"):
         parse_rule("forall x:Prot A(x)")
-
-
-def test_zero_count_rejected():
-    with pytest.raises(ParseError, match="positive"):
-        parse_rule("exists[0] x:Prot. A(x)")
 
 
 def test_arity_must_be_one_or_two():

@@ -2,8 +2,9 @@
 behaviour, frozen values, algebraic properties.
 
 Connectives are read off the engine's forward pass on compiled
-one-grounding rules; quantifier values come from compiled ``forall``,
-``exists`` and ``exists[n]`` rules in the rule set that training evaluates."""
+one-grounding rules; quantifier values come from compiled ``forall`` rules
+in the rule set that training evaluates, the only quantifier that fungo
+compiles."""
 
 import functools
 
@@ -54,12 +55,12 @@ def truth(tnorm, body, *operands, implication="residuum"):
     return out.reshape(columns[0].shape)[()]
 
 
-def penalty(kind, truths):
-    """Penalty of the rule ``<kind> x:D. P(x)`` with P's truths given."""
+def penalty(truths):
+    """Penalty of the rule ``forall x:D. P(x)`` with P's truths given."""
     t = np.asarray(truths, dtype=np.float64)
     ids = tuple(f"e{i}" for i in range(t.size))
     bindings = {"P": PredicateBinding("P", 1, {e: i for i, e in enumerate(ids)})}
-    rule = compile_constraint(parse_rule(f"{kind} x:D. P(x)"), "product", {"D": ids}, bindings)
+    rule = compile_constraint(parse_rule("forall x:D. P(x)"), "product", {"D": ids}, bindings)
     return CompiledRuleSet([rule], [(("P",), t.size)]).penalties([t[None, :]])[0]
 
 
@@ -153,29 +154,22 @@ def test_conorm_duality_and_residuum_bounds(a, b, tnorm):
 
 
 def test_aggregate_frozen_values():
-    assert penalty("forall", [1.0, 1.0, 1.0]) == 0.0
-    assert penalty("forall", [0.5, 0.75]) == pytest.approx(0.75, abs=1e-15)
-    assert penalty("exists", [0.2, 0.9]) == pytest.approx(0.1, abs=1e-15)
+    assert penalty([1.0, 1.0, 1.0]) == 0.0
+    assert penalty([0.5, 0.75]) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_aggregate_identities_exact():
+    # forall sums the per-grounding penalties 1 - truth, in one numpy sum.
     rng = np.random.default_rng(7)
     for _ in range(200):
         t = rng.uniform(0.0, 1.0, size=rng.integers(1, 12))
-        assert penalty("exists", t) == penalty("exists[1]", t)
-        assert penalty("forall", t) == penalty(f"exists[{t.size}]", t)
-
-
-def test_aggregate_exists_n_partial_sum():
-    t = np.array([0.9, 0.2, 0.6, 0.4])
-    # Penalties are (0.1, 0.8, 0.4, 0.6); the two smallest are 0.1 and 0.4.
-    assert penalty("exists[2]", t) == pytest.approx(0.5, abs=1e-15)
+        assert penalty(t) == np.sum(1.0 - t)
 
 
 def test_aggregate_validation():
-    # An empty domain, a count above the domain size and exists[0] are
-    # rejected by compile_constraint and parse_rule (test_compiler, test_parser).
-    with pytest.raises(ParseError, match="count"):
-        parse_rule("exists[] x:D. P(x)")
+    # An empty domain is rejected by compile_constraint (test_compiler), and
+    # every quantifier but forall by parse_rule (test_parser).
+    with pytest.raises(ParseError, match="only 'forall'"):
+        parse_rule("exists x:D. P(x)")
     with pytest.raises(ParseError, match="quantifier"):
         parse_rule("most x:D. P(x)")
