@@ -401,7 +401,7 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
         index = {pair: k for k, pair in enumerate(pairs)}
-        return PredicateBinding("BOUND", 2, index, truths=np.ones(len(pairs)))
+        return PredicateBinding("BOUND", 2, index, given=True)
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
     # One example per interaction: the first of a|b and b|a in Gram order.

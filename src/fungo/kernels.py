@@ -157,7 +157,10 @@ def domain_gram(
 ) -> GramMatrix:
     """Shared-domain similarity |A & B| / (|A| * |B|); empty sets give 0.
 
-    The diagonal is 1/|A|, not 1: the raw formula is kept as is.
+    The diagonal is 1/|A|, not 1: the raw formula is kept as is.  Shared
+    counts come from one product of the protein x domain 0/1 matrix with
+    its transpose; every count and set-size product is an exact integer,
+    so each entry is the correctly rounded quotient that the formula gives.
     """
     order = tuple(ids) if ids is not None else tuple(annotations)
     sets = []
@@ -165,14 +168,13 @@ def domain_gram(
         if name not in annotations:
             raise ValueError(f"no domain annotations for protein {name!r}")
         sets.append(set(annotations[name]))
-    n = len(order)
-    m = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            a, b = sets[i], sets[j]
-            v = len(a & b) / (len(a) * len(b)) if a and b else 0.0
-            m[i, j] = v
-            m[j, i] = v
+    column = {d: k for k, d in enumerate(sorted(set().union(*sets)))}
+    member = np.zeros((len(order), len(column)), dtype=np.float64)
+    for i, domains in enumerate(sets):
+        member[i, [column[d] for d in domains]] = 1.0
+    sizes = member.sum(axis=1)
+    pairs = np.outer(sizes, sizes)
+    m = np.divide(member @ member.T, pairs, out=np.zeros_like(pairs), where=pairs > 0)
     return GramMatrix(order, m)
 
 

@@ -51,7 +51,7 @@ Training takes the rules compiled into one rule set, against the same block
 layout, which it checks: the rule set reads the K x n truth blocks
 ``clip(S, 0, 1)`` as they are and returns one K x n gradient per block.
 Fixed evidence, such as an interaction list, is never a task: the rules read
-it as a given ``PredicateBinding``.
+it as a given ``PredicateBinding``, 1 on each listed key and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ class _Workspace:
         tasks: Sequence[TaskSpec],
         rule_set: CompiledRuleSet,
         config: TrainConfig,
-        check_psd: bool = False,
     ):
         self.config = config
         if not tasks:
@@ -229,13 +228,6 @@ class _Workspace:
             seen.add(predicate)
         self.blocks: list[_Block] = []
         for task in tasks:
-            if check_psd:
-                ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
-                if not ok:
-                    raise LearnerError(
-                        f"Gram matrix of task {task.predicates[0]!r} is not positive "
-                        f"semi-definite (smallest eigenvalue {smallest:.3g})"
-                    )
             labels = task.labels
             self.blocks.append(_Block(task.gram.matrix, task.predicates,  # type: ignore[union-attr]
                                       1.0 - np.isnan(labels), np.nan_to_num(labels, nan=0.0)))
@@ -430,12 +422,20 @@ def train(
 ) -> Model:
     """Two-stage training: label fit first, then the constrained objective.
 
-    Stage one solves the ridge problem without the constraint term.  Stage
-    two descends from its minimiser at full constraint strength and is
-    skipped outright when the rule set is empty or lambda_c is zero,
-    leaving the trace bit-identical to a constraint-free run.
+    Every task's Gram matrix must pass its PSD check first.  Stage one
+    solves the ridge problem without the constraint term.  Stage two
+    descends from its minimiser at full constraint strength and is skipped
+    outright when the rule set is empty or lambda_c is zero, leaving the
+    trace bit-identical to a constraint-free run.
     """
-    ws = _Workspace(tasks, rule_set, config, check_psd=True)
+    for task in tasks:
+        ok, smallest = task.gram.psd_check()  # type: ignore[union-attr]
+        if not ok:
+            raise LearnerError(
+                f"Gram matrix of task {task.predicates[0]!r} is not positive "
+                f"semi-definite (smallest eigenvalue {smallest:.3g})"
+            )
+    ws = _Workspace(tasks, rule_set, config)
     stage1, weights, scores = _ridge(ws)
     if config.lambda_c > 0 and rule_set.constraints:
         stage2, weights = _descend(ws, weights, scores)

@@ -8,7 +8,8 @@ generators build, every quantifier over one id list:
 
 * a one-variable rule, ``forall x. body``;
 * a guarded pair rule, ``forall x. forall y. G(x, y) => body``, ``G`` a
-  pair predicate read over ``x`` then ``y``.
+  pair predicate read over ``x`` then ``y`` and the only pair atom that
+  the rule reads.
 
 Anything else raises :class:`CompileError`.  A compiled rule records every
 distinct atom as an input slot, that is the predicate's binding and the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Real
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,41 +64,21 @@ class PredicateBinding:
     absent from the index read as constant 0.  ``size``, the length of the
     truth vector, is taken from the index once.  A learned predicate's
     positions index the output vector handed to the constraint at
-    evaluation time.  A given predicate carries that vector itself as
-    ``truths``, a read-only copy with one entry per position, each checked
-    to lie in [0, 1]: that keeps every rule penalty non-negative, which
-    the learner's line search relies on to skip the rules of rejected
-    trials.  Bindings compare by identity, as the rule set compares truths.
+    evaluation time.  A ``given`` predicate is crisp fixed evidence, such
+    as an interaction list: it reads 1 on every key of its index, whatever
+    the position, and 0 off it.  Every input then lies in [0, 1], so every
+    rule penalty is non-negative, which the learner's line search relies on
+    to skip the rules of rejected trials.  Bindings compare by identity.
     """
 
     name: str
     arity: int
     index: Mapping
-    truths: np.ndarray | None = None
+    given: bool = False
     size: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "size", max(self.index.values()) + 1 if self.index else 0)
-        if self.truths is None:
-            return
-        truths = np.asarray(self.truths)
-        if truths.shape != (self.size,):
-            raise CompileError(
-                f"predicate {self.name!r}: truths of shape {truths.shape} for an "
-                f"index of {self.size} positions"
-            )
-        if truths.dtype.kind in "biuf":  # one mask, which NaN and +-inf fail too
-            offenders = np.flatnonzero(~((truths >= 0) & (truths <= 1)))
-            bad = [truths.tolist()[offenders[0]]] if offenders.size else []
-        else:
-            bad = [v for v in truths.tolist() if not (isinstance(v, Real) and 0.0 <= v <= 1.0)]
-        if bad:
-            raise CompileError(
-                f"predicate {self.name!r}: value {bad[0]!r} is not a truth in [0, 1]"
-            )
-        truths = truths.astype(np.float64)
-        truths.flags.writeable = False
-        object.__setattr__(self, "truths", truths)
 
 
 class SlotBinding(NamedTuple):
@@ -143,7 +123,7 @@ class CompiledConstraint:
     def _alone(self, outputs: Mapping[str, np.ndarray]):
         """This rule as a rule set over ``outputs``, one block per learned
         predicate, with those blocks and their predicates' names."""
-        sizes = {s.binding.name: s.binding.size for s in self.slots if s.binding.truths is None}
+        sizes = {s.binding.name: s.binding.size for s in self.slots if not s.binding.given}
         truths = []
         for pred, size in sizes.items():
             try:
@@ -177,10 +157,11 @@ class CompiledRuleSet:
     The learned outputs arrive as truth blocks laid out by ``layout``: one
     ``(predicates, n)`` entry per block, whose K x n truths hold one row per
     predicate, in that order.  The blocks are read as one flat vector, after
-    a 0.0 sentinel at position 0 that absent examples read and before each
-    given predicate's truths, placed once.  Each grounding row reads, for every
-    slot, the position of its example or pair in the slot's predicate, or
-    the sentinel where the predicate's index lacks it.  Rules with the same
+    a 0.0 at position 0 that absent examples read and before one 1.0 that
+    every given predicate reads on the keys of its index.  Each grounding
+    row reads, for every slot, the position of its example or pair in the
+    slot's learned predicate, the 1.0 where a given predicate's index holds
+    it, or the 0.0 where the predicate's index lacks it.  Rules with the same
     program, t-norm and number of variables form a group that costs one
     gather and one forward pass; for gradients, one walk for signed
     positions (minimum t-norm) or one backward pass.
@@ -213,29 +194,27 @@ class CompiledRuleSet:
             for pred in predicates:
                 place[pred] = (end, n)
                 end += n
-        tail = [np.zeros(0)]
-        given: dict[str, np.ndarray] = {}
+        given: dict[str, PredicateBinding] = {}  # each reads the 1.0 at position end
 
         ids = self.constraints[0].domains[0] if self.constraints else ()
         if any(c.domains[0] is not ids and c.domains[0] != ids for c in self.constraints):
             raise CompileError("the rules range over more than one id list")
-        offsets: list[list[int]] = []
+        offsets: list[np.ndarray] = []  # per rule: each slot's offset, then its stride
         members: dict[tuple, list[int]] = {}
         for r, constraint in enumerate(self.constraints):
-            offsets.append([])
+            starts, strides = [], []
             for slot in constraint.slots:
                 binding = slot.binding
                 pred = binding.name
-                if binding.truths is not None and pred not in place:
-                    place[pred] = (end, binding.size)
-                    given[pred] = binding.truths
-                    tail.append(binding.truths)
-                    end += binding.size
-                if given.get(pred) is not binding.truths:
-                    raise CompileError(
-                        f"rule {constraint.text!r} binds {pred!r} to other truths "
-                        f"than the rule set reads for it"
-                    )
+                if binding.given:
+                    if pred in place or given.setdefault(pred, binding) is not binding:
+                        raise CompileError(
+                            f"rule {constraint.text!r} binds {pred!r} otherwise than "
+                            f"the rule set reads it"
+                        )
+                    starts.append(end)
+                    strides.append(0)
+                    continue
                 if pred not in place:
                     raise CompileError(
                         f"rule {constraint.text!r} references unknown learned "
@@ -247,10 +226,11 @@ class CompiledRuleSet:
                         f"rule {constraint.text!r} was compiled for {binding.size} "
                         f"outputs of {pred!r}, its block has {n}"
                     )
-                offsets[r].append(offset)
+                starts.append(offset)
+                strides.append(1)
+            offsets.append(np.array((starts, strides)))
             members.setdefault((constraint.program, len(constraint.domains)), []).append(r)
 
-        self._tail = np.concatenate(tail)
         self._offsets, self._members = offsets, members
         self._pairs: dict = {}  # _pair_codes lookups, handed down by restricted
 
@@ -263,7 +243,8 @@ class CompiledRuleSet:
             index = []
             for r in rules:
                 position = _positions(self.constraints[r], lookups)
-                index.append(np.where(position >= 0, np.array(self._offsets[r]) + position, 0))
+                start, stride = self._offsets[r]
+                index.append(np.where(position >= 0, start + stride * position, 0))
             row_rule = None
             if len(first.domains) == 2:
                 row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
@@ -290,11 +271,10 @@ class CompiledRuleSet:
         for slot in (s for c in self.constraints for s in c.slots):
             if slot.binding.arity == 2:
                 codes, positions = _pair_codes(slot.binding, ids, self._pairs)
-                i, j = (rank[k] for k in np.divmod(codes[:-1], len(ids)))
-                live = np.append((i >= 0) & (j >= 0), True)  # the last code stays
-                codes = np.append(i * len(kept) + j, len(kept) ** 2)
+                i, j = (rank[k] for k in np.divmod(codes, len(ids)))
+                live = (i >= 0) & (j >= 0)
                 key = "pairs", id(slot.binding.index), kept
-                narrowed._pairs[key] = codes[live], positions[live]
+                narrowed._pairs[key] = (i * len(kept) + j)[live], positions[live]
         return narrowed
 
     @property
@@ -325,7 +305,7 @@ class CompiledRuleSet:
         shapes = [np.shape(t) for t in truths]
         if shapes != self._shapes:
             raise ValueError(f"truth blocks have shapes {shapes}, expected {self._shapes}")
-        flat = np.concatenate([[0.0], *(np.ravel(t) for t in truths), self._tail])
+        flat = np.concatenate([[0.0], *(np.ravel(t) for t in truths), [1.0]])
         phis = np.empty(len(self.constraints), dtype=np.float64)
         grad = np.zeros(flat.size, dtype=np.float64) if with_gradient else None
         codes, signs = [], []  # minimum t-norm rows: |signed position|, signed weight
@@ -370,20 +350,12 @@ def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
     if key in lookups:
         return lookups[key]
     if len(constraint.domains) == 1:
-        cells = np.arange(len(ids))
-    else:  # the pairs of the guard, the first slot, row-major
-        cells = _pair_codes(constraint.slots[0].binding, ids, lookups)[0][:-1]
-    coords = np.unravel_index(cells, constraint.shape)
-    columns = []
-    for slot in constraint.slots:
-        if slot.binding.arity == 1:
-            columns.append(_unary_column(slot.binding, ids, lookups)[coords[slot.axes[0]]])
-        else:
-            codes, positions = _pair_codes(slot.binding, ids, lookups)
-            a, b = slot.axes
-            wanted = coords[a] * len(ids) + coords[b]
-            at = np.searchsorted(codes, wanted)
-            columns.append(np.where(codes[at] == wanted, positions[at], -1))
+        coords, columns = (np.arange(len(ids)),), []
+    else:  # the pairs of the guard, the first slot and only pair atom, row-major
+        cells, positions = _pair_codes(constraint.slots[0].binding, ids, lookups)
+        coords, columns = np.divmod(cells, len(ids)), [positions]
+    for slot in constraint.slots[len(columns):]:
+        columns.append(_unary_column(slot.binding, ids, lookups)[coords[slot.axes[0]]])
     lookups[key] = np.stack(columns, axis=1)
     return lookups[key]
 
@@ -402,20 +374,20 @@ def _pair_codes(binding: PredicateBinding, ids: tuple,
     """A pair index as the sorted codes ``i * len(ids) + j`` of its pairs
     ``(ids[i], ids[j])``, each in either order, and their positions.  A
     direct entry beats a reversed one, and pairs with an id outside ``ids``
-    are left out.  A last code, past every pair, reads position -1.
+    are left out.
     """
     key = ("pairs", id(binding.index), ids)
     if key not in lookups:
         at = {a: i for i, a in enumerate(ids)}
-        found = [(len(ids) ** 2, 0, -1)]  # code, reversed, position
+        found = []  # code, reversed, position
         for (a, b), position in binding.index.items():
             if a in at and b in at:
                 found.append((at[a] * len(ids) + at[b], 0, position))
                 found.append((at[b] * len(ids) + at[a], 1, position))
-        codes, flips, positions = np.array(found, dtype=np.int64).T
+        codes, flips, positions = np.array(found, dtype=np.int64).reshape(-1, 3).T
         order = np.lexsort((flips, codes))
         codes, positions = codes[order], positions[order]
-        first = np.append(True, codes[1:] != codes[:-1])
+        first = np.diff(codes, prepend=-1) != 0
         lookups[key] = (codes[first], positions[first])
     return lookups[key]
 
@@ -480,6 +452,8 @@ def compile_constraint(
             f"rule {constraint.text!r} is neither a one-variable rule nor "
             f"'forall x. forall y. G(x,y) => body' with G a pair predicate"
         )
+    if any(len(slot.axes) == 2 for slot in constraint.slots[len(id_lists) - 1:]):
+        raise CompileError(f"rule {constraint.text!r} reads a pair atom other than its guard")
     return constraint
 
 

@@ -112,10 +112,9 @@ def random_instance(rng, tnorm, implication="residuum", formula_text=None):
     return compile_constraint(formula, tnorm, {"P": ids}, predicates), outputs
 
 
-def given_binding(name, arity, table):
-    """A given predicate over the keys of ``table``, whose values are its truths."""
-    index = {key: k for k, key in enumerate(table)}
-    return PredicateBinding(name, arity, index, truths=list(table.values()))
+def given_binding(name, arity, keys):
+    """A given predicate, 1 on ``keys`` and 0 elsewhere."""
+    return PredicateBinding(name, arity, {key: k for k, key in enumerate(keys)}, given=True)
 
 
 # The guarded pair rules of FORMULA_POOL: the rule set grounds them only
@@ -131,9 +130,9 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode, levels=None):
 
     Each rule's unary predicates are renamed at random (collisions allowed),
     so one template recurs over different predicates.  BOUND is either
-    given, with some zero truths, or learned; either way some pairs are
-    absent, and pairs may be listed in both orders.  Truths are uniform in
-    [0.05, 0.95] or, given ``levels``, drawn from them.
+    given or learned; either way some pairs are absent, and pairs may be
+    listed in both orders.  Truths are uniform in [0.05, 0.95] or, given
+    ``levels``, drawn from them.
     """
 
     def draw(size=None):
@@ -146,12 +145,7 @@ def random_rule_set(rng, texts, tnorm, implication, bound_mode, levels=None):
     outputs = {name: draw(n) for name in UNARY_NAMES}
     pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.4]
     if bound_mode == "given":
-        choices = (0.0, 1.0, None)
-        table = {}
-        for pair in pairs:
-            value = choices[rng.integers(3)]
-            table[pair] = draw() if value is None else value
-        predicates["BOUND"] = given_binding("BOUND", 2, table)
+        predicates["BOUND"] = given_binding("BOUND", 2, pairs)
     else:
         predicates["BOUND"] = PredicateBinding("BOUND", 2, {pair: k for k, pair in enumerate(pairs)})
         outputs["BOUND"] = draw(len(pairs))
@@ -224,8 +218,9 @@ def dense_inputs(constraint, outputs) -> np.ndarray:
     """Per-grounding slot values over the full grid, (n_groundings, n_slots)."""
     values = np.empty((constraint.n_groundings, len(constraint.slots)))
     for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
-        truths = slot.binding.truths
-        if truths is None:
+        if slot.binding.given:
+            truths = np.ones(slot.binding.size)
+        else:
             truths = np.asarray(outputs[slot.binding.name], dtype=np.float64)
         # Absent ids gather -1, the appended 0.0.
         values[:, s] = np.append(truths, 0.0)[gather]
@@ -280,7 +275,7 @@ def dense_penalty_and_gradients(constraint, outputs) -> tuple[float, dict[str, n
     dvalues = reverse(program, vals, np.full(penalties.size, -1.0))
     grads: dict[str, np.ndarray] = {}
     for s, (slot, gather) in enumerate(zip(constraint.slots, dense_gathers(constraint))):
-        if slot.binding.truths is not None:
+        if slot.binding.given:
             continue
         grad = grads.setdefault(slot.binding.name, np.zeros(slot.binding.size))
         present = gather >= 0
@@ -328,7 +323,7 @@ def smooth_instance(rng, tnorm, implication="residuum", margin=1e-3, tries=200):
 def fd_penalty_gradients(constraint, outputs, h=1e-6):
     """Central finite differences of the constraint penalty."""
     grads = {}
-    learned = {slot.binding.name for slot in constraint.slots if slot.binding.truths is None}
+    learned = {slot.binding.name for slot in constraint.slots if not slot.binding.given}
     for name, vec in outputs.items():
         if name not in learned:
             continue
@@ -483,7 +478,7 @@ def reference_train(tasks, rule_set, config, descend=reference_descend):
     """``learner.train`` with stage 2 on :func:`reference_descend`, or on
     another ``descend`` of the same signature; stage 1 is the trainer's
     closed form."""
-    ws = learner._Workspace(tasks, rule_set, config, check_psd=True)
+    ws = learner._Workspace(tasks, rule_set, config)
     stage1, weights, _ = learner._ridge(ws)
     if config.lambda_c > 0 and ws.rule_set.constraints:
         stage2, weights = descend(ws, weights, config.lambda_c, "stage 2")

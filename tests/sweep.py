@@ -15,7 +15,17 @@ the same inputs:
 Every file of each pair of bundles is compared, with the output directory
 masked out of the echoed paths.  The script prints each file that differs,
 or that only one bundle has, and each run that exits non-zero, and exits 1
-if there is any.  pytest does not collect it: it is not named ``test_*.py``.
+if there is any.  A differing file that both bundles have is described by
+how far apart its numbers are:
+
+* ``model.txt``: the largest relative difference of the weights and each
+  side's stage-2 step count;
+* ``predictions.tsv``: the largest relative difference of the truths;
+* ``metrics.txt``: each side's four headline metrics.
+
+"Here" is this checkout and "there" is REV.
+
+pytest does not collect it: it is not named ``test_*.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import sys
 import tarfile
 import tempfile
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(REPO, "perfbench")]
@@ -39,6 +51,7 @@ RULES = ("OC", "OC+PP1", "OC+PP2", "OC+DPP1", "OC+DPP2")
 SCOPES = ("unsupervised", "all")
 TNORMS = ("minimum", "product", "lukasiewicz")
 SEEDS = (41, 7)
+HEADLINE = ("example_f1", "label_macro_f1", "consistency", "auc_average")
 
 
 def export(rev: str, directory: str) -> str:
@@ -99,6 +112,78 @@ def snapshot(out_dir: str) -> dict[str, bytes]:
     return files
 
 
+def _lines(data: bytes, section: str | None = None) -> list[str]:
+    """The non-blank lines of a file or, given ``section``, of its
+    ``[section]`` block."""
+    lines, inside = [], section is None
+    for line in data.decode("utf-8").splitlines():
+        if line.startswith("["):
+            inside = line == f"[{section}]"
+        elif inside and line.strip():
+            lines.append(line)
+    return lines
+
+
+def weights(data: bytes) -> dict[str, list[float]]:
+    """A ``model.txt``'s coefficient rows, by predicate."""
+    rows = (line.split(": ", 1) for line in _lines(data, "coefficients"))
+    return {name: [float(v) for v in values.split()] for name, values in rows}
+
+
+def stage2_steps(data: bytes) -> int:
+    """The steps that a ``model.txt``'s trace records for stage 2."""
+    steps = [int(line.split()[1][len("step="):]) for line in _lines(data, "trace")
+             if line.startswith("stage=2 ")]
+    return max(steps, default=0)
+
+
+def truths(data: bytes) -> dict[tuple[str, str], list[float]]:
+    """A ``predictions.tsv``'s truths, by protein and node."""
+    return {(protein, node): [float(truth)] for protein, node, truth, *_ in
+            (line.split("\t") for line in _lines(data))}
+
+
+def headline(data: bytes) -> str:
+    """A ``metrics.txt``'s four headline metrics."""
+    values = dict(line.split(" = ") for line in _lines(data))
+    return " ".join(f"{name}={values.get(name)}" for name in HEADLINE)
+
+
+def largest_relative_difference(a: dict, b: dict) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the entries of two tables (0 where
+    both are 0), or None where their keys or row lengths differ."""
+    if a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
+        return None
+    worst = 0.0
+    for key in a:
+        x, y = np.array(a[key]), np.array(b[key])
+        scale = np.maximum(np.abs(x), np.abs(y))
+        gap = np.divide(np.abs(x - y), scale, out=np.zeros_like(scale), where=scale > 0)
+        worst = max(worst, float(gap.max(initial=0.0)))
+    return worst
+
+
+def describe(path: str, here: bytes, there: bytes) -> str:
+    """How far apart two versions of a bundle file are, for the files that
+    hold weights, truths or metrics; empty for any other file."""
+    name = os.path.basename(path)
+    if name == "model.txt":
+        gap = largest_relative_difference(weights(here), weights(there))
+        return (f"weights: {_gap(gap)}; stage-2 steps {stage2_steps(here)} here, "
+                f"{stage2_steps(there)} there")
+    if name == "predictions.tsv":
+        return f"truths: {_gap(largest_relative_difference(truths(here), truths(there)))}"
+    if name == "metrics.txt":
+        return f"here {headline(here)}; there {headline(there)}"
+    return ""
+
+
+def _gap(gap: float | None) -> str:
+    if gap is None:
+        return "the two sides cover different entries"
+    return f"largest relative difference {gap:.3g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, metavar="REV",
@@ -122,8 +207,10 @@ def main(argv: list[str] | None = None) -> int:
                 differing += 1
             for path in sorted(files_a.keys() | files_b.keys()):
                 compared += 1
-                if files_a.get(path) != files_b.get(path):
-                    print(f"{name}: {path} differs")
+                here, there = files_a.get(path), files_b.get(path)
+                if here != there:
+                    detail = describe(path, here, there) if here and there else ""
+                    print(f"{name}: {path} differs" + (f": {detail}" if detail else ""))
                     differing += 1
         print(f"{len(configs)} configs, {compared} files compared, {differing} differ")
     return 1 if differing else 0

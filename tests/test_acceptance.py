@@ -125,10 +125,9 @@ def test_quantifier_reduction_identities():
         pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < 0.5]
         bindings = {
             "P": PredicateBinding("P", 1, {e: k for k, e in enumerate(ids)}),
-            "G": PredicateBinding("G", 2, {p: k for k, p in enumerate(pairs)},
-                                  truths=rng.random(len(pairs))),
+            "G": PredicateBinding("G", 2, {p: k for k, p in enumerate(pairs)}),
         }
-        outputs = {"P": rng.random(n)}
+        outputs = {"P": rng.random(n), "G": rng.random(len(pairs))}
         tnorm = TNORMS[i % len(TNORMS)]
         assert (compile_constraint(one, tnorm, {"D": ids}, bindings).penalty(outputs)
                 == np.sum(1.0 - outputs["P"]))

@@ -320,7 +320,7 @@ class TestRun:
         def counted(*args):
             bound = bound_inputs(*args)
             indexes.append(Counted(bound.index))
-            return PredicateBinding("BOUND", 2, indexes[-1], truths=bound.truths)
+            return PredicateBinding("BOUND", 2, indexes[-1], given=bound.given)
 
         monkeypatch.setattr(cli, "_bound_inputs", counted)
         cfg = write_config(dataset, rules="PP1", folds="3", out="out_pp")
@@ -425,9 +425,9 @@ class TestRun:
             assert all(b is bound for b in compiled)
             assert (bound.name, bound.arity) == ("BOUND", 2)
             assert bound.index == {("p1", "p2"): 0, ("p3", "p8"): 1}
-            assert bound.truths.tolist() == [1.0, 1.0]
+            assert bound.given
         else:
-            assert all(b is None or b.truths is None for b in compiled)
+            assert not any(b is not None and b.given for b in compiled)
         # Under the 'all' scope every fold trains against the run's one rule set.
         calls.clear()
         cfg = write_config(dataset, name="all.cfg", rules=rules, pair_gram="pairs.csv",

@@ -14,7 +14,6 @@ from support import (
     GUARDED_PREFIX,
     IMPLICATIONS,
     dense_gathers,
-    dense_inputs,
     dense_penalty_and_gradients,
     fd_penalty_gradients,
     given_binding,
@@ -122,11 +121,11 @@ def test_given_mode_reads_table_and_gets_no_gradient():
     ids = ["p0", "p1", "p2"]
     preds = {
         "A": _unary("A", ids),
-        "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, truths=[1.0]),
+        "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, given=True),
     }
     c = compile_constraint(f, "product", {"P": ids}, preds)
-    assert {slot.binding.name: slot.binding.truths is None for slot in c.slots} == {
-        "A": True, "BOUND": False}
+    assert {slot.binding.name: slot.binding.given for slot in c.slots} == {
+        "A": False, "BOUND": True}
     outputs = {"A": np.array([0.9, 0.2, 0.5])}
     phi, grads = c.penalty_and_gradients(outputs)
     # Only the (p0, p1) and (p1, p0) groundings have a live antecedent.
@@ -138,68 +137,46 @@ def test_given_mode_reads_table_and_gets_no_gradient():
 
 
 @pytest.mark.parametrize("arity", (1, 2))
-def test_given_truths_must_lie_in_the_unit_interval(arity):
-    key = "p0" if arity == 1 else ("p0", "p1")
-    for value in (1.5, -0.25, float("nan"), float("inf"), float("-inf"), None, "0.5", 2**70):
-        with pytest.raises(CompileError, match=r"'G': value .* is not a truth in \[0, 1\]"):
-            given_binding("G", arity, {key: value})
-        with pytest.raises(CompileError, match=r"'G': value .* is not a truth in \[0, 1\]"):
-            given_binding("G", arity, {key: 0.5, "other": value})
-    for value in (0.0, 0.5, 1.0, 1, np.float64(0.25), True):
-        given_binding("G", arity, {key: value})
+def test_a_given_key_reads_one_whatever_its_position(arity):
+    ids = ["p0", "p1", "p2"]
+    if arity == 1:
+        f = parse_rule("forall x:P. G(x) => A(x)")
+        index = {"p2": 7, "p0": 0, "outside": 3}  # p1 absent
+    else:
+        f = parse_rule("forall x:P. forall y:P. G(x,y) => A(x)")
+        index = {("p2", "p0"): 7, ("p0", "outside"): 3}  # only (p2, p0) and (p0, p2) live
+    rule = compile_constraint(
+        f, "lukasiewicz", {"P": ids}, {"A": _unary("A", ids), "G": PredicateBinding(
+            "G", arity, index, given=True)})
+    a = np.array([0.25, 0.5, 0.75])
+    phi, grads = rule.penalty_and_gradients({"A": a})
+    # Where G reads 1 the residuum is A itself, where it reads 0 it is 1.
+    assert phi == 0.75 + 0.25
+    assert grads["A"].tolist() == [-1.0, 0.0, -1.0]
+    assert CompiledRuleSet([rule], [(("A",), 3)]).n_groundings == (3 if arity == 1 else 2)
 
 
-@pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (float("nan"), "nan"), (-1, "-1"), (2, "2")])
-def test_a_large_given_table_reports_its_one_bad_truth(bad, shown):
-    truths = np.full(30_000, 0.5 if isinstance(bad, float) else 1, dtype=type(bad))
-    truths[-1] = bad
-    index = {f"p{i}": i for i in range(truths.size)}
-    with pytest.raises(CompileError, match=rf"'G': value {shown} is not a truth in \[0, 1\]"):
-        PredicateBinding("G", 1, index, truths=truths)
-    truths[-1] = 0
-    assert PredicateBinding("G", 1, index, truths=truths).truths.tolist()[-1] == 0.0
-
-
-def test_given_truths_must_match_the_index():
-    index = {"p0": 0, "p1": 2}  # positions 0 to 2
-    PredicateBinding("G", 1, index, truths=[0.0, 0.5, 1.0])
-    for truths in ([0.5, 1.0], [0.0, 0.5, 1.0, 1.0], [[0.0, 0.5, 1.0]], 0.5):
-        with pytest.raises(CompileError, match=r"'G': truths of shape .* index of 3 positions"):
-            PredicateBinding("G", 1, index, truths=truths)
-    assert PredicateBinding("G", 1, {}, truths=[]).size == 0
-
-
-def test_given_table_is_a_read_only_copy():
-    source = np.array([0.5])
-    binding = PredicateBinding("G", 1, {"p0": 0}, truths=source)
-    source[0] = -0.5
-    assert binding.truths.tolist() == [0.5]
-    with pytest.raises(ValueError, match="read-only"):
-        binding.truths[0] = -0.5
-    assert binding.truths.dtype == np.float64
-    assert PredicateBinding("G", 1, {"p0": 0}, truths=[1]).truths.dtype == np.float64
-    assert PredicateBinding("G", 1, {"p0": 0}).truths is None
-    # A binding is its own key: comparing truth vectors would be ambiguous.
-    pair = PredicateBinding("G", 1, {"p0": 0, "p1": 1}, truths=[0.5, 1.0])
-    assert pair == pair and len({pair, binding}) == 2
+def test_a_binding_compares_by_identity():
+    binding = PredicateBinding("G", 1, {"p0": 0}, given=True)
+    twin = PredicateBinding("G", 1, {"p0": 0}, given=True)
+    assert binding == binding and binding != twin and len({binding, twin}) == 2
+    assert not PredicateBinding("G", 1, {"p0": 0}).given
+    assert (binding.size, PredicateBinding("G", 2, {}, given=True).size) == (1, 0)
 
 
 @pytest.mark.parametrize("tnorm", ("product", "minimum"))
-def test_a_negative_given_truth_never_reaches_a_penalty(tnorm):
-    # An unchecked table made this rule's penalty -0.5: a negative penalty
-    # would break the learner's skipping of the rules of rejected trials.
+def test_a_given_predicate_keeps_every_penalty_non_negative(tnorm):
+    # A given predicate reads only 0 or 1, so no penalty can go negative: the
+    # learner's skipping of the rules of rejected trials relies on that.
     f = parse_rule("forall x:P. A(x) or not G(x)")
     ids = ["p0", "p1"]
-    with pytest.raises(CompileError, match="not a truth"):
-        compile_constraint(f, tnorm, {"P": ids}, {
-            "A": _unary("A", ids),
-            "G": given_binding("G", 1, {"p0": -0.5, "p1": 1.0}),
-        })
     c = compile_constraint(f, tnorm, {"P": ids}, {
-        "A": _unary("A", ids),
-        "G": given_binding("G", 1, {"p0": 0.0, "p1": 1.0}),
+        "A": _unary("A", ids), "G": given_binding("G", 1, ["p1"]),
     })
     assert c.penalty({"A": np.array([0.0, 1.0])}) == 0.0
+    assert c.penalty({"A": np.array([1.0, 0.0])}) == 1.0
+    rng = np.random.default_rng(3)
+    assert all(c.penalty({"A": rng.uniform(0.0, 1.0, 2)}) >= 0.0 for _ in range(50))
 
 
 def test_missing_pairs_read_as_zero():
@@ -271,9 +248,29 @@ def test_only_one_variable_and_guarded_pair_rules_compile(text):
         compile_constraint(parse_rule(text), "product", {"P": ids}, preds)
 
 
+@pytest.mark.parametrize("text", [
+    # a pair atom in a one-variable rule
+    "forall x:P. A(x) or R(x,x)",
+    "forall x:P. R(x,x) => A(x)",
+    # a pair atom besides the guard in a pair rule's body
+    "forall x:P. forall y:P. R(x,y) => R(y,x)",
+    "forall x:P. forall y:P. R(x,y) => A(x) or R(x,x)",
+    "forall x:P. forall y:P. R(x,y) => (A(x) <=> S(x,y))",
+])
+def test_a_rule_reads_no_pair_atom_but_its_guard(text):
+    ids = ["p0", "p1", "p2"]
+    preds = {"A": _unary("A", ids), "R": PredicateBinding("R", 2, {("p0", "p1"): 0}),
+             "S": given_binding("S", 2, [("p0", "p1")])}
+    with pytest.raises(CompileError, match="reads a pair atom other than its guard"):
+        compile_constraint(parse_rule(text), "product", {"P": ids}, preds)
+    # The guard read again in the body is the guard.
+    again = parse_rule("forall x:P. forall y:P. R(x,y) => (R(x,y) <=> A(y))")
+    assert len(compile_constraint(again, "product", {"P": ids}, preds).slots) == 2
+
+
 def test_a_rule_and_a_rule_set_range_over_one_id_list():
     ids, other = ["p0", "p1", "p2"], ["p2", "p1", "p0"]
-    preds = {"A": _unary("A", ids), "R": given_binding("R", 2, {("p0", "p1"): 1.0})}
+    preds = {"A": _unary("A", ids), "R": given_binding("R", 2, [("p0", "p1")])}
     pair = parse_rule("forall x:P. forall y:Q. R(x,y) => (A(x) <=> A(y))")
     with pytest.raises(CompileError, match="quantifiers range over more than one id list"):
         compile_constraint(pair, "product", {"P": ids, "Q": other}, preds)
@@ -350,47 +347,54 @@ def test_gradient_pass_penalty_is_exact(tnorm, implication):
         assert constraint.penalty(outputs) == phi, text
 
 
-def _pair_lookup_loop(entries, left, right, missing):
+def _pair_lookup_loop(entries, left, right):
     """Reference pair lookup: one dict probe per (left, right) cell, then one
-    for the reversed pair."""
-    mat = np.empty((len(left), len(right)))
+    for the reversed pair, -1 where neither is listed."""
+    mat = np.empty((len(left), len(right)), dtype=np.int64)
     for i, a in enumerate(left):
         for j, b in enumerate(right):
             value = entries.get((a, b))
             if value is None:
                 value = entries.get((b, a))
-            mat[i, j] = missing if value is None else value
+            mat[i, j] = -1 if value is None else value
     return mat
 
 
 def test_pair_binding_matches_the_double_loop():
     rng = np.random.default_rng(5)
-    f = parse_rule("forall x:P. forall y:P. R(x,y) => R(y,x)")
+    f = parse_rule("forall x:P. forall y:P. R(x,y) => A(y)")
     for _ in range(20):
         domain = [f"p{i}" for i in rng.permutation(int(rng.integers(1, 7)))]
         ids = sorted(domain) + ["outside"]
         # Random keys: some in both orders, some outside the domain.
         keys = [(a, b) for a in ids for b in ids if rng.random() < 0.4]
         positions = {key: k for k, key in enumerate(keys)}
-        table = {key: float(rng.uniform()) for key in keys}
-        bindings = {
-            "learned": PredicateBinding("R", 2, positions),
-            "given": given_binding("R", 2, table),
-        }
-        for mode, binding in bindings.items():
-            c = compile_constraint(f, "product", {"P": domain}, {"R": binding})
-            entries, missing = (positions, -1) if mode == "learned" else (table, 0.0)
-            grid = _pair_lookup_loop(entries, domain, domain, missing)
-            # A given slot reads its truths through the same gather.
-            got = dense_gathers(c) if mode == "learned" else dense_inputs(c, {}).T
-            assert np.array_equal(got[0], grid.reshape(-1)), mode
-            assert np.array_equal(got[1], grid.T.reshape(-1)), mode
+        grid = _pair_lookup_loop(positions, domain, domain)
+        assert np.array_equal(dense_gathers(compile_constraint(
+            f, "product", {"P": domain},
+            {"A": _unary("A", ids), "R": PredicateBinding("R", 2, positions)}))[0],
+            grid.reshape(-1))
+        # The rule set grounds the listed cells, row-major, each reading its
+        # position past the A block or, for a given R, the 1.0 after it.
+        for given in (False, True):
+            binding = PredicateBinding("R", 2, positions, given=given)
+            rule = compile_constraint(f, "product", {"P": domain},
+                                      {"A": _unary("A", ids), "R": binding})
+            layout = [(("A",), len(ids))] + [(("R",), len(keys))] * (not given)
+            (group,) = CompiledRuleSet([rule], layout)._groups
+            live = grid.reshape(-1)[grid.reshape(-1) >= 0]
+            end = 1 + len(ids)
+            want = np.full(live.size, end) if given else end + live
+            assert np.array_equal(group.index[:, 0], want), given
+            cells = np.flatnonzero(grid.reshape(-1) >= 0)
+            a = np.array([ids.index(p) for p in domain])[cells % len(domain)]
+            assert np.array_equal(group.index[:, 1], 1 + a), given
 
 
 def test_pair_guards_over_a_subset_match_the_dense_grounding():
     rng = np.random.default_rng(9)
-    texts = ["forall x:P. forall y:P. R(x,y) => R(y,x)",
-             "forall x:P. forall y:P. R(x,y) => A(x) or R(y,x)"]
+    texts = ["forall x:P. forall y:P. R(x,y) => A(y)",
+             "forall x:P. forall y:P. R(x,y) => A(x) or not A(y)"]
     for _ in range(20):
         domain = [f"p{i}" for i in rng.permutation(int(rng.integers(1, 7)))]
         ids = sorted(domain) + ["outside"]
@@ -398,7 +402,7 @@ def test_pair_guards_over_a_subset_match_the_dense_grounding():
         outputs = {"A": rng.uniform(0.05, 0.95, len(ids)), "R": rng.uniform(0.05, 0.95, len(keys))}
         for mode in ("given", "learned"):
             if mode == "given":
-                binding = given_binding("R", 2, dict(zip(keys, outputs["R"].tolist())))
+                binding = given_binding("R", 2, keys)
             else:
                 binding = PredicateBinding("R", 2, {key: k for k, key in enumerate(keys)})
             bindings = {"A": _unary("A", ids), "R": binding}
@@ -415,6 +419,29 @@ def test_pair_guards_over_a_subset_match_the_dense_grounding():
                     expected[[p for p, _ in layout].index((pred,))][0] += grad
             for grad, want in zip(grads, expected):
                 assert np.allclose(grad, want, rtol=1e-12, atol=1e-15), mode
+
+
+@pytest.mark.parametrize("given", (False, True))
+def test_a_guard_without_a_pair_inside_the_ids_grounds_no_rows(given):
+    ids = ["p0", "p1", "p2"]
+    rule = parse_rule("forall x:P. forall y:P. R(x,y) => (A(x) <=> A(y))")
+    truths = [np.array([[0.1, 0.5, 0.9]])]
+    for index in ({}, {("p0", "outside"): 0, ("elsewhere", "p2"): 1}):
+        binding = PredicateBinding("R", 2, index, given=given)
+        layout = [(("A",), 3)] + [(("R",), binding.size)] * (not given)
+        blocks = truths + [np.full((1, binding.size), 0.5)] * (not given)
+        for tnorm in TNORMS:
+            c = compile_constraint(rule, tnorm, {"P": ids}, {"A": _unary("A", ids), "R": binding})
+            rule_set = CompiledRuleSet([c, c], layout)
+            assert rule_set.n_groundings == 0
+            phis, grads = rule_set.penalties_and_gradients(blocks)
+            assert phis.tolist() == [0.0, 0.0] and not any(g.any() for g in grads)
+    # A narrowed set that keeps no pair of a live guard grounds none either.
+    binding = PredicateBinding("R", 2, {("p0", "p1"): 0}, given=given)
+    layout = [(("A",), 3)] + [(("R",), 1)] * (not given)
+    c = compile_constraint(rule, "product", {"P": ids}, {"A": _unary("A", ids), "R": binding})
+    assert CompiledRuleSet([c], layout).n_groundings == 2
+    assert CompiledRuleSet([c], layout).restricted([True, False, True]).n_groundings == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -600,8 +627,7 @@ def test_guarded_rules_over_a_scope_subset_match_the_dense_grounding(
     layout = [(("A", "B"), len(ids))]
     truths = [rng.uniform(0.05, 0.95, (2, len(ids)))]
     if bound_mode == "given":
-        bindings["BOUND"] = given_binding(
-            "BOUND", 2, {pair: float(v) for pair, v in zip(pairs, rng.uniform(0.0, 1.0, 8))})
+        bindings["BOUND"] = given_binding("BOUND", 2, pairs)
     else:
         bindings["BOUND"] = PredicateBinding("BOUND", 2, {p: k for k, p in enumerate(pairs)})
         layout.append((("BOUND",), len(pairs)))
@@ -707,7 +733,7 @@ def test_rule_set_penalties_are_non_negative(text, tnorm, implication, bound_mod
 def test_rule_set_reads_given_truths_as_learned_rows_are_read():
     ids = ["p0", "p1", "p2"]
     rule = parse_rule("forall x:P. forall y:P. G(x,y) => (A(x) <=> A(y))")
-    given = PredicateBinding("G", 2, {("p0", "p1"): 0, ("p2", "p1"): 1}, truths=[1.0, 0.25])
+    given = PredicateBinding("G", 2, {("p0", "p1"): 1, ("p2", "p1"): 0}, given=True)
     learned = PredicateBinding("G", 2, given.index)
     truths = [np.array([[0.9, 0.2, 0.6]])]
     for tnorm in TNORMS:
@@ -715,10 +741,10 @@ def test_rule_set_reads_given_truths_as_learned_rows_are_read():
             compile_constraint(rule, tnorm, {"P": ids}, {"A": _unary("A", ids), "G": binding})
             for binding in (given, learned)
         )
-        # The given truths, placed after the learned rows, read like a learned G.
+        # The given G, one 1.0 after the learned rows, reads like a learned G at 1.
         phis, grads = CompiledRuleSet([given_rule] * 2, [(("A",), 3)]).penalties_and_gradients(truths)
         want, want_grads = CompiledRuleSet([learned_rule] * 2, [(("A",), 3), (("G",), 2)]) \
-            .penalties_and_gradients(truths + [np.array([[1.0, 0.25]])])
+            .penalties_and_gradients(truths + [np.array([[1.0, 1.0]])])
         assert phis.tolist() == want.tolist()
         assert np.array_equal(grads[0], want_grads[0])
         # Only the pairs in G's index are grounded, in either order.
@@ -728,22 +754,24 @@ def test_rule_set_reads_given_truths_as_learned_rows_are_read():
 def test_rule_set_rejects_clashing_given_predicates():
     ids = ["p0", "p1"]
     rule = parse_rule("forall x:P. G(x) => A(x)")
-    given = PredicateBinding("G", 1, {"p0": 0}, truths=[1.0])
+    given = PredicateBinding("G", 1, {"p0": 0}, given=True)
     compiled = compile_constraint(rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": given})
-    clash = r"G\(x\) => A\(x\).*binds 'G' to other truths than the rule set reads"
+    clash = r"G\(x\) => A\(x\).*binds 'G' otherwise than the rule set reads it"
     # A given predicate named like a learned block row.
     with pytest.raises(CompileError, match=clash):
         CompiledRuleSet([compiled], [(("A", "G"), 2)])
-    # Two rules that bind G to different truth vectors.
-    again = PredicateBinding("G", 1, {"p0": 0}, truths=[1.0])
+    # Two rules that bind G to different given bindings.
+    again = PredicateBinding("G", 1, {"p0": 0}, given=True)
     other = compile_constraint(rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": again})
     with pytest.raises(CompileError, match=clash):
         CompiledRuleSet([compiled, other], [(("A",), 2)])
-    # A learned G after a given one.
+    # G bound learned by one rule and given by another.
     learned = compile_constraint(
         rule, "product", {"P": ids}, {"A": _unary("A", ids), "G": _unary("G", ids)}
     )
     with pytest.raises(CompileError, match=clash):
+        CompiledRuleSet([learned, compiled], [(("A", "G"), 2)])
+    with pytest.raises(CompileError, match="unknown learned predicate 'G'"):
         CompiledRuleSet([compiled, learned], [(("A",), 2)])
     assert CompiledRuleSet([compiled, compiled], [(("A",), 2)]).n_groundings == 4
 
@@ -754,7 +782,7 @@ def test_a_guarded_rule_is_grounded_without_its_grid():
     ids = [f"p{i:04d}" for i in range(1000)]
     pairs = {(ids[i], ids[i + 25]): k for k, i in enumerate(range(0, 1000, 50))}
     bindings = {"A": _unary("A", ids),
-                "BOUND": PredicateBinding("BOUND", 2, pairs, truths=np.ones(len(pairs)))}
+                "BOUND": PredicateBinding("BOUND", 2, pairs, given=True)}
     rule = parse_rule(f"{GUARDED_PREFIX} (A(x) <=> A(y))")
     tracemalloc.start()
     try:

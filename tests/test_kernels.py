@@ -126,6 +126,17 @@ def test_domain_gram_matches_scalar():
             assert gram.matrix[i, j] == domain_kernel(ann[p], ann[q])
 
 
+def test_domain_gram_is_bit_equal_to_the_set_formula_on_random_sets():
+    rng = np.random.default_rng(17)
+    ann = {f"p{i}": {f"d{j}" for j in rng.choice(40, size=rng.integers(0, 12))}
+           for i in range(60)}
+    order = list(rng.permutation(sorted(ann)))
+    gram = domain_gram(ann, ids=order)
+    assert gram.ids == tuple(order)
+    want = [[domain_kernel(ann[p], ann[q]) for q in order] for p in order]
+    assert gram.matrix.tobytes() == np.array(want).tobytes()
+
+
 def test_diffusion_two_vertex_closed_form():
     g = InteractionGraph(("u", "v"), (("u", "v", 1.0),))
     beta = math.log(2.0) / 2.0

@@ -67,9 +67,9 @@ def truths_of(model, tasks):
 
 
 def given_bound(rng, pairs):
-    """BOUND given as random truths over ``pairs``, as rules see it."""
-    table = {pair: float(rng.choice([0.0, 0.5, 1.0])) for pair in pairs}
-    return {"BOUND": given_binding("BOUND", 2, table)}
+    """BOUND given over a random two thirds of ``pairs``, as rules see it."""
+    draws = rng.choice([0.0, 0.5, 1.0], size=len(pairs))
+    return {"BOUND": given_binding("BOUND", 2, [p for p, v in zip(pairs, draws) if v])}
 
 
 def random_pd_gram(rng, ids):
@@ -830,7 +830,7 @@ def test_given_bound_flows_into_unary_predicate():
     task_a = TaskSpec(("A",), 1, ids, gram=gram(ids, np.eye(3)), labels=[row(ids, {"p0": 1.0})])
     tasks = [task_a]
     bindings = {**predicate_bindings(tasks),
-                "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, truths=[1.0])}
+                "BOUND": PredicateBinding("BOUND", 2, {("p0", "p1"): 0}, given=True)}
     rule = parse_rule("forall x:Prot. forall y:Prot. BOUND(x,y) => (A(x) <=> A(y))")
     constraint = compile_constraint(rule, "product", {"Prot": list(ids)}, bindings)
     cfg = TrainConfig(lambda_r=0.1, lambda_c=30.0, max_iterations=600)
@@ -964,8 +964,8 @@ def test_bindings_share_one_index_map_per_spec():
     assert bindings["A"].index is bindings["B"].index
     assert bindings["A"].index == {"p0": 0, "p1": 1, "p2": 2}
     assert bindings["BOUND"].index == {pairs[0]: 0, pairs[1]: 1}
-    assert (bindings["BOUND"].arity, bindings["BOUND"].truths) == (2, None)
-    assert all(b.truths is None for b in bindings.values())
+    assert (bindings["BOUND"].arity, bindings["BOUND"].given) == (2, False)
+    assert not any(b.given for b in bindings.values())
 
 
 def test_pair_key():
