@@ -70,12 +70,18 @@ def protein_positions() -> list[tuple[str, float, str]]:
     return rows
 
 
-def write_dataset(root_dir: str, namespace: str = "molecular_function") -> None:
+def write_dataset(root_dir: str, namespace: str = "molecular_function",
+                  part_of: bool = False) -> None:
     """Write the ontology, annotation, and expression files into root_dir,
-    with every term of the chain in ``namespace``."""
+    with every term of the chain in ``namespace``; with ``part_of`` the
+    child is also part of the root."""
     os.makedirs(root_dir, exist_ok=True)
+    obo = OBO.replace("namespace: molecular_function", f"namespace: {namespace}")
+    if part_of:
+        edge = "is_a: GO:0000200 ! regulator activity\n"
+        obo = obo.replace(edge, edge + "relationship: part_of GO:0000100\n")
     with open(os.path.join(root_dir, "chain.obo"), "w", encoding="utf-8") as fh:
-        fh.write(OBO.replace("namespace: molecular_function", f"namespace: {namespace}"))
+        fh.write(obo)
     rows = protein_positions()
     with open(os.path.join(root_dir, "ann.tsv"), "w", encoding="utf-8") as fh:
         for protein, _, term in rows:
@@ -141,3 +147,43 @@ def write_pair_files(root_dir: str) -> None:
         fh.write(",".join(ids) + "\n")
         for i in range(len(ids)):
             fh.write(",".join("1.25" if i == j else "0.25" for j in range(len(ids))) + "\n")
+
+
+# The config key and file that each kernel reads its input from.
+KERNEL_INPUTS = {
+    "expression": ("expression", "expr.csv"),
+    "domain": ("domains", "domains.tsv"),
+    "diffusion": ("graph", "graph.tsv"),
+    "gram": ("gram", "gram.csv"),
+}
+
+
+def write_kernel_files(root_dir: str) -> None:
+    """Write the inputs of the domain, diffusion and precomputed kernels.
+
+    ``domains.tsv`` gives each protein a bin of its line coordinate and one of
+    four families.  ``graph.tsv`` chains the proteins of each annotated term,
+    plus one reversed duplicate, one self-loop and one edge to a protein
+    outside the dataset.  ``gram.csv`` is the linear kernel of the written
+    expression profiles, summed in Python so that its bits do not depend on
+    the BLAS, with its ids in reverse order.
+    """
+    rows = protein_positions()
+    with open(os.path.join(root_dir, "domains.tsv"), "w", encoding="utf-8") as fh:
+        for index, (protein, t, _) in enumerate(rows):
+            fh.write(f"{protein}\tBIN{int((t + 1.6) / 0.4)}\n{protein}\tFAM{index % 4}\n")
+    edges = [(a[0], b[0]) for a, b in zip(rows, rows[1:]) if a[2] == b[2]]
+    edges += [(rows[1][0], rows[0][0]), (rows[5][0], rows[5][0]), (rows[7][0], "prot99")]
+    with open(os.path.join(root_dir, "graph.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{a}\t{b}\n" for a, b in edges))
+    profiles = {}
+    with open(os.path.join(root_dir, "expr.csv"), encoding="utf-8") as fh:
+        for line in fh:
+            name, *values = line.strip().split(",")
+            profiles[name] = [float(v) for v in values]
+    ids = sorted(profiles, reverse=True)
+    with open(os.path.join(root_dir, "gram.csv"), "w", encoding="utf-8") as fh:
+        fh.write(",".join(ids) + "\n")
+        for a in ids:
+            fh.write(",".join(repr(sum(x * y for x, y in zip(profiles[a], profiles[b])))
+                              for b in ids) + "\n")

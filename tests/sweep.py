@@ -6,17 +6,19 @@ REV's committed ``src/`` is exported with ``git archive`` into a temporary
 directory.  Both trees then run ``fungo run --jobs 1`` in a child process on
 the same inputs:
 
-* the 30 hierarchy-fixture configs of ``test_bundle_bytes.py``: OC, OC+PP1,
-  OC+PP2, OC+DPP1 and OC+DPP2 under both constraint scopes and all three
-  t-norms;
+* the 39 hierarchy-fixture configs of ``test_bundle_bytes.py``: OC,
+  OC+partof, OC+PP1, OC+PP2, OC+DPP1 and OC+DPP2 under both constraint
+  scopes and all three t-norms on the expression kernel, and OC on each of
+  the domain, diffusion and precomputed kernels;
 * the three benchmark workloads at seeds 41 and 7, their inputs written by
   ``perfbench/workloads.generate``.
 
 Every file of each pair of bundles is compared, with the output directory
 masked out of the echoed paths.  The script prints each file that differs,
 or that only one bundle has, and each run that exits non-zero, and exits 1
-if there is any.  A differing file that both bundles have is described by
-how far apart its numbers are:
+if there is any.  Its last line counts the fixture and workload configs, the
+files compared and the files that differ.  A differing file that both
+bundles have is described by how far apart its numbers are:
 
 * ``model.txt``: the largest relative difference of the weights and each
   side's stage-2 step count;
@@ -47,7 +49,8 @@ sys.path[:0] = [HERE, os.path.join(REPO, "perfbench")]
 import hierarchy_fixture  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
-RULES = ("OC", "OC+PP1", "OC+PP2", "OC+DPP1", "OC+DPP2")
+RULES = ("OC", "OC+partof", "OC+PP1", "OC+PP2", "OC+DPP1", "OC+DPP2")
+KERNELS = ("domain", "diffusion", "gram")
 SCOPES = ("unsupervised", "all")
 TNORMS = ("minimum", "product", "lukasiewicz")
 SEEDS = (41, 7)
@@ -64,22 +67,39 @@ def export(rev: str, directory: str) -> str:
 
 
 def fixture_configs(directory: str) -> dict[str, str]:
-    """The 30 fixture configs, by name; each namespace's dataset is written once."""
-    configs = {}
-    for namespace in ("molecular_function", "biological_process"):
-        root = os.path.join(directory, namespace)
-        hierarchy_fixture.write_dataset(root, namespace)
-        hierarchy_fixture.write_pair_files(root)
-        for rules in RULES:
-            if ("DPP" in rules) != (namespace == "biological_process"):
-                continue
-            for scope in SCOPES:
-                for tnorm in TNORMS:
-                    name = f"{rules}-{scope}-{tnorm}"
-                    configs[name] = hierarchy_fixture.write_config(
-                        root, name, rules=rules, ppi="ppi.tsv", pair_gram="pairs.csv",
-                        constraint_scope=scope, tnorm=tnorm, namespaces=namespace)
+    """The 39 fixture configs, by name; each dataset is written once."""
+    configs, roots = {}, {}
+    for rules in RULES:
+        namespace = "biological_process" if "DPP" in rules else "molecular_function"
+        part_of = "partof" in rules
+        if (namespace, part_of) not in roots:
+            root = roots[namespace, part_of] = os.path.join(
+                directory, namespace + ("-part_of" if part_of else ""))
+            hierarchy_fixture.write_dataset(root, namespace, part_of=part_of)
+            hierarchy_fixture.write_pair_files(root)
+            hierarchy_fixture.write_kernel_files(root)
+        root = roots[namespace, part_of]
+        for scope in SCOPES:
+            for tnorm in TNORMS:
+                name = f"{rules}-{scope}-{tnorm}"
+                configs[name] = _fixture_config(root, name, rules, scope, tnorm, "expression",
+                                                namespace)
+    # Plain OC also runs once on each other kernel.
+    root = roots["molecular_function", False]
+    for kernel in KERNELS:
+        name = f"OC-{kernel}"
+        configs[name] = _fixture_config(root, name, "OC", SCOPES[0], TNORMS[0], kernel,
+                                        "molecular_function")
     return configs
+
+
+def _fixture_config(root: str, name: str, rules: str, scope: str, tnorm: str, kernel: str,
+                    namespace: str) -> str:
+    key, path = hierarchy_fixture.KERNEL_INPUTS[kernel]
+    return hierarchy_fixture.write_config(
+        root, name, rules=rules, ppi="ppi.tsv", pair_gram="pairs.csv",
+        constraint_scope=scope, tnorm=tnorm, namespaces=namespace, kernel=kernel,
+        **{key: path})
 
 
 def workload_configs(directory: str) -> dict[str, str]:
@@ -193,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"here": os.path.join(REPO, "src"),
                  "against": export(args.against, os.path.join(work, "against"))}
         configs = fixture_configs(os.path.join(work, "fixture"))
+        fixtures = len(configs)
         configs.update(workload_configs(os.path.join(work, "workloads")))
         compared = differing = 0
         for name, config in configs.items():
@@ -212,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
                     detail = describe(path, here, there) if here and there else ""
                     print(f"{name}: {path} differs" + (f": {detail}" if detail else ""))
                     differing += 1
-        print(f"{len(configs)} configs, {compared} files compared, {differing} differ")
+        print(f"{len(configs)} configs ({fixtures} fixture, {len(configs) - fixtures} workload), "
+              f"{compared} files compared, {differing} differ")
     return 1 if differing else 0
 
 

@@ -1,6 +1,5 @@
 """Constraint compilation: grounding, penalties and gradients."""
 
-import os
 import tracemalloc
 
 import hierarchy_fixture
@@ -288,15 +287,10 @@ def test_a_rule_and_a_rule_set_range_over_one_id_list():
 def test_every_rule_that_a_run_builds_compiles(tmp_path, rules):
     root = str(tmp_path)
     namespace = "biological_process" if "DPP" in rules else "molecular_function"
-    hierarchy_fixture.write_dataset(root, namespace)
+    # The fixture's chain has no part_of edge unless asked: make the child
+    # part of the root.
+    hierarchy_fixture.write_dataset(root, namespace, part_of=True)
     hierarchy_fixture.write_pair_files(root)
-    # The fixture's chain has no part_of edge: make the child part of the root.
-    obo = os.path.join(root, "chain.obo")
-    with open(obo, encoding="utf-8") as handle:
-        text = handle.read()
-    edge = "is_a: GO:0000200 ! regulator activity\n"
-    with open(obo, "w", encoding="utf-8") as handle:
-        handle.write(text.replace(edge, edge + "relationship: part_of GO:0000100\n"))
     cfg = hierarchy_fixture.write_config(root, "out", rules=rules, ppi="ppi.tsv",
                                          pair_gram="pairs.csv", namespaces=namespace)
     config = cli.parse_experiment_config(read_config(cfg), root)
