@@ -56,7 +56,6 @@ from .kernels import (
 from .learner import (
     TaskSpec,
     TrainConfig,
-    pair_key,
     predicate_bindings,
     predict,
     train,
@@ -297,11 +296,9 @@ def build_gram(config: ExperimentConfig, proteins: tuple[str, ...]) -> GramMatri
         profiles = {name: matrix[i] for i, name in enumerate(ids)}
         return expression_gram(profiles, proteins)
     if config.kernel == "diffusion":
-        pairs = _canonical_pairs(
-            io.read_pairs(_require(config.graph, "graph", "for the diffusion kernel")),
-            set(proteins),
-        )
-        graph = InteractionGraph(proteins, tuple((a, b, 1.0) for a, b in pairs))
+        listed = io.read_pairs(_require(config.graph, "graph", "for the diffusion kernel"))
+        edges = _inside(listed, set(proteins), "graph edges")
+        graph = InteractionGraph(proteins, tuple((a, b, 1.0) for a, b in edges))
         return diffusion_kernel(graph, config.beta)
     loaded = io.read_gram(_require(config.gram, "gram", "for a precomputed kernel"))
     return _reindex_gram(loaded, proteins)
@@ -355,36 +352,41 @@ def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, .
 
 
 class FoldOutcome(NamedTuple):
-    """A fold's held-out predictions: (truths, positive, undecided) rows."""
+    """What a fold scores, one entry per task: the positions, in the task's
+    example list, of the examples whose lesser protein the fold holds out,
+    and their (truths, positive, undecided) rows, one column per predicate."""
 
-    held_out: np.ndarray  # positions in Dataset.proteins
-    predictions: tuple[np.ndarray, ...]  # their rows, one column per cut node
-    pairs: tuple[str, ...] = ()  # learned pairs this fold scores
-    bound: tuple[np.ndarray, ...] = ()  # their one-column rows
-
-
-def _canonical(pair) -> tuple[str, str]:
-    """A pair in its ``(min, max)`` order, the form interactions are kept in."""
-    return min(pair), max(pair)
+    scored: tuple[np.ndarray, ...]
+    predictions: tuple[tuple[np.ndarray, ...], ...]
 
 
-def _canonical_pairs(pairs, known: set[str]) -> tuple[tuple[str, str], ...]:
-    out = set()
-    outside = selfs = 0
-    for a, b in pairs:
+def _inside(pairs, known: set[str], what: str) -> dict[tuple[str, str], int]:
+    """The unordered pairs of two distinct ``known`` proteins in ``pairs``, in
+    ``(min, max)`` order, each mapped to the position of its first mention.
+
+    The other mentions are counted at INFO, one line per kind, naming the
+    list as ``what``, and listed at DEBUG.
+    """
+    first: dict[tuple[str, str], int] = {}
+    skipped = dict.fromkeys(("outside the dataset", "that are self-pairs",
+                             "that repeat a pair"), 0)
+    for i, (a, b) in enumerate(pairs):
+        pair = (min(a, b), max(a, b))
         if a not in known or b not in known:
-            log.debug("skipping interaction %s-%s outside the dataset", a, b)
-            outside += 1
+            why = "outside the dataset"
         elif a == b:
-            log.debug("skipping self-pair %s-%s", a, b)
-            selfs += 1
+            why = "that are self-pairs"
+        elif pair in first:
+            why = "that repeat a pair"
         else:
-            out.add(_canonical((a, b)))
-    if outside:
-        log.info("skipped %d interactions outside the dataset", outside)
-    if selfs:
-        log.info("skipped %d self-pairs", selfs)
-    return tuple(sorted(out))
+            first[pair] = i
+            continue
+        skipped[why] += 1
+        log.debug("skipping %s|%s, one of the %s %s", a, b, what, why)
+    for why, count in skipped.items():
+        if count:
+            log.info("skipped %d %s %s", count, what, why)
+    return first
 
 
 def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
@@ -395,8 +397,8 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     if bound_mode is None:
         return None
     known = set(proteins)
-    pairs = _canonical_pairs(
-        io.read_pairs(_require(config.ppi, "ppi", "for interaction rules")), known)
+    listed = io.read_pairs(_require(config.ppi, "ppi", "for interaction rules"))
+    pairs = sorted(_inside(listed, known, "interactions"))
     if not pairs:
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
@@ -404,105 +406,80 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
         return PredicateBinding("BOUND", 2, index, given=True)
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
-    # One example per interaction: the first of a|b and b|a in Gram order.
-    examples: dict[tuple[str, str], tuple[str, str]] = {}  # canonical -> as written
-    keep = []
-    outside = repeats = 0
-    for i, name in enumerate(loaded.ids):
-        pair = tuple(name.split("|"))
+    written = [tuple(name.split("|")) for name in loaded.ids]
+    for name, pair in zip(loaded.ids, written):
         if len(pair) != 2:
             raise CliError(f"pair Gram id {name!r} is not 'a|b'")
-        if pair[0] not in known or pair[1] not in known:
-            log.debug("skipping pair Gram entry %s outside the dataset", name)
-            outside += 1
-        elif _canonical(pair) in examples:
-            log.debug("skipping pair Gram entry %s, a repeat of %s", name,
-                      pair_key(examples[_canonical(pair)]))
-            repeats += 1
-        else:
-            examples[_canonical(pair)] = pair
-            keep.append(i)
-    if outside:
-        log.info("skipped %d pair Gram entries outside the dataset", outside)
-    if repeats:
-        log.info("skipped %d pair Gram entries that repeat a pair", repeats)
-    if not examples:
+    # One example per pair, as written at its first mention in Gram order.
+    first = _inside(written, known, "pair Gram entries")
+    if not first:
         raise CliError("pair Gram has no pairs inside the dataset")
-    gram = GramMatrix(tuple(map(pair_key, examples.values())), loaded.matrix[np.ix_(keep, keep)])
+    keep = list(first.values())
+    gram = GramMatrix(tuple(loaded.ids[i] for i in keep), loaded.matrix[np.ix_(keep, keep)])
     positive = set(pairs)
-    return TaskSpec(("BOUND",), 2, tuple(examples.values()), gram=gram,
-                    labels=[[float(pair in positive) for pair in examples]])
+    return TaskSpec(("BOUND",), 2, tuple(written[i] for i in keep), gram=gram,
+                    labels=[[float(pair in positive) for pair in first]])
 
 
-def _run_fold(index: int, held: np.ndarray, tasks: list[TaskSpec], lesser: np.ndarray,
-              rule_set: CompiledRuleSet, config: ExperimentConfig, data: Dataset,
-              out_dir: str) -> FoldOutcome:
-    """Train on a fold's specs; predict the proteins it holds out (mask
-    ``held``) and the learned pairs whose lesser protein (``lesser``) it holds out."""
+def _run_fold(index: int, held: np.ndarray, tasks: list[TaskSpec], ends: list[np.ndarray],
+              rule_set: CompiledRuleSet, config: ExperimentConfig, out_dir: str) -> FoldOutcome:
+    """Train on a fold's specs and score, for each task, the examples whose
+    lesser protein (of ``ends``, each example's protein positions) the fold
+    holds out (mask ``held``); a protein is its own lesser protein."""
     if config.train.constraint_scope == "unsupervised":
         rule_set = rule_set.restricted(held)
     fold_dir = os.path.join(out_dir, f"fold_{index}")
     model = train(tasks, rule_set, config.train)
-    rows = np.flatnonzero(held)
-    predictions = tuple(m[rows] for m in predict(model.weights[0], tasks[0], config.train))
+    scored = tuple(np.flatnonzero(held[e.min(axis=1)]) for e in ends)
+    predictions = tuple(tuple(m[rows] for m in predict(weights, task, config.train))
+                        for weights, task, rows in zip(model.weights, tasks, scored))
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
-                         [data.proteins[i] for i in rows], tasks[0].predicates, *predictions)
-    pairs: tuple[str, ...] = ()
-    bound: tuple[np.ndarray, ...] = ()
-    if len(tasks) > 1:
-        # A pair is scored once, in the fold that holds out its lesser protein.
-        task = tasks[1]
-        scored = np.flatnonzero(held[lesser])
-        pairs = tuple(task.gram.ids[i] for i in scored)
-        bound = tuple(m[scored] for m in predict(model.weights[1], task, config.train))
+                         [tasks[0].examples[i] for i in scored[0]], tasks[0].predicates,
+                         *predictions[0])
     trace_lines = [f"stage={stage} step={i} objective={value:.17g}"
                    for stage, values in enumerate(model.trace, start=1)
                    for i, value in enumerate(values)]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
-    return FoldOutcome(rows, predictions, pairs, bound)
+    return FoldOutcome(scored, predictions)
 
 
-def _aggregate(data: Dataset, outcomes: list[FoldOutcome], out_dir: str,
-               bound: TaskSpec | None) -> None:
-    """Merge per-fold predictions, compute all metrics, write the bundle;
-    a learned ``bound`` spec's labels are the truth of its pairs."""
-    # Proteins × nodes matrices; folds partition the proteins, so each fold
-    # fills its own rows and every cell is set once.
+def _aggregate(data: Dataset, tasks: list[TaskSpec], outcomes: list[FoldOutcome],
+               out_dir: str) -> None:
+    """Merge each task's per-fold predictions, compute all metrics, write the
+    bundle.  A task's truth is its run-level labels: the proteins' cut
+    membership and, for a learned BOUND, the interaction list."""
+    metrics: dict[str, float] = {}
+    merged = []
+    for k, task in enumerate(tasks):
+        # Examples × predicates matrices; the folds score disjoint examples
+        # that cover the task, so every cell is set once.
+        shape = (task.size, len(task.predicates))
+        rows = (np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool))
+        for outcome in outcomes:
+            for whole, part in zip(rows, outcome.predictions[k]):
+                whole[outcome.scored[k]] = part
+        name = "predictions.tsv" if task.arity == 1 else "bound_predictions.tsv"
+        io.write_predictions(os.path.join(out_dir, name), task.gram.ids, task.predicates, *rows)
+        truth = task.labels.T == 1.0
+        merged.append((truth, *rows))
+        if task.arity == 2:
+            pairs = PredictionSet.from_matrices(task.predicates, task.gram.ids, truth, *rows[1:])
+            metrics.update(_named("bound", label_metrics(pairs, "micro")))
+
     cut = data.cut
     nodes = cut.nodes()
-    shape = (len(data.proteins), len(nodes))
-    scores, predicted, undecided = merged = (
-        np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    )
-    for outcome in outcomes:
-        for whole, part in zip(merged, outcome.predictions):
-            whole[outcome.held_out] = part
-    io.write_predictions(os.path.join(out_dir, "predictions.tsv"), data.proteins,
-                         [cut.predicate(node) for node in nodes], *merged)
-    truth = data.membership
-
+    truth, scores, predicted, undecided = merged[0]
     real = [j for j, node in enumerate(nodes) if not cut.is_bin(node)]
     node_level = PredictionSet.from_matrices(nodes, data.proteins, truth, predicted, undecided)
     headline = node_level.columns(real)
 
-    metrics: dict[str, float] = {}
     for tag, preds in (("", headline), ("filtered_", headline.filtered())):
         metrics.update(_named(f"{tag}example", example_metrics(preds)))
         for average in ("micro", "macro"):
             metrics.update(_named(f"{tag}label_{average}", label_metrics(preds, average)))
     metrics["consistency"] = consistency(node_level, cut)
     metrics["filtered_consistency"] = consistency(node_level.filtered(), cut)
-
-    pairs = [pair for outcome in outcomes for pair in outcome.pairs]
-    if pairs:
-        merged = [np.concatenate(parts) for parts in zip(*(o.bound for o in outcomes))]
-        io.write_predictions(os.path.join(out_dir, "bound_predictions.tsv"),
-                             pairs, ("BOUND",), *merged)
-        interacts = dict(zip(bound.gram.ids, bound.labels[0] == 1.0))  # type: ignore[union-attr]
-        bound_truth = np.array([[interacts[pair]] for pair in pairs])
-        bound_set = PredictionSet.from_matrices(("BOUND",), pairs, bound_truth, *merged[1:])
-        metrics.update(_named("bound", label_metrics(bound_set, "micro")))
 
     # Per-node statistics drive the result tree and the per-predicate table.
     stats_lines = [STATS_HEADER]
@@ -568,7 +545,6 @@ def cmd_run(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     position = {p: i for i, p in enumerate(data.proteins)}
     ends = [np.array([[position[p] for p in ((e,) if t.arity == 1 else e)] for e in t.examples])
             for t in tasks]
-    lesser = ends[-1].min(axis=1)
 
     # One fold after another: each fold's Gram products get every BLAS thread.
     outcomes = []
@@ -578,9 +554,8 @@ def cmd_run(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
         fold_tasks = [TaskSpec(t.predicates, t.arity, t.examples, gram=t.gram,
                                labels=np.where(held[e].any(axis=1), np.nan, t.labels))
                       for t, e in zip(tasks, ends)]
-        outcomes.append(_run_fold(index, held, fold_tasks, lesser, rule_set, config, data,
-                                  out_dir))
-    _aggregate(data, outcomes, out_dir, tasks[1] if bound_mode == "learned" else None)
+        outcomes.append(_run_fold(index, held, fold_tasks, ends, rule_set, config, out_dir))
+    _aggregate(data, tasks, outcomes, out_dir)
     return 0
 
 
@@ -624,10 +599,8 @@ def cmd_folds(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
 
 def cmd_stats(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     # The pairs a run would use: each once, inside the dataset, no self-pairs.
-    pairs = _canonical_pairs(
-        io.read_pairs(_require(config.ppi, "ppi", "for interaction statistics")),
-        set(data.proteins),
-    )
+    listed = io.read_pairs(_require(config.ppi, "ppi", "for interaction statistics"))
+    pairs = sorted(_inside(listed, set(data.proteins), "interactions"))
     stats = ppi_statistics(pairs, data.closed, data.cut)
     lines = ["term\tname\tnamespace\tlevel\tpos\ttot\tratio"]
     for row in stats.rows:

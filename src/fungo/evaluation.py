@@ -40,6 +40,8 @@ __all__ = [
     "generate_folds",
 ]
 
+CURVE_SAMPLES = 100  # average_pr_curves' recall grid steps
+
 
 class EvalError(ValueError):
     """Raised for invalid metric, curve, or fold-generation inputs."""
@@ -324,18 +326,16 @@ def _interpolate(curve: PRCurve, recall: float) -> float:
     return p[left] + (p[right] - p[left]) * t
 
 
-def average_pr_curves(curves: Iterable[PRCurve], n_samples: int = 100) -> PRCurve:
-    """Mean curve over a shared recall grid of ``n_samples + 1`` points.
+def average_pr_curves(curves: Iterable[PRCurve]) -> PRCurve:
+    """Mean curve over a shared recall grid of ``CURVE_SAMPLES + 1`` points.
 
-    Every input curve is interpolated at recall i/n_samples for
-    i = 0..n_samples and the precisions are averaged pointwise.
+    Every input curve is interpolated at recall i/CURVE_SAMPLES for
+    i = 0..CURVE_SAMPLES and the precisions are averaged pointwise.
     """
     pool = tuple(curves)
     if not pool:
         raise EvalError("average_pr_curves requires at least one curve")
-    if n_samples < 1:
-        raise EvalError("n_samples must be at least 1")
-    grid = tuple(i / n_samples for i in range(n_samples + 1))
+    grid = tuple(i / CURVE_SAMPLES for i in range(CURVE_SAMPLES + 1))
     averaged = tuple(
         sum(_interpolate(curve, x) for curve in pool) / len(pool) for x in grid
     )

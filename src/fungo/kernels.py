@@ -90,17 +90,12 @@ def psd_check(matrix: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, f
 # ---------------------------------------------------------------------------
 # string spectrum
 
-def spectrum_gram(
-    sequences: Mapping[str, str],
-    ids: Sequence[str] | None = None,
-    *,
-    k: int,
-    normalized: bool = True,
-) -> GramMatrix:
+def spectrum_gram(sequences: Mapping[str, str], ids: Sequence[str], *, k: int) -> GramMatrix:
     """Dot products of k-mer count vectors over every pair, as sums of
-    ``B @ B.T`` over column blocks B of the protein x k-mer count matrix.
-    The counts are integers, so every partial sum is exact."""
-    order = tuple(ids) if ids is not None else tuple(sequences)
+    ``B @ B.T`` over column blocks B of the protein x k-mer count matrix,
+    then normalized to a unit diagonal.  The counts are integers, so every
+    partial sum is exact."""
+    order = tuple(ids)
     for name in order:
         if name not in sequences:
             raise ValueError(f"no sequence for protein {name!r}")
@@ -118,8 +113,7 @@ def spectrum_gram(
         flat = rows[lo:hi] * width + (cols[lo:hi] - start)
         block = np.bincount(flat, minlength=n * width).reshape(n, width).astype(np.float64)
         m += block @ block.T
-    gram = GramMatrix(order, m)
-    return gram.normalized() if normalized else gram
+    return GramMatrix(order, m).normalized()
 
 
 def _kmer_codes(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -152,9 +146,7 @@ def _kmer_codes(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, in
 # ---------------------------------------------------------------------------
 # functional domains
 
-def domain_gram(
-    annotations: Mapping[str, Iterable[str]], ids: Sequence[str] | None = None
-) -> GramMatrix:
+def domain_gram(annotations: Mapping[str, Iterable[str]], ids: Sequence[str]) -> GramMatrix:
     """Shared-domain similarity |A & B| / (|A| * |B|); empty sets give 0.
 
     The diagonal is 1/|A|, not 1: the raw formula is kept as is.  Shared
@@ -162,7 +154,7 @@ def domain_gram(
     its transpose; every count and set-size product is an exact integer,
     so each entry is the correctly rounded quotient that the formula gives.
     """
-    order = tuple(ids) if ids is not None else tuple(annotations)
+    order = tuple(ids)
     sets = []
     for name in order:
         if name not in annotations:
@@ -237,13 +229,9 @@ def diffusion_kernel(graph: InteractionGraph, beta: float = 1.0) -> GramMatrix:
 # ---------------------------------------------------------------------------
 # expression profiles
 
-def expression_gram(
-    profiles: Mapping[str, Sequence[float]], ids: Sequence[str] | None = None
-) -> GramMatrix:
+def expression_gram(profiles: Mapping[str, Sequence[float]], ids: Sequence[str]) -> GramMatrix:
     """Covariance of the expression profiles over the measured conditions."""
-    order = tuple(ids) if ids is not None else tuple(profiles)
-    if not order:
-        return GramMatrix(order, np.zeros((0, 0)))
+    order = tuple(ids)
     rows = []
     width = None
     for name in order:

@@ -208,8 +208,28 @@ class TestSimpleCommands:
         with caplog.at_level(logging.INFO, logger="fungo"):
             assert main(["stats", "--config", cfg]) == 0
         messages = [r.getMessage() for r in caplog.records]
-        assert "skipped 1 self-pairs" in messages
+        assert "skipped 1 interactions that are self-pairs" in messages
         assert "skipped 1 interactions outside the dataset" in messages
+
+    def test_an_interaction_named_in_both_orders_is_one_pair(self, dataset, caplog,
+                                                              monkeypatch):
+        (dataset / "ppi_twice.tsv").write_text("p2\tp1\np3\tp8\np1\tp2\n")
+        cfg = write_config(dataset, ppi="ppi_twice.tsv")
+        seen = []
+        statistics = cli.ppi_statistics
+
+        def record(pairs, *rest):
+            seen.extend(pairs)
+            return statistics(pairs, *rest)
+
+        monkeypatch.setattr(cli, "ppi_statistics", record)
+        with caplog.at_level(logging.DEBUG, logger="fungo"):
+            assert main(["stats", "--config", cfg]) == 0
+        assert seen == [("p1", "p2"), ("p3", "p8")]
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert "skipped 1 interactions that repeat a pair" in info
+        assert "skipping p1|p2, one of the interactions that repeat a pair" in debug
 
     def test_out_flag_overrides_config(self, dataset, tmp_path):
         cfg = write_config(dataset, out=None)
@@ -342,9 +362,9 @@ class TestRun:
         outcomes = []
         aggregate = cli._aggregate
 
-        def record(data, found, *rest):
-            outcomes.extend(found)
-            return aggregate(data, found, *rest)
+        def record(data, tasks, found, out_dir):
+            outcomes.extend((tasks[1].gram.ids, outcome) for outcome in found)
+            return aggregate(data, tasks, found, out_dir)
 
         monkeypatch.setattr(cli, "_aggregate", record)
         assert main(["run", "--config", cfg]) == 0
@@ -361,8 +381,8 @@ class TestRun:
         assert sorted(names) == sorted(ids[:4])
         assert any(len({fold_of[p] for p in name.split("|")}) == 2 for name in names)
         # Outcomes come in fold order.
-        scored_in = {name: index for index, outcome in enumerate(outcomes)
-                     for name in outcome.pairs}
+        scored_in = {pairs[i]: index for index, (pairs, outcome) in enumerate(outcomes)
+                     for i in outcome.scored[1]}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
     @pytest.mark.parametrize("rules", ["OC", "OC+PP1", "OC+PP2"])
@@ -460,6 +480,31 @@ class TestRun:
         assert "skipped 2 pair Gram entries that repeat a pair" in messages
         assert "skipped 1 pair Gram entries outside the dataset" in messages
 
+    def test_a_pair_gram_skips_a_self_pair(self, dataset, caplog, monkeypatch):
+        # p1|p1 names one protein twice: it is no example and is never scored.
+        ids = ["p1|p2", "p1|p1", "p3|p8", "p1|p5"]
+        (dataset / "pairs.csv").write_text(
+            ",".join(ids) + "\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in np.eye(4) + 0.5)
+        )
+        cfg = write_config(dataset, rules="OC+PP2", pair_gram="pairs.csv")
+        examples = []
+        train = cli.train
+
+        def record(tasks, *rest):
+            examples.append(tasks[1].examples)
+            return train(tasks, *rest)
+
+        monkeypatch.setattr(cli, "train", record)
+        with caplog.at_level(logging.INFO, logger="fungo"):
+            assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        assert "skipped 1 pair Gram entries that are self-pairs" in [
+            r.getMessage() for r in caplog.records]
+        assert examples and all(e == (("p1", "p2"), ("p3", "p8"), ("p1", "p5"))
+                                for e in examples)
+        rows = read_predictions(str(dataset / "out" / "bound_predictions.tsv"))
+        assert sorted(row[0] for row in rows) == ["p1|p2", "p1|p5", "p3|p8"]
+
     def test_a_learned_pair_is_true_in_either_order(self, tmp_path, monkeypatch):
         # The interaction list names prot01-prot02, the pair Gram prot02|prot01:
         # training labels the pair 1.0, and evaluation counts it as true.
@@ -519,11 +564,13 @@ class TestRun:
             max_iterations=40,
         )
         outcomes = []
+        pairs = []
         aggregate = cli._aggregate
 
-        def record(data, found, *rest):
+        def record(data, tasks, found, out_dir):
             outcomes.extend(found)
-            return aggregate(data, found, *rest)
+            pairs.extend(tasks[1].gram.ids)
+            return aggregate(data, tasks, found, out_dir)
 
         monkeypatch.setattr(cli, "_aggregate", record)
         assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
@@ -539,7 +586,8 @@ class TestRun:
         bound_lines = []
         for index, outcome in enumerate(outcomes):
             path = tmp_path / f"bound_{index}.tsv"
-            fungo_io.write_predictions(str(path), outcome.pairs, ("BOUND",), *outcome.bound)
+            fungo_io.write_predictions(str(path), [pairs[i] for i in outcome.scored[1]],
+                                       ("BOUND",), *outcome.predictions[1])
             bound_lines += [line for line in path.read_text().splitlines() if line]
         merged = (out / "bound_predictions.tsv").read_text().splitlines()
         distinct = ids[:len(interactions)] + ids[len(interactions) + 2:]

@@ -155,6 +155,35 @@ def test_a_given_key_reads_one_whatever_its_position(arity):
     assert CompiledRuleSet([rule], [(("A",), 3)]).n_groundings == (3 if arity == 1 else 2)
 
 
+@pytest.mark.parametrize("tnorm, bare", (("minimum", [-1.0, 0.0]), ("product", [-0.7, 0.0]),
+                                         ("lukasiewicz", [0.0, 0.0])))
+def test_a_given_guard_passes_no_gradient_where_its_body_reads_one(tnorm, bare):
+    # 1 => b is b in value, not in gradient: where the body reads exactly 1
+    # the residuum passes none, while the bare disjunction passes its own.
+    ids = ["p0"]
+    preds = {"A": _unary("A", ids), "B": _unary("B", ids),
+             "G": given_binding("G", 1, ids)}
+    outputs = {"A": np.array([1.0]), "B": np.array([0.3])}
+    grads = {}
+    for text in ("forall x:P. G(x) => A(x) or B(x)", "forall x:P. A(x) or B(x)"):
+        phi, found = compile_constraint(parse_rule(text), tnorm, {"P": ids},
+                                        preds).penalty_and_gradients(outputs)
+        assert phi == 0.0
+        grads[text] = [found["A"][0], found["B"][0]]
+    assert grads == {"forall x:P. G(x) => A(x) or B(x)": [0.0, 0.0],
+                     "forall x:P. A(x) or B(x)": pytest.approx(bare, abs=1e-15)}
+    # A DPP-shaped pair rule: a live guard over a disjunction of term pairs.
+    ids = ["p0", "p1"]
+    rule = compile_constraint(
+        parse_rule("forall x:P. forall y:P. BOUND(x,y) => "
+                   "((A(x) and A(y)) or (B(x) and B(y)))"),
+        tnorm, {"P": ids}, {"A": _unary("A", ids), "B": _unary("B", ids),
+                            "BOUND": given_binding("BOUND", 2, [("p0", "p1")])})
+    phi, found = rule.penalty_and_gradients({"A": np.ones(2), "B": np.full(2, 0.3)})
+    assert phi == 0.0
+    assert found["A"].tolist() == found["B"].tolist() == [0.0, 0.0]
+
+
 def test_a_binding_compares_by_identity():
     binding = PredicateBinding("G", 1, {"p0": 0}, given=True)
     twin = PredicateBinding("G", 1, {"p0": 0}, given=True)

@@ -26,6 +26,8 @@ from fungo.evaluation import (
     pr_curve,
     predicate_metrics,
 )
+from fungo.kernels import GramMatrix
+from fungo.learner import TaskSpec
 from fungo.ontology import go_cut, parse_obo, tpr_closure
 from support import (
     ReferencePredictionSet,
@@ -370,7 +372,7 @@ class TestCurveAveraging:
         recalls = (0.0, *(float(x) for x in interior), 1.0)
         precisions = tuple(float(p) for p in rng.random(8))
         curve = PRCurve(recalls, precisions)
-        averaged = average_pr_curves([curve], n_samples=100)
+        averaged = average_pr_curves([curve])
         grid = np.linspace(0.0, 1.0, 101)
         expected = np.interp(grid, recalls, precisions)
         assert np.allclose(averaged.recalls, grid, atol=1e-15)
@@ -379,14 +381,14 @@ class TestCurveAveraging:
     def test_two_constant_curves_average_pointwise(self):
         low = PRCurve((0.3,), (0.2,))
         high = PRCurve((0.6,), (0.8,))
-        averaged = average_pr_curves([low, high], n_samples=10)
-        assert averaged.precisions == tuple([0.5] * 11)
+        averaged = average_pr_curves([low, high])
+        assert averaged.precisions == tuple([0.5] * 101)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             curves = [random_curve(rng) for _ in range(3)]
-            averaged = average_pr_curves(curves, n_samples=25)
+            averaged = average_pr_curves(curves)
             expected = oracle_average(curves, averaged.recalls)
             assert np.allclose(averaged.precisions, expected, atol=1e-12)
 
@@ -405,8 +407,6 @@ class TestCurveAveraging:
     def test_validation(self):
         with pytest.raises(EvalError, match="at least one curve"):
             average_pr_curves([])
-        with pytest.raises(EvalError, match="n_samples"):
-            average_pr_curves([PRCurve((0.5,), (0.5,))], n_samples=0)
 
 
 class TestFolds:
@@ -583,8 +583,12 @@ def test_aggregate_matches_the_set_based_reference(seed):
     outcomes = []
     for index in rng.permutation(3).tolist():
         held = np.flatnonzero(fold_of == index)
-        outcomes.append(cli.FoldOutcome(held, tuple(m[held] for m in matrices)))
+        outcomes.append(cli.FoldOutcome((held,), (tuple(m[held] for m in matrices),)))
     data = Dataset(dag, proteins, annotations, cut, ())
+    # The run's one task: every protein, labelled by its cut membership.
+    task = TaskSpec(tuple(cut.predicate(node) for node in nodes), 1, proteins,
+                    gram=GramMatrix(proteins, np.eye(len(proteins))),
+                    labels=data.membership.T)
     real = [n for n in nodes if not cut.is_bin(n)]
     headline = reference_build_sets(cut, rows, real, cut.predicate)
     node_level = reference_build_sets(cut, rows, nodes, lambda n: n)
@@ -610,7 +614,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
-        cli._aggregate(data, outcomes, out, None)
+        cli._aggregate(data, [task], outcomes, out)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
         assert read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)

@@ -44,7 +44,7 @@ def test_spectrum_rejects_zero_k():
     with pytest.raises(ValueError):
         kmer_counts("AB", -1)
     with pytest.raises(ValueError, match="positive"):
-        spectrum_gram({"a": "AB"}, k=0)
+        spectrum_gram({"a": "AB"}, ("a",), k=0)
 
 
 def test_normalize_frozen_value():
@@ -59,21 +59,32 @@ def test_normalize_frozen_value():
 
 def test_spectrum_gram_normalized_diagonal():
     seqs = {"a": "AABAB", "b": "BBAB", "c": "ABAB"}
-    gram = spectrum_gram(seqs, k=2)
+    gram = spectrum_gram(seqs, tuple(seqs), k=2)
     assert np.allclose(np.diag(gram.matrix), 1.0)
     assert gram.matrix.max() <= 1.0 + 1e-12
-    raw = spectrum_gram(seqs, k=2, normalized=False)
-    want = spectrum_kernel("AABAB", "BBAB", k=2)
-    assert raw.matrix[0, 1] == want
+    want = normalize_kernel(spectrum_kernel("AABAB", "BBAB", k=2),
+                            spectrum_kernel("AABAB", "AABAB", k=2),
+                            spectrum_kernel("BBAB", "BBAB", k=2))
+    assert gram.matrix[0, 1] == pytest.approx(want, rel=1e-15)
 
 
 def test_spectrum_gram_zero_row_convention(caplog):
     # "X" is shorter than k, so its raw self-similarity is 0.
     with caplog.at_level("WARNING"):
-        gram = spectrum_gram({"a": "ABAB", "dead": "X"}, k=2)
+        gram = spectrum_gram({"a": "ABAB", "dead": "X"}, ("a", "dead"), k=2)
     assert gram.matrix[1, 1] == 1.0
     assert gram.matrix[0, 1] == 0.0
     assert any("dead" in r.message for r in caplog.records)
+
+
+def _normalized_spectrum(seqs, k):
+    """The pairwise spectrum kernel, cosine-normalized entry by entry (to
+    within rounding of the square roots); a sequence without k-mers gets a
+    zero row and column and a unit diagonal."""
+    raw = {(a, b): spectrum_kernel(seqs[a], seqs[b], k=k) for a in seqs for b in seqs}
+    return np.array([[1.0 if a == b and raw[a, a] == 0 else
+                      normalize_kernel(raw[a, b], raw[a, a], raw[b, b]) for b in seqs]
+                     for a in seqs])
 
 
 @pytest.mark.parametrize("block", (3, None))
@@ -86,11 +97,9 @@ def test_spectrum_gram_matches_the_pairwise_kernel(k, block, monkeypatch):
     letters = list("ACDEFGHIKLMNPQRSTVWY") + list("XBZ*-uj7é")
     seqs = {f"p{i}": "".join(rng.choice(letters, size=rng.integers(0, 40))) for i in range(30)}
     seqs.update({"empty": "", "short": "AC"[: max(k - 1, 0)], "repeat": "A" * 60})
-    gram = spectrum_gram(seqs, k=k, normalized=False)
-    for i, a in enumerate(gram.ids):
-        for j, b in enumerate(gram.ids):
-            assert gram.matrix[i, j] == spectrum_kernel(seqs[a], seqs[b], k=k), (a, b)
-    assert spectrum_gram({}, k=k, normalized=False).matrix.shape == (0, 0)
+    gram = spectrum_gram(seqs, tuple(seqs), k=k)
+    assert np.allclose(gram.matrix, _normalized_spectrum(seqs, k), rtol=1e-15, atol=0.0)
+    assert spectrum_gram({}, (), k=k).matrix.shape == (0, 0)
 
 
 @pytest.mark.parametrize("k", (1, 4, 20, 70))
@@ -103,11 +112,12 @@ def test_spectrum_gram_numbers_any_letters_and_any_k(k):
     seqs = {f"p{i}": "".join(rng.choice(letters[:4], size=rng.integers(0, 8)))
             + "".join(rng.choice(letters, size=rng.integers(0, 60))) for i in range(12)}
     seqs.update({"twin": seqs["p0"], "repeat": "\U0001F9EC" * 64, "repeat2": "\U0001F9EC" * 30})
-    gram = spectrum_gram(seqs, k=k, normalized=False)
-    for i, a in enumerate(gram.ids):
-        for j, b in enumerate(gram.ids):
-            assert gram.matrix[i, j] == spectrum_kernel(seqs[a], seqs[b], k=k), (a, b)
-    assert (gram.matrix[0] == gram.matrix[gram.ids.index("twin")]).all()
+    gram = spectrum_gram(seqs, tuple(seqs), k=k)
+    assert np.allclose(gram.matrix, _normalized_spectrum(seqs, k), rtol=1e-15, atol=0.0)
+    # The twins' rows agree off the twins' own two columns, which hold the
+    # unit diagonal and their normalized self-similarity.
+    twin = gram.ids.index("twin")
+    assert (np.delete(gram.matrix[0], [0, twin]) == np.delete(gram.matrix[twin], [0, twin])).all()
 
 
 def test_domain_frozen_values():
@@ -120,7 +130,7 @@ def test_domain_frozen_values():
 
 def test_domain_gram_matches_scalar():
     ann = {"a": {"d1", "d2"}, "b": {"d2"}, "c": set()}
-    gram = domain_gram(ann)
+    gram = domain_gram(ann, tuple(ann))
     for i, p in enumerate(gram.ids):
         for j, q in enumerate(gram.ids):
             assert gram.matrix[i, j] == domain_kernel(ann[p], ann[q])
@@ -202,13 +212,13 @@ def test_correlation_validation():
     with pytest.raises(ValueError):
         correlation_kernel((), ())
     with pytest.raises(ValueError, match="conditions"):
-        expression_gram({"a": (1.0, 2.0), "b": (1.0, 2.0, 3.0)})
+        expression_gram({"a": (1.0, 2.0), "b": (1.0, 2.0, 3.0)}, ("a", "b"))
 
 
 def test_expression_gram_matches_scalar_and_is_psd():
     rng = np.random.default_rng(2)
     profiles = {f"p{i}": rng.normal(size=7) for i in range(6)}
-    gram = expression_gram(profiles)
+    gram = expression_gram(profiles, tuple(profiles))
     for i, a in enumerate(gram.ids):
         for j, b in enumerate(gram.ids):
             assert gram.matrix[i, j] == pytest.approx(
@@ -227,12 +237,12 @@ def test_built_grams_are_psd(n, seed):
         f"p{i}": "".join(rng.choice(list(letters), size=rng.integers(2, 12)))
         for i in range(n)
     }
-    ok, smallest = spectrum_gram(seqs, k=2).psd_check()
+    ok, smallest = spectrum_gram(seqs, tuple(seqs), k=2).psd_check()
     assert ok, smallest
     ann = {
         f"p{i}": {f"d{j}" for j in range(5) if rng.random() < 0.5} for i in range(n)
     }
-    ok, smallest = domain_gram(ann).psd_check()
+    ok, smallest = domain_gram(ann, tuple(ann)).psd_check()
     assert ok, smallest
 
 
