@@ -29,7 +29,6 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from .learner import (
 )
 from .logic import CompiledRuleSet, PredicateBinding, compile_constraint
 from .ontology import (
+    BOUND_PREDICATE,
     DPP,
     PP,
     PROTEIN_DOMAIN,
@@ -351,15 +351,6 @@ def dataset_folds(config: ExperimentConfig, data: Dataset) -> tuple[tuple[str, .
 # the run pipeline
 
 
-class FoldOutcome(NamedTuple):
-    """What a fold scores, one entry per task: the positions, in the task's
-    example list, of the examples whose lesser protein the fold holds out,
-    and their (truths, positive, undecided) rows, one column per predicate."""
-
-    scored: tuple[np.ndarray, ...]
-    predictions: tuple[tuple[np.ndarray, ...], ...]
-
-
 def _inside(pairs, known: set[str], what: str) -> dict[tuple[str, str], int]:
     """The unordered pairs of two distinct ``known`` proteins in ``pairs``, in
     ``(min, max)`` order, each mapped to the position of its first mention.
@@ -403,7 +394,7 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
         raise CliError("interaction list is empty after dataset adaptation")
     if bound_mode == "given":
         index = {pair: k for k, pair in enumerate(pairs)}
-        return PredicateBinding("BOUND", 2, index, given=True)
+        return PredicateBinding(BOUND_PREDICATE, 2, index, given=True)
     loaded = io.read_gram(_require(config.pair_gram, "pair_gram",
                                    "for a learned pair predicate"))
     written = [tuple(name.split("|")) for name in loaded.ids]
@@ -417,59 +408,56 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     keep = list(first.values())
     gram = GramMatrix(tuple(loaded.ids[i] for i in keep), loaded.matrix[np.ix_(keep, keep)])
     positive = set(pairs)
-    return TaskSpec(("BOUND",), 2, tuple(written[i] for i in keep), gram=gram,
+    return TaskSpec((BOUND_PREDICATE,), 2, tuple(written[i] for i in keep), gram=gram,
                     labels=[[float(pair in positive) for pair in first]])
 
 
 def _run_fold(index: int, held: np.ndarray, tasks: list[TaskSpec], ends: list[np.ndarray],
-              rule_set: CompiledRuleSet, config: ExperimentConfig, out_dir: str) -> FoldOutcome:
-    """Train on a fold's specs and score, for each task, the examples whose
-    lesser protein (of ``ends``, each example's protein positions) the fold
-    holds out (mask ``held``); a protein is its own lesser protein."""
+              rule_set: CompiledRuleSet, config: ExperimentConfig, out_dir: str,
+              predictions: list[tuple[np.ndarray, ...]]) -> None:
+    """Train on a fold's specs and set, in each task's run-level
+    ``predictions``, the rows of the examples whose lesser protein (of
+    ``ends``, each example's protein positions) the fold holds out (mask
+    ``held``); a protein is its own lesser protein.  The rows of the first
+    task, the proteins', also go to the fold's ``predictions.tsv``."""
     if config.train.constraint_scope == "unsupervised":
         rule_set = rule_set.restricted(held)
     fold_dir = os.path.join(out_dir, f"fold_{index}")
     model = train(tasks, rule_set, config.train)
-    scored = tuple(np.flatnonzero(held[e.min(axis=1)]) for e in ends)
-    predictions = tuple(tuple(m[rows] for m in predict(weights, task, config.train))
-                        for weights, task, rows in zip(model.weights, tasks, scored))
+    for weights, task, e, matrices in zip(model.weights, tasks, ends, predictions):
+        rows = held[e.min(axis=1)]
+        for whole, part in zip(matrices, predict(weights, task, config.train)):
+            whole[rows] = part[rows]
+    proteins = np.flatnonzero(held)
     io.write_predictions(os.path.join(fold_dir, "predictions.tsv"),
-                         [tasks[0].examples[i] for i in scored[0]], tasks[0].predicates,
-                         *predictions[0])
+                         [tasks[0].examples[i] for i in proteins], tasks[0].predicates,
+                         *(m[proteins] for m in predictions[0]))
     trace_lines = [f"stage={stage} step={i} objective={value:.17g}"
                    for stage, values in enumerate(model.trace, start=1)
                    for i, value in enumerate(values)]
     io.write_model(os.path.join(fold_dir, "model.txt"), [t.predicates for t in tasks],
                    model.weights, config.echo(), trace_lines)
-    return FoldOutcome(scored, predictions)
 
 
-def _aggregate(data: Dataset, tasks: list[TaskSpec], outcomes: list[FoldOutcome],
-               out_dir: str) -> None:
-    """Merge each task's per-fold predictions, compute all metrics, write the
-    bundle.  A task's truth is its run-level labels: the proteins' cut
-    membership and, for a learned BOUND, the interaction list."""
+def _aggregate(data: Dataset, tasks: list[TaskSpec],
+               predictions: list[tuple[np.ndarray, ...]], out_dir: str) -> None:
+    """Write each task's run-level (truths, positive, undecided) matrices,
+    examples × predicates, compute all metrics, write the bundle.  A task's
+    truth is its run-level labels: the proteins' cut membership and, for a
+    learned BOUND, the interaction list."""
     metrics: dict[str, float] = {}
-    merged = []
-    for k, task in enumerate(tasks):
-        # Examples × predicates matrices; the folds score disjoint examples
-        # that cover the task, so every cell is set once.
-        shape = (task.size, len(task.predicates))
-        rows = (np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool))
-        for outcome in outcomes:
-            for whole, part in zip(rows, outcome.predictions[k]):
-                whole[outcome.scored[k]] = part
+    for task, rows in zip(tasks, predictions):
         name = "predictions.tsv" if task.arity == 1 else "bound_predictions.tsv"
         io.write_predictions(os.path.join(out_dir, name), task.gram.ids, task.predicates, *rows)
-        truth = task.labels.T == 1.0
-        merged.append((truth, *rows))
         if task.arity == 2:
+            truth = task.labels.T == 1.0
             pairs = PredictionSet.from_matrices(task.predicates, task.gram.ids, truth, *rows[1:])
             metrics.update(_named("bound", label_metrics(pairs, "micro")))
 
     cut = data.cut
     nodes = cut.nodes()
-    truth, scores, predicted, undecided = merged[0]
+    truth = tasks[0].labels.T == 1.0
+    scores, predicted, undecided = predictions[0]
     real = [j for j, node in enumerate(nodes) if not cut.is_bin(node)]
     node_level = PredictionSet.from_matrices(nodes, data.proteins, truth, predicted, undecided)
     headline = node_level.columns(real)
@@ -534,7 +522,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
         tasks.append(bound)
     bindings = predicate_bindings(tasks)
     if bound_mode == "given":
-        bindings["BOUND"] = bound
+        bindings[BOUND_PREDICATE] = bound
     rule_set = CompiledRuleSet(
         [compile_constraint(rule, config.train.tnorm, {PROTEIN_DOMAIN: data.proteins}, bindings)
          for rule in rules],
@@ -546,16 +534,20 @@ def cmd_run(config: ExperimentConfig, out_dir: str, data: Dataset) -> int:
     ends = [np.array([[position[p] for p in ((e,) if t.arity == 1 else e)] for e in t.examples])
             for t in tasks]
 
+    # Each task's run-level (truths, positive, undecided) matrices, examples ×
+    # predicates.  The folds score disjoint examples that cover each task, so
+    # every row is set once.
+    predictions = [tuple(np.zeros((t.size, len(t.predicates)), dtype)
+                         for dtype in (float, bool, bool)) for t in tasks]
     # One fold after another: each fold's Gram products get every BLAS thread.
-    outcomes = []
     for index, fold in enumerate(folds):
         held = np.zeros(len(data.proteins), dtype=bool)
         held[[position[p] for p in fold]] = True
         fold_tasks = [TaskSpec(t.predicates, t.arity, t.examples, gram=t.gram,
                                labels=np.where(held[e].any(axis=1), np.nan, t.labels))
                       for t, e in zip(tasks, ends)]
-        outcomes.append(_run_fold(index, held, fold_tasks, ends, rule_set, config, out_dir))
-    _aggregate(data, tasks, outcomes, out_dir)
+        _run_fold(index, held, fold_tasks, ends, rule_set, config, out_dir, predictions)
+    _aggregate(data, tasks, predictions, out_dir)
     return 0
 
 

@@ -16,7 +16,6 @@ Three groups of tools live here:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -303,43 +302,31 @@ def pr_curve(truths: Sequence[float], labels: Sequence[int]) -> PRCurve:
     return PRCurve((0.0, *recalls), (precisions[0], *precisions))
 
 
-def _interpolate(curve: PRCurve, recall: float) -> float:
-    """Precision of ``curve`` at ``recall``.
-
-    Found by passing a line through the two recall-neighbouring points;
-    samples beyond either end clamp to the end point, a single-point curve
-    is constant, and an exact hit on a repeated recall value resolves to
-    the last swept point at that recall.
-    """
-    r, p = curve.recalls, curve.precisions
-    if len(r) == 1:
-        return p[0]
-    right = bisect_left(r, recall)
-    if right == len(r):
-        return p[-1]
-    left = bisect_right(r, recall) - 1
-    if left < 0:
-        return p[0]
-    if r[left] == r[right]:
-        return p[left]
-    t = (recall - r[left]) / (r[right] - r[left])
-    return p[left] + (p[right] - p[left]) * t
-
-
 def average_pr_curves(curves: Iterable[PRCurve]) -> PRCurve:
     """Mean curve over a shared recall grid of ``CURVE_SAMPLES + 1`` points.
 
     Every input curve is interpolated at recall i/CURVE_SAMPLES for
-    i = 0..CURVE_SAMPLES and the precisions are averaged pointwise.
+    i = 0..CURVE_SAMPLES, by a line through the two recall-neighbouring
+    points, and the precisions are averaged pointwise, curve by curve.
+    Samples beyond either end clamp to the end point, a single-point curve
+    is constant, and an exact hit on a repeated recall value resolves to
+    the last swept point at that recall.
     """
     pool = tuple(curves)
     if not pool:
         raise EvalError("average_pr_curves requires at least one curve")
     grid = tuple(i / CURVE_SAMPLES for i in range(CURVE_SAMPLES + 1))
-    averaged = tuple(
-        sum(_interpolate(curve, x) for curve in pool) / len(pool) for x in grid
-    )
-    return PRCurve(grid, averaged)
+    x = np.array(grid)
+    total = np.zeros(x.size)
+    for curve in pool:
+        r, p = np.array(curve.recalls), np.array(curve.precisions)
+        # Beyond either end both neighbours clamp to the end point: a hit.
+        right = np.minimum(np.searchsorted(r, x, "left"), r.size - 1)
+        left = np.maximum(np.searchsorted(r, x, "right") - 1, 0)
+        hit = r[left] == r[right]
+        t = (x - r[left]) / np.where(hit, 1.0, r[right] - r[left])
+        total += np.where(hit, p[left], p[left] + (p[right] - p[left]) * t)
+    return PRCurve(grid, tuple((total / len(pool)).tolist()))
 
 
 def auc_pr(curve: PRCurve) -> float:

@@ -21,17 +21,18 @@ range over one id list.  It groups the rules by template first, then
 grounds each rule straight to the rows that it evaluates: a one-variable
 rule to every id, a guarded pair rule to the pairs in its guard's index.
 Grounding rows run in the id list's order, row-major over a pair rule's
-two axes, so penalties are deterministic.  A rule set grounds when it is
-first evaluated, and ``CompiledRuleSet.restricted`` narrows an ungrounded
-set to part of its ids without compiling again.  Under the minimum t-norm
-a gradient is one scatter of every grounding's signed input position (see
+two axes, so penalties are deterministic.  A rule set grounds the ids of
+its row mask when it is first evaluated, and ``CompiledRuleSet.restricted``
+narrows that mask without compiling again.  Under the minimum t-norm a
+gradient is one scatter of every grounding's signed input position (see
 ``engine``).  The per-rule ``CompiledConstraint.penalty`` methods evaluate
 a one-rule set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -173,11 +174,12 @@ class CompiledRuleSet:
     groundings change only the order of the sum.  Its rows come straight
     from the guard's index and never from the n x n grid.
 
-    The rows are grounded when the set is first evaluated, so a set that is
-    only narrowed with ``restricted`` is never grounded.  Lookups are built
-    once per rule set, for each index map and domain: the predicates of one
-    block share their index map.  A narrowed set derives its pair lookups
-    from the set that it narrows, which scans each pair index once.
+    The rows are grounded when the set is first evaluated, over the ids
+    that its mask keeps, so a set only narrowed with ``restricted`` is never
+    grounded.  Each index map gets one table over every id, shared with the
+    sets narrowed from this one: a unary column or a guard's sorted pair
+    codes.  A set grounds their kept entries in the tables' order, which is
+    the order of a compile over the kept ids.
     """
 
     def __init__(
@@ -232,17 +234,18 @@ class CompiledRuleSet:
             members.setdefault((constraint.program, len(constraint.domains)), []).append(r)
 
         self._offsets, self._members = offsets, members
-        self._pairs: dict = {}  # _pair_codes lookups, handed down by restricted
+        self._keep = np.ones(len(ids), dtype=bool)  # the ids that the rows range over
+        self._tables: dict = {}  # _table by id(index), shared with every narrowed set
 
     @cached_property
     def _groups(self) -> list[_RuleGroup]:
-        lookups = dict(self._pairs)
+        rows: dict = {}  # grounding rows by each slot's index map and axes
         groups = []
         for rules in self._members.values():
             first = self.constraints[rules[0]]
             index = []
             for r in rules:
-                position = _positions(self.constraints[r], lookups)
+                position = self._rows(self.constraints[r], rows)
                 start, stride = self._offsets[r]
                 index.append(np.where(position >= 0, start + stride * position, 0))
             row_rule = None
@@ -253,28 +256,59 @@ class CompiledRuleSet:
             ))
         return groups
 
+    def _rows(self, constraint: CompiledConstraint, rows: dict) -> np.ndarray:
+        """The rule's grounding rows over the kept ids: each slot's position in
+        its predicate's truth vector, -1 where absent.  Rules that read the
+        same index maps over the same axes share one array."""
+        key = tuple((id(slot.binding.index), slot.axes) for slot in constraint.slots)
+        if key not in rows:
+            if len(constraint.domains) == 1:
+                coords, columns = (np.flatnonzero(self._keep),), []
+            else:  # the guard's pairs of two kept ids; the guard is the first slot
+                codes, positions = self._table(constraint.slots[0].binding)
+                i, j = np.divmod(codes, len(self._keep))
+                live = self._keep[i] & self._keep[j]
+                coords, columns = (i[live], j[live]), [positions[live]]
+            for slot in constraint.slots[len(columns):]:
+                columns.append(self._table(slot.binding)[coords[slot.axes[0]]])
+            rows[key] = np.stack(columns, axis=1)
+        return rows[key]
+
+    def _table(self, binding: PredicateBinding):
+        """A unary index's column, each id's position or -1 where absent, or a
+        pair index's ``_pair_codes``, over every id; built once for this set
+        and every set narrowed from it."""
+        key, ids = id(binding.index), self.constraints[0].domains[0]
+        if key not in self._tables:
+            self._tables[key] = (
+                _pair_codes(binding.index, ids) if binding.arity == 2
+                else np.array([binding.index.get(i, -1) for i in ids], dtype=np.int64))
+        return self._tables[key]
+
     def restricted(self, keep: Sequence[bool]) -> CompiledRuleSet:
-        """This set over the ids of its id list that the mask ``keep`` keeps,
-        in their order: the set that a compile over those ids builds, from
-        the same compiled programs.  It grounds only the kept ids, when
-        first evaluated."""
+        """This set over the ids that ``keep``, a mask over the ids this set
+        keeps, keeps, in their order: the set that a compile over those ids
+        builds.  It is a shallow copy with a narrower mask, which shares the
+        compiled programs and index tables and grounds only the kept ids,
+        when first evaluated."""
         if not self.constraints:
             return self
-        ids = self.constraints[0].domains[0]
-        kept = tuple(i for i, k in zip(ids, keep, strict=True) if k)
-        if not kept:
+        keep = np.asarray(keep, dtype=bool)
+        kept = np.flatnonzero(self._keep)
+        if keep.shape != kept.shape:
+            raise ValueError(f"the mask has {keep.size} entries for the {kept.size} ids "
+                             f"that the rule set keeps")
+        if not keep.any():
             name = self.constraints[0].formula.quantifiers[0].domain
             raise CompileError(f"domain {name!r} is empty")
-        narrowed = CompiledRuleSet(
-            [replace(c, domains=(kept,) * len(c.domains)) for c in self.constraints], self.layout)
-        rank = np.where(keep, np.cumsum(keep) - 1, -1)  # -1 for a dropped id
-        for slot in (s for c in self.constraints for s in c.slots):
-            if slot.binding.arity == 2:
-                codes, positions = _pair_codes(slot.binding, ids, self._pairs)
-                i, j = (rank[k] for k in np.divmod(codes, len(ids)))
-                live = (i >= 0) & (j >= 0)
-                key = "pairs", id(slot.binding.index), kept
-                narrowed._pairs[key] = (i * len(kept) + j)[live], positions[live]
+        # The guard tables are built here, before a narrowed set grounds: built
+        # inside that grounding, their scan's temporaries add to its peak memory.
+        for slot in (s for c in self.constraints for s in c.slots if s.binding.arity == 2):
+            self._table(slot.binding)
+        narrowed = copy(self)
+        vars(narrowed).pop("_groups", None)
+        narrowed._keep = np.zeros_like(self._keep)
+        narrowed._keep[kept[keep]] = True
         return narrowed
 
     @property
@@ -340,56 +374,23 @@ class CompiledRuleSet:
         return phis, grad
 
 
-def _positions(constraint: CompiledConstraint, lookups: dict) -> np.ndarray:
-    """The rule's grounding rows: each slot's position in its predicate's
-    truth vector, -1 where absent.  Rules of as many variables that read
-    the same index maps over the same ids share one array."""
-    ids = constraint.domains[0]
-    key = ("rows", constraint.domains) + tuple(
-        (id(slot.binding.index), slot.axes) for slot in constraint.slots)
-    if key in lookups:
-        return lookups[key]
-    if len(constraint.domains) == 1:
-        coords, columns = (np.arange(len(ids)),), []
-    else:  # the pairs of the guard, the first slot and only pair atom, row-major
-        cells, positions = _pair_codes(constraint.slots[0].binding, ids, lookups)
-        coords, columns = np.divmod(cells, len(ids)), [positions]
-    for slot in constraint.slots[len(columns):]:
-        columns.append(_unary_column(slot.binding, ids, lookups)[coords[slot.axes[0]]])
-    lookups[key] = np.stack(columns, axis=1)
-    return lookups[key]
-
-
-def _unary_column(binding: PredicateBinding, ids: tuple, lookups: dict) -> np.ndarray:
-    """Each id's position in a unary index, -1 where absent."""
-    key = ("unary", id(binding.index), ids)
-    if key not in lookups:
-        index = binding.index
-        lookups[key] = np.array([index.get(i, -1) for i in ids], dtype=np.int64)
-    return lookups[key]
-
-
-def _pair_codes(binding: PredicateBinding, ids: tuple,
-                lookups: dict) -> tuple[np.ndarray, np.ndarray]:
+def _pair_codes(index: Mapping, ids: tuple) -> tuple[np.ndarray, np.ndarray]:
     """A pair index as the sorted codes ``i * len(ids) + j`` of its pairs
     ``(ids[i], ids[j])``, each in either order, and their positions.  A
     direct entry beats a reversed one, and pairs with an id outside ``ids``
     are left out.
     """
-    key = ("pairs", id(binding.index), ids)
-    if key not in lookups:
-        at = {a: i for i, a in enumerate(ids)}
-        found = []  # code, reversed, position
-        for (a, b), position in binding.index.items():
-            if a in at and b in at:
-                found.append((at[a] * len(ids) + at[b], 0, position))
-                found.append((at[b] * len(ids) + at[a], 1, position))
-        codes, flips, positions = np.array(found, dtype=np.int64).reshape(-1, 3).T
-        order = np.lexsort((flips, codes))
-        codes, positions = codes[order], positions[order]
-        first = np.diff(codes, prepend=-1) != 0
-        lookups[key] = (codes[first], positions[first])
-    return lookups[key]
+    at = {a: i for i, a in enumerate(ids)}
+    found = []  # code, reversed, position
+    for (a, b), position in index.items():
+        if a in at and b in at:
+            found.append((at[a] * len(ids) + at[b], 0, position))
+            found.append((at[b] * len(ids) + at[a], 1, position))
+    codes, flips, positions = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((flips, codes))
+    codes, positions = codes[order], positions[order]
+    first = np.diff(codes, prepend=-1) != 0
+    return codes[first], positions[first]
 
 
 def _guarded(constraint: CompiledConstraint) -> bool:

@@ -402,27 +402,23 @@ def predicate_name(node_id: str) -> str:
 class GoCut:
     """Level- and count-pruned subgraph of the ontology, with bin nodes.
 
-    A real term is retained when its level is at most ``level_threshold`` and
-    at least ``count_threshold`` proteins carry it.  A bin node ``BIN:<id>``
-    appears under a retained term exactly when that term has both a retained
-    child and a pruned one; the bin holds the union of the pruned children's
-    proteins, restricted to the parent's own.
+    :func:`go_cut` retains a real term when its level is at most the level
+    threshold and at least the count threshold of proteins carry it.  A bin
+    node ``BIN:<id>`` appears under a retained term exactly when that term
+    has both a retained child and a pruned one; the bin holds the union of
+    the pruned children's proteins, restricted to the parent's own.
     """
 
     def __init__(
         self,
         dag: OntologyDag,
         namespaces: tuple[str, ...],
-        level_threshold: int,
-        count_threshold: int,
         retained: frozenset[str],
         bins: Mapping[str, str],
         proteins: Mapping[str, frozenset[str]],
     ):
         self.dag = dag
         self.namespaces = namespaces
-        self.level_threshold = level_threshold
-        self.count_threshold = count_threshold
         self.retained = retained
         self._bins = dict(bins)
         self._proteins = dict(proteins)
@@ -543,7 +539,7 @@ def go_cut(
                 binned.update(annotations.proteins_of(child))
             bins[bin_id] = tid
             proteins[bin_id] = frozenset(binned & annotations.proteins_of(tid))
-    return GoCut(dag, ns, level_threshold, count_threshold, retained, bins, proteins)
+    return GoCut(dag, ns, retained, bins, proteins)
 
 
 def _forall_x(body: Node) -> Formula:

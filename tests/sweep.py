@@ -11,14 +11,18 @@ the same inputs:
   scopes and all three t-norms on the expression kernel, and OC on each of
   the domain, diffusion and precomputed kernels;
 * the three benchmark workloads at seeds 41 and 7, their inputs written by
-  ``perfbench/workloads.generate``.
+  ``perfbench/workloads.generate``;
+* the two scale shapes under both constraint scopes at seed 41:
+  ``pair_network`` (OC+PP1) and ``dpp_network`` (OC+DPP1), ``oc_rules``
+  grown to 1,500 proteins and 30,000 interactions with 5 folds, 3 stage-2
+  iterations, ``lambda_c = 0.1`` and the minimum t-norm.
 
 Every file of each pair of bundles is compared, with the output directory
 masked out of the echoed paths.  The script prints each file that differs,
 or that only one bundle has, and each run that exits non-zero, and exits 1
-if there is any.  Its last line counts the fixture and workload configs, the
-files compared and the files that differ.  A differing file that both
-bundles have is described by how far apart its numbers are:
+if there is any.  Its last line counts the fixture, workload and scale
+configs, the files compared and the files that differ.  A differing file
+that both bundles have is described by how far apart its numbers are:
 
 * ``model.txt``: the largest relative difference of the weights and each
   side's stage-2 step count;
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,6 +59,8 @@ KERNELS = ("domain", "diffusion", "gram")
 SCOPES = ("unsupervised", "all")
 TNORMS = ("minimum", "product", "lukasiewicz")
 SEEDS = (41, 7)
+SCALE_RULES = {"pair_network": "OC+PP1", "dpp_network": "OC+DPP1"}
+SCALE_SEED = 41
 HEADLINE = ("example_f1", "label_macro_f1", "consistency", "auc_average")
 
 
@@ -109,6 +116,20 @@ def workload_configs(directory: str) -> dict[str, str]:
         for seed in SEEDS:
             tag = f"{name}-{seed}"
             configs[tag] = generate(workload, seed, os.path.join(directory, tag)).config
+    return configs
+
+
+def scale_configs(directory: str) -> dict[str, str]:
+    """The scale shapes' configs under each scope, by name."""
+    configs = {}
+    base = WORKLOADS["oc_rules"]
+    for name, rules in SCALE_RULES.items():
+        for scope in SCOPES:
+            shape = replace(base, name=name, n=1500, rules=rules, ppi_pairs=30000, settings={
+                **base.settings, "folds": 5, "max_iterations": 3, "lambda_c": 0.1,
+                "tnorm": "minimum", "constraint_scope": scope})
+            tag = f"{name}-{scope}"
+            configs[tag] = generate(shape, SCALE_SEED, os.path.join(directory, tag)).config
     return configs
 
 
@@ -215,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         configs = fixture_configs(os.path.join(work, "fixture"))
         fixtures = len(configs)
         configs.update(workload_configs(os.path.join(work, "workloads")))
+        workloads = len(configs) - fixtures
+        configs.update(scale_configs(os.path.join(work, "scale")))
         compared = differing = 0
         for name, config in configs.items():
             bundles = []
@@ -233,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
                     detail = describe(path, here, there) if here and there else ""
                     print(f"{name}: {path} differs" + (f": {detail}" if detail else ""))
                     differing += 1
-        print(f"{len(configs)} configs ({fixtures} fixture, {len(configs) - fixtures} workload), "
+        scale = len(configs) - fixtures - workloads
+        print(f"{len(configs)} configs ({fixtures} fixture, {workloads} workload, {scale} scale), "
               f"{compared} files compared, {differing} differ")
     return 1 if differing else 0
 

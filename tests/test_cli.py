@@ -122,6 +122,27 @@ def write_config(root, name="run.cfg", **overrides):
     return str(root / name)
 
 
+def record_bound_rows(monkeypatch) -> list:
+    """Make ``cli._run_fold`` record, for each fold in order, the pair task's
+    example names, the rows of the run's pair predictions that the fold sets and
+    their (truths, positive, undecided)."""
+    folds = []
+    run_fold = cli._run_fold
+
+    def record(*args):
+        pairs, (truths, *flags) = args[2][1].gram.ids, args[-1][1]
+        earlier = truths.copy()
+        truths.fill(np.nan)  # a row that the fold leaves stays NaN
+        run_fold(*args)
+        rows = np.flatnonzero(~np.isnan(truths[:, 0]))
+        folds.append((pairs, rows, tuple(m[rows].copy() for m in (truths, *flags))))
+        left = np.isnan(truths)
+        truths[left] = earlier[left]
+
+    monkeypatch.setattr(cli, "_run_fold", record)
+    return folds
+
+
 @pytest.fixture
 def dataset(tmp_path):
     write_dataset(tmp_path)
@@ -359,14 +380,7 @@ class TestRun:
         )
         cfg = write_config(dataset, rules="OC+PP2", pair_gram="pairs.csv",
                            out="out_pp2")
-        outcomes = []
-        aggregate = cli._aggregate
-
-        def record(data, tasks, found, out_dir):
-            outcomes.extend((tasks[1].gram.ids, outcome) for outcome in found)
-            return aggregate(data, tasks, found, out_dir)
-
-        monkeypatch.setattr(cli, "_aggregate", record)
+        folds = record_bound_rows(monkeypatch)
         assert main(["run", "--config", cfg]) == 0
         out = dataset / "out_pp2"
         metrics = (out / "metrics.txt").read_text()
@@ -380,9 +394,9 @@ class TestRun:
         names = [row[0] for row in rows]
         assert sorted(names) == sorted(ids[:4])
         assert any(len({fold_of[p] for p in name.split("|")}) == 2 for name in names)
-        # Outcomes come in fold order.
-        scored_in = {pairs[i]: index for index, (pairs, outcome) in enumerate(outcomes)
-                     for i in outcome.scored[1]}
+        # Folds run in order.
+        scored_in = {pairs[i]: index for index, (pairs, scored, _) in enumerate(folds)
+                     for i in scored}
         assert scored_in == {name: fold_of[min(name.split("|"))] for name in names}
 
     @pytest.mark.parametrize("rules", ["OC", "OC+PP1", "OC+PP2"])
@@ -563,16 +577,7 @@ class TestRun:
             str(tmp_path), "out", rules="OC+PP2", ppi="ppi.tsv", pair_gram="pairs.csv",
             max_iterations=40,
         )
-        outcomes = []
-        pairs = []
-        aggregate = cli._aggregate
-
-        def record(data, tasks, found, out_dir):
-            outcomes.extend(found)
-            pairs.extend(tasks[1].gram.ids)
-            return aggregate(data, tasks, found, out_dir)
-
-        monkeypatch.setattr(cli, "_aggregate", record)
+        outcomes = record_bound_rows(monkeypatch)
         assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
         out = tmp_path / "out"
         folds = sorted(out.glob("fold_*/predictions.tsv"))
@@ -584,10 +589,10 @@ class TestRun:
         # Folds write no pair file; each fold's pairs, written alone, give
         # the fold's share of the merged one.
         bound_lines = []
-        for index, outcome in enumerate(outcomes):
+        for index, (pairs, rows, predictions) in enumerate(outcomes):
             path = tmp_path / f"bound_{index}.tsv"
-            fungo_io.write_predictions(str(path), [pairs[i] for i in outcome.scored[1]],
-                                       ("BOUND",), *outcome.predictions[1])
+            fungo_io.write_predictions(str(path), [pairs[i] for i in rows],
+                                       ("BOUND",), *predictions)
             bound_lines += [line for line in path.read_text().splitlines() if line]
         merged = (out / "bound_predictions.tsv").read_text().splitlines()
         distinct = ids[:len(interactions)] + ids[len(interactions) + 2:]

@@ -612,7 +612,7 @@ def test_restricted_rejects_what_a_compile_over_the_kept_ids_rejects():
     preds = {"A": _unary("A", ids)}
     layout = [(("A",), 3)]
     forward = compile_constraint(parse_rule("forall x:P. A(x)"), "product", {"P": ids}, preds)
-    with pytest.raises(ValueError, match="shorter"):
+    with pytest.raises(ValueError, match="2 entries for the 3 ids"):
         CompiledRuleSet([forward], layout).restricted([True, True])
     with pytest.raises(CompileError, match="domain 'P' is empty"):
         CompiledRuleSet([forward], layout).restricted([False] * 3)

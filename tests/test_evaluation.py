@@ -571,19 +571,14 @@ def test_aggregate_matches_the_set_based_reference(seed):
                  int(rng.integers(0, 3)))
     nodes = cut.nodes()
     proteins = annotations.proteins
-    # Each fold predicts every node for its held-out proteins, so the folds
-    # together give full proteins × nodes matrices.
+    # The folds together predict every node for every protein: full
+    # proteins × nodes matrices.
     shape = (len(proteins), len(nodes))
     matrices = (rng.random(shape), rng.random(shape) < 0.5, rng.random(shape) < 0.2)
     rows = [
         (p, cut.predicate(node), *(m[i, j].item() for m in matrices))
         for i, p in enumerate(proteins) for j, node in enumerate(nodes)
     ]
-    fold_of = rng.integers(0, 3, size=len(proteins))
-    outcomes = []
-    for index in rng.permutation(3).tolist():
-        held = np.flatnonzero(fold_of == index)
-        outcomes.append(cli.FoldOutcome((held,), (tuple(m[held] for m in matrices),)))
     data = Dataset(dag, proteins, annotations, cut, ())
     # The run's one task: every protein, labelled by its cut membership.
     task = TaskSpec(tuple(cut.predicate(node) for node in nodes), 1, proteins,
@@ -614,7 +609,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr(fungo_io, "write_metrics_report",
                       lambda path, metrics: captured.update(metrics))
-        cli._aggregate(data, [task], outcomes, out)
+        cli._aggregate(data, [task], [matrices], out)
         with open(os.path.join(out, "per_node.tsv")) as handle:
             per_node = handle.read().splitlines()
         assert read_predictions(os.path.join(out, "predictions.tsv")) == sorted(rows)

@@ -410,6 +410,38 @@ def test_exhausted_line_search_is_logged(monkeypatch, caplog):
     assert f"objective {start:.17g})" in warnings[0]
 
 
+def test_an_exact_tie_exhausts_the_minimum_line_search(caplog):
+    # Stage 1 leaves P and C exactly 0 on both proteins, and R => P pushes P
+    # up.  The minimum residuum of P => C is 1 at P = C and C = 0 for P > C,
+    # so it jumps at the tie: every step up, however small, adds a whole
+    # violation.  Product reads an antecedent below PRODUCT_GUARD as
+    # satisfied and Lukasiewicz's residuum is continuous, so neither is stuck
+    # at the start.
+    ids = ("v", "w")
+    labels = [row(ids, {"v": 1.0}), row(ids, {"v": 0.0}), row(ids, {"v": 0.0})]
+    tasks = [TaskSpec(("R", "P", "C"), 1, ids, gram=gram(ids, [[1.0, 0.5], [0.5, 1.0]]),
+                      labels=labels)]
+    texts = ("forall x:P. R(x) => P(x)", "forall x:P. P(x) => C(x)")
+    stops = {}
+    for tnorm in TNORMS:
+        constraints = [compile_constraint(parse_rule(t), tnorm, {"P": list(ids)},
+                                          predicate_bindings(tasks)) for t in texts]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fungo.learner"):
+            model = train(tasks, compiled_for(tasks, constraints), TrainConfig(tnorm=tnorm))
+        stops[tnorm] = _stop_reasons(caplog.records)["stage 2"], model.trace.stage2
+        if tnorm == "minimum":  # stage 2 kept the stage-1 weights
+            truths = truths_of(model, tasks)
+            assert truths["P"].tolist() == truths["C"].tolist() == [0.0, 0.0]
+            assert truths["R"].min() > 0.0
+    assert stops["minimum"][0] == ("line search exhausted", 0.0)
+    assert len(stops["minimum"][1]) == 1
+    (reason, last), trace = stops["product"]
+    assert reason == "stalled" and 0.0 < last < 1e-12 and len(trace) == 2
+    (reason, last), trace = stops["lukasiewicz"]
+    assert last > 0.0 and len(trace) > 5 and trace[-1] < trace[0] - 0.25
+
+
 def test_lambda_r_must_be_positive():
     # At lambda_r = 0 the labeled block G_LL may be singular.
     for lambda_r in (0.0, -0.0, -1.0, float("nan")):
