@@ -46,7 +46,6 @@ from .evaluation import (
 )
 from .kernels import (
     GramMatrix,
-    InteractionGraph,
     diffusion_kernel,
     domain_gram,
     expression_gram,
@@ -287,30 +286,22 @@ def build_gram(config: ExperimentConfig, proteins: tuple[str, ...]) -> GramMatri
         annotations = io.read_annotations(
             _require(config.domains, "domains", "for the domain kernel")
         )
-        table = {p: annotations.get(p, set()) for p in proteins}
-        return domain_gram(table, proteins)
+        return domain_gram(annotations, proteins)
     if config.kernel == "expression":
-        ids, matrix = io.read_expression(
+        names, profiles = io.read_expression(
             _require(config.expression, "expression", "for the expression kernel")
         )
-        profiles = {name: matrix[i] for i, name in enumerate(ids)}
-        return expression_gram(profiles, proteins)
+        return expression_gram(names, profiles, proteins)
     if config.kernel == "diffusion":
         listed = io.read_pairs(_require(config.graph, "graph", "for the diffusion kernel"))
         edges = _inside(listed, set(proteins), "graph edges")
-        graph = InteractionGraph(proteins, tuple((a, b, 1.0) for a, b in edges))
-        return diffusion_kernel(graph, config.beta)
+        return diffusion_kernel(proteins, ((a, b, 1.0) for a, b in edges), config.beta)
     loaded = io.read_gram(_require(config.gram, "gram", "for a precomputed kernel"))
-    return _reindex_gram(loaded, proteins)
-
-
-def _reindex_gram(gram: GramMatrix, ids: tuple[str, ...]) -> GramMatrix:
-    position = {name: i for i, name in enumerate(gram.ids)}
-    missing = [name for name in ids if name not in position]
-    if missing:
-        raise CliError(f"Gram file has no entry for protein {missing[0]!r}")
-    index = np.array([position[name] for name in ids], dtype=np.intp)
-    return GramMatrix(ids, gram.matrix[np.ix_(index, index)])
+    position = {name: i for i, name in enumerate(loaded.ids)}
+    for name in proteins:
+        if name not in position:
+            raise CliError(f"Gram file has no entry for protein {name!r}")
+    return loaded.take([position[name] for name in proteins])
 
 
 def build_rules(config: ExperimentConfig, cut: GoCut):
@@ -406,7 +397,7 @@ def _bound_inputs(config: ExperimentConfig, bound_mode: str | None,
     if not first:
         raise CliError("pair Gram has no pairs inside the dataset")
     keep = list(first.values())
-    gram = GramMatrix(tuple(loaded.ids[i] for i in keep), loaded.matrix[np.ix_(keep, keep)])
+    gram = loaded.take(keep)
     positive = set(pairs)
     return TaskSpec((BOUND_PREDICATE,), 2, tuple(written[i] for i in keep), gram=gram,
                     labels=[[float(pair in positive) for pair in first]])

@@ -17,7 +17,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PSD_TOL = 1e-8
+PSD_TOL = 1e-8
 SPECTRUM_BLOCK = 512  # k-mer columns per dense count block
 
 
@@ -44,13 +44,17 @@ class GramMatrix:
     def size(self) -> int:
         return len(self.ids)
 
-    def psd_check(self, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
-        """:func:`psd_check` of the matrix, computed once per object and
-        tolerance."""
-        results = self.__dict__.setdefault("_psd_results", {})
-        if tol not in results:
-            results[tol] = psd_check(self.matrix, tol)
-        return results[tol]
+    def psd_check(self) -> tuple[bool, float]:
+        """:func:`psd_check` of the matrix, computed once per Gram."""
+        if "_psd" not in self.__dict__:
+            self.__dict__["_psd"] = psd_check(self.matrix)
+        return self.__dict__["_psd"]
+
+    def take(self, positions: Sequence[int]) -> "GramMatrix":
+        """The Gram over the examples at ``positions``, in that order."""
+        index = np.asarray(positions, dtype=np.intp)
+        return GramMatrix(tuple(self.ids[i] for i in positions),
+                          self.matrix[np.ix_(index, index)])
 
     def normalized(self) -> "GramMatrix":
         """Unit-diagonal variant k(i,j)/sqrt(k(i,i)k(j,j)).
@@ -72,10 +76,11 @@ class GramMatrix:
         return GramMatrix(self.ids, out)
 
 
-def psd_check(matrix: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
-    """Positive semi-definiteness within tolerance.
+def psd_check(matrix: np.ndarray) -> tuple[bool, float]:
+    """Positive semi-definiteness within tolerance, and the smallest
+    eigenvalue.
 
-    Passes when the smallest eigenvalue is >= -tol * trace / n, the
+    Passes when the smallest eigenvalue is >= -PSD_TOL * trace / n, the
     scale-aware bound used throughout.
     """
     m = np.asarray(matrix, dtype=np.float64)
@@ -83,7 +88,7 @@ def psd_check(matrix: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, f
     if n == 0:
         return True, 0.0
     smallest = float(np.linalg.eigvalsh(m)[0])
-    bound = -tol * float(np.trace(m)) / n
+    bound = -PSD_TOL * float(np.trace(m)) / n
     return smallest >= bound, smallest
 
 
@@ -149,17 +154,15 @@ def _kmer_codes(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, in
 def domain_gram(annotations: Mapping[str, Iterable[str]], ids: Sequence[str]) -> GramMatrix:
     """Shared-domain similarity |A & B| / (|A| * |B|); empty sets give 0.
 
-    The diagonal is 1/|A|, not 1: the raw formula is kept as is.  Shared
-    counts come from one product of the protein x domain 0/1 matrix with
-    its transpose; every count and set-size product is an exact integer,
-    so each entry is the correctly rounded quotient that the formula gives.
+    A protein missing from ``annotations`` has no domains: its row,
+    diagonal included, is 0.  The diagonal is 1/|A|, not 1: the raw
+    formula is kept as is.  Shared counts come from one product of the
+    protein x domain 0/1 matrix with its transpose; every count and
+    set-size product is an exact integer, so each entry is the correctly
+    rounded quotient that the formula gives.
     """
     order = tuple(ids)
-    sets = []
-    for name in order:
-        if name not in annotations:
-            raise ValueError(f"no domain annotations for protein {name!r}")
-        sets.append(set(annotations[name]))
+    sets = [set(annotations.get(name, ())) for name in order]
     column = {d: k for k, d in enumerate(sorted(set().union(*sets)))}
     member = np.zeros((len(order), len(column)), dtype=np.float64)
     for i, domains in enumerate(sets):
@@ -173,79 +176,57 @@ def domain_gram(annotations: Mapping[str, Iterable[str]], ids: Sequence[str]) ->
 # ---------------------------------------------------------------------------
 # interaction graph diffusion
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Undirected weighted graph without self-loops."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self) -> None:
-        known = set(self.vertices)
-        if len(known) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        seen = set()
-        for a, b, w in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            if a not in known or b not in known:
-                missing = a if a not in known else b
-                raise ValueError(f"edge endpoint {missing!r} is not a vertex")
-            if not np.isfinite(w) or w <= 0:
-                raise ValueError(f"edge ({a!r}, {b!r}) has non-positive weight {w}")
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({a!r}, {b!r})")
-            seen.add(key)
-
-    def adjacency(self) -> np.ndarray:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        adj = np.zeros((n, n), dtype=np.float64)
-        for a, b, w in self.edges:
-            adj[pos[a], pos[b]] = w
-            adj[pos[b], pos[a]] = w
-        return adj
-
-
-def diffusion_kernel(graph: InteractionGraph, beta: float = 1.0) -> GramMatrix:
-    """Heat diffusion exp(beta * (A - D)) over the interaction graph.
+def diffusion_kernel(vertices: Sequence[str], edges: Iterable[tuple[str, str, float]],
+                     beta: float) -> GramMatrix:
+    """Heat diffusion exp(beta * (A - D)) over the undirected graph whose
+    weighted edges ``(a, b, weight)`` join distinct ``vertices``.
 
     Computed by symmetric eigendecomposition; beta = 0 is the identity.
     """
     if beta < 0:
         raise ValueError(f"diffusion time must be non-negative, got {beta}")
-    n = len(graph.vertices)
+    order = tuple(vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) != len(order):
+        raise ValueError("duplicate vertices")
+    n = len(order)
+    adj = np.zeros((n, n), dtype=np.float64)
+    seen = set()
+    for a, b, w in edges:
+        if a == b:
+            raise ValueError(f"self-loop on {a!r}")
+        if a not in pos or b not in pos:
+            missing = a if a not in pos else b
+            raise ValueError(f"edge endpoint {missing!r} is not a vertex")
+        if not np.isfinite(w) or w <= 0:
+            raise ValueError(f"edge ({a!r}, {b!r}) has non-positive weight {w}")
+        key = (a, b) if a <= b else (b, a)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({a!r}, {b!r})")
+        seen.add(key)
+        adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = w
     if beta == 0.0:
-        return GramMatrix(graph.vertices, np.eye(n))
-    adj = graph.adjacency()
+        return GramMatrix(order, np.eye(n))
     generator = adj - np.diag(adj.sum(axis=1))
     eigvals, eigvecs = np.linalg.eigh(generator)
     kernel = (eigvecs * np.exp(beta * eigvals)) @ eigvecs.T
     kernel = (kernel + kernel.T) / 2.0
-    return GramMatrix(graph.vertices, kernel)
+    return GramMatrix(order, kernel)
 
 
 # ---------------------------------------------------------------------------
 # expression profiles
 
-def expression_gram(profiles: Mapping[str, Sequence[float]], ids: Sequence[str]) -> GramMatrix:
-    """Covariance of the expression profiles over the measured conditions."""
+def expression_gram(names: Sequence[str], profiles: np.ndarray,
+                    ids: Sequence[str]) -> GramMatrix:
+    """Covariance of the expression profiles over the measured conditions;
+    row i of the 2-D ``profiles`` is the profile of ``names[i]``."""
     order = tuple(ids)
-    rows = []
-    width = None
+    row = {name: i for i, name in enumerate(names)}
     for name in order:
-        if name not in profiles:
+        if name not in row:
             raise ValueError(f"no expression profile for protein {name!r}")
-        row = np.asarray(profiles[name], dtype=np.float64)
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            raise ValueError(
-                f"profile for {name!r} has {row.size} conditions, expected {width}"
-            )
-        rows.append(row)
-    data = np.vstack(rows)
+    data = np.asarray(profiles, dtype=np.float64)[[row[name] for name in order]]
     centered = data - data.mean(axis=1, keepdims=True)
     m = centered @ centered.T / data.shape[1]
     m = (m + m.T) / 2.0

@@ -17,9 +17,10 @@ quantifier axis of each argument, and the example ids of each axis.  It
 builds no grounding arrays.
 
 ``CompiledRuleSet`` is the one place where rules are grounded.  Its rules
-range over one id list.  It groups the rules by template first, then
-grounds each rule straight to the rows that it evaluates: a one-variable
-rule to every id, a guarded pair rule to the pairs in its guard's index.
+range over one id list, which it checks once for being empty or listing an
+example twice.  It groups the rules by template first, then grounds each
+rule straight to the rows that it evaluates: a one-variable rule to every
+id, a guarded pair rule to the pairs in its guard's index.
 Grounding rows run in the id list's order, row-major over a pair rule's
 two axes, so penalties are deterministic.  A rule set grounds the ids of
 its row mask when it is first evaluated, and ``CompiledRuleSet.restricted``
@@ -90,8 +91,7 @@ class SlotBinding(NamedTuple):
     axes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompiledConstraint:
+class CompiledConstraint(NamedTuple):
     formula: Formula
     domains: tuple[tuple[str, ...], ...]  # the example ids of each quantifier axis
     program: Program
@@ -201,6 +201,12 @@ class CompiledRuleSet:
         ids = self.constraints[0].domains[0] if self.constraints else ()
         if any(c.domains[0] is not ids and c.domains[0] != ids for c in self.constraints):
             raise CompileError("the rules range over more than one id list")
+        if self.constraints:
+            name = self.constraints[0].formula.quantifiers[0].domain
+            if not ids:
+                raise CompileError(f"domain {name!r} is empty")
+            if len(set(ids)) != len(ids):
+                raise CompileError(f"domain {name!r} lists an example twice")
         offsets: list[np.ndarray] = []  # per rule: each slot's offset, then its stride
         members: dict[tuple, list[int]] = {}
         for r, constraint in enumerate(self.constraints):
@@ -420,13 +426,8 @@ def compile_constraint(
             raise CompileError(f"unknown domain {q.domain!r}")
         id_lists.append(tuple(domains[q.domain]))
     ids = id_lists[0]
-    if any(other != ids for other in id_lists[1:]):
+    if any(other is not ids and other != ids for other in id_lists[1:]):
         raise CompileError("the quantifiers range over more than one id list")
-    name = formula.quantifiers[0].domain
-    if len(set(ids)) != len(ids):
-        raise CompileError(f"domain {name!r} lists an example twice")
-    if not ids:
-        raise CompileError(f"domain {name!r} is empty")
 
     for pred, arity in sorted(formula.predicates().items()):
         binding = predicates.get(pred)

@@ -4,7 +4,7 @@
 
 REV's committed ``src/`` is exported with ``git archive`` into a temporary
 directory.  Both trees then run ``fungo run --jobs 1`` in a child process on
-the same inputs:
+the same inputs, over these configs:
 
 * the 39 hierarchy-fixture configs of ``test_bundle_bytes.py``: OC,
   OC+partof, OC+PP1, OC+PP2, OC+DPP1 and OC+DPP2 under both constraint
@@ -17,11 +17,17 @@ the same inputs:
   grown to 1,500 proteins and 30,000 interactions with 5 folds, 3 stage-2
   iterations, ``lambda_c = 0.1`` and the minimum t-norm.
 
+A bundle sees its Gram matrix only through training, so both trees also run
+``fungo kernel`` on five kernel configs: the fixture's OC configs on the
+expression, domain, diffusion and precomputed kernels, and
+``baseline_spectrum`` at seed 41, whose kernel is the spectrum kernel.
+That writes one file, ``gram_<kernel>.csv``.
+
 Every file of each pair of bundles is compared, with the output directory
 masked out of the echoed paths.  The script prints each file that differs,
 or that only one bundle has, and each run that exits non-zero, and exits 1
-if there is any.  Its last line counts the fixture, workload and scale
-configs, the files compared and the files that differ.  A differing file
+if there is any.  Its last line counts the fixture, workload, scale and
+kernel configs, the files compared and the files that differ.  A differing file
 that both bundles have is described by how far apart its numbers are:
 
 * ``model.txt``: the largest relative difference of the weights and each
@@ -133,10 +139,20 @@ def scale_configs(directory: str) -> dict[str, str]:
     return configs
 
 
-def run(src: str, config: str, out_dir: str) -> int:
+def kernel_configs(configs: dict[str, str]) -> dict[str, str]:
+    """The kernel configs, by name, taken from the fixture and workload
+    ``configs``."""
+    kernels = {"kernel-expression": configs[f"OC-{SCOPES[0]}-{TNORMS[0]}"]}
+    kernels.update((f"kernel-{kernel}", configs[f"OC-{kernel}"]) for kernel in KERNELS)
+    kernels["kernel-spectrum"] = configs[f"baseline_spectrum-{SEEDS[0]}"]
+    return kernels
+
+
+def run(src: str, config: str, out_dir: str, command: str = "run") -> int:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "fungo.cli", "run", "--config", config, "--out", out_dir,
-            "--jobs", "1"]
+    argv = [sys.executable, "-m", "fungo.cli", command, "--config", config, "--out", out_dir]
+    if command == "run":
+        argv += ["--jobs", "1"]
     return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
@@ -238,12 +254,16 @@ def main(argv: list[str] | None = None) -> int:
         configs.update(workload_configs(os.path.join(work, "workloads")))
         workloads = len(configs) - fixtures
         configs.update(scale_configs(os.path.join(work, "scale")))
+        scale = len(configs) - fixtures - workloads
+        kernels = kernel_configs(configs)
+        runs = [(name, "run", config) for name, config in configs.items()]
+        runs += [(name, "kernel", config) for name, config in kernels.items()]
         compared = differing = 0
-        for name, config in configs.items():
+        for name, command, config in runs:
             bundles = []
             for tag, src in trees.items():
                 out_dir = os.path.join(work, "out", tag, name)
-                code = run(src, config, out_dir)
+                code = run(src, config, out_dir, command)
                 bundles.append((code, snapshot(out_dir) if os.path.isdir(out_dir) else {}))
             (code_a, files_a), (code_b, files_b) = bundles
             if code_a or code_b:
@@ -256,9 +276,8 @@ def main(argv: list[str] | None = None) -> int:
                     detail = describe(path, here, there) if here and there else ""
                     print(f"{name}: {path} differs" + (f": {detail}" if detail else ""))
                     differing += 1
-        scale = len(configs) - fixtures - workloads
-        print(f"{len(configs)} configs ({fixtures} fixture, {workloads} workload, {scale} scale), "
-              f"{compared} files compared, {differing} differ")
+        print(f"{len(runs)} configs ({fixtures} fixture, {workloads} workload, {scale} scale, "
+              f"{len(kernels)} kernel), {compared} files compared, {differing} differ")
     return 1 if differing else 0
 
 

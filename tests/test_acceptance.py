@@ -20,8 +20,8 @@ from fungo.evaluation import (
     pr_curve,
 )
 from fungo.kernels import (
+    PSD_TOL,
     GramMatrix,
-    InteractionGraph,
     diffusion_kernel,
     domain_gram,
     expression_gram,
@@ -259,15 +259,14 @@ def test_kernel_oracles_and_psd():
         for j in range(i + 1, 6):
             if rng.random() < 0.5:
                 edges.append((vertices[i], vertices[j], float(rng.uniform(0.2, 2.0))))
-    graph = InteractionGraph(vertices, tuple(edges))
-    identity = diffusion_kernel(graph, beta=0.0)
+    identity = diffusion_kernel(vertices, edges, beta=0.0)
     assert np.allclose(identity.matrix, np.eye(6), atol=1e-10)
 
-    pair = InteractionGraph(("a", "b"), (("a", "b", 1.0),))
     for beta in (0.1, 0.7, 1.3):
         decay = np.exp(-2.0 * beta)
         expected = 0.5 * np.array([[1.0 + decay, 1.0 - decay], [1.0 - decay, 1.0 + decay]])
-        assert np.allclose(diffusion_kernel(pair, beta).matrix, expected, atol=1e-10)
+        pair = diffusion_kernel(("a", "b"), (("a", "b", 1.0),), beta)
+        assert np.allclose(pair.matrix, expected, atol=1e-10)
 
     ids = tuple(f"p{i}" for i in range(10))
     sequences = {p: random_sequence() or "ACD" for p in ids}
@@ -275,12 +274,13 @@ def test_kernel_oracles_and_psd():
     domains = {p: {f"d{int(d)}" for d in rng.integers(0, 8, size=rng.integers(0, 5))} for p in ids}
     built = (
         spectrum_gram(sequences, ids, k=2),
-        diffusion_kernel(graph, beta=1.0),
-        expression_gram(profiles, ids),
+        diffusion_kernel(vertices, edges, beta=1.0),
+        expression_gram(ids, np.array([profiles[p] for p in ids]), ids),
         domain_gram(domains, ids),
     )
+    assert PSD_TOL == 1e-8
     for gram in built:
-        ok, smallest = psd_check(gram.matrix, tol=1e-8)
+        ok, smallest = psd_check(gram.matrix)
         assert ok, smallest
     assert time.perf_counter() - start < 10.0
 

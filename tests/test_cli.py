@@ -26,7 +26,7 @@ from fungo import io as fungo_io
 from fungo.cli import ExperimentConfig, main, parse_experiment_config
 from fungo.io import read_config, read_gram
 from fungo.io import write_config as write_config_file
-from fungo.kernels import InteractionGraph, diffusion_kernel
+from fungo.kernels import diffusion_kernel
 from fungo.learner import TrainConfig
 from fungo.logic import PredicateBinding
 from support import read_folds, read_predictions
@@ -201,8 +201,7 @@ class TestSimpleCommands:
         assert main(["kernel", "--config", cfg]) == 0
         gram = read_gram(str(dataset / "out" / "gram_diffusion.csv"))
         proteins = tuple(f"p{i}" for i in range(1, 9))
-        graph = InteractionGraph(proteins, (("p1", "p2", 1.0), ("p5", "p6", 1.0)))
-        expected = diffusion_kernel(graph, 0.5)
+        expected = diffusion_kernel(proteins, (("p1", "p2", 1.0), ("p5", "p6", 1.0)), 0.5)
         assert gram.ids == expected.ids
         assert np.array_equal(gram.matrix, expected.matrix)
 
@@ -836,10 +835,8 @@ DATACLASSES = {
     "fungo.cli.ExperimentConfig",
     "fungo.evaluation.PRCurve",
     "fungo.kernels.GramMatrix",
-    "fungo.kernels.InteractionGraph",
     "fungo.learner.TaskSpec",
     "fungo.learner.TrainConfig",
-    "fungo.logic.compiler.CompiledConstraint",
     "fungo.logic.compiler.PredicateBinding",
 } | {f"fungo.logic.formula.{name}"
      for name in ("Atom", "Not", "And", "Or", "Implies", "Iff", "Quantifier", "Formula")}

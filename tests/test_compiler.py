@@ -229,10 +229,12 @@ def test_compile_validation_errors():
         compile_constraint(f, "product", {"P": ids}, {"A": _unary("A", ids)})
     with pytest.raises(CompileError, match="unknown domain 'P'"):
         compile_constraint(f, "product", {"Q": ids}, {})
-    with pytest.raises(CompileError, match="empty"):
-        compile_constraint(
-            f, "product", {"P": []}, {"A": _unary("A", []), "B": _unary("B", [])}
-        )
+    # A rule set checks its id list once, for every rule.
+    empty = compile_constraint(
+        f, "product", {"P": []}, {"A": _unary("A", []), "B": _unary("B", [])}
+    )
+    with pytest.raises(CompileError, match="domain 'P' is empty"):
+        CompiledRuleSet([empty], [(("A", "B"), 0)])
     with pytest.raises(CompileError, match="arity"):
         compile_constraint(
             f,
@@ -247,10 +249,11 @@ def test_compile_validation_errors():
         compile_constraint(
             f, "softmin", {"P": ids}, {"A": _unary("A", ids), "B": _unary("B", ids)}
         )
+    twice = compile_constraint(
+        f, "product", {"P": ["p0", "p1", "p0"]}, {"A": _unary("A", ids), "B": _unary("B", ids)}
+    )
     with pytest.raises(CompileError, match="domain 'P' lists an example twice"):
-        compile_constraint(
-            f, "product", {"P": ["p0", "p1", "p0"]}, {"A": _unary("A", ids), "B": _unary("B", ids)}
-        )
+        CompiledRuleSet([twice], [(("A", "B"), 1)])
 
 
 SHAPE_ERROR = "is neither a one-variable rule nor 'forall x. forall y. G\\(x,y\\) => body'"

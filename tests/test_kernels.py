@@ -17,7 +17,6 @@ from support import (
 from fungo import kernels
 from fungo.kernels import (
     GramMatrix,
-    InteractionGraph,
     diffusion_kernel,
     domain_gram,
     expression_gram,
@@ -148,16 +147,14 @@ def test_domain_gram_is_bit_equal_to_the_set_formula_on_random_sets():
 
 
 def test_diffusion_two_vertex_closed_form():
-    g = InteractionGraph(("u", "v"), (("u", "v", 1.0),))
     beta = math.log(2.0) / 2.0
-    gram = diffusion_kernel(g, beta)
+    gram = diffusion_kernel(("u", "v"), (("u", "v", 1.0),), beta)
     want = np.array([[0.75, 0.25], [0.25, 0.75]])
     assert np.allclose(gram.matrix, want, atol=1e-10)
 
 
 def test_diffusion_beta_zero_is_identity():
-    g = InteractionGraph(("u", "v", "w"), (("u", "v", 2.0),))
-    gram = diffusion_kernel(g, 0.0)
+    gram = diffusion_kernel(("u", "v", "w"), (("u", "v", 2.0),), 0.0)
     assert np.array_equal(gram.matrix, np.eye(3))
 
 
@@ -179,27 +176,30 @@ def test_diffusion_rows_approach_component_uniform():
             reach = np.linalg.matrix_power(adj + np.eye(n), n)
             if (reach > 0).all():
                 break
-        g = InteractionGraph(tuple(f"v{i}" for i in range(n)), tuple(edges))
-        gram = diffusion_kernel(g, beta=50.0)
+        gram = diffusion_kernel(tuple(f"v{i}" for i in range(n)), edges, beta=50.0)
         assert np.allclose(gram.matrix, 1.0 / n, atol=1e-6)
 
 
 def test_diffusion_isolated_vertex_stays_unit():
-    g = InteractionGraph(("a", "b", "c"), (("a", "b", 1.0),))
-    gram = diffusion_kernel(g, beta=3.0)
+    gram = diffusion_kernel(("a", "b", "c"), (("a", "b", 1.0),), beta=3.0)
     assert gram.matrix[2, 2] == pytest.approx(1.0, abs=1e-12)
     assert gram.matrix[2, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_graph_validation():
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        diffusion_kernel(("a", "a"), (), 1.0)
     with pytest.raises(ValueError, match="self-loop"):
-        InteractionGraph(("a",), (("a", "a", 1.0),))
+        diffusion_kernel(("a",), (("a", "a", 1.0),), 1.0)
     with pytest.raises(ValueError, match="not a vertex"):
-        InteractionGraph(("a",), (("a", "b", 1.0),))
+        diffusion_kernel(("a",), (("a", "b", 1.0),), 1.0)
     with pytest.raises(ValueError, match="duplicate edge"):
-        InteractionGraph(("a", "b"), (("a", "b", 1.0), ("b", "a", 1.0)))
+        diffusion_kernel(("a", "b"), (("a", "b", 1.0), ("b", "a", 1.0)), 1.0)
     with pytest.raises(ValueError, match="weight"):
-        InteractionGraph(("a", "b"), (("a", "b", 0.0),))
+        diffusion_kernel(("a", "b"), (("a", "b", 0.0),), 1.0)
+    # The graph is checked at beta = 0 too, where the kernel is the identity.
+    with pytest.raises(ValueError, match="self-loop"):
+        diffusion_kernel(("a",), (("a", "a", 1.0),), 0.0)
 
 
 def test_correlation_frozen_value():
@@ -211,14 +211,15 @@ def test_correlation_validation():
         correlation_kernel((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         correlation_kernel((), ())
-    with pytest.raises(ValueError, match="conditions"):
-        expression_gram({"a": (1.0, 2.0), "b": (1.0, 2.0, 3.0)}, ("a", "b"))
 
 
 def test_expression_gram_matches_scalar_and_is_psd():
     rng = np.random.default_rng(2)
-    profiles = {f"p{i}": rng.normal(size=7) for i in range(6)}
-    gram = expression_gram(profiles, tuple(profiles))
+    names = tuple(f"p{i}" for i in range(6))
+    matrix = rng.normal(size=(6, 7))
+    profiles = dict(zip(names, matrix))
+    gram = expression_gram(names, matrix, names[::-1])
+    assert gram.ids == names[::-1]
     for i, a in enumerate(gram.ids):
         for j, b in enumerate(gram.ids):
             assert gram.matrix[i, j] == pytest.approx(
@@ -253,23 +254,50 @@ def test_psd_check_flags_indefinite():
     assert smallest == pytest.approx(-1.0)
 
 
-def test_gram_psd_check_is_computed_once_per_tolerance(monkeypatch):
+def test_gram_psd_check_is_computed_once_per_gram(monkeypatch):
     calls = []
     real = kernels.psd_check
 
-    def counted(matrix, tol):
-        calls.append(tol)
-        return real(matrix, tol)
+    def counted(matrix):
+        calls.append(1)
+        return real(matrix)
 
     monkeypatch.setattr(kernels, "psd_check", counted)
     gram = GramMatrix(("a", "b"), np.array([[2.0, 1.0], [1.0, 2.0]]))
     results = [gram.psd_check() for _ in range(3)]
     assert results == [(True, pytest.approx(1.0))] * 3
-    assert gram.psd_check(1e-3) == results[0]
-    assert calls == [kernels.DEFAULT_PSD_TOL, 1e-3]
-    # An equal matrix in another object is checked again.
-    GramMatrix(gram.ids, gram.matrix.copy()).psd_check()
-    assert len(calls) == 3
+    assert len(calls) == 1
+    # An equal matrix in another Gram is checked again.
+    assert GramMatrix(gram.ids, gram.matrix.copy()).psd_check() == results[0]
+    assert len(calls) == 2
+
+
+def test_psd_check_bounds_the_smallest_eigenvalue_by_the_trace():
+    # Smallest eigenvalue -eps, trace 2 - eps, so the bound is about -PSD_TOL * 1.
+    for eps, ok in ((0.5 * kernels.PSD_TOL, True), (2.0 * kernels.PSD_TOL, False)):
+        assert psd_check(np.diag([2.0, -eps]))[0] is ok
+
+
+def test_take_gathers_ids_and_rows_in_the_given_order():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(7, 7))
+    gram = GramMatrix(tuple(f"p{i}" for i in range(7)), a + a.T)
+    for p in ([3, 0, 6], [5], list(range(7))[::-1], []):
+        taken = gram.take(p)
+        assert taken.ids == tuple(gram.ids[i] for i in p)
+        assert taken.matrix.tobytes() == gram.matrix[np.ix_(p, p)].tobytes()
+        assert taken.matrix.shape == (len(p), len(p))
+
+
+def test_domain_gram_gives_a_protein_missing_from_its_table_a_zero_row():
+    ann = {"a": {"d1", "d2"}, "b": {"d2"}}
+    gram = domain_gram(ann, ("a", "x", "b"))
+    assert gram.ids == ("a", "x", "b")
+    # Its row and column, diagonal included, are 0.
+    assert not gram.matrix[1].any() and not gram.matrix[:, 1].any()
+    # The others read as they do without the missing protein.
+    rest = domain_gram(ann, ("a", "b")).matrix
+    assert gram.matrix[np.ix_([0, 2], [0, 2])].tobytes() == rest.tobytes()
 
 
 def test_gram_validation():
@@ -287,6 +315,4 @@ def test_builders_name_missing_proteins():
     with pytest.raises(ValueError, match="p9"):
         spectrum_gram({"p0": "AB"}, ids=["p0", "p9"], k=2)
     with pytest.raises(ValueError, match="p9"):
-        domain_gram({"p0": {"d"}}, ids=["p9"])
-    with pytest.raises(ValueError, match="p9"):
-        expression_gram({"p0": (1.0, 2.0)}, ids=["p9"])
+        expression_gram(("p0",), np.array([[1.0, 2.0]]), ids=["p9"])
