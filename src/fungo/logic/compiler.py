@@ -18,16 +18,17 @@ builds no grounding arrays.
 
 ``CompiledRuleSet`` is the one place where rules are grounded.  Its rules
 range over one id list, which it checks once for being empty or listing an
-example twice.  It groups the rules by template first, then grounds each
-rule straight to the rows that it evaluates: a one-variable rule to every
-id, a guarded pair rule to the pairs in its guard's index.
-Grounding rows run in the id list's order, row-major over a pair rule's
-two axes, so penalties are deterministic.  A rule set grounds the ids of
-its row mask when it is first evaluated, and ``CompiledRuleSet.restricted``
-narrows that mask without compiling again.  Under the minimum t-norm a
-gradient is one scatter of every grounding's signed input position (see
-``engine``).  The per-rule ``CompiledConstraint.penalty`` methods evaluate
-a one-rule set.
+example twice.  Rules that share a template and their slots' index maps
+form a group, which is grounded once over coordinates that all its rules
+share: every id for one-variable rules, the pairs in the guard's index for
+guarded pair rules.  Each rule then adds only its slots' offsets.
+Grounding rows run rule by rule, each in the id list's order, row-major
+over a pair rule's two axes, so penalties are deterministic.  A rule set
+grounds the ids of its row mask when it is first evaluated, and
+``CompiledRuleSet.restricted`` narrows that mask without compiling again.
+Under the minimum t-norm a gradient is one scatter of every grounding's
+signed input position (see ``engine``).  The per-rule
+``CompiledConstraint.penalty`` methods evaluate a one-rule set.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ class CompiledConstraint(NamedTuple):
 
 
 class _RuleGroup(NamedTuple):
-    """Rules sharing one template, their rows stacked rule-major for a
-    single engine pass: ``index`` holds each row's position in the flat input
-    vector per slot, and ``row_rule``, in a guarded group, each row's rule
-    (0-based within ``rules``)."""
+    """Rules sharing one template and their slots' index maps, grounded over
+    one coordinate list and stacked rule-major for a single engine pass:
+    ``index`` holds each row's position in the flat input vector per slot,
+    and ``row_rule``, in a guarded group, each row's rule (0-based within
+    ``rules``)."""
 
     program: Program
     rules: np.ndarray
@@ -163,9 +165,13 @@ class CompiledRuleSet:
     row reads, for every slot, the position of its example or pair in the
     slot's learned predicate, the 1.0 where a given predicate's index holds
     it, or the 0.0 where the predicate's index lacks it.  Rules with the same
-    program, t-norm and number of variables form a group that costs one
-    gather and one forward pass; for gradients, one walk for signed
-    positions (minimum t-norm) or one backward pass.
+    program, t-norm and number of variables whose slots read the same index
+    maps over the same axes, each learned or each given alike, form a group.
+    The group's coordinates and each slot's column over them are read once;
+    a rule's rows are those columns shifted by its slots' offsets, so the
+    group's index is one broadcast.  A group costs one gather and one
+    forward pass; for gradients, one walk for signed positions (minimum
+    t-norm) or one backward pass.
 
     A guarded pair rule ``forall x. forall y. G(x, y) => body`` is grounded
     only where its guard ``G`` is live, that is where the pair is in
@@ -207,8 +213,7 @@ class CompiledRuleSet:
                 raise CompileError(f"domain {name!r} is empty")
             if len(set(ids)) != len(ids):
                 raise CompileError(f"domain {name!r} lists an example twice")
-        offsets: list[np.ndarray] = []  # per rule: each slot's offset, then its stride
-        members: dict[tuple, list[int]] = {}
+        members: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}  # rule, slot offsets
         for r, constraint in enumerate(self.constraints):
             starts, strides = [], []
             for slot in constraint.slots:
@@ -236,49 +241,39 @@ class CompiledRuleSet:
                     )
                 starts.append(offset)
                 strides.append(1)
-            offsets.append(np.array((starts, strides)))
-            members.setdefault((constraint.program, len(constraint.domains)), []).append(r)
+            reads = tuple((id(slot.binding.index), slot.axes) for slot in constraint.slots)
+            key = (constraint.program, len(constraint.domains), tuple(strides), reads)
+            members.setdefault(key, []).append((r, tuple(starts)))
 
-        self._offsets, self._members = offsets, members
+        self._members = members
         self._keep = np.ones(len(ids), dtype=bool)  # the ids that the rows range over
         self._tables: dict = {}  # _table by id(index), shared with every narrowed set
 
     @cached_property
     def _groups(self) -> list[_RuleGroup]:
-        rows: dict = {}  # grounding rows by each slot's index map and axes
         groups = []
-        for rules in self._members.values():
-            first = self.constraints[rules[0]]
-            index = []
-            for r in rules:
-                position = self._rows(self.constraints[r], rows)
-                start, stride = self._offsets[r]
-                index.append(np.where(position >= 0, start + stride * position, 0))
-            row_rule = None
-            if len(first.domains) == 2:
-                row_rule = np.repeat(np.arange(len(rules)), [len(i) for i in index])
-            groups.append(_RuleGroup(
-                first.program, np.array(rules, dtype=np.intp), np.concatenate(index), row_rule,
-            ))
-        return groups
-
-    def _rows(self, constraint: CompiledConstraint, rows: dict) -> np.ndarray:
-        """The rule's grounding rows over the kept ids: each slot's position in
-        its predicate's truth vector, -1 where absent.  Rules that read the
-        same index maps over the same axes share one array."""
-        key = tuple((id(slot.binding.index), slot.axes) for slot in constraint.slots)
-        if key not in rows:
-            if len(constraint.domains) == 1:
+        for (program, n_vars, strides, _), members in self._members.items():
+            rules, starts = zip(*members)
+            slots = self.constraints[rules[0]].slots
+            # The coordinates that every rule of the group grounds, and per slot
+            # their position in its predicate's truth vector, -1 where absent.
+            if n_vars == 1:
                 coords, columns = (np.flatnonzero(self._keep),), []
             else:  # the guard's pairs of two kept ids; the guard is the first slot
-                codes, positions = self._table(constraint.slots[0].binding)
+                codes, positions = self._table(slots[0].binding)
                 i, j = np.divmod(codes, len(self._keep))
                 live = self._keep[i] & self._keep[j]
                 coords, columns = (i[live], j[live]), [positions[live]]
-            for slot in constraint.slots[len(columns):]:
+            for slot in slots[len(columns):]:
                 columns.append(self._table(slot.binding)[coords[slot.axes[0]]])
-            rows[key] = np.stack(columns, axis=1)
-        return rows[key]
+            starts = np.array(starts).T  # slots x rules
+            index = np.stack([
+                np.where(col >= 0, start[:, None] + stride * col, 0).reshape(-1)
+                for col, start, stride in zip(columns, starts, strides)
+            ], axis=1)
+            row_rule = np.repeat(np.arange(len(rules)), len(coords[0])) if n_vars == 2 else None
+            groups.append(_RuleGroup(program, np.array(rules, dtype=np.intp), index, row_rule))
+        return groups
 
     def _table(self, binding: PredicateBinding):
         """A unary index's column, each id's position or -1 where absent, or a

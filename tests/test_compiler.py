@@ -627,12 +627,32 @@ def test_guarded_pair_rule_grounds_only_live_guards(bound_mode):
     text = FORMULA_POOL[5]
     assert text.startswith(GUARDED_PREFIX)
     constraints, outputs = random_rule_set(rng, [text, text], "product", "residuum", bound_mode)
-    layout, _, _ = stack_outputs(rng, outputs)
+    layout, truths, _ = stack_outputs(rng, outputs)
     assert constraints[0].slots[0].binding.name == "BOUND"
     live = np.count_nonzero(dense_gathers(constraints[0])[0] >= 0)
     assert 0 < live < constraints[0].n_groundings
     assert CompiledRuleSet(constraints[:1], layout).n_groundings == live
-    assert CompiledRuleSet(constraints, layout).n_groundings == 2 * live
+    # Both rules read the guard's index map: one group, grounded once over the
+    # live pairs, its rows rule-major, each rule's rows the same columns at
+    # its own slot offsets.
+    (group,) = CompiledRuleSet(constraints, layout)._groups
+    assert group.index.shape == (2 * live, len(constraints[0].slots))
+    assert np.array_equal(group.row_rule, np.repeat([0, 1], live))
+    shift = group.index[live:] - group.index[:live]
+    assert np.all(shift == shift[0]) and shift[0, 0] == 0
+    # A guard with an equal-content but distinct index map grounds its own group.
+    bound = constraints[0].slots[0].binding
+    twin = PredicateBinding("LINK" if bound.given else "BOUND", 2, dict(bound.index),
+                            given=bound.given)
+    preds = {s.binding.name: s.binding for s in constraints[0].slots} | {twin.name: twin}
+    third = compile_constraint(parse_rule(constraints[0].text.replace("BOUND(", twin.name + "(")),
+                               "product", {"P": constraints[0].domains[0]}, preds)
+    assert third.slots[0].binding is twin
+    rule_set = CompiledRuleSet([*constraints, third], layout)
+    assert len(rule_set._groups) == 2 and rule_set.n_groundings == 3 * live
+    phis = rule_set.penalties(truths)
+    assert phis[2] == pytest.approx(dense_penalty_and_gradients(third, outputs)[0],
+                                    rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("tnorm", TNORMS)
@@ -687,7 +707,11 @@ def test_guarded_rules_over_a_scope_subset_match_the_dense_grounding(
 def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
     ids = [f"p{i}" for i in range(4)]
     names = "ABCDE"
-    preds = {name: _unary(name, ids) for name in names}
+    # One index map for every predicate, as a run binds a task's predicates,
+    # and five maps of equal content, one per predicate.
+    positions = {p: i for i, p in enumerate(ids)}
+    shared = {name: PredicateBinding(name, 1, positions) for name in names}
+    own = {name: _unary(name, ids) for name in names}
     rng = np.random.default_rng(4)
     truths = [rng.uniform(0, 1, (len(names), 4))]
     texts = [
@@ -697,17 +721,32 @@ def test_rule_set_runs_one_engine_pass_per_template(monkeypatch):
         "forall x:P. B(x) => E(x)",
         "forall x:P. D(x) and E(x) => A(x)",
     ]
-    rule_set = CompiledRuleSet(
-        [compile_constraint(parse_rule(t), "lukasiewicz", {"P": ids}, preds) for t in texts],
-        [(tuple(names), 4)],
-    )
+
+    def rule_set(preds, tnorm):
+        return CompiledRuleSet(
+            [compile_constraint(parse_rule(t), tnorm, {"P": ids}, preds) for t in texts],
+            [(tuple(names), 4)],
+        )
+
     calls = []
     forward = engine.node_values
     monkeypatch.setattr(
         engine, "node_values", lambda program, values: calls.append(1) or forward(program, values)
     )
-    rule_set.penalties_and_gradients(truths)
+    rule_set(shared, "lukasiewicz").penalties_and_gradients(truths)
     assert len(calls) == 2
+    # A group shares its slots' index maps too: no two rules here read the same maps.
+    rule_set(own, "lukasiewicz").penalties_and_gradients(truths)
+    assert len(calls) == 2 + len(texts)
+    for tnorm in TNORMS:
+        phis, grads = rule_set(shared, tnorm).penalties_and_gradients(truths)
+        own_phis, own_grads = rule_set(own, tnorm).penalties_and_gradients(truths)
+        assert phis.tobytes() == own_phis.tobytes()
+        for grad, own_grad in zip(grads, own_grads, strict=True):
+            if tnorm == "product":  # the groups' gradients add up in another order
+                np.testing.assert_allclose(grad, own_grad, rtol=1e-12, atol=0)
+            else:  # every term is an integer, so any order of sum is exact
+                assert grad.tobytes() == own_grad.tobytes()
 
 
 def test_rule_set_rejects_truth_blocks_of_the_wrong_shape():
