@@ -64,7 +64,6 @@ from .ontology import (
     DPP,
     PP,
     PROTEIN_DOMAIN,
-    AnnotationSet,
     GoCut,
     OntologyDag,
     generate_oc_rules,
@@ -225,7 +224,7 @@ def _require(value: str | None, key: str, why: str) -> str:
 class Dataset:
     dag: OntologyDag
     proteins: tuple[str, ...]
-    closed: AnnotationSet
+    closed: dict[str, frozenset[str]]
     cut: GoCut
     dropped: tuple[str, ...]
 

@@ -26,15 +26,15 @@ Grounding rows run rule by rule, each in the id list's order, row-major
 over a pair rule's two axes, so penalties are deterministic.  A rule set
 grounds the ids of its row mask when it is first evaluated, and
 ``CompiledRuleSet.restricted`` narrows that mask without compiling again.
-Under the minimum t-norm a gradient is one scatter of every grounding's
-signed input position (see ``engine``).  The per-rule
+Under the minimum t-norm a group's gradient is one scatter of its
+groundings' signed input positions (see ``engine``).  The per-rule
 ``CompiledConstraint.penalty`` methods evaluate a one-rule set.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -65,7 +65,7 @@ class PredicateBinding:
     ``index`` maps an example id (unary) or an ``(a, b)`` pair (binary) to
     a position; binary lookups try ``(a, b)`` then ``(b, a)``, and ids
     absent from the index read as constant 0.  ``size``, the length of the
-    truth vector, is taken from the index once.  A learned predicate's
+    truth vector, scans the index on each call.  A learned predicate's
     positions index the output vector handed to the constraint at
     evaluation time.  A ``given`` predicate is crisp fixed evidence, such
     as an interaction list: it reads 1 on every key of its index, whatever
@@ -78,10 +78,10 @@ class PredicateBinding:
     arity: int
     index: Mapping
     given: bool = False
-    size: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", max(self.index.values()) + 1 if self.index else 0)
+    @property
+    def size(self) -> int:
+        return max(self.index.values()) + 1 if self.index else 0
 
 
 class SlotBinding(NamedTuple):
@@ -203,6 +203,7 @@ class CompiledRuleSet:
                 place[pred] = (end, n)
                 end += n
         given: dict[str, PredicateBinding] = {}  # each reads the 1.0 at position end
+        sizes: dict[int, int] = {}  # binding.size by id(index): one scan per index map
 
         ids = self.constraints[0].domains[0] if self.constraints else ()
         if any(c.domains[0] is not ids and c.domains[0] != ids for c in self.constraints):
@@ -234,9 +235,12 @@ class CompiledRuleSet:
                         f"predicate {pred!r}"
                     )
                 offset, n = place[pred]
-                if binding.size != n:
+                size = sizes.get(id(binding.index))
+                if size is None:
+                    size = sizes[id(binding.index)] = binding.size
+                if size != n:
                     raise CompileError(
-                        f"rule {constraint.text!r} was compiled for {binding.size} "
+                        f"rule {constraint.text!r} was compiled for {size} "
                         f"outputs of {pred!r}, its block has {n}"
                     )
                 starts.append(offset)
@@ -343,7 +347,6 @@ class CompiledRuleSet:
         flat = np.concatenate([[0.0], *(np.ravel(t) for t in truths), [1.0]])
         phis = np.empty(len(self.constraints), dtype=np.float64)
         grad = np.zeros(flat.size, dtype=np.float64) if with_gradient else None
-        codes, signs = [], []  # minimum t-norm rows: |signed position|, signed weight
         for group in self._groups:
             vals = _engine.node_values(group.program, flat[group.index.T])
             penalties = 1.0 - vals[-1]
@@ -356,22 +359,16 @@ class CompiledRuleSet:
             if not with_gradient:
                 continue
             # A rule's penalty is the sum of 1 - truth over its groundings.
-            weights = np.full(penalties.shape, -1.0)
             if group.program.tnorm_code != _engine.TN_MINIMUM:
-                dvalues = _engine.backward(group.program, vals, weights)
+                dvalues = _engine.backward(group.program, vals, np.full(penalties.shape, -1.0))
                 grad += np.bincount(
                     group.index.reshape(-1), weights=dvalues.reshape(-1), minlength=flat.size
                 )
                 continue
-            # Each truth moves by +-1 with one input or not at all, and each weight is
-            # 0 or -1, so every gradient entry is a count, exact in any order of sum.
+            # Each truth moves by +-1 with one input or not at all, so every
+            # gradient entry is an integer count, exact in any order of sum.
             code = _engine.signed_positions(group.program, vals, group.index.T)
-            codes.append(np.abs(code))
-            signs.append(np.sign(code) * weights)
-        if codes:
-            grad += np.bincount(
-                np.concatenate(codes), weights=np.concatenate(signs), minlength=flat.size
-            )
+            grad -= np.bincount(np.abs(code), weights=np.sign(code), minlength=flat.size)
         return phis, grad
 
 

@@ -3,8 +3,8 @@
 The label space is a directed acyclic graph of terms split across three
 namespaces.  ``is_a`` edges define the hierarchy used for levels, closure and
 consistency rules; ``part_of`` edges cross namespaces and feed the
-trans-hierarchy rules; ``regulates`` and ``occurs_in`` are parsed and stored
-but generate nothing.
+trans-hierarchy rules.  No other relation is read.  Closed annotations are
+a plain ``{protein: frozenset(terms)}`` dict.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ NAMESPACES = ("biological_process", "cellular_component", "molecular_function")
 
 ISA = "is_a"
 PART_OF = "part_of"
-REGULATES = "regulates"
-OCCURS_IN = "occurs_in"
-RELATIONS = (ISA, PART_OF, REGULATES, OCCURS_IN)
+RELATIONS = (ISA, PART_OF)
 
 BIN_PREFIX = "BIN:"
 BOUND_PREDICATE = "BOUND"
@@ -71,8 +69,8 @@ class OntologyDag:
                 raise OntologyError(f"duplicate term id {term.id!r}")
             table[term.id] = term
 
-        # is_a edges live in _up and _down alone; _links holds the rest.
-        links: list[tuple[str, str, str]] = []
+        # is_a edges live in _up and _down alone.
+        part_of: list[tuple[str, str]] = []
         up: dict[str, list[str]] = {t: [] for t in table}
         down: dict[str, list[str]] = {t: [] for t in table}
         rooted: set[str] = set()  # terms with an is_a parent in their own namespace
@@ -90,7 +88,7 @@ class OntologyDag:
                 if table[child].namespace == table[parent].namespace:
                     rooted.add(child)
             else:
-                links.append(edge)
+                part_of.append((child, parent))
         for tid, parents in up.items():
             if parents and tid not in rooted:
                 raise OntologyError(
@@ -98,7 +96,7 @@ class OntologyDag:
                 )
 
         self._terms = table
-        self._links = tuple(links)
+        self._part_of = tuple(part_of)
         # tuple() of an empty list is the one shared empty tuple.
         self._up = {t: tuple(ps) for t, ps in up.items()}
         self._down = {t: tuple(cs) for t, cs in down.items()}
@@ -201,11 +199,8 @@ class OntologyDag:
         if relation not in RELATIONS:
             raise OntologyError(f"unknown relation {relation!r}")
         if self._by_relation is None:
-            grouped: dict[str, list[tuple[str, str]]] = {r: [] for r in RELATIONS}
-            grouped[ISA].extend((c, p) for c, parents in self._up.items() for p in parents)
-            for child, parent, relation_of in self._links:
-                grouped[relation_of].append((child, parent))
-            self._by_relation = {r: tuple(sorted(pairs)) for r, pairs in grouped.items()}
+            isa = tuple(sorted((c, p) for c, parents in self._up.items() for p in parents))
+            self._by_relation = {ISA: isa, PART_OF: tuple(sorted(self._part_of))}
         return self._by_relation[relation]
 
     def _require(self, term_id: str) -> None:
@@ -230,11 +225,14 @@ def parse_obo(lines: Iterable[str]) -> OntologyDag:
     string is refused, since iterating it would yield characters.
 
     Only ``[Term]`` stanzas are read; recognised keys are ``id``, ``name``,
-    ``namespace``, ``is_a``, ``relationship`` and ``is_obsolete``.  Obsolete
-    terms are dropped along with their outgoing edges; an edge pointing at a
-    dropped or missing term is an error.  A ``!`` starts a comment anywhere
-    on a line.  Term ids and edge targets are interned, so each id is one
-    string object, and namespaces are the :data:`NAMESPACES` strings.
+    ``namespace``, ``is_a``, ``relationship`` and ``is_obsolete``.  Of the
+    relationship lines only ``part_of`` is kept; every other type, such as
+    ``regulates``, ``occurs_in`` or ``has_part``, is skipped unchecked.
+    Obsolete terms are dropped along with their outgoing edges; a kept edge
+    pointing at a dropped or missing term is an error.  A ``!`` starts a
+    comment anywhere on a line.  Term ids and edge targets are interned, so
+    each id is one string object, and namespaces are the :data:`NAMESPACES`
+    strings.
     """
     if isinstance(lines, str):
         raise TypeError("parse_obo takes an iterable of lines, not a str")
@@ -286,52 +284,22 @@ def parse_obo(lines: Iterable[str]) -> OntologyDag:
             parts = value.split()
             if len(parts) < 2:
                 raise OntologyError(f"malformed relationship line {raw.strip()!r}")
-            if parts[0] in _LINKED_RELATIONS:
-                links.append((sys.intern(parts[1]), _LINKED_RELATIONS[parts[0]]))
+            if parts[0] == PART_OF:
+                links.append((sys.intern(parts[1]), PART_OF))
     return OntologyDag(terms, edges)
 
 
 _NAMESPACE_OF = {ns: ns for ns in NAMESPACES}
-_LINKED_RELATIONS = {r: r for r in (PART_OF, REGULATES, OCCURS_IN)}
 
 
-class AnnotationSet:
-    """Protein → term-set mapping, expected to be closed over is_a ancestors."""
+def tpr_closure(raw: Mapping[str, Iterable[str]],
+                dag: OntologyDag) -> dict[str, frozenset[str]]:
+    """Close each protein's annotations upward over is_a edges: each
+    protein's terms and all their ancestors, as ``{protein: frozenset}``.
 
-    def __init__(self, mapping: Mapping[str, Iterable[str]]):
-        self._by_protein = {p: frozenset(ts) for p, ts in mapping.items()}
-        inverse: dict[str, set[str]] = {}
-        for protein, terms in self._by_protein.items():
-            for term in terms:
-                inverse.setdefault(term, set()).add(protein)
-        self._by_term = {t: frozenset(ps) for t, ps in inverse.items()}
-
-    @property
-    def proteins(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_protein))
-
-    def terms_of(self, protein: str) -> frozenset[str]:
-        return self._by_protein.get(protein, frozenset())
-
-    def proteins_of(self, term: str) -> frozenset[str]:
-        return self._by_term.get(term, frozenset())
-
-    def items(self):
-        return self._by_protein.items()
-
-    def __contains__(self, protein: str) -> bool:
-        return protein in self._by_protein
-
-    def __len__(self) -> int:
-        return len(self._by_protein)
-
-
-def tpr_closure(raw: Mapping[str, Iterable[str]], dag: OntologyDag) -> AnnotationSet:
-    """Close each protein's annotations upward over is_a edges.
-
-    Idempotent: applying it to an already-closed set changes nothing.
+    Idempotent: applying it to an already-closed mapping changes nothing.
     """
-    closed: dict[str, set[str]] = {}
+    closed: dict[str, frozenset[str]] = {}
     for protein, term_ids in raw.items():
         acc: set[str] = set()
         for tid in term_ids:
@@ -339,8 +307,8 @@ def tpr_closure(raw: Mapping[str, Iterable[str]], dag: OntologyDag) -> Annotatio
                 raise _unknown_term(protein, tid)
             acc.add(tid)
             acc.update(dag.ancestors(tid))
-        closed[protein] = acc
-    return AnnotationSet(closed)
+        closed[protein] = frozenset(acc)
+    return closed
 
 
 def namespace_coverage(raw: Mapping[str, Iterable[str]],
@@ -376,7 +344,7 @@ def _unknown_term(protein: str, tid: str) -> OntologyError:
     return OntologyError(f"protein {protein!r} annotated with unknown term {tid!r}")
 
 
-def _check_closed(annotations: AnnotationSet, dag: OntologyDag) -> None:
+def _check_closed(annotations: Mapping[str, frozenset[str]], dag: OntologyDag) -> None:
     for protein, terms in annotations.items():
         for tid in terms:
             if tid not in dag:
@@ -492,15 +460,16 @@ class GoCut:
 
 def go_cut(
     dag: OntologyDag,
-    annotations: AnnotationSet,
+    annotations: Mapping[str, frozenset[str]],
     namespaces: Iterable[str],
     level_threshold: int,
     count_threshold: int,
 ) -> GoCut:
     """Build the pruned subgraph for the given thresholds.
 
-    Annotations must already be closed (see :func:`tpr_closure`); protein
-    counts are taken post-closure.
+    Annotations, each protein's term set, must already be closed (see
+    :func:`tpr_closure`); protein counts are taken post-closure, from the
+    proteins that carry each term, gathered in one pass.
     """
     ns = tuple(dict.fromkeys(namespaces))
     if not ns:
@@ -513,20 +482,24 @@ def go_cut(
     if count_threshold < 0:
         raise OntologyError("count threshold must be non-negative")
     _check_closed(annotations, dag)
+    carriers: dict[str, set[str]] = {}
+    for protein, terms in annotations.items():
+        for term in terms:
+            carriers.setdefault(term, set()).add(protein)
 
     retained = frozenset(
         tid
         for tid, term in dag.terms.items()
         if term.namespace in ns
         and dag.level(tid) <= level_threshold
-        and len(annotations.proteins_of(tid)) >= count_threshold
+        and len(carriers.get(tid, ())) >= count_threshold
     )
     if not retained:
         raise OntologyError("cut is empty: no term satisfies both thresholds")
 
     bins: dict[str, str] = {}
     proteins: dict[str, frozenset[str]] = {
-        tid: annotations.proteins_of(tid) for tid in retained
+        tid: frozenset(carriers.get(tid, ())) for tid in retained
     }
     for tid in sorted(retained):
         kids = dag.children(tid)
@@ -536,9 +509,9 @@ def go_cut(
             bin_id = BIN_PREFIX + tid
             binned: set[str] = set()
             for child in pruned:
-                binned.update(annotations.proteins_of(child))
+                binned.update(carriers.get(child, ()))
             bins[bin_id] = tid
-            proteins[bin_id] = frozenset(binned & annotations.proteins_of(tid))
+            proteins[bin_id] = frozenset(binned & proteins[tid])
     return GoCut(dag, ns, retained, bins, proteins)
 
 
@@ -661,7 +634,7 @@ def _summary(values: Sequence[float]) -> JaccardSummary:
 
 def ppi_statistics(
     pairs: Iterable[tuple[str, str]],
-    annotations: AnnotationSet,
+    annotations: Mapping[str, frozenset[str]],
     cut: GoCut,
 ) -> PpiStatistics:
     """Sharing counts per retained term and Jaccard overlap per interacting pair.
@@ -690,7 +663,7 @@ def ppi_statistics(
     cut_terms = frozenset(retained)
     by_ns = {ns: frozenset(t for t in retained if cut.namespace(t) == ns) for ns in cut.namespaces}
     restricted = {
-        p: annotations.terms_of(p) & cut_terms
+        p: annotations.get(p, frozenset()) & cut_terms
         for p in {x for pair in pair_list for x in pair}
     }
     pool = [(a, b) for a, b in pair_list if restricted[a] and restricted[b]]

@@ -28,9 +28,7 @@ from fungo.logic import (
 from fungo.ontology import (
     ISA,
     NAMESPACES,
-    OCCURS_IN,
     PART_OF,
-    REGULATES,
     RELATIONS,
     GoCut,
     OntologyError,
@@ -774,7 +772,7 @@ def reference_parse_obo(text: str) -> ReferenceOntologyDag:
             if len(parts) < 2:
                 raise OntologyError(f"malformed relationship line {raw.strip()!r}")
             relation, target = parts[0], parts[1]
-            if relation in (PART_OF, REGULATES, OCCURS_IN):
+            if relation == PART_OF:
                 stanza["links"].append((target, relation))  # type: ignore[union-attr]
     flush()
     return ReferenceOntologyDag(terms, edges)

@@ -17,6 +17,11 @@ the same inputs, over these configs:
   grown to 1,500 proteins and 30,000 interactions with 5 folds, 3 stage-2
   iterations, ``lambda_c = 0.1`` and the minimum t-norm.
 
+After each ``run``, both trees run ``fungo export-tree`` into the same
+bundle, which adds ``tree.dot`` (the cut, from ``go_cut``), and, where the
+config names a ``ppi`` list, ``fungo stats``, which adds ``stats.txt``
+(from ``ppi_statistics``).
+
 A bundle sees its Gram matrix only through training, so both trees also run
 ``fungo kernel`` on five kernel configs: the fixture's OC configs on the
 expression, domain, diffusion and precomputed kernels, and
@@ -27,7 +32,8 @@ Every file of each pair of bundles is compared, with the output directory
 masked out of the echoed paths.  The script prints each file that differs,
 or that only one bundle has, and each run that exits non-zero, and exits 1
 if there is any.  Its last line counts the fixture, workload, scale and
-kernel configs, the files compared and the files that differ.  A differing file
+kernel configs, the bundles with ``tree.dot`` and with ``stats.txt``, the
+files compared and the files that differ.  A differing file
 that both bundles have is described by how far apart its numbers are:
 
 * ``model.txt``: the largest relative difference of the weights and each
@@ -148,6 +154,14 @@ def kernel_configs(configs: dict[str, str]) -> dict[str, str]:
     return kernels
 
 
+def bundle_commands(config: str) -> tuple[str, ...]:
+    """The commands that write a run config's bundle: ``run``, then
+    ``export-tree``, then ``stats`` if the config names a ``ppi`` list."""
+    with open(config, encoding="utf-8") as handle:
+        keys = {line.partition("=")[0].strip() for line in handle}
+    return ("run", "export-tree") + ("stats",) * ("ppi" in keys)
+
+
 def run(src: str, config: str, out_dir: str, command: str = "run") -> int:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "fungo.cli", command, "--config", config, "--out", out_dir]
@@ -256,14 +270,18 @@ def main(argv: list[str] | None = None) -> int:
         configs.update(scale_configs(os.path.join(work, "scale")))
         scale = len(configs) - fixtures - workloads
         kernels = kernel_configs(configs)
-        runs = [(name, "run", config) for name, config in configs.items()]
-        runs += [(name, "kernel", config) for name, config in kernels.items()]
+        runs = [(name, bundle_commands(config), config) for name, config in configs.items()]
+        runs += [(name, ("kernel",), config) for name, config in kernels.items()]
+        trees_out = sum("export-tree" in commands for _, commands, _ in runs)
+        stats_out = sum("stats" in commands for _, commands, _ in runs)
         compared = differing = 0
-        for name, command, config in runs:
+        for name, commands, config in runs:
             bundles = []
             for tag, src in trees.items():
                 out_dir = os.path.join(work, "out", tag, name)
-                code = run(src, config, out_dir, command)
+                code = 0
+                for command in commands:  # up to the first that fails
+                    code = code or run(src, config, out_dir, command)
                 bundles.append((code, snapshot(out_dir) if os.path.isdir(out_dir) else {}))
             (code_a, files_a), (code_b, files_b) = bundles
             if code_a or code_b:
@@ -277,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name}: {path} differs" + (f": {detail}" if detail else ""))
                     differing += 1
         print(f"{len(runs)} configs ({fixtures} fixture, {workloads} workload, {scale} scale, "
-              f"{len(kernels)} kernel), {compared} files compared, {differing} differ")
+              f"{len(kernels)} kernel; {trees_out} with tree.dot, {stats_out} with stats.txt), "
+              f"{compared} files compared, {differing} differ")
     return 1 if differing else 0
 
 

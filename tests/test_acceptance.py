@@ -314,8 +314,8 @@ def test_cut_rules_and_bins_on_random_dags():
                         nxt.append(child)
             frontier = nxt
         counts = {t: 0 for t in dag.terms}
-        for protein in annotations.proteins:
-            for term in annotations.terms_of(protein):
+        for protein in sorted(annotations):
+            for term in annotations[protein]:
                 counts[term] += 1
         expected = {
             t for t in dag.terms if levels[t] <= level and counts[t] >= count
@@ -396,16 +396,17 @@ def test_metric_and_fold_invariants():
     annotations = leaf_annotations(np.random.default_rng(82), dag, 10)
     cut = go_cut(dag, annotations, ["biological_process"], 4, 0)
     nodes = cut.nodes()
+    proteins = tuple(sorted(annotations))
     closed = prediction_set(
         predicates=nodes,
-        examples=tuple(annotations.proteins),
+        examples=proteins,
         truth_sets=tuple(
             frozenset(n for n in nodes if p in cut.proteins(n))
-            for p in annotations.proteins
+            for p in proteins
         ),
         predicted_sets=tuple(
             frozenset(n for n in nodes if p in cut.proteins(n))
-            for p in annotations.proteins
+            for p in proteins
         ),
     )
     assert consistency(closed, cut) == 1.0

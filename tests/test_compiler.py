@@ -192,6 +192,29 @@ def test_a_binding_compares_by_identity():
     assert (binding.size, PredicateBinding("G", 2, {}, given=True).size) == (1, 0)
 
 
+def test_a_rule_set_scans_each_shared_index_once():
+    # A run binds every predicate of its task to one index map: building the
+    # rule set takes that map's size once, not once per predicate.
+    class CountingIndex(dict):
+        scans = 0
+
+        def values(self):
+            self.scans += 1
+            return super().values()
+
+    ids = [f"p{i}" for i in range(6)]
+    index = CountingIndex((p, i) for i, p in enumerate(ids))
+    names = [f"T{k}" for k in range(50)]
+    preds = {name: PredicateBinding(name, 1, index) for name in names}
+    rules = [compile_constraint(parse_rule(f"forall x:P. {a}(x) => {b}(x)"), "product",
+                                {"P": ids}, preds) for a, b in zip(names, names[1:])]
+    index.scans = 0
+    CompiledRuleSet(rules, [(names, len(ids))])
+    assert index.scans == 1
+    with pytest.raises(CompileError, match="was compiled for 6 outputs of 'T0', its block has 5"):
+        CompiledRuleSet(rules, [(names, 5)])
+
+
 @pytest.mark.parametrize("tnorm", ("product", "minimum"))
 def test_a_given_predicate_keeps_every_penalty_non_negative(tnorm):
     # A given predicate reads only 0 or 1, so no penalty can go negative: the

@@ -570,7 +570,7 @@ def test_aggregate_matches_the_set_based_reference(seed):
     cut = go_cut(dag, annotations, ["biological_process"], int(rng.integers(1, 5)),
                  int(rng.integers(0, 3)))
     nodes = cut.nodes()
-    proteins = annotations.proteins
+    proteins = tuple(sorted(annotations))
     # The folds together predict every node for every protein: full
     # proteins × nodes matrices.
     shape = (len(proteins), len(nodes))

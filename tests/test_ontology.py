@@ -18,7 +18,6 @@ from fungo.ontology import (
     NAMESPACES,
     PART_OF,
     RELATIONS,
-    AnnotationSet,
     GoCut,
     OntologyDag,
     OntologyError,
@@ -82,6 +81,27 @@ def test_parse_chain_levels_and_relations():
     assert dag.relation_edges(PART_OF) == (("GO:0000003", "GO:0000001"),)
 
 
+def test_parse_keeps_only_is_a_and_part_of():
+    # Every other relationship type is skipped unchecked, even one whose
+    # target is missing, but a line without a target is still malformed.
+    text = CHAIN_OBO.replace(
+        "relationship: part_of GO:0000001 ! alpha\n",
+        "relationship: part_of GO:0000001 ! alpha\n"
+        "relationship: regulates GO:0000002\n"
+        "relationship: occurs_in GO:9999999 ! dangling\n"
+        "relationship: has_part GO:0000001\n",
+    )
+    dag = parse_obo(text.splitlines())
+    assert dag.relation_edges(PART_OF) == (("GO:0000003", "GO:0000001"),)
+    for dropped in ("regulates", "occurs_in", "has_part"):
+        with pytest.raises(OntologyError, match=f"unknown relation '{dropped}'"):
+            dag.relation_edges(dropped)
+    with pytest.raises(OntologyError, match="unknown relation 'regulates'"):
+        OntologyDag([Term("a", "", BP), Term("b", "", BP)], [("b", "a", "regulates")])
+    with pytest.raises(OntologyError, match="malformed relationship line"):
+        parse_obo(CHAIN_OBO.replace("part_of GO:0000001 ! alpha", "regulates").splitlines())
+
+
 def test_parse_diamond_shortest_path():
     text = CHAIN_OBO + """
 [Term]
@@ -131,10 +151,9 @@ def test_parse_errors():
 def test_closure_chain_and_idempotence():
     dag = parse_obo(CHAIN_OBO.splitlines())
     closed = tpr_closure({"p1": {"GO:0000003"}}, dag)
-    assert closed.terms_of("p1") == {"GO:0000001", "GO:0000002", "GO:0000003"}
-    again = tpr_closure(dict(closed.items()), dag)
-    assert dict(again.items()) == dict(closed.items())
-    assert closed.proteins_of("GO:0000001") == {"p1"}
+    assert closed["p1"] == {"GO:0000001", "GO:0000002", "GO:0000003"}
+    assert tpr_closure(closed, dag) == closed
+    assert {p for p, terms in closed.items() if "GO:0000001" in terms} == {"p1"}
 
 
 def test_closure_unknown_term():
@@ -214,7 +233,7 @@ def test_cut_errors():
     with pytest.raises(OntologyError, match="empty"):
         go_cut(dag, ann, [BP], 0, 100)
     with pytest.raises(OntologyError, match="not closed"):
-        go_cut(dag, AnnotationSet({"p": {"C"}}), [BP], 2, 0)
+        go_cut(dag, {"p": frozenset({"C"})}, [BP], 2, 0)
     with pytest.raises(OntologyError, match="namespace"):
         go_cut(dag, ann, ["nope"], 2, 0)
 
@@ -234,7 +253,7 @@ def test_predicate_name_collision_detected():
         [("GO:1", "R", ISA), ("GO_1", "R", ISA)],
     )
     with pytest.raises(OntologyError, match="collision"):
-        go_cut(dag, AnnotationSet({}), [BP], 5, 0)
+        go_cut(dag, {}, [BP], 5, 0)
 
 
 def _small_tree_cut():
@@ -347,7 +366,7 @@ def test_ppi_rules_validation():
     with pytest.raises(OntologyError, match="variant"):
         generate_ppi_rules(cut, "XX")
     dag = OntologyDag([Term("M", "", MF)], [])
-    mf_cut = go_cut(dag, AnnotationSet({}), [MF], 0, 0)
+    mf_cut = go_cut(dag, {}, [MF], 0, 0)
     with pytest.raises(OntologyError, match="biological-process"):
         generate_ppi_rules(mf_cut, "DPP")
 
@@ -493,7 +512,7 @@ def test_ppi_statistics_undefined_ratio():
 
 ID_POOL = tuple(f"GO:{i:07d}" for i in range(1, 13))
 MISSING_ID = "GO:9999999"
-LINK_RELATIONS = (PART_OF, "regulates", "occurs_in", "has_part")
+LINK_RELATIONS = (PART_OF, "regulates", "occurs_in", "has_part")  # all but part_of skipped
 
 
 def _outcome(fn, *args):

@@ -40,3 +40,12 @@ def test_predictions_and_metrics_report_their_numbers():
         "here example_f1=0.7 label_macro_f1=0.6 consistency=0.8 auc_average=0.9; "
         "there example_f1=0.7 label_macro_f1=0.6 consistency=0.8 auc_average=0.95")
     assert sweep.describe("per_node.tsv", here, there) == ""
+
+
+def test_stats_runs_only_where_the_config_names_interactions(tmp_path):
+    paired = tmp_path / "paired.txt"
+    paired.write_text("obo = go.obo\nppi = ppi.tsv\n", encoding="utf-8")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("obo = go.obo\npair_gram = pairs.csv\n", encoding="utf-8")
+    assert sweep.bundle_commands(str(paired)) == ("run", "export-tree", "stats")
+    assert sweep.bundle_commands(str(plain)) == ("run", "export-tree")
